@@ -70,7 +70,7 @@ from repro.api.protocol import (
     parse_request,
     parse_response,
 )
-from repro.api.service import JsonServing, SnippetService
+from repro.api.service import SnippetService
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -99,7 +99,6 @@ __all__ = [
     "ServingBackend",
     "ServingBackendBase",
     "SnippetService",
-    "JsonServing",
     "Middleware",
     "ValidationMiddleware",
     "DeadlineMiddleware",

@@ -19,11 +19,10 @@ interface:
 
 The interface is a :func:`typing.runtime_checkable`
 :class:`typing.Protocol`, so ``isinstance(backend, ServingBackend)`` holds
-for anything with the right surface — no inheritance required.  What used
-to be the ad-hoc ``JsonServing`` mixin survives as
-:class:`ServingBackendBase`, the convenience base that derives the whole
+for anything with the right surface — no inheritance required.
+:class:`ServingBackendBase` is the convenience base that derives the whole
 JSON surface (and default introspection) from the three ``execute*``
-methods; ``JsonServing`` is now an alias of it.
+methods.
 
 This seam is what lets frontends and backends scale independently: the
 HTTP frontend (:mod:`repro.api.http`) sees only a :class:`ServingBackend`,

@@ -56,14 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import SearchOutcome
 
 
-#: Backwards-compatible name for the JSON endpoint surface: the PR-4
-#: ``JsonServing`` mixin is subsumed by the checked
-#: :class:`~repro.api.backend.ServingBackend` contract, whose convenience
-#: base carries the same ``handle_dict`` / ``handle_text`` /
-#: ``handle_json`` implementation.
-JsonServing = ServingBackendBase
-
-
 class SnippetService(ServingBackendBase):
     """Execute typed search/batch requests over a corpus.
 
@@ -156,10 +148,6 @@ class SnippetService(ServingBackendBase):
             ),
             pairs,
         )
-
-    def execute_many(self, requests: list[SearchRequest]) -> list[SearchResponse | ErrorResponse]:
-        """Per-request error isolation: one bad request never kills the rest."""
-        return self.executor.map(self.execute, requests)
 
     # ------------------------------------------------------------------ #
     # batches

@@ -1292,36 +1292,29 @@ def _command_cluster_serve_request(args: argparse.Namespace, out) -> int:
 def _command_cluster_update(args: argparse.Namespace, out) -> int:
     """Route a lifecycle edit to the owning shard, journal it there, and
     bump the cluster manifest version."""
-    from repro.cluster import partitioner_from_manifest, read_cluster_manifest, write_cluster_manifest
+    from repro.cluster import (
+        partitioner_from_manifest,
+        read_cluster_manifest,
+        saved_cluster_documents,
+        write_cluster_manifest,
+    )
     from repro.corpus import Corpus
-    from repro.index.storage import directory_documents
 
     directory = args.cluster_dir
     manifest = read_cluster_manifest(directory)
     name = args.remove or args.name or os.path.splitext(os.path.basename(args.file))[0]
 
-    # Route on journal bookkeeping alone (no shard index is loaded until
-    # the owner is known, and the scan stops at the owning shard): the
-    # cheap path a large cluster needs.
-    owner: int | None = None
-    for shard_id, subdir in enumerate(manifest.shard_dirs):
-        documents = directory_documents(os.path.join(directory, subdir))
-        if name in documents.values():
-            owner = shard_id
-            break
-    if owner is None:
-        if args.remove:
-            registered = sorted(
-                doc_name
-                for subdir in manifest.shard_dirs
-                for doc_name in directory_documents(
-                    os.path.join(directory, subdir)
-                ).values()
-            )
-            raise ExtractError(
-                f"no document named {name!r} in the cluster; "
-                f"registered: {', '.join(registered) or '(none)'}"
-            )
+    # Route on snapshot/journal bookkeeping alone (no shard index is loaded
+    # until the owner is known): the cheap path a large cluster needs.
+    located = saved_cluster_documents(directory, manifest)
+    if name in located:
+        owner = located[name][0]
+    elif args.remove:
+        raise ExtractError(
+            f"no document named {name!r} in the cluster; "
+            f"registered: {', '.join(sorted(located)) or '(none)'}"
+        )
+    else:
         owner = partitioner_from_manifest(manifest).shard_of(name)
 
     shard_dir = os.path.join(directory, manifest.shard_dirs[owner])

@@ -89,8 +89,9 @@ class HealthMonitor:
                         self._record_transition(replica_set.shard_id, "up")
             primary = replica_set.primary
             if not primary.healthy or primary.stale:
-                replica_set.promote()
-                self._record_transition(replica_set.shard_id, "promote")
+                # An edge only when the primary slot actually changed hands.
+                if replica_set.promote() not in (None, primary):
+                    self._record_transition(replica_set.shard_id, "promote")
         self.probes += 1
 
     # ------------------------------------------------------------------ #

@@ -371,6 +371,25 @@ def read_cluster_manifest(directory: str | os.PathLike[str]) -> ClusterManifest:
         raise StorageError(f"invalid cluster manifest {path}: {exc}") from exc
 
 
+def saved_cluster_documents(
+    directory: str | os.PathLike[str], manifest: ClusterManifest
+) -> dict[str, tuple[int, str]]:
+    """Document name → ``(shard id, snapshot subdirectory)`` of a saved cluster.
+
+    Reads each shard directory's snapshot/journal bookkeeping only — no
+    shard index is loaded.  A name present on two shards (a rebalance
+    interrupted between its add and its remove) resolves to the lower id.
+    """
+    from repro.index.storage import directory_documents
+
+    located: dict[str, tuple[int, str]] = {}
+    for shard_id, shard_dir in enumerate(manifest.shard_dirs):
+        documents = directory_documents(os.path.join(os.fspath(directory), shard_dir))
+        for subdir, name in documents.items():
+            located.setdefault(name, (shard_id, subdir))
+    return located
+
+
 def _parse_int(line: str, what: str) -> int:
     try:
         return int(line.split(" ", 1)[1])

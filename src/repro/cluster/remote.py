@@ -1,9 +1,9 @@
-"""The distributed deployment layer: remote shards behind one coordinator.
+"""The distributed deployment layer: the router over remote shards.
 
 Three pieces turn the in-process cluster into a process-per-shard
-deployment without a single new serving abstraction — exactly the
-composition the seams were built for (``ServiceClient`` is a
-``ServingBackend``, ``ShardExecutor`` is an ``Executor``):
+deployment without a second coordinator — the router of
+:mod:`repro.cluster.router` is reused as is, over a different kind of
+shard:
 
 * :class:`ShardBackend` — what one ``serve --shard-of N`` process runs: a
   :class:`~repro.cluster.shard.ShardServer` behind the standard backend
@@ -13,26 +13,26 @@ composition the seams were built for (``ServiceClient`` is a
   primary's delta on a replica).  Replication deliberately bypasses the
   gateway middleware: update propagation is a separate path from read
   serving, so admission control shedding reads never stalls replication.
-* :class:`RemoteClusterService` — the coordinator.  Routes exactly like
-  :class:`~repro.cluster.router.ClusterService` (same ownership, same
-  batch split/merge, same error bytes over the union registry) but its
-  per-shard backends are :class:`~repro.api.client.ServiceClient`\\ s
-  talking to spawned processes, fanned out through a
-  :class:`RemoteShardExecutor`.  Reads load-balance across each shard's
-  healthy, in-sync replicas and fail over on transport death; writes pin
-  to the primary and fan the returned delta to the replicas; a dead
-  primary is routed around by promoting an in-sync replica.
+* :class:`RemoteShard` — the router's shard seam over one
+  :class:`~repro.cluster.replication.ReplicaSet` of
+  :class:`~repro.api.client.ServiceClient`\\ s.  Everything that differs
+  from an in-process shard lives here: reads load-balance across the
+  shard's healthy, in-sync replicas and fail over on transport death;
+  writes pin to the primary and fan the returned delta to the replicas; a
+  dead primary is routed around by promoting an in-sync replica.
 * :func:`spawn_shard_server` / :meth:`RemoteClusterService.spawn` — the
   process harness: spawn ``serve`` subprocesses with ``--port 0`` and an
   atomically-written ``--port-file``, poll the file, wire up clients.
+  :class:`RemoteClusterService` is the router plus that lifecycle
+  (processes, health monitor, metrics registry) and nothing else.
 
 The byte-identity contract survives the network hop: the default wire
 responses of an N-shard × M-replica remote cluster are byte-identical to
 a single-corpus :class:`~repro.api.SnippetService` holding the same
 documents — including error bytes — because requests are forwarded
 verbatim, responses round-trip losslessly through the typed protocol, and
-the coordinator fabricates registry errors over the union of every
-shard's documents exactly as the in-process router does.
+the router fabricates registry errors over the union of every shard's
+documents whatever the shards are made of.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.api.backend import ServingBackendBase, stats_envelope
+from repro.api.backend import ServingBackendBase
 from repro.api.client import ServiceClient
+from repro.api.executors import Executor
 from repro.api.protocol import (
-    BatchEntry,
     BatchRequest,
     BatchResponse,
     ErrorResponse,
@@ -64,19 +62,19 @@ from repro.api.protocol import (
 )
 from repro.cluster.health import HealthMonitor
 from repro.cluster.partition import (
-    HashPartitioner,
     Partitioner,
     partitioner_from_manifest,
     read_cluster_manifest,
+    saved_cluster_documents,
 )
 from repro.cluster.replication import (
     DEFAULT_OVERLOAD_THRESHOLD,
     ReplicaSet,
     ShardEndpoint,
 )
-from repro.cluster.router import ShardExecutor
+from repro.cluster.router import ClusterService, ShardFailure
 from repro.cluster.shard import ShardDelta, ShardServer
-from repro.errors import ClusterError, ExtractError, ProtocolError, UnknownDocumentError
+from repro.errors import ClusterError, ExtractError, ProtocolError
 from repro.obs.clock import monotonic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_trace
@@ -87,18 +85,6 @@ REPLICATION_OPS = ("apply-update", "apply-delta")
 
 #: transport-level failures that trigger read failover
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ProtocolError)
-
-
-class RemoteShardExecutor(ShardExecutor):
-    """Fan sub-requests over the wire, one worker per shard.
-
-    Identical lifecycle to :class:`~repro.cluster.router.ShardExecutor`;
-    the workers here block on HTTP I/O (which releases the GIL), so N
-    remote shards make true wall-clock progress in parallel even though
-    the coordinator is a single Python process.
-    """
-
-    name = "remote-shard"
 
 
 class ShardBackend(ServingBackendBase):
@@ -450,15 +436,234 @@ def _tail(path: str, limit: int = 800) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# the coordinator
+# the remote shard (the router's seam, over a replica set)
 # ---------------------------------------------------------------------- #
-class RemoteClusterService(ServingBackendBase):
+class RemoteShard:
+    """One shard of a remote cluster, as the router sees it.
+
+    Implements the shard seam of :mod:`repro.cluster.router` over a
+    :class:`~repro.cluster.replication.ReplicaSet`: reads rotate across
+    the healthy, in-sync endpoints and fail over on transport death;
+    writes pin to the primary and fan the returned delta to the replicas;
+    a dead primary is marked down and promoted past.  The shard's name
+    set (which documents live here) is mutated only under its lock.  A
+    pin is just the document name — the shard process resolves it when
+    the request arrives, atomically on its side.
+    """
+
+    def __init__(
+        self,
+        replica_set: ReplicaSet,
+        names: Iterable[str],
+        registry: MetricsRegistry,
+        overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
+    ):
+        self.replica_set = replica_set
+        self.shard_id = replica_set.shard_id
+        self.overload_threshold = overload_threshold
+        self._names = set(names)
+        self._lock = threading.Lock()
+        self._failovers = registry.counter(
+            "repro_shard_failovers_total",
+            "Reads that failed over past a dead endpoint, by shard.",
+            label_names=("shard",),
+        ).labels(shard=self.shard_id)
+        self._sheds = registry.counter(
+            "repro_shard_shed_total",
+            "Overloaded answers that pushed a read to another endpoint, by shard.",
+            label_names=("shard",),
+        ).labels(shard=self.shard_id)
+
+    # ------------------------------------------------------------------ #
+    # registry views & pins
+    # ------------------------------------------------------------------ #
+    def names(self) -> list[str]:
+        with self._lock:
+            return sorted(self._names)
+
+    def __contains__(self, document: str) -> bool:
+        with self._lock:
+            return document in self._names
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._names)
+
+    def capture(self, document: str) -> str | None:
+        return document if document in self else None
+
+    def capture_all(self) -> list[tuple[str, str]]:
+        return [(name, name) for name in self.names()]
+
+    # ------------------------------------------------------------------ #
+    # the read path (failover + load balancing)
+    # ------------------------------------------------------------------ #
+    def _post(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """POST one payload to a healthy endpoint of this shard.
+
+        Endpoints are tried in the replica set's rotation order; a
+        transport failure marks the endpoint down and moves on, an
+        ``overloaded`` answer counts toward shedding and also moves on
+        (falling back to the overloaded answer when every endpoint is
+        loaded).  Raises :class:`ClusterError` when every endpoint is
+        unreachable — the router's ``execute*`` shapes that structurally.
+        """
+        replica_set = self.replica_set
+        trace = current_trace()
+        overloaded_raw: dict[str, Any] | None = None
+        for endpoint in replica_set.read_candidates():
+            try:
+                if trace is not None:
+                    with trace.span(f"shard:{self.shard_id}", role=endpoint.role):
+                        raw = endpoint.client.post(payload)
+                else:
+                    raw = endpoint.client.post(payload)
+            # Failover, not a retry: each iteration tries a *different*
+            # endpoint; the failed one is re-probed by the health monitor.
+            # repro: ignore[no-unbounded-retry]
+            except _TRANSPORT_ERRORS:
+                replica_set.mark_down(endpoint)
+                self._failovers.inc()
+                continue
+            if raw.get("kind") == "error" and raw.get("code") == "overloaded":
+                replica_set.record_overloaded(endpoint, self.overload_threshold)
+                self._sheds.inc()
+                overloaded_raw = raw
+                continue
+            replica_set.record_served(endpoint)
+            return raw
+        if overloaded_raw is not None:
+            return overloaded_raw
+        raise ClusterError(
+            f"every endpoint of shard {self.shard_id} is unreachable; "
+            "reads cannot fail over"
+        )
+
+    def _read(self, request: SearchRequest | BatchRequest) -> Any:
+        # The shard receives the request verbatim, so every byte of its
+        # answer — an error's included — matches the single-corpus service.
+        parsed = parse_response(self._post(request.to_dict()))
+        if isinstance(parsed, ErrorResponse):
+            raise ShardFailure(parsed)
+        return parsed
+
+    def search(self, request: SearchRequest, pin: str) -> SearchResponse:
+        return self._read(request)
+
+    def batch(self, sub_batch: BatchRequest, pins: list[str]) -> BatchResponse:
+        return self._read(sub_batch)
+
+    # ------------------------------------------------------------------ #
+    # the write path (primary + delta fan-out)
+    # ------------------------------------------------------------------ #
+    def update(self, request: UpdateRequest) -> tuple[UpdateResponse, ShardDelta | None]:
+        replica_set = self.replica_set
+        primary = replica_set.primary
+        try:
+            raw = primary.client.replicate(
+                {"op": "apply-update", "request": request.to_dict()}
+            )
+        except _TRANSPORT_ERRORS as exc:
+            # Updates are never retried (the primary may already have
+            # applied it); mark the primary down and promote so the *next*
+            # update lands on a live primary.
+            replica_set.mark_down(primary)
+            replica_set.promote()
+            raise ShardFailure(
+                ErrorResponse(
+                    error=type(exc).__name__,
+                    message=(
+                        f"transport failure talking to shard {self.shard_id}'s "
+                        f"primary: {exc}"
+                    ),
+                    code="internal",
+                )
+            ) from exc
+
+        # Without a ``response`` member the envelope itself failed (unknown
+        # op, malformed request) and the body is the structured error; with
+        # one, an error is the library's rejection — no state changed,
+        # nothing to fan out.
+        response_dict = raw.get("response")
+        parsed = parse_response(response_dict if isinstance(response_dict, dict) else raw)
+        if isinstance(parsed, ErrorResponse):
+            raise ShardFailure(parsed)
+        if not isinstance(parsed, UpdateResponse):
+            raise ClusterError(f"malformed replication reply from shard {self.shard_id}")
+
+        sequence = raw.get("sequence")
+        delta_wire = raw.get("delta")
+        if isinstance(sequence, int) and not isinstance(sequence, bool):
+            replica_set.record_commit(sequence)
+            self._replicate_delta(delta_wire, sequence)
+        with self._lock:
+            if request.action == "remove":
+                self._names.discard(request.document)
+            else:
+                self._names.add(request.document)
+        return parsed, ShardDelta.from_wire(delta_wire) if delta_wire is not None else None
+
+    def _replicate_delta(self, delta_wire: Any, sequence: int) -> None:
+        """Fan the primary's delta to every replica; divergence = stale."""
+        if delta_wire is None:
+            return
+        replica_set = self.replica_set
+        for endpoint in replica_set.replicas:
+            if endpoint.stale:
+                continue
+            try:
+                ack = endpoint.client.replicate(
+                    {"op": "apply-delta", "delta": delta_wire, "sequence": sequence}
+                )
+            # Fan-out over distinct replicas, not a retry of one call: a
+            # replica that missed the delta is stale until rebuilt.
+            # repro: ignore[no-unbounded-retry]
+            except _TRANSPORT_ERRORS:
+                replica_set.mark_down(endpoint)
+                replica_set.mark_stale(endpoint)
+                continue
+            if ack.get("applied") is True and ack.get("sequence") == sequence:
+                replica_set.record_applied(endpoint, sequence)
+            else:
+                replica_set.mark_stale(endpoint)
+
+    # ------------------------------------------------------------------ #
+    # introspection & lifecycle
+    # ------------------------------------------------------------------ #
+    def describe(self) -> dict[str, object]:
+        """This shard's row in the router's ``stats()``."""
+        endpoints = self.replica_set.endpoints()
+        return {
+            "shard": self.shard_id,
+            "endpoints": len(endpoints),
+            "healthy": sum(1 for endpoint in endpoints if endpoint.healthy),
+            "sequence": self.replica_set.sequence,
+        }
+
+    def cache_stats(self) -> dict[str, Any]:
+        """Empty: the serving caches live in the shard processes (each
+        endpoint's ``/v1/stats`` reports its own)."""
+        return {}
+
+    def open(self) -> None:
+        """Nothing to re-open: endpoint clients reconnect lazily."""
+
+    def close(self) -> None:
+        self.replica_set.close()
+
+
+# ---------------------------------------------------------------------- #
+# the remote deployment of the router
+# ---------------------------------------------------------------------- #
+class RemoteClusterService(ClusterService):
     """One logical corpus served from N remote shards × M replicas.
 
-    Drop-in for :class:`~repro.cluster.router.ClusterService` at the wire
-    level; the difference is purely operational — shards live in their own
-    processes, reads fail over across replicas, writes replicate through
-    the primary, and a dead primary is promoted past.
+    The router is :class:`~repro.cluster.router.ClusterService` itself,
+    over one :class:`RemoteShard` per replica set; this subclass adds only
+    what is operational — the spawned processes, the health monitor and
+    the metrics registry the shards' failover/shed counters land in.
+    Persistence stays with the in-process deployment: a remote cluster is
+    spawned (:meth:`spawn`) *from* a saved cluster directory.
     """
 
     backend_name = "remote-cluster"
@@ -468,55 +673,37 @@ class RemoteClusterService(ServingBackendBase):
         replica_sets: Sequence[ReplicaSet],
         partitioner: Partitioner | None = None,
         documents: Mapping[str, int] | None = None,
-        executor: ShardExecutor | None = None,
+        executor: Executor | None = None,
         processes: Sequence[ShardProcess] = (),
         overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
     ):
-        sets = sorted(replica_sets, key=lambda replica_set: replica_set.shard_id)
-        if not sets:
-            raise ClusterError("a remote cluster needs at least one replica set")
-        if [replica_set.shard_id for replica_set in sets] != list(range(len(sets))):
-            raise ClusterError(
-                "replica-set shard ids must be exactly 0..N-1 "
-                f"(got {[replica_set.shard_id for replica_set in sets]})"
-            )
-        self.replica_sets = tuple(sets)
-        self.partitioner = (
-            partitioner if partitioner is not None else HashPartitioner(len(sets))
-        )
-        if self.partitioner.shards != len(self.replica_sets):
-            raise ClusterError(
-                f"partitioner covers {self.partitioner.shards} shard(s) but the "
-                f"cluster has {len(self.replica_sets)}"
-            )
-        self.executor = (
-            executor if executor is not None else RemoteShardExecutor(len(sets))
-        )
-        self.overload_threshold = overload_threshold
-        self._documents = dict(documents or {})
-        for name, shard_id in self._documents.items():
-            if not 0 <= shard_id < len(self.replica_sets):
-                raise ClusterError(
-                    f"document {name!r} is registered to shard {shard_id}, outside "
-                    f"this cluster's range [0, {len(self.replica_sets)})"
-                )
-        self._doc_lock = threading.Lock()
-        self.processes = list(processes)
-        self.monitor: HealthMonitor | None = None
         # Public so build_gateway adopts it: coordinator-side failover /
         # shed / health counters land in the same registry the gateway's
         # request metrics use, and GET /v1/metrics exports them together.
         self.registry = MetricsRegistry()
-        self._failovers = self.registry.counter(
-            "repro_shard_failovers_total",
-            "Reads that failed over past a dead endpoint, by shard.",
-            label_names=("shard",),
+        documents = dict(documents or {})
+        super().__init__(
+            [
+                RemoteShard(
+                    replica_set,
+                    [name for name, owner in documents.items() if owner == replica_set.shard_id],
+                    self.registry,
+                    overload_threshold,
+                )
+                for replica_set in replica_sets
+            ],
+            partitioner=partitioner,
+            executor=executor,
         )
-        self._sheds = self.registry.counter(
-            "repro_shard_shed_total",
-            "Overloaded answers that pushed a read to another endpoint, by shard.",
-            label_names=("shard",),
-        )
+        for name, shard_id in documents.items():
+            if not 0 <= shard_id < len(self.shards):
+                raise ClusterError(
+                    f"document {name!r} is registered to shard {shard_id}, outside "
+                    f"this cluster's range [0, {len(self.shards)})"
+                )
+        self.replica_sets = tuple(shard.replica_set for shard in self.shards)
+        self.processes = list(processes)
+        self.monitor: HealthMonitor | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -546,14 +733,10 @@ class RemoteClusterService(ServingBackendBase):
         """
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
             raise ClusterError(f"replicas must be a positive integer, got {replicas!r}")
-        from repro.index.storage import directory_documents
-
         path = os.fspath(cluster_dir)
         manifest = read_cluster_manifest(path)
-        documents: dict[str, int] = {}
-        for shard_id, subdir in enumerate(manifest.shard_dirs):
-            for name in directory_documents(os.path.join(path, subdir)).values():
-                documents[name] = shard_id
+        located = saved_cluster_documents(path, manifest)
+        documents = {name: shard_id for name, (shard_id, _subdir) in located.items()}
 
         processes: list[ShardProcess] = []
         replica_sets: list[ReplicaSet] = []
@@ -604,336 +787,18 @@ class RemoteClusterService(ServingBackendBase):
         return self.monitor
 
     # ------------------------------------------------------------------ #
-    # registry & routing
-    # ------------------------------------------------------------------ #
-    def names(self) -> list[str]:
-        """Every document registered anywhere in the cluster, sorted."""
-        with self._doc_lock:
-            return sorted(self._documents)
-
-    def __contains__(self, document: str) -> bool:
-        with self._doc_lock:
-            return document in self._documents
-
-    def __len__(self) -> int:
-        with self._doc_lock:
-            return len(self._documents)
-
-    def _registry(self) -> dict[str, int]:
-        with self._doc_lock:
-            return dict(self._documents)
-
-    def _unknown_document(self, document: str) -> ExtractError:
-        # Byte-identical to Corpus.entry's error over the union registry —
-        # the remote cluster is one logical corpus (same contract as the
-        # in-process router).
-        return UnknownDocumentError(
-            f"no document named {document!r} in the corpus; "
-            f"registered: {', '.join(self.names()) or '(none)'}"
-        )
-
-    def _placement_shard_id(self, document: str) -> int:
-        shard_id = self.partitioner.shard_of(document)
-        if not 0 <= shard_id < len(self.replica_sets):
-            raise ClusterError(
-                f"partitioner assigned document {document!r} to shard {shard_id}, "
-                f"outside this cluster's range [0, {len(self.replica_sets)})"
-            )
-        return shard_id
-
-    # ------------------------------------------------------------------ #
-    # the read path (failover + load balancing)
-    # ------------------------------------------------------------------ #
-    def _post_shard(self, shard_id: int, payload: dict[str, Any]) -> dict[str, Any]:
-        """POST one payload to a healthy endpoint of ``shard_id``.
-
-        Endpoints are tried in the replica set's rotation order; a
-        transport failure marks the endpoint down and moves on, an
-        ``overloaded`` answer counts toward shedding and also moves on
-        (falling back to the overloaded answer when every endpoint is
-        loaded).  Raises :class:`ClusterError` when every endpoint is
-        unreachable — the caller's ``execute*`` shapes that structurally.
-        """
-        replica_set = self.replica_sets[shard_id]
-        trace = current_trace()
-        overloaded_raw: dict[str, Any] | None = None
-        for endpoint in replica_set.read_candidates():
-            try:
-                if trace is not None:
-                    with trace.span(f"shard:{shard_id}", role=endpoint.role):
-                        raw = endpoint.client.post(payload)
-                else:
-                    raw = endpoint.client.post(payload)
-            # Failover, not a retry: each iteration tries a *different*
-            # endpoint; the failed one is re-probed by the health monitor.
-            # repro: ignore[no-unbounded-retry]
-            except _TRANSPORT_ERRORS:
-                replica_set.mark_down(endpoint)
-                self._failovers.inc(shard=shard_id)
-                continue
-            if raw.get("kind") == "error" and raw.get("code") == "overloaded":
-                replica_set.record_overloaded(endpoint, self.overload_threshold)
-                self._sheds.inc(shard=shard_id)
-                overloaded_raw = raw
-                continue
-            replica_set.record_served(endpoint)
-            return raw
-        if overloaded_raw is not None:
-            return overloaded_raw
-        raise ClusterError(
-            f"every endpoint of shard {shard_id} is unreachable; "
-            "reads cannot fail over"
-        )
-
-    def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
-        try:
-            request.validate()
-            owner = self._registry().get(request.document)
-            if owner is None:
-                raise self._unknown_document(request.document)
-            raw = self._post_shard(owner, request.to_dict())
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=request.to_dict())
-        parsed = parse_response(raw)
-        if isinstance(parsed, ErrorResponse):
-            # The shard received the request verbatim, so its echo (and
-            # every other byte) already matches the single-corpus service.
-            return parsed
-        return replace(parsed, shard=owner)
-
-    # ------------------------------------------------------------------ #
-    # batches
-    # ------------------------------------------------------------------ #
-    def execute_batch(self, batch: BatchRequest) -> BatchResponse | ErrorResponse:
-        try:
-            return self._run_batch(batch)
-        except _RemoteShardFailure as failure:
-            # A shard answered the sub-batch with a structured error;
-            # re-echo the caller's full batch, as the in-process router's
-            # exception path would.
-            return replace(failure.response, request=batch.to_dict())
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=batch.to_dict())
-
-    def _run_batch(self, batch: BatchRequest) -> BatchResponse:
-        """Split by owning shard, fan out, merge positionally.
-
-        The merge mirrors :meth:`ClusterService.run_batch` exactly:
-        ``documents=None`` is every cluster document in name order, an
-        explicit list is preserved verbatim (duplicates included), and per
-        query the per-shard responses are stitched back into the global
-        document order with ``seconds`` = the slowest shard.
-        """
-        batch.validate()
-        registry = self._registry()
-        if batch.documents is not None:
-            names = list(batch.documents)
-        else:
-            names = sorted(registry)
-        owners: list[int] = []
-        for name in names:
-            owner = registry.get(name)
-            if owner is None:
-                raise self._unknown_document(name)
-            owners.append(owner)
-
-        per_shard: dict[int, list[str]] = {}
-        for name, owner in zip(names, owners):
-            per_shard.setdefault(owner, []).append(name)
-
-        def run_sub(item: tuple[int, list[str]]) -> tuple[int, BatchResponse]:
-            shard_id, documents = item
-            sub_batch = replace(batch, documents=tuple(documents))
-            raw = self._post_shard(shard_id, sub_batch.to_dict())
-            parsed = parse_response(raw)
-            if isinstance(parsed, ErrorResponse):
-                raise _RemoteShardFailure(parsed)
-            return shard_id, parsed
-
-        trace = current_trace()
-        fanout_span = (
-            trace.span("cluster:fanout", shards=len(per_shard))
-            if trace is not None
-            else nullcontext()
-        )
-        with fanout_span:
-            shard_responses = dict(
-                self.executor.map(run_sub, sorted(per_shard.items()))
-            )
-
-        merge_span = (
-            trace.span("cluster:merge") if trace is not None else nullcontext()
-        )
-        with merge_span:
-            entries: list[BatchEntry] = []
-            for query_index, query in enumerate(batch.queries):
-                cursors = {
-                    shard_id: iter(response.entries[query_index].responses)
-                    for shard_id, response in shard_responses.items()
-                }
-                responses = tuple(
-                    replace(next(cursors[owner]), shard=owner) for owner in owners
-                )
-                seconds = max(
-                    (
-                        response.entries[query_index].seconds
-                        for response in shard_responses.values()
-                    ),
-                    default=0.0,
-                )
-                entries.append(
-                    BatchEntry(query=query, responses=responses, seconds=seconds)
-                )
-            return BatchResponse(entries=tuple(entries), documents=tuple(names))
-
-    # ------------------------------------------------------------------ #
-    # the write path (primary + delta fan-out)
-    # ------------------------------------------------------------------ #
-    def execute_update(self, request: UpdateRequest) -> UpdateResponse | ErrorResponse:
-        try:
-            request.validate()
-            owner = self._registry().get(request.document)
-            if owner is None:
-                if request.action == "remove":
-                    raise self._unknown_document(request.document)
-                owner = self._placement_shard_id(request.document)
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=request.to_dict())
-
-        replica_set = self.replica_sets[owner]
-        primary = replica_set.primary
-        try:
-            raw = primary.client.replicate(
-                {"op": "apply-update", "request": request.to_dict()}
-            )
-        except _TRANSPORT_ERRORS as exc:
-            # Updates are never retried (the primary may already have
-            # applied it); mark the primary down and promote so the *next*
-            # update lands on a live primary.
-            replica_set.mark_down(primary)
-            replica_set.promote()
-            return ErrorResponse(
-                error=type(exc).__name__,
-                message=(
-                    f"transport failure talking to shard {owner}'s primary: {exc}"
-                ),
-                request=request.to_dict(),
-                code="internal",
-            )
-
-        response_dict = raw.get("response")
-        if not isinstance(response_dict, dict):
-            # The envelope itself failed (unknown op, malformed request):
-            # the body is a structured error — surface it.
-            parsed_raw = parse_response(raw)
-            if isinstance(parsed_raw, ErrorResponse):
-                return replace(parsed_raw, request=request.to_dict())
-            return ErrorResponse(
-                error="ProtocolError",
-                message=f"malformed replication reply from shard {owner}",
-                request=request.to_dict(),
-                code="internal",
-            )
-        parsed = parse_response(response_dict)
-        if isinstance(parsed, ErrorResponse):
-            # Library-level rejection: no state changed, nothing to fan out.
-            return parsed
-
-        sequence = raw.get("sequence")
-        delta_wire = raw.get("delta")
-        if isinstance(sequence, int) and not isinstance(sequence, bool):
-            replica_set.record_commit(sequence)
-            self._replicate_delta(replica_set, delta_wire, sequence)
-        with self._doc_lock:
-            if request.action == "remove":
-                self._documents.pop(request.document, None)
-            else:
-                self._documents[request.document] = owner
-        assert isinstance(parsed, UpdateResponse)
-        return replace(parsed, shard=owner)
-
-    def _replicate_delta(
-        self, replica_set: ReplicaSet, delta_wire: Any, sequence: int
-    ) -> None:
-        """Fan the primary's delta to every replica; divergence = stale."""
-        if delta_wire is None:
-            return
-        for endpoint in replica_set.replicas:
-            if endpoint.stale:
-                continue
-            try:
-                ack = endpoint.client.replicate(
-                    {"op": "apply-delta", "delta": delta_wire, "sequence": sequence}
-                )
-            # Fan-out over distinct replicas, not a retry of one call: a
-            # replica that missed the delta is stale until rebuilt.
-            # repro: ignore[no-unbounded-retry]
-            except _TRANSPORT_ERRORS:
-                replica_set.mark_down(endpoint)
-                replica_set.mark_stale(endpoint)
-                continue
-            if ack.get("applied") is True and ack.get("sequence") == sequence:
-                replica_set.record_applied(endpoint, sequence)
-            else:
-                replica_set.mark_stale(endpoint)
-
-    # ------------------------------------------------------------------ #
     # introspection & lifecycle
     # ------------------------------------------------------------------ #
     def capabilities(self) -> dict[str, Any]:
         caps = super().capabilities()
-        caps["documents"] = len(self)
-        caps["executor"] = self.executor.name
-        caps["shards"] = len(self.replica_sets)
         caps["replicas"] = max(len(replica_set) for replica_set in self.replica_sets)
-        caps["partitioner"] = self.partitioner.kind
         caps["remote"] = True
         return caps
-
-    def stats(self) -> dict[str, Any]:
-        return stats_envelope(
-            self.backend_name,
-            documents=len(self),
-            shards=[
-                {
-                    "shard": replica_set.shard_id,
-                    "endpoints": len(replica_set),
-                    "healthy": sum(
-                        1 for endpoint in replica_set.endpoints() if endpoint.healthy
-                    ),
-                    "sequence": replica_set.sequence,
-                }
-                for replica_set in self.replica_sets
-            ],
-        )
 
     def close(self) -> None:
         """Stop the monitor, release clients, terminate owned processes."""
         if self.monitor is not None:
             self.monitor.stop()
-        self.executor.close()
-        for replica_set in self.replica_sets:
-            replica_set.close()
+        super().close()
         for process in self.processes:
             process.terminate()
-
-    def __enter__(self) -> "RemoteClusterService":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"<RemoteClusterService shards={len(self.replica_sets)} "
-            f"documents={len(self)} partitioner={self.partitioner.kind} "
-            f"executor={self.executor.name}>"
-        )
-
-
-class _RemoteShardFailure(ExtractError):
-    """A shard answered a fanned sub-request with a structured error."""
-
-    def __init__(self, response: ErrorResponse):
-        super().__init__(response.message)
-        self.response = response

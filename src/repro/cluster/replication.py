@@ -12,7 +12,7 @@ endpoint without changing a single served byte.
 
 State model per endpoint (:class:`ShardEndpoint`):
 
-* ``healthy`` — flipped down on transport failure (by the router's
+* ``healthy`` — flipped down on transport failure (by the remote shard's
   failover path or the :class:`~repro.cluster.health.HealthMonitor`) and
   back up when a health probe succeeds;
 * ``stale`` — set when the endpoint missed a replication delta (it was
@@ -44,6 +44,7 @@ from repro.cluster.partition import (
     manifest_for_partitioner,
     partitioner_from_manifest,
     read_cluster_manifest,
+    saved_cluster_documents,
     write_cluster_manifest,
 )
 from repro.cluster.shard import ShardDelta
@@ -288,20 +289,13 @@ def rebalance_document(
             f"range [0, {manifest.shards})"
         )
 
-    source_shard: int | None = None
-    source_subdir_of: dict[str, str] = {}
-    registered: list[str] = []
-    for shard_id, subdir in enumerate(manifest.shard_dirs):
-        documents = directory_documents(os.path.join(path, subdir))
-        registered.extend(documents.values())
-        if source_shard is None and document in documents.values():
-            source_shard = shard_id
-            source_subdir_of = {name: sub for sub, name in documents.items()}
-    if source_shard is None:
+    located = saved_cluster_documents(path, manifest)
+    if document not in located:
         raise ClusterError(
             f"no document named {document!r} in the cluster; "
-            f"registered: {', '.join(sorted(registered)) or '(none)'}"
+            f"registered: {', '.join(sorted(located)) or '(none)'}"
         )
+    source_shard, source_subdir = located[document]
     if source_shard == target_shard:
         raise ClusterError(
             f"document {document!r} already lives on shard {target_shard}; "
@@ -325,7 +319,7 @@ def rebalance_document(
 
     # 2. Tombstone on the source shard.
     append_journal_record(
-        source_dir, JournalRecord(kind="remove", subdir=source_subdir_of[document])
+        source_dir, JournalRecord(kind="remove", subdir=source_subdir)
     )
 
     # 3. Commit point: repoint an explicit assignment and bump the version.

@@ -1,20 +1,28 @@
-"""The cluster router: one service surface over N shards.
+"""The cluster router: the one coordinator, over a duck-typed shard seam.
 
 :class:`ClusterService` implements the same ``run*`` / ``execute*`` /
 ``handle_dict`` / ``handle_json`` surface as
 :class:`repro.api.SnippetService` and is **drop-in compatible at the wire
-level**: for any shard count, the default (meta-free) JSON responses are
-byte-identical to a single corpus holding the same documents — the
-property the cluster test suite and hypothesis property test pin down.
+level**: for any shard count and either kind of shard, the default
+(meta-free) JSON responses are byte-identical to a single corpus holding
+the same documents — the property the cluster test suite and hypothesis
+property test pin down.
 
-How the fan-out works:
+All routing policy lives here, once; of a shard the router touches only
+``shard_id``, ``names()`` / ``in`` / ``len()``, ``capture(document)`` /
+``capture_all()`` (pins, opaque to the router, handed back on execution),
+``search(request, pin)`` / ``batch(sub_batch, pins)``, ``update(request)
+-> (response, delta)``, ``describe()``, ``cache_stats()`` and ``open()`` /
+``close()``.  :class:`~repro.cluster.shard.ShardServer` implements that in
+process (the pin is the captured corpus entry),
+:class:`~repro.cluster.remote.RemoteShard` over a replica set of spawned
+processes — failover and replication live there, below the seam.
 
 * **Search** — a :class:`~repro.api.SearchRequest` names one document;
-  the partition layer makes ownership deterministic, so the router sends
-  the request to the one shard that owns it.  Pagination follows for
-  free: a ``next_page`` token re-routes to the same shard (deterministic
-  ownership *is* the per-shard cursor), so tokens never point at an empty
-  trailing page that a different shard would have served.
+  the router sends the request to the one shard that holds it.
+  Pagination follows for free: a ``next_page`` token re-routes to the
+  same shard (ownership *is* the per-shard cursor), so tokens never point
+  at an empty trailing page that a different shard would have served.
 * **Batch** — documents are grouped by owning shard, each shard executes
   its sub-batch (keeping the per-shard shared-parse and shared-postings
   wins) through the :class:`ShardExecutor`, and the per-shard responses
@@ -25,8 +33,7 @@ How the fan-out works:
 * **Update** — routed to the owning shard (registered documents) or to
   the partitioner's assignment (new documents); the shard returns the
   response plus a :class:`~repro.cluster.shard.ShardDelta` for
-  replication/journalling (exposed as :attr:`ClusterService.last_delta`;
-  the ``cluster-update`` CLI appends it to the owning shard's journal).
+  replication/journalling (:meth:`ClusterService.run_update_with_delta`).
 
 Shard provenance is volatile serving metadata: responses are stamped with
 the serving shard id, emitted only inside the opt-in ``meta`` block — the
@@ -38,7 +45,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.api.executors import ConcurrentExecutor, Executor
 from repro.api.protocol import (
@@ -55,7 +62,6 @@ from repro.api.backend import ServingBackendBase, stats_envelope
 from repro.obs.trace import current_trace
 from repro.cluster.partition import (
     CLUSTER_MANIFEST_FILE,
-    ClusterManifest,
     HashPartitioner,
     Partitioner,
     _require_shard_count,
@@ -75,15 +81,35 @@ class ShardExecutor(ConcurrentExecutor):
     One worker per shard: the router submits at most one sub-request per
     shard at a time, so more workers would idle.  It satisfies the full
     :class:`~repro.api.executors.Executor` lifecycle contract (idempotent
-    close, closed submissions raise, context-manager re-entry re-opens);
-    a process-pool or remote-shard executor plugs into the same ABC seam
-    later without touching the router.
+    close, closed submissions raise, context-manager re-entry re-opens).
+    Over remote shards the workers block on HTTP I/O (which releases the
+    GIL), so N shard processes make true wall-clock progress in parallel
+    even though the coordinator is a single Python process.
     """
 
     name = "shard"
 
     def __init__(self, shards: int = 4):
         super().__init__(max_workers=_require_shard_count(shards))
+
+
+def _span(name: str, **attributes: Any):
+    """A span on the current trace; a no-op when the request is untraced."""
+    trace = current_trace()
+    return trace.span(name, **attributes) if trace is not None else nullcontext()
+
+
+class ShardFailure(ExtractError):
+    """A shard answered a routed request with a structured error.
+
+    Carries the shard's :class:`~repro.api.protocol.ErrorResponse`; the
+    router's ``execute*`` return it with the caller's request echoed, so
+    the error bytes are the shard's own.
+    """
+
+    def __init__(self, response: ErrorResponse):
+        super().__init__(response.message)
+        self.response = response
 
 
 class ClusterService(ServingBackendBase):
@@ -103,7 +129,7 @@ class ClusterService(ServingBackendBase):
 
     def __init__(
         self,
-        shards: Sequence[ShardServer],
+        shards: Sequence[Any],
         partitioner: Partitioner | None = None,
         executor: Executor | None = None,
     ):
@@ -125,13 +151,6 @@ class ClusterService(ServingBackendBase):
                 f"cluster has {len(self.shards)}"
             )
         self.executor = executor if executor is not None else ShardExecutor(len(self.shards))
-        #: the replication delta of the most recent update served by this
-        #: router (None before the first update).  A convenience for
-        #: single-threaded callers (the walkthroughs, one-shot CLI flows);
-        #: anything journalling or replicating from concurrent threads must
-        #: use :meth:`run_update_with_delta`, which returns the delta of
-        #: *its own* operation instead of a shared last-writer-wins slot.
-        self.last_delta: ShardDelta | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -177,10 +196,7 @@ class ClusterService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     def names(self) -> list[str]:
         """Every document registered anywhere in the cluster, sorted."""
-        names: list[str] = []
-        for shard in self.shards:
-            names.extend(shard.corpus.names())
-        return sorted(names)
+        return sorted(name for shard in self.shards for name in shard.names())
 
     def __contains__(self, document: str) -> bool:
         return any(document in shard for shard in self.shards)
@@ -188,7 +204,8 @@ class ClusterService(ServingBackendBase):
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
-    def _owning_shard(self, document: str) -> ShardServer | None:
+    def owner_of(self, document: str) -> Any | None:
+        """The shard that currently holds ``document`` (None when nobody does)."""
         for shard in self.shards:
             if document in shard:
                 return shard
@@ -202,28 +219,16 @@ class ClusterService(ServingBackendBase):
             f"registered: {', '.join(self.names()) or '(none)'}"
         )
 
-    def _require_owner(self, document: str) -> ShardServer:
-        shard = self._owning_shard(document)
-        if shard is None:
-            raise self._unknown_document(document)
-        return shard
-
-    def _capture_entry(self, document: str) -> tuple[ShardServer, object]:
-        """The owning shard plus its captured corpus entry, atomically.
-
-        Fan-outs pin requests to the captured entry (snapshot semantics):
-        the per-shard ``Corpus.entry`` lookup is atomic, so there is no
-        check-then-resolve window in which a concurrent remove could fail
-        a multi-document operation part-way.
-        """
+    def _capture(self, document: str) -> tuple[Any, Any]:
+        """The owning shard plus its pin for ``document`` (requests execute
+        against the pin — snapshot semantics, see ``ShardServer.capture``)."""
         for shard in self.shards:
-            try:
-                return shard, shard.corpus.entry(document)
-            except ExtractError:
-                continue
+            pin = shard.capture(document)
+            if pin is not None:
+                return shard, pin
         raise self._unknown_document(document)
 
-    def _placement_shard(self, document: str) -> ShardServer:
+    def _placement_shard(self, document: str) -> Any:
         """The shard a *new* document belongs on (partitioner-assigned)."""
         shard_id = self.partitioner.shard_of(document)
         if not 0 <= shard_id < len(self.shards):
@@ -233,6 +238,15 @@ class ClusterService(ServingBackendBase):
             )
         return self.shards[shard_id]
 
+    def _execute(self, run: Callable[[Any], Any], request: Any) -> Any:
+        """``run(request)`` with failures shaped as an :class:`ErrorResponse`."""
+        try:
+            return run(request)
+        except ShardFailure as failure:
+            return replace(failure.response, request=request.to_dict())
+        except ExtractError as error:
+            return ErrorResponse.from_exception(error, request=request.to_dict())
+
     # ------------------------------------------------------------------ #
     # single requests
     # ------------------------------------------------------------------ #
@@ -240,29 +254,14 @@ class ClusterService(ServingBackendBase):
         """Execute one request on the owning shard; raises on failure."""
         if validate:
             request.validate()
-        shard, entry = self._capture_entry(request.document)
-        trace = current_trace()
-        if trace is not None:
-            with trace.span("cluster:route", shard=shard.shard_id):
-                response = shard.service.run(request, validate=False, entry=entry)
-        else:
-            response = shard.service.run(request, validate=False, entry=entry)
+        shard, pin = self._capture(request.document)
+        with _span("cluster:route", shard=shard.shard_id):
+            response = shard.search(request, pin)
         return replace(response, shard=shard.shard_id)
 
     def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
         """Like :meth:`run`, but failures become an :class:`ErrorResponse`."""
-        try:
-            return self.run(request)
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=request.to_dict())
-
-    def run_many(self, requests: list[SearchRequest]) -> list[SearchResponse]:
-        """Execute independent requests, fanning across shards."""
-        return self.executor.map(self.run, requests)
-
-    def execute_many(self, requests: list[SearchRequest]) -> list[SearchResponse | ErrorResponse]:
-        """Per-request error isolation: one bad request never kills the rest."""
-        return self.executor.map(self.execute, requests)
+        return self._execute(self.run, request)
 
     # ------------------------------------------------------------------ #
     # batches
@@ -272,65 +271,55 @@ class ClusterService(ServingBackendBase):
 
         Each shard runs the sub-batch of documents it owns (one executor
         item per shard), then per query the per-shard responses are
-        stitched back into the global document order.  Ordering contract:
-        ``documents=None`` means every cluster document in name order
-        (exactly :meth:`names`); an explicit list is preserved verbatim,
-        duplicates included.
+        stitched back into the global document order with ``seconds`` =
+        the slowest shard.  Ordering contract: ``documents=None`` means
+        every cluster document in name order (exactly :meth:`names`); an
+        explicit list is preserved verbatim, duplicates included.
         """
         if validate:
             batch.validate()
         if batch.documents is not None:
             names = list(batch.documents)
-            captured = [self._capture_entry(name) for name in names]
+            captured = [self._capture(name) for name in names]
         else:
             # Snapshot semantics for "every registered document": one pass
             # over the per-shard registry snapshots yields the global name
-            # order, each name's owner *and* its pinned entry, so a
-            # concurrent remove cannot fail the batch part-way (mirrors
+            # order, each name's owner *and* its pin, so a concurrent
+            # remove cannot fail the batch part-way (mirrors
             # SnippetService.entries_snapshot).
-            captured = sorted(
+            everything = sorted(
                 (
-                    (shard, entry)
+                    (name, shard, pin)
                     for shard in self.shards
-                    for entry in shard.corpus.entries_snapshot()
+                    for name, pin in shard.capture_all()
                 ),
-                key=lambda pair: pair[1].name,
+                key=lambda triple: triple[0],
             )
-            names = [entry.name for _, entry in captured]
-        owners = [shard for shard, _ in captured]
+            names = [name for name, _, _ in everything]
+            captured = [(shard, pin) for _, shard, pin in everything]
+        owners = [shard.shard_id for shard, _ in captured]
 
         # Group by owning shard, preserving each shard's slice of the
         # global order so per-shard responses can be merged positionally;
-        # the captured entries travel with the sub-batch (snapshot
-        # semantics all the way down to the shard service).
+        # the pins travel with the sub-batch (snapshot semantics all the
+        # way down to the shard service).
         per_shard: dict[int, tuple[list[str], list]] = {}
-        for name, (shard, entry) in zip(names, captured):
-            documents, entries = per_shard.setdefault(shard.shard_id, ([], []))
+        for name, (shard, pin) in zip(names, captured):
+            documents, pins = per_shard.setdefault(shard.shard_id, ([], []))
             documents.append(name)
-            entries.append(entry)
+            pins.append(pin)
 
         def run_sub(item: tuple[int, tuple[list[str], list]]) -> tuple[int, BatchResponse]:
-            shard_id, (documents, entries) = item
+            shard_id, (documents, pins) = item
             sub_batch = replace(batch, documents=tuple(documents))
-            return shard_id, self.shards[shard_id].service.run_batch(
-                sub_batch, validate=False, entries=entries
-            )
+            return shard_id, self.shards[shard_id].batch(sub_batch, pins)
 
-        trace = current_trace()
-        fanout_span = (
-            trace.span("cluster:fanout", shards=len(per_shard))
-            if trace is not None
-            else nullcontext()
-        )
-        with fanout_span:
+        with _span("cluster:fanout", shards=len(per_shard)):
             shard_responses = dict(
                 self.executor.map(run_sub, sorted(per_shard.items()))
             )
 
-        merge_span = (
-            trace.span("cluster:merge") if trace is not None else nullcontext()
-        )
-        with merge_span:
+        with _span("cluster:merge"):
             entries: list[BatchEntry] = []
             for query_index, query in enumerate(batch.queries):
                 cursors = {
@@ -338,8 +327,7 @@ class ClusterService(ServingBackendBase):
                     for shard_id, response in shard_responses.items()
                 }
                 responses = tuple(
-                    replace(next(cursors[shard.shard_id]), shard=shard.shard_id)
-                    for shard in owners
+                    replace(next(cursors[owner]), shard=owner) for owner in owners
                 )
                 seconds = max(
                     (
@@ -354,10 +342,7 @@ class ClusterService(ServingBackendBase):
         return BatchResponse(entries=tuple(entries), documents=tuple(names))
 
     def execute_batch(self, batch: BatchRequest) -> BatchResponse | ErrorResponse:
-        try:
-            return self.run_batch(batch)
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=batch.to_dict())
+        return self._execute(self.run_batch, batch)
 
     # ------------------------------------------------------------------ #
     # document lifecycle
@@ -368,8 +353,7 @@ class ClusterService(ServingBackendBase):
         Registered documents update in place on their current shard; new
         documents go where the partitioner places them; removals must name
         a registered document.  The shard's replication delta is returned
-        by :meth:`run_update_with_delta` (and mirrored on
-        :attr:`last_delta` for single-threaded convenience).
+        by :meth:`run_update_with_delta`.
         """
         return self.run_update_with_delta(request, validate=validate)[0]
 
@@ -380,24 +364,20 @@ class ClusterService(ServingBackendBase):
 
         This is the journalling/replication entry point: the returned
         delta belongs to *this* call, so concurrent updaters each get
-        their own (reading :attr:`last_delta` instead would race).
+        their own.
         """
         if validate:
             request.validate()
-        shard = self._owning_shard(request.document)
+        shard = self.owner_of(request.document)
         if shard is None:
             if request.action == "remove":
-                self._require_owner(request.document)  # raises the corpus-shaped error
+                raise self._unknown_document(request.document)
             shard = self._placement_shard(request.document)
-        response, delta = shard.apply_update(request, validate=False)
-        self.last_delta = delta
+        response, delta = shard.update(request)
         return replace(response, shard=shard.shard_id), delta
 
     def execute_update(self, request: UpdateRequest) -> UpdateResponse | ErrorResponse:
-        try:
-            return self.run_update(request)
-        except ExtractError as error:
-            return ErrorResponse.from_exception(error, request=request.to_dict())
+        return self._execute(self.run_update, request)
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -507,7 +487,7 @@ class ClusterService(ServingBackendBase):
         """
         stats: dict[str, dict[str, dict[str, float]]] = {}
         for shard in self.shards:
-            stats.update(shard.service.cache_stats())
+            stats.update(shard.cache_stats())
         return stats
 
     def capabilities(self) -> dict[str, Any]:
@@ -522,10 +502,7 @@ class ClusterService(ServingBackendBase):
         return stats_envelope(
             self.backend_name,
             documents=len(self),
-            shards=[
-                {"shard": shard.shard_id, "documents": len(shard)}
-                for shard in self.shards
-            ],
+            shards=[shard.describe() for shard in self.shards],
             caches=self.cache_stats(),
         )
 
@@ -541,18 +518,18 @@ class ClusterService(ServingBackendBase):
         ]
 
     def close(self) -> None:
-        """Release the fan-out executor and every shard service (idempotent)."""
+        """Release the fan-out executor and every shard (idempotent)."""
         self.executor.close()
         for shard in self.shards:
-            shard.service.close()
+            shard.close()
 
     def __enter__(self) -> "ClusterService":
         # Service-level context-manager re-entry re-opens the fan-out
-        # executor and every shard service, mirroring the executor
-        # lifecycle contract one level up.
+        # executor and every shard, mirroring the executor lifecycle
+        # contract one level up.
         self.executor.__enter__()
         for shard in self.shards:
-            shard.service.__enter__()
+            shard.open()
         return self
 
     def __exit__(self, *_exc: Any) -> None:
@@ -560,6 +537,6 @@ class ClusterService(ServingBackendBase):
 
     def __repr__(self) -> str:
         return (
-            f"<ClusterService shards={len(self.shards)} documents={len(self)} "
+            f"<{type(self).__name__} shards={len(self.shards)} documents={len(self)} "
             f"partitioner={self.partitioner.kind} executor={self.executor.name}>"
         )

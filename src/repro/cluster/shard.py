@@ -19,14 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.api.protocol import UpdateRequest, UpdateResponse
+from repro.api.protocol import (
+    BatchRequest,
+    BatchResponse,
+    SearchRequest,
+    SearchResponse,
+    UpdateRequest,
+    UpdateResponse,
+)
 from repro.api.service import SnippetService
 from repro.corpus import Corpus
-from repro.errors import ClusterError
+from repro.errors import ClusterError, UnknownDocumentError
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus import DocumentUpdate
+    from repro.corpus import CorpusEntry, DocumentUpdate
 
 #: delta kinds, mirroring the update-journal record kinds
 DELTA_KINDS = ("update", "replace", "add", "remove")
@@ -145,6 +152,48 @@ class ShardServer:
 
     def __len__(self) -> int:
         return len(self.corpus)
+
+    # ------------------------------------------------------------------ #
+    # the router's shard seam (in process: the pin is the corpus entry)
+    # ------------------------------------------------------------------ #
+    def capture(self, document: str) -> "CorpusEntry | None":
+        """Pin ``document``'s current entry; None when it is not held here.
+
+        The ``Corpus.entry`` lookup is atomic, so there is no
+        check-then-resolve window in which a concurrent remove could fail
+        a multi-document operation part-way: a request executed against
+        the pin is served from the captured state.
+        """
+        try:
+            return self.corpus.entry(document)
+        except UnknownDocumentError:
+            return None
+
+    def capture_all(self) -> "list[tuple[str, CorpusEntry]]":
+        """``(name, pin)`` for every registered document, in name order."""
+        return [(entry.name, entry) for entry in self.corpus.entries_snapshot()]
+
+    def search(self, request: SearchRequest, pin: "CorpusEntry") -> SearchResponse:
+        return self.service.run(request, validate=False, entry=pin)
+
+    def batch(self, sub_batch: BatchRequest, pins: "list[CorpusEntry]") -> BatchResponse:
+        return self.service.run_batch(sub_batch, validate=False, entries=pins)
+
+    def update(self, request: UpdateRequest) -> "tuple[UpdateResponse, ShardDelta]":
+        return self.apply_update(request, validate=False)
+
+    def describe(self) -> dict[str, object]:
+        """This shard's row in the router's ``stats()``."""
+        return {"shard": self.shard_id, "documents": len(self)}
+
+    def cache_stats(self) -> dict[str, dict[str, dict[str, float]]]:
+        return self.service.cache_stats()
+
+    def open(self) -> None:
+        self.service.__enter__()
+
+    def close(self) -> None:
+        self.service.close()
 
     # ------------------------------------------------------------------ #
     # the replication primitive

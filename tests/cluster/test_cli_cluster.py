@@ -54,8 +54,8 @@ class TestClusterInit:
         )
         assert code == 0, output
         loaded = ClusterService.load_dir(path)
-        assert loaded._owning_shard("figure5-stores").shard_id == 1
-        assert loaded._owning_shard("retail").shard_id == 0
+        assert loaded.owner_of("figure5-stores").shard_id == 1
+        assert loaded.owner_of("retail").shard_id == 0
 
     def test_bad_assignment_syntax(self, tmp_path):
         code, output = run_cli(
@@ -157,7 +157,7 @@ class TestClusterServeRequest:
 class TestClusterUpdate:
     def edited_xml(self, cluster_dir, document: str, old: str, new: str) -> str:
         loaded = ClusterService.load_dir(cluster_dir)
-        tree = loaded._owning_shard(document).corpus.system(document).index.tree
+        tree = loaded.owner_of(document).corpus.system(document).index.tree
         from repro.xmltree.diff import clone_tree
 
         copy = clone_tree(tree)
@@ -166,7 +166,7 @@ class TestClusterUpdate:
                 node.text = new
         return to_xml_string(copy)
 
-    def test_incremental_update_journalled_on_owning_shard(self, cluster_dir, tmp_path):
+    def test_incremental_update_journalled_onowner_of(self, cluster_dir, tmp_path):
         xml = self.edited_xml(cluster_dir, "figure5-stores", "Texas", "Nevada")
         edited = tmp_path / "figure5-stores.xml"
         edited.write_text(xml, encoding="utf-8")
@@ -204,7 +204,7 @@ class TestClusterUpdate:
         loaded = ClusterService.load_dir(cluster_dir)
         assert "newdoc" in loaded
         expected = loaded.partitioner.shard_of("newdoc")
-        assert loaded._owning_shard("newdoc").shard_id == expected
+        assert loaded.owner_of("newdoc").shard_id == expected
 
     def test_remove_and_unknown_remove(self, cluster_dir):
         code, output = run_cli(

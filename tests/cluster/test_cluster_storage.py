@@ -108,17 +108,16 @@ class TestSaveLoadRoundTrip:
         assert isinstance(loaded.partitioner, ExplicitPartitioner)
         assert loaded.partitioner.assignments == partitioner.assignments
         assert loaded.partitioner.default == 0
-        assert loaded._owning_shard("stores").shard_id == 1
+        assert loaded.owner_of("stores").shard_id == 1
 
     def test_journalled_updates_replay_on_load(self, tmp_path):
         cluster = ClusterService.from_corpus(build_corpus(), shards=2)
         cluster.save_dir(tmp_path / "cluster")
         loaded = ClusterService.load_dir(tmp_path / "cluster")
-        loaded.run_update(
+        _response, delta = loaded.run_update_with_delta(
             UpdateRequest(document="fresh", xml="<root><name>alpha</name></root>")
         )
         # persist the delta the way cluster-update does: re-save the shard
-        delta = loaded.last_delta
         shard_dir = tmp_path / "cluster" / f"shard-{delta.shard}"
         loaded.shards[delta.shard].corpus.save_dir(shard_dir)
         reloaded = ClusterService.load_dir(tmp_path / "cluster")

@@ -1,4 +1,4 @@
-"""Pagination boundary suite across shard counts (ISSUE 4 acceptance).
+"""Pagination boundary suite across shard counts and both kinds of shard.
 
 ``next_page`` tokens must behave identically for any shard count — a
 token handed out by the cluster router re-routes deterministically to the
@@ -15,8 +15,7 @@ import json
 import pytest
 
 from repro.api import SearchRequest, SnippetService
-from repro.cluster import ClusterService
-from repro.corpus import Corpus
+from tests.cluster.conftest import build_corpus
 
 SHARD_COUNTS = (1, 2, 3, 4)
 
@@ -30,15 +29,6 @@ BOUNDARY_CASES = (
     ("store", 5),     # oversized page
     ("zzz-no-such-keyword", 2),  # empty result set: no token at all
 )
-
-
-def build_corpus() -> Corpus:
-    corpus = Corpus()
-    corpus.add_builtin("figure5-stores", name="stores")
-    corpus.add_builtin("retail")
-    corpus.add_builtin("movies")
-    corpus.add_builtin("bibliography")
-    return corpus
 
 
 def walk_pages(service, request: SearchRequest) -> list[dict]:
@@ -59,8 +49,10 @@ def walk_pages(service, request: SearchRequest) -> list[dict]:
 class TestPaginationBoundaries:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("query,page_size", BOUNDARY_CASES)
-    def test_tokens_never_point_at_an_empty_trailing_page(self, shards, query, page_size):
-        cluster = ClusterService.from_corpus(build_corpus(), shards=shards)
+    def test_tokens_never_point_at_an_empty_trailing_page(
+        self, cluster_with, shards, query, page_size
+    ):
+        cluster = cluster_with(shards)
         request = SearchRequest(
             query=query, document="stores", size_bound=6, page_size=page_size
         )
@@ -84,8 +76,10 @@ class TestPaginationBoundaries:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("query,page_size", BOUNDARY_CASES)
-    def test_page_walk_byte_identical_to_single_corpus(self, shards, query, page_size):
-        cluster = ClusterService.from_corpus(build_corpus(), shards=shards)
+    def test_page_walk_byte_identical_to_single_corpus(
+        self, cluster_with, shards, query, page_size
+    ):
+        cluster = cluster_with(shards)
         single = SnippetService(build_corpus())
         request = SearchRequest(
             query=query, document="stores", size_bound=6, page_size=page_size
@@ -95,16 +89,16 @@ class TestPaginationBoundaries:
         assert ours == theirs
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_token_reroutes_to_the_same_shard(self, shards):
-        cluster = ClusterService.from_corpus(build_corpus(), shards=shards)
+    def test_token_reroutes_to_the_same_shard(self, cluster_with, shards):
+        cluster = cluster_with(shards)
         request = SearchRequest(query="store", document="stores", size_bound=6, page_size=2)
         first = cluster.run(request)
         assert first.next_page is not None
         follow_up = cluster.run(request.with_page(first.next_page))
         assert follow_up.shard == first.shard
 
-    def test_page_past_the_end_is_empty_not_an_error(self):
-        cluster = ClusterService.from_corpus(build_corpus(), shards=3)
+    def test_page_past_the_end_is_empty_not_an_error(self, cluster_with):
+        cluster = cluster_with(3)
         single = SnippetService(build_corpus())
         request = SearchRequest(
             query="store", document="stores", size_bound=6, page_size=2, page=9
@@ -113,8 +107,8 @@ class TestPaginationBoundaries:
             json.dumps(single.handle_dict(request.to_dict()), sort_keys=True)
         )
 
-    def test_invalid_page_error_identical(self):
-        cluster = ClusterService.from_corpus(build_corpus(), shards=2)
+    def test_invalid_page_error_identical(self, cluster_with):
+        cluster = cluster_with(2)
         single = SnippetService(build_corpus())
         payload = {
             "kind": "search", "schema_version": 1, "query": "store",

@@ -4,14 +4,17 @@ For random corpora, shard counts, partitioners and add/update/remove
 sequences applied through the wire protocol, the cluster router's
 search/batch responses must be byte-identical to a single-corpus
 :class:`~repro.api.SnippetService` that received the same requests
-(ISSUE 4 acceptance criterion; mirrors
-``tests/property/test_property_incremental.py``).
+(mirrors ``tests/property/test_property_incremental.py``).  It runs over
+both kinds of shard; the remote leg replicates every write across two
+replicas of in-thread HTTP endpoints — no subprocess per example.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from repro.corpus import Corpus
 from repro.xmltree.node import XMLNode
 from repro.xmltree.serialize import to_xml_string
 from repro.xmltree.tree import XMLTree
+from tests.cluster.conftest import TRANSPORTS, in_thread_remote
 
 TAGS = ("store", "item", "name", "city", "category", "info")
 VALUES = ("texas", "houston", "austin", "suit", "outwear", "alpha", "beta")
@@ -80,13 +84,26 @@ def wire(service, payload: dict) -> str:
     return json.dumps(service.handle_dict(payload), sort_keys=True)
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
 @settings(max_examples=20, deadline=None)
 @given(scenarios())
-def test_cluster_matches_single_corpus_byte_for_byte(scenario):
-    shards, partitioner, operations = scenario
+def test_cluster_matches_single_corpus_byte_for_byte(transport, scenario):
+    _shards, partitioner, operations = scenario
 
+    def build() -> ClusterService:
+        return ClusterService.from_corpus(Corpus(), partitioner=partitioner)
+
+    with ExitStack() as stack:
+        cluster = (
+            stack.enter_context(in_thread_remote(build))
+            if transport == "remote"
+            else stack.enter_context(build())
+        )
+        _check_scenario(cluster, operations)
+
+
+def _check_scenario(cluster, operations) -> None:
     single = SnippetService(Corpus())
-    cluster = ClusterService.from_corpus(Corpus(), partitioner=partitioner)
 
     def probe() -> None:
         # Interleave queries so caches are populated and carried along the

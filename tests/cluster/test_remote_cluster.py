@@ -1,13 +1,15 @@
-"""Remote cluster: spawned shard processes serve byte-identical responses.
+"""Remote cluster: what is specific to spawned shard processes.
 
-The acceptance property of the distributed layer: an N-shard × M-replica
-:class:`~repro.cluster.remote.RemoteClusterService` — every shard a
-separately-spawned ``serve --shard-of`` process reached over HTTP —
-returns default wire responses byte-identical to a single-corpus
-:class:`~repro.api.SnippetService` holding the same documents, for every
-request shape including error bytes.  Spawning is expensive, so the
-read-only identity tests share one module-scoped cluster; lifecycle tests
-spawn their own.
+That the router serves bytes identical to a single-corpus
+:class:`~repro.api.SnippetService` over remote shards is the parametrised
+equivalence suite's job (``test_router.py``, ``test_property_cluster.py``
+— their remote leg talks HTTP to in-thread servers).  This module covers
+what only a really spawned N-shard × M-replica
+:class:`~repro.cluster.remote.RemoteClusterService` can show: ``spawn``
+wires real ``serve --shard-of`` processes up from a saved cluster
+directory (registry included), the replication bookkeeping across real
+endpoints, the shard-side backend and the delta wire form.  Spawning is
+expensive, so the read-only tests share one module-scoped cluster.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 
 import pytest
 
-from repro.api.protocol import BatchRequest, SearchRequest, UpdateRequest, parse_response
+from repro.api.protocol import BatchRequest, SearchRequest, UpdateRequest
 from repro.api.service import SnippetService
 from repro.cluster import (
     ClusterService,
@@ -60,61 +62,23 @@ def single():
     service.close()
 
 
-class TestReadByteIdentity:
-    def test_search_every_document_and_query(self, remote, single):
+class TestSpawnedCluster:
+    def test_spawn_reads_the_registry_from_the_saved_directory(self, remote, cluster_dir):
+        saved = ClusterService.load_dir(cluster_dir)
+        assert remote.names() == saved.names()
+        for name in saved.names():
+            assert remote.owner_of(name).shard_id == saved.owner_of(name).shard_id
+        assert remote.partitioner.kind == saved.partitioner.kind
+
+    def test_spawned_processes_serve_identical_bytes(self, remote, single):
         for _dataset, name in CLUSTER_DATASETS:
-            for query in QUERIES:
-                request = SearchRequest(query=query, document=name)
+            request = SearchRequest(query=QUERIES[0], document=name)
+            for _ in range(2):  # once per replica of the rotation
                 assert wire(remote, request) == wire(single, request)
-
-    def test_search_repeats_rotate_replicas_identically(self, remote, single):
-        # read_candidates rotates round-robin, so consecutive requests hit
-        # different replicas — the bytes must not depend on which one.
-        request = SearchRequest(query="store texas", document="stores")
-        expected = wire(single, request)
-        for _ in range(4):
-            assert wire(remote, request) == expected
-
-    def test_search_with_size_bound_and_paging(self, remote, single):
-        request = SearchRequest(
-            query="store texas", document="stores", size_bound=6, page_size=1
-        )
-        remote_body, single_body = wire(remote, request), wire(single, request)
-        assert remote_body == single_body
-        token = parse_response(json.loads(remote_body)).next_page
-        while token is not None:
-            follow = request.with_page(token)
-            remote_body, single_body = wire(remote, follow), wire(single, follow)
-            assert remote_body == single_body
-            token = parse_response(json.loads(remote_body)).next_page
-
-    def test_unknown_document_error_bytes(self, remote, single):
-        request = SearchRequest(query="anything", document="no-such-doc")
-        assert wire(remote, request) == wire(single, request)
-
-    def test_invalid_request_error_bytes(self, remote, single):
-        for payload in (
-            {"kind": "search", "schema_version": 1, "document": "stores"},
-            {"kind": "search", "schema_version": 1, "query": "", "document": "stores"},
-            {"kind": "nonsense"},
-            [1, 2, 3],
-        ):
-            assert wire(remote, payload) == wire(single, payload)
-
-    def test_batch_all_documents(self, remote, single):
         batch = BatchRequest(queries=QUERIES[:3], documents=None)
         assert wire(remote, batch) == wire(single, batch)
-
-    def test_batch_explicit_documents_with_duplicates(self, remote, single):
-        batch = BatchRequest(
-            queries=("store texas", "movie drama"),
-            documents=("movies", "stores", "movies", "retail"),
-        )
-        assert wire(remote, batch) == wire(single, batch)
-
-    def test_batch_unknown_document_error_bytes(self, remote, single):
-        batch = BatchRequest(queries=("store",), documents=("stores", "missing"))
-        assert wire(remote, batch) == wire(single, batch)
+        missing = SearchRequest(query="anything", document="no-such-doc")
+        assert wire(remote, missing) == wire(single, missing)
 
     def test_capabilities_and_stats_shape(self, remote):
         caps = remote.capabilities()
@@ -123,70 +87,37 @@ class TestReadByteIdentity:
         assert caps["replicas"] == 2
         assert caps["remote"] is True
         stats = remote.stats()
+        assert stats["backend"] == "remote-cluster"
         assert stats["documents"] == len(CLUSTER_DATASETS)
         assert [row["endpoints"] for row in stats["shards"]] == [2, 2]
         assert all(row["healthy"] == 2 for row in stats["shards"])
 
+    def test_coordinator_policy_is_inherited_not_copied(self):
+        for name in (
+            "execute", "execute_batch", "execute_update",
+            "_run_batch", "names", "_unknown_document",
+        ):
+            assert name not in RemoteClusterService.__dict__, name
 
-class TestUpdateReplication:
-    @pytest.fixture()
-    def fresh(self, tmp_path):
+    def test_add_document_replicates_to_replicas(self, tmp_path):
         service = ClusterService.from_corpus(build_corpus(), shards=2)
         service.save_dir(tmp_path)
         service.close()
-        remote = RemoteClusterService.spawn(tmp_path, replicas=2)
         single = SnippetService(build_corpus())
-        yield remote, single
-        remote.close()
-        single.close()
-
-    def test_remove_and_read_stay_identical(self, fresh):
-        remote, single = fresh
-        request = UpdateRequest(action="remove", document="movies")
-        assert wire(remote, request) == wire(single, request)
-        # registry updated: the document is now unknown, with identical bytes
-        probe = SearchRequest(query="drama", document="movies")
-        assert wire(remote, probe) == wire(single, probe)
-        # remaining documents still serve identically (from either replica)
-        for _ in range(2):
-            probe = SearchRequest(query="store texas", document="stores")
-            assert wire(remote, probe) == wire(single, probe)
-
-    def test_remove_unknown_document_error_bytes(self, fresh):
-        remote, single = fresh
-        request = UpdateRequest(action="remove", document="never-registered")
-        assert wire(remote, request) == wire(single, request)
-
-    def test_add_document_replicates_to_replicas(self, fresh):
-        remote, single = fresh
-        xml = "<library><book><title>New Arrival</title></book></library>"
-        request = UpdateRequest(action="update", document="arrivals", xml=xml)
-        assert wire(remote, request) == wire(single, request)
-        owner = remote._registry()["arrivals"]
-        replica_set = remote.replica_sets[owner]
-        # the commit advanced the set's sequence and every replica applied it
-        assert replica_set.sequence == 1
-        for endpoint in replica_set.endpoints():
-            assert endpoint.sequence == 1
-            assert not endpoint.stale
-        # the new document serves identically from both replicas
-        for _ in range(2):
-            probe = SearchRequest(query="arrival", document="arrivals")
-            assert wire(remote, probe) == wire(single, probe)
-
-    def test_incremental_update_replicates_as_deltas(self, fresh):
-        remote, single = fresh
-        # a text-only edit of an existing document rides the incremental path
-        from repro.xmltree.serialize import to_xml_string
-
-        base = build_corpus()
-        tree = base.system("stores").index.tree
-        xml = to_xml_string(tree).replace("Austin", "Houston", 1)
-        request = UpdateRequest(action="update", document="stores", xml=xml)
-        assert wire(remote, request) == wire(single, request)
-        probe = SearchRequest(query="store houston", document="stores")
-        for _ in range(2):
-            assert wire(remote, probe) == wire(single, probe)
+        with RemoteClusterService.spawn(tmp_path, replicas=2) as remote:
+            xml = "<library><book><title>New Arrival</title></book></library>"
+            request = UpdateRequest(action="update", document="arrivals", xml=xml)
+            assert wire(remote, request) == wire(single, request)
+            replica_set = remote.owner_of("arrivals").replica_set
+            # the commit advanced the set's sequence and every replica applied it
+            assert replica_set.sequence == 1
+            for endpoint in replica_set.endpoints():
+                assert endpoint.sequence == 1
+                assert not endpoint.stale
+            # the new document serves identically from both replicas
+            for _ in range(2):
+                probe = SearchRequest(query="arrival", document="arrivals")
+                assert wire(remote, probe) == wire(single, probe)
 
 
 class TestShardDeltaWire:

@@ -115,7 +115,7 @@ class TestReplicaDeath:
 class TestPrimaryDeath:
     def test_primary_death_promotes_and_next_update_lands(self, tmp_path, single):
         with spawn_cluster(tmp_path, replicas=2) as remote:
-            shard_id = remote._registry()["movies"]
+            shard_id = remote.owner_of("movies").shard_id
             replica_set = remote.replica_sets[shard_id]
             old_primary = replica_set.primary
             expected_new = replica_set.replicas[0]
@@ -160,7 +160,7 @@ class TestPrimaryDeath:
         # A promoted primary keeps the replication contract: subsequent
         # updates bump the set sequence and reads still serve identically.
         with spawn_cluster(tmp_path, replicas=2) as remote:
-            shard_id = remote._registry()["stores"]
+            shard_id = remote.owner_of("stores").shard_id
             replica_set = remote.replica_sets[shard_id]
             process_at(remote, replica_set.primary).kill()
             remote.execute_update(UpdateRequest(action="remove", document="stores"))
@@ -174,7 +174,7 @@ class TestPrimaryDeath:
 class TestShardPartition:
     def test_partitioned_shard_degrades_to_structured_error(self, tmp_path, single):
         with spawn_cluster(tmp_path, replicas=2) as remote:
-            dead_shard = remote._registry()["stores"]
+            dead_shard = remote.owner_of("stores").shard_id
             for process in processes_of_shard(remote, dead_shard):
                 process.kill()
 
@@ -199,8 +199,8 @@ class TestShardPartition:
             # Every other shard keeps serving byte-identical answers.
             live = [
                 name
-                for name, owner in remote._registry().items()
-                if owner != dead_shard
+                for name in remote.names()
+                if remote.owner_of(name).shard_id != dead_shard
             ]
             assert live, "the partition test needs a surviving shard"
             for name in live:

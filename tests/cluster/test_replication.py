@@ -216,6 +216,26 @@ class TestHealthMonitor:
         HealthMonitor([replica_set]).check_once()
         assert replica_set.primary is survivor
 
+    def test_promote_transition_counts_only_a_changed_primary(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        lonely = make_set(shard_id=0, size=1)  # dead primary, nobody to promote
+        lonely.primary.client.alive = False
+        paired = make_set(shard_id=1, size=2)  # dead primary, one successor
+        paired.primary.client.alive = False
+        monitor = HealthMonitor([lonely, paired], registry=registry)
+        for _ in range(5):
+            monitor.check_once()
+        transitions = registry.counter(
+            "repro_health_transitions_total", "", label_names=("shard", "direction")
+        )
+        assert transitions.value(shard=0, direction="promote") == 0
+        assert transitions.value(shard=1, direction="promote") == 1
+        # the liveness edges themselves are still one per endpoint
+        assert transitions.value(shard=0, direction="down") == 1
+        assert transitions.value(shard=1, direction="down") == 1
+
     def test_background_lifecycle(self):
         replica_set = make_set(size=1)
         monitor = HealthMonitor([replica_set], interval=0.01)
