@@ -116,13 +116,7 @@ def apply_text_update(
                 key=new_key,
             )
 
-    analyzer = DataAnalyzer.rebound(
-        tree=new_tree,
-        dtd=old_analyzer.dtd,
-        schema=schema,
-        categories=dict(old_analyzer.categories),
-        entity_types=entity_types,
-    )
+    analyzer = old_analyzer.rebound_to_same_shape(new_tree, schema, entity_types)
     index = DocumentIndex(
         tree=new_tree,
         analyzer=analyzer,

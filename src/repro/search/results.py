@@ -57,11 +57,18 @@ class QueryResult:
 
     @property
     def size_nodes(self) -> int:
-        return self.root_node.subtree_size_nodes()
+        """Number of nodes in the result subtree.
+
+        The root is a node of an indexed tree, where a subtree's size
+        follows from the node's ids: ``post - pre`` counts the descendants
+        minus the ancestors, and ``level`` is the number of ancestors.
+        """
+        root = self.root_node
+        return root.post - root.pre + root.level + 1
 
     @property
     def size_edges(self) -> int:
-        return self.root_node.subtree_size_edges()
+        return self.size_nodes - 1
 
     @property
     def matched_keywords(self) -> list[str]:

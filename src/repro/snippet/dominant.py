@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.search.results import QueryResult
-from repro.snippet.features import Feature, FeatureStatistics, extract_features
+from repro.snippet.features import (
+    Feature,
+    FeatureStatistics,
+    dominance,
+    extract_features,
+    is_dominant_score,
+)
 from repro.xmltree.dewey import Dewey
 
 
@@ -60,18 +66,31 @@ class DominantFeatureIdentifier:
         value count (more occurrences first) and then alphabetically so
         the ordering — and hence the IList — is deterministic.
         """
+        return self._ranked(result, statistics, dominant_only=False)
+
+    def _ranked(
+        self, result: QueryResult, statistics: FeatureStatistics | None, dominant_only: bool
+    ) -> list[ScoredFeature]:
         statistics = statistics if statistics is not None else extract_features(self.analyzer, result)
         scored: list[ScoredFeature] = []
-        for feature in statistics.features():
+        for entry in statistics.all_occurrences():
+            feature = entry.feature
+            type_count = statistics.type_count(feature.entity, feature.attribute)
+            domain_size = statistics.domain_size(feature.entity, feature.attribute)
+            score = dominance(entry.count, type_count, domain_size)
+            if dominant_only and not is_dominant_score(score, domain_size):
+                continue
             scored.append(
                 ScoredFeature(
                     feature=feature,
-                    display_value=statistics.display_value(feature),
-                    score=statistics.dominance_score(feature),
-                    value_count=statistics.value_count(feature),
-                    type_count=statistics.type_count(feature.entity, feature.attribute),
-                    domain_size=statistics.domain_size(feature.entity, feature.attribute),
-                    instances=statistics.instances_of(feature),
+                    display_value=entry.display_value,
+                    score=score,
+                    value_count=entry.count,
+                    type_count=type_count,
+                    domain_size=domain_size,
+                    # its own copy: the statistics keep theirs, and both are
+                    # cached and shared between requests
+                    instances=list(entry.instances),
                 )
             )
         scored.sort(key=lambda item: (-item.score, -item.value_count, str(item.feature)))
@@ -84,12 +103,7 @@ class DominantFeatureIdentifier:
 
         >>> # dominance requires DS > 1, or a domain of size 1
         """
-        statistics = statistics if statistics is not None else extract_features(self.analyzer, result)
-        return [
-            scored
-            for scored in self.score_all(result, statistics)
-            if statistics.is_dominant(scored.feature)
-        ]
+        return self._ranked(result, statistics, dominant_only=True)
 
     def dominance_table(
         self, result: QueryResult, statistics: FeatureStatistics | None = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.classify.analyzer import DataAnalyzer
+from repro.classify.analyzer import DataAnalyzer, SubtreeScan
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_value
 from repro.xmltree.dewey import Dewey
@@ -66,6 +66,17 @@ class FeatureOccurrences:
         return len(self.instances)
 
 
+def dominance(value_count: int, type_count: int, domain_size: int) -> float:
+    """``N(e, a, v) / (N(e, a) / D(e, a))`` for a type seen at least once."""
+    average = type_count / domain_size
+    return value_count / average
+
+
+def is_dominant_score(score: float, domain_size: int) -> bool:
+    """Dominant iff ``DS > 1``, or trivially when the domain size is 1."""
+    return domain_size == 1 or score > 1.0
+
+
 class FeatureStatistics:
     """Occurrence statistics of every feature of one query result.
 
@@ -84,17 +95,35 @@ class FeatureStatistics:
     # ------------------------------------------------------------------ #
     def add_occurrence(self, entity: str, attribute: str, raw_value: str, instance: Dewey) -> None:
         """Record one attribute instance carrying one feature value."""
+        entry = self._entry_for(entity, attribute, raw_value)
+        if entry is not None:
+            self._record(entry, instance)
+
+    def _entry_for(
+        self, entity: str, attribute: str, raw_value: str
+    ) -> FeatureOccurrences | None:
+        """The occurrence entry of the feature ``raw_value`` denotes.
+
+        Created (empty, with this raw value as its display form) the first
+        time the feature is seen; ``None`` when the value normalises to
+        nothing and so denotes no feature.  Always followed by
+        :meth:`_record`: an entry holds at least one instance.
+        """
         value = normalize_value(raw_value)
         if not value:
-            return
+            return None
         feature = Feature(entity=entity, attribute=attribute, value=value)
         entry = self._occurrences.get(feature)
         if entry is None:
             entry = FeatureOccurrences(feature=feature, display_value=raw_value.strip())
             self._occurrences[feature] = entry
+            self._type_values[(entity, attribute)].add(value)
+        return entry
+
+    def _record(self, entry: FeatureOccurrences, instance: Dewey) -> None:
+        """Count one more instance of the feature behind ``entry``."""
         entry.instances.append(instance)
-        self._type_counts[feature.feature_type] += 1
-        self._type_values[feature.feature_type].add(value)
+        self._type_counts[entry.feature.feature_type] += 1
 
     # ------------------------------------------------------------------ #
     # §2.3 quantities
@@ -118,16 +147,15 @@ class FeatureStatistics:
         if type_count == 0:
             return 0.0
         domain = self.domain_size(feature.entity, feature.attribute)
-        average = type_count / domain
-        return self.value_count(feature) / average
+        return dominance(self.value_count(feature), type_count, domain)
 
     def is_dominant(self, feature: Feature) -> bool:
         """Dominant iff ``DS > 1``, or trivially when the domain size is 1."""
         if feature not in self._occurrences:
             return False
-        if self.domain_size(feature.entity, feature.attribute) == 1:
-            return True
-        return self.dominance_score(feature) > 1.0
+        return is_dominant_score(
+            self.dominance_score(feature), self.domain_size(feature.entity, feature.attribute)
+        )
 
     # ------------------------------------------------------------------ #
     # access
@@ -141,6 +169,10 @@ class FeatureStatistics:
 
     def occurrences(self, feature: Feature) -> FeatureOccurrences | None:
         return self._occurrences.get(feature)
+
+    def all_occurrences(self) -> list[FeatureOccurrences]:
+        """The occurrence entry of every feature seen (unordered)."""
+        return list(self._occurrences.values())
 
     def instances_of(self, feature: Feature) -> list[Dewey]:
         entry = self._occurrences.get(feature)
@@ -173,31 +205,42 @@ class FeatureStatistics:
         return f"<FeatureStatistics features={len(self._occurrences)} types={len(self._type_counts)}>"
 
 
-def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStatistics:
+def extract_features(
+    analyzer: DataAnalyzer, result: QueryResult, scan: SubtreeScan | None = None
+) -> FeatureStatistics:
     """Extract the feature statistics of one query result.
 
     Every *attribute* instance inside the result subtree whose nearest
     ancestor entity also lies inside the result contributes one occurrence
     of the feature ``(owning entity tag, attribute tag, value)``.
     Attributes that hang off connection nodes only (no owning entity, e.g.
-    directly under the document root) are attributed to the result root's
-    tag so flat documents still produce features.
+    directly under the document root), or whose owning entity lies above
+    the result root, are attributed to the result root's tag so flat
+    documents and results rooted below their entity still produce features.
+
+    ``scan`` is the analyzer's scan of the result subtree when the caller
+    already has one (the IList builder shares a single scan between the
+    feature, return-entity and entity-name steps).
     """
+    if scan is None:
+        scan = analyzer.scan_subtree(result.root_node)
     statistics = FeatureStatistics()
     root_tag = result.root_node.tag
-    for node in result.iter_nodes():
-        if not analyzer.is_attribute(node) or not node.has_text_value:
+    # A result repeats few distinct (entity, attribute, raw value) triples
+    # many times; each is normalised and looked up once.
+    entries: dict[tuple[str, str, str], FeatureOccurrences | None] = {}
+    for node, owner in scan.attributes:
+        raw_value = node.text
+        if not raw_value:
             continue
-        owner = analyzer.owning_entity(node)
-        if owner is not None and not result.contains_label(owner.dewey):
-            # The owning entity lies outside the result (can only happen
-            # when the result root sits below its entity); fall back to the
-            # result root as the owner so the feature is still usable.
-            owner = None
-        entity_tag = owner.tag if owner is not None else root_tag
-        # The attribute must describe its owner directly; nested entities
-        # own their own attributes (a clothes' category is a clothes
-        # feature, not a store feature), which the nearest-ancestor rule
-        # already guarantees.
-        statistics.add_occurrence(entity_tag, node.tag, node.text or "", node.dewey)
+        # The attribute describes its nearest entity: nested entities own
+        # their own attributes (a clothes' category is a clothes feature,
+        # not a store feature).
+        key = (owner.tag if owner is not None else root_tag, node.tag, raw_value)
+        if key in entries:
+            entry = entries[key]
+        else:
+            entry = entries[key] = statistics._entry_for(*key)
+        if entry is not None:
+            statistics._record(entry, node.dewey)
     return statistics

@@ -162,7 +162,7 @@ class SnippetGenerator:
                 result=result, ilist=cached.ilist, snippet=cached.snippet, size_bound=size_bound
             )
         with breakdown.measure("ilist"):
-            ilist = self.ilist_builder.build(effective_query, result)
+            ilist = self.ilist_builder.build(effective_query, result, timings=breakdown)
         with breakdown.measure("instance_selection"):
             snippet = self.selector.select(result, ilist, size_bound)
         generated = GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)

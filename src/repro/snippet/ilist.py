@@ -23,12 +23,11 @@ because the Instance Selector (§2.4) chooses among those instances.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.classify.analyzer import DataAnalyzer
+from repro.classify.analyzer import DataAnalyzer, SubtreeScan
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.snippet.dominant import DominantFeatureIdentifier, ScoredFeature
@@ -36,6 +35,7 @@ from repro.snippet.features import FeatureStatistics, extract_features
 from repro.snippet.result_key import QueryResultKeyIdentifier, ResultKey
 from repro.snippet.return_entity import ReturnEntityDecision, ReturnEntityIdentifier
 from repro.utils.text import matches_keyword, normalize_token, normalize_value
+from repro.utils.timing import TimingBreakdown
 from repro.xmltree.dewey import Dewey
 
 
@@ -123,22 +123,30 @@ class IListBuilder:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def build(self, query: KeywordQuery, result: QueryResult) -> IList:
+    def build(
+        self, query: KeywordQuery, result: QueryResult, timings: TimingBreakdown | None = None
+    ) -> IList:
         """Construct the IList of ``result`` for ``query``.
 
         The four groups are appended in the paper's order; duplicates
         (same normalised identity) keep their earliest, most important
-        position.
+        position.  The result subtree is scanned once; feature extraction,
+        return-entity identification and the entity names all read that
+        scan.  Feature extraction is timed as the ``features`` phase of
+        ``timings`` when the caller passes a breakdown.
         """
-        statistics = extract_features(self.analyzer, result)
-        decision = self.return_entity_identifier.identify(query, result)
+        scan = self.analyzer.scan_subtree(result.root_node)
+        breakdown = timings if timings is not None else TimingBreakdown()
+        with breakdown.measure("features"):
+            statistics = extract_features(self.analyzer, result, scan)
+        decision = self.return_entity_identifier.identify(query, result, scan)
 
         ilist = IList(return_entity_decision=decision, statistics=statistics)
         seen: set[str] = set()
 
         for item in self._keyword_items(query, result):
             self._append(ilist, item, seen)
-        for item in self._entity_name_items(decision, result):
+        for item in self._entity_name_items(scan):
             self._append(ilist, item, seen)
         for item in self._key_items(result, decision):
             self._append(ilist, item, seen)
@@ -181,9 +189,7 @@ class IListBuilder:
                 instances.append(node.dewey)
         return instances
 
-    def _entity_name_items(
-        self, decision: ReturnEntityDecision, result: QueryResult
-    ) -> list[IListItem]:
+    def _entity_name_items(self, scan: SubtreeScan) -> list[IListItem]:
         """Entity names, most frequent entity type in the result first.
 
         The paper's Figure 3 lists ``clothes`` before ``store``; ordering
@@ -192,13 +198,10 @@ class IListBuilder:
         is a sensible importance proxy: the more instances an entity type
         has, the more of the result it describes.
         """
-        counts: Counter[str] = Counter()
         instances_by_tag: dict[str, list[Dewey]] = {}
-        for node in result.iter_nodes():
-            if self.analyzer.is_entity(node) or node.dewey == result.root:
-                counts[node.tag] += 1
-                instances_by_tag.setdefault(node.tag, []).append(node.dewey)
-        ordered = sorted(counts, key=lambda tag: (-counts[tag], tag))
+        for node in scan.entities:
+            instances_by_tag.setdefault(node.tag, []).append(node.dewey)
+        ordered = sorted(instances_by_tag, key=lambda tag: (-len(instances_by_tag[tag]), tag))
         return [
             IListItem(
                 kind=ItemKind.ENTITY_NAME,
@@ -231,7 +234,7 @@ class IListBuilder:
                 kind=ItemKind.DOMINANT_FEATURE,
                 text=scored.display_value,
                 identity=scored.feature.value,
-                instances=list(scored.instances),
+                instances=scored.instances,
                 score=scored.score,
                 feature=scored,
             )

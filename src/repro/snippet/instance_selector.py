@@ -34,7 +34,6 @@ from repro.errors import InvalidSizeBoundError
 from repro.search.results import QueryResult
 from repro.snippet.ilist import IList
 from repro.snippet.snippet_tree import Snippet
-from repro.xmltree.order import is_ancestor_or_self
 
 
 class SelectionStrategy(str, Enum):
@@ -102,15 +101,13 @@ class GreedyInstanceSelector:
     # instance choice strategies
     # ------------------------------------------------------------------ #
     def _choose_instance(self, snippet: Snippet, instances: list):
-        valid = [
-            label
-            for label in instances
-            if is_ancestor_or_self(snippet.root, label, snippet.result.source.order)
-        ]
+        """The instance to cover an item with, and its cost; instances
+        outside the result are never chosen (``None`` when none is left)."""
+        if self.strategy == SelectionStrategy.GREEDY_CLOSEST:
+            return snippet.cheapest_instance(instances)
+        valid = [label for label in instances if snippet.result.contains_label(label)]
         if not valid:
             return None
-        if self.strategy == SelectionStrategy.GREEDY_CLOSEST:
-            return snippet.cheapest_instance(valid)
         if self.strategy == SelectionStrategy.FIRST_INSTANCE:
             instance = min(valid)
             return instance, snippet.cost_of(instance)

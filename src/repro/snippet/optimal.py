@@ -54,7 +54,11 @@ class OptimalInstanceSelector:
             raise InvalidSizeBoundError(size_bound)
 
         items = [item for item in ilist if item.has_instances]
-        candidate_instances = [self._candidates(result, item) for item in items]
+        path_labels = Snippet(result).path_labels
+        candidate_paths = [
+            [(instance, frozenset(path_labels(instance))) for instance in self._candidates(result, item)]
+            for item in items
+        ]
 
         self._expanded = 0
         best: _SearchState | None = None
@@ -89,9 +93,8 @@ class OptimalInstanceSelector:
 
             item = items[index]
             # Branch 1..n: cover the item with one of its candidate instances.
-            for instance in candidate_instances[index]:
-                path = self._path_labels(result.root, instance)
-                new_labels = state.node_labels | frozenset(path)
+            for instance, path in candidate_paths[index]:
+                new_labels = state.node_labels | path
                 if len(new_labels) - 1 <= size_bound:
                     search(
                         index + 1,
@@ -122,10 +125,6 @@ class OptimalInstanceSelector:
         ]
         valid.sort(key=lambda label: (label.depth, label))
         return valid[: self.max_instances_per_item]
-
-    @staticmethod
-    def _path_labels(root: Dewey, instance: Dewey) -> list[Dewey]:
-        return [instance.prefix(depth) for depth in range(root.depth, instance.depth + 1)]
 
     @staticmethod
     def _rank_of(ilist: IList, item: IListItem) -> int:

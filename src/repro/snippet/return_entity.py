@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.classify.analyzer import DataAnalyzer, EntityType
+from repro.classify.analyzer import DataAnalyzer, EntityType, SubtreeScan
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_token, singularize
@@ -64,19 +64,23 @@ class ReturnEntityIdentifier:
     def __init__(self, analyzer: DataAnalyzer):
         self.analyzer = analyzer
 
-    def identify(self, query: KeywordQuery, result: QueryResult) -> ReturnEntityDecision:
+    def identify(
+        self, query: KeywordQuery, result: QueryResult, scan: SubtreeScan | None = None
+    ) -> ReturnEntityDecision:
         """Classify the entities of ``result`` into return vs. supporting.
 
         The result root itself counts as an entity occurrence even when the
         schema cannot prove it repeats (a single ``retailer`` document):
         the root of a self-contained result plays the entity role for the
-        purposes of the default-highest rule.
+        purposes of the default-highest rule.  ``scan`` is the analyzer's
+        scan of the result subtree when the caller already has one.
         """
+        if scan is None:
+            scan = self.analyzer.scan_subtree(result.root_node)
         decision = ReturnEntityDecision()
         instances_by_tag: dict[str, list[XMLNode]] = {}
-        for node in result.iter_nodes():
-            if self.analyzer.is_entity(node) or node.dewey == result.root:
-                instances_by_tag.setdefault(node.tag, []).append(node)
+        for node in scan.entities:
+            instances_by_tag.setdefault(node.tag, []).append(node)
         decision.entities_in_result = sorted(
             instances_by_tag, key=lambda tag: instances_by_tag[tag][0].dewey
         )
@@ -131,14 +135,12 @@ class ReturnEntityIdentifier:
         """Entity tags whose instances have no ancestor entity in the result."""
         if not instances_by_tag:
             return []
-        all_entity_labels = {
-            node.dewey for nodes in instances_by_tag.values() for node in nodes
-        }
+        entity_nodes = {node for nodes in instances_by_tag.values() for node in nodes}
         highest: list[tuple[Dewey, str]] = []
         for tag, nodes in instances_by_tag.items():
             for node in nodes:
                 has_entity_ancestor = any(
-                    ancestor.dewey in all_entity_labels for ancestor in node.iter_ancestors()
+                    ancestor in entity_nodes for ancestor in node.iter_ancestors()
                 )
                 if not has_entity_ancestor:
                     highest.append((node.dewey, tag))

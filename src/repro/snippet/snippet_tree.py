@@ -17,21 +17,36 @@ from repro.search.results import QueryResult
 from repro.snippet.ilist import IListItem
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.order import is_ancestor_or_self
 from repro.xmltree.tree import XMLTree
 
 
 class Snippet:
-    """A growing snippet tree over one query result."""
+    """A growing snippet tree over one query result.
+
+    The selected nodes are kept by ``pre`` id.  The selection always
+    contains the result root and is closed under "parent within the result
+    subtree", so the cost of an instance is the number of ``parent`` hops
+    from its node to the first node already selected: every hop is one new
+    edge.  An instance label is resolved to its node once per question; a
+    label that names no node of the result subtree (two integer
+    comparisons against the root's ``pre``/``post``) is outside the result.
+
+    A snippet holds nodes and ``pre`` ids of ``result.source``, so it is
+    valid for as long as that tree is not edited — the same lifetime as the
+    analyzer bound to the tree (an update builds a new tree; cached
+    snippets it cannot have affected keep pointing into the old one).
+    """
 
     def __init__(self, result: QueryResult):
         self.result = result
         self.root: Dewey = result.root
-        #: pre/post span table of the result's source tree (O(1) subtree tests)
-        self._order = result.source.order
-        #: the labels of the selected nodes; always contains the root and is
-        #: closed under "parent within the result subtree"
-        self.node_labels: set[Dewey] = {self.root}
+        root_node = result.root_node
+        self._find_node = result.source.find_node
+        #: the ``pre``/``post`` span of the result subtree
+        self._first_pre = root_node.pre
+        self._last_post = root_node.post
+        #: the selected nodes by ``pre`` id
+        self._selected: dict[int, XMLNode] = {root_node.pre: root_node}
         #: the IList items covered so far, in coverage order
         self.covered_items: list[IListItem] = []
         #: per covered item identity, the instance label chosen to cover it
@@ -41,49 +56,87 @@ class Snippet:
     # size accounting
     # ------------------------------------------------------------------ #
     @property
+    def node_labels(self) -> set[Dewey]:
+        """The labels of the selected nodes (a fresh set on every read)."""
+        return {node.dewey for node in self._selected.values()}
+
+    @property
     def size_edges(self) -> int:
         """Number of edges of the snippet tree (nodes - 1)."""
-        return len(self.node_labels) - 1
+        return len(self._selected) - 1
 
     @property
     def size_nodes(self) -> int:
-        return len(self.node_labels)
+        return len(self._selected)
 
-    def path_labels(self, instance: Dewey) -> list[Dewey]:
-        """The labels on the path from the snippet root to ``instance``."""
-        if not is_ancestor_or_self(self.root, instance, self._order):
+    def _node_in_result(self, instance: Dewey) -> XMLNode | None:
+        """The node ``instance`` names, if it lies in the result subtree."""
+        node = self._find_node(instance)
+        if node is None or node.pre < self._first_pre or node.post > self._last_post:
+            return None
+        return node
+
+    def _resolve(self, instance: Dewey) -> XMLNode:
+        node = self._node_in_result(instance)
+        if node is None:
             raise SnippetError(
                 f"instance {instance} lies outside the result rooted at {self.root}"
             )
+        return node
+
+    def _hops(self, node: XMLNode) -> int:
+        """``parent`` hops from ``node`` to the nearest selected node: the
+        edges selecting it would add."""
+        selected = self._selected
+        hops = 0
+        while node.pre not in selected:
+            hops += 1
+            node = node.parent
+        return hops
+
+    def path_labels(self, instance: Dewey) -> list[Dewey]:
+        """The labels on the path from the snippet root to ``instance``."""
+        self._resolve(instance)
         return [instance.prefix(depth) for depth in range(self.root.depth, instance.depth + 1)]
 
     def cost_of(self, instance: Dewey) -> int:
         """Number of *new* edges added by selecting ``instance``."""
-        return sum(1 for label in self.path_labels(instance) if label not in self.node_labels)
+        return self._hops(self._resolve(instance))
 
     def cheapest_instance(self, instances: Iterable[Dewey]) -> tuple[Dewey, int] | None:
-        """The instance with the lowest addition cost (ties: document order)."""
-        best: tuple[int, Dewey] | None = None
+        """The instance with the lowest addition cost (ties: document order).
+
+        Instances outside the result are skipped.
+        """
+        # (cost, pre, label): pre is document order and unique per node, so
+        # the label only rides along
+        best: tuple[int, int, Dewey] | None = None
         for instance in instances:
-            if not is_ancestor_or_self(self.root, instance, self._order):
+            node = self._node_in_result(instance)
+            if node is None:
                 continue
-            cost = self.cost_of(instance)
-            if best is None or (cost, instance) < best:
-                best = (cost, instance)
+            candidate = (self._hops(node), node.pre, instance)
+            if best is None or candidate < best:
+                best = candidate
         if best is None:
             return None
-        return best[1], best[0]
+        return best[2], best[0]
 
     # ------------------------------------------------------------------ #
     # growth
     # ------------------------------------------------------------------ #
     def add_instance(self, item: IListItem, instance: Dewey) -> int:
         """Cover ``item`` using ``instance``; returns the edges added."""
-        new_labels = [label for label in self.path_labels(instance) if label not in self.node_labels]
-        self.node_labels.update(new_labels)
+        node = self._resolve(instance)
+        selected = self._selected
+        added = 0
+        while node.pre not in selected:
+            selected[node.pre] = node
+            node = node.parent
+            added += 1
         self.covered_items.append(item)
         self.chosen_instances[item.identity] = instance
-        return len(new_labels)
+        return added
 
     def would_fit(self, instance: Dewey, bound: int) -> bool:
         """Would adding ``instance`` keep the snippet within ``bound`` edges?"""
@@ -100,16 +153,16 @@ class Snippet:
         return identity in self.chosen_instances
 
     def contains_label(self, label: Dewey) -> bool:
-        return label in self.node_labels
+        node = self._find_node(label)
+        return node is not None and node.pre in self._selected
 
     def is_connected(self) -> bool:
         """Every selected node's parent (down to the root) is selected too."""
-        for label in self.node_labels:
-            if label == self.root:
-                continue
-            if label.parent() not in self.node_labels:
-                return False
-        return True
+        return all(
+            node.parent.pre in self._selected
+            for pre, node in self._selected.items()
+            if pre != self._first_pre
+        )
 
     # ------------------------------------------------------------------ #
     # materialisation
@@ -122,20 +175,21 @@ class Snippet:
         are *not* pulled in, because the snippet's size bound is defined
         over exactly the selected edges.
         """
-        source = self.result.source
-        root_copy = self._copy_selected(source.node(self.root))
-        return XMLTree(root_copy, name=f"snippet:{source.name}#{self.result.result_id}")
+        root_copy = self._copy_selected(self._selected[self._first_pre])
+        return XMLTree(
+            root_copy, name=f"snippet:{self.result.source.name}#{self.result.result_id}"
+        )
 
     def _copy_selected(self, node: XMLNode) -> XMLNode:
         copy = XMLNode(node.tag, node.text)
         for child in node.children:
-            if child.dewey in self.node_labels:
+            if child.pre in self._selected:
                 copy.append_child(self._copy_selected(child))
         return copy
 
     def selected_nodes(self) -> list[XMLNode]:
         """The selected source nodes in document order."""
-        return [self.result.source.node(label) for label in sorted(self.node_labels)]
+        return [self._selected[pre] for pre in sorted(self._selected)]
 
     def __repr__(self) -> str:
         return (

@@ -36,6 +36,7 @@ class XMLTree:
         self.name = name
         self.root = root
         self._registry: dict[Dewey, XMLNode] = {}
+        self._by_pre: list[XMLNode] = []
         self._order: NodeOrder | None = None
         self._reindex()
 
@@ -76,6 +77,9 @@ class XMLTree:
                 child.dewey = node.dewey.child(ordinal)
                 stack.append((child, False))
         self._registry = registry
+        # The registry was filled on the way down, so its values are the
+        # nodes in pre-order: position ``i`` holds the node with ``pre == i``.
+        self._by_pre = list(registry.values())
         self._order = None
 
     def refresh(self) -> None:
@@ -109,6 +113,20 @@ class XMLTree:
 
     def has_node(self, dewey: Dewey) -> bool:
         return dewey in self._registry
+
+    def find_node(self, dewey: Dewey) -> XMLNode | None:
+        """The node with the given Dewey label, or ``None`` if there is none."""
+        return self._registry.get(dewey)
+
+    @property
+    def nodes_by_pre(self) -> list[XMLNode]:
+        """All nodes in document order: ``nodes_by_pre[node.pre] is node``.
+
+        A node's subtree is the contiguous slice ``[pre, pre + size)``.  The
+        list is replaced, never edited, when the tree reindexes; callers
+        must not mutate it.
+        """
+        return self._by_pre
 
     def nodes(self, labels: Iterable[Dewey]) -> list[XMLNode]:
         """Materialise many labels at once (order preserved)."""

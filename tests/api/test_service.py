@@ -15,6 +15,7 @@ from repro.api import (
 )
 from repro.corpus import Corpus
 from repro.errors import ExtractError, ProtocolError
+from repro.obs.trace import Trace, activate
 from repro.xmltree.builder import tree_from_dict
 
 
@@ -87,6 +88,21 @@ class TestRun:
             )
         )
         assert {"search", "snippets"} <= set(cold.timings)
+
+    def test_features_phase_only_in_meta_and_trace(self, service):
+        trace = Trace()
+        with activate(trace):
+            cold = service.run(
+                SearchRequest(
+                    query="store houston", document="stores", size_bound=6, include_meta=True
+                )
+            )
+        # measured inside ilist, the way lookup/lca/ranking sit inside search
+        assert 0.0 <= cold.timings["features"] <= cold.timings["ilist"]
+        assert "phase:features" in {span.name for span in trace.spans}
+        # volatile data: the opt-in meta block only, never the default bytes
+        assert "features" in cold.to_dict(include_meta=True)["meta"]["timings"]
+        assert "features" not in json.dumps(cold.to_dict())
 
     def test_warm_meta_reports_no_phase_timings(self, service):
         request = SearchRequest(
