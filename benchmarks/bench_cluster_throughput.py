@@ -37,10 +37,10 @@ QUERIES = (
 #: documents per corpus — enough that 4 shards each own a real slice
 RETAIL_DOCUMENTS = 6
 
-#: tolerance for scheduler noise on top of "no slower than serial" (same
-#: rationale as bench_service_throughput: the pipeline is GIL-bound, so a
-#: real regression — e.g. routing work quadratic in documents — shows up
-#: far above this, while thread jitter on shared CI runners stays below).
+#: tolerance for scheduler noise on top of "no slower than serial" (the
+#: pipeline is GIL-bound, so a real regression — e.g. routing work
+#: quadratic in documents — shows up far above this, while thread jitter
+#: on shared CI runners stays below).
 SLOWDOWN_TOLERANCE = 1.5
 ROUNDS = 5
 SHARDS = 4

@@ -17,9 +17,9 @@ def test_f5_end_to_end_demo_speed(benchmark):
 
     def run_demo():
         # Cache disabled: this benchmark measures the full search + snippet
-        # pipeline, not the serving cache (bench_cache_hit_rate covers that).
+        # pipeline, not the serving cache (the e2e warm_read workload covers that).
         system.invalidate_cache()
-        return system.query("store texas", size_bound=6, use_cache=False)
+        return system.run_query("store texas", size_bound=6, use_cache=False)
 
     outcome = benchmark(run_demo)
     assert len(outcome) == 2

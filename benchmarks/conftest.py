@@ -48,8 +48,8 @@ def retail_result_set(retail_index):
 def retail_snippet_generator(retail_index):
     # Snippet cache disabled: the E1/E2 benchmarks re-invoke generate_all
     # with identical arguments, and a warm cache would make them measure
-    # LRU lookups instead of snippet generation (bench_cache_hit_rate
-    # covers the cache itself).
+    # LRU lookups instead of snippet generation (the e2e warm_read
+    # workload covers the cache itself).
     return SnippetGenerator(retail_index.analyzer, cache_size=0)
 
 

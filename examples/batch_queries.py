@@ -11,8 +11,9 @@ Shows the serving features the interactive demo relied on:
   back without re-indexing (``Corpus.load_dir``),
 * the query-result cache: the same query answered twice, the second time
   served from the LRU cache,
-* batch execution: many queries over many documents in one pass, with
-  per-query timings and shared posting-list lookups.
+* batch execution: one ``BatchRequest`` through ``SnippetService`` runs
+  many queries over many documents in one pass, with per-query timings
+  and shared posting-list lookups.
 
 The same flow is available from the command line::
 
@@ -26,7 +27,7 @@ import sys
 import tempfile
 import time
 
-from repro import Corpus
+from repro import BatchRequest, Corpus, SnippetService
 
 QUERIES = [
     "store texas",
@@ -62,8 +63,8 @@ def main() -> None:
     started = time.perf_counter()
     loaded = Corpus.load_dir(target)
     print(f"=== reloaded corpus in {time.perf_counter() - started:.3f}s ===")
-    original = corpus.query("retail", "store texas", size_bound=6, use_cache=False)
-    restored = loaded.query("retail", "store texas", size_bound=6, use_cache=False)
+    original = corpus.system("retail").run_query("store texas", size_bound=6, use_cache=False)
+    restored = loaded.system("retail").run_query("store texas", size_bound=6, use_cache=False)
     print(f"  'store texas' on retail: {len(original)} results before, "
           f"{len(restored)} after reload, "
           f"identical={original.render_text() == restored.render_text()}")
@@ -74,10 +75,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     system = loaded.system("retail")
     started = time.perf_counter()
-    system.query("retailer apparel", size_bound=6)
+    system.run_query("retailer apparel", size_bound=6)
     cold = time.perf_counter() - started
     started = time.perf_counter()
-    warm_outcome = system.query("retailer apparel", size_bound=6)
+    warm_outcome = system.run_query("retailer apparel", size_bound=6)
     warm = time.perf_counter() - started
     print("=== query-result cache ===")
     print(f"  cold: {cold * 1000:8.3f} ms")
@@ -90,12 +91,17 @@ def main() -> None:
     # 4. batch execution with per-query timings
     # ------------------------------------------------------------------ #
     print("=== batch: every query over every document, one pass ===")
-    report = loaded.search_batch(QUERIES, size_bound=6)
-    print(report.format_table())
+    service = SnippetService(loaded)
+    batch = BatchRequest(queries=tuple(QUERIES), size_bound=6)
+    response = service.run_batch(batch)
+    print(f"{'query':<18s} results   seconds")
+    for entry in response.entries:
+        print(f"{entry.query:<18s} {entry.total_results:7d}  {entry.seconds:.6f}")
     print()
-    rerun = loaded.search_batch(QUERIES, size_bound=6)
-    print(f"warm re-run of the same batch: {rerun.total_seconds * 1000:.3f} ms "
-          f"(vs {report.total_seconds * 1000:.3f} ms cold)")
+    cold_seconds = sum(entry.seconds for entry in response.entries)
+    warm_seconds = sum(entry.seconds for entry in service.run_batch(batch).entries)
+    print(f"warm re-run of the same batch: {warm_seconds * 1000:.3f} ms "
+          f"(vs {cold_seconds * 1000:.3f} ms cold)")
 
 
 if __name__ == "__main__":

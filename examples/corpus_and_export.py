@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 
-from repro import Corpus, DistinctSnippetGenerator
+from repro import BatchRequest, Corpus, DistinctSnippetGenerator, SnippetService
 from repro.eval.ablation import _ambiguous_store_catalogue
 from repro.search.engine import SearchEngine
 from repro.snippet.render import render_snippet_text
@@ -46,11 +46,11 @@ def main() -> None:
     print()
 
     print('=== query "man" across every dataset ===')
-    for name, outcome in corpus.query_all("man", size_bound=6, limit=2).items():
-        print(f"  {name}: {len(outcome)} results shown")
-        for generated in outcome.snippets:
-            first_line = render_snippet_text(generated).splitlines()[0]
-            print(f"    {first_line}")
+    batch = BatchRequest(queries=("man",), size_bound=6, limit=2)
+    for response in SnippetService(corpus).run_batch(batch).entries[0].responses:
+        print(f"  {response.document}: {len(response.results)} results shown")
+        for payload in response.results:
+            print(f"    {payload.text.splitlines()[0]}")
     print()
 
     # ------------------------------------------------------------------ #
@@ -68,7 +68,7 @@ def main() -> None:
     # 3. exports: DOT drawings and an inferred DTD
     # ------------------------------------------------------------------ #
     stores_system = corpus.system("stores")
-    outcome = stores_system.query("store texas", size_bound=6)
+    outcome = stores_system.run_query("store texas", size_bound=6)
     top = outcome.snippets[0]
 
     result_dot = os.path.join(output_dir, "result.dot")

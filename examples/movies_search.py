@@ -41,7 +41,7 @@ def main() -> None:
     print()
 
     for query in QUERIES:
-        outcome = system.query(query, size_bound=8, limit=3)
+        outcome = system.run_query(query, size_bound=8, limit=3)
         print(f'=== query "{query}" — {len(outcome.results)} results shown ===')
         for generated in outcome.snippets:
             print(render_snippet_text(generated))

@@ -31,7 +31,7 @@ def main() -> None:
     print(f"query   : {figure1_query()!r}")
     print()
 
-    outcome = system.query(figure1_query(), size_bound=14)
+    outcome = system.run_query(figure1_query(), size_bound=14)
     print(f"{len(outcome)} query results")
     print()
 

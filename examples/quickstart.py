@@ -68,7 +68,7 @@ def main() -> None:
     print()
 
     # 2. Search and generate snippets within a 6-edge bound (Figure 5 setup).
-    outcome = system.query("store texas", size_bound=6)
+    outcome = system.run_query("store texas", size_bound=6)
 
     print("=== result snippets ===")
     print(outcome.render_text(show_ilist=True))

@@ -26,7 +26,7 @@ def main() -> None:
 
     # The curated Figure 5 document (Levis / ESprit / a non-Texas store) ...
     demo_system = ExtractSystem.from_tree(figure5_document())
-    demo_outcome = demo_system.query("store texas", size_bound=6)
+    demo_outcome = demo_system.run_query("store texas", size_bound=6)
 
     print("=== Figure 5 walk-through (curated document) ===")
     print(demo_outcome.render_text())
@@ -38,7 +38,7 @@ def main() -> None:
         name="retail-demo",
     )
     system = ExtractSystem.from_tree(catalogue)
-    outcome = system.query("store texas", size_bound=6)
+    outcome = system.run_query("store texas", size_bound=6)
 
     print(f"=== generated catalogue ({catalogue.size_nodes} nodes) ===")
     print(f"query 'store texas' returned {len(outcome)} results")

@@ -12,7 +12,7 @@ Quick start::
     from repro.datasets import figure5_document
 
     system = ExtractSystem.from_tree(figure5_document())
-    outcome = system.query("store texas", size_bound=6)
+    outcome = system.run_query("store texas", size_bound=6)
     print(outcome.render_text())
 
 The most useful entry points:
@@ -58,7 +58,7 @@ from repro.api import (
     SnippetService,
 )
 from repro.cluster import ClusterService, HashPartitioner, ShardExecutor, ShardServer
-from repro.corpus import BatchQueryOutcome, BatchReport, Corpus, compact_corpus_dir
+from repro.corpus import Corpus, compact_corpus_dir
 from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.index.storage import load_index, save_index
 from repro.search.engine import SearchEngine
@@ -91,8 +91,6 @@ __all__ = [
     "ErrorResponse",
     "SerialExecutor",
     "ConcurrentExecutor",
-    "BatchQueryOutcome",
-    "BatchReport",
     # sharded serving
     "ClusterService",
     "ShardServer",

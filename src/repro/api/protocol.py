@@ -27,7 +27,7 @@ Design rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import Any, ClassVar
 
 from repro.errors import (
     DeadlineError,
@@ -40,8 +40,6 @@ from repro.errors import (
 )
 from repro.snippet.generator import DEFAULT_SIZE_BOUND
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.system import SearchOutcome
 
 #: current version of the service protocol; bump on incompatible change.
 SCHEMA_VERSION = 1
@@ -548,10 +546,6 @@ class SearchResponse:
     served the response.  It is ``None`` for single-corpus services and is
     emitted in the ``meta`` block only when set, so the meta wire form of
     a non-sharded service is unchanged.
-    ``outcome`` is a server-side handle on the raw
-    :class:`~repro.system.SearchOutcome` (never serialised) that lets the
-    deprecated ``Corpus``/``ExtractSystem`` shims return their legacy types
-    without re-executing.
     """
 
     kind: ClassVar[str] = "search_response"
@@ -570,7 +564,6 @@ class SearchResponse:
     seconds: float = field(default=0.0, compare=False)
     timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
     shard: int | None = field(default=None, compare=False)
-    outcome: "SearchOutcome | None" = field(default=None, compare=False, repr=False)
 
     def to_dict(self, include_meta: bool = False) -> dict[str, Any]:
         payload: dict[str, Any] = {

@@ -7,8 +7,7 @@ on.  A service owns a :class:`repro.corpus.Corpus` and executes
 :class:`~repro.api.executors.Executor`:
 
 * ``run*`` methods raise :class:`~repro.errors.ExtractError` subclasses —
-  the in-process API the deprecated ``Corpus``/``ExtractSystem`` shims
-  delegate to;
+  the in-process API;
 * ``execute*`` methods never raise library errors — failures become
   :class:`~repro.api.protocol.ErrorResponse`, the behaviour a wire
   endpoint wants;
@@ -53,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus import Corpus, CorpusEntry, DocumentUpdate
     from repro.search.results import QueryResult
     from repro.snippet.generator import GeneratedSnippet
-    from repro.system import SearchOutcome
 
 
 class SnippetService(ServingBackendBase):
@@ -79,36 +77,18 @@ class SnippetService(ServingBackendBase):
     # single requests
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        request: SearchRequest,
-        parsed: KeywordQuery | None = None,
-        build_payloads: bool = True,
-        validate: bool = True,
-        entry: "CorpusEntry | None" = None,
+        self, request: SearchRequest, entry: "CorpusEntry | None" = None
     ) -> SearchResponse:
         """Execute one request; raises :class:`ExtractError` on failure.
 
-        ``parsed`` optionally supplies the pre-parsed form of
-        ``request.query`` (the legacy shims forward the exact
-        :class:`KeywordQuery` their caller built); by default the query
-        string is parsed here.  ``build_payloads=False`` skips wire-payload
-        construction (snippet text rendering) and returns an empty
-        ``results`` page — for in-process callers that only consume the
-        raw ``outcome`` handle, like the deprecated shims.
-        ``validate=False`` skips protocol validation so those shims keep
-        their pre-service error contract (e.g. ``InvalidSizeBoundError``
-        from the pipeline rather than :class:`ProtocolError`).
         ``entry`` executes against an already-captured corpus entry
         (snapshot semantics for fan-outs racing re-registration) instead
         of resolving ``request.document`` now.
         """
-        if validate:
-            request.validate()
+        request.validate()
         if entry is None:
             entry = self.corpus.entry(request.document)
-        if parsed is None:
-            parsed = KeywordQuery.parse(request.query)
-        return self._run_on_entry(request, entry, parsed, build_payloads=build_payloads)
+        return self._run_on_entry(request, entry, KeywordQuery.parse(request.query))
 
     def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
         """Like :meth:`run`, but failures become an :class:`ErrorResponse`."""
@@ -117,48 +97,11 @@ class SnippetService(ServingBackendBase):
         except ExtractError as error:
             return ErrorResponse.from_exception(error, request=request.to_dict())
 
-    def run_many(
-        self,
-        requests: list[SearchRequest],
-        parsed: KeywordQuery | None = None,
-        build_payloads: bool = True,
-        validate: bool = True,
-        entries: "list[CorpusEntry] | None" = None,
-    ) -> list[SearchResponse]:
-        """Execute several independent requests through the executor.
-
-        ``parsed``, when given, is the pre-parsed form shared by *every*
-        request's query (the ``query_all`` fan-out: one query, many
-        documents); ``build_payloads`` and ``validate`` as in :meth:`run`;
-        ``entries``, when given, aligns with ``requests`` and pins each
-        one to an already-captured corpus entry (snapshot semantics).
-        """
-        if entries is not None and len(entries) != len(requests):
-            raise ProtocolError(
-                f"entries length {len(entries)} does not match requests length {len(requests)}"
-            )
-        pairs = list(zip(requests, entries if entries is not None else [None] * len(requests)))
-        return self.executor.map(
-            lambda pair: self.run(
-                pair[0],
-                parsed=parsed,
-                build_payloads=build_payloads,
-                validate=validate,
-                entry=pair[1],
-            ),
-            pairs,
-        )
-
     # ------------------------------------------------------------------ #
     # batches
     # ------------------------------------------------------------------ #
     def run_batch(
-        self,
-        batch: BatchRequest,
-        parsed_queries: list[KeywordQuery] | None = None,
-        build_payloads: bool = True,
-        validate: bool = True,
-        entries: "list[CorpusEntry] | None" = None,
+        self, batch: BatchRequest, entries: "list[CorpusEntry] | None" = None
     ) -> BatchResponse:
         """Execute a batch: every query over every selected document.
 
@@ -169,18 +112,12 @@ class SnippetService(ServingBackendBase):
         posting memos.  The executor fans out across *queries*; per query,
         documents run in order, so response order is deterministic.
 
-        ``parsed_queries`` lets a caller that already holds parsed
-        :class:`KeywordQuery` objects (the ``Corpus.search_batch`` shim)
-        bypass re-parsing, preserving exact legacy semantics;
-        ``build_payloads`` as in :meth:`run` (the shim consumes raw
-        outcomes only, so it skips wire-payload rendering); ``entries``,
-        when given, aligns with ``batch.documents`` and pins each one to
-        an already-captured corpus entry (snapshot semantics for the
-        cluster router's per-shard sub-batches — a concurrent remove
-        cannot fail the fan-out part-way).
+        ``entries``, when given, aligns with ``batch.documents`` and pins
+        each one to an already-captured corpus entry (snapshot semantics
+        for the cluster router's per-shard sub-batches — a concurrent
+        remove cannot fail the fan-out part-way).
         """
-        if validate:
-            batch.validate()
+        batch.validate()
         if entries is not None:
             if batch.documents is None or len(entries) != len(batch.documents):
                 raise ProtocolError(
@@ -197,28 +134,14 @@ class SnippetService(ServingBackendBase):
             entries = self.corpus.entries_snapshot()
             names = [entry.name for entry in entries]
 
-        if parsed_queries is not None:
-            if len(parsed_queries) != len(batch.queries):
-                raise ProtocolError(
-                    f"parsed_queries length {len(parsed_queries)} does not match "
-                    f"queries length {len(batch.queries)}"
-                )
-            given: list[KeywordQuery] = parsed_queries
-        else:
-            given = [KeywordQuery.parse(raw) for raw in batch.queries]
-
-        pairs = list(zip(batch.queries, KeywordQuery.share(given)))
+        shared = KeywordQuery.share([KeywordQuery.parse(raw) for raw in batch.queries])
+        pairs = list(zip(batch.queries, shared))
 
         def run_one(pair: tuple[str, KeywordQuery]) -> BatchEntry:
             raw, parsed = pair
             started = perf_counter()
             responses = tuple(
-                self._run_on_entry(
-                    batch.search_request(raw, entry.name),
-                    entry,
-                    parsed,
-                    build_payloads=build_payloads,
-                )
+                self._run_on_entry(batch.search_request(raw, entry.name), entry, parsed)
                 for entry in entries
             )
             return BatchEntry(
@@ -241,7 +164,7 @@ class SnippetService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     # document lifecycle
     # ------------------------------------------------------------------ #
-    def run_update(self, request: UpdateRequest, validate: bool = True) -> UpdateResponse:
+    def run_update(self, request: UpdateRequest) -> UpdateResponse:
         """Apply a document-lifecycle request to the serving corpus.
 
         ``update`` upserts: a registered document is diffed and updated
@@ -253,24 +176,23 @@ class SnippetService(ServingBackendBase):
         unregisters the document.  Requests already being served keep the
         previous version until the swap; they are never torn mid-flight.
         """
-        return self.run_update_with_report(request, validate=validate)[0]
+        return self.run_update_with_report(request)[0]
 
     def run_update_with_report(
-        self, request: UpdateRequest, validate: bool = True
+        self, request: UpdateRequest
     ) -> "tuple[UpdateResponse, DocumentUpdate]":
         """Like :meth:`run_update`, but also returns the raw corpus report.
 
         The report carries what the wire response deliberately omits — the
         applied text edits above all — which is exactly what journalling
         (the ``corpus-update`` CLI) and shard replication
-        (:meth:`repro.cluster.ShardServer.apply_update`) need to describe
+        (:meth:`repro.cluster.ShardServer.update`) need to describe
         the operation as a delta instead of a document.
         """
         from repro.xmltree.dtd import dtd_for_tree_text
         from repro.xmltree.parser import parse_xml
 
-        if validate:
-            request.validate()
+        request.validate()
         started = perf_counter()
         if request.action == "remove":
             report = self.corpus.remove_document(request.document)
@@ -358,7 +280,6 @@ class SnippetService(ServingBackendBase):
         request: SearchRequest,
         entry: "CorpusEntry",
         parsed: KeywordQuery,
-        build_payloads: bool = True,
     ) -> SearchResponse:
         """Execute a validated request against one captured corpus entry.
 
@@ -386,18 +307,15 @@ class SnippetService(ServingBackendBase):
             # scales with the result count, not page_size, and all
             # follow-up pages are cache hits.  Only the requested page
             # pays wire-payload rendering.
-            if build_payloads:
-                page_items = outcome.snippets.page(request.page, request.page_size)
-                payloads = tuple(self._snippet_payload(generated) for generated in page_items)
-            else:
-                payloads = ()
+            page_items = outcome.snippets.page(request.page, request.page_size)
+            payloads = tuple(self._snippet_payload(generated) for generated in page_items)
             count = len(outcome.snippets)
             total = outcome.results.total_results
             from_cache = outcome.from_cache
-            timings = outcome.timings.as_dict() if request.include_meta else {}
+            breakdown = outcome.timings
         else:
             breakdown = TimingBreakdown()
-            results, from_cache = system.run_search_with_provenance(
+            results, from_cache = system.run_search(
                 parsed,
                 limit=request.limit,
                 construction=construction,
@@ -406,17 +324,13 @@ class SnippetService(ServingBackendBase):
                 timings=breakdown,
             )
             seconds = perf_counter() - started
-            if build_payloads:
-                page_items = results.page(request.page, request.page_size)
-                payloads = tuple(self._result_payload(result) for result in page_items)
-            else:
-                payloads = ()
+            page_items = results.page(request.page, request.page_size)
+            payloads = tuple(self._result_payload(result) for result in page_items)
             count = len(results)
             total = results.total_results
-            outcome = None
-            # A cache hit skips the engine, so the meta timings are empty
-            # on warm search-only responses.
-            timings = breakdown.as_dict() if request.include_meta else {}
+        # A cache hit skips the engine, so the meta timings are empty on
+        # warm responses.
+        timings = breakdown.as_dict() if request.include_meta else {}
         trace = current_trace()
         if trace is not None:
             # The engine's own per-phase breakdown becomes leaf spans of
@@ -425,10 +339,7 @@ class SnippetService(ServingBackendBase):
             span_id = trace.add_span(
                 "service:search", seconds, document=entry.name, from_cache=from_cache
             )
-            phases = (
-                outcome.timings.as_dict() if outcome is not None else breakdown.as_dict()
-            )
-            for phase, phase_seconds in phases.items():
+            for phase, phase_seconds in breakdown.as_dict().items():
                 trace.add_span(f"phase:{phase}", phase_seconds, parent_id=span_id)
         has_more = (
             request.page_size is not None and request.page * request.page_size < count
@@ -446,7 +357,6 @@ class SnippetService(ServingBackendBase):
             from_cache=from_cache,
             seconds=seconds,
             timings=timings,
-            outcome=outcome,
         )
 
     @staticmethod

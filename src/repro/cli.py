@@ -632,7 +632,7 @@ def _command_analyze(args: argparse.Namespace, out) -> int:
 
 def _command_search(args: argparse.Namespace, out) -> int:
     system = _load_system(args, algorithm=args.algorithm)
-    outcome = system.query(args.query, size_bound=args.bound, limit=args.limit)
+    outcome = system.run_query(args.query, size_bound=args.bound, limit=args.limit)
     print(outcome.render_text(show_ilist=args.show_ilist), file=out)
     if args.html:
         write_result_page(outcome.snippets, args.html)
@@ -642,7 +642,7 @@ def _command_search(args: argparse.Namespace, out) -> int:
 
 def _command_ilist(args: argparse.Namespace, out) -> int:
     system = _load_system(args)
-    outcome = system.query(args.query, limit=args.limit)
+    outcome = system.run_query(args.query, limit=args.limit)
     for generated in outcome.snippets:
         print(f"Result #{generated.result.result_id}:", file=out)
         for position, item in enumerate(generated.ilist, start=1):
@@ -738,7 +738,23 @@ def _read_query_file(path: str) -> list[str]:
     return queries
 
 
+def _format_batch_table(entries) -> str:
+    """Aligned per-query rows: query text, result count, seconds."""
+    width = max(len("query"), *(len(entry.query) for entry in entries))
+    lines = [f"{'query'.ljust(width)}  results  seconds"]
+    for entry in entries:
+        lines.append(
+            f"{entry.query.ljust(width)}  {entry.total_results:7d}  {entry.seconds:.6f}"
+        )
+    total_results = sum(entry.total_results for entry in entries)
+    total_seconds = sum(entry.seconds for entry in entries)
+    lines.append(f"{'TOTAL'.ljust(width)}  {total_results:7d}  {total_seconds:.6f}")
+    return "\n".join(lines)
+
+
 def _command_batch(args: argparse.Namespace, out) -> int:
+    from repro.api.protocol import BatchRequest
+    from repro.api.service import SnippetService
     from repro.search.query import KeywordQuery
 
     corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
@@ -746,40 +762,53 @@ def _command_batch(args: argparse.Namespace, out) -> int:
     if not lines:
         print(f"error: no queries found in {args.queries}", file=out)
         return 2
-    queries: list[KeywordQuery] = []
+    queries: list[str] = []
     for line in lines:
         try:
-            queries.append(KeywordQuery.parse(line))
+            KeywordQuery.parse(line)
         except ExtractError as error:
             print(f"skipping unparsable query {line!r}: {error}", file=out)
+        else:
+            queries.append(line)
     if not queries:
         print("error: no usable query remained after parsing", file=out)
         return 2
 
+    service = SnippetService(corpus)
+    batch = BatchRequest(
+        queries=tuple(queries),
+        size_bound=args.bound,
+        limit=args.limit,
+        use_cache=not args.no_cache,
+    )
     repeat = max(1, args.repeat)
-    report = None
+    response = None
     for round_number in range(1, repeat + 1):
-        report = corpus.search_batch(
-            queries, size_bound=args.bound, limit=args.limit, use_cache=not args.no_cache
-        )
+        response = service.run_batch(batch)
         if repeat > 1:
-            print(f"round {round_number}/{repeat}  ({report.total_seconds:.6f}s)", file=out)
-        print(report.format_table(), file=out)
+            seconds = sum(entry.seconds for entry in response.entries)
+            print(f"round {round_number}/{repeat}  ({seconds:.6f}s)", file=out)
+        print(_format_batch_table(response.entries), file=out)
         print(file=out)
-    print(f"documents: {', '.join(report.document_names)}", file=out)
+    print(f"documents: {', '.join(response.documents)}", file=out)
     if args.show_snippets:
-        for entry in report:
-            for document_name, outcome in entry.outcomes.items():
-                print(f"\n=== {document_name} :: {entry.raw} ===", file=out)
-                print(outcome.render_text(), file=out)
+        for entry in response.entries:
+            for item in entry.responses:
+                print(f"\n=== {item.document} :: {entry.query} ===", file=out)
+                texts = [payload.text for payload in item.results]
+                print("\n\n".join(texts) if texts else "(no results)", file=out)
     return 0
 
 
-def _command_serve_request(args: argparse.Namespace, out) -> int:
+def _serve_one_request(args: argparse.Namespace, out, open_backend, refusal: str) -> int:
+    """Answer one JSON protocol request with a throwaway backend.
+
+    ``open_backend()`` builds the (context-managed) serving backend;
+    ``refusal`` is the message an update request is refused with.
+    """
     import json
 
-    from repro.api.executors import ConcurrentExecutor, SerialExecutor
-    from repro.api.protocol import parse_request
+    from repro.api.protocol import ErrorResponse, UpdateRequest, parse_request
     from repro.api.service import SnippetService
     from repro.corpus import Corpus
 
@@ -799,38 +828,47 @@ def _command_serve_request(args: argparse.Namespace, out) -> int:
         return 1 if response.get("kind") == "error" else 0
 
     # Parse and structurally validate the request before building the
-    # corpus: a malformed request must fail fast, not after paying for
-    # dataset generation + indexing.  Only document-existence errors need
-    # the corpus; error shaping stays in the service (an empty service is
-    # enough to produce the error response).
+    # backend: a malformed request must fail fast, not after paying for
+    # dataset generation + indexing (or a cluster load).  Only
+    # document-existence errors need the backend; error shaping stays in
+    # the service (an empty service is enough to produce the error response).
     try:
         payload = json.loads(request_text)
         request = parse_request(payload)
     except (json.JSONDecodeError, ExtractError):
         return emit(SnippetService(Corpus()).handle_text(request_text))
 
-    from repro.api.protocol import ErrorResponse, UpdateRequest
-
     if isinstance(request, UpdateRequest):
-        # serve-request builds a throwaway corpus per invocation: an update
-        # applied here would vanish on exit while the response claims
-        # success.  Lifecycle edits belong to the journalled surface.
+        # The backend is built per invocation: an update applied here would
+        # vanish on exit while the response claims success.  Lifecycle
+        # edits belong to the journalled surfaces.
         return emit(
-            ErrorResponse(
-                error="ProtocolError",
-                message=(
-                    "serve-request is stateless and cannot apply document "
-                    "updates; use 'corpus-update --corpus-dir ...' so the "
-                    "edit is journalled and survives reloads"
-                ),
-                request=payload,
-            ).to_dict()
+            ErrorResponse(error="ProtocolError", message=refusal, request=payload).to_dict()
         )
 
-    corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
-    executor = ConcurrentExecutor(max_workers=args.workers) if args.workers > 1 else SerialExecutor()
-    with SnippetService(corpus, executor=executor) as service:
-        return emit(service.handle_dict(payload, request=request))
+    with open_backend() as backend:
+        return emit(backend.handle_dict(payload, request=request))
+
+
+def _command_serve_request(args: argparse.Namespace, out) -> int:
+    from repro.api.executors import ConcurrentExecutor, SerialExecutor
+    from repro.api.service import SnippetService
+
+    def open_backend():
+        corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
+        executor = (
+            ConcurrentExecutor(max_workers=args.workers) if args.workers > 1 else SerialExecutor()
+        )
+        return SnippetService(corpus, executor=executor)
+
+    return _serve_one_request(
+        args,
+        out,
+        open_backend,
+        "serve-request is stateless and cannot apply document updates; use "
+        "'corpus-update --corpus-dir ...' so the edit is journalled and "
+        "survives reloads",
+    )
 
 
 def _apply_journalled_update(
@@ -1242,51 +1280,16 @@ def _command_cluster_init(args: argparse.Namespace, out) -> int:
 
 def _command_cluster_serve_request(args: argparse.Namespace, out) -> int:
     """Execute one JSON protocol request through the cluster router."""
-    import json
-
-    from repro.api.protocol import ErrorResponse, UpdateRequest, parse_request
-    from repro.api.service import SnippetService
     from repro.cluster import ClusterService
-    from repro.corpus import Corpus
 
-    if args.request == "-":
-        request_text = sys.stdin.read()
-    else:
-        with open(args.request, "r", encoding="utf-8") as handle:
-            request_text = handle.read()
-
-    def emit(response: dict) -> int:
-        print(
-            json.dumps(response, indent=2 if args.pretty else None, sort_keys=True),
-            file=out,
-        )
-        return 1 if response.get("kind") == "error" else 0
-
-    # Fail fast on malformed requests before paying for the cluster load —
-    # same discipline as serve-request.
-    try:
-        payload = json.loads(request_text)
-        request = parse_request(payload)
-    except (json.JSONDecodeError, ExtractError):
-        return emit(SnippetService(Corpus()).handle_text(request_text))
-
-    if isinstance(request, UpdateRequest):
-        # cluster-serve-request loads a throwaway cluster per invocation;
-        # lifecycle edits belong to the journalled cluster-update surface.
-        return emit(
-            ErrorResponse(
-                error="ProtocolError",
-                message=(
-                    "cluster-serve-request is stateless and cannot apply "
-                    "document updates; use 'cluster-update --cluster-dir ...' "
-                    "so the edit is journalled on the owning shard"
-                ),
-                request=payload,
-            ).to_dict()
-        )
-
-    with ClusterService.load_dir(args.cluster_dir, algorithm=args.algorithm) as cluster:
-        return emit(cluster.handle_dict(payload, request=request))
+    return _serve_one_request(
+        args,
+        out,
+        lambda: ClusterService.load_dir(args.cluster_dir, algorithm=args.algorithm),
+        "cluster-serve-request is stateless and cannot apply document updates; "
+        "use 'cluster-update --cluster-dir ...' so the edit is journalled on "
+        "the owning shard",
+    )
 
 
 def _command_cluster_update(args: argparse.Namespace, out) -> int:

@@ -151,7 +151,7 @@ class ShardBackend(ServingBackendBase):
         fully functional backend.
         """
         try:
-            response, _delta = self.shard.apply_update(request)
+            response, _delta = self.shard.update(request)
         except ExtractError as error:
             return ErrorResponse.from_exception(error, request=request.to_dict())
         self._bump_sequence()
@@ -194,7 +194,7 @@ class ShardBackend(ServingBackendBase):
                 f"got kind {getattr(request, 'kind', None)!r}"
             )
         try:
-            response, delta = self.shard.apply_update(request)
+            response, delta = self.shard.update(request)
         except ExtractError as error:
             # The rejection is the primary's *answer*, not a transport
             # fault: ship it structured, with the byte-exact request echo.

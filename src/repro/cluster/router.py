@@ -250,10 +250,9 @@ class ClusterService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     # single requests
     # ------------------------------------------------------------------ #
-    def run(self, request: SearchRequest, validate: bool = True) -> SearchResponse:
+    def run(self, request: SearchRequest) -> SearchResponse:
         """Execute one request on the owning shard; raises on failure."""
-        if validate:
-            request.validate()
+        request.validate()
         shard, pin = self._capture(request.document)
         with _span("cluster:route", shard=shard.shard_id):
             response = shard.search(request, pin)
@@ -266,7 +265,7 @@ class ClusterService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     # batches
     # ------------------------------------------------------------------ #
-    def run_batch(self, batch: BatchRequest, validate: bool = True) -> BatchResponse:
+    def run_batch(self, batch: BatchRequest) -> BatchResponse:
         """Fan a batch out across shards and merge deterministically.
 
         Each shard runs the sub-batch of documents it owns (one executor
@@ -276,8 +275,7 @@ class ClusterService(ServingBackendBase):
         every cluster document in name order (exactly :meth:`names`); an
         explicit list is preserved verbatim, duplicates included.
         """
-        if validate:
-            batch.validate()
+        batch.validate()
         if batch.documents is not None:
             names = list(batch.documents)
             captured = [self._capture(name) for name in names]
@@ -347,7 +345,7 @@ class ClusterService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     # document lifecycle
     # ------------------------------------------------------------------ #
-    def run_update(self, request: UpdateRequest, validate: bool = True) -> UpdateResponse:
+    def run_update(self, request: UpdateRequest) -> UpdateResponse:
         """Route a lifecycle request to the owning (or assigned) shard.
 
         Registered documents update in place on their current shard; new
@@ -355,10 +353,10 @@ class ClusterService(ServingBackendBase):
         a registered document.  The shard's replication delta is returned
         by :meth:`run_update_with_delta`.
         """
-        return self.run_update_with_delta(request, validate=validate)[0]
+        return self.run_update_with_delta(request)[0]
 
     def run_update_with_delta(
-        self, request: UpdateRequest, validate: bool = True
+        self, request: UpdateRequest
     ) -> tuple[UpdateResponse, ShardDelta]:
         """Like :meth:`run_update`, but also returns the replication delta.
 
@@ -366,8 +364,7 @@ class ClusterService(ServingBackendBase):
         delta belongs to *this* call, so concurrent updaters each get
         their own.
         """
-        if validate:
-            request.validate()
+        request.validate()
         shard = self.owner_of(request.document)
         if shard is None:
             if request.action == "remove":

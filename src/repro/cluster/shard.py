@@ -174,13 +174,10 @@ class ShardServer:
         return [(entry.name, entry) for entry in self.corpus.entries_snapshot()]
 
     def search(self, request: SearchRequest, pin: "CorpusEntry") -> SearchResponse:
-        return self.service.run(request, validate=False, entry=pin)
+        return self.service.run(request, entry=pin)
 
     def batch(self, sub_batch: BatchRequest, pins: "list[CorpusEntry]") -> BatchResponse:
-        return self.service.run_batch(sub_batch, validate=False, entries=pins)
-
-    def update(self, request: UpdateRequest) -> "tuple[UpdateResponse, ShardDelta]":
-        return self.apply_update(request, validate=False)
+        return self.service.run_batch(sub_batch, entries=pins)
 
     def describe(self) -> dict[str, object]:
         """This shard's row in the router's ``stats()``."""
@@ -198,9 +195,7 @@ class ShardServer:
     # ------------------------------------------------------------------ #
     # the replication primitive
     # ------------------------------------------------------------------ #
-    def apply_update(
-        self, request: UpdateRequest, validate: bool = True
-    ) -> tuple[UpdateResponse, ShardDelta]:
+    def update(self, request: UpdateRequest) -> tuple[UpdateResponse, ShardDelta]:
         """Apply a lifecycle request to this shard; return the replication delta.
 
         The response is exactly what a single-corpus
@@ -209,7 +204,7 @@ class ShardServer:
         the cluster-update journaller) can re-apply it without shipping
         the whole document when a node-level delta suffices.
         """
-        response, report = self.service.run_update_with_report(request, validate=validate)
+        response, report = self.service.run_update_with_report(request)
         return response, self._delta_for(request, report)
 
     def _delta_for(self, request: UpdateRequest, report: "DocumentUpdate") -> ShardDelta:

@@ -3,8 +3,8 @@
 The demo web UI let users "specify XML data sets and keywords for
 retrieval" and pick a document before querying (§4).  :class:`Corpus`
 reproduces that workflow programmatically: register documents (from trees,
-XML text, files or the built-in dataset generators), query any of them by
-name, or query all of them at once and get the per-document outcomes back.
+XML text, files or the built-in dataset generators) and serve them by name
+through a :class:`repro.api.SnippetService` built around the corpus.
 
 Serving features (the demo ran as a web service):
 
@@ -19,10 +19,9 @@ Serving features (the demo ran as a web service):
   (:mod:`repro.index.incremental`) instead of rebuilding, invalidating
   only the cache entries and memoised postings the edit can actually
   affect; :meth:`Corpus.remove_document` completes the document lifecycle.
-* **Batch execution** — :meth:`Corpus.search_batch` runs many queries over
-  many documents in one pass, sharing parsed queries and posting-list
-  lookups, and reports per-query timings via
-  :class:`~repro.utils.timing.TimingBreakdown`.
+* **Shared posting lookups** — each entry memoises its keyword → posting
+  list lookups (:meth:`Corpus.shared_postings`), so a batch looks every
+  distinct keyword up at most once per document.
 """
 
 from __future__ import annotations
@@ -30,16 +29,13 @@ from __future__ import annotations
 import os
 import re
 import threading
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from repro.errors import DatasetError, ExtractError, StorageError, UnknownDocumentError
 from repro.index.postings import PostingList
-from repro.search.query import KeywordQuery
-from repro.snippet.generator import DEFAULT_SIZE_BOUND
 from repro.system import ExtractSystem, SearchOutcome
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
-from repro.utils.timing import TimingBreakdown
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.diff import TextEdit, clone_tree, diff_trees
 from repro.xmltree.tree import XMLTree
@@ -124,72 +120,6 @@ class DocumentUpdate:
         )
 
 
-@dataclass
-class BatchQueryOutcome:
-    """One batch query's outcomes across all queried documents."""
-
-    raw: str
-    query: KeywordQuery
-    outcomes: dict[str, SearchOutcome] = field(default_factory=dict)
-    seconds: float = 0.0
-
-    @property
-    def total_results(self) -> int:
-        return sum(len(outcome) for outcome in self.outcomes.values())
-
-    def __repr__(self) -> str:
-        return (
-            f"<BatchQueryOutcome query={self.raw!r} documents={len(self.outcomes)} "
-            f"results={self.total_results} seconds={self.seconds:.6f}>"
-        )
-
-
-@dataclass
-class BatchReport:
-    """The result of :meth:`Corpus.search_batch`: per-query outcomes plus a
-    per-query timing breakdown (phase name ``query:<raw text>``)."""
-
-    entries: list[BatchQueryOutcome] = field(default_factory=list)
-    document_names: list[str] = field(default_factory=list)
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[BatchQueryOutcome]:
-        return iter(self.entries)
-
-    def entry(self, raw: str) -> BatchQueryOutcome:
-        for candidate in self.entries:
-            if candidate.raw == raw:
-                return candidate
-        raise ExtractError(f"no batch entry for query {raw!r}")
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(entry.seconds for entry in self.entries)
-
-    @property
-    def total_results(self) -> int:
-        return sum(entry.total_results for entry in self.entries)
-
-    def format_table(self) -> str:
-        """Aligned per-query rows: query text, result count, seconds."""
-        if not self.entries:
-            return "(no queries executed)"
-        width = max(len(entry.raw) for entry in self.entries)
-        width = max(width, len("query"))
-        lines = [f"{'query'.ljust(width)}  results  seconds"]
-        for entry in self.entries:
-            lines.append(
-                f"{entry.raw.ljust(width)}  {entry.total_results:7d}  {entry.seconds:.6f}"
-            )
-        lines.append(
-            f"{'TOTAL'.ljust(width)}  {self.total_results:7d}  {self.total_seconds:.6f}"
-        )
-        return "\n".join(lines)
-
-
 class Corpus:
     """A registry of named, indexed documents."""
 
@@ -197,15 +127,13 @@ class Corpus:
         self.algorithm = algorithm
         self.cache_size = cache_size
         self._entries: dict[str, CorpusEntry] = {}
-        #: guards registration swaps and the lazy service creation against
-        #: concurrent check-then-set races.
+        #: guards registration swaps against concurrent check-then-set races.
         self._serving_lock = threading.Lock()
         #: serialises document updates (diff → delta → swap) so concurrent
         #: updaters cannot diff against the same base and lose an edit;
         #: readers only contend on the brief swap under _serving_lock.
         #: Re-entrant because apply_update() delegates to update_document().
         self._update_lock = threading.RLock()
-        self._service = None
 
     # ------------------------------------------------------------------ #
     # registration
@@ -473,26 +401,6 @@ class Corpus:
     def __iter__(self) -> Iterator[CorpusEntry]:
         return iter(self.entries_snapshot())
 
-    # ------------------------------------------------------------------ #
-    # the service layer
-    # ------------------------------------------------------------------ #
-    @property
-    def service(self):
-        """The corpus's default :class:`repro.api.SnippetService`.
-
-        Lazily created with a serial executor; replace :attr:`service`
-        ``.executor`` (or build your own service around this corpus) to
-        serve concurrently.  The deprecated ``query``/``query_all``/
-        ``search_batch`` shims below all execute through this service, so
-        legacy callers and protocol callers hit the exact same pipeline.
-        """
-        from repro.api.service import SnippetService
-
-        with self._serving_lock:
-            if self._service is None:
-                self._service = SnippetService(self)
-            return self._service
-
     def shared_postings(self, name: str) -> "_SharedPostings":
         """The memoised keyword → posting-list mapping of one document.
 
@@ -503,161 +411,6 @@ class Corpus:
         atomically with the entry.
         """
         return self.entry(name).postings
-
-    # ------------------------------------------------------------------ #
-    # querying (deprecated shims over the service layer)
-    # ------------------------------------------------------------------ #
-    def query(
-        self,
-        name: str,
-        query_text: str | KeywordQuery,
-        size_bound: int = DEFAULT_SIZE_BOUND,
-        limit: int | None = None,
-        use_cache: bool = True,
-    ) -> SearchOutcome:
-        """Query one registered document (the demo's select-then-search flow).
-
-        Deprecated: prefer a :class:`repro.api.SearchRequest` through
-        :attr:`service` — this shim builds exactly that request, executes
-        it on the service and unwraps the raw outcome, so results are
-        identical by construction.
-        """
-        from repro.api.protocol import SearchRequest
-
-        raw, parsed = _raw_and_parsed(query_text)
-        entry = self.entry(name)  # resolve once, like the legacy path
-        response = self.service.run(
-            SearchRequest(
-                query=raw,
-                document=name,
-                size_bound=size_bound,
-                limit=limit,
-                use_cache=use_cache,
-            ),
-            parsed=parsed,
-            build_payloads=False,  # this shim consumes the raw outcome only
-            validate=False,        # keep the legacy error contract (pipeline errors)
-            entry=entry,
-        )
-        return response.outcome
-
-    def query_all(
-        self,
-        query_text: str | KeywordQuery,
-        size_bound: int = DEFAULT_SIZE_BOUND,
-        limit: int | None = None,
-        use_cache: bool = True,
-    ) -> dict[str, SearchOutcome]:
-        """Query every registered document; returns outcomes keyed by name.
-
-        Documents in which the query has no results map to an outcome with
-        zero results (they are not omitted), so callers can show "no hits in
-        dataset X" explicitly.
-
-        Deprecated: prefer per-document :class:`repro.api.SearchRequest`\\ s
-        (or a :class:`repro.api.BatchRequest`) through :attr:`service`.
-        """
-        from repro.api.protocol import SearchRequest
-
-        raw, parsed = _raw_and_parsed(query_text)
-        # Snapshot the registry once (legacy semantics): a concurrent
-        # remove/replace cannot make an in-flight fan-out fail part-way.
-        snapshot = self.entries_snapshot()
-        requests = [
-            SearchRequest(
-                query=raw,
-                document=entry.name,
-                size_bound=size_bound,
-                limit=limit,
-                use_cache=use_cache,
-            )
-            for entry in snapshot
-        ]
-        responses = self.service.run_many(
-            requests,
-            parsed=parsed,
-            build_payloads=False,
-            validate=False,
-            entries=snapshot,
-        )
-        return {entry.name: response.outcome for entry, response in zip(snapshot, responses)}
-
-    def search_batch(
-        self,
-        queries: Sequence[str | KeywordQuery],
-        names: Sequence[str] | None = None,
-        size_bound: int = DEFAULT_SIZE_BOUND,
-        limit: int | None = None,
-        use_cache: bool = True,
-    ) -> BatchReport:
-        """Execute many queries over many documents in one pass.
-
-        Shared work across the batch:
-
-        * each query string is **parsed once** (queries that normalise to
-          the same keyword tuple share one :class:`KeywordQuery`), and
-        * per document, every distinct keyword's posting list is **looked
-          up once** and shared by all queries that use it (the memo now
-          persists across batches, see :meth:`shared_postings`).
-
-        ``names`` restricts (and orders) the documents; ``None`` means every
-        registered document in name order.  The report's timing breakdown
-        has one ``query:<raw>`` phase per query, so callers can print the
-        same per-query rows the efficiency experiments use.
-
-        Deprecated: prefer a :class:`repro.api.BatchRequest` through
-        :attr:`service` — this shim executes one and repackages the
-        response as the legacy :class:`BatchReport`.
-        """
-        from repro.api.protocol import BatchRequest
-
-        selected_names = list(names) if names is not None else self.names()
-        for name in selected_names:
-            self.entry(name)  # fail fast on unknown documents, even for empty batches
-        report = BatchReport(document_names=selected_names)
-        if not queries:
-            return report
-
-        # Parse once; KeywordQuery.share makes raw strings that normalise
-        # identically ("store texas" / "STORE, texas!") share one object —
-        # the same rule the service batch path applies, so the report's
-        # query objects are exactly what the service executed.
-        raws = [
-            query.raw if isinstance(query, KeywordQuery) else query for query in queries
-        ]
-        parsed_queries = KeywordQuery.share(
-            [
-                query if isinstance(query, KeywordQuery) else KeywordQuery.parse(query)
-                for query in queries
-            ]
-        )
-
-        response = self.service.run_batch(
-            BatchRequest(
-                queries=tuple(raws),
-                documents=tuple(selected_names),
-                size_bound=size_bound,
-                limit=limit,
-                use_cache=use_cache,
-            ),
-            parsed_queries=parsed_queries,
-            build_payloads=False,  # the legacy report consumes raw outcomes only
-            validate=False,        # keep the legacy error contract (pipeline errors)
-        )
-        for batch_entry, parsed in zip(response.entries, parsed_queries):
-            outcomes = {
-                item.document: item.outcome for item in batch_entry.responses
-            }
-            report.entries.append(
-                BatchQueryOutcome(
-                    raw=batch_entry.query,
-                    query=parsed,
-                    outcomes=outcomes,
-                    seconds=batch_entry.seconds,
-                )
-            )
-            report.timings.add(f"query:{batch_entry.query}", batch_entry.seconds)
-        return report
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -971,19 +724,6 @@ def compact_corpus_dir(
         documents=len(corpus),
         subdirs=tuple(subdirs),
     )
-
-
-def _raw_and_parsed(query_text: str | KeywordQuery) -> tuple[str, KeywordQuery | None]:
-    """Split shim input into the raw request string and a pre-parsed query.
-
-    The legacy shims accepted both raw text and :class:`KeywordQuery`
-    objects; the typed protocol carries raw strings.  When the caller
-    already parsed, the parsed object is forwarded to the service so the
-    exact normalisation the caller constructed is preserved.
-    """
-    if isinstance(query_text, KeywordQuery):
-        return query_text.raw, query_text
-    return query_text, None
 
 
 #: per-document cap on memoised keyword lookups; large enough that every

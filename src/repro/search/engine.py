@@ -9,7 +9,7 @@ snippet generator only ever sees :class:`~repro.search.results.ResultSet`.
 
 from __future__ import annotations
 
-from repro.errors import SearchError
+from repro.errors import QueryError, SearchError
 from repro.index.builder import DocumentIndex
 from repro.index.postings import PostingList
 from repro.search.elca import compute_elca
@@ -69,7 +69,9 @@ class SearchEngine:
         """Evaluate a keyword query and return ranked results.
 
         ``limit`` truncates the ranked list (like a result page); ``None``
-        returns everything, which the efficiency experiments rely on.
+        returns everything, which the efficiency experiments rely on.  A
+        negative ``limit`` is a :class:`QueryError` (as a slice bound it
+        would silently drop results from the end of the ranking).
         ``postings`` optionally maps keywords to pre-fetched posting lists
         (the batch executor shares one lookup across many queries); absent
         keywords fall back to an index lookup.
@@ -82,6 +84,8 @@ class SearchEngine:
         attribute of the engine and is therefore safe to run from many
         threads at once over the same immutable index.
         """
+        if limit is not None and limit < 0:
+            raise QueryError(f"limit must be a non-negative integer or None, got {limit!r}")
         parsed = query if isinstance(query, KeywordQuery) else KeywordQuery.parse(query)
         effective_construction = construction if construction is not None else self.construction
         breakdown = timings if timings is not None else self.timings

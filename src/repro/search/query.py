@@ -65,9 +65,8 @@ class KeywordQuery:
         tuple (first occurrence wins; keyword *order* is part of the
         identity because the IList preserves it).
 
-        This is the batch executor's parse-once rule — kept here so the
-        legacy ``Corpus.search_batch`` shim and the service batch path
-        cannot drift apart.
+        This is the batch executor's parse-once rule
+        (:meth:`repro.api.SnippetService.run_batch`).
         """
         by_keywords: dict[tuple[str, ...], KeywordQuery] = {}
         return [by_keywords.setdefault(query.keywords, query) for query in parsed]

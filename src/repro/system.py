@@ -58,12 +58,12 @@ class ExtractSystem:
 
     >>> from repro.datasets.retail import figure5_document
     >>> system = ExtractSystem.from_tree(figure5_document())
-    >>> outcome = system.query("store texas", size_bound=6)
+    >>> outcome = system.run_query("store texas", size_bound=6)
     >>> len(outcome) >= 2
     True
     >>> all(g.snippet.size_edges <= 6 for g in outcome.snippets)
     True
-    >>> system.query("store texas", size_bound=6).from_cache
+    >>> system.run_query("store texas", size_bound=6).from_cache
     True
     """
 
@@ -192,38 +192,18 @@ class ExtractSystem:
         use_cache: bool = True,
         postings: dict[str, PostingList] | None = None,
         timings: TimingBreakdown | None = None,
-    ) -> ResultSet:
+    ) -> tuple[ResultSet, bool]:
         """Evaluate a keyword query without snippet generation (thread-safe).
 
+        Returns the result set plus whether it came from the cache (the
+        service reports this in response metadata; result sets, unlike
+        :class:`SearchOutcome`, carry no provenance flag of their own).
         Result sets are cached independently of full outcomes (no snippet
         bound in the key), so callers that only need result roots never pay
         for snippets.  Phase timings go into the caller-provided ``timings``
         breakdown (or a discarded per-call one), never into shared engine
         state — cache hits record no phases.
         """
-        results, _ = self.run_search_with_provenance(
-            query_text,
-            limit=limit,
-            construction=construction,
-            use_cache=use_cache,
-            postings=postings,
-            timings=timings,
-        )
-        return results
-
-    def run_search_with_provenance(
-        self,
-        query_text: str | KeywordQuery,
-        limit: int | None = None,
-        construction: ResultConstruction = ResultConstruction.XSEEK,
-        use_cache: bool = True,
-        postings: dict[str, PostingList] | None = None,
-        timings: TimingBreakdown | None = None,
-    ) -> tuple[ResultSet, bool]:
-        """:meth:`run_search` plus whether the result set came from the
-        cache (the service reports this in response metadata; result sets,
-        unlike :class:`SearchOutcome`, carry no provenance flag of their
-        own)."""
         parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
         key = self._cache_key("search", parsed, None, limit, construction)
         if use_cache:
@@ -240,51 +220,6 @@ class ExtractSystem:
         if use_cache:
             self.cache.put(key, results)
         return results, False
-
-    # ------------------------------------------------------------------ #
-    # deprecated shims (kept for callers of the pre-service API)
-    # ------------------------------------------------------------------ #
-    def query(
-        self,
-        query_text: str | KeywordQuery,
-        size_bound: int = DEFAULT_SIZE_BOUND,
-        limit: int | None = None,
-        construction: ResultConstruction = ResultConstruction.XSEEK,
-        use_cache: bool = True,
-        postings: dict[str, PostingList] | None = None,
-    ) -> SearchOutcome:
-        """Deprecated alias of :meth:`run_query`.
-
-        Prefer :meth:`run_query`, or a :class:`repro.api.SearchRequest`
-        executed through :class:`repro.api.SnippetService` for the typed,
-        paginated protocol.  The shim delegates to the exact pipeline the
-        service executes, so its outcomes are identical.
-        """
-        return self.run_query(
-            query_text,
-            size_bound=size_bound,
-            limit=limit,
-            construction=construction,
-            use_cache=use_cache,
-            postings=postings,
-        )
-
-    def search(
-        self,
-        query_text: str | KeywordQuery,
-        limit: int | None = None,
-        construction: ResultConstruction = ResultConstruction.XSEEK,
-        use_cache: bool = True,
-        postings: dict[str, PostingList] | None = None,
-    ) -> ResultSet:
-        """Deprecated alias of :meth:`run_search` (see :meth:`query`)."""
-        return self.run_search(
-            query_text,
-            limit=limit,
-            construction=construction,
-            use_cache=use_cache,
-            postings=postings,
-        )
 
     # ------------------------------------------------------------------ #
     # cache management

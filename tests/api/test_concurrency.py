@@ -55,7 +55,7 @@ class TestIdenticalConcurrentRequests:
         with SnippetService(
             fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
         ) as service:
-            responses = service.run_many([request] * THREADS)
+            responses = service.executor.map(service.run, [request] * THREADS)
 
         assert len(responses) == THREADS
         for response in responses:
@@ -66,7 +66,7 @@ class TestIdenticalConcurrentRequests:
         with SnippetService(
             fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
         ) as service:
-            service.run_many([request] * THREADS)
+            service.executor.map(service.run, [request] * THREADS)
             stats = service.cache_stats()["stores"]["query"]
 
         # Every thread either hit or missed — no lookup may be lost to a
@@ -110,12 +110,12 @@ class TestOverlappingConcurrentRequests:
         ] * 2  # repeats exercise the warm path under contention
 
         serial_service = SnippetService(fresh_corpus())
-        reference = [wire_bytes(r) for r in serial_service.run_many(requests)]
+        reference = [wire_bytes(serial_service.run(request)) for request in requests]
 
         with SnippetService(
             fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
         ) as service:
-            concurrent = [wire_bytes(r) for r in service.run_many(requests)]
+            concurrent = [wire_bytes(r) for r in service.executor.map(service.run, requests)]
 
         assert concurrent == reference
 
@@ -137,7 +137,7 @@ class TestOverlappingConcurrentRequests:
         with SnippetService(
             fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
         ) as service:
-            service.run_many([request] * THREADS)
+            service.executor.map(service.run, [request] * THREADS)
             snippet_stats = service.cache_stats()["stores"]["snippet"]
         # Lookups happen only on cold evaluations; hits+misses must equal
         # the number of generate() calls that reached the cache, with no
@@ -272,14 +272,14 @@ class TestIncrementalUpdateUnderServing:
         with SnippetService(
             corpus, executor=ConcurrentExecutor(max_workers=THREADS)
         ) as service:
-            service.run_many(requests)  # warm every cache under contention
+            service.executor.map(service.run, requests)  # warm every cache under contention
             report = corpus.update_document("doc", self.make_tree("Dallas"))
             assert report.incremental
             assert report.cache_entries_kept >= 1
 
             doc_before = corpus.system("doc").cache.stats_snapshot()
             other_before = corpus.system("other").cache.stats_snapshot()
-            responses = service.run_many(requests)
+            responses = service.executor.map(service.run, requests)
             doc_after = corpus.system("doc").cache.stats_snapshot()
             other_after = corpus.system("other").cache.stats_snapshot()
 

@@ -124,14 +124,19 @@ class TestRun:
         assert warm.from_cache is True
         assert warm.timings == {}  # a cache hit skips the engine
 
-    def test_shim_run_skips_payload_construction(self, service):
+    def test_response_pages_the_run_query_outcome(self, service, corpus):
+        from repro.snippet.render import render_snippet_text
+
         response = service.run(
-            SearchRequest(query="store texas", document="stores", size_bound=6),
-            build_payloads=False,
+            SearchRequest(query="store texas", document="stores", size_bound=6, use_cache=False)
         )
-        assert response.results == ()
-        assert response.total_results >= 2
-        assert response.outcome is not None  # the raw handle the shims consume
+        outcome = corpus.system("stores").run_query("store texas", size_bound=6, use_cache=False)
+        assert [payload.text for payload in response.results] == [
+            render_snippet_text(generated) for generated in outcome.snippets
+        ]
+        assert [(payload.result_id, f"{payload.score:.6f}") for payload in response.results] == [
+            (result.result_id, f"{result.score:.6f}") for result in outcome.results
+        ]
 
     def test_results_only_meta_has_engine_timings(self, service):
         response = service.run(
@@ -318,6 +323,12 @@ class TestBatch:
         )
         assert isinstance(result, ErrorResponse)
 
+    def test_warm_batch_is_served_from_cache(self, service):
+        batch = BatchRequest(queries=("store texas",))
+        service.run_batch(batch)
+        warm = service.run_batch(batch)
+        assert all(response.from_cache for response in warm.entries[0].responses)
+
     def test_batch_matches_single_requests(self, service):
         batch = service.run_batch(BatchRequest(queries=("store texas",), size_bound=6))
         single = service.run(
@@ -440,61 +451,7 @@ class TestHandleJsonNeverRaises:
             assert single.handle_json(text) == cluster.handle_json(text)
 
 
-class TestShimEquivalence:
-    """The deprecated surfaces must return exactly what the service returns."""
-
-    def test_extract_system_query_equals_service_execute(self, service, corpus):
-        response = service.run(
-            SearchRequest(query="store texas", document="stores", size_bound=6, use_cache=False)
-        )
-        outcome = corpus.system("stores").query("store texas", size_bound=6, use_cache=False)
-        assert outcome.render_text() == response.outcome.render_text()
-        assert [r.result_id for r in outcome.results] == [
-            payload.result_id for payload in response.results
-        ]
-        assert [f"{r.score:.6f}" for r in outcome.results] == [
-            f"{payload.score:.6f}" for payload in response.results
-        ]
-
-    def test_corpus_query_unwraps_service_outcome(self, corpus):
-        outcome = corpus.query("stores", "store texas", size_bound=6)
-        response = corpus.service.run(
-            SearchRequest(query="store texas", document="stores", size_bound=6)
-        )
-        assert response.from_cache is True  # shim populated the same cache
-        assert response.outcome.render_text() == outcome.render_text()
-
-    def test_corpus_query_all_matches_individual_queries(self, corpus):
-        outcomes = corpus.query_all("store texas", size_bound=6)
-        assert set(outcomes) == {"retailer", "stores"}
-        for name, outcome in outcomes.items():
-            individual = corpus.query(name, "store texas", size_bound=6)
-            assert individual.render_text() == outcome.render_text()
-
-    def test_search_batch_report_equals_batch_response(self, corpus):
-        report = corpus.search_batch(["store texas"], size_bound=6)
-        response = corpus.service.run_batch(
-            BatchRequest(queries=("store texas",), size_bound=6)
-        )
-        for batch_response in response.entries[0].responses:
-            legacy = report.entry("store texas").outcomes[batch_response.document]
-            assert legacy.render_text() == batch_response.outcome.render_text()
-
-
-class TestShimErrorContract:
-    """The deprecated shims keep raising the pre-service error types."""
-
-    def test_corpus_query_bad_size_bound_raises_legacy_error(self, corpus):
-        from repro.errors import InvalidSizeBoundError
-
-        with pytest.raises(InvalidSizeBoundError):
-            corpus.query("stores", "store texas", size_bound=0)
-
-    def test_corpus_query_negative_limit_keeps_slice_semantics(self, corpus):
-        full = corpus.query("stores", "store", size_bound=6)
-        trimmed = corpus.query("stores", "store", size_bound=6, limit=-1)
-        assert len(trimmed.results) == len(full.results) - 1
-
+class TestProtocolStrictness:
     def test_protocol_surface_stays_strict(self, service):
         response = service.execute(
             SearchRequest(query="store texas", document="stores", size_bound=0)
@@ -544,9 +501,11 @@ class TestStaleCacheRegression:
     def test_replace_true_purges_batch_memoised_postings(self):
         old, new = self._documents()
         corpus = Corpus()
+        service = SnippetService(corpus)
         corpus.add_tree("doc", old)
+        batch = BatchRequest(queries=("store texas",), size_bound=6)
         # Memoise postings at the batch level (corpus-wide shared state).
-        corpus.search_batch(["store texas"], size_bound=6)
+        service.run_batch(batch)
         memo = corpus.shared_postings("doc")
         assert memo.get("store") is not None
 
@@ -554,8 +513,7 @@ class TestStaleCacheRegression:
         # The memo bound to the replaced index must be gone...
         assert corpus.shared_postings("doc") is not memo
         # ...and a fresh batch must see the new document's two stores.
-        report = corpus.search_batch(["store texas"], size_bound=6)
-        assert report.entry("store texas").outcomes["doc"].results.total_results == 2
+        assert service.run_batch(batch).entries[0].total_results == 2
 
     def test_shared_postings_memo_is_bounded(self):
         from repro.corpus import _SharedPostings
@@ -639,23 +597,9 @@ class TestObservability:
 
         executor = ConcurrentExecutor(max_workers=2)
         with SnippetService(corpus, executor=executor) as service:
-            service.run_many(
-                [
-                    SearchRequest(query="store texas", document="stores"),
-                    SearchRequest(query="store texas", document="retailer"),
-                ]
-            )
+            service.run_batch(BatchRequest(queries=("store texas", "clothes casual")))
             assert "running" in repr(executor)
         # Exiting the context manager closes the executor; per the
         # lifecycle contract it now refuses work until re-entered.
         assert "closed" in repr(executor)
         assert executor.closed
-
-    def test_run_batch_rejects_mismatched_parsed_queries(self, service):
-        from repro.search.query import KeywordQuery
-
-        with pytest.raises(ProtocolError):
-            service.run_batch(
-                BatchRequest(queries=("store", "texas")),
-                parsed_queries=[KeywordQuery.parse("store")],
-            )

@@ -54,7 +54,7 @@ class TestApplyUpdate:
     def test_text_edit_produces_node_level_delta(self):
         primary, _ = shard_pair()
         xml = edited_stores_xml(primary, "Texas", "Nevada")
-        response, delta = primary.apply_update(UpdateRequest(document="stores", xml=xml))
+        response, delta = primary.update(UpdateRequest(document="stores", xml=xml))
         assert response.incremental
         assert delta.kind == "update"
         assert delta.shard == 0
@@ -66,14 +66,14 @@ class TestApplyUpdate:
         tree = clone_tree(primary.corpus.system("stores").index.tree)
         tree.root.append_child(type(tree.root)("annex"))
         xml = to_xml_string(tree)
-        response, delta = primary.apply_update(UpdateRequest(document="stores", xml=xml))
+        response, delta = primary.update(UpdateRequest(document="stores", xml=xml))
         assert not response.incremental
         assert delta.kind == "replace"
         assert delta.xml == xml
 
     def test_new_document_produces_add_delta(self):
         primary, _ = shard_pair()
-        response, delta = primary.apply_update(
+        response, delta = primary.update(
             UpdateRequest(document="fresh", xml="<root><a>hello</a></root>")
         )
         assert response.action == "added"
@@ -82,7 +82,7 @@ class TestApplyUpdate:
 
     def test_remove_produces_tombstone(self):
         primary, _ = shard_pair()
-        response, delta = primary.apply_update(
+        response, delta = primary.update(
             UpdateRequest(document="retail", action="remove")
         )
         assert response.action == "removed"
@@ -93,7 +93,7 @@ class TestReplication:
     def test_replica_matches_primary_after_text_delta(self):
         primary, replica = shard_pair()
         xml = edited_stores_xml(primary, "Texas", "Nevada")
-        _, delta = primary.apply_update(UpdateRequest(document="stores", xml=xml))
+        _, delta = primary.update(UpdateRequest(document="stores", xml=xml))
         replica.apply_delta(delta)
         for query in ("store texas", "store nevada", "store houston"):
             assert wire(primary, query, "stores") == wire(replica, query, "stores")
@@ -105,7 +105,7 @@ class TestReplication:
             UpdateRequest(document="extra", xml="<root><name>alpha beta</name></root>"),
             UpdateRequest(document="retail", action="remove"),
         ]
-        deltas = [primary.apply_update(request)[1] for request in operations]
+        deltas = [primary.update(request)[1] for request in operations]
         for delta in deltas:
             replica.apply_delta(delta)
         assert primary.names() == replica.names()

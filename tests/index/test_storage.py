@@ -201,9 +201,9 @@ class TestSnapshotV3:
     def test_search_results_identical_after_load(self, small_index, tmp_path):
         from repro.system import ExtractSystem
 
-        before = ExtractSystem(small_index).query("store texas", size_bound=6)
+        before = ExtractSystem(small_index).run_query("store texas", size_bound=6)
         save_index(small_index, tmp_path / "idx")
-        after = ExtractSystem(load_index(tmp_path / "idx")).query("store texas", size_bound=6)
+        after = ExtractSystem(load_index(tmp_path / "idx")).run_query("store texas", size_bound=6)
         assert before.render_text() == after.render_text()
 
     def test_vocabulary_term_drift_raises(self, small_index, tmp_path):

@@ -152,7 +152,7 @@ class TestLimitNumbering:
         from repro.system import ExtractSystem
 
         system = ExtractSystem(retail_idx)
-        outcome = system.query("retailer apparel", size_bound=6, limit=2)
+        outcome = system.run_query("retailer apparel", size_bound=6, limit=2)
         result_ids = [result.result_id for result in outcome.results]
         snippet_ids = [generated.result.result_id for generated in outcome.snippets]
         assert snippet_ids == result_ids == list(range(len(outcome.results)))
@@ -162,3 +162,11 @@ class TestLimitNumbering:
         assert len(engine.search("retailer apparel", limit=0)) == 0
         full = engine.search("retailer apparel")
         assert len(engine.search("retailer apparel", limit=10_000)) == len(full)
+
+    def test_negative_limit_is_rejected(self, retail_idx):
+        from repro.api.protocol import code_for_exception
+
+        # As a slice bound, -1 silently dropped the last ranked result.
+        with pytest.raises(QueryError) as excinfo:
+            SearchEngine(retail_idx).search("retailer apparel", limit=-1)
+        assert code_for_exception(excinfo.value) == "bad_request"

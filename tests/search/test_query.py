@@ -58,6 +58,15 @@ class TestProtocol:
         assert "TEXAS" in query
         assert "houston" not in query
 
+    def test_share_reuses_one_object_per_keyword_tuple(self):
+        # Same keywords in the same order (keyword order matters to the
+        # IList) but different raw spellings share one parsed query object.
+        first, second, other = KeywordQuery.share(
+            [KeywordQuery.parse(raw) for raw in ("store texas", "STORE,  texas!", "texas store")]
+        )
+        assert second is first
+        assert other is not first
+
     def test_iter_and_size(self):
         query = KeywordQuery.parse("a store in texas")
         assert list(query) == ["store", "texas"]

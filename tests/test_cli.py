@@ -112,6 +112,23 @@ class TestSearchCommand:
         assert "error:" in output
 
 
+class TestNegativeLimit:
+    @pytest.mark.parametrize("command", ["search", "ilist", "batch"])
+    def test_negative_limit_is_an_error_not_a_shorter_page(self, command, tmp_path):
+        if command == "batch":
+            queries = tmp_path / "queries.txt"
+            queries.write_text("store\n", encoding="utf-8")
+            query_arguments = ("--queries", str(queries))
+        else:
+            query_arguments = ("--query", "store")
+        code, output = run_cli(
+            command, "--dataset", "figure5-stores", *query_arguments, "--limit", "-1"
+        )
+        assert code == 1
+        assert output.startswith("error: limit must be a non-negative integer")
+        assert len(output.strip().splitlines()) == 1
+
+
 class TestIlistCommand:
     def test_ilist_prints_kinds_and_scores(self):
         code, output = run_cli("ilist", "--dataset", "figure1", "--query", "Texas apparel retailer")

@@ -16,7 +16,7 @@ class TestRegistration:
         assert entry.name == "retailer"
         assert entry.node_count == small_retailer_tree.size_nodes
         assert "store" in entry.entity_tags
-        outcome = corpus.query("retailer", "store texas", size_bound=6)
+        outcome = corpus.system("retailer").run_query("store texas", size_bound=6)
         assert len(outcome) == 2
 
     def test_add_xml(self):
@@ -78,16 +78,6 @@ class TestAccessAndQuerying:
             corpus.entry("missing")
         assert "registered" in str(excinfo.value)
 
-    def test_query_all_covers_every_document(self, corpus):
-        outcomes = corpus.query_all("store texas", size_bound=6)
-        assert set(outcomes) == {"retailer", "stores"}
-        assert all(len(outcome) >= 1 for outcome in outcomes.values())
-
-    def test_query_all_includes_empty_outcomes(self, corpus):
-        outcomes = corpus.query_all("zebra quagga")
-        assert set(outcomes) == {"retailer", "stores"}
-        assert all(len(outcome) == 0 for outcome in outcomes.values())
-
     def test_summary_rows(self, corpus):
         rows = corpus.summary()
         assert [row["name"] for row in rows] == ["retailer", "stores"]
@@ -121,83 +111,21 @@ class TestReplaceRegistration:
         corpus = Corpus()
         corpus.add_tree("doc", small_retailer_tree)
         old_system = corpus.system("doc")
-        corpus.query("doc", "store texas")          # populate the cache
+        corpus.system("doc").run_query("store texas")          # populate the cache
         assert len(old_system.cache) > 0
         corpus.add_tree("doc", small_retailer_tree, replace=True)
         assert len(old_system.cache) == 0           # explicitly invalidated
         assert corpus.system("doc") is not old_system
         # Fresh system: first query is a cold (uncached) evaluation.
-        assert corpus.query("doc", "store texas").from_cache is False
+        assert corpus.system("doc").run_query("store texas").from_cache is False
 
     def test_remove_invalidates_caches(self, small_retailer_tree):
         corpus = Corpus()
         corpus.add_tree("doc", small_retailer_tree)
         system = corpus.system("doc")
-        corpus.query("doc", "store texas")
+        corpus.system("doc").run_query("store texas")
         corpus.remove("doc")
         assert len(system.cache) == 0
-
-
-class TestBatchExecution:
-    @pytest.fixture()
-    def batch_corpus(self, small_retailer_tree):
-        corpus = Corpus()
-        corpus.add_tree("retailer", small_retailer_tree)
-        corpus.add_builtin("figure5-stores", name="stores")
-        return corpus
-
-    def test_batch_covers_all_queries_and_documents(self, batch_corpus):
-        report = batch_corpus.search_batch(["store texas", "clothes casual"])
-        assert len(report) == 2
-        assert report.document_names == ["retailer", "stores"]
-        for entry in report:
-            assert set(entry.outcomes) == {"retailer", "stores"}
-            assert entry.seconds >= 0.0
-
-    def test_batch_matches_individual_queries(self, batch_corpus):
-        report = batch_corpus.search_batch(["store texas"], size_bound=6)
-        individual = batch_corpus.query("retailer", "store texas", size_bound=6, use_cache=False)
-        batch_outcome = report.entry("store texas").outcomes["retailer"]
-        assert batch_outcome.render_text() == individual.render_text()
-
-    def test_batch_shares_parsed_queries(self, batch_corpus):
-        # Same keywords in the same order (keyword order matters to the
-        # IList) but different raw spellings share one parsed query object.
-        report = batch_corpus.search_batch(["store texas", "STORE,  texas!"])
-        first, second = report.entries
-        assert first.query is second.query  # same normalised keyword tuple
-
-    def test_batch_respects_names_subset(self, batch_corpus):
-        report = batch_corpus.search_batch(["store texas"], names=["stores"])
-        assert report.document_names == ["stores"]
-        assert set(report.entry("store texas").outcomes) == {"stores"}
-
-    def test_batch_timings_have_one_phase_per_query(self, batch_corpus):
-        report = batch_corpus.search_batch(["store texas", "clothes casual"])
-        assert set(report.timings.phases) == {"query:store texas", "query:clothes casual"}
-
-    def test_batch_accepts_parsed_queries(self, batch_corpus):
-        from repro.search.query import KeywordQuery
-
-        report = batch_corpus.search_batch([KeywordQuery.parse("store texas")])
-        assert report.entry("store texas").total_results >= 1
-
-    def test_format_table(self, batch_corpus):
-        report = batch_corpus.search_batch(["store texas"])
-        table = report.format_table()
-        assert "store texas" in table
-        assert "TOTAL" in table
-
-    def test_empty_batch(self, batch_corpus):
-        report = batch_corpus.search_batch([])
-        assert len(report) == 0
-        assert report.format_table() == "(no queries executed)"
-
-    def test_warm_batch_is_served_from_cache(self, batch_corpus):
-        batch_corpus.search_batch(["store texas"])
-        warm = batch_corpus.search_batch(["store texas"])
-        outcomes = warm.entry("store texas").outcomes
-        assert all(outcome.from_cache for outcome in outcomes.values())
 
 
 class TestCorpusPersistence:
@@ -230,8 +158,8 @@ class TestCorpusPersistence:
         loaded = Corpus.load_dir(tmp_path / "corpus")
         for query in queries:
             for name in populated.names():
-                before = populated.query(name, query, size_bound=8, use_cache=False)
-                after = loaded.query(name, query, size_bound=8, use_cache=False)
+                before = populated.system(name).run_query(query, size_bound=8, use_cache=False)
+                after = loaded.system(name).run_query(query, size_bound=8, use_cache=False)
                 assert before.render_text() == after.render_text(), (query, name)
 
     def test_load_dir_preserves_algorithm(self, small_retailer_tree, tmp_path):
@@ -262,7 +190,7 @@ class TestCorpusPersistence:
         corpus.save_dir(tmp_path / "corpus")
         loaded = Corpus.load_dir(tmp_path / "corpus")
         assert loaded.names() == ["my doc / with ~ chars"]
-        outcome = loaded.query("my doc / with ~ chars", "store texas")
+        outcome = loaded.system("my doc / with ~ chars").run_query("store texas")
         assert len(outcome) == 2
 
     def test_round_trip_preserves_document_name(self, tmp_path):
@@ -272,12 +200,12 @@ class TestCorpusPersistence:
         corpus = Corpus()
         corpus.add_builtin("figure5-stores", name="stores")
         tree_name = corpus.system("stores").index.tree.name
-        before = corpus.query("stores", "store texas", use_cache=False)
+        before = corpus.system("stores").run_query("store texas", use_cache=False)
         corpus.save_dir(tmp_path / "corpus")
         loaded = Corpus.load_dir(tmp_path / "corpus")
         assert loaded.names() == ["stores"]
         assert loaded.system("stores").index.tree.name == tree_name
-        after = loaded.query("stores", "store texas", use_cache=False)
+        after = loaded.system("stores").run_query("store texas", use_cache=False)
         assert after.results.document_name == before.results.document_name
 
     def test_case_colliding_names_get_distinct_subdirs(self, small_retailer_tree, tmp_path):

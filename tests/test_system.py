@@ -34,7 +34,7 @@ class TestConstruction:
         path = tmp_path / "doc.xml"
         path.write_text(to_xml_string(figure5_document()), encoding="utf-8")
         system = ExtractSystem.from_file(path)
-        outcome = system.query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6)
         assert len(outcome) == 2
 
     def test_from_xml_malformed_raises(self):
@@ -51,39 +51,39 @@ class TestQuery:
         return ExtractSystem.from_tree(figure5_document())
 
     def test_outcome_contains_results_and_snippets(self, system):
-        outcome = system.query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6)
         assert len(outcome.results) == len(outcome.snippets) == len(outcome) == 2
         assert all(generated.snippet.size_edges <= 6 for generated in outcome.snippets)
 
     def test_limit_applies_to_both(self, system):
-        outcome = system.query("store", size_bound=6, limit=1)
+        outcome = system.run_query("store", size_bound=6, limit=1)
         assert len(outcome.results) == 1
         assert len(outcome.snippets) == 1
 
     def test_empty_query_raises(self, system):
         with pytest.raises(QueryError):
-            system.query("  ")
+            system.run_query("  ")
 
     def test_no_results_outcome(self, system):
-        outcome = system.query("store antarctica")
+        outcome = system.run_query("store antarctica")
         assert len(outcome) == 0
         assert outcome.render_text().count("Result #") == 0
 
     def test_render_text_and_html(self, system):
-        outcome = system.query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6)
         text = outcome.render_text(show_ilist=True)
         assert "IList:" in text
         html = outcome.render_html()
         assert html.startswith("<!DOCTYPE html>")
 
     def test_timings_include_all_phases(self, system):
-        outcome = system.query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6)
         assert {"search", "snippets"} <= set(outcome.timings.phases)
         assert outcome.timings.total > 0
 
     def test_construction_modes(self, system):
-        subtree = system.query("store texas", construction=ResultConstruction.SUBTREE)
-        paths = system.query("store texas", construction=ResultConstruction.MATCH_PATHS)
+        subtree = system.run_query("store texas", construction=ResultConstruction.SUBTREE)
+        paths = system.run_query("store texas", construction=ResultConstruction.MATCH_PATHS)
         assert len(subtree) >= 1 and len(paths) >= 1
 
     def test_document_stats(self, system):
@@ -92,7 +92,7 @@ class TestQuery:
 
     def test_elca_system(self):
         system = ExtractSystem.from_tree(figure5_document(), algorithm="elca")
-        outcome = system.query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6)
         assert len(outcome) >= 2
 
 
@@ -101,48 +101,58 @@ class TestQueryResultCache:
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        cold = system.query("store texas", size_bound=6)
-        warm = system.query("store texas", size_bound=6)
+        cold = system.run_query("store texas", size_bound=6)
+        warm = system.run_query("store texas", size_bound=6)
         assert cold.from_cache is False
         assert warm.from_cache is True
         assert warm.render_text() == cold.render_text()
         assert system.cache.stats.hits == 1
 
+    def test_repeated_workload_hit_rate(self, figure5_idx):
+        from repro.system import ExtractSystem
+
+        system = ExtractSystem(figure5_idx)
+        # 10 lookups over 3 distinct queries: 3 misses, 7 hits.
+        for query in ["store texas", "clothes casual", "store houston"] * 3 + ["store texas"]:
+            system.run_query(query, size_bound=6)
+        stats = system.cache.stats
+        assert (stats.misses, stats.hits, stats.hit_rate) == (3, 7, 0.7)
+
     def test_different_parameters_miss(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        system.query("store texas", size_bound=6)
-        assert system.query("store texas", size_bound=8).from_cache is False
-        assert system.query("store texas", size_bound=6, limit=1).from_cache is False
-        assert system.query("store austin", size_bound=6).from_cache is False
+        system.run_query("store texas", size_bound=6)
+        assert system.run_query("store texas", size_bound=8).from_cache is False
+        assert system.run_query("store texas", size_bound=6, limit=1).from_cache is False
+        assert system.run_query("store austin", size_bound=6).from_cache is False
 
     def test_normalised_query_shares_cache_entry(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        system.query("store texas", size_bound=6)
+        system.run_query("store texas", size_bound=6)
         # Different raw text, same normalised keywords in the same order.
-        assert system.query("STORE,   texas!", size_bound=6).from_cache is True
+        assert system.run_query("STORE,   texas!", size_bound=6).from_cache is True
 
     def test_use_cache_false_bypasses(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        system.query("store texas", size_bound=6)
-        outcome = system.query("store texas", size_bound=6, use_cache=False)
+        system.run_query("store texas", size_bound=6)
+        outcome = system.run_query("store texas", size_bound=6, use_cache=False)
         assert outcome.from_cache is False
 
     def test_invalidate_cache_clears_everything(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        system.query("store texas", size_bound=6)
+        system.run_query("store texas", size_bound=6)
         assert len(system.cache) > 0
         system.invalidate_cache()
         assert len(system.cache) == 0
         assert len(system.generator.cache) == 0
-        assert system.query("store texas", size_bound=6).from_cache is False
+        assert system.run_query("store texas", size_bound=6).from_cache is False
 
     def test_cache_stats_expose_both_caches(self, figure5_idx):
         from repro.system import ExtractSystem
@@ -151,21 +161,22 @@ class TestQueryResultCache:
         stats = system.cache_stats()
         assert set(stats) == {"query", "snippet"}
 
-    def test_search_method_caches_result_sets(self, figure5_idx):
+    def test_run_search_caches_result_sets(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        first = system.search("store texas")
-        second = system.search("store texas")
+        first, first_cached = system.run_search("store texas")
+        second, second_cached = system.run_search("store texas")
         assert second is first  # served verbatim from the cache
+        assert (first_cached, second_cached) == (False, True)
         assert len(first) == 2
 
     def test_cache_size_zero_disables_caching(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx, cache_size=0)
-        system.query("store texas", size_bound=6)
-        assert system.query("store texas", size_bound=6).from_cache is False
+        system.run_query("store texas", size_bound=6)
+        assert system.run_query("store texas", size_bound=6).from_cache is False
 
     def test_snippet_cache_rewraps_current_result(self, figure5_idx):
         from repro.system import ExtractSystem
@@ -174,9 +185,10 @@ class TestQueryResultCache:
         # Same document/root/query/bound through different limits: the
         # snippet cache must serve the tree but keep each outcome's own
         # result objects (ranking metadata stays current).
-        full = system.query("store texas", size_bound=6)
-        limited = system.query("store texas", size_bound=6, limit=1)
+        full = system.run_query("store texas", size_bound=6)
+        limited = system.run_query("store texas", size_bound=6, limit=1)
         assert limited.snippets[0].result is limited.results[0]
+        assert system.generator.cache.stats.hits == 1  # the tree came from the snippet cache
         assert (
             limited.snippets[0].snippet.size_edges
             == full.snippets[0].snippet.size_edges
@@ -190,8 +202,8 @@ class TestQueryResultCache:
         system = ExtractSystem.from_saved(tmp_path / "idx")
         reference = ExtractSystem(figure5_idx)
         assert (
-            system.query("store texas", size_bound=6).render_text()
-            == reference.query("store texas", size_bound=6).render_text()
+            system.run_query("store texas", size_bound=6).render_text()
+            == reference.run_query("store texas", size_bound=6).render_text()
         )
 
     def test_search_construction_is_explicit_not_inherited(self, figure5_idx):
@@ -199,33 +211,19 @@ class TestQueryResultCache:
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        baseline = ExtractSystem(figure5_idx).search("store texas")
+        baseline, _ = ExtractSystem(figure5_idx).run_search("store texas")
         # A prior query with a different construction must not leak into a
-        # later search(): construction is an explicit parameter.
-        system.query(
+        # later run_search(): construction is an explicit parameter.
+        system.run_query(
             "store texas", size_bound=6, construction=ResultConstruction.MATCH_PATHS
         )
-        results = system.search("store texas")
+        results, _ = system.run_search("store texas")
         assert [type(r) for r in results] == [type(r) for r in baseline]
         assert [str(r.root) for r in results] == [str(r.root) for r in baseline]
 
 
 class TestServicePipeline:
-    """The deprecated query/search shims must match the run_* pipeline."""
-
-    def test_query_shim_equals_run_query(self, figure5_idx):
-        from repro.system import ExtractSystem
-
-        shimmed = ExtractSystem(figure5_idx).query("store texas", size_bound=6, use_cache=False)
-        direct = ExtractSystem(figure5_idx).run_query("store texas", size_bound=6, use_cache=False)
-        assert shimmed.render_text() == direct.render_text()
-        assert [r.result_id for r in shimmed.results] == [r.result_id for r in direct.results]
-
-    def test_search_shim_equals_run_search(self, figure5_idx):
-        from repro.system import ExtractSystem
-
-        system = ExtractSystem(figure5_idx)
-        assert system.search("store texas") is system.run_search("store texas")  # shared cache
+    """The run_* pipeline the service executes touches no shared engine state."""
 
     def test_run_query_does_not_mutate_engine_state(self, figure5_idx):
         from repro.search.xseek import ResultConstruction
