@@ -106,9 +106,6 @@ _REQUIRED_SECTIONS = (
 
 _PATH_SEPARATOR = "/"
 
-#: shared label for detached reconstructed nodes (reindexing overwrites it)
-_ROOT_LABEL = Dewey.root()
-
 _CATEGORY_VALUES = {category.value: category for category in NodeCategory}
 
 
@@ -736,25 +733,23 @@ def _rebuild_tree(
         for position, (parent, tag_sid, text_sid) in enumerate(
             _TREE_RECORD.iter_unpack(data)
         ):
-            # Fields are wired directly (append_child would re-derive Dewey
-            # labels recursively per attachment — O(n²) on deep documents);
-            # the single XMLTree reindex below assigns labels and order ids.
-            node = XMLNode.__new__(XMLNode)
-            node.tag = strings[tag_sid]
-            node.text = strings[text_sid] if text_sid >= 0 else None
-            node.dewey = _ROOT_LABEL
-            node.parent = None
-            node.children = []
-            node.pre = node.post = node.level = 0
-            node._attributes = {}
+            tag = strings[tag_sid]
+            if not tag:
+                raise StorageError(
+                    f"binary index {file_path} is corrupt: node {position} has an "
+                    f"empty tag"
+                )
+            node = XMLNode(tag)
+            if text_sid >= 0:
+                node.text = strings[text_sid]
             if parent >= 0:
                 if parent >= position:
                     raise StorageError(
                         f"binary index {file_path} is corrupt: node {position} "
                         f"references a parent after itself"
                     )
-                node.parent = nodes[parent]
-                nodes[parent].children.append(node)
+                # no labels yet: the XMLTree reindex below assigns them
+                nodes[parent]._attach(node)
             elif position != 0:
                 raise StorageError(
                     f"binary index {file_path} is corrupt: node {position} is a "

@@ -181,11 +181,17 @@ class Snippet:
         )
 
     def _copy_selected(self, node: XMLNode) -> XMLNode:
-        copy = XMLNode(node.tag, node.text)
-        for child in node.children:
-            if child.pre in self._selected:
-                copy.append_child(self._copy_selected(child))
-        return copy
+        selected = self._selected
+        root_copy = XMLNode(node.tag, node.text)
+        pending = [(node, root_copy)]
+        while pending:
+            source, copy = pending.pop()
+            for child in source.children:
+                if child.pre in selected:
+                    child_copy = XMLNode(child.tag, child.text)
+                    copy._attach(child_copy)
+                    pending.append((child, child_copy))
+        return root_copy
 
     def selected_nodes(self) -> list[XMLNode]:
         """The selected source nodes in document order."""

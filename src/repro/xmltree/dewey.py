@@ -55,9 +55,22 @@ class Dewey:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
+    def _trusted(cls, components: tuple[int, ...]) -> "Dewey":
+        """A label over ``components`` without re-validating them.
+
+        Internal: only for a tuple derived from an already-valid label (a
+        slice of its components, or its components plus a non-negative
+        ordinal).  Everything arriving from outside goes through
+        ``Dewey(...)`` or :meth:`parse`.
+        """
+        label = cls.__new__(cls)
+        label._components = components
+        return label
+
+    @classmethod
     def root(cls) -> "Dewey":
-        """The label of the document root."""
-        return cls(())
+        """The label of the document root (one shared immutable instance)."""
+        return _ROOT
 
     @classmethod
     def parse(cls, text: str) -> "Dewey":
@@ -107,13 +120,13 @@ class Dewey:
         """Label of the ``ordinal``-th child of this node."""
         if ordinal < 0:
             raise DeweyError(f"child ordinal must be non-negative, got {ordinal}")
-        return Dewey(self._components + (ordinal,))
+        return Dewey._trusted(self._components + (int(ordinal),))
 
     def parent(self) -> "Dewey":
         """Label of the parent node."""
         if self.is_root:
             raise DeweyError("the root has no parent")
-        return Dewey(self._components[:-1])
+        return Dewey._trusted(self._components[:-1])
 
     def ancestors(self, include_self: bool = False) -> Iterator["Dewey"]:
         """Yield ancestor labels from the root down to the parent.
@@ -122,7 +135,7 @@ class Dewey:
         """
         limit = len(self._components) + (1 if include_self else 0)
         for length in range(limit):
-            yield Dewey(self._components[:length])
+            yield Dewey._trusted(self._components[:length])
 
     def prefix(self, length: int) -> "Dewey":
         """The ancestor label of the given depth (``length`` components)."""
@@ -130,7 +143,7 @@ class Dewey:
             raise DeweyError(
                 f"prefix length {length} out of range for label of depth {self.depth}"
             )
-        return Dewey(self._components[:length])
+        return Dewey._trusted(self._components[:length])
 
     # ------------------------------------------------------------------ #
     # relationships
@@ -224,6 +237,9 @@ class Dewey:
 
     def __repr__(self) -> str:
         return f"Dewey('{self}')"
+
+
+_ROOT = Dewey()
 
 
 def document_order(labels: Iterable[Dewey]) -> list[Dewey]:

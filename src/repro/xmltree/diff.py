@@ -18,11 +18,13 @@ Text *presence* flips (``None`` ↔ a value) are deliberately classified as
 structural: the attribute rule of §2.1 keys on whether instances carry
 text, so such an edit can reclassify a schema node.
 
-The walk compares the two pre-order node sequences positionally.  Because
-Dewey labels are assigned purely by position, two trees of equal size with
-the same shape visit the same labels in the same order; any divergence in
-label, tag or attributes is reported as the structural reason and the walk
-stops early.
+The walk compares the two ``nodes_by_pre`` lists positionally.  A
+pre-order sequence of depths determines a tree's shape (and, labels being
+assigned purely by position, its Dewey labels), so two trees of equal size
+have the same shape iff ``level`` agrees at every position — an int
+comparison per node, no label is touched until an edit is reported.  Any
+divergence in level, tag or attributes is reported as the structural
+reason and the walk stops early.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
             f"node count changed from {old.size_nodes} to {new.size_nodes}"
         )
     edits: list[TextEdit] = []
-    for old_node, new_node in zip(old.iter_nodes(), new.iter_nodes()):
-        if old_node.dewey != new_node.dewey:
+    for old_node, new_node in zip(old.nodes_by_pre, new.nodes_by_pre):
+        if old_node.level != new_node.level:
             return _structural(
                 f"tree shape changed near {old_node.dewey} / {new_node.dewey}"
             )

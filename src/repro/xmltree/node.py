@@ -15,8 +15,19 @@ from collections.abc import Iterator
 from repro.xmltree.dewey import Dewey
 
 
+_ROOT_LABEL = Dewey.root()
+
+
 class XMLNode:
     """A single element node of an :class:`~repro.xmltree.tree.XMLTree`.
+
+    Two ways to attach a child.  The public :meth:`append_child` labels on
+    attach: the child and everything below it get their final Dewey labels
+    at once, so a detached subtree can be read by label while it is being
+    built (at the price of relabelling it on every graft).  The private
+    :meth:`_attach` wires ``parent`` / ``children`` only, for code that
+    builds a fresh root and hands it straight to ``XMLTree(...)``: labels
+    and order ids are meaningless until the owning tree reindexes.
 
     Attributes
     ----------
@@ -26,8 +37,9 @@ class XMLNode:
         The concatenated, stripped text content directly under this
         element, or ``None`` when the element has no own text.
     dewey:
-        The node's Dewey label; assigned by the tree when the node is
-        attached and stable afterwards.
+        The node's Dewey label.  :meth:`append_child` keeps it current on
+        every attachment; a node wired with :meth:`_attach` carries the
+        shared root label until its owning tree reindexes.
     parent:
         The parent node, or ``None`` for the root.
     children:
@@ -57,7 +69,7 @@ class XMLNode:
             raise ValueError(f"element tag must be a non-empty string, got {tag!r}")
         self.tag = tag
         self.text = text if text else None
-        self.dewey: Dewey = Dewey.root()
+        self.dewey: Dewey = _ROOT_LABEL
         self.parent: XMLNode | None = None
         self.children: list[XMLNode] = []
         self.pre = 0
@@ -77,18 +89,34 @@ class XMLNode:
             raise ValueError(
                 f"node <{child.tag}> is already attached (to <{child.parent.tag}>)"
             )
-        child.parent = self
         child.dewey = self.dewey.child(len(self.children))
-        self.children.append(child)
+        self._attach(child)
         child._relabel_subtree()
         return child
 
+    def _attach(self, child: "XMLNode") -> None:
+        """Wire ``child`` in as the last child — parent and children only.
+
+        The no-relabel primitive for code that builds a fresh root and
+        hands it straight to ``XMLTree(...)`` (the parser, the v4 snapshot
+        reader, the snippet and projection copiers): ``dewey``, ``pre``,
+        ``post`` and ``level`` of everything wired this way are meaningless
+        until the owning tree's reindex assigns them, in one pass.  The
+        child must be detached; nothing is checked.
+        """
+        child.parent = self
+        self.children.append(child)
+
     def _relabel_subtree(self) -> None:
         """Recompute Dewey labels of all descendants after (re)attachment."""
-        for ordinal, child in enumerate(self.children):
-            child.dewey = self.dewey.child(ordinal)
-            child.parent = self
-            child._relabel_subtree()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            for ordinal, child in enumerate(node.children):
+                child.dewey = node.dewey.child(ordinal)
+                child.parent = node
+                if child.children:
+                    stack.append(child)
 
     @property
     def is_leaf(self) -> bool:

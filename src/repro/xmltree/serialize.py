@@ -41,25 +41,29 @@ def to_xml_string(
     lines: list[str] = []
     if include_declaration:
         lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    _render(node, lines, indent, 0)
-    return "\n".join(lines) + "\n"
-
-
-def _render(node: XMLNode, lines: list[str], indent: str, level: int) -> None:
-    pad = indent * level
-    text = escape_text(node.text) if node.text else ""
-    if not node.children:
+    # Iterative (depth is data, not interpreter stack): an element with
+    # children leaves its end-tag line on the stack, under its children.
+    pending: list[tuple[XMLNode, int] | str] = [(node, 0)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, level = item
+        pad = indent * level
+        text = escape_text(node.text) if node.text else ""
+        if not node.children:
+            if text:
+                lines.append(f"{pad}<{node.tag}>{text}</{node.tag}>")
+            else:
+                lines.append(f"{pad}<{node.tag}/>")
+            continue
+        lines.append(f"{pad}<{node.tag}>")
         if text:
-            lines.append(f"{pad}<{node.tag}>{text}</{node.tag}>")
-        else:
-            lines.append(f"{pad}<{node.tag}/>")
-        return
-    lines.append(f"{pad}<{node.tag}>")
-    if text:
-        lines.append(f"{pad}{indent}{text}")
-    for child in node.children:
-        _render(child, lines, indent, level + 1)
-    lines.append(f"{pad}</{node.tag}>")
+            lines.append(f"{pad}{indent}{text}")
+        pending.append(f"{pad}</{node.tag}>")
+        pending.extend((child, level + 1) for child in reversed(node.children))
+    return "\n".join(lines) + "\n"
 
 
 def to_plain_dict(tree_or_node: XMLTree | XMLNode) -> dict[str, object]:
@@ -85,7 +89,7 @@ def from_plain_dict(data: Mapping[str, object], name: str = "document") -> XMLTr
 def _node_from_plain(data: Mapping[str, object]) -> XMLNode:
     node = XMLNode(str(data["tag"]), data.get("text") if data.get("text") else None)
     for child in data.get("children", []):  # type: ignore[union-attr]
-        node.append_child(_node_from_plain(child))  # type: ignore[arg-type]
+        node._attach(_node_from_plain(child))  # type: ignore[arg-type]
     return node
 
 

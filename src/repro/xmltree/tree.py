@@ -20,6 +20,14 @@ from repro.xmltree.order import NodeOrder
 class XMLTree:
     """An ordered, labelled XML document tree.
 
+    Constructing a tree (and :meth:`refresh`) is what labels its nodes: one
+    reindex pass assigns every ``dewey`` / ``pre`` / ``post`` / ``level``
+    from the ``children`` lists alone.  A root built with
+    ``XMLNode._attach`` therefore needs no labels of its own — they are
+    meaningless until this constructor has run — while one built with the
+    public ``append_child`` arrives already labelled and is relabelled to
+    the same values.
+
     >>> from repro.xmltree.builder import TreeBuilder
     >>> builder = TreeBuilder("retailer")
     >>> _ = builder.add_value("name", "Brook Brothers")
@@ -46,36 +54,52 @@ class XMLTree:
     def _reindex(self) -> None:
         """Rebuild Dewey labels, pre/post/level ids and the registry.
 
-        One iterative depth-first pass: a node gets its ``pre`` id and
-        registry entry on the way down and its ``post`` id on the way back
-        up (the two-entry stack trick — each node is pushed a second time
-        as an "exit" marker).  This replaces the recursive
-        ``_relabel_subtree`` walk, so reindexing is a single O(n) traversal
-        regardless of document depth.
+        One iterative depth-first pass, independent of document depth, and
+        the only place labels are assigned: whatever ``dewey`` / ``pre`` /
+        ``post`` / ``level`` the nodes carried before (a tree wired with
+        ``XMLNode._attach`` carries none worth reading) is overwritten.  A
+        parent labels its children as it pushes them — exactly one
+        :class:`Dewey` per node, derived from the parent's already-valid
+        components — a leaf is numbered the moment it is popped, and an
+        inner node is pushed a second time, under a ``None`` marker, to
+        get its ``post`` id on the way back up.
         """
         root = self.root
-        root.dewey = Dewey.root()
         root.parent = None
+        root.dewey = Dewey.root()
+        root.level = 0
+        label_of = Dewey._trusted
         registry: dict[Dewey, XMLNode] = {}
         pre = 0
         post = 0
-        stack: list[tuple[XMLNode, bool]] = [(root, False)]
+        stack: list[XMLNode | None] = [root]
+        push = stack.append
+        pop = stack.pop
         while stack:
-            node, exiting = stack.pop()
-            if exiting:
-                node.post = post
+            node = pop()
+            if node is None:
+                pop().post = post
                 post += 1
                 continue
             node.pre = pre
             pre += 1
-            node.level = node.dewey.depth
-            registry[node.dewey] = node
-            stack.append((node, True))
-            for ordinal in range(len(node.children) - 1, -1, -1):
-                child = node.children[ordinal]
+            label = node.dewey
+            registry[label] = node
+            children = node.children
+            if not children:
+                node.post = post
+                post += 1
+                continue
+            push(node)
+            push(None)
+            level = node.level + 1
+            components = label.components
+            for ordinal in range(len(children) - 1, -1, -1):
+                child = children[ordinal]
                 child.parent = node
-                child.dewey = node.dewey.child(ordinal)
-                stack.append((child, False))
+                child.level = level
+                child.dewey = label_of(components + (ordinal,))
+                push(child)
         self._registry = registry
         # The registry was filled on the way down, so its values are the
         # nodes in pre-order: position ``i`` holds the node with ``pre == i``.
@@ -201,16 +225,21 @@ class XMLTree:
             if label not in self._registry:
                 raise ExtractError(f"label {label} not present in tree {self.name!r}")
 
-        anchor = Dewey.common_ancestor_of_all(wanted)
-        keep: set[Dewey] = set()
+        # ``wanted`` is in document order, so its first and last label span
+        # all of it: their common ancestor is everyone's.
+        anchor = Dewey.common_ancestor(wanted[0], wanted[-1])
+        anchor_node = self._registry[anchor]
+        keep: set[Dewey] = {anchor}
         for label in wanted:
-            # path from anchor to the label
-            for depth in range(anchor.depth, label.depth + 1):
-                keep.add(label.prefix(depth))
+            node = self._registry[label]
             # full subtree below the label
-            for node in self._registry[label].iter_subtree():
+            keep.update(descendant.dewey for descendant in node.iter_subtree())
+            # path up to the anchor, or to a path already kept
+            while node is not anchor_node:
+                node = node.parent
+                if node.dewey in keep:
+                    break
                 keep.add(node.dewey)
-        keep.add(anchor)
 
         mapping: dict[Dewey, Dewey] = {}
         new_root = self._copy_projection(self._registry[anchor], keep, mapping)
@@ -223,13 +252,22 @@ class XMLTree:
     def _copy_projection(
         self, node: XMLNode, keep: set[Dewey], mapping: dict[int, Dewey]
     ) -> XMLNode:
-        copy = XMLNode(node.tag, node.text)
-        copy.raw_attributes.update(node.raw_attributes)
-        mapping[id(copy)] = node.dewey
-        for child in node.children:
-            if child.dewey in keep:
-                copy.append_child(self._copy_projection(child, keep, mapping))
-        return copy
+        def copy_of(source: XMLNode) -> XMLNode:
+            copy = XMLNode(source.tag, source.text)
+            copy.raw_attributes.update(source.raw_attributes)
+            mapping[id(copy)] = source.dewey
+            return copy
+
+        root_copy = copy_of(node)
+        pending = [(node, root_copy)]
+        while pending:
+            source, copy = pending.pop()
+            for child in source.children:
+                if child.dewey in keep:
+                    child_copy = copy_of(child)
+                    copy._attach(child_copy)
+                    pending.append((child, child_copy))
+        return root_copy
 
     def copy(self) -> "XMLTree":
         """A deep copy of the whole document."""

@@ -7,6 +7,7 @@ retail/movies corpora) are built once per session; tests never mutate them.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.movies import MoviesConfig, generate_movies_document
 from repro.datasets.paper_example import figure1_document, figure1_query
@@ -16,6 +17,11 @@ from repro.index.builder import IndexBuilder
 from repro.search.engine import SearchEngine
 from repro.snippet.generator import SnippetGenerator
 from repro.xmltree.builder import tree_from_dict
+
+
+# ``pytest --hypothesis-profile=fuzz``: the larger run CI gives the property
+# tests that leave their example count to the profile.
+settings.register_profile("fuzz", max_examples=600)
 
 
 # ---------------------------------------------------------------------- #

@@ -366,3 +366,66 @@ class TestHardenedLoadDir:
         journal.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(StorageError, match="truncated"):
             Corpus.load_dir(directory)
+
+
+class TestHostileUpdateXml:
+    """An update whose XML cannot be parsed is a ``bad_request``: a response,
+    never a traceback, and the registered document stays as it was."""
+
+    def update(self, service, xml):
+        request = {"kind": "update", "schema_version": 1, "document": "doc", "xml": xml}
+        return json.loads(service.handle_json(json.dumps(request)))
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["&#1114112;", "&#x110000;", "&#99999999999999999999;", "&#xD800;", "&#1F;"],
+    )
+    def test_bad_character_reference_is_bad_request_and_leaves_the_document(
+        self, tmp_path, reference
+    ):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+        entry = corpus.entry("doc")
+        before = wire(service, "store houston")
+
+        response = self.update(
+            service, f"<retailer><store><city>Dallas {reference}</city></store></retailer>"
+        )
+
+        assert (response["kind"], response["code"]) == ("error", "bad_request")
+        assert "line 1, column 31" in response["message"]
+        assert corpus.entry("doc") is entry
+        assert wire(service, "store houston") == before
+        # the surrogate used to be accepted, and the save died encoding it
+        corpus.save_dir(tmp_path / "corpus")
+        reloaded = SnippetService(Corpus.load_dir(tmp_path / "corpus"))
+        assert wire(reloaded, "store houston", use_cache=False) == wire(
+            service, "store houston", use_cache=False
+        )
+
+    def test_deep_document_gets_a_response_not_a_recursion_error(self):
+        from repro.xmltree.parser import parse_xml
+        from repro.xmltree.serialize import to_xml_string
+
+        depth = 5000
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+
+        response = self.update(service, "<a>" * depth + "needle" + "</a>" * depth)
+        assert (response["kind"], response["nodes"]) == ("update_response", depth)
+
+        found = json.loads(
+            service.handle_json(
+                json.dumps(
+                    {"kind": "search", "schema_version": 1, "document": "doc", "query": "needle"}
+                )
+            )
+        )
+        assert found["kind"] == "search_response" and len(found["results"]) == 1
+
+        tree = corpus.system("doc").index.tree
+        again = parse_xml(to_xml_string(tree, indent="")).tree
+        assert [node.level for node in again.nodes_by_pre] == list(range(depth))
+        assert again.nodes_by_pre[-1].text == "needle"

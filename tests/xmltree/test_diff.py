@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.xmltree.builder import tree_from_dict
 from repro.xmltree.diff import clone_tree, diff_trees
+from repro.xmltree.parser import parse_xml
 
 
 def shop(city="Houston", category="suit"):
@@ -113,6 +116,45 @@ class TestStructural:
         new = tree_from_dict("shop", {"a": "x", "c": {"b": "y"}})
         assert old.size_nodes == new.size_nodes
         assert diff_trees(old, new).is_structural
+
+    @pytest.mark.parametrize(
+        "old_xml, new_xml",
+        [
+            # <c> moves from beside <b> to under it
+            ("<s><a><b/><c/></a></s>", "<s><a><b><c/></b></a></s>"),
+            # <x> moves out of <a>, up to its parent
+            ("<s><a><x/></a><b/></s>", "<s><a/><x/><b/></s>"),
+            # the last <a> moves from one sibling to under the other
+            ("<s><a><a/></a><a/></s>", "<s><a/><a><a/></a></s>"),
+            # a whole subtree moves one level down, its text along with it
+            ("<s><a>1</a><b><c>2</c></b><d/></s>", "<s><a>1<b><c>2</c></b></a><d/></s>"),
+        ],
+    )
+    def test_reparented_subtree_with_same_tags_in_same_order_is_structural(
+        self, old_xml, new_xml
+    ):
+        # Same node count and the same tags at every pre-order position:
+        # only the depth sequence tells the two shapes apart.
+        old, new = parse_xml(old_xml).tree, parse_xml(new_xml).tree
+        assert [node.tag for node in old.iter_nodes()] == [node.tag for node in new.iter_nodes()]
+        for before, after in ((old, new), (new, old)):
+            diff = diff_trees(before, after)
+            assert diff.is_structural
+            assert "shape" in diff.structural_reason
+
+    def test_shape_reason_names_the_first_diverging_labels(self):
+        old = parse_xml("<s><a><b/><c/></a></s>").tree
+        new = parse_xml("<s><a><b><c/></b></a></s>").tree
+        assert diff_trees(old, new).structural_reason == "tree shape changed near 0.1 / 0.0.0"
+
+    def test_same_shape_is_judged_by_content_not_by_label_objects(self):
+        old = parse_xml("<s><a><b>x</b><c/></a></s>").tree
+        new = parse_xml("<s>\n <a>\n  <b>y</b>\n  <c/>\n </a>\n</s>").tree
+        diff = diff_trees(old, new)
+        assert diff.is_text_only
+        assert [(str(edit.label), edit.old_text, edit.new_text) for edit in diff.text_edits] == [
+            ("0.0", "x", "y")
+        ]
 
 
 class TestCloneTree:

@@ -82,6 +82,34 @@ class TestAttributes:
         assert len(tree.root.find_children("b")) == 1
 
 
+class TestLeniencies:
+    """The accepted language is wider than XML; these are deliberate."""
+
+    def test_duplicate_attribute_takes_last_value_in_first_position(self):
+        tree = parse_xml('<a x="1" y="2" x="3"/>').tree
+        assert list(tree.root.raw_attributes.items()) == [("x", "3"), ("y", "2")]
+        assert [(child.tag, child.text) for child in tree.root.children] == [("x", "3"), ("y", "2")]
+
+    def test_junk_inside_a_start_tag_is_ignored(self):
+        tree = parse_xml("""<a junk x=unquoted "stray" y = 'kept'><b/></a>""").tree
+        assert tree.root.raw_attributes == {"y": "kept"}
+
+    def test_self_closing_iff_slash_directly_before_gt(self):
+        assert parse_xml("<a><b/>x</a>").tree.root.text == "x"
+        tree = parse_xml("<a><b/ >x</b></a>").tree  # "/ >" does not close
+        assert tree.root.children[0].text == "x"
+
+    def test_end_tag_may_carry_whitespace(self):
+        assert parse_xml("<a>x</a \n>").tree.root.text == "x"
+
+    def test_overlapping_comment_markers(self):
+        assert parse_xml("<a><!-->x<!--->y</a>").tree.root.text == "x y"
+
+    def test_last_doctype_internal_subset_wins(self):
+        result = parse_xml("<!DOCTYPE a [one] [two]><a/>")
+        assert (result.doctype_name, result.dtd_text) == ("a", "two")
+
+
 class TestEntities:
     def test_predefined_entities(self):
         tree = parse_xml("<a>&lt;tag&gt; &amp; &quot;text&quot; &apos;x&apos;</a>").tree
@@ -93,6 +121,41 @@ class TestEntities:
 
     def test_unknown_entity_kept_verbatim(self):
         assert decode_entities("&unknown;") == "&unknown;"
+
+    def test_bare_ampersand_kept_verbatim(self):
+        assert parse_xml("<a>fish & chips &; &#; &#x;</a>").tree.root.text == "fish & chips &; &#; &#x;"
+
+    def test_cdata_is_not_entity_decoded(self):
+        assert parse_xml("<a><![CDATA[&amp;]]></a>").tree.root.text == "&amp;"
+
+    def test_decoded_whitespace_is_stripped_like_literal_whitespace(self):
+        assert parse_xml("<a>&#32;x&#160;</a>").tree.root.text == "x"
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "&#1114112;",               # one past U+10FFFF (chr() raised ValueError)
+            "&#x110000;",
+            "&#99999999999999999999;",  # chr() raised OverflowError
+            pytest.param("&#" + "9" * 5000 + ";", id="5000-digits"),  # more than int() converts
+            "&#xD800;",                 # surrogates: were accepted, broke save_dir
+            "&#xDFFF;",
+            "&#55296;",
+            "&#1F;",                    # hex digits without the x (int() raised ValueError)
+        ],
+    )
+    def test_character_reference_outside_unicode_is_a_parse_error(self, reference):
+        for text in (f"<a>\n  <b>ok {reference}</b></a>", f"<a>\n  <b x='ok {reference}'/></a>"):
+            with pytest.raises(XMLParseError) as excinfo:
+                parse_xml(text)
+            assert (excinfo.value.line, excinfo.value.column) == (2, text.index("&") - 3)
+        with pytest.raises(XMLParseError) as excinfo:
+            decode_entities(f"ab{reference}")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 3)
+
+    def test_boundary_character_references_still_decode(self):
+        text = parse_xml("<a>&#xD7FF;&#xE000;&#x10FFFF;&#0000000065;</a>").tree.root.text
+        assert text == "\ud7ff\ue000\U0010ffffA"
 
 
 class TestDoctype:
@@ -146,6 +209,50 @@ class TestErrors:
         with pytest.raises(XMLParseError) as excinfo:
             parse_xml("<a>\n<b></c>\n</a>")
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("<a><b", "unterminated start tag", 6),
+            ("<a><b x='1", "unterminated start tag", 6),
+            ("<a>< b></a>", "missing element name", 5),
+            ("<a></a junk>", "expected '>'", 8),
+            ("<a><?pi</a>", "unterminated processing instruction", 4),
+            ("<a>x</a>trailing", "after root element", 9),
+            ("<!DOCTYPE a [<a/>", "unterminated DOCTYPE internal subset", 13),
+            ("<!DOCTYPE a <a/", "unterminated DOCTYPE declaration", 16),
+            ("<a>  text", "unterminated element <a>", 4),
+        ],
+    )
+    def test_error_names_the_construct_and_column(self, text, message, column):
+        with pytest.raises(XMLParseError) as excinfo:
+            parse_xml(text)
+        assert message in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
+class TestDepth:
+    """Document depth is data, not interpreter stack."""
+
+    def test_deep_document_parses(self):
+        depth = 5000
+        tree = parse_xml("<a>" * depth + "x" + "</a>" * depth).tree
+        assert tree.size_nodes == depth
+        deepest = tree.nodes_by_pre[-1]
+        assert (deepest.text, deepest.level, deepest.post) == ("x", depth - 1, 0)
+
+    def test_deep_document_survives_a_serialise_parse_round_trip(self):
+        from repro.xmltree.serialize import to_xml_string
+
+        depth = 5000
+        tree = parse_xml("<a>" * depth + "x" + "</a>" * depth).tree
+        again = parse_xml(to_xml_string(tree, indent="")).tree
+        assert again.size_nodes == depth
+        assert again.nodes_by_pre[-1].text == "x"
+
+    def test_unclosed_deep_document_is_a_parse_error(self):
+        with pytest.raises(XMLParseError):
+            parse_xml("<a>" * 5000)
 
 
 class TestFileParsing:
