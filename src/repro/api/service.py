@@ -300,19 +300,20 @@ class SnippetService(ServingBackendBase):
                 use_cache=request.use_cache,
                 postings=postings,
             )
+            # The page is the unit of snippet work: reading it generates
+            # the snippets of this page nobody has read yet, so cold cost
+            # scales with page_size and a generated page is a slice.  The
+            # phases go to this request's breakdown — the cold call's own
+            # (search phases included), or a fresh one on a hit.
+            from_cache = outcome.from_cache
+            breakdown = TimingBreakdown() if from_cache else outcome.timings
+            page_items = outcome.snippets.page(
+                request.page, request.page_size, timings=breakdown
+            )
             seconds = perf_counter() - started
-            # Pagination is presentation-level: the pipeline evaluates (and
-            # caches) the full outcome once, then every page of the same
-            # request is a slice of that cached outcome — so cold cost
-            # scales with the result count, not page_size, and all
-            # follow-up pages are cache hits.  Only the requested page
-            # pays wire-payload rendering.
-            page_items = outcome.snippets.page(request.page, request.page_size)
             payloads = tuple(self._snippet_payload(generated) for generated in page_items)
             count = len(outcome.snippets)
             total = outcome.results.total_results
-            from_cache = outcome.from_cache
-            breakdown = outcome.timings
         else:
             breakdown = TimingBreakdown()
             results, from_cache = system.run_search(
@@ -328,8 +329,8 @@ class SnippetService(ServingBackendBase):
             payloads = tuple(self._result_payload(result) for result in page_items)
             count = len(results)
             total = results.total_results
-        # A cache hit skips the engine, so the meta timings are empty on
-        # warm responses.
+        # The phases this request executed: a hit on a generated page
+        # skipped engine and generator alike and reports none.
         timings = breakdown.as_dict() if request.include_meta else {}
         trace = current_trace()
         if trace is not None:

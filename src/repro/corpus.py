@@ -796,7 +796,12 @@ def _carry_serving_state(
       inside one of its result subtrees — every piece of snippet content
       (keyword matches, entity names, key values, dominant features) comes
       from inside the result subtree, so an untouched subtree renders
-      byte-identically;
+      byte-identically.  Every result subtree counts, whether its snippet
+      has been generated yet or not: a half-generated outcome dies exactly
+      when the fully generated one would.  A kept outcome generates its
+      remaining snippets with the analyzer its results belong to (they pin
+      that tree already; for the new version's analyzer their nodes are
+      foreign), through the new version's snippet cache;
     * a cached snippet is stale iff an edited node lies under its result
       root;
     * a memoised posting lookup is stale iff its keyword has a changed
@@ -819,16 +824,18 @@ def _carry_serving_state(
     else:
         changed = PostingList(update.changed_labels)
 
-        def untouched_results(value):
-            results = value.results if isinstance(value, SearchOutcome) else value
-            return not any(changed.has_descendant_of(result.root) for result in results)
-
         def keep_query(key, value):
             # key = (tree name, kind, keywords, algorithm, bound, limit, construction)
             keywords = key[2]
             if any(update.touches_keyword(keyword) for keyword in keywords):
                 return False
-            return untouched_results(value)
+            results = value.results if isinstance(value, SearchOutcome) else value
+            if any(changed.has_descendant_of(result.root) for result in results):
+                return False
+            if isinstance(value, SearchOutcome):
+                # what it has yet to generate goes through the live cache
+                value.snippets.serve_from(new_system.generator.cache)
+            return True
 
         def keep_snippet(key, value):
             # key = (tree name, result root, keywords, bound)

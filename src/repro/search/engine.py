@@ -107,7 +107,11 @@ class SearchEngine:
 
         with breakdown.measure("result_construction"):
             results = build_all_results(
-                self.index, parsed, roots, construction=effective_construction
+                self.index,
+                parsed,
+                roots,
+                construction=effective_construction,
+                postings=dict(zip(parsed.keywords, posting_lists)),
             )
 
         with breakdown.measure("ranking"):

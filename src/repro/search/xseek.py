@@ -25,6 +25,7 @@ from enum import Enum
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.index.builder import DocumentIndex
+from repro.index.postings import PostingList
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.xmltree.dewey import Dewey
@@ -60,12 +61,17 @@ def build_result_tree(
     root: Dewey,
     construction: ResultConstruction = ResultConstruction.XSEEK,
     result_id: int = 0,
+    postings: dict[str, PostingList] | None = None,
 ) -> QueryResult:
     """Build one :class:`QueryResult` for a result root label.
 
     The per-keyword match labels recorded in the result are restricted to
     the chosen result subtree, so downstream consumers (ranking, snippet
     generation) never see matches that fall outside the result.
+
+    ``postings`` maps keywords to posting lists the caller already holds;
+    a keyword absent from it is looked up in the index.  Cutting a result's
+    matches out of a list is a binary search plus the matches themselves.
     """
     tree = index.tree
     if construction == ResultConstruction.XSEEK:
@@ -73,8 +79,10 @@ def build_result_tree(
 
     matches: dict[str, tuple[Dewey, ...]] = {}
     for keyword in query.keywords:
-        postings = index.keyword_matches(keyword)
-        matches[keyword] = tuple(postings.descendants_of(root, tree.order))
+        keyword_postings = postings.get(keyword) if postings is not None else None
+        if keyword_postings is None:
+            keyword_postings = index.keyword_matches(keyword)
+        matches[keyword] = tuple(keyword_postings.descendants_of(root, tree.order))
 
     if construction == ResultConstruction.MATCH_PATHS:
         # The result is conceptually the projection tree; we keep the root
@@ -113,10 +121,26 @@ def build_all_results(
     query: KeywordQuery,
     roots: list[Dewey],
     construction: ResultConstruction = ResultConstruction.XSEEK,
+    postings: dict[str, PostingList] | None = None,
 ) -> list[QueryResult]:
     """Expand every result root; de-duplicates roots that promote to the
     same entity (two SLCAs inside one store must not produce two identical
-    results)."""
+    results).
+
+    Every keyword's posting list is fetched once for the whole result
+    set, not once per result: from ``postings`` — :meth:`SearchEngine.
+    search <repro.search.engine.SearchEngine.search>` hands over the lists
+    it computed the roots from, and then the index is not consulted at all
+    — or else by one index lookup.  (A keyword indexed under both its
+    plural and its singular form costs a union and a sort of the whole
+    list per lookup.)  Construction is therefore O(results · log postings
+    + matches).
+    """
+    held = postings or {}
+    postings = {
+        keyword: held[keyword] if keyword in held else index.keyword_matches(keyword)
+        for keyword in query.keywords
+    }
     results: list[QueryResult] = []
     seen_roots: set[Dewey] = set()
     for root in roots:
@@ -137,6 +161,7 @@ def build_all_results(
                 if construction == ResultConstruction.XSEEK
                 else construction,
                 result_id=len(results),
+                postings=postings,
             )
         )
     return results

@@ -15,7 +15,10 @@ such as 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import threading
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.errors import InvalidSizeBoundError
@@ -25,7 +28,7 @@ from repro.snippet.ilist import IList, IListBuilder
 from repro.snippet.instance_selector import GreedyInstanceSelector, SelectionStrategy
 from repro.snippet.snippet_tree import Snippet
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
-from repro.utils.paging import page_slice
+from repro.utils.paging import page_bounds
 from repro.utils.timing import TimingBreakdown
 
 #: the default snippet size bound (edges); matches the Figure 2 example
@@ -61,32 +64,146 @@ class GeneratedSnippet:
         )
 
 
-@dataclass
-class SnippetBatch:
-    """Snippets for a whole result set (one per result, rank order)."""
+def _check_size_bound(size_bound: int) -> None:
+    if not isinstance(size_bound, int) or isinstance(size_bound, bool) or size_bound <= 0:
+        raise InvalidSizeBoundError(size_bound)
 
-    query: KeywordQuery
-    size_bound: int
-    snippets: list[GeneratedSnippet] = field(default_factory=list)
+
+class SnippetBatch:
+    """Snippets for a whole result set (one per result, rank order),
+    generated a page at a time.
+
+    The batch holds one slot per ranked result; a slot is filled the first
+    time something reads it.  :meth:`page` generates exactly the slots of
+    that page, so the first page of a 200-result query costs ``page_size``
+    snippets, and a follow-up page pays for its own slots once.  Everything
+    else that reads the batch — iteration, indexing, :attr:`snippets`,
+    :meth:`mean_coverage` — fills whatever is still missing first, which
+    is how :meth:`SnippetGenerator.generate_all` returns a complete batch.
+
+    Generation (paper §2.2–2.4) reads nothing outside its one result, so
+    the order in which pages are filled cannot change any snippet.  Slots
+    are filled under a per-batch lock: concurrent requests for pages of the
+    same batch generate each snippet exactly once.  A page whose slots are
+    all filled is read without the lock.
+
+    An invalid ``size_bound`` raises :class:`InvalidSizeBoundError` here,
+    when the batch is built — not later, from whichever page is read first.
+    """
+
+    def __init__(
+        self,
+        generator: "SnippetGenerator",
+        results: ResultSet,
+        size_bound: int = DEFAULT_SIZE_BOUND,
+        timings: TimingBreakdown | None = None,
+    ):
+        _check_size_bound(size_bound)
+        self.query = results.query
+        self.size_bound = size_bound
+        #: where the phases of on-demand generation are measured when the
+        #: reader brings no breakdown of its own
+        self.timings = timings if timings is not None else generator.timings
+        self._results = results.results
+        self._slots: list[GeneratedSnippet | None] = [None] * len(self._results)
+        #: slots still empty; at 0 the generator is let go and every read
+        #: is a plain list read
+        self._pending = len(self._slots)
+        self._generator: SnippetGenerator | None = generator if self._slots else None
+        self._lock = threading.Lock()
+
+    # ------------------------------------------------------------------ #
+    # reading (fills what it reads)
+    # ------------------------------------------------------------------ #
+    def page(
+        self, page: int, page_size: int | None, timings: TimingBreakdown | None = None
+    ) -> list[GeneratedSnippet]:
+        """The snippets of one result page (conventions in
+        :mod:`repro.utils.paging`), generating those not generated yet.
+
+        ``timings`` receives the phases this call executed (``snippets``,
+        ``ilist``, ``features``, ``instance_selection``) — nothing when
+        the page was already generated, or lies past the end.
+        """
+        start, stop = page_bounds(len(self._slots), page, page_size)
+        items = self._slots[start:stop]
+        if self._pending and None in items:
+            self._fill(start, stop, timings)
+            items = self._slots[start:stop]
+        return items
+
+    @property
+    def snippets(self) -> list[GeneratedSnippet]:
+        """Every snippet, rank order, generating the missing ones.  The
+        list is the batch's own: assigning to a position replaces that
+        result's snippet (:class:`~repro.snippet.distinct.
+        DistinctSnippetGenerator` does)."""
+        if self._pending:
+            self._fill(0, len(self._slots), None)
+        return self._slots
 
     def __len__(self) -> int:
-        return len(self.snippets)
+        return len(self._slots)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[GeneratedSnippet]:
         return iter(self.snippets)
 
-    def __getitem__(self, index: int) -> GeneratedSnippet:
+    def __getitem__(self, index: int | slice):
         return self.snippets[index]
 
     def mean_coverage(self) -> float:
-        if not self.snippets:
+        snippets = self.snippets
+        if not snippets:
             return 0.0
-        return sum(generated.coverage for generated in self.snippets) / len(self.snippets)
+        return sum(generated.coverage for generated in snippets) / len(snippets)
 
-    def page(self, page: int, page_size: int | None) -> list[GeneratedSnippet]:
-        """The snippets of one result page (conventions in
-        :mod:`repro.utils.paging`)."""
-        return page_slice(self.snippets, page, page_size)
+    # ------------------------------------------------------------------ #
+    # generation
+    # ------------------------------------------------------------------ #
+    @property
+    def generated(self) -> int:
+        """How many slots are filled (never generates)."""
+        return len(self._slots) - self._pending
+
+    def _fill(self, start: int, stop: int, timings: TimingBreakdown | None) -> None:
+        breakdown = timings if timings is not None else self.timings
+        slots = self._slots
+        with self._lock:
+            missing = [position for position in range(start, stop) if slots[position] is None]
+            if not missing:  # another reader generated them meanwhile
+                return
+            generator = self._generator
+            with breakdown.measure("snippets"):
+                for position in missing:
+                    slots[position] = generator.generate(
+                        self._results[position],
+                        size_bound=self.size_bound,
+                        query=self.query,
+                        timings=breakdown,
+                    )
+                    self._pending -= 1
+            if not self._pending:
+                self._generator = None
+
+    def serve_from(self, cache: LRUCache) -> None:
+        """Look up and store the snippets still to generate in ``cache``.
+
+        An incremental update hands the outcomes it keeps to the new
+        document version (:func:`repro.corpus._carry_serving_state`).  Such
+        a batch goes on generating with the analyzer its results belong to
+        — their nodes are foreign to the new version's analyzer — but
+        through the live snippet cache, not the retired generator's.
+        """
+        with self._lock:
+            if self._generator is not None:
+                self._generator = copy.copy(self._generator)
+                self._generator.cache = cache
+
+    def __repr__(self) -> str:
+        return (
+            f"<SnippetBatch query={str(self.query)!r} bound={self.size_bound} "
+            f"generated={self.generated}/{len(self._slots)}>"
+        )
 
 
 class SnippetGenerator:
@@ -151,8 +268,7 @@ class SnippetGenerator:
         breakdown (the thread-safe service pipeline passes a per-request
         one); without it the generator's own :attr:`timings` accumulate.
         """
-        if not isinstance(size_bound, int) or isinstance(size_bound, bool) or size_bound <= 0:
-            raise InvalidSizeBoundError(size_bound)
+        _check_size_bound(size_bound)
         breakdown = timings if timings is not None else self.timings
         effective_query = query or result.query
         key = (result.source.name, result.root, effective_query.keywords, size_bound)
@@ -175,12 +291,10 @@ class SnippetGenerator:
         size_bound: int = DEFAULT_SIZE_BOUND,
         timings: TimingBreakdown | None = None,
     ) -> SnippetBatch:
-        """Generate snippets for every result of a result set."""
-        batch = SnippetBatch(query=results.query, size_bound=size_bound)
-        for result in results:
-            batch.snippets.append(
-                self.generate(result, size_bound=size_bound, query=results.query, timings=timings)
-            )
+        """Generate snippets for every result of a result set: a
+        :class:`SnippetBatch` read to the end."""
+        batch = SnippetBatch(self, results, size_bound=size_bound, timings=timings)
+        batch.page(1, None)  # one page holding everything
         return batch
 
     def invalidate_cache(self) -> int:

@@ -9,8 +9,10 @@ remain available for programmatic use.
 Because the demo served repeated interactive queries, the system carries
 an LRU **query-result cache**: outcomes are keyed on (document, normalised
 query, algorithm, snippet bound, limit, construction) and re-served
-without touching the index.  :meth:`invalidate_cache` drops everything,
-and :class:`repro.corpus.Corpus` invalidates on re-registration.
+without touching the index; an outcome's snippets are generated page by
+page, on first request (:class:`repro.snippet.generator.SnippetBatch`).
+:meth:`invalidate_cache` drops everything, and
+:class:`repro.corpus.Corpus` invalidates on re-registration.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from repro.xmltree.tree import XMLTree
 
 @dataclass
 class SearchOutcome:
-    """Results and snippets of one query, plus phase timings."""
+    """Results and snippets of one query, plus phase timings.
+
+    ``timings`` holds the phases of the :meth:`ExtractSystem.run_query`
+    call that evaluated the query: its search phases, joined by the
+    snippet phases as ``snippets`` generates pages for readers that bring
+    no breakdown of their own.  The outcome a cache hit returns did no
+    phase work and reports none.
+    """
 
     results: ResultSet
     snippets: SnippetBatch
@@ -143,22 +152,34 @@ class ExtractSystem:
         use_cache: bool = True,
         postings: dict[str, PostingList] | None = None,
     ) -> SearchOutcome:
-        """Evaluate a keyword query and generate snippets for its results.
+        """Evaluate a keyword query; snippets are generated a page at a time.
 
         This is the pipeline the :class:`repro.api.SnippetService` executes
-        requests through.  It is **thread-safe**: every phase measures into
-        a per-call :class:`TimingBreakdown`, the result construction mode is
-        passed down explicitly (no engine attribute is mutated), and the
-        result/snippet caches serialise access internally — so many threads
-        may run queries over the same system concurrently and get results
-        identical to serial execution.
+        requests through.  The search runs here; the returned outcome's
+        :class:`SnippetBatch` generates each snippet when it is first read
+        — ``outcome.snippets.page(page, page_size)`` generates exactly that
+        page, iterating or indexing the batch generates all of it — so a
+        request for one page of a 200-result query pays for one page of
+        snippets, and ``outcome.timings`` gains the snippet phases as pages
+        are generated.  An invalid ``size_bound`` raises
+        :class:`~repro.errors.InvalidSizeBoundError` from this call, before
+        anything is cached.
+
+        It is **thread-safe**: every phase measures into a per-call
+        :class:`TimingBreakdown`, the result construction mode is passed
+        down explicitly (no engine attribute is mutated), the result and
+        snippet caches serialise access internally and a batch fills its
+        slots under its own lock — so many threads may run queries over the
+        same system concurrently and get results identical to serial
+        execution, each snippet of a cached outcome generated once.
 
         Outcomes are served from the LRU cache when an identical request
         (same normalised keywords, bound, limit, construction) was answered
-        before; ``use_cache=False`` forces a cold evaluation and does not
-        populate the cache.  ``postings`` optionally supplies pre-fetched
-        posting lists per keyword (the batch executor shares lookups across
-        queries this way).
+        before — the ranked results plus the batch, however much of it has
+        been generated so far; ``use_cache=False`` forces a cold evaluation
+        and does not populate the cache.  ``postings`` optionally supplies
+        pre-fetched posting lists per keyword (the batch executor shares
+        lookups across queries this way).
         """
         parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
         key = self._cache_key("query", parsed, size_bound, limit, construction)
@@ -172,17 +193,19 @@ class ExtractSystem:
             results = self.engine.search(
                 parsed, limit=limit, postings=postings, construction=construction, timings=timings
             )
-        with timings.measure("snippets"):
-            snippets = self.generator.generate_all(results, size_bound=size_bound, timings=timings)
-        outcome = SearchOutcome(results=results, snippets=snippets, timings=timings)
+        snippets = SnippetBatch(self.generator, results, size_bound=size_bound, timings=timings)
         if use_cache:
             # The cached copy carries an empty breakdown: a warm hit did no
             # phase work, and re-reporting the cold run's timings would
             # contradict the hit's near-zero wall clock in service metadata.
-            self.cache.put(key, SearchOutcome(
+            # When a concurrent evaluation of the same request got there
+            # first this call serves that outcome's batch, so every cold
+            # request for a page of one query fills the same slots.
+            shared = self.cache.setdefault(key, SearchOutcome(
                 results=results, snippets=snippets, timings=TimingBreakdown(), from_cache=True
             ))
-        return outcome
+            results, snippets = shared.results, shared.snippets
+        return SearchOutcome(results=results, snippets=snippets, timings=timings)
 
     def run_search(
         self,

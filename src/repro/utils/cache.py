@@ -126,6 +126,22 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
+    def setdefault(self, key: Hashable, value: Any) -> Any:
+        """The entry under ``key``, after inserting ``value`` if there is
+        none — one atomic step, so concurrent callers that each computed
+        the entry all leave holding the one that got there first.  Counts
+        neither a hit nor a miss: the caller's :meth:`get` already did.
+        """
+        if self.maxsize == 0:
+            return value
+        with self._lock:
+            existing = self._entries.get(key, _MISSING)
+            if existing is not _MISSING:
+                self._entries.move_to_end(key)
+                return existing
+            self.put(key, value)
+            return value
+
     def __contains__(self, key: Hashable) -> bool:
         """Membership test; does not update recency or statistics."""
         with self._lock:

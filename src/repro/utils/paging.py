@@ -30,6 +30,23 @@ def _require_positive_int(value: int, name: str) -> None:
         raise PagingError(f"{name} must be a positive integer, got {value!r}")
 
 
+def page_bounds(count: int, page: int, page_size: int | None) -> tuple[int, int]:
+    """The ``[start, stop)`` positions of one page of a ``count``-item
+    sequence, clipped to it (see module docstring for the conventions).
+
+    >>> page_bounds(3, page=2, page_size=2)
+    (2, 3)
+    >>> page_bounds(3, page=5, page_size=2)
+    (3, 3)
+    """
+    _require_positive_int(page, "page")
+    if page_size is None:
+        return (0, count) if page == 1 else (count, count)
+    _require_positive_int(page_size, "page_size")
+    start = min((page - 1) * page_size, count)
+    return start, min(start + page_size, count)
+
+
 def page_slice(items: Sequence[_Item], page: int, page_size: int | None) -> list[_Item]:
     """The items of one page (see module docstring for the conventions).
 
@@ -40,9 +57,5 @@ def page_slice(items: Sequence[_Item], page: int, page_size: int | None) -> list
         ...
     repro.errors.PagingError: page must be a positive integer, got 0
     """
-    _require_positive_int(page, "page")
-    if page_size is None:
-        return list(items) if page == 1 else []
-    _require_positive_int(page_size, "page_size")
-    start = (page - 1) * page_size
-    return list(items[start : start + page_size])
+    start, stop = page_bounds(len(items), page, page_size)
+    return list(items[start:stop])

@@ -145,6 +145,68 @@ class TestOverlappingConcurrentRequests:
         assert snippet_stats["hits"] + snippet_stats["misses"] >= snippet_stats["misses"] > 0
 
 
+class TestConcurrentPagesOfOneColdQuery:
+    """The page is the unit of snippet work, and a batch fills its slots
+    under its own lock: threads asking for the pages of one cold query
+    generate every snippet exactly once between them."""
+
+    PAGE_SIZE = 4
+
+    def page_request(self, page: int) -> SearchRequest:
+        return SearchRequest(
+            query="suit formal", document="retail", size_bound=6,
+            page=page, page_size=self.PAGE_SIZE,
+        )
+
+    def test_every_result_is_generated_exactly_once(self):
+        import sys
+
+        # Reference: one thread, every snippet generated before any page is cut.
+        eager_corpus = fresh_corpus()
+        outcome = eager_corpus.system("retail").run_query("suit formal", size_bound=6)
+        total = len(outcome.snippets.snippets)
+        pages = -(-total // self.PAGE_SIZE)
+        assert pages == THREADS // 2  # two threads a page
+        eager = SnippetService(eager_corpus)
+        reference = [wire_bytes(eager.run(self.page_request(page))) for page in range(1, pages + 1)]
+
+        # Eight threads over pages 1…k of the same cold query: several per
+        # page, and all of them racing the one search that fills the cache.
+        corpus = fresh_corpus()
+        service = SnippetService(corpus)
+        wanted = [1 + slot % pages for slot in range(THREADS)]
+        got: list[str] = [""] * len(wanted)
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(wanted))
+
+        def worker(slot: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                got[slot] = wire_bytes(service.run(self.page_request(wanted[slot])))
+            except BaseException as exc:  # noqa: BLE001 - surfaced in the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the fills
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(wanted))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert got == [reference[page - 1] for page in wanted]
+        system = corpus.system("retail")
+        stats = system.generator.cache.stats_snapshot()
+        # one snippet-cache miss per generated snippet, none looked up twice
+        assert (stats.misses, stats.hits) == (total, 0)
+        cached = system.run_query("suit formal", size_bound=6)
+        assert cached.from_cache and cached.snippets.generated == total
+
+
 class TestRegistrationUnderServing:
     def test_replace_leaves_no_unregistered_window(self):
         """Requests racing a replace must always find the document — the

@@ -105,15 +105,39 @@ class TestRun:
         assert "features" not in json.dumps(cold.to_dict())
 
     def test_warm_meta_reports_no_phase_timings(self, service):
-        request = SearchRequest(
-            query="store texas", document="stores", size_bound=6, include_meta=True
-        )
-        cold = service.run(request)
-        warm = service.run(request)
-        assert cold.from_cache is False and {"search", "snippets"} <= set(cold.timings)
-        # a cache hit did no phase work; stale cold timings would
-        # contradict the hit's near-zero wall clock
-        assert warm.from_cache is True and warm.timings == {}
+        """``meta.timings`` and the ``phase:*`` spans are the phases *this
+        request* executed."""
+        snippet_phases = {"snippets", "ilist", "features", "instance_selection"}
+
+        def run_page(page):
+            trace = Trace()
+            with activate(trace):
+                response = service.run(SearchRequest(
+                    query="store texas", document="stores", size_bound=6,
+                    page=page, page_size=1, include_meta=True,
+                ))
+            spans = {span.name: span for span in trace.spans}
+            assert spans["service:search"].attributes["from_cache"] is response.from_cache
+            assert {name[6:] for name in spans if name.startswith("phase:")} == set(response.timings)
+            return response
+
+        cold = run_page(1)
+        assert cold.from_cache is False
+        assert {"search", "lookup", "lca"} | snippet_phases <= set(cold.timings)
+        # the ranked list came from the cache; this page's snippet did not
+        second = run_page(2)
+        assert second.from_cache is True and set(second.timings) == snippet_phases
+        # a hit on a generated page did no phase work; stale timings
+        # would contradict the hit's near-zero wall clock
+        for page in (1, 2):
+            warm = run_page(page)
+            assert warm.from_cache is True and warm.timings == {}
+
+    def test_seconds_cover_the_pages_generation(self, service):
+        response = service.run(SearchRequest(
+            query="store texas", document="stores", size_bound=6, page_size=1, include_meta=True
+        ))
+        assert response.seconds >= response.timings["search"] + response.timings["snippets"]
 
     def test_results_only_cache_provenance_in_meta(self, service):
         request = SearchRequest(
@@ -179,12 +203,29 @@ class TestPagination:
         # page 2 is served from the same cached outcome, not recomputed
         assert second.from_cache is True
 
-    def test_page_past_the_end_is_empty(self, service):
+    def test_page_past_the_end_is_empty(self, service, corpus):
         response = service.run(
             SearchRequest(query="store texas", document="stores", size_bound=6, page=99, page_size=5)
         )
         assert response.results == ()
         assert response.next_page is None
+        # … and generated nothing
+        assert corpus.system("stores").generator.cache.stats.lookups == 0
+
+    def test_use_cache_false_generates_only_the_requested_page(self, service, corpus):
+        request = SearchRequest(
+            query="store", document="stores", size_bound=6, page=2, page_size=1, use_cache=False
+        )
+        cached_walk = [
+            service.run(SearchRequest(query="store", document="stores", size_bound=6, page_size=1, page=page))
+            for page in (1, 2)
+        ]
+        snippets = corpus.system("stores").generator.cache
+        before = snippets.stats_snapshot()
+        response = service.run(request)
+        assert response.from_cache is False
+        assert response.results == cached_walk[1].results
+        assert snippets.stats_snapshot().lookups - before.lookups == 1
 
     def test_page_size_none_is_one_page(self, service):
         response = service.run(SearchRequest(query="store texas", document="stores", size_bound=6))

@@ -149,7 +149,9 @@ class TestSweepExperimentsSmall:
 
         table = run_ablation_distinct(bounds=(6, 8), stores=4)
         for row in table.rows:
-            assert row["distinct_distinguishability"] >= row["per_result_distinguishability"]
+            # strictly: the regenerated snippets are written into the batch
+            # generate_all returned, so reading that batch must show them
+            assert row["distinct_distinguishability"] > row["per_result_distinguishability"]
             assert row["max_edges"] <= row["size_bound"]
         assert table.rows[-1]["distinct_distinguishability"] >= 0.99
 

@@ -7,6 +7,12 @@ selectively invalidated along the way — the corpus must serve
 ``SearchResponse``/``BatchResponse`` wire forms byte-identical to a corpus
 registered from scratch with the final document set (ISSUE 3 acceptance
 criterion).
+
+Snippets are generated a page at a time, so the interleaved queries also
+leave outcomes *half generated*: page 1 is requested before an edit, the
+later pages only after it — from an outcome the update carried over, or
+from a fresh evaluation if the edit killed it.  Either way every page
+must be the rebuild's.
 """
 
 from __future__ import annotations
@@ -109,6 +115,18 @@ def wire_search(service: SnippetService, document: str, query: str) -> str:
     return json.dumps(response.to_dict(), sort_keys=True)
 
 
+def wire_pages(service: SnippetService, document: str, query: str) -> list[str]:
+    """Every page of a query, one result a page, walked by its tokens."""
+    request = SearchRequest(query=query, document=document, size_bound=6, page_size=1)
+    pages = []
+    while True:
+        response = service.run(request)
+        pages.append(json.dumps(response.to_dict(), sort_keys=True))
+        if response.next_page is None:
+            return pages
+        request = request.with_page(response.next_page)
+
+
 def wire_batch(service: SnippetService) -> str:
     response = service.run_batch(BatchRequest(queries=QUERIES[:3], size_bound=6))
     return json.dumps(response.to_dict(), sort_keys=True)
@@ -124,17 +142,23 @@ def test_incremental_lifecycle_matches_from_scratch_rebuild(sequence):
         corpus.add_tree(name, clone_tree(tree, name=name))
     service = SnippetService(corpus)
 
-    def touch_caches() -> None:
+    def touch_caches(step: int) -> None:
         # Populate caches between operations so the carried-over entries
         # (not just cold evaluations) are what the final comparison serves.
+        # One query asks for everything; the other two for a single
+        # result, page 1 and page 2 turn and turn about — so their cached
+        # outcomes (the key holds no page) go half generated through the
+        # edits, one slot at a time, and are carried over like that.
         for name in corpus.names():
-            for query in QUERIES[:2]:
-                service.run(
-                    SearchRequest(query=query, document=name, size_bound=6)
-                )
+            service.run(SearchRequest(query=QUERIES[1], document=name, size_bound=6))
+            for offset, query in enumerate((QUERIES[0], QUERIES[2])):
+                service.run(SearchRequest(
+                    query=query, document=name, size_bound=6,
+                    page_size=1, page=1 + (step + offset) % 2,
+                ))
 
-    touch_caches()
-    for kind, name, tree in operations:
+    touch_caches(0)
+    for step, (kind, name, tree) in enumerate(operations, start=1):
         if kind == "remove":
             if name in corpus:
                 corpus.remove_document(name)
@@ -142,7 +166,7 @@ def test_incremental_lifecycle_matches_from_scratch_rebuild(sequence):
             corpus.update_document(name, clone_tree(tree, name=name))
         else:
             corpus.apply_update(name, clone_tree(tree, name=name))
-        touch_caches()
+        touch_caches(step)
 
     rebuilt = Corpus()
     for name, tree in final.items():
@@ -153,6 +177,10 @@ def test_incremental_lifecycle_matches_from_scratch_rebuild(sequence):
     for name in rebuilt.names():
         for query in QUERIES:
             assert wire_search(service, name, query) == wire_search(
+                reference, name, query
+            ), (name, query)
+            # the later pages, asked for only now that the edits are done
+            assert wire_pages(service, name, query) == wire_pages(
                 reference, name, query
             ), (name, query)
     if len(rebuilt) > 0:

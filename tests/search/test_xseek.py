@@ -104,3 +104,56 @@ class TestBuildAllResults:
     def test_empty_roots(self, small_index):
         query = KeywordQuery.parse("anything")
         assert build_all_results(small_index, query, []) == []
+
+
+class TestSharedPostingLists:
+    """Construction from the posting lists the caller holds equals
+    construction that looks every keyword up itself."""
+
+    @pytest.mark.parametrize(
+        "text", ["store texas", "stores texas", "store", "stores", "clothes suit", "texas nowhere"]
+    )
+    @pytest.mark.parametrize("construction", list(ResultConstruction))
+    def test_same_results_as_per_result_lookups(self, small_index, text, construction):
+        query = KeywordQuery.parse(text)
+        postings = {keyword: small_index.keyword_matches(keyword) for keyword in query.keywords}
+        roots = compute_slca(list(postings.values()))
+
+        shared = build_all_results(small_index, query, roots, construction, postings=postings)
+        looked_up = [
+            build_result_tree(
+                small_index,
+                query,
+                root,
+                ResultConstruction.SUBTREE if construction == ResultConstruction.XSEEK else construction,
+                result_id=position,
+            )
+            for position, root in enumerate(result.root for result in shared)
+        ]
+
+        assert shared == looked_up
+        assert shared == build_all_results(small_index, query, roots, construction)
+        assert [type(result) for result in shared] == [type(result) for result in looked_up]
+
+    @pytest.mark.parametrize("text", ["stores texas", "store texas", "stores", "store"])
+    def test_two_form_keywords(self, figure5_idx, text):
+        # <stores> and <store> are both tags here, so either keyword is
+        # indexed under two forms and every lookup of it is a union
+        assert {"stores", "store"} <= set(figure5_idx.inverted.postings_dict())
+        query = KeywordQuery.parse(text)
+        postings = {keyword: figure5_idx.keyword_matches(keyword) for keyword in query.keywords}
+        roots = compute_slca(list(postings.values()))
+        shared = build_all_results(figure5_idx, query, roots, postings=postings)
+        assert len(shared) >= 1
+        assert shared == build_all_results(figure5_idx, query, roots)
+        for result in shared:
+            assert result == build_result_tree(
+                figure5_idx, query, result.root, ResultConstruction.SUBTREE, result.result_id
+            )
+
+    def test_a_keyword_the_caller_does_not_hold_is_looked_up(self, small_index, slca_roots):
+        query, roots = slca_roots
+        partial = {"store": small_index.keyword_matches("store")}
+        assert build_all_results(small_index, query, roots, postings=partial) == build_all_results(
+            small_index, query, roots
+        )

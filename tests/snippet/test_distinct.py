@@ -49,6 +49,7 @@ class TestClashResolution:
         bound = 6
 
         base = SnippetGenerator(clashing_index.analyzer).generate_all(results, size_bound=bound)
+        assert base.generated == len(base) == 2  # generate_all leaves nothing for later
         base_signatures = [snippet_signature(generated) for generated in base]
         # the engineered documents make the per-result snippets identical
         assert base_signatures[0] == base_signatures[1]
@@ -59,6 +60,10 @@ class TestClashResolution:
         signatures = [snippet_signature(generated) for generated in distinct]
         assert signatures[0] != signatures[1]
         assert distinguishability(list(distinct)) == 1.0
+        # the regenerated snippet replaced its slot: every way of reading
+        # the batch shows it, none generates the clashing one again
+        assert distinct[1] is distinct.snippets[1] is distinct.page(2, 1)[0]
+        assert snippet_signature(distinct.page(1, None)[1]) == signatures[1]
 
     def test_bound_still_respected_after_resolution(self, clashing_index):
         results = SearchEngine(clashing_index).search("store texas jeans")

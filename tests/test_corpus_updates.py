@@ -204,6 +204,91 @@ class TestCacheInvalidationPrecision:
         assert "houston" not in memo_after  # touched term dropped
 
 
+class TestHalfGeneratedOutcomes:
+    """An outcome whose snippets are only partly generated lives and dies
+    by the same contract as a fully generated one, and what it generates
+    after an update is what a from-scratch rebuild would serve."""
+
+    # three results, one per <clothes>: 1.2 suit, 1.3 jeans, 2.2 outwear
+    QUERY = "clothes"
+
+    def build(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+        first = service.run(
+            SearchRequest(query=self.QUERY, document="doc", size_bound=6, page_size=1)
+        )
+        assert first.total_results == 3 and first.results[0].root == "1.2"
+        assert corpus.system("doc").run_query(self.QUERY, size_bound=6).snippets.generated == 1
+        return corpus, service
+
+    def pages(self, service, *numbers):
+        return [
+            service.run(SearchRequest(
+                query=self.QUERY, document="doc", size_bound=6, page_size=1, page=page
+            ))
+            for page in numbers
+        ]
+
+    def rebuilt(self, tree):
+        corpus = Corpus()
+        corpus.add_tree("doc", tree)
+        return SnippetService(corpus)
+
+    def test_edit_outside_every_result_keeps_it_and_later_pages_match_rebuild(self):
+        corpus, service = self.build()
+        retired = corpus.system("doc")
+        # the edited <city> is inside no <clothes>, and "clothes" keeps its postings
+        report = corpus.update_document("doc", retailer_tree("Dallas"))
+        assert report.incremental and report.cache_entries_invalidated == 0
+        live = corpus.system("doc")
+        outcome = live.run_query(self.QUERY, size_bound=6)
+        assert outcome.from_cache and outcome.snippets.generated == 1
+
+        later = self.pages(service, 2, 3, 1)
+        assert all(response.from_cache for response in later)
+        reference = self.pages(self.rebuilt(retailer_tree("Dallas")), 2, 3, 1)
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in later] == [
+            json.dumps(r.to_dict(), sort_keys=True) for r in reference
+        ]
+        # generated through the live snippet cache, not the retired one
+        assert outcome.snippets.generated == 3
+        assert len(live.generator.cache) == 3 and len(retired.generator.cache) == 0
+
+    def test_remaining_snippets_come_from_the_analyzer_the_results_belong_to(self, monkeypatch):
+        from repro.xmltree.node import XMLNode
+
+        corpus, service = self.build()
+        corpus.update_document("doc", retailer_tree("Dallas"))
+        # For the new version's analyzer the kept results' nodes are
+        # foreign: it would classify them by rebuilding their tag paths.
+        tag_path = XMLNode.tag_path.fget
+        rebuilt_paths = []
+        monkeypatch.setattr(
+            XMLNode, "tag_path", property(lambda node: rebuilt_paths.append(node) or tag_path(node))
+        )
+        self.pages(service, 2, 3)
+        assert rebuilt_paths == []
+
+    @pytest.mark.parametrize("categories", [("coat", "jeans"), ("suit", "denim")])
+    def test_edit_inside_any_result_kills_it_generated_or_not(self, categories):
+        # 1.2 is the generated slot, 1.3 one nobody has read yet
+        corpus, service = self.build()
+        report = corpus.update_document("doc", retailer_tree("Houston", categories))
+        assert report.incremental and report.cache_entries_invalidated >= 1
+        (second,) = self.pages(service, 2)
+        assert not second.from_cache
+        reference = self.pages(self.rebuilt(retailer_tree("Houston", categories)), 1, 2, 3)
+        assert [r.results for r in self.pages(service, 1, 2, 3)] == [r.results for r in reference]
+
+    def test_changed_postings_kill_it(self):
+        corpus, service = self.build()
+        # a <city> value becomes "clothes": the keyword's postings change
+        corpus.update_document("doc", retailer_tree("clothes"))
+        assert not self.pages(service, 2)[0].from_cache
+
+
 class TestRemoveAndUpsert:
     def test_remove_document_reports(self):
         corpus = Corpus()

@@ -78,8 +78,16 @@ class TestQuery:
 
     def test_timings_include_all_phases(self, system):
         outcome = system.run_query("store texas", size_bound=6)
-        assert {"search", "snippets"} <= set(outcome.timings.phases)
+        # the search ran; no snippet has been asked for yet
+        assert "search" in outcome.timings.phases
+        assert "snippets" not in outcome.timings.phases
         assert outcome.timings.total > 0
+        # the snippet phases join the outcome's timings as it generates
+        outcome.snippets.page(1, 1)
+        assert {"search", "snippets", "ilist", "instance_selection"} <= set(outcome.timings.phases)
+        assert outcome.timings.counts["ilist"] == 1
+        list(outcome.snippets)
+        assert outcome.timings.counts["ilist"] == len(outcome) == 2
 
     def test_construction_modes(self, system):
         subtree = system.run_query("store texas", construction=ResultConstruction.SUBTREE)
@@ -187,12 +195,47 @@ class TestQueryResultCache:
         # result objects (ranking metadata stays current).
         full = system.run_query("store texas", size_bound=6)
         limited = system.run_query("store texas", size_bound=6, limit=1)
+        assert system.generator.cache.stats.lookups == 0  # nothing read, nothing generated
+        assert len(full.snippets.snippets) == 2
         assert limited.snippets[0].result is limited.results[0]
         assert system.generator.cache.stats.hits == 1  # the tree came from the snippet cache
         assert (
             limited.snippets[0].snippet.size_edges
             == full.snippets[0].snippet.size_edges
         )
+
+    @pytest.mark.parametrize("size_bound", [0, -3, True, 2.5, "6"])
+    def test_invalid_size_bound_raises_before_anything_is_cached(self, figure5_idx, size_bound):
+        from repro.errors import InvalidSizeBoundError
+        from repro.system import ExtractSystem
+
+        system = ExtractSystem(figure5_idx)
+        for _ in range(2):  # the second call must not find a poisoned outcome
+            with pytest.raises(InvalidSizeBoundError):
+                system.run_query("store texas", size_bound=size_bound)
+        with pytest.raises(InvalidSizeBoundError):
+            system.run_query("nothing matches this", size_bound=size_bound)
+        assert len(system.cache) == 0 and len(system.generator.cache) == 0
+
+    def test_page_past_the_end_generates_nothing(self, figure5_idx):
+        from repro.system import ExtractSystem
+
+        system = ExtractSystem(figure5_idx)
+        outcome = system.run_query("store texas", size_bound=6)
+        assert outcome.snippets.page(99, 5) == [] == outcome.snippets.page(2, None)
+        assert outcome.snippets.generated == 0
+        assert system.generator.cache.stats.lookups == 0
+        assert "snippets" not in outcome.timings.phases
+
+    def test_use_cache_false_generates_only_the_page_read(self, figure5_idx):
+        from repro.system import ExtractSystem
+
+        system = ExtractSystem(figure5_idx)
+        outcome = system.run_query("store texas", size_bound=6, use_cache=False)
+        (only,) = outcome.snippets.page(2, 1)
+        assert only.result is outcome.results[1]
+        assert outcome.snippets.generated == 1 < len(outcome)
+        assert len(system.cache) == 0
 
     def test_from_saved_round_trip(self, figure5_idx, tmp_path):
         from repro.index.storage import save_index
@@ -242,7 +285,10 @@ class TestServicePipeline:
 
         system = ExtractSystem(figure5_idx)
         outcome = system.run_query("store texas", size_bound=6, use_cache=False)
+        list(outcome.snippets)
         assert {"search", "snippets", "lookup", "lca", "ilist"} <= set(outcome.timings.phases)
         # a second cold call gets a fresh breakdown, not an accumulated one
+        # (nor one the first call's generation wrote into)
         again = system.run_query("store texas", size_bound=6, use_cache=False)
         assert again.timings.counts["search"] == 1
+        assert "snippets" not in again.timings.phases
