@@ -3,12 +3,11 @@
 Two runs every push gets (ISSUE 10 acceptance):
 
 * the **smoke load profile** (seed 7, mixed search/batch/update traffic)
-  against a real HTTP server, recording p50/p95/p99 latency, achieved
-  throughput, error/shed rates and the serving-cache hit rate to
-  ``BENCH_loadgen.json``;
+  against a real HTTP server: p50/p95/p99 latency, achieved throughput,
+  error/shed rates and the serving-cache hit rate all measured;
 * the **smoke ablation matrix** (baseline + caches-off + two admission
   limits — 4 configurations) against freshly spawned ``serve`` processes,
-  each replaying the identical seeded plan, recording one row per
+  each replaying the identical seeded plan, one table row per
   configuration.
 
 The assertions are correctness floors, not perf walls: the harness must
@@ -26,13 +25,10 @@ from repro.eval.loadgen import (
     LoadProfile,
     ablation_matrix,
     build_plan,
-    report_rows,
     run_ablation,
     run_load,
     smoke_flags,
 )
-
-from reporting import bench_row, record_benchmark
 
 
 def _fresh_corpus() -> Corpus:
@@ -55,8 +51,6 @@ def test_smoke_profile_records_full_report():
     # the Zipf head repeats queries, so the caches must have been hit
     assert report.cache_hit_rate is not None and report.cache_hit_rate > 0
 
-    record_benchmark("loadgen", report_rows(report))
-
 
 def test_smoke_ablation_matrix_measures_every_config():
     corpus = Corpus()
@@ -76,20 +70,3 @@ def test_smoke_ablation_matrix_measures_every_config():
         assert outcome.report.requests_sent == profile.requests
         assert outcome.report.latency["p50"] is not None
     assert len(table.rows) == len(configs)
-
-    record_benchmark(
-        "loadgen",
-        [
-            bench_row(
-                f"ablate_{outcome.config.name}",
-                outcome.report.duration_seconds,
-                requests=outcome.report.requests_sent,
-                latency=outcome.report.latency,
-                throughput_rps=outcome.report.throughput_rps,
-                error_rate=outcome.report.error_rate,
-                shed_rate=outcome.report.shed_rate,
-                cache_hit_rate=outcome.report.cache_hit_rate,
-            )
-            for outcome in outcomes
-        ],
-    )

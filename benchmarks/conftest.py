@@ -52,28 +52,3 @@ def retail_snippet_generator(retail_index):
     # workload covers the cache itself).
     return SnippetGenerator(retail_index.analyzer, cache_size=0)
 
-
-@pytest.fixture()
-def churn_corpus():
-    """A factory for N-document corpora under churn (incremental updates).
-
-    Returns ``build(documents=...) -> (corpus, names)``.  Function-scoped
-    (not session) because update benchmarks mutate the corpus; each test
-    gets a pristine instance.  Shared here so the incremental-update
-    benchmark and any future churn workload agree on the corpus shape.
-    """
-    from repro.corpus import Corpus
-
-    def build(documents: int = 6) -> tuple["Corpus", list[str]]:
-        corpus = Corpus()
-        names: list[str] = []
-        for position in range(documents):
-            name = f"retail-{position}"
-            config = RetailConfig(
-                retailers=5, stores_per_retailer=5, clothes_per_store=6, seed=40 + position
-            )
-            corpus.add_tree(name, generate_retail_document(config, name=name))
-            names.append(name)
-        return corpus, names
-
-    return build

@@ -365,7 +365,7 @@ def main() -> None:
           f"{report.throughput_rps:.1f} req/s, latency {latency}, "
           f"cache hit rate {report.cache_hit_rate}")
 
-    # The same run from the command line (plus --report BENCH_loadgen.json
+    # The same run from the command line (plus --report PATH
     # to persist schema-v2 rows), and the baseline-plus-one-flip ablation
     # matrix — caches on/off, admission limits, deadlines — each
     # configuration served by a freshly spawned process replaying the

@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_save.add_argument("--output", required=True, metavar="DIR", help="snapshot directory")
     corpus_save.add_argument("--algorithm", choices=("slca", "elca"), default="slca")
     corpus_save.add_argument(
-        "--format", choices=("v3", "v4"), default="v3", dest="snapshot_format",
-        help="snapshot format: v3 diff-friendly text (default) or v4 mmap-able binary",
+        "--format", choices=("v4",), default="v4",
+        help="snapshot format; v4 (binary, mmap-able) is the only one written",
     )
 
     corpus_update = subparsers.add_parser(
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--json", action="store_true", help="print the report as JSON")
     loadgen.add_argument(
         "--report", metavar="PATH",
-        help="also write the report as a BENCH_loadgen.json-shaped file to PATH",
+        help="also write the report rows (schema v2, JSON) to PATH",
     )
 
     loadgen_ablate = subparsers.add_parser(
@@ -1494,13 +1494,8 @@ def _command_lint(args: argparse.Namespace, out) -> int:
 
 
 def _command_corpus_save(args: argparse.Namespace, out) -> int:
-    from repro.index.storage import BINARY_FORMAT_VERSION, TEXT_FORMAT_VERSION
-
     corpus = _build_corpus(args, algorithm=args.algorithm)
-    format_version = (
-        BINARY_FORMAT_VERSION if args.snapshot_format == "v4" else TEXT_FORMAT_VERSION
-    )
-    subdirs = corpus.save_dir(args.output, format_version=format_version)
+    subdirs = corpus.save_dir(args.output)
     total_nodes = sum(entry.node_count for entry in corpus)
     print(
         f"saved {len(subdirs)} document index(es), {total_nodes} nodes total, to {args.output}",

@@ -379,16 +379,8 @@ class ClusterService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save_dir(
-        self,
-        directory: str | os.PathLike[str],
-        format_version: int | None = None,
-    ) -> list[str]:
+    def save_dir(self, directory: str | os.PathLike[str]) -> list[str]:
         """Snapshot the whole cluster under ``directory``.
-
-        ``format_version`` is forwarded to each shard's
-        :meth:`Corpus.save_dir` (text default, or the binary v4 format
-        for mmap-fast shard bootstrap); loading auto-detects per snapshot.
 
         Layout: one corpus directory per shard (``shard-<id>/``, each a
         full :meth:`Corpus.save_dir` snapshot) plus the versioned
@@ -424,11 +416,7 @@ class ClusterService(ServingBackendBase):
                 ) from exc
         shard_dirs = [f"shard-{shard.shard_id}" for shard in self.shards]
         for shard, subdir in zip(self.shards, shard_dirs):
-            shard_path = os.path.join(path, subdir)
-            if format_version is None:
-                shard.corpus.save_dir(shard_path)
-            else:
-                shard.corpus.save_dir(shard_path, format_version=format_version)
+            shard.corpus.save_dir(os.path.join(path, subdir))
         write_cluster_manifest(
             path, manifest_for_partitioner(self.partitioner, shard_dirs, version=version)
         )

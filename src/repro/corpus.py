@@ -415,25 +415,16 @@ class Corpus:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save_dir(
-        self,
-        directory: str | os.PathLike[str],
-        format_version: int | None = None,
-    ) -> list[str]:
+    def save_dir(self, directory: str | os.PathLike[str]) -> list[str]:
         """Snapshot every registered document index under ``directory``.
 
-        Layout: one subdirectory per document (see
-        :mod:`repro.index.storage`) plus a ``corpus.manifest`` recording the
-        algorithm and the subdirectory ↔ document-name mapping.  Any update
-        journal left by earlier ``corpus-update`` runs is discarded — the
-        full snapshot supersedes it (replaying it on top would double-apply
-        the edits).  Returns the subdirectory names written, in
-        document-name order.
-
-        ``format_version`` selects the per-document snapshot format (the
-        text default, or :data:`~repro.index.storage.BINARY_FORMAT_VERSION`
-        for mmap-able binary snapshots); loading detects the format per
-        subdirectory, so mixed corpora round-trip fine.
+        Layout: one subdirectory per document holding its ``snapshot.bin``
+        (see :mod:`repro.index.storage`) plus a ``corpus.manifest``
+        recording the algorithm and the subdirectory ↔ document-name
+        mapping.  Any update journal left by earlier ``corpus-update`` runs
+        is discarded — the full snapshot supersedes it (replaying it on top
+        would double-apply the edits).  Returns the subdirectory names
+        written, in document-name order.
         """
         from repro.index.storage import (
             discard_corpus_journal,
@@ -449,15 +440,7 @@ class Corpus:
         for name in self.names():
             subdir = _subdir_for(name, used)
             used.add(subdir.lower())
-            target = os.path.join(path, subdir)
-            if format_version is None:
-                save_index(self._entries[name].system.index, target)
-            else:
-                save_index(
-                    self._entries[name].system.index,
-                    target,
-                    format_version=format_version,
-                )
+            save_index(self._entries[name].system.index, os.path.join(path, subdir))
             entries.append((subdir, name))
             subdirs.append(subdir)
         write_corpus_manifest(path, self.algorithm, entries)
@@ -632,13 +615,13 @@ def compact_corpus_dir(
     rewrites the directory as a clean set of base snapshots with no
     journal — the cheap-bootstrap form a new shard replica loads fastest.
 
-    Base snapshots the journal never touched are **copied byte-for-byte**
-    (the full offset range of each snapshot file) instead of being
-    re-parsed and re-serialised; only documents with journal records get
-    fresh snapshots, written in the mmap-able binary format
-    (:data:`~repro.index.storage.BINARY_FORMAT_VERSION`).  Compacting a
-    journal-free corpus is therefore byte-stable: every snapshot and the
-    manifest come out identical.
+    A ``snapshot.bin`` the journal never touched is **copied
+    byte-for-byte** instead of being re-serialised; documents with journal
+    records, and base snapshots still in the read-only version 3 text
+    format, get fresh snapshots.  Compaction is therefore the whole
+    migration story for a text corpus, and compacting a journal-free
+    binary corpus is byte-stable: every snapshot and the manifest come out
+    identical.
 
     The compaction is **staged**: the journal-replayed corpus is saved
     into a sibling ``<dir>.compacting`` staging directory, then swapped
@@ -657,7 +640,7 @@ def compact_corpus_dir(
     import shutil
 
     from repro.index.storage import (
-        BINARY_FORMAT_VERSION,
+        BINARY_FILE,
         directory_documents,
         read_corpus_journal,
         save_index,
@@ -672,6 +655,13 @@ def compact_corpus_dir(
         touched.add(record.subdir)
         if record.snapshot:
             touched.add(record.snapshot)
+
+    def keeps(subdir: str) -> bool:
+        """An untouched binary snapshot is copied; anything else is rewritten."""
+        return subdir not in touched and os.path.exists(
+            os.path.join(path, subdir, BINARY_FILE)
+        )
+
     subdir_of = {name: subdir for subdir, name in directory_documents(path).items()}
     staging = f"{path}.compacting"
     backup = f"{path}.pre-compact"
@@ -682,28 +672,20 @@ def compact_corpus_dir(
         os.makedirs(staging)
         subdirs: list[str] = []
         entries: list[tuple[str, str]] = []
-        used = {
-            subdir.lower()
-            for name, subdir in subdir_of.items()
-            if subdir not in touched
-        }
+        used = {subdir.lower() for subdir in subdir_of.values() if keeps(subdir)}
         for name in corpus.names():
             current = subdir_of.get(name)
-            if current is not None and current not in touched:
-                # Untouched base snapshot: copy its files verbatim under
-                # the same subdirectory name — no re-parse, no drift.
-                shutil.copytree(
-                    os.path.join(path, current), os.path.join(staging, current)
-                )
+            if current is not None and keeps(current):
                 subdir = current
+                os.makedirs(os.path.join(staging, subdir))
+                shutil.copyfile(
+                    os.path.join(path, subdir, BINARY_FILE),
+                    os.path.join(staging, subdir, BINARY_FILE),
+                )
             else:
                 subdir = _subdir_for(name, used)
                 used.add(subdir.lower())
-                save_index(
-                    corpus.system(name).index,
-                    os.path.join(staging, subdir),
-                    format_version=BINARY_FORMAT_VERSION,
-                )
+                save_index(corpus.system(name).index, os.path.join(staging, subdir))
             entries.append((subdir, name))
             subdirs.append(subdir)
         write_corpus_manifest(staging, corpus.algorithm, entries)

@@ -20,12 +20,12 @@ observability stack, in three layers:
    (one keep-alive connection per worker), plus a before/after scrape of
    ``GET /v1/stats`` — p50/p95/p99 latency, achieved throughput, error and
    shed rates, and the serving-cache hit rate for exactly the requests the
-   run issued.  :func:`report_rows` shapes the result for
-   ``benchmarks/reporting.py`` (report schema v2).
+   run issued.  :func:`report_rows` shapes the result for the file
+   ``loadgen --report`` writes (:func:`write_report_file`, schema v2).
 
 3. **Ablation** (:func:`ablation_matrix` → :func:`run_ablation`): a
    baseline-plus-one-flip matrix over serving flags (caches on/off,
-   admission limits, deadlines, executor width, snapshot format …), each
+   admission limits, deadlines, executor width …), each
    configuration served by a freshly spawned ``repro.cli serve`` process
    (via :func:`repro.cluster.remote.spawn_server`) and measured with the
    *same* request plan, ranked into an
@@ -441,7 +441,7 @@ def run_load(
 
 
 def report_rows(report: LoadReport, op: str = "loadgen_mixed") -> list[dict[str, Any]]:
-    """Schema-v2 rows for ``benchmarks/reporting.record_benchmark``.
+    """Schema-v2 rows for :func:`write_report_file`.
 
     ``seconds`` carries the whole run's wall time (the v1-compatible
     field); the workload fields carry the measurements this harness
@@ -490,22 +490,15 @@ def parse_mix(text: str) -> dict[str, float]:
     return weights
 
 
-#: mirror of ``benchmarks/reporting.REPORT_SCHEMA_VERSION`` — the CLI
-#: writes the same envelope without importing the benchmarks tree (which
-#: is not an installed package); ``tests/eval/test_loadgen.py`` pins the
-#: two constants together
+#: version of the envelope :func:`write_report_file` writes
 REPORT_SCHEMA_VERSION = 2
 
 
 def write_report_file(
     rows: list[dict[str, Any]], path: str, benchmark: str = "loadgen"
 ) -> str:
-    """Write rows as a ``BENCH_<name>.json``-shaped report to ``path``.
-
-    Same envelope as ``benchmarks/reporting.record_benchmark`` (schema
-    v2), so a report written by ``repro.cli loadgen --report`` and one
-    written by the CI benchmark are interchangeable to consumers.
-    """
+    """Write rows to ``path`` as ``{schema_version, benchmark, results}``
+    with the rows sorted by ``op`` (``repro.cli loadgen --report``)."""
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "benchmark": benchmark,

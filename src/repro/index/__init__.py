@@ -9,23 +9,24 @@ parent-children relationship."
 * :mod:`repro.index.structure` — tag/label index, node-category index and
   parent/children accessors,
 * :mod:`repro.index.builder` — the façade that builds all of them,
-* :mod:`repro.index.storage` — persistence: text snapshots (v1–v3), the
-  corpus manifest/journal, and the format-dispatch seam,
-* :mod:`repro.index.binfmt` — the v4 mmap-able binary snapshot format with
-  lazy posting-list materialisation.
+* :mod:`repro.index.storage` — persistence: ``save_index`` / ``load_index``
+  (the v3 text snapshots of older builds are read-only input), the corpus
+  manifest/journal,
+* :mod:`repro.index.binfmt` — the v4 mmap-able binary snapshot format
+  every snapshot is written in, with lazy posting-list materialisation.
 """
 
 from repro.index.postings import PostingList
 from repro.index.inverted import InvertedIndex
 from repro.index.structure import StructureIndex
 from repro.index.builder import DocumentIndex, IndexBuilder
-from repro.index.storage import (
+from repro.index.storage import save_index, load_index
+from repro.index.binfmt import (
     BINARY_FORMAT_VERSION,
-    TEXT_FORMAT_VERSION,
-    save_index,
-    load_index,
+    LazyInvertedIndex,
+    load_binary_index,
+    write_binary_index,
 )
-from repro.index.binfmt import LazyInvertedIndex, load_binary_index, write_binary_index
 
 __all__ = [
     "PostingList",
@@ -39,5 +40,4 @@ __all__ = [
     "load_binary_index",
     "write_binary_index",
     "BINARY_FORMAT_VERSION",
-    "TEXT_FORMAT_VERSION",
 ]

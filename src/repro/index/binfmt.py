@@ -1,14 +1,14 @@
-"""The v4 binary, mmap-able snapshot format.
+"""The v4 binary, mmap-able snapshot format — the one format written.
 
-The v1–v3 snapshots (:mod:`repro.index.storage`) are diff-friendly UTF-8
-text: loading one re-parses ``document.xml``, re-runs the full analysis and
-rebuilds both indexes just to validate the stored sections.  That cost is
-what every cold shard bootstrap, replica spin-up and ``corpus-compact``
-pays per document.  Version 4 instead persists *everything* the loaded
-:class:`~repro.index.builder.DocumentIndex` needs — tree, pre/post/level
-order, posting lists, structure index and the full analyzer state
-(including the DTD, which v3 could not round-trip) — as one struct-packed
-file that is opened via :mod:`mmap` and decoded lazily.
+The version 3 text snapshots older builds wrote (still readable, see
+:mod:`repro.index.storage`) are diff-friendly UTF-8: loading one re-parses
+``document.xml``, re-runs the full analysis and rebuilds both indexes just
+to validate the stored sections — per document, at every cold shard
+bootstrap and replica spin-up.  Version 4 instead persists *everything*
+the loaded :class:`~repro.index.builder.DocumentIndex` needs — tree,
+pre/post/level order, posting lists, structure index and the full analyzer
+state (including the DTD, which the text format could not round-trip) — as
+one struct-packed file that is opened via :mod:`mmap` and decoded lazily.
 
 Layout of ``snapshot.bin`` (all integers little-endian)::
 
@@ -42,7 +42,7 @@ the header magic, format version, end sentinel and whole-file checksum are
 all verified at open, and every table/directory offset is bounds-checked
 against the actual file size.  Any failure raises
 :class:`~repro.errors.StorageError`, matching the staged-load contract of
-the text formats.
+the text reader.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """On-disk persistence for document indexes and corpus update journals.
 
 The original eXtract demo precomputed its indexes on the server so queries
-over the web UI were fast.  This module provides the equivalent: a
-**versioned snapshot format** for a full :class:`DocumentIndex` — the
-inverted postings, the structure index (tag-path posting lists) and the
-analyzer summary — written as plain, diff-friendly UTF-8 text, independent
-of pickle.  :class:`repro.corpus.Corpus` builds on it to round-trip whole
-multi-document corpora (``save_dir``/``load_dir``) so re-indexing is
-skipped on reload.
+over the web UI were fast.  This module is the one way to put a
+:class:`DocumentIndex` on disk and get it back: :func:`save_index` writes
+the binary ``snapshot.bin`` of :mod:`repro.index.binfmt` (format version
+4) and nothing else; :func:`load_index` reads it, and also still reads the
+version 3 *text* snapshots older builds wrote, as a **read-only migration
+input** — re-save the corpus or run ``corpus-compact`` to upgrade a
+directory.  :class:`repro.corpus.Corpus` builds on both to round-trip
+whole multi-document corpora (``save_dir``/``load_dir``).
 
-Format (UTF-8 text), version 3::
+The version 3 text format this module reads (``inverted.idx``, UTF-8)::
 
     #extract-index v3
     #document <name>
@@ -20,21 +21,15 @@ Format (UTF-8 text), version 3::
     P <tag-path joined by '/'> <label> <label> ...
     #end
 
-Version 3 adds the ``#counts`` section header and the ``#end`` sentinel so
-a truncated file (a killed writer, a partial copy) is detected *before*
-any posting list is trusted — a v2 file cut mid-section could previously
-only be caught by the slower cross-validation, and a cut that removed
-label text from the tail of a line not at all.
-
-The tree itself is stored alongside as regular XML (via
-:mod:`repro.xmltree.serialize`).  On load the document is re-parsed and
-re-analyzed, then *validated section by section* against the stored
-artefact: node count, analyzer summary, structure paths and vocabulary
-must all agree, guarding against a document/index mismatch on disk.  The
-stored posting lists are authoritative for the loaded index.
-
-Version 1 (no ``#summary``/``P`` sections) and version 2 snapshots are
-still readable.
+The ``#counts`` header and the ``#end`` sentinel let a truncated file (a
+killed writer, a partial copy) be detected *before* any posting list is
+trusted.  The tree is stored alongside as regular XML (``document.xml``).
+On load the document is re-parsed and re-analyzed, then *validated section
+by section* against the stored artefact: node count, analyzer summary,
+structure paths and vocabulary must all agree, guarding against a
+document/index mismatch on disk.  The stored posting lists are
+authoritative for the loaded index.  Versions 1 and 2 lacked the
+truncation guards and are rejected by name.
 
 This module also owns the **corpus-level persistence**: the
 ``corpus.manifest`` written by :meth:`Corpus.save_dir` and the
@@ -46,11 +41,6 @@ removals — and :meth:`Corpus.load_dir` replays them over the base
 snapshots through the same incremental machinery the live corpus uses, so
 a reloaded corpus is byte-identical to the corpus the updates were
 originally applied to.
-
-Limitation: a DTD supplied at build time is not part of the snapshot; if
-the DTD changed the analyzer's classification, the stored summary will
-disagree with the re-analysis and loading fails with a clear error rather
-than silently restoring different semantics.
 """
 
 from __future__ import annotations
@@ -62,7 +52,7 @@ from dataclasses import dataclass
 from repro.errors import StorageError
 from repro.index.binfmt import (
     BINARY_FILE,
-    BINARY_FORMAT_VERSION as _BINARY_FORMAT_VERSION,
+    BINARY_FORMAT_VERSION,
     load_binary_index,
     write_binary_index,
 )
@@ -70,20 +60,13 @@ from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.xmltree.parser import parse_xml_file
-from repro.xmltree.serialize import to_xml_string
 
-#: current version of the plain-text snapshot format this module writes
+#: the one version of the plain-text snapshot format this module still reads
 TEXT_FORMAT_VERSION = 3
 
-#: re-exported from :mod:`repro.index.binfmt`: the binary snapshot version
-BINARY_FORMAT_VERSION = _BINARY_FORMAT_VERSION
-
 _MAGIC_V3 = f"#extract-index v{TEXT_FORMAT_VERSION}"
-_MAGIC_V2 = "#extract-index v2"
-_MAGIC_V1 = "#extract-index v1"
-_KNOWN_MAGICS = (_MAGIC_V3, _MAGIC_V2, _MAGIC_V1)
 
-#: file names inside a snapshot directory
+#: file names inside a text snapshot directory
 DOCUMENT_FILE = "document.xml"
 INDEX_FILE = "inverted.idx"
 
@@ -102,75 +85,52 @@ _END_SENTINEL = "#end"
 def save_index(
     index: DocumentIndex,
     directory: str | os.PathLike[str],
-    format_version: int = TEXT_FORMAT_VERSION,
+    format_version: int = BINARY_FORMAT_VERSION,
 ) -> None:
-    """Persist ``index`` (document + inverted + structure + summary) into
-    ``directory``.
+    """Persist ``index`` (document + inverted + structure + analyzer state,
+    DTD included) into ``directory`` as ``snapshot.bin``.
 
-    ``format_version`` selects the snapshot format: version 3 (the
-    default) writes the diff-friendly text format of this module; version
-    4 writes the mmap-able binary format of :mod:`repro.index.binfmt`.
-    :func:`load_index` detects the format on disk, so readers need no
-    version parameter.
+    A text snapshot already in ``directory`` is removed once the new file
+    is complete: re-saving over a version 3 directory is the upgrade path,
+    and nothing stale may outlive the fresh snapshot.
+
+    ``format_version`` is a one-valued assertion kept for
+    ``benchmarks/e2e`` (which passes ``4``); any other value is a
+    :class:`StorageError`.
     """
-    if format_version == BINARY_FORMAT_VERSION:
-        write_binary_index(index, directory)
-        return
-    if format_version != TEXT_FORMAT_VERSION:
+    if format_version != BINARY_FORMAT_VERSION:
         raise StorageError(
             f"unsupported snapshot format version {format_version}; this build "
-            f"writes versions {TEXT_FORMAT_VERSION} and {BINARY_FORMAT_VERSION}"
+            f"writes version {BINARY_FORMAT_VERSION} only"
         )
+    write_binary_index(index, directory)
     path = os.fspath(directory)
-    os.makedirs(path, exist_ok=True)
-    document_path = os.path.join(path, DOCUMENT_FILE)
-    index_path = os.path.join(path, INDEX_FILE)
-    summary = index.analyzer.summary()
     try:
-        with open(document_path, "w", encoding="utf-8") as handle:
-            handle.write(to_xml_string(index.tree))
-        with open(index_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{_MAGIC_V3}\n")
-            handle.write(f"#document {index.tree.name}\n")
-            handle.write(f"#nodes {index.tree.size_nodes}\n")
-            handle.write(
-                "#summary "
-                f"entity={summary['entity']} "
-                f"attribute={summary['attribute']} "
-                f"connection={summary['connection']}\n"
-            )
-            postings_map = index.inverted.postings_dict()
-            known_paths = index.structure.known_paths
-            handle.write(f"#counts terms={len(postings_map)} paths={len(known_paths)}\n")
-            for term in sorted(postings_map):
-                # The raw per-term lists, not lookup() results: lookup folds
-                # plural forms together, which would inflate the snapshot
-                # and drift on repeated save/load cycles.
-                labels = " ".join(postings_map[term].to_strings())
-                handle.write(f"T {term} {labels}\n")
-            for tag_path in sorted(known_paths):
-                postings = index.structure.instances_of_path(tag_path)
-                labels = " ".join(postings.to_strings())
-                handle.write(f"P {_PATH_SEPARATOR.join(tag_path)} {labels}\n")
-            handle.write(f"{_END_SENTINEL}\n")
+        for stale in (DOCUMENT_FILE, INDEX_FILE):
+            stale_path = os.path.join(path, stale)
+            if os.path.exists(stale_path):
+                os.remove(stale_path)
     except OSError as exc:
-        raise StorageError(f"failed to save index to {path}: {exc}") from exc
+        raise StorageError(f"failed to remove the text snapshot in {path}: {exc}") from exc
 
 
 def load_index(directory: str | os.PathLike[str], lazy: bool = True) -> DocumentIndex:
-    """Load a :class:`DocumentIndex` previously written by :func:`save_index`.
+    """Load a :class:`DocumentIndex` from a snapshot directory.
 
     The snapshot format is detected from the directory contents: a
     ``snapshot.bin`` is loaded through :mod:`repro.index.binfmt` (mmap'd,
-    with posting lists materialised lazily unless ``lazy=False``); the
-    text formats (v1–v3) take the validate-and-replace path below.
+    with posting lists materialised lazily unless ``lazy=False``); a
+    version 3 text snapshot takes the validate-and-replace path below.
 
-    For the text formats, the XML document is re-parsed and re-analyzed;
+    For the text format, the XML document is re-parsed and re-analyzed;
     every stored section is validated against the freshly built index
     (node count, analyzer summary, structure paths, vocabulary) and the
     stored posting lists then replace the rebuilt ones — they are
     authoritative for the artefact on disk, and queries over the loaded
     index are byte-identical to queries over the index that was saved.
+    The text format never stored a DTD: a document whose DTD changed the
+    classification fails the summary check instead of silently loading
+    with different semantics.
     """
     path = os.fspath(directory)
     if os.path.exists(os.path.join(path, BINARY_FILE)):
@@ -241,7 +201,6 @@ class _Snapshot:
     """Parsed content of one ``inverted.idx`` file."""
 
     def __init__(self) -> None:
-        self.version = 0
         self.document_name: str | None = None
         self.nodes: int | None = None
         self.summary: dict[str, int] | None = None
@@ -256,9 +215,12 @@ def _read_snapshot(index_path: str) -> _Snapshot:
     try:
         with open(index_path, "r", encoding="utf-8") as handle:
             first = handle.readline().rstrip("\n")
-            if first not in _KNOWN_MAGICS:
-                raise StorageError(f"unrecognised index file header: {first!r}")
-            snapshot.version = {_MAGIC_V3: 3, _MAGIC_V2: 2, _MAGIC_V1: 1}[first]
+            if first != _MAGIC_V3:
+                # names the version of a v1/v2 file: it is in the header
+                raise StorageError(
+                    f"unsupported index file header {first!r} in {index_path}; "
+                    f"the only text snapshot this build reads is {_MAGIC_V3!r}"
+                )
             for line in handle:
                 line = line.rstrip("\n")
                 if not line:
@@ -297,8 +259,7 @@ def _read_snapshot(index_path: str) -> _Snapshot:
                     snapshot.structure_paths[name] = PostingList.from_strings(labels)
     except OSError as exc:
         raise StorageError(f"failed to read stored index: {exc}") from exc
-    if snapshot.version >= 3:
-        _check_snapshot_complete(snapshot, index_path)
+    _check_snapshot_complete(snapshot, index_path)
     return snapshot
 
 

@@ -264,6 +264,43 @@ class TestStatusMapping:
         finally:
             conn.close()
 
+    def test_concurrent_keep_alive_clients_each_get_their_own_answers(self):
+        # Fan-in: four keep-alive clients on their own threads, each walking
+        # the same eight distinct requests against one server; every client
+        # must read the answer to *its* request, byte for byte.
+        service = SnippetService(_fresh_corpus())
+        texts = [
+            json.dumps(
+                SearchRequest(query=query, document=document, size_bound=6).to_dict(),
+                sort_keys=True,
+            )
+            for query in ("store texas", "store austin", "clothes casual", "retailer apparel")
+            for document in ("stores", "retail")
+        ]
+        expected = [service.handle_json(text) for text in texts]
+        results: dict[int, list[str]] = {}
+
+        def drive(index: int, port: int) -> None:
+            client = ServiceClient(port=port, keep_alive=True)
+            try:
+                results[index] = [
+                    json.dumps(client.handle_dict(json.loads(text)), sort_keys=True)
+                    for text in texts
+                ]
+            finally:
+                client.close()
+
+        with HttpServer(service, port=0) as server:
+            threads = [
+                threading.Thread(target=drive, args=(index, server.port)) for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert [results[index] for index in range(4)] == [expected] * 4
+
 
 class TestGatewayOverHttp:
     def test_overloaded_maps_to_503(self):

@@ -69,5 +69,11 @@ def test_run_methods_take_the_request_and_the_pin_only(cls, name):
     assert list(inspect.signature(getattr(cls, name)).parameters) == RUN_PARAMETERS[cls, name]
 
 
+@pytest.mark.parametrize("cls", (Corpus, ClusterService), ids=lambda cls: cls.__name__)
+def test_save_dir_takes_the_directory_only(cls):
+    # one snapshot format: no caller selects what gets written
+    assert list(inspect.signature(cls.save_dir).parameters) == ["self", "directory"]
+
+
 def test_search_response_carries_no_server_side_handle():
     assert "outcome" not in SearchResponse.__dataclass_fields__

@@ -18,7 +18,6 @@ from repro.api.protocol import BatchRequest, SearchRequest
 from repro.api.service import SnippetService
 from repro.cluster import ClusterService, RemoteClusterService
 from repro.index.binfmt import BINARY_FILE
-from repro.index.storage import BINARY_FORMAT_VERSION
 from tests.cluster.conftest import CLUSTER_DATASETS, QUERIES, build_corpus
 
 
@@ -32,7 +31,7 @@ def wire(backend, payload) -> str:
 def binary_cluster_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("binary-cluster")
     service = ClusterService.from_corpus(build_corpus(), shards=2)
-    service.save_dir(directory, format_version=BINARY_FORMAT_VERSION)
+    service.save_dir(directory)
     service.close()
     return directory
 

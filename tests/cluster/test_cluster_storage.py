@@ -158,12 +158,12 @@ class TestCorruptClusters:
             if not os.path.isdir(shard_path):
                 continue
             for doc in sorted(os.listdir(shard_path)):
-                index_file = os.path.join(shard_path, doc, "inverted.idx")
-                if os.path.exists(index_file):
-                    with open(index_file, "r", encoding="utf-8") as handle:
-                        lines = handle.readlines()
-                    with open(index_file, "w", encoding="utf-8") as handle:
-                        handle.writelines(lines[:-2])
+                snapshot = os.path.join(shard_path, doc, "snapshot.bin")
+                if os.path.exists(snapshot):
+                    with open(snapshot, "rb") as handle:
+                        data = handle.read()
+                    with open(snapshot, "wb") as handle:
+                        handle.write(data[:-5])
                     with pytest.raises(StorageError):
                         ClusterService.load_dir(path)
                     return

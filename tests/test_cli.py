@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 
 import pytest
 
@@ -256,6 +257,44 @@ class TestCorpusSaveCommand:
         assert code == 1
         assert "no documents" in output
 
+    def test_every_snapshot_is_binary_and_the_format_flag_has_one_value(self, tmp_path):
+        for extra in ((), ("--format", "v4")):
+            snapshot = tmp_path / f"corpus{len(extra)}"
+            code, _ = run_cli(
+                "corpus-save", "--dataset", "figure5-stores", "--output", str(snapshot), *extra
+            )
+            assert code == 0
+            assert os.listdir(snapshot / "figure5-stores") == ["snapshot.bin"]
+        with pytest.raises(SystemExit) as usage:
+            run_cli(
+                "corpus-save", "--dataset", "figure5-stores", "--format", "v3",
+                "--output", str(tmp_path / "text"),
+            )
+        assert usage.value.code == 2
+        assert not (tmp_path / "text").exists()
+
+    def test_resave_over_a_text_corpus_serves_the_new_document(self, tmp_path):
+        # The upgrade path: a directory an older build wrote as v3 text is
+        # re-saved; nothing of the old document may be left to load.
+        from repro.corpus import Corpus
+        from tests.index.v3_writer import write_v3_corpus
+
+        source = tmp_path / "doc.xml"
+        source.write_text("<shop><name>Levis</name></shop>", encoding="utf-8")
+        old = Corpus()
+        old.add_file(source)
+        snapshot = tmp_path / "corpus"
+        write_v3_corpus(old, snapshot)
+        assert Corpus.load_dir(snapshot).system("doc").run_query("levis").results
+
+        source.write_text("<shop><name>Esprit</name></shop>", encoding="utf-8")
+        code, _ = run_cli("corpus-save", "--file", str(source), "--output", str(snapshot))
+        assert code == 0
+        assert os.listdir(snapshot / "doc") == ["snapshot.bin"]
+        reloaded = Corpus.load_dir(snapshot).system("doc")
+        assert reloaded.run_query("esprit").results
+        assert not reloaded.run_query("levis").results
+
     def test_corpus_update_journals_text_edit(self, tmp_path):
         import json
 
@@ -339,20 +378,13 @@ class TestCorpusSaveCommand:
         )
         assert code == 0 and "added" in output
 
-        # The journalled snapshot's analyzer summary proves the DTD was
-        # honoured at ingestion, matching corpus-save --file semantics.
-        # (Reloading a classification-changing-DTD snapshot still fails
-        # with the documented DTD-not-in-snapshot limitation, identically
-        # for corpus-save and corpus-update.)
-        header = (tmp_path / "corpus" / "dtd-doc" / "inverted.idx").read_text(
-            encoding="utf-8"
-        )
-        expected = (
-            f"#summary entity={reference['entity']} "
-            f"attribute={reference['attribute']} "
-            f"connection={reference['connection']}"
-        )
-        assert expected in header
+        # The journalled snapshot carries the analyzer and the DTD, so the
+        # reloaded corpus classifies exactly as the ingestion did.
+        from repro.corpus import Corpus
+
+        reloaded = Corpus.load_dir(snapshot).system("dtd-doc").analyzer
+        assert reloaded.summary() == reference
+        assert reloaded.dtd is not None
         assert reference["entity"] == 1  # the DTD, not the data, made store an entity
 
     def test_serve_request_rejects_stateless_updates(self, tmp_path):

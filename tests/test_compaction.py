@@ -15,6 +15,7 @@ from repro.errors import StorageError
 from repro.index.storage import JOURNAL_FILE, read_corpus_journal
 from repro.xmltree.diff import clone_tree
 from repro.xmltree.serialize import to_xml_string
+from tests.index.v3_writer import write_v3_corpus
 
 QUERIES = ("store texas", "store nevada", "retailer apparel", "alpha")
 
@@ -38,6 +39,16 @@ def wire_all(directory) -> list[str]:
     return lines
 
 
+def journal_text_edit(corpus, directory, update_file) -> None:
+    """Journal an incremental (text-only) update of ``figure5-stores``."""
+    edited = clone_tree(corpus.system("figure5-stores").index.tree)
+    for node in edited.iter_nodes():
+        if node.text == "Texas":
+            node.text = "Nevada"
+    update_file.write_text(to_xml_string(edited), encoding="utf-8")
+    assert run_cli("corpus-update", "--corpus-dir", str(directory), "--file", str(update_file))[0] == 0
+
+
 @pytest.fixture()
 def journalled_corpus(tmp_path):
     """A saved corpus with a journal holding every record kind: an
@@ -50,14 +61,8 @@ def journalled_corpus(tmp_path):
     assert code == 0
 
     corpus = Corpus.load_dir(directory)
-    # incremental update (text-only)
-    edited = clone_tree(corpus.system("figure5-stores").index.tree)
-    for node in edited.iter_nodes():
-        if node.text == "Texas":
-            node.text = "Nevada"
     update_file = tmp_path / "figure5-stores.xml"
-    update_file.write_text(to_xml_string(edited), encoding="utf-8")
-    assert run_cli("corpus-update", "--corpus-dir", str(directory), "--file", str(update_file))[0] == 0
+    journal_text_edit(corpus, directory, update_file)
     # structural replace
     structural = clone_tree(corpus.system("figure5-stores").index.tree)
     structural.root.append_child(type(structural.root)("annex"))
@@ -148,21 +153,15 @@ def tree_bytes(directory) -> dict[str, bytes]:
 
 
 class TestJournalFreeByteStability:
-    """Compacting a journal-free corpus copies base snapshots verbatim —
-    it must not re-parse and re-serialise untouched documents."""
+    """Compacting a journal-free corpus copies its ``snapshot.bin`` files
+    verbatim — it must not re-serialise untouched documents."""
 
-    @pytest.mark.parametrize("fmt", ["v3", "v4"])
-    def test_compaction_is_byte_stable(self, tmp_path, fmt):
-        from repro.index.storage import BINARY_FORMAT_VERSION
-
+    def test_compaction_is_byte_stable(self, tmp_path):
         directory = tmp_path / "corpus"
         corpus = Corpus()
         corpus.add_builtin("figure5-stores", name="stores")
         corpus.add_builtin("retail", name="retail")
-        if fmt == "v4":
-            corpus.save_dir(directory, format_version=BINARY_FORMAT_VERSION)
-        else:
-            corpus.save_dir(directory)
+        corpus.save_dir(directory)
 
         before = tree_bytes(directory)
         report = compact_corpus_dir(directory)
@@ -181,3 +180,26 @@ class TestJournalFreeByteStability:
         assert retail_files
         for rel, data in retail_files.items():
             assert after.get(rel) == data
+
+
+class TestTextCorpusMigration:
+    """A version 3 text corpus is read-only input: compaction rewrites every
+    text base snapshot as ``snapshot.bin``, journal or no journal."""
+
+    def test_untouched_text_snapshots_are_rewritten(self, tmp_path):
+        directory = tmp_path / "corpus"
+        corpus = Corpus()
+        corpus.add_builtin("figure5-stores")
+        corpus.add_builtin("retail")
+        subdirs = write_v3_corpus(corpus, directory)
+        # one journalled edit, so the rewrite is not just the journal-free case
+        journal_text_edit(corpus, directory, tmp_path / "figure5-stores.xml")
+
+        before = wire_all(directory)
+        report = compact_corpus_dir(directory)
+        assert report.records_folded == 1
+        assert sorted(report.subdirs) == sorted(subdirs)
+        assert sorted(tree_bytes(directory)) == sorted(
+            ["corpus.manifest"] + [os.path.join(subdir, "snapshot.bin") for subdir in subdirs]
+        )
+        assert wire_all(directory) == before

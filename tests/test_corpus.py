@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.corpus import Corpus, builtin_dataset_names
@@ -142,8 +144,7 @@ class TestCorpusPersistence:
         assert sorted(subdirs) == ["movies", "retailer", "stores"]
         assert (tmp_path / "corpus" / "corpus.manifest").exists()
         for subdir in subdirs:
-            assert (tmp_path / "corpus" / subdir / "inverted.idx").exists()
-            assert (tmp_path / "corpus" / subdir / "document.xml").exists()
+            assert os.listdir(tmp_path / "corpus" / subdir) == ["snapshot.bin"]
 
     def test_round_trip_restores_names_and_sizes(self, populated, tmp_path):
         populated.save_dir(tmp_path / "corpus")

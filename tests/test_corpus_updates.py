@@ -401,14 +401,14 @@ class TestJournalRoundTrip:
 
 
 class TestHardenedLoadDir:
-    def test_truncated_postings_section_fails_cleanly(self, tmp_path):
+    def test_truncated_snapshot_fails_cleanly(self, tmp_path):
         corpus = Corpus()
         corpus.add_tree("doc", retailer_tree())
         directory = tmp_path / "corpus"
         corpus.save_dir(directory)
-        index_file = directory / "doc" / "inverted.idx"
-        lines = index_file.read_text(encoding="utf-8").splitlines()
-        index_file.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
+        snapshot = directory / "doc" / "snapshot.bin"
+        data = snapshot.read_bytes()
+        snapshot.write_bytes(data[: len(data) // 2])
         with pytest.raises(StorageError):
             Corpus.load_dir(directory)
 
