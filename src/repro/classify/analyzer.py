@@ -293,6 +293,13 @@ class DataAnalyzer:
                 return candidate
         return None
 
+    @property
+    def node_owners(self) -> list[int]:
+        """Per node of the bound tree, by ``pre``: the ``pre`` of its
+        owning entity (nearest ancestor-or-self entity), ``-1`` for none.
+        Read-only, like everything the analyzer hands out."""
+        return self._node_owners
+
     def scan_subtree(self, root: XMLNode) -> SubtreeScan:
         """The entity and attribute instances of the subtree under ``root``.
 

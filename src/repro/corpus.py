@@ -786,6 +786,11 @@ def _carry_serving_state(
       foreign), through the new version's snippet cache;
     * a cached snippet is stale iff an edited node lies under its result
       root;
+    * result roots, snippet-cache keys and edited nodes are all ``pre``
+      ids, compared across the two versions: a text-only update preserves
+      the tree's shape (the new tree adopts the old one's tables), so a
+      position names the same node in both.  A structural update never
+      gets here — it starts from empty caches;
     * a memoised posting lookup is stale iff its keyword has a changed
       posting list;
     * when a re-mined entity *key attribute* moved, snippets anywhere in
@@ -804,7 +809,7 @@ def _carry_serving_state(
         def keep_keyword(keyword):
             return False
     else:
-        changed = PostingList(update.changed_labels)
+        changed = PostingList(new_system.index.tree.shape, update.changed_pres)
 
         def keep_query(key, value):
             # key = (tree name, kind, keywords, algorithm, bound, limit, construction)
@@ -812,7 +817,7 @@ def _carry_serving_state(
             if any(update.touches_keyword(keyword) for keyword in keywords):
                 return False
             results = value.results if isinstance(value, SearchOutcome) else value
-            if any(changed.has_descendant_of(result.root) for result in results):
+            if any(changed.has_descendant_of(result.root_node.pre) for result in results):
                 return False
             if isinstance(value, SearchOutcome):
                 # what it has yet to generate goes through the live cache
@@ -820,7 +825,7 @@ def _carry_serving_state(
             return True
 
         def keep_snippet(key, value):
-            # key = (tree name, result root, keywords, bound)
+            # key = (tree name, pre of the result root, keywords, bound)
             return not changed.has_descendant_of(key[1])
 
         def keep_keyword(keyword):

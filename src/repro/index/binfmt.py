@@ -29,9 +29,11 @@ Layout of ``snapshot.bin`` (all integers little-endian)::
   implicit.  Validated against the reindexed tree on load.
 * **POSTINGS** — u32 term count, a directory of (term string id u32,
   posting count u32, section-relative blob offset u64), then the blobs:
-  sorted u32 pre ids.  The directory alone is enough to answer
-  vocabulary/containment questions; blobs are only decoded when a term is
-  actually looked up (:class:`LazyInvertedIndex`).
+  sorted u32 pre ids — the very array an in-memory
+  :class:`~repro.index.postings.PostingList` holds, so decoding a list is
+  one ``array.frombytes`` plus its range check.  The directory alone is
+  enough to answer vocabulary/containment questions; blobs are only
+  decoded when a term is actually looked up (:class:`LazyInvertedIndex`).
 * **STRUCTURE** — same shape keyed by ``/``-joined tag-path string ids.
 * **ANALYZER** — canonical JSON (sorted keys) of the schema summary, node
   categories, entity types, mined keys and the DTD, rebound on load via
@@ -49,10 +51,13 @@ from __future__ import annotations
 
 import json
 import mmap
+import operator
 import os
 import struct
+import sys
 import threading
 import zlib
+from array import array
 from collections import Counter
 
 from repro.classify.analyzer import DataAnalyzer, EntityType
@@ -64,11 +69,10 @@ from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.index.structure import StructureIndex
 from repro.utils.text import normalize_token, singularize
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.dtd import DTD, AttributeDecl, ChildSpec, ElementDecl
 from repro.xmltree.node import XMLNode
 from repro.xmltree.schema import SchemaNode, SchemaSummary, TagPath
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import TreeShape, XMLTree
 
 #: the on-disk format version this module reads and writes
 BINARY_FORMAT_VERSION = 4
@@ -133,9 +137,7 @@ def write_binary_index(index: DocumentIndex, directory: str | os.PathLike[str]) 
 def build_binary_snapshot(index: DocumentIndex) -> bytes:
     """Serialise ``index`` to the v4 byte layout (no filesystem access)."""
     tree = index.tree
-    nodes = list(tree.iter_nodes())
-    pre_of = {node.dewey: position for position, node in enumerate(nodes)}
-    post_of, level_of = _compute_order(tree.root, pre_of)
+    nodes, parent_of, post_of, level_of = _walk(tree.root)
 
     postings_map = index.inverted.postings_dict()
     structure_paths = {
@@ -157,12 +159,12 @@ def build_binary_snapshot(index: DocumentIndex) -> bytes:
     sections = {
         _SEC_META: _dump_json(meta),
         _SEC_STRINGS: _pack_strings(string_table),
-        _SEC_TREE: _pack_tree(nodes, pre_of, sid),
+        _SEC_TREE: _pack_tree(nodes, parent_of, sid),
         _SEC_ORDER: b"".join(
             _ORDER_RECORD.pack(post, level) for post, level in zip(post_of, level_of)
         ),
-        _SEC_POSTINGS: _pack_directory(postings_map, sid, pre_of),
-        _SEC_STRUCTURE: _pack_directory(structure_paths, sid, pre_of),
+        _SEC_POSTINGS: _pack_directory(postings_map, sid),
+        _SEC_STRUCTURE: _pack_directory(structure_paths, sid),
         _SEC_ANALYZER: _dump_json(_encode_analyzer(index.analyzer)),
     }
 
@@ -178,32 +180,38 @@ def build_binary_snapshot(index: DocumentIndex) -> bytes:
     return body + _TRAILER.pack(zlib.crc32(body), _END_MAGIC)
 
 
-def _compute_order(
-    root: XMLNode, pre_of: dict[Dewey, int]
-) -> tuple[list[int], list[int]]:
-    """Post-order ranks and levels, indexed by pre id.
+def _walk(root: XMLNode) -> tuple[list[XMLNode], list[int], list[int], list[int]]:
+    """The nodes in pre-order with, per position: parent position (−1 for
+    the root), post-order rank and level.
 
-    Recomputed here (rather than trusting ``node.post``) so the writer is
-    consistent by construction with what :meth:`XMLTree._reindex` assigns
-    on load — the reader validates the ORDER section against exactly that.
+    Recomputed here (rather than trusting ``node.pre`` / ``node.post``) so
+    the writer is consistent by construction with what
+    :meth:`XMLTree._reindex` assigns on load — the reader validates the
+    ORDER section against exactly that.
     """
-    count = len(pre_of)
-    post_of = [0] * count
-    level_of = [0] * count
+    nodes: list[XMLNode] = []
+    parent_of: list[int] = []
+    post_of: list[int] = []
+    level_of: list[int] = []
     post = 0
-    stack: list[tuple[XMLNode, int, bool]] = [(root, 0, False)]
+    # (node, parent position, level) on the way down; (None, position, 0)
+    # marks the way back up through the node at ``position``
+    stack: list[tuple[XMLNode | None, int, int]] = [(root, -1, 0)]
     while stack:
-        node, level, exiting = stack.pop()
-        position = pre_of[node.dewey]
-        if exiting:
+        node, position, level = stack.pop()
+        if node is None:
             post_of[position] = post
             post += 1
             continue
-        level_of[position] = level
-        stack.append((node, level, True))
+        parent_of.append(position)
+        position = len(nodes)
+        nodes.append(node)
+        post_of.append(0)
+        level_of.append(level)
+        stack.append((None, position, 0))
         for child in reversed(node.children):
-            stack.append((child, level + 1, False))
-    return post_of, level_of
+            stack.append((child, position, level + 1))
+    return nodes, parent_of, post_of, level_of
 
 
 def _pack_strings(string_table: list[str]) -> bytes:
@@ -215,20 +223,15 @@ def _pack_strings(string_table: list[str]) -> bytes:
     return b"".join(pieces)
 
 
-def _pack_tree(
-    nodes: list[XMLNode], pre_of: dict[Dewey, int], sid: dict[str, int]
-) -> bytes:
+def _pack_tree(nodes: list[XMLNode], parent_of: list[int], sid: dict[str, int]) -> bytes:
     pieces = []
-    for node in nodes:
-        parent = pre_of[node.parent.dewey] if node.parent is not None else -1
+    for node, parent in zip(nodes, parent_of):
         text_sid = sid[node.text] if node.text is not None else -1
         pieces.append(_TREE_RECORD.pack(parent, sid[node.tag], text_sid))
     return b"".join(pieces)
 
 
-def _pack_directory(
-    lists: dict[str, PostingList], sid: dict[str, int], pre_of: dict[Dewey, int]
-) -> bytes:
+def _pack_directory(lists: dict[str, PostingList], sid: dict[str, int]) -> bytes:
     """Directory + blobs for a name → posting-list mapping (sorted by name)."""
     names = sorted(lists)
     directory_size = _U32.size + _DIR_ENTRY.size * len(names)
@@ -236,9 +239,11 @@ def _pack_directory(
     blobs = []
     offset = directory_size
     for name in names:
-        labels = lists[name].labels
-        blob = struct.pack(f"<{len(labels)}I", *(pre_of[label] for label in labels))
-        entries.append(_DIR_ENTRY.pack(sid[name], len(labels), offset))
+        ids = lists[name].ids
+        if sys.byteorder != "little":
+            ids.byteswap()
+        blob = ids.tobytes()
+        entries.append(_DIR_ENTRY.pack(sid[name], len(ids), offset))
         blobs.append(blob)
         offset += len(blob)
     return b"".join([_U32.pack(len(names)), *entries, *blobs])
@@ -482,24 +487,51 @@ class _SnapshotBuffer:
         return bytes(self.buffer[offset : offset + length])
 
 
+def _decode_ids(
+    buffer: mmap.mmap | bytes, start: int, count: int, node_count: int, what: str
+) -> "array[int]":
+    """One blob of u32 pre ids as the ``array('I')`` a posting list holds.
+
+    Ids are positions, not labels: nothing downstream would notice one
+    that names no node of this document, so a blob is trusted only after
+    it proved strictly ascending and below ``node_count`` (the checksum
+    covers accidents, not a writer that disagrees).  Raises
+    :class:`StorageError` naming ``what``.
+    """
+    ids = array("I")
+    ids.frombytes(buffer[start : start + _U32.size * count])
+    if sys.byteorder != "little":
+        ids.byteswap()
+    if len(ids) != count:
+        raise StorageError(f"cannot decode {what}: u32 ids are not this platform's array('I')")
+    if count and (ids[-1] >= node_count or any(map(operator.ge, ids, ids[1:]))):
+        raise StorageError(
+            f"{what} are corrupt: ids must ascend and stay below the node count {node_count}"
+        )
+    return ids
+
+
 class _PostingSource:
-    """Decodes u32 pre-id blobs of the POSTINGS section into label lists."""
+    """Decodes blobs of the POSTINGS section into the posting lists of the
+    tree with ``shape``."""
 
-    __slots__ = ("_buffer", "_base", "_labels_by_pre")
+    __slots__ = ("shape", "_buffer", "_base", "_file_path")
 
-    def __init__(self, snapshot: _SnapshotBuffer, labels_by_pre: list[Dewey]):
+    def __init__(self, snapshot: _SnapshotBuffer, shape: TreeShape, file_path: str):
+        self.shape = shape
         self._buffer = snapshot.buffer
         self._base = snapshot.section(_SEC_POSTINGS)[0]
-        self._labels_by_pre = labels_by_pre
+        self._file_path = file_path
 
-    def posting_list(self, offset: int, count: int) -> PostingList:
-        ids = struct.unpack_from(f"<{count}I", self._buffer, self._base + offset)
-        labels_by_pre = self._labels_by_pre
-        postings = PostingList.__new__(PostingList)
-        # pre ids ascend in document order, which is exactly the sorted
-        # Dewey order the PostingList invariant requires.
-        postings._labels = [labels_by_pre[pre] for pre in ids]
-        return postings
+    def posting_list(self, term: str, offset: int, count: int) -> PostingList:
+        ids = _decode_ids(
+            self._buffer,
+            self._base + offset,
+            count,
+            len(self.shape.size),
+            f"binary index {self._file_path}: postings for {term!r}",
+        )
+        return PostingList._trusted(self.shape, ids)
 
 
 class LazyInvertedIndex(InvertedIndex):
@@ -517,34 +549,30 @@ class LazyInvertedIndex(InvertedIndex):
     shares the mmap source for everything else.
     """
 
-    def __init__(
-        self,
-        source: _PostingSource,
-        pending: dict[str, tuple[int, int]],
-        indexed_nodes: int,
-    ):
+    def __init__(self, source: _PostingSource, pending: dict[str, tuple[int, int]]):
         super().__init__()
         self._source = source
+        self._shape = source.shape
         self._pending = dict(pending)
         self._lock = threading.Lock()
         self._built = True
-        # Matches InvertedIndex.from_postings semantics (sum of posting
-        # lengths), keeping v4-loaded and v3-loaded indexes identical.
-        self.indexed_nodes = indexed_nodes
 
     # -------------------------------------------------------------- #
     # materialisation
     # -------------------------------------------------------------- #
     def _materialize(self, term: str) -> None:
         with self._lock:
-            span = self._pending.pop(term, None)
+            span = self._pending.get(term)
             if span is not None:
-                self._postings[term] = self._source.posting_list(*span)
+                # decoded before it stops being pending: a blob that fails
+                # its check fails every lookup, it does not become "absent"
+                self._postings[term] = self._source.posting_list(term, *span)
+                del self._pending[term]
 
     def _materialize_all(self) -> None:
         with self._lock:
             for term, span in self._pending.items():
-                self._postings[term] = self._source.posting_list(*span)
+                self._postings[term] = self._source.posting_list(term, *span)
             self._pending = {}
 
     @property
@@ -586,8 +614,8 @@ class LazyInvertedIndex(InvertedIndex):
 
     def apply_delta(
         self,
-        added: dict[str, set[Dewey]],
-        removed: dict[str, set[Dewey]],
+        added: dict[str, set[int]],
+        removed: dict[str, set[int]],
     ) -> "LazyInvertedIndex":
         touched = set(added) | set(removed)
         for term in touched:
@@ -597,16 +625,8 @@ class LazyInvertedIndex(InvertedIndex):
                 term: span for term, span in self._pending.items() if term not in touched
             }
             postings = dict(self._postings)
-        for term in touched:
-            base = postings.get(term, PostingList())
-            updated = base.with_changes(
-                added=added.get(term, ()), removed=removed.get(term, ())
-            )
-            if updated.is_empty:
-                postings.pop(term, None)
-            else:
-                postings[term] = updated
-        clone = LazyInvertedIndex(self._source, pending, self.indexed_nodes)
+        self._apply_delta_to(postings, added, removed)
+        clone = LazyInvertedIndex(self._source, pending)
         clone._postings = postings
         return clone
 
@@ -639,33 +659,30 @@ def load_binary_index(
     meta = _load_json(snapshot, _SEC_META, file_path)
     strings = _read_strings(snapshot, file_path)
     tree = _rebuild_tree(snapshot, strings, meta, file_path)
-    labels_by_pre = [node.dewey for node in tree.iter_nodes()]
     _validate_order(snapshot, tree, file_path)
+    shape = tree.shape
 
     analyzer_payload = _load_json(snapshot, _SEC_ANALYZER, file_path)
     analyzer = _decode_analyzer(tree, analyzer_payload)
 
-    structure = _rebuild_structure(
-        snapshot, strings, labels_by_pre, analyzer, file_path
-    )
+    structure = _rebuild_structure(snapshot, strings, shape, analyzer, file_path)
 
     directory_entries = _read_directory(
         snapshot, _SEC_POSTINGS, strings, file_path
     )
-    source = _PostingSource(snapshot, labels_by_pre)
-    indexed_nodes = sum(count for count, _ in directory_entries.values())
+    source = _PostingSource(snapshot, shape, file_path)
     if lazy:
         inverted: InvertedIndex = LazyInvertedIndex(
             source,
             {term: (offset, count) for term, (count, offset) in directory_entries.items()},
-            indexed_nodes,
         )
     else:
         inverted = InvertedIndex.from_postings(
+            shape,
             {
-                term: source.posting_list(offset, count)
+                term: source.posting_list(term, offset, count)
                 for term, (count, offset) in directory_entries.items()
-            }
+            },
         )
     return DocumentIndex(
         tree=tree, analyzer=analyzer, inverted=inverted, structure=structure
@@ -826,43 +843,30 @@ def _read_directory(
 def _rebuild_structure(
     snapshot: _SnapshotBuffer,
     strings: list[str],
-    labels_by_pre: list[Dewey],
+    shape: TreeShape,
     analyzer: DataAnalyzer,
     file_path: str,
 ) -> StructureIndex:
     entries = _read_directory(snapshot, _SEC_STRUCTURE, strings, file_path)
     base, _ = snapshot.section(_SEC_STRUCTURE)
-    buffer = snapshot.buffer
+    node_count = len(shape.size)
     by_path: dict[TagPath, PostingList] = {}
-    path_of_label: dict[Dewey, TagPath] = {}
-    by_tag_labels: dict[str, list[Dewey]] = {}
-    node_count = len(labels_by_pre)
+    covered: set[int] = set()
     for path_text, (count, blob_offset) in entries.items():
-        tag_path = tuple(path_text.split(_PATH_SEPARATOR))
-        ids = struct.unpack_from(f"<{count}I", buffer, base + blob_offset)
-        if any(pre >= node_count for pre in ids):
-            raise StorageError(
-                f"binary index {file_path} is corrupt: structure postings for "
-                f"{path_text!r} reference unknown nodes"
-            )
-        labels = [labels_by_pre[pre] for pre in ids]
-        postings = PostingList.__new__(PostingList)
-        postings._labels = labels
-        by_path[tag_path] = postings
-        for label in labels:
-            path_of_label[label] = tag_path
-        by_tag_labels.setdefault(tag_path[-1], []).extend(labels)
-    if len(path_of_label) != node_count:
-        raise StorageError(
-            f"binary index {file_path} is corrupt: structure postings cover "
-            f"{len(path_of_label)} nodes, expected {node_count}"
+        ids = _decode_ids(
+            snapshot.buffer,
+            base + blob_offset,
+            count,
+            node_count,
+            f"binary index {file_path}: structure postings for {path_text!r}",
         )
-    structure = StructureIndex()
-    structure._by_path = by_path
-    structure._path_of_label = path_of_label
-    structure._by_tag = {
-        tag: PostingList(labels) for tag, labels in by_tag_labels.items()
-    }
-    structure._category_of_path = dict(analyzer.categories)
-    structure._built = True
-    return structure
+        by_path[tuple(path_text.split(_PATH_SEPARATOR))] = PostingList._trusted(shape, ids)
+        covered.update(ids)
+    # every node has exactly one tag path: the lists partition the tree
+    listed = sum(count for count, _ in entries.values())
+    if listed != node_count or len(covered) != node_count:
+        raise StorageError(
+            f"binary index {file_path} is corrupt: structure postings list "
+            f"{listed} nodes ({len(covered)} distinct), expected {node_count}"
+        )
+    return StructureIndex()._assemble(shape, by_path, analyzer)

@@ -17,8 +17,12 @@ module applies the edit as a set of deltas instead:
   edited attribute value can flip the mined key of exactly one entity
   type: its direct parent.  Only those entity paths are re-mined (over
   their instances, not the whole tree).
-* **structure index** — stores Dewey labels, tag paths and categories
+* **structure index** — stores node positions, tag paths and categories
   only, none of which a text edit can move; the object is shared as-is.
+* **tree shape** — the edited tree has the old one's shape, so it adopts
+  the old tree's ``parent``/``level``/``size`` tables: every posting list
+  the edit did not touch, every cached result root and every snippet-cache
+  key names the same positions in both versions.
 
 Everything is copy-on-write: the previous index keeps serving unchanged
 while the update is being assembled, and the result is a fresh
@@ -42,7 +46,6 @@ from repro.classify.keys import KeyMiner
 from repro.errors import IndexError_
 from repro.index.builder import DocumentIndex
 from repro.utils.text import iter_index_terms, normalize_value, singularize
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.diff import TreeDiff
 from repro.xmltree.schema import SchemaSummary, TagPath
 from repro.xmltree.tree import XMLTree
@@ -53,8 +56,8 @@ class IncrementalUpdate:
     """The outcome of applying a text-only edit to an existing index."""
 
     index: DocumentIndex
-    #: labels of the nodes whose text changed (document order)
-    changed_labels: tuple[Dewey, ...]
+    #: ``pre`` ids of the nodes whose text changed (document order)
+    changed_pres: tuple[int, ...]
     #: index terms whose posting lists changed (raw and singular forms)
     changed_terms: frozenset[str]
     #: entity paths whose keys were re-mined
@@ -89,6 +92,7 @@ def apply_text_update(
             f"got {diff!r} (structural edits need a full rebuild)"
         )
 
+    new_tree.adopt_shape(old_index.tree.shape)
     added, removed = _posting_deltas(diff)
     new_inverted = old_index.inverted.apply_delta(added, removed)
 
@@ -102,9 +106,10 @@ def apply_text_update(
         miner = KeyMiner(schema)
         for entity_path in sorted(affected):
             old_entity = entity_types[entity_path]
-            instances = new_tree.nodes(
-                old_index.structure.instances_of_path(entity_path)
-            )
+            nodes = new_tree.nodes_by_pre
+            instances = [
+                nodes[pre] for pre in old_index.structure.instances_of_path(entity_path)
+            ]
             new_key = miner.mine_entity(new_tree, entity_path, instances=instances)
             if _key_attribute(new_key) != _key_attribute(old_entity.key):
                 key_changed = True
@@ -125,7 +130,7 @@ def apply_text_update(
     )
     return IncrementalUpdate(
         index=index,
-        changed_labels=tuple(edit.label for edit in diff.text_edits),
+        changed_pres=tuple(edit.pre for edit in diff.text_edits),
         changed_terms=frozenset(added) | frozenset(removed),
         remined_entity_paths=tuple(sorted(affected)),
         key_attributes_changed=key_changed,
@@ -137,23 +142,23 @@ def apply_text_update(
 # ---------------------------------------------------------------------- #
 def _posting_deltas(
     diff: TreeDiff,
-) -> tuple[dict[str, set[Dewey]], dict[str, set[Dewey]]]:
-    """Per-term label additions/removals implied by the text edits.
+) -> tuple[dict[str, set[int]], dict[str, set[int]]]:
+    """Per-term ``pre`` id additions/removals implied by the text edits.
 
     A node is indexed under its tag terms *and* its text terms; only terms
     the tag does not already contribute can actually appear or disappear
     when the text changes (the tag is untouched for text-only edits).
     """
-    added: dict[str, set[Dewey]] = defaultdict(set)
-    removed: dict[str, set[Dewey]] = defaultdict(set)
+    added: dict[str, set[int]] = defaultdict(set)
+    removed: dict[str, set[int]] = defaultdict(set)
     for edit in diff.text_edits:
         tag_terms = set(iter_index_terms(edit.tag))
         old_terms = set(iter_index_terms(edit.old_text))
         new_terms = set(iter_index_terms(edit.new_text))
         for term in old_terms - new_terms - tag_terms:
-            removed[term].add(edit.label)
+            removed[term].add(edit.pre)
         for term in new_terms - old_terms - tag_terms:
-            added[term].add(edit.label)
+            added[term].add(edit.pre)
     return dict(added), dict(removed)
 
 

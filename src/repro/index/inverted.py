@@ -10,70 +10,91 @@ Each node is indexed under:
 Tokens are additionally indexed under their singular form (``stores`` →
 ``store``) so that the Figure 5 query "store texas" behaves the same
 regardless of pluralisation.  Lookups return :class:`PostingList` objects
-of the *matching nodes themselves*; keyword-search semantics that require
-ancestor propagation (ELCA) derive what they need from Dewey prefixes.
+of the *matching nodes themselves* (their ``pre`` ids); keyword-search
+semantics that require ancestor propagation (ELCA) derive what they need
+from the tree's ``parent`` table.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from collections.abc import Iterable
 
 from repro.errors import IndexNotBuiltError
 from repro.index.postings import PostingList
 from repro.utils.text import iter_index_terms, normalize_token, singularize
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import TreeShape, XMLTree
 
 
 class InvertedIndex:
-    """keyword → posting list of matching node labels."""
+    """keyword → posting list of the matching nodes' ``pre`` ids."""
 
     def __init__(self) -> None:
         self._postings: dict[str, PostingList] = {}
+        #: the shape of the indexed tree — what every posting list indexes
+        self._shape: TreeShape | None = None
         self._built = False
-        self.indexed_nodes = 0
+
+    @property
+    def indexed_nodes(self) -> int:
+        """Number of nodes of the indexed document, however the index was
+        obtained (built, loaded, updated)."""
+        return len(self._shape.size) if self._shape is not None else 0
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def build(self, tree: XMLTree) -> "InvertedIndex":
-        """Index every node of ``tree``; returns ``self`` for chaining."""
-        accumulator: dict[str, set[Dewey]] = defaultdict(set)
-        count = 0
-        for node in tree.iter_nodes():
-            count += 1
-            for term in iter_index_terms(node.tag):
-                accumulator[term].add(node.dewey)
-            if node.has_text_value:
-                for term in iter_index_terms(node.text or ""):
-                    accumulator[term].add(node.dewey)
-        self._postings = {term: PostingList(labels) for term, labels in accumulator.items()}
-        self.indexed_nodes = count
+        """Index every node of ``tree``; returns ``self`` for chaining.
+
+        Nodes are visited in document order, so every term's list is
+        appended in ascending ``pre`` and never sorted; a term a node
+        yields twice (tag and text, or a repeated word) is already the
+        list's last id.
+        """
+        accumulator: dict[str, array[int]] = {}
+        for pre, node in enumerate(tree.nodes_by_pre):
+            terms = iter_index_terms(node.tag)
+            if node.text:
+                terms = (*terms, *iter_index_terms(node.text))
+            for term in terms:
+                ids = accumulator.get(term)
+                if ids is None:
+                    accumulator[term] = array("I", (pre,))
+                elif ids[-1] != pre:
+                    ids.append(pre)
+        shape = tree.shape
+        self._postings = {
+            term: PostingList._trusted(shape, ids) for term, ids in accumulator.items()
+        }
+        self._shape = shape
         self._built = True
         return self
 
     @classmethod
-    def from_postings(cls, postings: dict[str, PostingList]) -> "InvertedIndex":
-        """Reconstruct an index from stored posting lists."""
+    def from_postings(
+        cls, shape: TreeShape, postings: dict[str, PostingList]
+    ) -> "InvertedIndex":
+        """Reconstruct the index of the tree with ``shape`` from stored
+        posting lists."""
         index = cls()
         index._postings = dict(postings)
+        index._shape = shape
         index._built = True
-        index.indexed_nodes = sum(len(plist) for plist in postings.values())
         return index
 
     def apply_delta(
         self,
-        added: dict[str, set[Dewey]],
-        removed: dict[str, set[Dewey]],
+        added: dict[str, set[int]],
+        removed: dict[str, set[int]],
     ) -> "InvertedIndex":
         """A new index with posting-level deltas applied (``self`` untouched).
 
-        ``added``/``removed`` map index terms to the labels gaining/losing
+        ``added``/``removed`` map index terms to the ``pre`` ids gaining/losing
         that term.  Only the touched terms get new :class:`PostingList`
         objects; every other term shares its list with this index, so the
         cost of an update scales with the *edit*, not with the vocabulary.
-        Terms whose last label is removed drop out of the vocabulary —
+        Terms whose last id is removed drop out of the vocabulary —
         exactly what a from-scratch :meth:`build` of the edited document
         would produce.
 
@@ -83,8 +104,20 @@ class InvertedIndex:
         """
         self._ensure_built()
         postings = dict(self._postings)
+        self._apply_delta_to(postings, added, removed)
+        # Text edits touch values, not the node set: the edited document
+        # has this one's shape by construction (structural edits take the
+        # full-rebuild path instead).
+        return InvertedIndex.from_postings(self._shape, postings)
+
+    def _apply_delta_to(
+        self,
+        postings: dict[str, PostingList],
+        added: dict[str, set[int]],
+        removed: dict[str, set[int]],
+    ) -> None:
         for term in set(added) | set(removed):
-            base = postings.get(term, PostingList())
+            base = postings.get(term) or PostingList(self._shape)
             updated = base.with_changes(
                 added=added.get(term, ()), removed=removed.get(term, ())
             )
@@ -92,14 +125,6 @@ class InvertedIndex:
                 postings.pop(term, None)
             else:
                 postings[term] = updated
-        index = InvertedIndex()
-        index._postings = postings
-        index._built = True
-        # Text edits touch values, not the node set: the node count of the
-        # edited document is unchanged by construction (structural edits
-        # take the full-rebuild path instead).
-        index.indexed_nodes = self.indexed_nodes
-        return index
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -116,7 +141,7 @@ class InvertedIndex:
         forms = {token, singularize(token)}
         found = [self._postings[form] for form in forms if form in self._postings]
         if not found:
-            return PostingList()
+            return PostingList(self._shape)
         if len(found) == 1:
             return found[0]
         return PostingList.union_all(found)

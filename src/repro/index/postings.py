@@ -1,199 +1,188 @@
-"""Posting lists of Dewey labels.
+"""Posting lists of ``pre`` ids.
 
-A posting list is the sorted (document-order) list of Dewey labels of the
-nodes that match one term.  SLCA/ELCA evaluation and the snippet
-generator's instance selection work directly on these lists, so the class
-offers the binary-search primitives those algorithms rely on: left/right
-neighbour lookup, ancestor-aware containment and standard merge operations.
+A posting list is the document-order list of the nodes that match one
+term, each named by its ``pre`` id — its position in document order, the
+node identity of :class:`~repro.xmltree.tree.TreeShape`.  It is stored as
+a sorted ``array('I')``, which is also what a v4 snapshot's posting blob
+is: loading a list is one ``frombytes``.  SLCA/ELCA evaluation and result
+construction work directly on these lists, so the class offers the
+binary-search primitives they rely on — closest match, subtree
+containment, subtree slice — as integer bisects.
+
+An integer carries no provenance: an id from another document is not an
+error the way a foreign label was, it is a plausible wrong answer.  So a
+list holds the :class:`~repro.xmltree.tree.TreeShape` its ids index (the
+tables the primitives read), ids are range-checked wherever they enter
+(the constructor, :meth:`PostingList.from_labels`, the snapshot reader),
+and search code refuses lists of different shapes.  A text-only update
+keeps the shape — and with it every list it did not touch.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterable, Iterator
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 
+from repro.errors import IndexError_
 from repro.xmltree.dewey import Dewey
-from repro.xmltree.order import NodeOrder, is_ancestor_or_self
+from repro.xmltree.tree import TreeShape, XMLTree
 
 
 class PostingList:
-    """An immutable, sorted, de-duplicated list of Dewey labels."""
+    """An immutable, sorted, de-duplicated list of ``pre`` ids of one tree."""
 
-    __slots__ = ("_labels",)
+    __slots__ = ("shape", "_ids")
 
-    def __init__(self, labels: Iterable[Dewey] = ()):
-        self._labels: list[Dewey] = sorted(set(labels))
+    def __init__(self, shape: TreeShape, ids: Iterable[int] = ()):
+        ordered = sorted(set(ids))
+        if ordered and not 0 <= ordered[0] <= ordered[-1] < len(shape.size):
+            raise IndexError_(
+                f"posting ids {ordered[0]}..{ordered[-1]} lie outside the "
+                f"{len(shape.size)}-node tree they are meant to index"
+            )
+        self.shape = shape
+        self._ids = array("I", ordered)
+
+    @classmethod
+    def _trusted(cls, shape: TreeShape, ids: "array[int]") -> "PostingList":
+        """A list over ``ids`` as they are — an ``array('I')`` already
+        sorted, de-duplicated and in range (cut or merged from valid
+        lists, appended in document order by the index build, or checked
+        by the snapshot reader)."""
+        postings = cls.__new__(cls)
+        postings.shape = shape
+        postings._ids = ids
+        return postings
+
+    @classmethod
+    def from_labels(cls, labels: Iterable[Dewey], tree: XMLTree) -> "PostingList":
+        """The boundary constructor for formats that spell nodes as Dewey
+        labels (the v3 text snapshot).  A label ``tree`` does not have
+        raises :class:`~repro.errors.ExtractError`."""
+        return cls(tree.shape, (tree.node(label).pre for label in labels))
 
     # ------------------------------------------------------------------ #
     # basic container protocol
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._ids)
 
-    def __iter__(self) -> Iterator[Dewey]:
-        return iter(self._labels)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
 
-    def __getitem__(self, index: int) -> Dewey:
-        return self._labels[index]
+    def __getitem__(self, index: int) -> int:
+        return self._ids[index]
 
-    def __contains__(self, label: Dewey) -> bool:
-        position = bisect.bisect_left(self._labels, label)
-        return position < len(self._labels) and self._labels[position] == label
+    def __contains__(self, pre: int) -> bool:
+        position = bisect_left(self._ids, pre)
+        return position < len(self._ids) and self._ids[position] == pre
 
     def __eq__(self, other: object) -> bool:
+        """Same positions; the shapes are not compared, so lists of two
+        loads of one document are equal."""
         if not isinstance(other, PostingList):
             return NotImplemented
-        return self._labels == other._labels
+        return self._ids == other._ids
 
     def __repr__(self) -> str:
-        preview = ", ".join(str(label) for label in self._labels[:4])
-        suffix = ", ..." if len(self._labels) > 4 else ""
-        return f"<PostingList n={len(self._labels)} [{preview}{suffix}]>"
+        preview = ", ".join(str(pre) for pre in self._ids[:4])
+        suffix = ", ..." if len(self._ids) > 4 else ""
+        return f"<PostingList n={len(self._ids)} [{preview}{suffix}]>"
 
     @property
-    def labels(self) -> list[Dewey]:
-        """A copy of the underlying sorted label list."""
-        return list(self._labels)
+    def ids(self) -> "array[int]":
+        """A copy of the underlying sorted ``array('I')``."""
+        return self._ids[:]
 
     @property
     def is_empty(self) -> bool:
-        return not self._labels
+        return not self._ids
 
     # ------------------------------------------------------------------ #
-    # binary-search primitives (used by the SLCA algorithm)
+    # binary-search primitives (used by SLCA / ELCA and construction)
     # ------------------------------------------------------------------ #
-    def left_neighbour(self, label: Dewey) -> Dewey | None:
-        """The largest posting <= ``label`` in document order (lm in [7])."""
-        position = bisect.bisect_right(self._labels, label)
-        if position == 0:
-            return None
-        return self._labels[position - 1]
-
-    def right_neighbour(self, label: Dewey) -> Dewey | None:
-        """The smallest posting >= ``label`` in document order (rm in [7])."""
-        position = bisect.bisect_left(self._labels, label)
-        if position >= len(self._labels):
-            return None
-        return self._labels[position]
-
-    def closest_match(self, label: Dewey) -> Dewey | None:
-        """The posting whose LCA with ``label`` is deepest (closest match).
+    def closest_match(self, pre: int) -> int | None:
+        """The posting whose LCA with ``pre`` is deepest (closest match).
 
         This is the core primitive of the Indexed Lookup Eager SLCA
         algorithm [7]: the closest match is always the left neighbour
-        ``lm`` or the right neighbour ``rm`` in document order, whichever
-        yields the deeper LCA with ``label``.
+        ``lm`` (the largest posting ``<= pre``) or the right neighbour
+        ``rm`` (the smallest ``>= pre``) in document order, whichever
+        yields the deeper LCA with ``pre``.
 
         **Tie-break** (symmetric matches): when both neighbours yield an
         equal-depth LCA, those two LCAs are the *same node* — each is the
-        length-``d`` prefix of ``label`` — so the choice cannot change any
-        LCA computed from the returned match.  Following the ``lm``-first
-        orientation of the definition in [7] we deterministically return
-        the **left** neighbour, which keeps downstream traversals stable
-        across runs and documents.
+        ancestor of ``pre`` at that depth — so the choice cannot change
+        any LCA computed from the returned match.  Following the
+        ``lm``-first orientation of the definition in [7] we
+        deterministically return the **left** neighbour, which keeps
+        downstream traversals stable across runs and documents.
         """
-        left = self.left_neighbour(label)
-        right = self.right_neighbour(label)
-        if left is None:
+        ids = self._ids
+        position = bisect_left(ids, pre)
+        if position == len(ids):
+            return ids[-1] if ids else None
+        right = ids[position]
+        if right == pre or position == 0:
             return right
-        if right is None:
-            return left
-        left_depth = Dewey.common_ancestor(left, label).depth
-        right_depth = Dewey.common_ancestor(right, label).depth
-        if left_depth == right_depth:
-            return left  # documented tie-break: prefer lm (see docstring)
-        return left if left_depth > right_depth else right
+        left = ids[position - 1]
+        shape = self.shape
+        level = shape.level
+        # documented tie-break: prefer lm (see docstring)
+        return left if level[shape.lca(left, pre)] >= level[shape.lca(pre, right)] else right
 
-    def has_descendant_of(self, ancestor: Dewey, order: NodeOrder | None = None) -> bool:
-        """Does any posting lie in the subtree rooted at ``ancestor``?
+    def has_descendant_of(self, ancestor: int) -> bool:
+        """Does any posting lie in the subtree rooted at ``ancestor``?"""
+        ids = self._ids
+        position = bisect_left(ids, ancestor)
+        return position < len(ids) and ids[position] < ancestor + self.shape.size[ancestor]
 
-        With ``order`` (the owning tree's pre/post span table) the
-        ancestor test is an O(1) range comparison instead of a Dewey
-        prefix walk.
-        """
-        position = bisect.bisect_left(self._labels, ancestor)
-        if position < len(self._labels) and is_ancestor_or_self(
-            ancestor, self._labels[position], order
-        ):
-            return True
-        return False
-
-    def descendants_of(self, ancestor: Dewey, order: NodeOrder | None = None) -> list[Dewey]:
-        """All postings within the subtree rooted at ``ancestor``."""
-        result: list[Dewey] = []
-        position = bisect.bisect_left(self._labels, ancestor)
-        while position < len(self._labels):
-            label = self._labels[position]
-            if not is_ancestor_or_self(ancestor, label, order):
-                break
-            result.append(label)
-            position += 1
-        return result
+    def descendants_of(self, ancestor: int) -> "array[int]":
+        """All postings within the subtree rooted at ``ancestor``: the
+        slice between two bisects on ``[ancestor, ancestor + size)``."""
+        ids = self._ids
+        start = bisect_left(ids, ancestor)
+        return ids[start : bisect_left(ids, ancestor + self.shape.size[ancestor], start)]
 
     # ------------------------------------------------------------------ #
-    # set operations
+    # merging (index lookup and incremental maintenance)
     # ------------------------------------------------------------------ #
-    def union(self, other: "PostingList") -> "PostingList":
-        return PostingList(self._labels + other._labels)
-
-    def intersection(self, other: "PostingList") -> "PostingList":
-        longer, shorter = (self, other) if len(self) >= len(other) else (other, self)
-        return PostingList(label for label in shorter if label in longer)
-
-    def difference(self, other: "PostingList") -> "PostingList":
-        return PostingList(label for label in self._labels if label not in other)
+    @staticmethod
+    def union_all(lists: "Iterable[PostingList]") -> "PostingList":
+        """The union of lists of one tree (at least one)."""
+        lists = list(lists)
+        shape = PostingList.common_shape(lists)
+        merged = set().union(*(postings._ids for postings in lists))
+        return PostingList._trusted(shape, array("I", sorted(merged)))
 
     @staticmethod
-    def union_all(lists: Iterable["PostingList"]) -> "PostingList":
-        labels: list[Dewey] = []
-        for posting_list in lists:
-            labels.extend(posting_list._labels)
-        return PostingList(labels)
+    def common_shape(lists: "Sequence[PostingList]") -> TreeShape:
+        """The one tree shape all of ``lists`` (at least one) index.
 
-    # ------------------------------------------------------------------ #
-    # delta application (incremental index maintenance)
-    # ------------------------------------------------------------------ #
+        Ids of different trees compare without complaint, so mixing them is
+        refused wherever lists meet: a merge, a query's keyword lists.
+        """
+        shape = lists[0].shape
+        if any(postings.shape is not shape for postings in lists):
+            raise IndexError_("posting lists of different trees cannot be combined")
+        return shape
+
     def with_changes(
-        self, added: Iterable[Dewey] = (), removed: Iterable[Dewey] = ()
+        self, added: Iterable[int] = (), removed: Iterable[int] = ()
     ) -> "PostingList":
         """A new list equal to ``(self - removed) | added``.
 
-        This is the posting-level primitive of incremental index updates
-        (:meth:`repro.index.inverted.InvertedIndex.apply_delta`): instead of
-        re-sorting the whole list, surviving labels are walked once and the
-        (typically tiny, already-sorted) additions are merged in — O(n + a
-        log a) rather than the O(n log n) of rebuilding via the constructor.
-        A label present in both ``removed`` and ``added`` ends up present.
+        The posting-level primitive of incremental index updates
+        (:meth:`repro.index.inverted.InvertedIndex.apply_delta`).  An id
+        present in both ``removed`` and ``added`` ends up present; an
+        added id outside the tree raises as in the constructor.
 
-        >>> plist = PostingList([Dewey((0,)), Dewey((1,))])
-        >>> changed = plist.with_changes(added=[Dewey((2,))], removed=[Dewey((0,))])
-        >>> changed.to_strings()
-        ['1', '2']
+        >>> shape = TreeShape([-1, 0, 0], [0, 1, 1], [3, 1, 1])
+        >>> list(PostingList(shape, [0, 1]).with_changes(added=[2], removed=[0]))
+        [1, 2]
         """
-        removed_set = set(removed)
-        additions = sorted(set(added))
-        merged: list[Dewey] = []
-        position = 0
-        for label in self._labels:
-            if label in removed_set:
-                continue
-            while position < len(additions) and additions[position] < label:
-                merged.append(additions[position])
-                position += 1
-            if position < len(additions) and additions[position] == label:
-                position += 1  # already present; keep the single copy below
-            merged.append(label)
-        merged.extend(additions[position:])
-        result = PostingList.__new__(PostingList)
-        result._labels = merged
-        return result
-
-    # ------------------------------------------------------------------ #
-    # serialisation helpers (used by repro.index.storage)
-    # ------------------------------------------------------------------ #
-    def to_strings(self) -> list[str]:
-        return [str(label) for label in self._labels]
-
-    @classmethod
-    def from_strings(cls, texts: Iterable[str]) -> "PostingList":
-        return cls(Dewey.parse(text) for text in texts)
+        ids = set(self._ids)
+        ids.difference_update(removed)
+        ids.update(added)
+        return PostingList(self.shape, ids)

@@ -49,7 +49,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.errors import StorageError
+from repro.errors import ExtractError, StorageError
 from repro.index.binfmt import (
     BINARY_FILE,
     BINARY_FORMAT_VERSION,
@@ -59,7 +59,9 @@ from repro.index.binfmt import (
 from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
+from repro.xmltree.dewey import Dewey
 from repro.xmltree.parser import parse_xml_file
+from repro.xmltree.tree import XMLTree
 
 #: the one version of the plain-text snapshot format this module still reads
 TEXT_FORMAT_VERSION = 3
@@ -145,7 +147,7 @@ def load_index(directory: str | os.PathLike[str], lazy: bool = True) -> Document
     except OSError as exc:
         raise StorageError(f"failed to read stored document: {exc}") from exc
 
-    snapshot = _read_snapshot(index_path)
+    snapshot = _read_snapshot(index_path, parse_result.tree)
 
     if snapshot.document_name:
         # The file on disk is always called document.xml; the logical name
@@ -193,7 +195,7 @@ def load_index(directory: str | os.PathLike[str], lazy: bool = True) -> Document
                 f"(e.g. {', '.join(drifted)}); refusing to load inconsistent index"
             )
     if snapshot.postings:
-        index.inverted = InvertedIndex.from_postings(snapshot.postings)
+        index.inverted = InvertedIndex.from_postings(index.tree.shape, snapshot.postings)
     return index
 
 
@@ -210,7 +212,9 @@ class _Snapshot:
         self.end_seen = False
 
 
-def _read_snapshot(index_path: str) -> _Snapshot:
+def _read_snapshot(index_path: str, tree: XMLTree) -> _Snapshot:
+    """Parse ``inverted.idx``; its Dewey label texts become ``pre`` ids of
+    ``tree`` (the stored document) here and nowhere else."""
     snapshot = _Snapshot()
     try:
         with open(index_path, "r", encoding="utf-8") as handle:
@@ -250,17 +254,25 @@ def _read_snapshot(index_path: str) -> _Snapshot:
                     continue
                 kind, _, rest = line.partition(" ")
                 name, _, labels_text = rest.partition(" ")
-                labels = labels_text.split() if labels_text else []
                 if kind == "T":
-                    snapshot.postings[name] = PostingList.from_strings(labels)
+                    snapshot.postings[name] = _stored_postings(labels_text, tree, name)
                 elif kind == "P":
                     if snapshot.structure_paths is None:
                         snapshot.structure_paths = {}
-                    snapshot.structure_paths[name] = PostingList.from_strings(labels)
+                    snapshot.structure_paths[name] = _stored_postings(labels_text, tree, name)
     except OSError as exc:
         raise StorageError(f"failed to read stored index: {exc}") from exc
     _check_snapshot_complete(snapshot, index_path)
     return snapshot
+
+
+def _stored_postings(labels_text: str, tree: XMLTree, name: str) -> PostingList:
+    try:
+        return PostingList.from_labels(map(Dewey.parse, labels_text.split()), tree)
+    except ExtractError as exc:
+        raise StorageError(
+            f"stored postings for {name!r} do not fit the stored document: {exc}"
+        ) from exc
 
 
 def _check_snapshot_complete(snapshot: _Snapshot, index_path: str) -> None:

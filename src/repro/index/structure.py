@@ -1,54 +1,64 @@
-"""Structure index: tags, categories and parent/children relationships.
+"""Structure index: the instances and the category of every schema node.
 
 Figure 4 lists "information about node category, and parent-children
-relationship" as index content.  With Dewey labels the parent relationship
-is implicit in the label itself; this index adds:
+relationship" as index content.  The parent/children relationship lives in
+the tree's own tables (:class:`~repro.xmltree.tree.TreeShape`); this index
+adds:
 
-* tag → posting list (all instances of a tag),
 * tag path → posting list (all instances of a schema node),
-* Dewey label → tag path (so a label coming out of the inverted index can
-  be classified without touching the tree),
 * node category per tag path (entity / attribute / connection).
+
+It is what the snapshot formats persist beside the keyword postings, and
+what incremental key re-mining reads to find an entity type's instances
+without walking the document.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.classify.categories import NodeCategory
 from repro.errors import IndexNotBuiltError
 from repro.index.postings import PostingList
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.schema import TagPath
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import TreeShape, XMLTree
 
 
 class StructureIndex:
-    """Label/tag/category index over one document."""
+    """Tag-path/category index over one document."""
 
     def __init__(self) -> None:
-        self._by_tag: dict[str, PostingList] = {}
         self._by_path: dict[TagPath, PostingList] = {}
-        self._path_of_label: dict[Dewey, TagPath] = {}
         self._category_of_path: dict[TagPath, NodeCategory] = {}
+        self._shape: TreeShape | None = None
         self._built = False
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def build(self, tree: XMLTree, analyzer: DataAnalyzer) -> "StructureIndex":
-        by_tag: dict[str, set[Dewey]] = defaultdict(set)
-        by_path: dict[TagPath, set[Dewey]] = defaultdict(set)
-        path_of_label: dict[Dewey, TagPath] = {}
-        for node in tree.iter_nodes():
-            by_tag[node.tag].add(node.dewey)
+        by_path: dict[TagPath, array[int]] = {}
+        for pre, node in enumerate(tree.nodes_by_pre):
             path = node.tag_path
-            by_path[path].add(node.dewey)
-            path_of_label[node.dewey] = path
-        self._by_tag = {tag: PostingList(labels) for tag, labels in by_tag.items()}
-        self._by_path = {path: PostingList(labels) for path, labels in by_path.items()}
-        self._path_of_label = path_of_label
+            ids = by_path.get(path)
+            if ids is None:
+                by_path[path] = array("I", (pre,))
+            else:
+                ids.append(pre)
+        shape = tree.shape
+        return self._assemble(
+            shape,
+            {path: PostingList._trusted(shape, ids) for path, ids in by_path.items()},
+            analyzer,
+        )
+
+    def _assemble(
+        self, shape: TreeShape, by_path: dict[TagPath, PostingList], analyzer: DataAnalyzer
+    ) -> "StructureIndex":
+        """Adopt per-path lists that partition the tree with ``shape``."""
+        self._shape = shape
+        self._by_path = by_path
         self._category_of_path = dict(analyzer.categories)
         self._built = True
         return self
@@ -56,61 +66,20 @@ class StructureIndex:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def instances_of_tag(self, tag: str) -> PostingList:
-        self._ensure_built()
-        return self._by_tag.get(tag, PostingList())
-
     def instances_of_path(self, tag_path: TagPath) -> PostingList:
+        """The instances of a schema node in document order (empty for a
+        path the document does not have)."""
         self._ensure_built()
-        return self._by_path.get(tag_path, PostingList())
-
-    def tag_path_of(self, label: Dewey) -> TagPath | None:
-        self._ensure_built()
-        return self._path_of_label.get(label)
-
-    def tag_of(self, label: Dewey) -> str | None:
-        path = self.tag_path_of(label)
-        return path[-1] if path else None
-
-    def category_of(self, label: Dewey) -> NodeCategory:
-        """Category of the node with the given label.
-
-        Unknown labels (e.g. from another document) default to CONNECTION,
-        mirroring :meth:`DataAnalyzer.category_of_path`.
-        """
-        path = self.tag_path_of(label)
-        if path is None:
-            return NodeCategory.CONNECTION
-        return self._category_of_path.get(path, NodeCategory.CONNECTION)
+        return self._by_path.get(tag_path) or PostingList(self._shape)
 
     def category_of_path(self, tag_path: TagPath) -> NodeCategory:
         self._ensure_built()
         return self._category_of_path.get(tag_path, NodeCategory.CONNECTION)
 
-    def parent_of(self, label: Dewey) -> Dewey | None:
-        """Parent label (None for the root) — Dewey arithmetic, no lookup."""
-        if label.is_root:
-            return None
-        return label.parent()
-
-    def children_of(self, label: Dewey) -> list[Dewey]:
-        """Child labels of a node, derived from the per-path posting lists."""
-        self._ensure_built()
-        children: list[Dewey] = []
-        parent_path = self._path_of_label.get(label)
-        if parent_path is None:
-            return children
-        for path, postings in self._by_path.items():
-            if len(path) == len(parent_path) + 1 and path[:-1] == parent_path:
-                children.extend(
-                    child for child in postings.descendants_of(label) if child.depth == label.depth + 1
-                )
-        return sorted(children)
-
     @property
     def known_tags(self) -> list[str]:
         self._ensure_built()
-        return sorted(self._by_tag)
+        return sorted({path[-1] for path in self._by_path})
 
     @property
     def known_paths(self) -> list[TagPath]:
@@ -133,5 +102,5 @@ class StructureIndex:
             raise IndexNotBuiltError("StructureIndex used before build() was called")
 
     def __repr__(self) -> str:
-        status = f"tags={len(self._by_tag)} paths={len(self._by_path)}" if self._built else "unbuilt"
+        status = f"paths={len(self._by_path)}" if self._built else "unbuilt"
         return f"<StructureIndex {status}>"

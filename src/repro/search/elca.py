@@ -10,7 +10,8 @@ The implementation works in two phases:
 
 1. build the set of *candidates* — nodes whose subtree contains every
    keyword — by intersecting the ancestor closures of the posting lists
-   (``O(matches · depth)`` labels in total), then
+   (``parent`` hops that stop at the first ancestor already seen, so
+   ``O(matches + closure)`` ids in total), then
 2. test each candidate against the definition, blocking only its *maximal*
    candidate descendants (the candidate "children" in the containment
    hierarchy), found by one sorted sweep.
@@ -26,96 +27,79 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.index.postings import PostingList
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.order import NodeOrder, is_ancestor, is_ancestor_or_self
 
 
-def compute_elca(
-    posting_lists: Sequence[PostingList], order: NodeOrder | None = None
-) -> list[Dewey]:
-    """Compute the ELCA set of the given keyword posting lists.
+def compute_elca(posting_lists: Sequence[PostingList]) -> list[int]:
+    """Compute the ELCA set of the given keyword posting lists: ``pre``
+    ids in document order.
 
-    When ``order`` — the owning tree's pre/post span table — is supplied,
-    every ancestor/descendant test runs as an O(1) range comparison
-    instead of a Dewey prefix walk.  Candidates are ancestors of real
-    matches, hence real nodes themselves, so the span lookups always hit.
-
-    >>> from repro.xmltree.dewey import Dewey
-    >>> a = PostingList([Dewey((0, 0)), Dewey((2,))])
-    >>> b = PostingList([Dewey((0, 1)), Dewey((1,))])
-    >>> [str(label) for label in compute_elca([a, b])]
-    ['r', '0']
+    >>> from repro.xmltree.builder import tree_from_dict
+    >>> shape = tree_from_dict("r", {"s": {"a": "x", "b": "y"}, "b": "y", "a": "x"}).shape
+    >>> a, b = PostingList(shape, [2, 5]), PostingList(shape, [3, 4])
+    >>> compute_elca([a, b])
+    [0, 1]
     """
     if not posting_lists or any(postings.is_empty for postings in posting_lists):
         return []
     if len(posting_lists) == 1:
         return list(posting_lists[0])
 
-    candidates = _candidate_set(posting_lists)
-    if not candidates:
-        return []
-    ordered = sorted(candidates)
+    shape = PostingList.common_shape(posting_lists)
+    ordered = sorted(_candidate_set(posting_lists, shape.parent))
+    size = shape.size
 
-    elcas: list[Dewey] = []
+    elcas: list[int] = []
     for index, candidate in enumerate(ordered):
-        blocking = _maximal_descendants(candidate, ordered, index, order)
-        if _has_exclusive_witnesses(candidate, blocking, posting_lists, order):
+        blocking = _maximal_descendants(candidate, ordered, index, size)
+        if _has_exclusive_witnesses(candidate, blocking, posting_lists, size):
             elcas.append(candidate)
     return elcas
 
 
-def _candidate_set(posting_lists: Sequence[PostingList]) -> set[Dewey]:
+def _candidate_set(posting_lists: Sequence[PostingList], parent: list[int]) -> set[int]:
     """Nodes whose subtree contains >= 1 match of every keyword."""
-    closure: set[Dewey] | None = None
+    closure: set[int] | None = None
     for postings in posting_lists:
-        keyword_closure: set[Dewey] = set()
-        for label in postings:
-            keyword_closure.update(label.ancestors(include_self=True))
+        keyword_closure: set[int] = set()
+        for pre in postings:
+            while pre >= 0 and pre not in keyword_closure:
+                keyword_closure.add(pre)
+                pre = parent[pre]
         closure = keyword_closure if closure is None else closure & keyword_closure
-        if not closure:
-            return set()
     return closure or set()
 
 
 def _maximal_descendants(
-    candidate: Dewey,
-    ordered: list[Dewey],
-    index: int,
-    order: NodeOrder | None = None,
-) -> list[Dewey]:
+    candidate: int, ordered: list[int], index: int, size: list[int]
+) -> list[int]:
     """The maximal candidates strictly below ``candidate``.
 
     ``ordered`` is the candidate list in document order, ``index`` the
     position of ``candidate``; its descendants (if any) follow contiguously.
     """
-    blocking: list[Dewey] = []
+    blocking: list[int] = []
+    end = candidate + size[candidate]
+    blocked_until = 0
     for position in range(index + 1, len(ordered)):
-        label = ordered[position]
-        if not is_ancestor(candidate, label, order):
+        pre = ordered[position]
+        if pre >= end:
             break
-        if blocking and is_ancestor_or_self(blocking[-1], label, order):
-            continue
-        blocking.append(label)
+        if pre >= blocked_until:
+            blocking.append(pre)
+            blocked_until = pre + size[pre]
     return blocking
 
 
 def _has_exclusive_witnesses(
-    candidate: Dewey,
-    blocking: list[Dewey],
+    candidate: int,
+    blocking: list[int],
     posting_lists: Sequence[PostingList],
-    order: NodeOrder | None = None,
+    size: list[int],
 ) -> bool:
     for postings in posting_lists:
-        if not any(
-            not any(is_ancestor_or_self(block, match, order) for block in blocking)
-            for match in postings.descendants_of(candidate, order)
+        if all(
+            any(block <= match < block + size[block] for block in blocking)
+            for match in postings.descendants_of(candidate)
         ):
             return False
     return True
-
-
-def elca_result_roots(
-    posting_lists: Sequence[PostingList], order: NodeOrder | None = None
-) -> list[Dewey]:
-    """Alias used by the search engine: ELCA nodes are the result roots."""
-    return compute_elca(posting_lists, order)

@@ -99,11 +99,10 @@ class SearchEngine:
                 )
 
         with breakdown.measure("lca"):
-            order = self.index.tree.order
             if self.algorithm == "slca":
-                roots = compute_slca(posting_lists, order)
+                roots = compute_slca(posting_lists)
             else:
-                roots = compute_elca(posting_lists, order)
+                roots = compute_elca(posting_lists)
 
         with breakdown.measure("result_construction"):
             results = build_all_results(

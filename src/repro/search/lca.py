@@ -11,6 +11,9 @@ and as a readable specification of the semantics:
 * **ELCA** — nodes that are the LCA of a *witness* combination of matches
   none of which lies inside a descendant that already contains all
   keywords [2].
+
+Like the optimised implementations they speak ``pre`` ids and read the
+:class:`~repro.xmltree.tree.TreeShape` the posting lists hold.
 """
 
 from __future__ import annotations
@@ -18,47 +21,46 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.index.postings import PostingList
-from repro.xmltree.dewey import Dewey, remove_ancestors
 
 
-def _ancestor_closure(labels: Iterable[Dewey]) -> set[Dewey]:
-    closure: set[Dewey] = set()
-    for label in labels:
-        for ancestor in label.ancestors(include_self=True):
-            closure.add(ancestor)
+def _ancestor_closure(ids: Iterable[int], parent: list[int]) -> set[int]:
+    closure: set[int] = set()
+    for pre in ids:
+        while pre >= 0:
+            closure.add(pre)
+            pre = parent[pre]
     return closure
 
 
-def common_ancestor_candidates(posting_lists: Sequence[PostingList]) -> set[Dewey]:
+def common_ancestor_candidates(posting_lists: Sequence[PostingList]) -> set[int]:
     """All nodes that are ancestors-or-self of >= 1 match of *every* keyword."""
     if not posting_lists:
         return set()
-    closure = _ancestor_closure(posting_lists[0])
+    parent = posting_lists[0].shape.parent
+    closure = _ancestor_closure(posting_lists[0], parent)
     for postings in posting_lists[1:]:
-        closure &= _ancestor_closure(postings)
+        closure &= _ancestor_closure(postings, parent)
     return closure
 
 
-def brute_force_slca(posting_lists: Sequence[PostingList]) -> list[Dewey]:
+def brute_force_slca(posting_lists: Sequence[PostingList]) -> list[int]:
     """SLCA by definition: common ancestors with no common-ancestor descendant.
 
-    >>> from repro.xmltree.dewey import Dewey
-    >>> a = PostingList([Dewey((0, 0)), Dewey((1, 0))])
-    >>> b = PostingList([Dewey((0, 1)), Dewey((1, 1))])
-    >>> [str(label) for label in brute_force_slca([a, b])]
-    ['0', '1']
+    >>> from repro.xmltree.builder import tree_from_dict
+    >>> shape = tree_from_dict("r", {"s": [{"a": "x", "b": "y"}, {"a": "x", "b": "y"}]}).shape
+    >>> a, b = PostingList(shape, [2, 5]), PostingList(shape, [3, 6])
+    >>> brute_force_slca([a, b])
+    [1, 4]
     """
     if not posting_lists or any(postings.is_empty for postings in posting_lists):
         return []
     candidates = common_ancestor_candidates(posting_lists)
-    if not candidates:
-        return []
     # Keep the candidates that have no descendant candidate: exactly the
     # "deepest" antichain of the candidate set.
-    return remove_ancestors(candidates)
+    return posting_lists[0].shape.remove_ancestors(candidates)
 
 
-def brute_force_elca(posting_lists: Sequence[PostingList]) -> list[Dewey]:
+def brute_force_elca(posting_lists: Sequence[PostingList]) -> list[int]:
     """ELCA by definition.
 
     A node ``v`` is an ELCA iff for every keyword there exists a match that
@@ -69,30 +71,25 @@ def brute_force_elca(posting_lists: Sequence[PostingList]) -> list[Dewey]:
     if not posting_lists or any(postings.is_empty for postings in posting_lists):
         return []
     candidates = common_ancestor_candidates(posting_lists)
-    elcas: list[Dewey] = []
-    for candidate in sorted(candidates):
-        if _is_elca(candidate, candidates, posting_lists):
-            elcas.append(candidate)
-    return elcas
+    return [
+        candidate
+        for candidate in sorted(candidates)
+        if _is_elca(candidate, candidates, posting_lists)
+    ]
 
 
 def _is_elca(
-    candidate: Dewey, candidates: set[Dewey], posting_lists: Sequence[PostingList]
+    candidate: int, candidates: set[int], posting_lists: Sequence[PostingList]
 ) -> bool:
+    size = posting_lists[0].shape.size
     # Descendant candidates of this node: matches inside them are "used up".
-    blocking = [other for other in candidates if candidate.is_ancestor_of(other)]
+    blocking = [
+        other for other in candidates if candidate < other < candidate + size[candidate]
+    ]
     for postings in posting_lists:
-        witness_found = False
-        for label in postings.descendants_of(candidate):
-            if any(block.is_ancestor_or_self(label) for block in blocking):
-                continue
-            witness_found = True
-            break
-        if not witness_found:
+        if all(
+            any(block <= match < block + size[block] for block in blocking)
+            for match in postings.descendants_of(candidate)
+        ):
             return False
     return True
-
-
-def lca_of_match_combination(matches: Sequence[Dewey]) -> Dewey:
-    """The LCA of one concrete combination of matches (one per keyword)."""
-    return Dewey.common_ancestor_of_all(matches)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 from repro.search.results import QueryResult
-from repro.xmltree.dewey import Dewey
 
 #: weights of the three ranking signals; coverage dominates.
 COVERAGE_WEIGHT = 10.0
@@ -32,17 +31,24 @@ SPECIFICITY_WEIGHT = 1.0
 def score_result(result: QueryResult) -> float:
     """Compute the ranking score of one result (higher is better)."""
     total_keywords = max(1, len(result.query.keywords))
-    matched = len(result.matched_keywords)
-    coverage = matched / total_keywords
+    # each keyword's matches are sorted ``pre`` ids: the first is its
+    # earliest node in document order, the last its latest
+    matched = [ids for ids in result.matches.values() if len(ids)]
+    coverage = len(matched) / total_keywords
 
     proximity = 0.0
-    labels = result.all_match_labels()
-    if len(labels) >= 2:
-        lca = Dewey.common_ancestor_of_all(labels)
-        span = max(label.depth - lca.depth for label in labels)
-        proximity = 1.0 / (1.0 + span)
-    elif len(labels) == 1:
-        proximity = 1.0
+    if matched:
+        first = min([ids[0] for ids in matched])
+        last = max([ids[-1] for ids in matched])
+        if first == last:  # one distinct match
+            proximity = 1.0
+        else:
+            # the LCA of a set of nodes is the LCA of its two extremes
+            shape = result.source.shape
+            level_of = shape.level.__getitem__
+            deepest = max([max(map(level_of, ids)) for ids in matched])
+            span = deepest - level_of(shape.lca(first, last))
+            proximity = 1.0 / (1.0 + span)
 
     specificity = 1.0 / (1.0 + math.log1p(max(1, result.size_nodes)))
 

@@ -2,8 +2,8 @@
 
 A query result is a subtree of the source document (the paper's Figure 1
 shows one: the ``retailer`` subtree with its stores and clothes).  We keep
-results *as references into the source document* — the result root's Dewey
-label plus the per-keyword match labels — rather than as copies, because:
+results *as references into the source document* — the result's root node
+plus the per-keyword matches as ``pre`` ids — rather than as copies, because:
 
 * the snippet generator needs the document-level schema classification
   (entity / attribute / connection is defined on source tag paths), and
@@ -15,26 +15,32 @@ Materialised copies for display are produced on demand by
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.search.query import KeywordQuery
 from repro.utils.paging import page_slice
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.order import is_ancestor_or_self
 from repro.xmltree.tree import XMLTree
 
 
 @dataclass
 class QueryResult:
-    """One query result: a subtree of ``source`` rooted at ``root``."""
+    """One query result: the subtree of ``source`` rooted at ``root_node``.
+
+    The search path names nodes by ``pre`` id — ``root_node.pre``, the ids
+    in ``matches`` — and every id here indexes ``source``, the tree the
+    result holds.  Dewey labels are derived for display and for the
+    snippet generator's instance lists: :attr:`root`, :meth:`match_labels`.
+    """
 
     query: KeywordQuery
     source: XMLTree
-    root: Dewey
-    #: per keyword, the labels of matching nodes inside this result subtree
-    matches: dict[str, tuple[Dewey, ...]] = field(default_factory=dict)
+    root_node: XMLNode
+    #: per keyword, the ``pre`` ids of the matching nodes inside this
+    #: result subtree, in document order
+    matches: dict[str, Sequence[int]] = field(default_factory=dict)
     score: float = 0.0
     result_id: int = 0
 
@@ -42,8 +48,9 @@ class QueryResult:
     # node access
     # ------------------------------------------------------------------ #
     @property
-    def root_node(self) -> XMLNode:
-        return self.source.node(self.root)
+    def root(self) -> Dewey:
+        """The root's Dewey label — what the wire prints as ``root``."""
+        return self.root_node.dewey
 
     def iter_nodes(self) -> Iterator[XMLNode]:
         """All source nodes inside the result subtree, document order."""
@@ -51,9 +58,9 @@ class QueryResult:
 
     def contains_label(self, label: Dewey) -> bool:
         """Is the labelled node part of this result subtree?"""
-        return is_ancestor_or_self(
-            self.root, label, self.source.order
-        ) and self.source.has_node(label)
+        node = self.source.find_node(label)
+        root = self.root_node
+        return node is not None and root.pre <= node.pre and node.post <= root.post
 
     @property
     def size_nodes(self) -> int:
@@ -73,21 +80,24 @@ class QueryResult:
     @property
     def matched_keywords(self) -> list[str]:
         """Keywords that have at least one match inside the result."""
-        return [keyword for keyword, labels in self.matches.items() if labels]
+        return [keyword for keyword, ids in self.matches.items() if len(ids)]
+
+    def match_labels(self, keyword: str) -> list[Dewey]:
+        """The labels of one keyword's matches, in document order."""
+        nodes = self.source.nodes_by_pre
+        return [nodes[pre].dewey for pre in self.matches.get(keyword, ())]
 
     def all_match_labels(self) -> list[Dewey]:
         """Every match label of every keyword, de-duplicated, sorted."""
-        labels: set[Dewey] = set()
-        for keyword_labels in self.matches.values():
-            labels.update(keyword_labels)
-        return sorted(labels)
+        nodes = self.source.nodes_by_pre
+        return [nodes[pre].dewey for pre in sorted(set().union(*self.matches.values()))]
 
     # ------------------------------------------------------------------ #
     # materialisation
     # ------------------------------------------------------------------ #
     def to_tree(self) -> XMLTree:
         """A standalone deep copy of the result subtree (for display)."""
-        return self.source.extract_subtree(self.root)
+        return self.source.extract_subtree(self.root_node.dewey)
 
     def text_content(self) -> str:
         """The flattened text of the result (used by the text baseline)."""

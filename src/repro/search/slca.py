@@ -8,9 +8,15 @@ neighbour in document order, found by binary search) from every other
 posting list.  Each anchor yields one SLCA candidate; the final SLCA set
 is the deepest antichain of the candidates.
 
-Complexity: ``O(|S1| · k · log|S| · depth)`` where ``S1`` is the shortest
-posting list — the same asymptotics as the original Indexed Lookup Eager
-algorithm, which is what makes SLCA-based engines scale to large documents.
+Nodes are ``pre`` ids throughout: the binary search is an integer bisect
+and an LCA is a few ``parent`` hops on the tree's
+:class:`~repro.xmltree.tree.TreeShape`.
+
+Complexity: ``O(|S1| · k · (log|S| + h))`` where ``S1`` is the shortest
+posting list and ``h`` the number of hops between a match and its LCA
+with the anchor — the asymptotics of the original Indexed Lookup Eager
+algorithm, which is what makes SLCA-based engines scale to large
+documents.
 """
 
 from __future__ import annotations
@@ -18,68 +24,52 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.index.postings import PostingList
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.order import NodeOrder, remove_ancestors
 
 
-def compute_slca(
-    posting_lists: Sequence[PostingList], order: NodeOrder | None = None
-) -> list[Dewey]:
-    """Compute the SLCA set of the given keyword posting lists.
+def compute_slca(posting_lists: Sequence[PostingList]) -> list[int]:
+    """Compute the SLCA set of the given keyword posting lists: the
+    ``pre`` ids of the result roots, in document order.
 
     Returns an empty list when any keyword has no match (conjunctive
     keyword semantics: every keyword must appear in a result).
 
-    When ``order`` — the owning tree's pre/post span table — is supplied,
-    every ancestor/descendant test runs as an O(1) range comparison
-    instead of a Dewey prefix walk.
-
-    >>> from repro.xmltree.dewey import Dewey
-    >>> stores = PostingList([Dewey((0,)), Dewey((1,))])
-    >>> texas = PostingList([Dewey((0, 2)), Dewey((1, 0, 1))])
-    >>> [str(label) for label in compute_slca([stores, texas])]
-    ['0', '1']
+    >>> from repro.xmltree.builder import tree_from_dict
+    >>> shape = tree_from_dict("retailer", {"store": [
+    ...     {"state": "Texas"}, {"merchandises": {"state": "Texas"}}]}).shape
+    >>> stores = PostingList(shape, [1, 3])
+    >>> texas = PostingList(shape, [2, 5])
+    >>> compute_slca([stores, texas])
+    [1, 3]
     """
     if not posting_lists:
         return []
     if any(postings.is_empty for postings in posting_lists):
         return []
+    shape = PostingList.common_shape(posting_lists)
     if len(posting_lists) == 1:
         # Single-keyword query: every match is its own smallest "LCA".
-        return remove_ancestors(posting_lists[0].labels, order)
+        return shape.remove_ancestors(posting_lists[0])
 
     ordered = sorted(posting_lists, key=len)
     anchor_list, others = ordered[0], ordered[1:]
 
-    candidates: list[Dewey] = []
+    candidates: list[int] = []
     for anchor in anchor_list:
         current = anchor
         for postings in others:
-            closest = postings.closest_match(current)
-            if closest is None:  # unreachable: emptiness checked above
-                return []
-            current = Dewey.common_ancestor(current, closest)
-            if current.is_root:
+            current = shape.lca(current, postings.closest_match(current))
+            if current == 0:
                 break
         candidates.append(current)
 
     # The candidate set may contain ancestors of other candidates and
     # duplicates; the SLCA set is the deepest antichain.
-    slcas = remove_ancestors(candidates, order)
+    slcas = shape.remove_ancestors(candidates)
     # Every SLCA must actually contain matches of all keywords.  With the
     # closest-match construction this holds, but we keep the check cheap
     # and explicit to guard against degenerate posting lists.
-    return [label for label in slcas if _contains_all(label, posting_lists, order)]
-
-
-def _contains_all(
-    label: Dewey, posting_lists: Sequence[PostingList], order: NodeOrder | None = None
-) -> bool:
-    return all(postings.has_descendant_of(label, order) for postings in posting_lists)
-
-
-def slca_result_roots(
-    posting_lists: Sequence[PostingList], order: NodeOrder | None = None
-) -> list[Dewey]:
-    """Alias used by the search engine: SLCA nodes are the result roots."""
-    return compute_slca(posting_lists, order)
+    return [
+        pre
+        for pre in slcas
+        if all(postings.has_descendant_of(pre) for postings in posting_lists)
+    ]

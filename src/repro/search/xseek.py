@@ -24,11 +24,11 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.classify.analyzer import DataAnalyzer
+from repro.errors import SearchError
 from repro.index.builder import DocumentIndex
 from repro.index.postings import PostingList
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
-from repro.xmltree.dewey import Dewey
 
 
 class ResultConstruction(str, Enum):
@@ -42,59 +42,29 @@ class ResultConstruction(str, Enum):
         return self.value
 
 
-def promote_to_entity_root(analyzer: DataAnalyzer, root: Dewey) -> Dewey:
-    """Promote a result root to the nearest ancestor-or-self entity node.
+def promote_to_entity_root(analyzer: DataAnalyzer, root: int) -> int:
+    """Promote a result root to the nearest ancestor-or-self entity node
+    (``pre`` id in, ``pre`` id out).
 
     When no ancestor entity exists (flat documents), the original root is
     kept — the result is then whatever subtree the LCA semantics chose.
     """
-    node = analyzer.tree.node(root)
-    owning = analyzer.owning_entity(node)
-    if owning is None:
-        return root
-    return owning.dewey
+    owner = analyzer.node_owners[root]
+    return owner if owner >= 0 else root
 
 
 def build_result_tree(
     index: DocumentIndex,
     query: KeywordQuery,
-    root: Dewey,
+    root: int,
     construction: ResultConstruction = ResultConstruction.XSEEK,
     result_id: int = 0,
     postings: dict[str, PostingList] | None = None,
 ) -> QueryResult:
-    """Build one :class:`QueryResult` for a result root label.
-
-    The per-keyword match labels recorded in the result are restricted to
-    the chosen result subtree, so downstream consumers (ranking, snippet
-    generation) never see matches that fall outside the result.
-
-    ``postings`` maps keywords to posting lists the caller already holds;
-    a keyword absent from it is looked up in the index.  Cutting a result's
-    matches out of a list is a binary search plus the matches themselves.
-    """
-    tree = index.tree
-    if construction == ResultConstruction.XSEEK:
-        root = promote_to_entity_root(index.analyzer, root)
-
-    matches: dict[str, tuple[Dewey, ...]] = {}
-    for keyword in query.keywords:
-        keyword_postings = postings.get(keyword) if postings is not None else None
-        if keyword_postings is None:
-            keyword_postings = index.keyword_matches(keyword)
-        matches[keyword] = tuple(keyword_postings.descendants_of(root, tree.order))
-
-    if construction == ResultConstruction.MATCH_PATHS:
-        # The result is conceptually the projection tree; we keep the root
-        # reference plus matches, and to_tree() materialises the paths-only
-        # projection lazily via the dedicated helper below.
-        result = _MatchPathResult(
-            query=query, source=tree, root=root, matches=matches, result_id=result_id
-        )
-    else:
-        result = QueryResult(
-            query=query, source=tree, root=root, matches=matches, result_id=result_id
-        )
+    """Build one :class:`QueryResult` for a result root (a ``pre`` id of
+    ``index.tree``): :func:`build_all_results` for a single root."""
+    (result,) = build_all_results(index, query, [root], construction, postings)
+    result.result_id = result_id
     return result
 
 
@@ -102,7 +72,7 @@ class _MatchPathResult(QueryResult):
     """A query result materialised as the match-paths projection."""
 
     def to_tree(self):  # type: ignore[override]
-        labels = self.all_match_labels() or [self.root]
+        labels = self.all_match_labels()
         labels.append(self.root)
         projection, _ = self.source.extract_projection(labels)
         return projection
@@ -119,49 +89,66 @@ class _MatchPathResult(QueryResult):
 def build_all_results(
     index: DocumentIndex,
     query: KeywordQuery,
-    roots: list[Dewey],
+    roots: list[int],
     construction: ResultConstruction = ResultConstruction.XSEEK,
     postings: dict[str, PostingList] | None = None,
 ) -> list[QueryResult]:
-    """Expand every result root; de-duplicates roots that promote to the
-    same entity (two SLCAs inside one store must not produce two identical
-    results).
+    """Expand every result root (``pre`` ids of ``index.tree``) into a
+    result; de-duplicates roots that promote to the same entity (two SLCAs
+    inside one store must not produce two identical results).
+
+    The per-keyword matches recorded in a result are restricted to the
+    chosen result subtree, so downstream consumers (ranking, snippet
+    generation) never see matches that fall outside the result.  For
+    ``MATCH_PATHS`` the result is conceptually the projection tree: it
+    keeps the root plus matches, and ``to_tree()`` materialises the
+    paths-only projection lazily.
 
     Every keyword's posting list is fetched once for the whole result
     set, not once per result: from ``postings`` — :meth:`SearchEngine.
     search <repro.search.engine.SearchEngine.search>` hands over the lists
     it computed the roots from, and then the index is not consulted at all
     — or else by one index lookup.  (A keyword indexed under both its
-    plural and its singular form costs a union and a sort of the whole
-    list per lookup.)  Construction is therefore O(results · log postings
-    + matches).
+    plural and its singular form costs a union of the two lists per
+    lookup.)  Cutting a result's matches out of a list is two bisects and
+    a slice, so construction is O(results · log postings + matches).
     """
-    held = postings or {}
-    postings = {
-        keyword: held[keyword] if keyword in held else index.keyword_matches(keyword)
-        for keyword in query.keywords
-    }
-    results: list[QueryResult] = []
-    seen_roots: set[Dewey] = set()
-    for root in roots:
-        effective_root = (
-            promote_to_entity_root(index.analyzer, root)
-            if construction == ResultConstruction.XSEEK
-            else root
+    tree = index.tree
+    nodes = tree.nodes_by_pre
+    if roots and not 0 <= min(roots) <= max(roots) < len(nodes):
+        raise SearchError(
+            f"result roots {min(roots)}..{max(roots)} lie outside the "
+            f"{len(nodes)}-node tree {tree.name!r}"
         )
-        if effective_root in seen_roots:
+    held = postings or {}
+    lists = [
+        (keyword, held[keyword] if keyword in held else index.keyword_matches(keyword))
+        for keyword in query.keywords
+    ]
+    if any(keyword_postings.shape is not tree.shape for _, keyword_postings in lists):
+        raise SearchError(f"posting lists of another tree than {tree.name!r}")
+    if construction == ResultConstruction.XSEEK:
+        analyzer = index.analyzer
+        roots = [promote_to_entity_root(analyzer, root) for root in roots]
+    result_type = (
+        _MatchPathResult if construction == ResultConstruction.MATCH_PATHS else QueryResult
+    )
+    results: list[QueryResult] = []
+    seen_roots: set[int] = set()
+    for root in roots:
+        if root in seen_roots:
             continue
-        seen_roots.add(effective_root)
+        seen_roots.add(root)
         results.append(
-            build_result_tree(
-                index,
-                query,
-                effective_root,
-                construction=ResultConstruction.SUBTREE
-                if construction == ResultConstruction.XSEEK
-                else construction,
+            result_type(
+                query=query,
+                source=tree,
+                root_node=nodes[root],
+                matches={
+                    keyword: keyword_postings.descendants_of(root)
+                    for keyword, keyword_postings in lists
+                },
                 result_id=len(results),
-                postings=postings,
             )
         )
     return results

@@ -271,7 +271,7 @@ class SnippetGenerator:
         _check_size_bound(size_bound)
         breakdown = timings if timings is not None else self.timings
         effective_query = query or result.query
-        key = (result.source.name, result.root, effective_query.keywords, size_bound)
+        key = (result.source.name, result.root_node.pre, effective_query.keywords, size_bound)
         cached = self.cache.get(key)
         if cached is not None:
             return GeneratedSnippet(

@@ -166,7 +166,7 @@ class IListBuilder:
     def _keyword_items(self, query: KeywordQuery, result: QueryResult) -> list[IListItem]:
         items: list[IListItem] = []
         for keyword in query.keywords:
-            instances = list(result.matches.get(keyword, ()))
+            instances = result.match_labels(keyword)
             if not instances:
                 instances = self._scan_keyword_instances(result, keyword)
             items.append(

@@ -20,7 +20,6 @@ from repro.search.results import QueryResult
 from repro.snippet.ilist import IList, IListItem
 from repro.snippet.snippet_tree import Snippet
 from repro.xmltree.dewey import Dewey
-from repro.xmltree.order import is_ancestor_or_self
 
 #: hard cap on the size of the search space accepted by the exact selector;
 #: beyond this the caller should be using the greedy algorithm anyway.
@@ -118,11 +117,7 @@ class OptimalInstanceSelector:
     # helpers
     # ------------------------------------------------------------------ #
     def _candidates(self, result: QueryResult, item: IListItem) -> list[Dewey]:
-        valid = [
-            label
-            for label in item.instances
-            if is_ancestor_or_self(result.root, label, result.source.order)
-        ]
+        valid = [label for label in item.instances if result.contains_label(label)]
         valid.sort(key=lambda label: (label.depth, label))
         return valid[: self.max_instances_per_item]
 

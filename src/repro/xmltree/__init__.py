@@ -2,10 +2,13 @@
 
 This package implements everything eXtract needs from an XML store:
 
-* :mod:`repro.xmltree.dewey` — Dewey (prefix) labels used by the keyword
-  indexes and by the SLCA/ELCA search algorithms,
+* :mod:`repro.xmltree.dewey` — Dewey (prefix) labels: a node's display
+  name, and how snippet instance lists, journal records and the v3 text
+  snapshot spell node positions,
 * :mod:`repro.xmltree.node` / :mod:`repro.xmltree.tree` — an in-memory
-  ordered tree model,
+  ordered tree model; a tree numbers its nodes in document order (``pre``)
+  and its :class:`~repro.xmltree.tree.TreeShape` tables are what the
+  keyword indexes and the SLCA/ELCA search algorithms compute with,
 * :mod:`repro.xmltree.builder` — programmatic construction of documents
   (used by the synthetic dataset generators),
 * :mod:`repro.xmltree.parser` — a self-contained XML parser (no external
@@ -22,8 +25,7 @@ This package implements everything eXtract needs from an XML store:
 
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.order import NodeOrder
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import TreeShape, XMLTree
 from repro.xmltree.builder import TreeBuilder
 from repro.xmltree.parser import parse_xml, parse_xml_file
 from repro.xmltree.serialize import to_xml_string, to_plain_dict
@@ -33,9 +35,9 @@ from repro.xmltree.stats import DocumentStats, compute_stats
 
 __all__ = [
     "Dewey",
-    "NodeOrder",
     "XMLNode",
     "XMLTree",
+    "TreeShape",
     "TreeBuilder",
     "parse_xml",
     "parse_xml_file",

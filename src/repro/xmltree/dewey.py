@@ -9,10 +9,13 @@ O(depth) time and without touching the tree:
 * ancestor/descendant tests (prefix tests),
 * the lowest common ancestor of two nodes (longest common prefix),
 
-which is exactly what the SLCA [Xu & Papakonstantinou, SIGMOD 2005] and
-ELCA [XRANK, SIGMOD 2003] keyword-search algorithms and eXtract's instance
-selector need.  The textual form uses dot-separated ordinals
-(``"0.2.1"``); the root's textual form is ``"r"``.
+which is what eXtract's instance selector needs, and what makes a label a
+self-describing name for a node on the wire, in the update journal and in
+the v3 text snapshot.  (The keyword indexes and the SLCA / ELCA search
+path answer the same questions on ``pre`` ids and the tree's flat
+:class:`~repro.xmltree.tree.TreeShape` tables instead — integer bisects
+and parent hops, no tuple slicing.)  The textual form uses dot-separated
+ordinals (``"0.2.1"``); the root's textual form is ``"r"``.
 """
 
 from __future__ import annotations

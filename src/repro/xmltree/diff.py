@@ -29,7 +29,6 @@ reason and the walk stops early.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.xmltree.dewey import Dewey
@@ -40,6 +39,9 @@ from repro.xmltree.tree import XMLTree
 class TextEdit:
     """One node whose text value changed between two document versions."""
 
+    #: position in document order — the same node in both versions
+    pre: int
+    #: the node's Dewey label, as the journal and replication records spell it
     label: Dewey
     tag: str
     tag_path: tuple[str, ...]
@@ -70,9 +72,6 @@ class TreeDiff:
     @property
     def is_structural(self) -> bool:
         return self.structural_reason is not None
-
-    def changed_labels(self) -> Iterator[Dewey]:
-        return (edit.label for edit in self.text_edits)
 
     def __repr__(self) -> str:
         if self.is_structural:
@@ -128,6 +127,7 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
                 continue  # "" vs None: indistinguishable to the pipeline
             edits.append(
                 TextEdit(
+                    pre=old_node.pre,
                     label=old_node.dewey,
                     tag=old_node.tag,
                     tag_path=old_node.tag_path,

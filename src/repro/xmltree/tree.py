@@ -1,20 +1,69 @@
 """The XML document tree.
 
-:class:`XMLTree` owns a root :class:`~repro.xmltree.node.XMLNode` and keeps
-a Dewey → node registry so that search results (which are sets of Dewey
-labels) can be materialised into node instances in O(1) per label.  It also
-provides subtree extraction, which is how query result trees and snippet
-trees are cut out of the document.
+:class:`XMLTree` owns a root :class:`~repro.xmltree.node.XMLNode`, numbers
+its nodes in document order (``pre`` — the identity the index and the
+search path use, see :class:`TreeShape`) and keeps a Dewey → node registry
+for everything that names a node by its label: snippet instance lists,
+journal and replication records, the v3 text snapshot.  It also provides
+subtree extraction, which is how query result trees and snippet trees are
+cut out of the document.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from repro.errors import ExtractError
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
-from repro.xmltree.order import NodeOrder
+
+
+class TreeShape(NamedTuple):
+    """The shape of an indexed tree: three flat tables indexed by ``pre``.
+
+    ``pre`` — a node's position in document order — is the node identity
+    the search path computes with: posting lists are sorted ``pre`` ids,
+    and every structural question SLCA / ELCA, result construction and
+    ranking ask is a read of these tables.  A node's subtree is the id
+    range ``[pre, pre + size[pre])``, so ``a`` is an ancestor-or-self of
+    ``b`` iff ``a <= b < a + size[a]``.
+
+    The tables say nothing about tags or text: two trees that differ in
+    text values only have equal shapes, and a text-only update hands the
+    tables of the old version to the new one (:meth:`XMLTree.adopt_shape`)
+    — which is why ids held across such an update still mean the same
+    positions.  The lists are never edited once built.
+    """
+
+    #: ``pre`` of the parent; ``-1`` for the root
+    parent: list[int]
+    #: depth below the root
+    level: list[int]
+    #: number of nodes in the subtree, the node itself included
+    size: list[int]
+
+    def lca(self, a: int, b: int) -> int:
+        """The lowest common ancestor-or-self of two nodes: ``parent``
+        hops from the earlier one until its subtree reaches the later."""
+        if a > b:
+            a, b = b, a
+        parent, size = self.parent, self.size
+        while b >= a + size[a]:
+            a = parent[a]
+        return a
+
+    def remove_ancestors(self, ids: Iterable[int]) -> list[int]:
+        """The ids that have no descendant among ``ids``, in document
+        order.  A node's descendants directly follow it in document order,
+        so it has one in the collection iff the next id is one."""
+        ordered = sorted(set(ids))
+        size = self.size
+        return [
+            pre
+            for position, pre in enumerate(ordered, 1)
+            if position == len(ordered) or ordered[position] >= pre + size[pre]
+        ]
 
 
 class XMLTree:
@@ -28,6 +77,12 @@ class XMLTree:
     public ``append_child`` arrives already labelled and is relabelled to
     the same values.
 
+    Nodes have two names.  ``pre`` (with :attr:`shape` and
+    :attr:`nodes_by_pre`) is what the index and the search path compute
+    with; the Dewey label is derived from it for display and for the
+    formats that spell node positions as text — :meth:`node` and
+    :meth:`find_node` turn a label back into its node.
+
     >>> from repro.xmltree.builder import TreeBuilder
     >>> builder = TreeBuilder("retailer")
     >>> _ = builder.add_value("name", "Brook Brothers")
@@ -35,7 +90,9 @@ class XMLTree:
     >>> tree.root.tag
     'retailer'
     >>> tree.size_nodes
-    3
+    2
+    >>> tree.shape.size  # subtree sizes by pre: the root's, then <name>'s
+    [2, 1]
     """
 
     def __init__(self, root: XMLNode, name: str = "document"):
@@ -45,7 +102,7 @@ class XMLTree:
         self.root = root
         self._registry: dict[Dewey, XMLNode] = {}
         self._by_pre: list[XMLNode] = []
-        self._order: NodeOrder | None = None
+        self._shape: TreeShape | None = None
         self._reindex()
 
     # ------------------------------------------------------------------ #
@@ -104,22 +161,46 @@ class XMLTree:
         # The registry was filled on the way down, so its values are the
         # nodes in pre-order: position ``i`` holds the node with ``pre == i``.
         self._by_pre = list(registry.values())
-        self._order = None
+        self._shape = None
 
     def refresh(self) -> None:
         """Public hook to re-label and re-register after manual edits."""
         self._reindex()
 
     @property
-    def order(self) -> NodeOrder:
-        """The pre/post span table for O(1) ancestor/descendant tests.
+    def shape(self) -> TreeShape:
+        """The ``parent`` / ``level`` / subtree ``size`` tables by ``pre``.
 
-        Built lazily from the ids assigned in :meth:`_reindex` and
-        invalidated whenever the tree reindexes.
+        Built on first use from the ids :meth:`_reindex` assigned — a tree
+        nobody indexes or searches never pays for them — and dropped
+        whenever the tree reindexes.
         """
-        if self._order is None:
-            self._order = NodeOrder.from_tree(self)
-        return self._order
+        shape = self._shape
+        if shape is None:
+            nodes = self._by_pre
+            parent = [node.parent.pre for node in nodes[1:]]
+            parent.insert(0, -1)
+            shape = self._shape = TreeShape(
+                parent,
+                [node.level for node in nodes],
+                [node.post - node.pre + node.level + 1 for node in nodes],
+            )
+        return shape
+
+    def adopt_shape(self, shape: TreeShape) -> None:
+        """Share the tables of another version of this document.
+
+        For the text-only update path only: the caller guarantees the two
+        trees have the same shape (:func:`repro.xmltree.diff.diff_trees`
+        compared them position by position), so the posting lists of the
+        old version — which hold ``shape`` — index this tree as they are.
+        """
+        if len(shape.size) != len(self._by_pre):
+            raise ExtractError(
+                f"cannot adopt the shape of a {len(shape.size)}-node tree "
+                f"for the {len(self._by_pre)}-node tree {self.name!r}"
+            )
+        self._shape = shape
 
     # ------------------------------------------------------------------ #
     # lookup

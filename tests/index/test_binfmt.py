@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 
 import pytest
 
 from repro.corpus import Corpus
 from repro.errors import StorageError
+from repro.index import binfmt
 from repro.index.binfmt import (
     BINARY_FILE,
     BINARY_FORMAT_VERSION,
@@ -42,10 +44,8 @@ def assert_equivalent(loaded, original):
     assert loaded.structure.known_tags == original.structure.known_tags
     assert loaded.structure.known_paths == original.structure.known_paths
     for path in original.structure.known_paths:
-        assert (
-            loaded.structure.instances_of_path(path).labels
-            == original.structure.instances_of_path(path).labels
-        )
+        assert loaded.structure.instances_of_path(path) == original.structure.instances_of_path(path)
+        assert loaded.structure.instances_of_path(path).shape is loaded.tree.shape
         assert loaded.structure.category_of_path(path) == original.structure.category_of_path(path)
 
 
@@ -76,14 +76,19 @@ class TestRoundTrip:
         assert len(results) == 2
 
     def test_indexed_nodes_matches_text_load(self, small_index, tmp_path):
-        # Both loaders derive indexed_nodes the same way (sum of posting
-        # lengths), so stats stay identical whichever format served them.
+        # indexed_nodes is the document's node count on every path — as
+        # built, from either loader, and after an incremental update — not
+        # the sum of posting-list lengths the loaders used to report.
+        nodes = small_index.tree.size_nodes
+        assert small_index.inverted.indexed_nodes == nodes
+        assert sum(len(p) for p in small_index.inverted.postings_dict().values()) != nodes
         write_v3_index(small_index, tmp_path / "v3")
         write_binary_index(small_index, tmp_path / "v4")
-        from_text = load_index(tmp_path / "v3")
+        assert load_index(tmp_path / "v3").inverted.indexed_nodes == nodes
         for lazy in (False, True):
-            from_binary = load_binary_index(tmp_path / "v4", lazy=lazy)
-            assert from_binary.inverted.indexed_nodes == from_text.inverted.indexed_nodes
+            loaded = load_binary_index(tmp_path / "v4", lazy=lazy).inverted
+            assert loaded.indexed_nodes == nodes
+            assert loaded.apply_delta({"fresh": {1}}, {}).indexed_nodes == nodes
 
     def test_deterministic_bytes(self, small_index):
         assert build_binary_snapshot(small_index) == build_binary_snapshot(small_index)
@@ -217,6 +222,86 @@ class TestCorruption:
             Corpus.load_dir(tmp_path / "corpus")
 
 
+def patch_posting_id(data: bytearray, section_id: int, entry: int, position: int, value: int):
+    """Overwrite one u32 id of one blob of a directory section and recompute
+    the checksum, so that the id check itself is what has to notice."""
+    for slot in range(len(binfmt._REQUIRED_SECTIONS)):
+        found, section, _ = binfmt._TABLE_ENTRY.unpack_from(
+            data, binfmt._HEADER.size + binfmt._TABLE_ENTRY.size * slot
+        )
+        if found == section_id:
+            break
+    _, count, blob = binfmt._DIR_ENTRY.unpack_from(
+        data, section + binfmt._U32.size + binfmt._DIR_ENTRY.size * entry
+    )
+    struct.pack_into("<I", data, section + blob + 4 * (position % count), value)
+    body = len(data) - binfmt._TRAILER.size
+    struct.pack_into("<I", data, body, zlib.crc32(bytes(data[:body])))
+    return data
+
+
+class TestHostileIds:
+    """A ``pre`` id names a position, so one that names no node of this
+    document — or the wrong one — is a StorageError where the list is
+    decoded, never an IndexError or a plausible answer later."""
+
+    corrupt = TestCorruption.corrupt
+
+    @pytest.fixture()
+    def binary_dir(self, small_index, tmp_path):
+        write_binary_index(small_index, tmp_path / "idx")
+        return tmp_path / "idx"
+
+    @pytest.mark.parametrize(
+        "position, value",
+        [(-1, 10**6), (-1, None), (0, 2**32 - 1), (1, 0)],
+        ids=["past-the-end", "the-node-count", "minus-one-as-u32", "descending"],
+    )
+    def test_keyword_blob(self, small_index, binary_dir, position, value):
+        vocabulary = small_index.inverted.vocabulary  # sorted, like the directory
+        entry = vocabulary.index("texas")
+        assert len(small_index.inverted.postings_dict()["texas"]) == 2
+        if value is None:
+            value = small_index.tree.size_nodes  # the smallest id out of range
+        self.corrupt(
+            binary_dir,
+            lambda d: patch_posting_id(d, binfmt._SEC_POSTINGS, entry, position, value),
+        )
+        with pytest.raises(StorageError, match="ids must ascend and stay below"):
+            load_binary_index(binary_dir, lazy=False)
+        # the lazy loader reads the directory only; the list fails when decoded
+        lazy = load_binary_index(binary_dir)
+        assert lazy.inverted.lookup("houston") == small_index.inverted.lookup("houston")
+        for _ in range(2):  # a failed decode does not turn the term into "absent"
+            with pytest.raises(StorageError, match="postings for 'texas'"):
+                lazy.inverted.lookup("texas")
+        with pytest.raises(StorageError):
+            lazy.inverted.postings_dict()
+
+    def test_structure_blob_out_of_range(self, small_index, binary_dir):
+        self.corrupt(
+            binary_dir,
+            lambda d: patch_posting_id(d, binfmt._SEC_STRUCTURE, 0, -1, small_index.tree.size_nodes),
+        )
+        with pytest.raises(StorageError, match="structure postings"):
+            load_binary_index(binary_dir)
+
+    def test_structure_lists_must_cover_every_node_once(self, small_index, binary_dir):
+        # the last path's last instance renamed to a node another path
+        # already lists: still ascending and in range, the count is right,
+        # but one node is listed twice and one not at all
+        paths = small_index.structure.known_paths
+        instances = small_index.structure.instances_of_path(paths[-1])
+        taken = instances[-1] - 1
+        assert taken not in instances and (len(instances) < 2 or instances[-2] < taken)
+        self.corrupt(
+            binary_dir,
+            lambda d: patch_posting_id(d, binfmt._SEC_STRUCTURE, len(paths) - 1, -1, taken),
+        )
+        with pytest.raises(StorageError, match="expected"):
+            load_binary_index(binary_dir)
+
+
 class TestLazyMaterialisation:
     def test_postings_stay_pending_until_looked_up(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
@@ -231,7 +316,8 @@ class TestLazyMaterialisation:
         lazy = load_binary_index(tmp_path / "idx").inverted
         eager = load_binary_index(tmp_path / "idx", lazy=False).inverted
         for term in sorted(small_index.inverted.vocabulary):
-            assert lazy.lookup(term).labels == eager.lookup(term).labels
+            assert lazy.lookup(term) == eager.lookup(term)
+            assert len(lazy.lookup(term)) >= 1
 
     def test_contains_term_does_not_materialise_blob(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
@@ -249,9 +335,9 @@ class TestLazyMaterialisation:
         write_binary_index(small_index, tmp_path / "idx")
         lazy = load_binary_index(tmp_path / "idx").inverted
         eager = load_binary_index(tmp_path / "idx", lazy=False).inverted
-        label = small_index.inverted.lookup("texas").labels[0]
-        added = {"fresh-term": {label}}
-        removed = {"texas": {label}}
+        pre = small_index.inverted.lookup("texas")[0]
+        added = {"fresh-term": {pre}}
+        removed = {"texas": {pre}}
         lazy_after = lazy.apply_delta(added, removed)
         eager_after = eager.apply_delta(added, removed)
         assert lazy_after.postings_dict() == eager_after.postings_dict()

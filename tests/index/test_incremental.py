@@ -14,45 +14,45 @@ from repro.index.builder import IndexBuilder
 from repro.index.incremental import apply_text_update
 from repro.index.postings import PostingList
 from repro.xmltree.builder import tree_from_dict
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.diff import diff_trees
 
 
-def D(text: str) -> Dewey:
-    return Dewey.parse(text)
+#: a flat ten-node document: with_changes is pure id arithmetic
+SHAPE = tree_from_dict("r", {"leaf": ["x"] * 9}).shape
 
 
 class TestPostingListWithChanges:
     def test_add_and_remove(self):
-        plist = PostingList([D("0"), D("1"), D("2")])
-        changed = plist.with_changes(added=[D("0.1"), D("3")], removed=[D("1")])
-        assert changed.to_strings() == ["0", "0.1", "2", "3"]
+        plist = PostingList(SHAPE, [0, 2, 4])
+        changed = plist.with_changes(added=[1, 6], removed=[2])
+        assert list(changed) == [0, 1, 4, 6]
 
     def test_original_untouched(self):
-        plist = PostingList([D("0"), D("1")])
-        plist.with_changes(removed=[D("0")])
-        assert plist.to_strings() == ["0", "1"]
+        plist = PostingList(SHAPE, [0, 1])
+        plist.with_changes(removed=[0])
+        assert list(plist) == [0, 1]
 
-    def test_add_existing_label_is_idempotent(self):
-        plist = PostingList([D("0")])
-        assert plist.with_changes(added=[D("0")]).to_strings() == ["0"]
+    def test_add_existing_id_is_idempotent(self):
+        plist = PostingList(SHAPE, [0])
+        assert list(plist.with_changes(added=[0])) == [0]
 
-    def test_remove_then_add_same_label_keeps_it(self):
-        plist = PostingList([D("0"), D("1")])
-        changed = plist.with_changes(added=[D("1")], removed=[D("1")])
-        assert changed.to_strings() == ["0", "1"]
+    def test_remove_then_add_same_id_keeps_it(self):
+        plist = PostingList(SHAPE, [0, 1])
+        changed = plist.with_changes(added=[1], removed=[1])
+        assert list(changed) == [0, 1]
 
     def test_empty_base(self):
-        changed = PostingList().with_changes(added=[D("2"), D("1")])
-        assert changed.to_strings() == ["1", "2"]
+        changed = PostingList(SHAPE).with_changes(added=[2, 1])
+        assert list(changed) == [1, 2]
 
     def test_matches_constructor_semantics(self):
-        base = [D("0"), D("2"), D("4.1"), D("7")]
-        added = [D("1"), D("4"), D("2")]
-        removed = [D("7"), D("0.0")]
-        merged = PostingList(base).with_changes(added=added, removed=removed)
-        expected = PostingList((set(base) - set(removed)) | set(added))
+        base = [0, 2, 5, 7]
+        added = [1, 4, 2]
+        removed = [7, 3]
+        merged = PostingList(SHAPE, base).with_changes(added=added, removed=removed)
+        expected = PostingList(SHAPE, (set(base) - set(removed)) | set(added))
         assert merged == expected
+        assert merged.shape is SHAPE
 
 
 class TestInvertedApplyDelta:
@@ -181,10 +181,20 @@ class TestChangedTermBookkeeping:
         assert update.touches_keyword("boxes")
         assert not update.touches_keyword("y")
 
-    def test_changed_labels_are_the_edited_nodes(self):
+    def test_changed_pres_are_the_edited_nodes(self):
         old_tree = tree_from_dict("shop", {"a": "one", "b": "two"})
         new_tree = tree_from_dict("shop", {"a": "one", "b": "three"})
         old = IndexBuilder().build(old_tree)
         update = apply_text_update(old, new_tree, diff_trees(old_tree, new_tree))
-        assert len(update.changed_labels) == 1
-        assert update.index.tree.node(update.changed_labels[0]).text == "three"
+        assert len(update.changed_pres) == 1
+        assert update.index.tree.nodes_by_pre[update.changed_pres[0]].text == "three"
+
+    def test_the_updated_tree_adopts_the_old_shape(self):
+        old_tree = tree_from_dict("shop", {"a": "one", "b": "two"})
+        new_tree = tree_from_dict("shop", {"a": "one", "b": "three"})
+        old = IndexBuilder().build(old_tree)
+        update = apply_text_update(old, new_tree, diff_trees(old_tree, new_tree))
+        # ... so untouched lists (shared objects) index the new tree too
+        assert new_tree.shape is old_tree.shape
+        assert update.index.keyword_matches("one") is old.keyword_matches("one")
+        assert update.index.keyword_matches("three").shape is new_tree.shape

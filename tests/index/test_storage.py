@@ -23,9 +23,8 @@ class TestSaveLoad:
         loaded = load_index(directory)
         assert loaded.tree.size_nodes == small_index.tree.size_nodes
         assert loaded.inverted.vocabulary == small_index.inverted.vocabulary
-        assert loaded.keyword_matches("texas").to_strings() == small_index.keyword_matches(
-            "texas"
-        ).to_strings()
+        assert len(loaded.keyword_matches("texas")) == 2
+        assert loaded.keyword_matches("texas") == small_index.keyword_matches("texas")
 
     def test_loaded_index_searchable(self, small_index, tmp_path):
         from repro.search.engine import SearchEngine
@@ -63,8 +62,8 @@ class TestSaveLoad:
         save_index(changed, directory)
         assert os.listdir(directory) == ["snapshot.bin"]
         loaded = load_index(directory)
-        assert loaded.keyword_matches("levis").to_strings()
-        assert not loaded.keyword_matches("texas").to_strings()
+        assert len(loaded.keyword_matches("levis")) == 1
+        assert loaded.keyword_matches("texas").is_empty
 
 
 @pytest.fixture()
@@ -183,7 +182,8 @@ class TestSnapshotV3:
         restored = loaded.inverted.postings_dict()
         assert sorted(original) == sorted(restored)
         for term, postings in original.items():
-            assert restored[term].to_strings() == postings.to_strings(), term
+            assert restored[term] == postings, term
+            assert restored[term].shape is loaded.tree.shape, term
 
     def test_repeated_save_load_is_stable(self, small_index, v3_dir, tmp_path):
         # The stored posting lists are authoritative: what the reader hands
@@ -238,4 +238,17 @@ class TestSnapshotV3:
                 break
         index_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(StorageError):
+            load_index(v3_dir)
+
+    @pytest.mark.parametrize("label", ["99.99.99", "0.x"])
+    def test_a_keyword_posting_outside_the_document_raises(self, small_index, v3_dir, label):
+        # The stored keyword lists replace the rebuilt ones, and their
+        # labels become positions in the stored document on the way in: a
+        # label that document does not have (or that is no label) cannot.
+        index_file = v3_dir / "inverted.idx"
+        lines = index_file.read_text(encoding="utf-8").splitlines()
+        position = next(i for i, line in enumerate(lines) if line.startswith("T texas "))
+        lines[position] += f" {label}"
+        index_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(StorageError, match="stored postings for 'texas'"):
             load_index(v3_dir)

@@ -8,7 +8,6 @@ from repro.classify.analyzer import DataAnalyzer
 from repro.classify.categories import NodeCategory
 from repro.errors import IndexNotBuiltError
 from repro.index.structure import StructureIndex
-from repro.xmltree.dewey import Dewey
 
 
 @pytest.fixture()
@@ -18,46 +17,28 @@ def structure(small_retailer_tree):
 
 
 class TestLookups:
-    def test_instances_of_tag(self, structure):
-        assert len(structure.instances_of_tag("store")) == 2
-        assert len(structure.instances_of_tag("clothes")) == 3
-        assert structure.instances_of_tag("missing").is_empty
-
-    def test_instances_of_path(self, structure):
+    def test_instances_of_path(self, structure, small_retailer_tree):
         path = ("retailer", "store", "city")
-        assert len(structure.instances_of_path(path)) == 2
+        cities = structure.instances_of_path(path)
+        assert [small_retailer_tree.nodes_by_pre[pre] for pre in cities] == (
+            small_retailer_tree.find_by_tag("city")
+        )
+        assert cities.shape is small_retailer_tree.shape
         assert structure.instances_of_path(("nope",)).is_empty
 
-    def test_tag_path_of_label(self, structure, small_retailer_tree):
-        store = small_retailer_tree.find_by_tag("store")[0]
-        assert structure.tag_path_of(store.dewey) == ("retailer", "store")
-        assert structure.tag_of(store.dewey) == "store"
-        assert structure.tag_path_of(Dewey((9, 9))) is None
-        assert structure.tag_of(Dewey((9, 9))) is None
-
-    def test_category_of_label(self, structure, small_retailer_tree):
-        store = small_retailer_tree.find_by_tag("store")[0]
-        city = small_retailer_tree.find_by_tag("city")[0]
-        assert structure.category_of(store.dewey) == NodeCategory.ENTITY
-        assert structure.category_of(city.dewey) == NodeCategory.ATTRIBUTE
-        assert structure.category_of(Dewey((9, 9))) == NodeCategory.CONNECTION
+    def test_the_paths_partition_the_document(self, structure, small_retailer_tree):
+        listed = sorted(
+            pre for path in structure.known_paths for pre in structure.instances_of_path(path)
+        )
+        assert listed == list(range(small_retailer_tree.size_nodes))
 
     def test_category_of_path(self, structure):
         assert structure.category_of_path(("retailer", "store")) == NodeCategory.ENTITY
         assert structure.category_of_path(("other",)) == NodeCategory.CONNECTION
 
-    def test_parent_of(self, structure, small_retailer_tree):
-        city = small_retailer_tree.find_by_tag("city")[0]
-        assert structure.parent_of(city.dewey) == city.dewey.parent()
-        assert structure.parent_of(Dewey.root()) is None
-
-    def test_children_of(self, structure, small_retailer_tree):
-        store = small_retailer_tree.find_by_tag("store")[0]
-        children = structure.children_of(store.dewey)
-        assert children == [child.dewey for child in store.children]
-
-    def test_known_tags_and_paths(self, structure):
+    def test_known_tags_and_paths(self, structure, small_retailer_tree):
         assert "store" in structure.known_tags
+        assert structure.known_tags == sorted({node.tag for node in small_retailer_tree.iter_nodes()})
         assert ("retailer", "store") in structure.known_paths
 
     def test_entity_paths(self, structure):
@@ -66,8 +47,8 @@ class TestLookups:
 
     def test_unbuilt_raises(self):
         with pytest.raises(IndexNotBuiltError):
-            StructureIndex().instances_of_tag("x")
+            StructureIndex().instances_of_path(("x",))
 
     def test_repr(self, structure):
-        assert "tags=" in repr(structure)
+        assert "paths=" in repr(structure)
         assert "unbuilt" in repr(StructureIndex())

@@ -49,17 +49,21 @@ def write_v3_index(index: DocumentIndex, directory: str | os.PathLike[str]) -> N
         )
         postings_map = index.inverted.postings_dict()
         known_paths = index.structure.known_paths
+        nodes = index.tree.nodes_by_pre
+
+        def label_texts(postings) -> str:
+            # in-memory posting lists hold pre ids; this format spells labels
+            return " ".join(str(nodes[pre].dewey) for pre in postings)
+
         handle.write(f"#counts terms={len(postings_map)} paths={len(known_paths)}\n")
         for term in sorted(postings_map):
             # The raw per-term lists, not lookup() results: lookup folds
             # plural forms together, which would inflate the snapshot
             # and drift on repeated save/load cycles.
-            labels = " ".join(postings_map[term].to_strings())
-            handle.write(f"T {term} {labels}\n")
+            handle.write(f"T {term} {label_texts(postings_map[term])}\n")
         for tag_path in sorted(known_paths):
             postings = index.structure.instances_of_path(tag_path)
-            labels = " ".join(postings.to_strings())
-            handle.write(f"P {_PATH_SEPARATOR.join(tag_path)} {labels}\n")
+            handle.write(f"P {_PATH_SEPARATOR.join(tag_path)} {label_texts(postings)}\n")
         handle.write(f"{_END_SENTINEL}\n")
 
 

@@ -56,8 +56,10 @@ def xml_trees(draw, max_children: int = 4, max_depth: int = 4):
 
 @st.composite
 def posting_list_groups(draw, max_keywords: int = 3):
-    """1-3 posting lists of random labels (keyword match lists)."""
-    from repro.index.postings import PostingList
+    """1-3 keyword match lists of random labels, as a
+    :class:`tests.search.label_doc.LabelDoc`: the int posting lists over
+    the smallest tree that has those labels, and the oracle's label lists."""
+    from tests.search.label_doc import LabelDoc
 
     count = draw(st.integers(min_value=1, max_value=max_keywords))
-    return [PostingList(draw(label_sets(max_size=8))) for _ in range(count)]
+    return LabelDoc(*(draw(label_sets(max_size=8)) for _ in range(count)))

@@ -4,137 +4,123 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import IndexError_
 from repro.index.postings import PostingList
 from repro.search.elca import compute_elca
-from repro.search.lca import (
-    brute_force_elca,
-    brute_force_slca,
-    common_ancestor_candidates,
-    lca_of_match_combination,
-)
+from repro.search.lca import brute_force_elca, brute_force_slca, common_ancestor_candidates
 from repro.search.slca import compute_slca
-from repro.xmltree.dewey import Dewey
+from repro.xmltree.parser import parse_xml
+from tests.search.label_doc import LabelDoc
 
 
-def plist(*texts: str) -> PostingList:
-    return PostingList(Dewey.parse(text) for text in texts)
+def slca(*keywords) -> list[str]:
+    doc = LabelDoc(*keywords)
+    return doc.texts(compute_slca(doc.lists))
+
+
+def elca(*keywords) -> list[str]:
+    doc = LabelDoc(*keywords)
+    return doc.texts(compute_elca(doc.lists))
 
 
 class TestSLCA:
     def test_basic_two_results(self):
         # two stores each containing both keywords
-        a = plist("0.0", "1.0")
-        b = plist("0.1", "1.1")
-        assert [str(x) for x in compute_slca([a, b])] == ["0", "1"]
+        assert slca(["0.0", "1.0"], ["0.1", "1.1"]) == ["0", "1"]
 
     def test_root_is_slca_when_matches_split(self):
-        a = plist("0.0")
-        b = plist("1.0")
-        assert [str(x) for x in compute_slca([a, b])] == ["r"]
+        assert slca(["0.0"], ["1.0"]) == ["r"]
 
     def test_smaller_lca_excludes_ancestor(self):
         # one tight match pair under 0.0 and a stray match of b at 1;
         # the SLCA is 0.0 only (the root is an ancestor of an LCA)
-        a = plist("0.0.0")
-        b = plist("0.0.1", "1")
-        assert [str(x) for x in compute_slca([a, b])] == ["0.0"]
+        assert slca(["0.0.0"], ["0.0.1", "1"]) == ["0.0"]
 
     def test_single_keyword(self):
-        a = plist("0.1", "0.1.2", "2")
         # every match is a result; ancestors removed
-        assert [str(x) for x in compute_slca([a])] == ["0.1.2", "2"]
+        assert slca(["0.1", "0.1.2", "2"]) == ["0.1.2", "2"]
 
     def test_empty_posting_list_gives_no_results(self):
-        assert compute_slca([plist("0"), PostingList()]) == []
+        assert slca(["0"], []) == []
         assert compute_slca([]) == []
 
     def test_same_node_matches_all_keywords(self):
-        a = plist("0.3")
-        b = plist("0.3")
-        assert [str(x) for x in compute_slca([a, b])] == ["0.3"]
+        assert slca(["0.3"], ["0.3"]) == ["0.3"]
 
     def test_three_keywords(self):
-        a = plist("0.0", "1.0")
-        b = plist("0.1", "1.1")
-        c = plist("0.2", "2")
-        assert [str(x) for x in compute_slca([a, b, c])] == ["0"]
+        assert slca(["0.0", "1.0"], ["0.1", "1.1"], ["0.2", "2"]) == ["0"]
 
     def test_matches_brute_force_on_fixed_cases(self):
         cases = [
-            [plist("0.0", "1.0"), plist("0.1", "1.1")],
-            [plist("0.0.0", "0.1"), plist("0.0.1", "1"), plist("0.0.2")],
-            [plist("0", "1", "2"), plist("1.5", "2.9")],
-            [plist("0.1.2.3"), plist("0.1.2.4", "0.2")],
+            LabelDoc(["0.0", "1.0"], ["0.1", "1.1"]),
+            LabelDoc(["0.0.0", "0.1"], ["0.0.1", "1"], ["0.0.2"]),
+            LabelDoc(["0", "1", "2"], ["1.5", "2.9"]),
+            LabelDoc(["0.1.2.3"], ["0.1.2.4", "0.2"]),
         ]
-        for posting_lists in cases:
-            assert compute_slca(posting_lists) == brute_force_slca(posting_lists)
+        for doc in cases:
+            assert compute_slca(doc.lists) == brute_force_slca(doc.lists)
+
+    def test_lists_of_two_trees_are_refused(self):
+        # ids of different trees compare without complaint; the shapes do not
+        first = parse_xml("<r><a/><b/></r>").tree
+        second = parse_xml("<r><a/><b/></r>").tree
+        lists = [PostingList(first.shape, [1]), PostingList(second.shape, [2])]
+        with pytest.raises(IndexError_, match="different trees"):
+            compute_slca(lists)
+        with pytest.raises(IndexError_, match="different trees"):
+            compute_elca(lists)
 
 
 class TestELCA:
     def test_elca_includes_ancestor_with_own_witness(self):
         # 0 contains both keywords; the root additionally has its own
         # matches (a at 2, b at 1) -> both 0 and the root are ELCAs.
-        a = plist("0.0", "2")
-        b = plist("0.1", "1")
-        assert [str(x) for x in compute_elca([a, b])] == ["r", "0"]
+        assert elca(["0.0", "2"], ["0.1", "1"]) == ["r", "0"]
 
     def test_elca_excludes_ancestor_without_own_witness(self):
-        a = plist("0.0")
-        b = plist("0.1")
-        assert [str(x) for x in compute_elca([a, b])] == ["0"]
+        assert elca(["0.0"], ["0.1"]) == ["0"]
 
     def test_elca_superset_of_slca(self):
-        a = plist("0.0", "2", "1.0.0")
-        b = plist("0.1", "1", "1.0.1")
-        slca = set(compute_slca([a, b]))
-        elca = set(compute_elca([a, b]))
-        assert slca <= elca
+        doc = LabelDoc(["0.0", "2", "1.0.0"], ["0.1", "1", "1.0.1"])
+        assert set(compute_slca(doc.lists)) <= set(compute_elca(doc.lists))
 
     def test_single_keyword_every_match_is_elca(self):
-        a = plist("0", "1.2")
-        assert compute_elca([a]) == list(a)
+        assert elca(["0", "1.2"]) == ["0", "1.2"]
 
     def test_empty_input(self):
         assert compute_elca([]) == []
-        assert compute_elca([plist("0"), PostingList()]) == []
+        assert elca(["0"], []) == []
 
     def test_blocked_witnesses_do_not_count(self):
         # child 0 contains all keywords; the root's only extra match is of
         # keyword a (at 1), keyword b occurs only inside 0 -> root is NOT an ELCA.
-        a = plist("0.0", "1")
-        b = plist("0.1")
-        assert [str(x) for x in compute_elca([a, b])] == ["0"]
+        assert elca(["0.0", "1"], ["0.1"]) == ["0"]
 
     def test_matches_brute_force_on_fixed_cases(self):
         cases = [
-            [plist("0.0", "2"), plist("0.1", "1")],
-            [plist("0.0", "1"), plist("0.1")],
-            [plist("0.0.0", "0.1"), plist("0.0.1", "0.2")],
-            [plist("0", "1"), plist("0.0", "1.0"), plist("0.1", "1.1")],
+            LabelDoc(["0.0", "2"], ["0.1", "1"]),
+            LabelDoc(["0.0", "1"], ["0.1"]),
+            LabelDoc(["0.0.0", "0.1"], ["0.0.1", "0.2"]),
+            LabelDoc(["0", "1"], ["0.0", "1.0"], ["0.1", "1.1"]),
         ]
-        for posting_lists in cases:
-            assert compute_elca(posting_lists) == brute_force_elca(posting_lists)
+        for doc in cases:
+            assert compute_elca(doc.lists) == brute_force_elca(doc.lists)
 
 
 class TestBruteForceHelpers:
     def test_common_ancestor_candidates(self):
-        a = plist("0.0")
-        b = plist("0.1")
-        candidates = common_ancestor_candidates([a, b])
-        assert candidates == {Dewey.root(), Dewey((0,))}
+        doc = LabelDoc(["0.0"], ["0.1"])
+        assert doc.texts(sorted(common_ancestor_candidates(doc.lists))) == ["r", "0"]
 
     def test_candidates_empty_when_no_overlap(self):
         # still share the root
-        a = plist("0")
-        b = plist("1")
-        assert common_ancestor_candidates([a, b]) == {Dewey.root()}
+        doc = LabelDoc(["0"], ["1"])
+        assert doc.texts(common_ancestor_candidates(doc.lists)) == ["r"]
 
     def test_candidates_of_empty_input(self):
         assert common_ancestor_candidates([]) == set()
 
-    def test_lca_of_match_combination(self):
-        assert lca_of_match_combination([Dewey.parse("0.1.2"), Dewey.parse("0.1.5")]) == Dewey.parse("0.1")
-
     def test_brute_force_empty_lists(self):
         assert brute_force_slca([]) == []
-        assert brute_force_elca([plist("0"), PostingList()]) == []
+        doc = LabelDoc(["0"], [])
+        assert brute_force_elca(doc.lists) == []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SearchError
+from repro.index.builder import IndexBuilder
 from repro.search.query import KeywordQuery
 from repro.search.slca import compute_slca
 from repro.search.xseek import (
@@ -24,21 +26,22 @@ def slca_roots(small_index):
 class TestPromotion:
     def test_connection_root_promoted_to_entity(self, small_index, small_retailer_tree):
         merchandises = small_retailer_tree.find_by_tag("merchandises")[0]
-        promoted = promote_to_entity_root(small_index.analyzer, merchandises.dewey)
-        assert small_retailer_tree.node(promoted).tag == "store"
+        promoted = promote_to_entity_root(small_index.analyzer, merchandises.pre)
+        assert small_retailer_tree.nodes_by_pre[promoted] is merchandises.parent
+        assert merchandises.parent.tag == "store"
 
     def test_attribute_promoted_to_owning_entity(self, small_index, small_retailer_tree):
         city = small_retailer_tree.find_by_tag("city")[0]
-        promoted = promote_to_entity_root(small_index.analyzer, city.dewey)
-        assert small_retailer_tree.node(promoted).tag == "store"
+        promoted = promote_to_entity_root(small_index.analyzer, city.pre)
+        assert small_retailer_tree.nodes_by_pre[promoted] is city.parent
 
     def test_entity_root_stays(self, small_index, small_retailer_tree):
         store = small_retailer_tree.find_by_tag("store")[0]
-        assert promote_to_entity_root(small_index.analyzer, store.dewey) == store.dewey
+        assert promote_to_entity_root(small_index.analyzer, store.pre) == store.pre
 
     def test_node_without_entity_ancestor_stays(self, small_index, small_retailer_tree):
         name = small_retailer_tree.root.find_child("name")
-        assert promote_to_entity_root(small_index.analyzer, name.dewey) == name.dewey
+        assert promote_to_entity_root(small_index.analyzer, name.pre) == name.pre
 
 
 class TestBuildResultTree:
@@ -47,20 +50,22 @@ class TestBuildResultTree:
         result = build_result_tree(
             small_index, query, roots[0], construction=ResultConstruction.SUBTREE
         )
-        assert result.root == roots[0]
+        assert result.root_node.pre == roots[0]
+        assert result.root == small_index.tree.nodes_by_pre[roots[0]].dewey
         assert result.size_nodes == result.root_node.subtree_size_nodes()
 
     def test_matches_restricted_to_result(self, small_index, slca_roots):
         query, roots = slca_roots
         result = build_result_tree(small_index, query, roots[0])
-        for labels in result.matches.values():
-            assert all(result.contains_label(label) for label in labels)
+        assert any(len(ids) for ids in result.matches.values())
+        for keyword in result.matches:
+            assert all(result.contains_label(label) for label in result.match_labels(keyword))
 
     def test_xseek_promotes_and_keeps_whole_entity(self, small_index, small_retailer_tree):
         query = KeywordQuery.parse("houston")
         city = small_retailer_tree.find_by_tag("city")[0]
         result = build_result_tree(
-            small_index, query, city.dewey, construction=ResultConstruction.XSEEK
+            small_index, query, city.pre, construction=ResultConstruction.XSEEK
         )
         assert result.root_node.tag == "store"
         # the full store subtree is present (self-contained result)
@@ -90,13 +95,13 @@ class TestBuildAllResults:
         # two different clothes nodes inside the same store
         clothes = small_retailer_tree.find_by_tag("clothes")[:2]
         results = build_all_results(
-            small_index, query, [node.dewey for node in clothes], construction=ResultConstruction.XSEEK
+            small_index, query, [node.pre for node in clothes], construction=ResultConstruction.XSEEK
         )
         assert len(results) == 2  # each clothes is its own entity, no merging
         merged = build_all_results(
             small_index,
             query,
-            [clothes[0].children[0].dewey, clothes[0].children[1].dewey],
+            [clothes[0].children[0].pre, clothes[0].children[1].pre],
             construction=ResultConstruction.XSEEK,
         )
         assert len(merged) == 1  # both attributes promote to the same clothes entity
@@ -128,7 +133,7 @@ class TestSharedPostingLists:
                 ResultConstruction.SUBTREE if construction == ResultConstruction.XSEEK else construction,
                 result_id=position,
             )
-            for position, root in enumerate(result.root for result in shared)
+            for position, root in enumerate(result.root_node.pre for result in shared)
         ]
 
         assert shared == looked_up
@@ -148,7 +153,7 @@ class TestSharedPostingLists:
         assert shared == build_all_results(figure5_idx, query, roots)
         for result in shared:
             assert result == build_result_tree(
-                figure5_idx, query, result.root, ResultConstruction.SUBTREE, result.result_id
+                figure5_idx, query, result.root_node.pre, ResultConstruction.SUBTREE, result.result_id
             )
 
     def test_a_keyword_the_caller_does_not_hold_is_looked_up(self, small_index, slca_roots):
@@ -157,3 +162,22 @@ class TestSharedPostingLists:
         assert build_all_results(small_index, query, roots, postings=partial) == build_all_results(
             small_index, query, roots
         )
+
+
+class TestProvenance:
+    """Roots and posting lists are ints: what they index is checked."""
+
+    @pytest.mark.parametrize("root", [-1, 10**6])
+    def test_a_root_outside_the_tree_is_an_error(self, small_index, root):
+        query = KeywordQuery.parse("store")
+        with pytest.raises(SearchError, match="lie outside"):
+            build_all_results(small_index, query, [root])
+
+    def test_posting_lists_of_another_tree_are_refused(self, small_index, small_retailer_tree):
+        from repro.xmltree.diff import clone_tree
+
+        other = IndexBuilder().build(clone_tree(small_retailer_tree))
+        query = KeywordQuery.parse("store")
+        foreign = {"store": other.keyword_matches("store")}
+        with pytest.raises(SearchError, match="another tree"):
+            build_all_results(small_index, query, [1], postings=foreign)

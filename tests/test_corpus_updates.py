@@ -87,6 +87,51 @@ class TestUpdateDocument:
             SnippetService(rebuilt), "clothes shirts"
         )
 
+    def test_structural_edit_that_shifts_every_position_drops_the_old_shape(self):
+        # Result roots, snippet-cache keys and posting lists are positions
+        # in document order.  One <store> inserted first shifts every later
+        # position: nothing computed on the old shape may answer afterwards.
+        def with_a_store_in_front(tree):
+            front = tree_from_dict("store", {"name": "Annex", "city": "Austin"}).root
+            tree.root.children.insert(1, front)  # right after <name>
+            front.parent = tree.root
+            tree.refresh()
+            return tree
+
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree())
+        service = SnippetService(corpus)
+        queries = ("store austin", "clothes", "galleria suit", "stores")
+        for query in queries:
+            assert not service.run(
+                SearchRequest(query=query, document="doc", size_bound=6, page_size=1)
+            ).from_cache
+        old = corpus.entry("doc")
+        assert len(old.system.cache) and len(old.system.generator.cache) and len(old.postings)
+        old_store = old.system.index.keyword_matches("store")
+
+        report = corpus.update_document("doc", with_a_store_in_front(retailer_tree()))
+        assert not report.incremental
+
+        new = corpus.entry("doc")
+        assert not len(new.system.cache) and not len(new.system.generator.cache)
+        assert not len(new.postings)
+        new_store = new.system.index.keyword_matches("store")
+        assert new_store.shape is new.system.index.tree.shape is not old_store.shape
+        assert list(new_store) != list(old_store)
+        rebuilt = Corpus()
+        rebuilt.add_tree("doc", with_a_store_in_front(retailer_tree()))
+        theirs = SnippetService(rebuilt)
+        for query in queries:
+            for page in (1, 2, 3):
+                ours = service.run(SearchRequest(
+                    query=query, document="doc", size_bound=6, page_size=1, page=page
+                ))
+                assert ours.from_cache == (page > 1), (query, page)
+                assert json.dumps(ours.to_dict(), sort_keys=True) == wire(
+                    theirs, query, page_size=1, page=page
+                ), (query, page)
+
     def test_update_unknown_document_raises(self):
         with pytest.raises(ExtractError):
             Corpus().update_document("ghost", retailer_tree())
