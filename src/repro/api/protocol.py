@@ -82,6 +82,11 @@ HTTP_STATUS_BY_CODE = {
     "internal": 500,
 }
 
+#: most (query, document) pairs one batch may expand to — a bound like the
+#: HTTP frontend's ``MAX_BODY_BYTES``, not a tuning knob: a batch is
+#: evaluated to the end once admitted, so its size is checked at the door
+MAX_BATCH_FANOUT = 10_000
+
 #: exception class → error code, most specific class first (the lookup
 #: walks the exception's MRO, so subclasses inherit their parent's code
 #: unless listed themselves).
@@ -344,7 +349,19 @@ class BatchRequest:
                     raise ProtocolError(
                         f"every batch document must be a non-empty string, got {document!r}"
                     )
+            self.check_fanout(len(self.documents))
         return self
+
+    def check_fanout(self, document_count: int) -> None:
+        """Reject a batch that expands to more than :data:`MAX_BATCH_FANOUT`
+        (query, document) pairs.  :meth:`validate` applies it to an explicit
+        document list; whoever resolves ``documents=None`` to every
+        registered document applies it to what that turned out to be."""
+        if len(self.queries) * document_count > MAX_BATCH_FANOUT:
+            raise ProtocolError(
+                f"batch of {len(self.queries)} queries over {document_count} documents "
+                f"exceeds the limit of {MAX_BATCH_FANOUT} query-document pairs"
+            )
 
     def search_request(self, query: str, document: str) -> SearchRequest:
         """The equivalent single-query request for one (query, document)."""

@@ -133,6 +133,7 @@ class SnippetService(ServingBackendBase):
             # concurrent remove/add cannot fail the batch part-way.
             entries = self.corpus.entries_snapshot()
             names = [entry.name for entry in entries]
+            batch.check_fanout(len(names))
 
         shared = KeywordQuery.share([KeywordQuery.parse(raw) for raw in batch.queries])
         pairs = list(zip(batch.queries, shared))

@@ -9,6 +9,8 @@ consumes.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -19,6 +21,7 @@ from repro.classify.categories import (
     entity_paths,
 )
 from repro.classify.keys import KeyInfo, KeyMiner
+from repro.utils.text import normalize_value
 from repro.xmltree.dtd import DTD
 from repro.xmltree.node import XMLNode
 from repro.xmltree.schema import SchemaSummary, TagPath, infer_schema
@@ -56,10 +59,35 @@ class SubtreeScan(NamedTuple):
     #: the entity instances of the subtree in document order; the subtree
     #: root always counts as one (it plays the entity role for its result)
     entities: list[XMLNode]
-    #: every attribute instance of the subtree in document order, paired
-    #: with its owning entity — ``None`` when the attribute has no owning
-    #: entity or the owner lies above the subtree root
-    attributes: list[tuple[XMLNode, XMLNode | None]]
+
+
+#: what a feature id stands for: ``(owning-entity tag, attribute tag,
+#: normalised value)`` — the owner tag is ``None`` for an attribute no
+#: entity owns
+FeatureKey = tuple[str | None, str, str]
+
+
+class FeatureTable(NamedTuple):
+    """The §2.3 feature every node of a document carries, as interned ids.
+
+    ``ids[pre]`` is the id of the feature of the attribute node at ``pre``
+    — ``(tag of its owning entity, its own tag, its normalised value)`` —
+    and ``-1`` for every node that carries none (not an attribute, no
+    value, or a value that normalises to nothing).  Counting the features
+    of a result subtree is counting a slice of ``ids``.  None of the three
+    members is edited once the table is published; a text-only update
+    patches a copy (:meth:`DataAnalyzer.rebound_to_same_shape`), so
+    whoever holds a table — the analyzer of a retired version, a cached
+    :class:`~repro.snippet.features.FeatureStatistics` — keeps reading the
+    version it was computed on.
+    """
+
+    #: per node, by ``pre``: its feature id, ``-1`` for none
+    ids: list[int]
+    #: per feature id: what it stands for
+    keys: list[FeatureKey]
+    #: the inverse of ``keys``
+    id_of: dict[FeatureKey, int]
 
 
 class DataAnalyzer:
@@ -71,7 +99,7 @@ class DataAnalyzer:
     the ``pre`` of its owning entity (the nearest ancestor-or-self entity,
     ``-1`` when there is none).  ``category_of`` / ``is_entity`` /
     ``is_attribute`` / ``owning_entity`` are reads of those tables, and
-    :meth:`scan_subtree` is one pass over a slice of them.  The tables are
+    :meth:`scan_subtree` is a search of a slice of them.  The tables are
     built before the constructor (or :meth:`rebound` /
     :meth:`rebound_to_same_shape`) returns and never change afterwards, so
     a published analyzer can be read from any thread; they are valid for as
@@ -79,6 +107,12 @@ class DataAnalyzer:
     tree, every update builds a new tree and a new analyzer.  A node the
     tables do not cover (a node of another tree, a detached node) is
     classified by its own tag path instead.
+
+    A third table, :attr:`feature_table` — the interned feature id of every
+    attribute node — is built the first time a snippet is generated for
+    the document (a document nobody snippets never pays for it; concurrent
+    first readers build it once) and has the same lifetime: immutable once
+    published, carried over a text-only update as a patched copy.
 
     >>> from repro.xmltree.builder import tree_from_dict
     >>> tree = tree_from_dict("retailer", {
@@ -100,8 +134,10 @@ class DataAnalyzer:
         self.dtd = dtd
         self.schema: SchemaSummary = infer_schema(tree, dtd=dtd)
         self.categories: dict[TagPath, NodeCategory] = classify_schema(self.schema)
-        self.entity_types: dict[TagPath, EntityType] = {}
-        self._build_entity_types()
+        self.entity_types: dict[TagPath, EntityType] = self._mined_entity_types()
+        self._entity_type_of_tag = _first_entity_type_per_tag(self.entity_types)
+        self._features: FeatureTable | None = None
+        self._features_lock = threading.Lock()
         self._bind_nodes()
 
     @classmethod
@@ -132,15 +168,19 @@ class DataAnalyzer:
         tree: XMLTree,
         schema: SchemaSummary,
         entity_types: dict[TagPath, EntityType],
+        changed_pres: Iterable[int],
     ) -> "DataAnalyzer":
         """This analyzer re-bound to a tree that differs in text values only.
 
         The text-only update path: same elements in the same places, so the
         categories are copied verbatim and the per-node tables — ints keyed
         by ``pre`` — are carried over as they are; only the node list is
-        the new tree's.  ``schema`` and ``entity_types`` are the caller's
-        patched copies, as for :meth:`rebound`; that ``tree`` has this
-        analyzer's tree's shape is the caller's to guarantee
+        the new tree's.  The feature table, when this analyzer has built
+        one, is carried as a copy in which only the nodes at
+        ``changed_pres`` — the nodes whose text differs — are re-derived;
+        this analyzer keeps its own.  ``schema`` and ``entity_types`` are
+        the caller's patched copies, as for :meth:`rebound`; that ``tree``
+        has this analyzer's tree's shape is the caller's to guarantee
         (:func:`repro.index.incremental.apply_text_update` accepts only a
         text-only diff).
         """
@@ -148,6 +188,12 @@ class DataAnalyzer:
         analyzer._nodes = tree.nodes_by_pre
         analyzer._node_codes = self._node_codes
         analyzer._node_owners = self._node_owners
+        carried = self._features
+        if carried is not None:
+            table = FeatureTable(list(carried.ids), list(carried.keys), dict(carried.id_of))
+            for pre in changed_pres:
+                table.ids[pre] = analyzer._feature_id_of(pre, table, normalize_value)
+            analyzer._features = table
         return analyzer
 
     # ------------------------------------------------------------------ #
@@ -168,6 +214,9 @@ class DataAnalyzer:
         analyzer.schema = schema
         analyzer.categories = categories
         analyzer.entity_types = entity_types
+        analyzer._entity_type_of_tag = _first_entity_type_per_tag(entity_types)
+        analyzer._features = None
+        analyzer._features_lock = threading.Lock()
         return analyzer
 
     def _bind_nodes(self) -> None:
@@ -209,19 +258,84 @@ class DataAnalyzer:
         self._node_codes = bytes(codes)
         self._node_owners = owners
 
-    def _build_entity_types(self) -> None:
+    def _mined_entity_types(self) -> dict[TagPath, EntityType]:
         paths = entity_paths(self.schema)
-        miner = KeyMiner(self.schema)
-        keys = miner.mine(self.tree, paths)
-        for path in paths:
-            schema_node = self.schema.node_for(path)
-            self.entity_types[path] = EntityType(
+        keys = KeyMiner(self.schema).mine(self.tree, paths)
+        return {
+            path: EntityType(
                 tag_path=path,
                 tag=path[-1],
-                instance_count=schema_node.instance_count,
+                instance_count=self.schema.node_for(path).instance_count,
                 attribute_paths=attribute_paths_of(self.schema, path),
                 key=keys.get(path),
             )
+            for path in paths
+        }
+
+    # ------------------------------------------------------------------ #
+    # the feature table
+    # ------------------------------------------------------------------ #
+    @property
+    def feature_table(self) -> FeatureTable:
+        """The interned feature id of every node of the bound tree.
+
+        Built on first use, under a lock: threads that ask for the table of
+        a cold document at the same moment wait for one build and share
+        its result.
+        """
+        table = self._features
+        if table is None:
+            with self._features_lock:
+                table = self._features
+                if table is None:
+                    table = self._features = self._build_feature_table()
+        return table
+
+    def normalized_value(self, node: XMLNode) -> str:
+        """``normalize_value(node.text)`` — read off the feature table for
+        an attribute node of the bound tree, where it is already there."""
+        if self.covers(node) and self._node_codes[node.pre] == _ATTRIBUTE:
+            table = self.feature_table
+            feature_id = table.ids[node.pre]
+            return table.keys[feature_id][2] if feature_id >= 0 else ""
+        return normalize_value(node.text or "")
+
+    def _build_feature_table(self) -> FeatureTable:
+        """One pass over the nodes; a raw value that repeats — most do —
+        is normalised once for the whole document."""
+        table = FeatureTable([-1] * len(self._nodes), [], {})
+        normalised: dict[str, str] = {}
+
+        def normalise(raw: str) -> str:
+            value = normalised.get(raw)
+            if value is None:
+                value = normalised[raw] = normalize_value(raw)
+            return value
+
+        ids = table.ids
+        for pre in range(len(ids)):
+            ids[pre] = self._feature_id_of(pre, table, normalise)
+        return table
+
+    def _feature_id_of(self, pre: int, table: FeatureTable, normalise) -> int:
+        """The id of the feature the node at ``pre`` carries now, interned
+        into ``table`` when it is new; ``-1`` when the node carries none."""
+        if self._node_codes[pre] != _ATTRIBUTE:
+            return -1
+        node = self._nodes[pre]
+        raw = node.text
+        if not raw:
+            return -1
+        value = normalise(raw)
+        if not value:
+            return -1
+        owner = self._node_owners[pre]
+        key = (self._nodes[owner].tag if owner >= 0 else None, node.tag, value)
+        feature_id = table.id_of.get(key)
+        if feature_id is None:
+            feature_id = table.id_of[key] = len(table.keys)
+            table.keys.append(key)
+        return feature_id
 
     # ------------------------------------------------------------------ #
     # queries
@@ -233,15 +347,16 @@ class DataAnalyzer:
         # nor to carry a value, and the analyzer answers instead of erroring.
         return self.categories.get(tag_path, NodeCategory.CONNECTION)
 
-    def _covers(self, node: XMLNode) -> bool:
-        """Is ``node`` a node of the bound tree, i.e. do the tables hold it?"""
+    def covers(self, node: XMLNode) -> bool:
+        """Is ``node`` a node of the bound tree, i.e. do the per-node tables
+        (:attr:`node_owners`, :attr:`feature_table`) hold it?"""
         pre = node.pre
         return pre < len(self._nodes) and self._nodes[pre] is node
 
     def _code_of(self, node: XMLNode) -> int:
         """The category code of a node: a table read for a node of the
         analyzer's own tree, its tag path's category for any other."""
-        if self._covers(node):
+        if self.covers(node):
             return self._node_codes[node.pre]
         return _CODE_OF_CATEGORY[self.category_of_path(node.tag_path)]
 
@@ -268,11 +383,7 @@ class DataAnalyzer:
 
     def entity_type_by_tag(self, tag: str) -> EntityType | None:
         """The (first, highest) entity type with the given tag."""
-        matches = [entity for entity in self.entity_types.values() if entity.tag == tag]
-        if not matches:
-            return None
-        matches.sort(key=lambda entity: (len(entity.tag_path), entity.tag_path))
-        return matches[0]
+        return self._entity_type_of_tag.get(tag)
 
     def key_of_entity_path(self, entity_path: TagPath) -> KeyInfo | None:
         entity = self.entity_types.get(entity_path)
@@ -285,7 +396,7 @@ class DataAnalyzer:
         associated with the entity instance (the ``store``) it describes,
         which defines the feature triple of §2.3.
         """
-        if self._covers(node):
+        if self.covers(node):
             owner = self._node_owners[node.pre]
             return self._nodes[owner] if owner >= 0 else None
         for candidate in node.iter_ancestors(include_self=True):
@@ -301,42 +412,31 @@ class DataAnalyzer:
         return self._node_owners
 
     def scan_subtree(self, root: XMLNode) -> SubtreeScan:
-        """The entity and attribute instances of the subtree under ``root``.
+        """The entity instances of the subtree under ``root``.
 
         For a node of the analyzer's tree the subtree is the ``pre`` range
-        ``[root.pre, root.pre + size)``, so this is one pass over that
-        slice of the tables; an owner is an ancestor-or-self of a node in
-        the range, hence inside the subtree exactly when its ``pre`` is not
-        below the root's.  Any other root is walked and classified node by
-        node, with the same outcome.
+        ``[root.pre, root.pre + size)``, so this is one search of that
+        slice of the category table per entity found.  Any other root is
+        walked and classified node by node, with the same outcome.
         """
-        entities: list[XMLNode] = []
-        attributes: list[tuple[XMLNode, XMLNode | None]] = []
-        if self._covers(root):
+        if self.covers(root):
             nodes = self._nodes
-            owners = self._node_owners
             start = root.pre
+            codes = self._node_codes
             end = root.post + root.level + 1  # = start + subtree size
-            if self._node_codes[start] != _ENTITY:
-                entities.append(root)
-            for pre, code in enumerate(self._node_codes[start:end], start):
-                if code == _ATTRIBUTE:
-                    owner = owners[pre]
-                    attributes.append((nodes[pre], nodes[owner] if owner >= start else None))
-                elif code == _ENTITY:
-                    entities.append(nodes[pre])
-            return SubtreeScan(entities, attributes)
-        root_depth = root.dewey.depth
-        for node in root.iter_subtree():
-            code = self._code_of(node)
-            if code == _ENTITY or node is root:
-                entities.append(node)
-            if code == _ATTRIBUTE:
-                owner = self.owning_entity(node)
-                if owner is not None and owner.dewey.depth < root_depth:
-                    owner = None
-                attributes.append((node, owner))
-        return SubtreeScan(entities, attributes)
+            entities = [] if codes[start] == _ENTITY else [root]
+            pre = codes.find(_ENTITY, start, end)
+            while pre >= 0:
+                entities.append(nodes[pre])
+                pre = codes.find(_ENTITY, pre + 1, end)
+            return SubtreeScan(entities)
+        return SubtreeScan(
+            [
+                node
+                for node in root.iter_subtree()
+                if node is root or self._code_of(node) == _ENTITY
+            ]
+        )
 
     def attribute_children(self, entity_node: XMLNode) -> list[XMLNode]:
         """The attribute instances directly under an entity instance."""
@@ -355,3 +455,14 @@ class DataAnalyzer:
             f"<DataAnalyzer tree={self.tree.name!r} entities={counts['entity']} "
             f"attributes={counts['attribute']} connections={counts['connection']}>"
         )
+
+
+def _first_entity_type_per_tag(entity_types: dict[TagPath, EntityType]) -> dict[str, EntityType]:
+    """Per entity tag, the entity type highest in the document (shortest
+    tag path, then the smallest path) — what a tag alone refers to."""
+    by_tag: dict[str, EntityType] = {}
+    for entity in sorted(
+        entity_types.values(), key=lambda entity: (len(entity.tag_path), entity.tag_path)
+    ):
+        by_tag.setdefault(entity.tag, entity)
+    return by_tag

@@ -295,6 +295,7 @@ class ClusterService(ServingBackendBase):
             )
             names = [name for name, _, _ in everything]
             captured = [(shard, pin) for _, shard, pin in everything]
+            batch.check_fanout(len(names))
         owners = [shard.shard_id for shard, _ in captured]
 
         # Group by owning shard, preserving each shard's slice of the

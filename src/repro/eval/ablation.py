@@ -75,7 +75,7 @@ def run_ablation_dominance(
                 captured = [
                     item
                     for item in reference_ilist.coverable_items()
-                    if any(raw_generated.snippet.contains_label(label) for label in item.instances)
+                    if any(raw_generated.snippet.contains(pre) for pre in item.instances)
                 ]
                 raw_generated.snippet.covered_items = captured
                 raw_generated.ilist = reference_ilist

@@ -19,6 +19,10 @@ module applies the edit as a set of deltas instead:
   their instances, not the whole tree).
 * **structure index** — stores node positions, tag paths and categories
   only, none of which a text edit can move; the object is shared as-is.
+* **feature table** — the analyzer's per-node feature ids (what snippet
+  generation counts) exist only once a snippet was generated for the
+  document; then they are carried as a copy with the edited nodes
+  re-derived, one value normalisation per edit.
 * **tree shape** — the edited tree has the old one's shape, so it adopts
   the old tree's ``parent``/``level``/``size`` tables: every posting list
   the edit did not touch, every cached result root and every snippet-cache
@@ -121,7 +125,8 @@ def apply_text_update(
                 key=new_key,
             )
 
-    analyzer = old_analyzer.rebound_to_same_shape(new_tree, schema, entity_types)
+    changed_pres = tuple(edit.pre for edit in diff.text_edits)
+    analyzer = old_analyzer.rebound_to_same_shape(new_tree, schema, entity_types, changed_pres)
     index = DocumentIndex(
         tree=new_tree,
         analyzer=analyzer,
@@ -130,7 +135,7 @@ def apply_text_update(
     )
     return IncrementalUpdate(
         index=index,
-        changed_pres=tuple(edit.pre for edit in diff.text_edits),
+        changed_pres=changed_pres,
         changed_terms=frozenset(added) | frozenset(removed),
         remined_entity_paths=tuple(sorted(affected)),
         key_attributes_changed=key_changed,

@@ -29,10 +29,10 @@ from repro.xmltree.tree import XMLTree
 class QueryResult:
     """One query result: the subtree of ``source`` rooted at ``root_node``.
 
-    The search path names nodes by ``pre`` id — ``root_node.pre``, the ids
-    in ``matches`` — and every id here indexes ``source``, the tree the
-    result holds.  Dewey labels are derived for display and for the
-    snippet generator's instance lists: :attr:`root`, :meth:`match_labels`.
+    Search and snippet generation name nodes by ``pre`` id —
+    ``root_node.pre``, the ids in ``matches``, the instances of the
+    result's IList — and every id here indexes ``source``, the tree the
+    result holds.  The Dewey label is derived for display: :attr:`root`.
     """
 
     query: KeywordQuery
@@ -56,11 +56,11 @@ class QueryResult:
         """All source nodes inside the result subtree, document order."""
         return self.root_node.iter_subtree()
 
-    def contains_label(self, label: Dewey) -> bool:
-        """Is the labelled node part of this result subtree?"""
-        node = self.source.find_node(label)
+    def contains(self, pre: int) -> bool:
+        """Is the node at ``pre`` (of ``source``) part of this result
+        subtree?  A subtree is the id range ``[root.pre, root.pre + size)``."""
         root = self.root_node
-        return node is not None and root.pre <= node.pre and node.post <= root.post
+        return root.pre <= pre <= root.post + root.level
 
     @property
     def size_nodes(self) -> int:
@@ -82,15 +82,10 @@ class QueryResult:
         """Keywords that have at least one match inside the result."""
         return [keyword for keyword, ids in self.matches.items() if len(ids)]
 
-    def match_labels(self, keyword: str) -> list[Dewey]:
-        """The labels of one keyword's matches, in document order."""
-        nodes = self.source.nodes_by_pre
-        return [nodes[pre].dewey for pre in self.matches.get(keyword, ())]
-
-    def all_match_labels(self) -> list[Dewey]:
-        """Every match label of every keyword, de-duplicated, sorted."""
-        nodes = self.source.nodes_by_pre
-        return [nodes[pre].dewey for pre in sorted(set().union(*self.matches.values()))]
+    def all_matches(self) -> list[int]:
+        """The ``pre`` id of every match of every keyword, de-duplicated,
+        in document order."""
+        return sorted(set().union(*self.matches.values()))
 
     # ------------------------------------------------------------------ #
     # materialisation

@@ -72,7 +72,8 @@ class _MatchPathResult(QueryResult):
     """A query result materialised as the match-paths projection."""
 
     def to_tree(self):  # type: ignore[override]
-        labels = self.all_match_labels()
+        nodes = self.source.nodes_by_pre
+        labels = [nodes[pre].dewey for pre in self.all_matches()]
         labels.append(self.root)
         projection, _ = self.source.extract_projection(labels)
         return projection

@@ -99,6 +99,17 @@ class TextWindowSnippetGenerator:
         return TextSnippet(result=result, text=" ... ".join(pieces), window_words=self.words_per_window)
 
 
+def _items_inside(ilist: IList, snippet: Snippet) -> list[IListItem]:
+    """Coverage re-attributed in terms of the real IList, so quality
+    metrics compare like with like: an item counts as covered when one of
+    its instances happens to be inside the snippet."""
+    return [
+        item
+        for item in ilist
+        if item.has_instances and any(snippet.contains(pre) for pre in item.instances)
+    ]
+
+
 # ---------------------------------------------------------------------- #
 # first-K-edges baseline
 # ---------------------------------------------------------------------- #
@@ -118,26 +129,18 @@ class FirstEdgesSnippetGenerator:
         ilist = self._ilist_builder.build(effective_query, result)
         snippet = Snippet(result)
         for node in result.iter_nodes():
-            if node.dewey == result.root:
+            if node is result.root_node:
                 continue
-            if snippet.size_edges + snippet.cost_of(node.dewey) > size_bound:
+            if snippet.size_edges + snippet.cost_of(node.pre) > size_bound:
                 break
             item = IListItem(
                 kind=ItemKind.ENTITY_NAME,
                 text=node.tag,
                 identity=f"first-edges:{node.dewey}",
-                instances=[node.dewey],
+                instances=[node.pre],
             )
-            snippet.add_instance(item, node.dewey)
-        # Re-attribute coverage in terms of the real IList so quality
-        # metrics compare like with like: an item counts as covered when
-        # one of its instances happens to be inside the snippet.
-        snippet.covered_items = [
-            item
-            for item in ilist
-            if item.has_instances
-            and any(snippet.contains_label(instance) for instance in item.instances)
-        ]
+            snippet.add_instance(item, node.pre)
+        snippet.covered_items = _items_inside(ilist, snippet)
         return GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)
 
 
@@ -210,24 +213,19 @@ class RandomSubtreeSnippetGenerator:
         ilist = self._ilist_builder.build(effective_query, result)
         rng = random.Random(self._seed + result.result_id)
         snippet = Snippet(result)
-        nodes = [node.dewey for node in result.iter_nodes() if node.dewey != result.root]
+        nodes = [node for node in result.iter_nodes() if node is not result.root_node]
         rng.shuffle(nodes)
-        for label in nodes:
+        for node in nodes:
             if snippet.size_edges >= size_bound:
                 break
-            if snippet.size_edges + snippet.cost_of(label) > size_bound:
+            if snippet.size_edges + snippet.cost_of(node.pre) > size_bound:
                 continue
             item = IListItem(
                 kind=ItemKind.ENTITY_NAME,
-                text=str(label),
-                identity=f"random:{label}",
-                instances=[label],
+                text=str(node.dewey),
+                identity=f"random:{node.dewey}",
+                instances=[node.pre],
             )
-            snippet.add_instance(item, label)
-        snippet.covered_items = [
-            item
-            for item in ilist
-            if item.has_instances
-            and any(snippet.contains_label(instance) for instance in item.instances)
-        ]
+            snippet.add_instance(item, node.pre)
+        snippet.covered_items = _items_inside(ilist, snippet)
         return GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)

@@ -24,7 +24,6 @@ from repro.snippet.features import (
     extract_features,
     is_dominant_score,
 )
-from repro.xmltree.dewey import Dewey
 
 
 @dataclass
@@ -37,7 +36,8 @@ class ScoredFeature:
     value_count: int
     type_count: int
     domain_size: int
-    instances: list[Dewey]
+    #: ``pre`` ids of the attribute nodes carrying the feature, document order
+    instances: list[int]
 
     @property
     def is_trivially_dominant(self) -> bool:
@@ -72,27 +72,17 @@ class DominantFeatureIdentifier:
         self, result: QueryResult, statistics: FeatureStatistics | None, dominant_only: bool
     ) -> list[ScoredFeature]:
         statistics = statistics if statistics is not None else extract_features(self.analyzer, result)
-        scored: list[ScoredFeature] = []
-        for entry in statistics.all_occurrences():
-            feature = entry.feature
-            type_count = statistics.type_count(feature.entity, feature.attribute)
-            domain_size = statistics.domain_size(feature.entity, feature.attribute)
-            score = dominance(entry.count, type_count, domain_size)
-            if dominant_only and not is_dominant_score(score, domain_size):
-                continue
-            scored.append(
-                ScoredFeature(
-                    feature=feature,
-                    display_value=entry.display_value,
-                    score=score,
-                    value_count=entry.count,
-                    type_count=type_count,
-                    domain_size=domain_size,
-                    # its own copy: the statistics keep theirs, and both are
-                    # cached and shared between requests
-                    instances=list(entry.instances),
-                )
-            )
+        # Scored as ints; only the features that stay get a Feature, a
+        # display value and an instance list.
+        kept = {}
+        for feature_id, value_count, type_count, domain_size in statistics.scored_ids():
+            score = dominance(value_count, type_count, domain_size)
+            if not dominant_only or is_dominant_score(score, domain_size):
+                kept[feature_id] = (score, value_count, type_count, domain_size)
+        scored = [
+            ScoredFeature(entry.feature, entry.display_value, *kept[feature_id], entry.instances)
+            for feature_id, entry in statistics.occurrences_of_ids(kept).items()
+        ]
         scored.sort(key=lambda item: (-item.score, -item.value_count, str(item.feature)))
         return scored
 

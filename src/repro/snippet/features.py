@@ -16,19 +16,26 @@ the total number of occurrences of the type and ``D(e, a)`` the number of
 distinct values of the type inside ``R`` — i.e. the value's frequency
 normalised by the average frequency of values of the same type.
 
-This module extracts all features of a result together with the node
-instances carrying each feature (needed later by the instance selector).
+All three are counts, and the analyzer already knows which feature every
+node of the document carries (:attr:`DataAnalyzer.feature_table
+<repro.classify.analyzer.DataAnalyzer.feature_table>`), so the statistics
+of a result are a count over the slice of that table its subtree spans.
+:class:`Feature` objects, display values and instance lists — ``pre`` ids,
+which is what the instance selector prices — are made for the features
+somebody asks about, not for every feature of the result.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count
 
-from repro.classify.analyzer import DataAnalyzer, SubtreeScan
+from repro.classify.analyzer import DataAnalyzer, FeatureKey
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_value
-from repro.xmltree.dewey import Dewey
+from repro.xmltree.node import XMLNode
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,8 @@ class FeatureOccurrences:
 
     feature: Feature
     display_value: str
-    instances: list[Dewey] = field(default_factory=list)
+    #: ``pre`` ids of the attribute nodes carrying the feature, document order
+    instances: list[int] = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -83,63 +91,109 @@ class FeatureStatistics:
     Provides exactly the quantities of §2.3: ``N(e, a, v)``, ``N(e, a)``,
     ``D(e, a)`` and the dominance score, plus the instance lists the
     instance selector needs.
+
+    Inside, a feature is an int.  ``ids`` holds, for every node of the
+    result subtree (position ``i`` is the node at ``pre == start + i``),
+    the id of the feature it carries or ``-1``; ``keys[id]`` says what a
+    non-negative id stands for, and ids from ``-2`` downwards stand for
+    ``local_keys[-2 - id]`` — features that exist only under this result's
+    root (see :func:`extract_features`).  The §2.3 quantities are counts
+    of those ints; a :class:`Feature`, its display value and its instance
+    list are derived for the features a caller names (the dominant ones,
+    for the IList) or, by the accessors that enumerate, for all of them.
+
+    The object reads the tables it was given and the nodes of
+    ``result.source`` whenever it is asked, and none of them ever changes
+    (an update builds new ones), so it describes the document version it
+    was computed on for as long as it is kept.
     """
 
-    def __init__(self) -> None:
-        self._occurrences: dict[Feature, FeatureOccurrences] = {}
-        self._type_counts: dict[tuple[str, str], int] = defaultdict(int)
-        self._type_values: dict[tuple[str, str], set[str]] = defaultdict(set)
+    def __init__(
+        self,
+        nodes: Sequence[XMLNode],
+        start: int,
+        ids: list[int],
+        keys: Sequence[FeatureKey],
+        local_keys: Sequence[FeatureKey] = (),
+    ):
+        self._nodes = nodes
+        self._start = start
+        self._ids = ids
+        self._keys = keys
+        self._local_keys = local_keys
+        #: feature id → N(e, a, v), in order of first occurrence
+        self._counts: dict[int, int] = Counter(ids)
+        self._counts.pop(-1, None)
+        self._ids_by_key: dict[FeatureKey, int] | None = None
+        #: feature type → [N(e, a), D(e, a)]
+        self._types: dict[tuple[str, str], list[int]] = {}
+        for feature_id, occurrences in self._counts.items():
+            totals = self._types.setdefault(self._key(feature_id)[:2], [0, 0])
+            totals[0] += occurrences
+            totals[1] += 1
 
     # ------------------------------------------------------------------ #
-    # construction
+    # ids ↔ features
     # ------------------------------------------------------------------ #
-    def add_occurrence(self, entity: str, attribute: str, raw_value: str, instance: Dewey) -> None:
-        """Record one attribute instance carrying one feature value."""
-        entry = self._entry_for(entity, attribute, raw_value)
-        if entry is not None:
-            self._record(entry, instance)
+    def _key(self, feature_id: int) -> FeatureKey:
+        if feature_id >= 0:
+            return self._keys[feature_id]
+        return self._local_keys[-2 - feature_id]
 
-    def _entry_for(
-        self, entity: str, attribute: str, raw_value: str
-    ) -> FeatureOccurrences | None:
-        """The occurrence entry of the feature ``raw_value`` denotes.
+    def _id_of(self, feature: Feature) -> int | None:
+        """The id ``feature`` has in this result; ``None`` when unseen."""
+        by_key = self._ids_by_key
+        if by_key is None:
+            # only callers that ask by feature (experiments, tests) pay for
+            # the reverse map; generating a snippet never does
+            by_key = self._ids_by_key = {
+                self._key(feature_id): feature_id for feature_id in self._counts
+            }
+        return by_key.get((feature.entity, feature.attribute, feature.value))
 
-        Created (empty, with this raw value as its display form) the first
-        time the feature is seen; ``None`` when the value normalises to
-        nothing and so denotes no feature.  Always followed by
-        :meth:`_record`: an entry holds at least one instance.
-        """
-        value = normalize_value(raw_value)
-        if not value:
-            return None
-        feature = Feature(entity=entity, attribute=attribute, value=value)
-        entry = self._occurrences.get(feature)
-        if entry is None:
-            entry = FeatureOccurrences(feature=feature, display_value=raw_value.strip())
-            self._occurrences[feature] = entry
-            self._type_values[(entity, attribute)].add(value)
-        return entry
+    def scored_ids(self) -> list[tuple[int, int, int, int]]:
+        """``(feature id, N(e, a, v), N(e, a), D(e, a))`` of every feature,
+        in order of first occurrence — what ranking needs, all ints."""
+        key, types = self._key, self._types
+        return [
+            (feature_id, occurrences, *types[key(feature_id)[:2]])
+            for feature_id, occurrences in self._counts.items()
+        ]
 
-    def _record(self, entry: FeatureOccurrences, instance: Dewey) -> None:
-        """Count one more instance of the feature behind ``entry``."""
-        entry.instances.append(instance)
-        self._type_counts[entry.feature.feature_type] += 1
+    def occurrences_of_ids(self, feature_ids: Iterable[int]) -> dict[int, FeatureOccurrences]:
+        """The occurrence entries of the named features: one pass over the
+        result's nodes collects their instances; the display value is the
+        text of the first one, as written."""
+        instances: dict[int, list[int]] = {feature_id: [] for feature_id in feature_ids}
+        if instances:
+            for pre, feature_id in enumerate(self._ids, self._start):
+                if feature_id in instances:
+                    instances[feature_id].append(pre)
+        nodes = self._nodes
+        entries: dict[int, FeatureOccurrences] = {}
+        for feature_id, pres in instances.items():
+            entity, attribute, value = self._key(feature_id)
+            entries[feature_id] = FeatureOccurrences(
+                feature=Feature(entity, attribute, value),
+                display_value=(nodes[pres[0]].text or "").strip(),
+                instances=pres,
+            )
+        return entries
 
     # ------------------------------------------------------------------ #
     # §2.3 quantities
     # ------------------------------------------------------------------ #
     def value_count(self, feature: Feature) -> int:
         """``N(e, a, v)`` — occurrences of the feature value."""
-        entry = self._occurrences.get(feature)
-        return entry.count if entry else 0
+        return self._counts.get(self._id_of(feature), 0)
 
     def type_count(self, entity: str, attribute: str) -> int:
         """``N(e, a)`` — total occurrences of the feature type."""
-        return self._type_counts.get((entity, attribute), 0)
+        return self._types.get((entity, attribute), (0, 0))[0]
 
     def domain_size(self, entity: str, attribute: str) -> int:
         """``D(e, a)`` — number of distinct values of the feature type."""
-        return len(self._type_values.get((entity, attribute), ()))
+        return self._types.get((entity, attribute), (0, 0))[1]
 
     def dominance_score(self, feature: Feature) -> float:
         """``DS(f, R)`` as defined in §2.3 (0.0 for unseen features)."""
@@ -151,7 +205,7 @@ class FeatureStatistics:
 
     def is_dominant(self, feature: Feature) -> bool:
         """Dominant iff ``DS > 1``, or trivially when the domain size is 1."""
-        if feature not in self._occurrences:
+        if feature not in self:
             return False
         return is_dominant_score(
             self.dominance_score(feature), self.domain_size(feature.entity, feature.attribute)
@@ -161,25 +215,29 @@ class FeatureStatistics:
     # access
     # ------------------------------------------------------------------ #
     def features(self) -> list[Feature]:
-        """All features seen in the result (unordered)."""
-        return list(self._occurrences)
+        """All features seen in the result, in order of first occurrence."""
+        return [Feature(*self._key(feature_id)) for feature_id in self._counts]
 
     def feature_types(self) -> list[tuple[str, str]]:
-        return list(self._type_counts)
+        return list(self._types)
 
     def occurrences(self, feature: Feature) -> FeatureOccurrences | None:
-        return self._occurrences.get(feature)
+        feature_id = self._id_of(feature)
+        if feature_id is None:
+            return None
+        return self.occurrences_of_ids([feature_id])[feature_id]
 
     def all_occurrences(self) -> list[FeatureOccurrences]:
-        """The occurrence entry of every feature seen (unordered)."""
-        return list(self._occurrences.values())
+        """The occurrence entry of every feature seen, in order of first
+        occurrence."""
+        return list(self.occurrences_of_ids(self._counts).values())
 
-    def instances_of(self, feature: Feature) -> list[Dewey]:
-        entry = self._occurrences.get(feature)
-        return list(entry.instances) if entry else []
+    def instances_of(self, feature: Feature) -> list[int]:
+        entry = self.occurrences(feature)
+        return entry.instances if entry else []
 
     def display_value(self, feature: Feature) -> str:
-        entry = self._occurrences.get(feature)
+        entry = self.occurrences(feature)
         return entry.display_value if entry else feature.value
 
     def value_statistics(self) -> dict[tuple[str, str], list[tuple[str, int]]]:
@@ -189,25 +247,25 @@ class FeatureStatistics:
         6`` etc.), used by the Figure 1 reproduction benchmark.
         """
         table: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        for feature, entry in self._occurrences.items():
-            table.setdefault(feature.feature_type, []).append((entry.display_value, entry.count))
+        for entry in self.all_occurrences():
+            table.setdefault(entry.feature.feature_type, []).append(
+                (entry.display_value, entry.count)
+            )
         for values in table.values():
             values.sort(key=lambda pair: (-pair[1], pair[0]))
         return table
 
     def __len__(self) -> int:
-        return len(self._occurrences)
+        return len(self._counts)
 
     def __contains__(self, feature: Feature) -> bool:
-        return feature in self._occurrences
+        return self._id_of(feature) is not None
 
     def __repr__(self) -> str:
-        return f"<FeatureStatistics features={len(self._occurrences)} types={len(self._type_counts)}>"
+        return f"<FeatureStatistics features={len(self._counts)} types={len(self._types)}>"
 
 
-def extract_features(
-    analyzer: DataAnalyzer, result: QueryResult, scan: SubtreeScan | None = None
-) -> FeatureStatistics:
+def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStatistics:
     """Extract the feature statistics of one query result.
 
     Every *attribute* instance inside the result subtree whose nearest
@@ -218,29 +276,73 @@ def extract_features(
     the result root, are attributed to the result root's tag so flat
     documents and results rooted below their entity still produce features.
 
-    ``scan`` is the analyzer's scan of the result subtree when the caller
-    already has one (the IList builder shares a single scan between the
-    feature, return-entity and entity-name steps).
+    For a result of the analyzer's own tree this is a count over the slice
+    ``[root.pre, root.pre + size)`` of the analyzer's feature table.  The
+    table names a feature by the tag of the node's owning entity wherever
+    that entity is, so the nodes whose owner is not inside the result are
+    re-keyed to the root's tag first.  Inside one subtree those are
+    exactly the nodes whose owner is the root's own owner — for an entity
+    root that is the root itself and there is nothing to re-key; only a
+    root that is not an entity (a whole-document result, say) pays the
+    pass.  A root of any other tree is walked node by node instead, with
+    the same outcome.
     """
-    if scan is None:
-        scan = analyzer.scan_subtree(result.root_node)
-    statistics = FeatureStatistics()
-    root_tag = result.root_node.tag
-    # A result repeats few distinct (entity, attribute, raw value) triples
-    # many times; each is normalised and looked up once.
-    entries: dict[tuple[str, str, str], FeatureOccurrences | None] = {}
-    for node, owner in scan.attributes:
-        raw_value = node.text
-        if not raw_value:
-            continue
-        # The attribute describes its nearest entity: nested entities own
-        # their own attributes (a clothes' category is a clothes feature,
-        # not a store feature).
-        key = (owner.tag if owner is not None else root_tag, node.tag, raw_value)
-        if key in entries:
-            entry = entries[key]
-        else:
-            entry = entries[key] = statistics._entry_for(*key)
-        if entry is not None:
-            statistics._record(entry, node.dewey)
-    return statistics
+    root = result.root_node
+    start = root.pre
+    nodes = result.source.nodes_by_pre
+    if not analyzer.covers(root):
+        return FeatureStatistics(nodes, start, *_walked_feature_ids(analyzer, root))
+    table = analyzer.feature_table
+    owners = analyzer.node_owners
+    end = root.post + root.level + 1  # = start + subtree size
+    ids = table.ids[start:end]
+    local_keys: list[FeatureKey] = []
+    above = owners[start]
+    if above != start:
+        # Not an entity: the nodes owned from above (or by nobody) belong
+        # to the root's tag.  A re-keyed feature may be one the table
+        # already knows — a nested entity with the root's tag owns the
+        # same attribute and value — and then it is that feature.
+        root_tag = root.tag
+        rekeyed: dict[int, int] = {-1: -1}
+        loose = compress(count(), map(above.__eq__, owners[start:end]))
+        for offset in loose:
+            table_id = ids[offset]
+            local_id = rekeyed.get(table_id)
+            if local_id is None:
+                key = (root_tag, *table.keys[table_id][1:])
+                local_id = table.id_of.get(key)
+                if local_id is None:
+                    local_id = -2 - len(local_keys)
+                    local_keys.append(key)
+                rekeyed[table_id] = local_id
+            ids[offset] = local_id
+    return FeatureStatistics(nodes, start, ids, table.keys, local_keys)
+
+
+def _walked_feature_ids(
+    analyzer: DataAnalyzer, root: XMLNode
+) -> tuple[list[int], list[FeatureKey]]:
+    """Per node of the subtree under ``root`` (document order) the id of
+    its feature, and what the ids stand for — for a root the analyzer's
+    tables do not hold: every node is classified by its tag path and its
+    owner found by walking up."""
+    ids: list[int] = []
+    keys: list[FeatureKey] = []
+    id_of: dict[FeatureKey, int] = {}
+    root_depth = root.level
+    for node in root.iter_subtree():
+        feature_id = -1
+        raw = node.text
+        if raw and analyzer.is_attribute(node):
+            value = normalize_value(raw)
+            if value:
+                owner = analyzer.owning_entity(node)
+                inside = owner is not None and owner.level >= root_depth
+                key = (owner.tag if inside else root.tag, node.tag, value)
+                feature_id = id_of.get(key)
+                if feature_id is None:
+                    feature_id = id_of[key] = len(keys)
+                    keys.append(key)
+        ids.append(feature_id)
+    return ids, keys

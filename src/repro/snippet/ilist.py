@@ -17,13 +17,14 @@ Duplicates are kept out: in the running example the entity name
 feature value ``Texas`` is already present as a keyword, which is exactly
 why neither appears twice in Figure 3.
 
-Every item carries the node instances of the query result that *cover* it,
-because the Instance Selector (§2.4) chooses among those instances.
+Every item carries the node instances of the query result that *cover* it
+— their ``pre`` ids, document order — because the Instance Selector (§2.4)
+chooses among those instances.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,9 +35,8 @@ from repro.snippet.dominant import DominantFeatureIdentifier, ScoredFeature
 from repro.snippet.features import FeatureStatistics, extract_features
 from repro.snippet.result_key import QueryResultKeyIdentifier, ResultKey
 from repro.snippet.return_entity import ReturnEntityDecision, ReturnEntityIdentifier
-from repro.utils.text import matches_keyword, normalize_token, normalize_value
+from repro.utils.text import matches_keyword, normalize_token
 from repro.utils.timing import TimingBreakdown
-from repro.xmltree.dewey import Dewey
 
 
 class ItemKind(str, Enum):
@@ -53,15 +53,22 @@ class ItemKind(str, Enum):
 
 @dataclass
 class IListItem:
-    """One entry of the IList."""
+    """One entry of the IList.
+
+    ``instances`` are positions (``pre`` ids) in ``result.source``, the
+    tree the item's result was cut from.  A position means the same node
+    in every version of a document that has the same shape, which is why a
+    cached IList survives the text-only updates its cache entry survives.
+    """
 
     kind: ItemKind
     #: display text (what the user reads in the snippet / Figure 3)
     text: str
     #: normalised identity used for de-duplication
     identity: str
-    #: candidate node instances in the query result covering this item
-    instances: list[Dewey] = field(default_factory=list)
+    #: candidate node instances in the query result covering this item:
+    #: sorted ``pre`` ids (a keyword item holds the result's match slice)
+    instances: Sequence[int] = field(default_factory=list)
     #: dominance score for feature items, 0 otherwise
     score: float = 0.0
     #: the scored feature / result key behind the item, when applicable
@@ -70,7 +77,7 @@ class IListItem:
 
     @property
     def has_instances(self) -> bool:
-        return bool(self.instances)
+        return len(self.instances) > 0
 
     def __repr__(self) -> str:
         return f"<IListItem {self.kind.value}:{self.text!r} instances={len(self.instances)}>"
@@ -130,15 +137,16 @@ class IListBuilder:
 
         The four groups are appended in the paper's order; duplicates
         (same normalised identity) keep their earliest, most important
-        position.  The result subtree is scanned once; feature extraction,
-        return-entity identification and the entity names all read that
-        scan.  Feature extraction is timed as the ``features`` phase of
-        ``timings`` when the caller passes a breakdown.
+        position.  The entities of the result subtree are found once, for
+        return-entity identification and the entity names.  Feature
+        extraction — counting the result's features — is timed as the
+        ``features`` phase of ``timings`` when the caller passes a
+        breakdown.
         """
         scan = self.analyzer.scan_subtree(result.root_node)
         breakdown = timings if timings is not None else TimingBreakdown()
         with breakdown.measure("features"):
-            statistics = extract_features(self.analyzer, result, scan)
+            statistics = extract_features(self.analyzer, result)
         decision = self.return_entity_identifier.identify(query, result, scan)
 
         ilist = IList(return_entity_decision=decision, statistics=statistics)
@@ -166,8 +174,8 @@ class IListBuilder:
     def _keyword_items(self, query: KeywordQuery, result: QueryResult) -> list[IListItem]:
         items: list[IListItem] = []
         for keyword in query.keywords:
-            instances = result.match_labels(keyword)
-            if not instances:
+            instances = result.matches.get(keyword, ())
+            if not len(instances):
                 instances = self._scan_keyword_instances(result, keyword)
             items.append(
                 IListItem(
@@ -179,15 +187,14 @@ class IListBuilder:
             )
         return items
 
-    def _scan_keyword_instances(self, result: QueryResult, keyword: str) -> list[Dewey]:
-        """Fallback when the result carries no precomputed match labels."""
-        instances: list[Dewey] = []
-        for node in result.iter_nodes():
-            if matches_keyword(node.tag, keyword) or (
-                node.has_text_value and matches_keyword(node.text or "", keyword)
-            ):
-                instances.append(node.dewey)
-        return instances
+    def _scan_keyword_instances(self, result: QueryResult, keyword: str) -> list[int]:
+        """Fallback when the result carries no precomputed matches."""
+        return [
+            node.pre
+            for node in result.iter_nodes()
+            if matches_keyword(node.tag, keyword)
+            or (node.has_text_value and matches_keyword(node.text or "", keyword))
+        ]
 
     def _entity_name_items(self, scan: SubtreeScan) -> list[IListItem]:
         """Entity names, most frequent entity type in the result first.
@@ -198,9 +205,9 @@ class IListBuilder:
         is a sensible importance proxy: the more instances an entity type
         has, the more of the result it describes.
         """
-        instances_by_tag: dict[str, list[Dewey]] = {}
+        instances_by_tag: dict[str, list[int]] = {}
         for node in scan.entities:
-            instances_by_tag.setdefault(node.tag, []).append(node.dewey)
+            instances_by_tag.setdefault(node.tag, []).append(node.pre)
         ordered = sorted(instances_by_tag, key=lambda tag: (-len(instances_by_tag[tag]), tag))
         return [
             IListItem(
@@ -214,11 +221,14 @@ class IListBuilder:
 
     def _key_items(self, result: QueryResult, decision: ReturnEntityDecision) -> list[IListItem]:
         keys = self.key_identifier.identify(result, decision)
+        nodes = result.source.nodes_by_pre
+        normalized_value = self.analyzer.normalized_value
         return [
             IListItem(
                 kind=ItemKind.RESULT_KEY,
                 text=key.value,
-                identity=normalize_value(key.value),
+                # the key value is the text of its (first) instance
+                identity=normalized_value(nodes[key.instances[0]]),
                 instances=list(key.instances),
                 result_key=key,
             )

@@ -28,6 +28,7 @@ matters.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from enum import Enum
 
 from repro.errors import InvalidSizeBoundError
@@ -78,19 +79,24 @@ class GreedyInstanceSelector:
             raise InvalidSizeBoundError(size_bound)
 
         snippet = Snippet(result)
+        covered = snippet.chosen_instances
         for item in ilist:
-            if not item.has_instances:
+            instances = item.instances
+            if not len(instances):
                 continue
-            if snippet.covers(item.identity):
+            if item.identity in covered:
                 # A previous item with the same identity already covered it
                 # (cannot normally happen — the IList de-duplicates — but a
                 # hand-built IList may repeat identities).
                 continue
-            chosen = self._choose_instance(snippet, item.instances)
+            remaining = size_bound - snippet.size_edges
+            chosen = self._choose_instance(
+                snippet, instances, remaining if self.skip_unfitting_items else None
+            )
             if chosen is None:
                 continue
             instance, cost = chosen
-            if snippet.size_edges + cost > size_bound:
+            if cost > remaining:
                 if self.skip_unfitting_items:
                     continue
                 break
@@ -100,12 +106,17 @@ class GreedyInstanceSelector:
     # ------------------------------------------------------------------ #
     # instance choice strategies
     # ------------------------------------------------------------------ #
-    def _choose_instance(self, snippet: Snippet, instances: list):
-        """The instance to cover an item with, and its cost; instances
-        outside the result are never chosen (``None`` when none is left)."""
+    def _choose_instance(
+        self, snippet: Snippet, instances: Sequence[int], budget: int | None
+    ) -> tuple[int, int] | None:
+        """The instance (a ``pre`` id) to cover an item with, and its cost;
+        instances outside the result are never chosen (``None`` when none
+        is left).  ``budget`` is the edges left to spend when an item that
+        does not fit is simply skipped: the closest-instance search then
+        leaves out what cannot fit."""
         if self.strategy == SelectionStrategy.GREEDY_CLOSEST:
-            return snippet.cheapest_instance(instances)
-        valid = [label for label in instances if snippet.result.contains_label(label)]
+            return snippet.cheapest_instance(instances, budget)
+        valid = [pre for pre in instances if snippet.result.contains(pre)]
         if not valid:
             return None
         if self.strategy == SelectionStrategy.FIRST_INSTANCE:

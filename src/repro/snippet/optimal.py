@@ -19,7 +19,6 @@ from repro.errors import InvalidSizeBoundError, SnippetError
 from repro.search.results import QueryResult
 from repro.snippet.ilist import IList, IListItem
 from repro.snippet.snippet_tree import Snippet
-from repro.xmltree.dewey import Dewey
 
 #: hard cap on the size of the search space accepted by the exact selector;
 #: beyond this the caller should be using the greedy algorithm anyway.
@@ -28,12 +27,13 @@ MAX_SEARCH_NODES = 2_000_000
 
 @dataclass
 class _SearchState:
-    covered: list[tuple[IListItem, Dewey]]
-    node_labels: frozenset[Dewey]
+    covered: list[tuple[IListItem, int]]
+    #: ``pre`` ids of the nodes selected so far
+    nodes: frozenset[int]
 
     @property
     def edges(self) -> int:
-        return len(self.node_labels) - 1
+        return len(self.nodes) - 1
 
 
 class OptimalInstanceSelector:
@@ -53,15 +53,16 @@ class OptimalInstanceSelector:
             raise InvalidSizeBoundError(size_bound)
 
         items = [item for item in ilist if item.has_instances]
-        path_labels = Snippet(result).path_labels
+        path = Snippet(result).path
+        level = result.source.shape.level
         candidate_paths = [
-            [(instance, frozenset(path_labels(instance))) for instance in self._candidates(result, item)]
+            [(instance, frozenset(path(instance))) for instance in self._candidates(result, item, level)]
             for item in items
         ]
 
         self._expanded = 0
         best: _SearchState | None = None
-        root_only = frozenset({result.root})
+        root_only = frozenset({result.root_node.pre})
 
         def better(candidate: _SearchState, incumbent: _SearchState | None) -> bool:
             if incumbent is None:
@@ -93,19 +94,19 @@ class OptimalInstanceSelector:
             item = items[index]
             # Branch 1..n: cover the item with one of its candidate instances.
             for instance, path in candidate_paths[index]:
-                new_labels = state.node_labels | path
-                if len(new_labels) - 1 <= size_bound:
+                new_nodes = state.nodes | path
+                if len(new_nodes) - 1 <= size_bound:
                     search(
                         index + 1,
                         _SearchState(
                             covered=state.covered + [(item, instance)],
-                            node_labels=new_labels,
+                            nodes=new_nodes,
                         ),
                     )
             # Branch 0: skip the item.
             search(index + 1, state)
 
-        search(0, _SearchState(covered=[], node_labels=root_only))
+        search(0, _SearchState(covered=[], nodes=root_only))
 
         assert best is not None  # the empty selection is always feasible
         snippet = Snippet(result)
@@ -116,9 +117,11 @@ class OptimalInstanceSelector:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _candidates(self, result: QueryResult, item: IListItem) -> list[Dewey]:
-        valid = [label for label in item.instances if result.contains_label(label)]
-        valid.sort(key=lambda label: (label.depth, label))
+    def _candidates(self, result: QueryResult, item: IListItem, level: list[int]) -> list[int]:
+        """The item's instances inside the result, shallowest first (ties:
+        document order)."""
+        valid = [pre for pre in item.instances if result.contains(pre)]
+        valid.sort(key=lambda pre: (level[pre], pre))
         return valid[: self.max_instances_per_item]
 
     @staticmethod

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.classify.analyzer import DataAnalyzer
 from repro.search.results import QueryResult
 from repro.snippet.return_entity import ReturnEntityDecision
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 
 
@@ -30,8 +29,9 @@ class ResultKey:
     entity_tag: str
     attribute_tag: str
     value: str
-    #: the attribute node instances carrying the key value inside the result
-    instances: list[Dewey]
+    #: the attribute node instances carrying the key value inside the
+    #: result, as ``pre`` ids in document order
+    instances: list[int]
     #: whether the key attribute came from key mining or from the fallback
     mined: bool = True
 
@@ -54,28 +54,23 @@ class QueryResultKeyIdentifier:
         A result normally has one return-entity instance and therefore one
         key; when the return entity occurs several times inside one result
         (e.g. the default-highest rule picked a repeated entity), one key
-        per distinct value is reported, first instance first — the IList
-        builder will take the first.
+        per distinct value is reported, first instance first — and every
+        one of them becomes a key item of the IList.
         """
-        keys: list[ResultKey] = []
-        seen_values: set[str] = set()
+        nodes = result.source.nodes_by_pre
+        keys: dict[tuple[str, str, str], ResultKey] = {}
         for tag in decision.return_entities:
             key_attribute = self._key_attribute_for(tag)
-            for label in decision.return_instances.get(tag, []):
-                instance = result.source.node(label)
-                key = self._key_of_instance(instance, tag, key_attribute)
+            for pre in decision.return_instances.get(tag, []):
+                key = self._key_of_instance(nodes[pre], tag, key_attribute)
                 if key is None:
                     continue
                 marker = (key.entity_tag, key.attribute_tag, key.value.lower())
-                if marker in seen_values:
+                existing = keys.setdefault(marker, key)
+                if existing is not key:
                     # merge instances of the same key value
-                    for existing in keys:
-                        if (existing.entity_tag, existing.attribute_tag, existing.value.lower()) == marker:
-                            existing.instances.extend(key.instances)
-                    continue
-                seen_values.add(marker)
-                keys.append(key)
-        return keys
+                    existing.instances.extend(key.instances)
+        return list(keys.values())
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -96,7 +91,7 @@ class QueryResultKeyIdentifier:
                     entity_tag=entity_tag,
                     attribute_tag=key_attribute,
                     value=child.text or "",
-                    instances=[child.dewey],
+                    instances=[child.pre],
                     mined=True,
                 )
         # Fallback: the first attribute child with a value.
@@ -106,7 +101,7 @@ class QueryResultKeyIdentifier:
                     entity_tag=entity_tag,
                     attribute_tag=child.tag,
                     value=child.text or "",
-                    instances=[child.dewey],
+                    instances=[child.pre],
                     mined=False,
                 )
         return None

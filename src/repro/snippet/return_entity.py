@@ -24,7 +24,6 @@ from repro.classify.analyzer import DataAnalyzer, EntityType, SubtreeScan
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_token, singularize
-from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 
 
@@ -40,8 +39,9 @@ class ReturnEntityDecision:
     supporting_entities: list[str] = field(default_factory=list)
     #: why each return entity was chosen: "name-match", "attribute-match" or "default-highest"
     reasons: dict[str, str] = field(default_factory=dict)
-    #: concrete instances of the return entities inside the result
-    return_instances: dict[str, list[Dewey]] = field(default_factory=dict)
+    #: concrete instances of the return entities inside the result, as
+    #: ``pre`` ids in document order
+    return_instances: dict[str, list[int]] = field(default_factory=dict)
 
     @property
     def primary(self) -> str | None:
@@ -78,12 +78,12 @@ class ReturnEntityIdentifier:
         if scan is None:
             scan = self.analyzer.scan_subtree(result.root_node)
         decision = ReturnEntityDecision()
+        # the scan is in document order, so the tags come out ordered by
+        # the ``pre`` of their first instance
         instances_by_tag: dict[str, list[XMLNode]] = {}
         for node in scan.entities:
             instances_by_tag.setdefault(node.tag, []).append(node)
-        decision.entities_in_result = sorted(
-            instances_by_tag, key=lambda tag: instances_by_tag[tag][0].dewey
-        )
+        decision.entities_in_result = list(instances_by_tag)
 
         # Keyword comparison is plural-insensitive ("stores" finds <store>).
         keywords = {singularize(normalize_token(keyword)) for keyword in query.keywords}
@@ -101,17 +101,19 @@ class ReturnEntityIdentifier:
                     decision.return_entities.append(tag)
                     decision.reasons[tag] = "attribute-match"
 
-        # Rule 3: default — the highest entities (no ancestor entity in the result).
+        # Rule 3: default — the highest entities (no ancestor entity in the
+        # result).  The result root plays the entity role and every other
+        # node of the result has it for an ancestor, so that is the root.
         if not decision.return_entities:
-            for tag in self._highest_entities(instances_by_tag):
-                decision.return_entities.append(tag)
-                decision.reasons[tag] = "default-highest"
+            tag = result.root_node.tag
+            decision.return_entities.append(tag)
+            decision.reasons[tag] = "default-highest"
 
         decision.supporting_entities = [
             tag for tag in decision.entities_in_result if tag not in decision.return_entities
         ]
         for tag in decision.return_entities:
-            decision.return_instances[tag] = [node.dewey for node in instances_by_tag[tag]]
+            decision.return_instances[tag] = [node.pre for node in instances_by_tag[tag]]
         return decision
 
     # ------------------------------------------------------------------ #
@@ -130,26 +132,3 @@ class ReturnEntityIdentifier:
                 if self.analyzer.is_attribute(child):
                     attribute_tags.add(child.tag)
         return any(singularize(normalize_token(attribute)) in keywords for attribute in attribute_tags)
-
-    def _highest_entities(self, instances_by_tag: dict[str, list[XMLNode]]) -> list[str]:
-        """Entity tags whose instances have no ancestor entity in the result."""
-        if not instances_by_tag:
-            return []
-        entity_nodes = {node for nodes in instances_by_tag.values() for node in nodes}
-        highest: list[tuple[Dewey, str]] = []
-        for tag, nodes in instances_by_tag.items():
-            for node in nodes:
-                has_entity_ancestor = any(
-                    ancestor in entity_nodes for ancestor in node.iter_ancestors()
-                )
-                if not has_entity_ancestor:
-                    highest.append((node.dewey, tag))
-                    break
-        highest.sort()
-        seen: set[str] = set()
-        ordered: list[str] = []
-        for _, tag in highest:
-            if tag not in seen:
-                seen.add(tag)
-                ordered.append(tag)
-        return ordered

@@ -23,34 +23,42 @@ from repro.xmltree.tree import XMLTree
 class Snippet:
     """A growing snippet tree over one query result.
 
-    The selected nodes are kept by ``pre`` id.  The selection always
-    contains the result root and is closed under "parent within the result
-    subtree", so the cost of an instance is the number of ``parent`` hops
-    from its node to the first node already selected: every hop is one new
-    edge.  An instance label is resolved to its node once per question; a
-    label that names no node of the result subtree (two integer
-    comparisons against the root's ``pre``/``post``) is outside the result.
+    Nodes are named by ``pre`` id throughout: the selection is a set of
+    ids, an instance is an id, and the result subtree is the id range
+    ``[first, end)`` — "inside the result" is two integer comparisons.
+    The selection always contains the result root and is closed under
+    "parent within the result subtree", so the cost of an instance is the
+    number of hops through the tree's ``parent`` table from its id to the
+    first id already selected: every hop is one new edge.  Labels
+    (:attr:`node_labels`, :meth:`path_labels`) are derived for display.
 
-    A snippet holds nodes and ``pre`` ids of ``result.source``, so it is
-    valid for as long as that tree is not edited — the same lifetime as the
-    analyzer bound to the tree (an update builds a new tree; cached
-    snippets it cannot have affected keep pointing into the old one).
+    A snippet holds ids and the ``parent`` table of ``result.source``, so it
+    describes the document version it was computed on — and, ids being
+    positions, the same nodes of every later version a text-only update
+    produces.  A node is read (:meth:`to_tree`, :meth:`selected_nodes`)
+    from ``result.source``.
     """
 
     def __init__(self, result: QueryResult):
         self.result = result
-        self.root: Dewey = result.root
         root_node = result.root_node
-        self._find_node = result.source.find_node
-        #: the ``pre``/``post`` span of the result subtree
-        self._first_pre = root_node.pre
-        self._last_post = root_node.post
-        #: the selected nodes by ``pre`` id
-        self._selected: dict[int, XMLNode] = {root_node.pre: root_node}
+        shape = result.source.shape
+        self._nodes = result.source.nodes_by_pre
+        self._parent = shape.parent
+        #: the ``pre`` range of the result subtree
+        self._first = root_node.pre
+        self._end = root_node.pre + shape.size[root_node.pre]
+        #: the ``pre`` ids of the selected nodes
+        self._selected: set[int] = {self._first}
         #: the IList items covered so far, in coverage order
         self.covered_items: list[IListItem] = []
-        #: per covered item identity, the instance label chosen to cover it
-        self.chosen_instances: dict[str, Dewey] = {}
+        #: per covered item identity, the instance (``pre`` id) chosen to cover it
+        self.chosen_instances: dict[str, int] = {}
+
+    @property
+    def root(self) -> Dewey:
+        """The label of the result root (display)."""
+        return self.result.root
 
     # ------------------------------------------------------------------ #
     # size accounting
@@ -58,7 +66,8 @@ class Snippet:
     @property
     def node_labels(self) -> set[Dewey]:
         """The labels of the selected nodes (a fresh set on every read)."""
-        return {node.dewey for node in self._selected.values()}
+        nodes = self._nodes
+        return {nodes[pre].dewey for pre in self._selected}
 
     @property
     def size_edges(self) -> int:
@@ -69,76 +78,95 @@ class Snippet:
     def size_nodes(self) -> int:
         return len(self._selected)
 
-    def _node_in_result(self, instance: Dewey) -> XMLNode | None:
-        """The node ``instance`` names, if it lies in the result subtree."""
-        node = self._find_node(instance)
-        if node is None or node.pre < self._first_pre or node.post > self._last_post:
-            return None
-        return node
-
-    def _resolve(self, instance: Dewey) -> XMLNode:
-        node = self._node_in_result(instance)
-        if node is None:
+    def _check_inside(self, instance: int) -> None:
+        if not self._first <= instance < self._end:
             raise SnippetError(
-                f"instance {instance} lies outside the result rooted at {self.root}"
+                f"instance {instance} lies outside the result rooted at {self.root} "
+                f"(ids {self._first}..{self._end - 1})"
             )
-        return node
 
-    def _hops(self, node: XMLNode) -> int:
-        """``parent`` hops from ``node`` to the nearest selected node: the
-        edges selecting it would add."""
-        selected = self._selected
+    def _hops(self, instance: int) -> int:
+        """``parent`` hops from ``instance`` to the nearest selected node:
+        the edges selecting it would add."""
+        selected, parent = self._selected, self._parent
         hops = 0
-        while node.pre not in selected:
+        while instance not in selected:
             hops += 1
-            node = node.parent
+            instance = parent[instance]
         return hops
 
-    def path_labels(self, instance: Dewey) -> list[Dewey]:
+    def path(self, instance: int) -> list[int]:
+        """The ids on the path from the snippet root down to ``instance``."""
+        self._check_inside(instance)
+        parent, first = self._parent, self._first
+        path = [instance]
+        while instance != first:
+            instance = parent[instance]
+            path.append(instance)
+        path.reverse()
+        return path
+
+    def path_labels(self, instance: int) -> list[Dewey]:
         """The labels on the path from the snippet root to ``instance``."""
-        self._resolve(instance)
-        return [instance.prefix(depth) for depth in range(self.root.depth, instance.depth + 1)]
+        nodes = self._nodes
+        return [nodes[pre].dewey for pre in self.path(instance)]
 
-    def cost_of(self, instance: Dewey) -> int:
+    def cost_of(self, instance: int) -> int:
         """Number of *new* edges added by selecting ``instance``."""
-        return self._hops(self._resolve(instance))
+        self._check_inside(instance)
+        return self._hops(instance)
 
-    def cheapest_instance(self, instances: Iterable[Dewey]) -> tuple[Dewey, int] | None:
-        """The instance with the lowest addition cost (ties: document order).
+    def cheapest_instance(
+        self, instances: Iterable[int], budget: int | None = None
+    ) -> tuple[int, int] | None:
+        """The instance with the lowest addition cost (ties: document
+        order), and that cost.
 
-        Instances outside the result are skipped.
+        Instances outside the result are skipped; with a ``budget`` — the
+        edges the caller can still spend — so are instances that would add
+        more.
         """
-        # (cost, pre, label): pre is document order and unique per node, so
-        # the label only rides along
-        best: tuple[int, int, Dewey] | None = None
+        selected = self._selected
+        if budget == 0:
+            # nothing left to spend: only an instance already selected fits
+            held = selected.intersection(instances)
+            return (min(held), 0) if held else None
+        first, end = self._first, self._end
+        parent = self._parent
+        best = -1
+        best_cost = end  # more edges than any path inside the result has
         for instance in instances:
-            node = self._node_in_result(instance)
-            if node is None:
-                continue
-            candidate = (self._hops(node), node.pre, instance)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
+            if first <= instance < end:
+                # the hop count of _hops, inline: this loop is the selector
+                node, cost = instance, 0
+                while node not in selected:
+                    node = parent[node]
+                    cost += 1
+                # pre is document order and unique per node
+                if cost < best_cost or (cost == best_cost and instance < best):
+                    best, best_cost = instance, cost
+        if best < 0 or (budget is not None and best_cost > budget):
             return None
-        return best[2], best[0]
+        return best, best_cost
 
     # ------------------------------------------------------------------ #
     # growth
     # ------------------------------------------------------------------ #
-    def add_instance(self, item: IListItem, instance: Dewey) -> int:
+    def add_instance(self, item: IListItem, instance: int) -> int:
         """Cover ``item`` using ``instance``; returns the edges added."""
-        node = self._resolve(instance)
-        selected = self._selected
+        self._check_inside(instance)
+        selected, parent = self._selected, self._parent
+        chosen = instance
         added = 0
-        while node.pre not in selected:
-            selected[node.pre] = node
-            node = node.parent
+        while instance not in selected:
+            selected.add(instance)
+            instance = parent[instance]
             added += 1
         self.covered_items.append(item)
-        self.chosen_instances[item.identity] = instance
+        self.chosen_instances[item.identity] = chosen
         return added
 
-    def would_fit(self, instance: Dewey, bound: int) -> bool:
+    def would_fit(self, instance: int, bound: int) -> bool:
         """Would adding ``instance`` keep the snippet within ``bound`` edges?"""
         return self.size_edges + self.cost_of(instance) <= bound
 
@@ -152,17 +180,14 @@ class Snippet:
     def covers(self, identity: str) -> bool:
         return identity in self.chosen_instances
 
-    def contains_label(self, label: Dewey) -> bool:
-        node = self._find_node(label)
-        return node is not None and node.pre in self._selected
+    def contains(self, pre: int) -> bool:
+        """Is the node at ``pre`` selected?"""
+        return pre in self._selected
 
     def is_connected(self) -> bool:
         """Every selected node's parent (down to the root) is selected too."""
-        return all(
-            node.parent.pre in self._selected
-            for pre, node in self._selected.items()
-            if pre != self._first_pre
-        )
+        parent = self._parent
+        return all(parent[pre] in self._selected for pre in self._selected if pre != self._first)
 
     # ------------------------------------------------------------------ #
     # materialisation
@@ -170,12 +195,12 @@ class Snippet:
     def to_tree(self) -> XMLTree:
         """Copy the selected nodes into a standalone tree (for rendering).
 
-        Only the selected labels are copied — unlike
+        Only the selected nodes are copied — unlike
         :meth:`XMLTree.extract_projection`, subtrees below selected nodes
         are *not* pulled in, because the snippet's size bound is defined
         over exactly the selected edges.
         """
-        root_copy = self._copy_selected(self._selected[self._first_pre])
+        root_copy = self._copy_selected(self._nodes[self._first])
         return XMLTree(
             root_copy, name=f"snippet:{self.result.source.name}#{self.result.result_id}"
         )
@@ -195,7 +220,8 @@ class Snippet:
 
     def selected_nodes(self) -> list[XMLNode]:
         """The selected source nodes in document order."""
-        return [self._selected[pre] for pre in sorted(self._selected)]
+        nodes = self._nodes
+        return [nodes[pre] for pre in sorted(self._selected)]
 
     def __repr__(self) -> str:
         return (

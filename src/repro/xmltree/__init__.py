@@ -3,12 +3,13 @@
 This package implements everything eXtract needs from an XML store:
 
 * :mod:`repro.xmltree.dewey` — Dewey (prefix) labels: a node's display
-  name, and how snippet instance lists, journal records and the v3 text
-  snapshot spell node positions,
+  name, and how journal records and the v3 text snapshot spell node
+  positions,
 * :mod:`repro.xmltree.node` / :mod:`repro.xmltree.tree` — an in-memory
   ordered tree model; a tree numbers its nodes in document order (``pre``)
   and its :class:`~repro.xmltree.tree.TreeShape` tables are what the
-  keyword indexes and the SLCA/ELCA search algorithms compute with,
+  keyword indexes, the SLCA/ELCA search algorithms and snippet generation
+  compute with,
 * :mod:`repro.xmltree.builder` — programmatic construction of documents
   (used by the synthetic dataset generators),
 * :mod:`repro.xmltree.parser` — a self-contained XML parser (no external

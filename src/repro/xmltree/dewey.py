@@ -9,10 +9,10 @@ O(depth) time and without touching the tree:
 * ancestor/descendant tests (prefix tests),
 * the lowest common ancestor of two nodes (longest common prefix),
 
-which is what eXtract's instance selector needs, and what makes a label a
-self-describing name for a node on the wire, in the update journal and in
-the v3 text snapshot.  (The keyword indexes and the SLCA / ELCA search
-path answer the same questions on ``pre`` ids and the tree's flat
+which is what makes a label a self-describing name for a node on the
+wire, in the update journal and in the v3 text snapshot.  (The keyword
+indexes, the SLCA / ELCA search path and snippet generation answer the
+same questions on ``pre`` ids and the tree's flat
 :class:`~repro.xmltree.tree.TreeShape` tables instead — integer bisects
 and parent hops, no tuple slicing.)  The textual form uses dot-separated
 ordinals (``"0.2.1"``); the root's textual form is ``"r"``.
@@ -181,20 +181,6 @@ class Dewey:
             length += 1
         return Dewey(first._components[:length])
 
-    @staticmethod
-    def common_ancestor_of_all(labels: Iterable["Dewey"]) -> "Dewey":
-        """Lowest common ancestor of a non-empty collection of labels."""
-        iterator = iter(labels)
-        try:
-            result = next(iterator)
-        except StopIteration as exc:
-            raise DeweyError("common_ancestor_of_all() requires at least one label") from exc
-        for label in iterator:
-            result = Dewey.common_ancestor(result, label)
-            if result.is_root:
-                break
-        return result
-
     def distance_to_ancestor(self, ancestor: "Dewey") -> int:
         """Number of edges between this node and an ancestor-or-self label."""
         if not ancestor.is_ancestor_or_self(self):
@@ -243,36 +229,3 @@ class Dewey:
 
 
 _ROOT = Dewey()
-
-
-def document_order(labels: Iterable[Dewey]) -> list[Dewey]:
-    """Return the labels sorted in document (pre-order) order."""
-    return sorted(labels)
-
-
-def remove_descendants(labels: Iterable[Dewey]) -> list[Dewey]:
-    """Keep only labels that have no ancestor in the collection.
-
-    Useful when a set of matches should be reduced to its "highest"
-    members, e.g. when computing default return entities.
-    """
-    ordered = sorted(set(labels))
-    kept: list[Dewey] = []
-    for label in ordered:
-        if kept and kept[-1].is_ancestor_or_self(label):
-            continue
-        kept.append(label)
-    return kept
-
-
-def remove_ancestors(labels: Iterable[Dewey]) -> list[Dewey]:
-    """Keep only labels that have no descendant in the collection."""
-    ordered = sorted(set(labels))
-    kept: list[Dewey] = []
-    for label in ordered:
-        while kept and kept[-1].is_ancestor_or_self(label) and kept[-1] != label:
-            kept.pop()
-        kept.append(label)
-    # A label may still be an ancestor of a later one only if they were
-    # adjacent; the pass above removes those, so the result is antichain.
-    return kept

@@ -1,12 +1,13 @@
 """The XML document tree.
 
-:class:`XMLTree` owns a root :class:`~repro.xmltree.node.XMLNode`, numbers
-its nodes in document order (``pre`` — the identity the index and the
-search path use, see :class:`TreeShape`) and keeps a Dewey → node registry
-for everything that names a node by its label: snippet instance lists,
-journal and replication records, the v3 text snapshot.  It also provides
-subtree extraction, which is how query result trees and snippet trees are
-cut out of the document.
+:class:`XMLTree` owns a root :class:`~repro.xmltree.node.XMLNode` and
+numbers its nodes in document order (``pre`` — the identity the index, the
+search path and snippet generation use, see :class:`TreeShape`).  What
+names a node by its Dewey label — journal and replication records, the v3
+text snapshot, projections for display — goes through a Dewey → node
+registry the tree builds the first time a label is looked up.  It also
+provides subtree extraction, which is how query result trees and snippet
+trees are cut out of the document.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ class XMLTree:
     :attr:`nodes_by_pre`) is what the index and the search path compute
     with; the Dewey label is derived from it for display and for the
     formats that spell node positions as text — :meth:`node` and
-    :meth:`find_node` turn a label back into its node.
+    :meth:`find_node` turn a label back into its node, through a registry
+    built on the first such lookup (a tree that only serves searches and
+    snippets never builds one).
 
     >>> from repro.xmltree.builder import TreeBuilder
     >>> builder = TreeBuilder("retailer")
@@ -100,7 +103,7 @@ class XMLTree:
             raise ExtractError("the root of an XMLTree must not have a parent")
         self.name = name
         self.root = root
-        self._registry: dict[Dewey, XMLNode] = {}
+        self._registry: dict[Dewey, XMLNode] | None = None
         self._by_pre: list[XMLNode] = []
         self._shape: TreeShape | None = None
         self._reindex()
@@ -109,7 +112,7 @@ class XMLTree:
     # registry maintenance
     # ------------------------------------------------------------------ #
     def _reindex(self) -> None:
-        """Rebuild Dewey labels, pre/post/level ids and the registry.
+        """Rebuild Dewey labels and pre/post/level ids.
 
         One iterative depth-first pass, independent of document depth, and
         the only place labels are assigned: whatever ``dewey`` / ``pre`` /
@@ -126,7 +129,8 @@ class XMLTree:
         root.dewey = Dewey.root()
         root.level = 0
         label_of = Dewey._trusted
-        registry: dict[Dewey, XMLNode] = {}
+        by_pre: list[XMLNode] = []
+        visit = by_pre.append
         pre = 0
         post = 0
         stack: list[XMLNode | None] = [root]
@@ -140,8 +144,7 @@ class XMLTree:
                 continue
             node.pre = pre
             pre += 1
-            label = node.dewey
-            registry[label] = node
+            visit(node)
             children = node.children
             if not children:
                 node.post = post
@@ -150,22 +153,30 @@ class XMLTree:
             push(node)
             push(None)
             level = node.level + 1
-            components = label.components
+            components = node.dewey.components
             for ordinal in range(len(children) - 1, -1, -1):
                 child = children[ordinal]
                 child.parent = node
                 child.level = level
                 child.dewey = label_of(components + (ordinal,))
                 push(child)
-        self._registry = registry
-        # The registry was filled on the way down, so its values are the
-        # nodes in pre-order: position ``i`` holds the node with ``pre == i``.
-        self._by_pre = list(registry.values())
+        self._by_pre = by_pre
+        self._registry = None
         self._shape = None
 
     def refresh(self) -> None:
-        """Public hook to re-label and re-register after manual edits."""
+        """Public hook to re-label and re-number after manual edits."""
         self._reindex()
+
+    @property
+    def _labels(self) -> dict[Dewey, XMLNode]:
+        """The Dewey → node registry, built on first use and dropped
+        whenever the tree reindexes (racing first readers build equal
+        dicts; whichever is stored last serves)."""
+        registry = self._registry
+        if registry is None:
+            registry = self._registry = {node.dewey: node for node in self._by_pre}
+        return registry
 
     @property
     def shape(self) -> TreeShape:
@@ -212,16 +223,16 @@ class XMLTree:
         tree — a symptom of mixing labels from different documents.
         """
         try:
-            return self._registry[dewey]
+            return self._labels[dewey]
         except KeyError as exc:
             raise ExtractError(f"no node with Dewey label {dewey} in tree {self.name!r}") from exc
 
     def has_node(self, dewey: Dewey) -> bool:
-        return dewey in self._registry
+        return dewey in self._labels
 
     def find_node(self, dewey: Dewey) -> XMLNode | None:
         """The node with the given Dewey label, or ``None`` if there is none."""
-        return self._registry.get(dewey)
+        return self._labels.get(dewey)
 
     @property
     def nodes_by_pre(self) -> list[XMLNode]:
@@ -232,10 +243,6 @@ class XMLTree:
         must not mutate it.
         """
         return self._by_pre
-
-    def nodes(self, labels: Iterable[Dewey]) -> list[XMLNode]:
-        """Materialise many labels at once (order preserved)."""
-        return [self.node(label) for label in labels]
 
     def find_by_tag(self, tag: str) -> list[XMLNode]:
         """All nodes with the given tag, in document order."""
@@ -259,12 +266,12 @@ class XMLTree:
     @property
     def size_nodes(self) -> int:
         """Number of nodes in the document."""
-        return len(self._registry)
+        return len(self._by_pre)
 
     @property
     def size_edges(self) -> int:
         """Number of edges in the document."""
-        return max(0, len(self._registry) - 1)
+        return max(0, len(self._by_pre) - 1)
 
     @property
     def max_depth(self) -> int:
@@ -302,17 +309,18 @@ class XMLTree:
         wanted = sorted(set(labels))
         if not wanted:
             raise ExtractError("extract_projection() requires at least one label")
+        registry = self._labels
         for label in wanted:
-            if label not in self._registry:
+            if label not in registry:
                 raise ExtractError(f"label {label} not present in tree {self.name!r}")
 
         # ``wanted`` is in document order, so its first and last label span
         # all of it: their common ancestor is everyone's.
         anchor = Dewey.common_ancestor(wanted[0], wanted[-1])
-        anchor_node = self._registry[anchor]
+        anchor_node = registry[anchor]
         keep: set[Dewey] = {anchor}
         for label in wanted:
-            node = self._registry[label]
+            node = registry[label]
             # full subtree below the label
             keep.update(descendant.dewey for descendant in node.iter_subtree())
             # path up to the anchor, or to a path already kept
@@ -323,7 +331,7 @@ class XMLTree:
                 keep.add(node.dewey)
 
         mapping: dict[Dewey, Dewey] = {}
-        new_root = self._copy_projection(self._registry[anchor], keep, mapping)
+        new_root = self._copy_projection(anchor_node, keep, mapping)
         tree = XMLTree(new_root, name=f"{self.name}:projection")
         # _copy_projection recorded original labels keyed by id(node); remap
         # now that the new tree has assigned final Dewey labels.
@@ -358,7 +366,7 @@ class XMLTree:
     # dunder protocol
     # ------------------------------------------------------------------ #
     def __contains__(self, dewey: Dewey) -> bool:
-        return dewey in self._registry
+        return dewey in self._labels
 
     def __len__(self) -> int:
         return self.size_nodes

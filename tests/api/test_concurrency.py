@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 from repro.api import (
     BatchRequest,
@@ -205,6 +206,66 @@ class TestConcurrentPagesOfOneColdQuery:
         assert (stats.misses, stats.hits) == (total, 0)
         cached = system.run_query("suit formal", size_bound=6)
         assert cached.from_cache and cached.snippets.generated == total
+
+
+class TestConcurrentFirstSnippetsOfOneColdDocument:
+    """A document's feature table is built by the first snippet anybody
+    asks for: eight threads asking at once — different queries, so no batch
+    lock serialises them — wait for one build and share it."""
+
+    QUERIES = QUERIES + ["store houston", "clothes man", "outwear woman", "retailer apparel"]
+
+    def test_eight_threads_build_one_table(self, monkeypatch):
+        import sys
+
+        from repro.classify.analyzer import DataAnalyzer
+
+        assert len(self.QUERIES) == THREADS
+        requests = [
+            SearchRequest(query=query, document="retail", size_bound=6) for query in self.QUERIES
+        ]
+        serial = SnippetService(fresh_corpus())
+        reference = [wire_bytes(serial.run(request)) for request in requests]
+
+        builds: list[int] = []
+        build = DataAnalyzer._build_feature_table
+
+        def counted_build(analyzer):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # long enough for the other seven to arrive
+            return build(analyzer)
+
+        monkeypatch.setattr(DataAnalyzer, "_build_feature_table", counted_build)
+        corpus = fresh_corpus()
+        analyzer = corpus.system("retail").index.analyzer
+        assert analyzer._features is None  # registering a document builds no table
+        service = SnippetService(corpus)
+        got: list[str] = [""] * THREADS
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(THREADS)
+
+        def worker(slot: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                got[slot] = wire_bytes(service.run(requests[slot]))
+            except BaseException as exc:  # noqa: BLE001 - surfaced in the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the build
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert got == reference
+        assert len(builds) == 1
+        assert analyzer._features is not None
 
 
 class TestRegistrationUnderServing:

@@ -1,23 +1,32 @@
 """The runtime twin of the static ``error-contract`` rule: walk
 ``repro.errors`` with :mod:`inspect` and assert the protocol's error-code
 tables cover it.  The static rule checks the source; this checks the live
-modules, so the contract holds even when the linter is skipped."""
+modules, so the contract holds even when the linter is skipped.
+
+Also here: the one bound the protocol itself enforces — a batch may expand
+to at most ``MAX_BATCH_FANOUT`` (query, document) pairs — answers the same
+``bad_request`` bytes from every backend."""
 
 from __future__ import annotations
 
 import inspect
+import json
 
 import pytest
 
 import repro.errors as errors_module
+from repro.api import BatchRequest, SnippetService
 from repro.api.protocol import (
     ERROR_CODES,
     HTTP_STATUS_BY_CODE,
+    MAX_BATCH_FANOUT,
     _CODE_BY_EXCEPTION,
     code_for_exception,
     http_status_for_code,
 )
-from repro.errors import ExtractError
+from repro.cluster import ClusterService
+from repro.errors import ExtractError, ProtocolError
+from tests.cluster.conftest import build_corpus, in_thread_remote
 
 
 def _error_classes() -> list[type[ExtractError]]:
@@ -88,3 +97,44 @@ class TestExceptionCoverage:
 
     def test_foreign_exception_maps_to_internal(self):
         assert code_for_exception(RuntimeError("boom")) == "internal"
+
+
+class TestBatchFanoutBound:
+    DOCUMENTS = ("stores", "retail", "movies", "bibliography")
+
+    def too_many(self, documents) -> BatchRequest:
+        per_document = MAX_BATCH_FANOUT // len(self.DOCUMENTS) + 1
+        return BatchRequest(queries=("store texas",) * per_document, documents=documents)
+
+    def test_the_bound_is_a_product_and_inclusive(self):
+        queries = ("store",) * (MAX_BATCH_FANOUT // 4)
+        BatchRequest(queries=queries, documents=("a", "b", "c", "d")).validate()
+        with pytest.raises(ProtocolError, match=str(MAX_BATCH_FANOUT)):
+            BatchRequest(queries=queries + ("store",), documents=("a", "b", "c", "d")).validate()
+        # unknown documents are not looked up before the size is refused
+        with pytest.raises(ProtocolError):
+            BatchRequest(queries=("store",), documents=("ghost",) * (MAX_BATCH_FANOUT + 1)).validate()
+        # nothing the repository itself sends comes anywhere near it
+        assert MAX_BATCH_FANOUT >= 100 * 4 * 4
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["named documents", "all documents"])
+    def test_every_backend_answers_the_same_bad_request(self, explicit):
+        batch = self.too_many(self.DOCUMENTS if explicit else None)
+        text = json.dumps(batch.to_dict())
+        with SnippetService(build_corpus()) as single:
+            reference = single.execute_batch(batch)
+            assert reference.code == "bad_request"
+            assert http_status_for_code(reference.code) == 400
+            assert str(MAX_BATCH_FANOUT) in reference.message
+            expected = single.handle_json(text)
+            assert json.loads(expected) == reference.to_dict()
+
+        def build() -> ClusterService:
+            return ClusterService.from_corpus(build_corpus(), shards=2)
+
+        with build() as cluster:
+            assert cluster.execute_batch(batch).to_dict() == reference.to_dict()
+            assert cluster.handle_json(text) == expected
+        with in_thread_remote(build) as remote:
+            assert remote.execute_batch(batch).to_dict() == reference.to_dict()
+            assert remote.handle_json(text) == expected

@@ -152,6 +152,18 @@ class TestStatusMapping:
         assert status == 400
         assert json.loads(body)["code"] == "bad_request"
 
+    def test_oversized_batch_fanout_is_400(self, server):
+        from repro.api.protocol import MAX_BATCH_FANOUT
+
+        batch = BatchRequest(queries=("store",) * (MAX_BATCH_FANOUT // 2 + 1))  # × 2 documents
+        status, body = _raw_post(server.port, "/v1/batch", json.dumps(batch.to_dict()))
+        assert status == 400
+        payload = json.loads(body)
+        assert payload["code"] == "bad_request"
+        assert str(MAX_BATCH_FANOUT) in payload["message"]
+        in_process = SnippetService(_fresh_corpus()).handle_json(json.dumps(batch.to_dict()))
+        assert body == in_process
+
     def test_kind_endpoint_mismatch_is_400(self, server):
         status, body = _raw_post(
             server.port,

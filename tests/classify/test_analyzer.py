@@ -102,3 +102,22 @@ class TestMultipleEntityPathsSameTag:
         analyzer = DataAnalyzer(tree)
         chosen = analyzer.entity_type_by_tag("item")
         assert chosen.tag_path == ("db", "item")
+
+    def test_an_assembled_analyzer_reads_the_entity_types_it_was_given(self):
+        from dataclasses import replace
+
+        tree = tree_from_dict(
+            "db",
+            {
+                "item": [{"name": "top1"}, {"name": "top2"}],
+                "box": {"item": [{"name": "nested1"}, {"name": "nested2"}]},
+            },
+        )
+        built = DataAnalyzer(tree)
+        patched = dict(built.entity_types)
+        patched[("db", "item")] = replace(patched[("db", "item")], key=None)
+        rebound = DataAnalyzer.rebound(tree, None, built.schema, built.categories, patched)
+        assert built.entity_type_by_tag("item").key is not None
+        assert rebound.entity_type_by_tag("item") is patched[("db", "item")]
+        same_shape = built.rebound_to_same_shape(tree, built.schema, patched, changed_pres=())
+        assert same_shape.entity_type_by_tag("item") is patched[("db", "item")]

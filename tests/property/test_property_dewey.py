@@ -5,8 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmltree.dewey import Dewey, remove_ancestors, remove_descendants
+from repro.xmltree.dewey import Dewey
 from tests.property.strategies import dewey_labels, label_sets
+from tests.search.reference_lca import remove_ancestors
 
 
 @given(dewey_labels(), dewey_labels())
@@ -64,20 +65,6 @@ def test_remove_ancestors_returns_antichain_preserving_maximal_elements(labels):
     for label in labels:
         if label not in as_set:
             assert any(label.is_ancestor_of(kept) for kept in result)
-
-
-@given(label_sets())
-def test_remove_descendants_returns_antichain_preserving_minimal_elements(labels):
-    result = remove_descendants(labels)
-    as_set = set(result)
-    assert as_set <= set(labels)
-    for first in result:
-        for second in result:
-            if first != second:
-                assert not first.is_ancestor_of(second)
-    for label in labels:
-        if label not in as_set:
-            assert any(kept.is_ancestor_of(label) for kept in result)
 
 
 @given(label_sets())

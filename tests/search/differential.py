@@ -38,7 +38,9 @@ def assert_search_matches_reference(
     for position, (result, reference) in enumerate(zip(ranked, expected)):
         assert result.result_id == position, context
         assert result.score == reference.score, context
+        nodes = index.tree.nodes_by_pre
         assert {
-            keyword: tuple(result.match_labels(keyword)) for keyword in result.matches
+            keyword: tuple(nodes[pre].dewey for pre in ids)
+            for keyword, ids in result.matches.items()
         } == reference.matches, context
         assert result.size_nodes == reference.size_nodes, context

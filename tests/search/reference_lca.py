@@ -12,7 +12,9 @@ the differential suites hold the int implementation to it (same roots,
 same matches per keyword, same scores, same rank order).
 
 It reads the tree through labels only (``node.dewey``, ``tree.node``,
-``extract_projection``), which stay public on the int side.
+``extract_projection``), which stay public on the int side.  The label
+helpers only this path ever called — :func:`remove_ancestors`,
+:func:`common_ancestor_of_all` — live here with it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,39 @@ from dataclasses import dataclass
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.utils.text import iter_index_terms, normalize_token, singularize
-from repro.xmltree.dewey import Dewey, remove_ancestors
+from repro.errors import DeweyError
+from repro.xmltree.dewey import Dewey
 from repro.xmltree.tree import XMLTree
+
+
+# ---------------------------------------------------------------------- #
+# label helpers
+# ---------------------------------------------------------------------- #
+def remove_ancestors(labels: Iterable[Dewey]) -> list[Dewey]:
+    """Keep only labels that have no descendant in the collection."""
+    ordered = sorted(set(labels))
+    kept: list[Dewey] = []
+    for label in ordered:
+        while kept and kept[-1].is_ancestor_or_self(label) and kept[-1] != label:
+            kept.pop()
+        kept.append(label)
+    # A label may still be an ancestor of a later one only if they were
+    # adjacent; the pass above removes those, so the result is antichain.
+    return kept
+
+
+def common_ancestor_of_all(labels: Iterable[Dewey]) -> Dewey:
+    """Lowest common ancestor of a non-empty collection of labels."""
+    iterator = iter(labels)
+    try:
+        result = next(iterator)
+    except StopIteration as exc:
+        raise DeweyError("common_ancestor_of_all() requires at least one label") from exc
+    for label in iterator:
+        result = Dewey.common_ancestor(result, label)
+        if result.is_root:
+            break
+    return result
 
 
 class LabelPostingList:
@@ -224,7 +257,7 @@ def reference_score(result: ReferenceResult, keyword_count: int) -> float:
     proximity = 0.0
     labels = sorted({label for found in result.matches.values() for label in found})
     if len(labels) >= 2:
-        lca = Dewey.common_ancestor_of_all(labels)
+        lca = common_ancestor_of_all(labels)
         span = max(label.depth - lca.depth for label in labels)
         proximity = 1.0 / (1.0 + span)
     elif len(labels) == 1:

@@ -115,19 +115,23 @@ class TestQueryResult:
         assert copy.root.tag == "store"
         assert copy.size_nodes == results[0].size_nodes
 
-    def test_matched_keywords_and_all_labels(self, figure5_idx):
+    def test_matched_keywords_and_all_matches(self, figure5_idx):
         results = SearchEngine(figure5_idx).search("store texas")
         result = results[0]
         assert set(result.matched_keywords) == {"store", "texas"}
-        labels = result.all_match_labels()
-        assert labels == sorted(set(labels))
+        matches = result.all_matches()
+        assert matches == sorted(set(matches))
+        assert set(matches) == set().union(*result.matches.values())
 
-    def test_contains_label(self, figure5_idx):
+    def test_contains(self, figure5_idx):
         results = SearchEngine(figure5_idx).search("store texas")
         result = results[0]
-        assert result.contains_label(result.root)
+        nodes = list(result.iter_nodes())
+        assert all(result.contains(node.pre) for node in nodes)
+        assert not result.contains(nodes[0].pre - 1)
+        assert not result.contains(nodes[-1].pre + 1)
         other = results[1]
-        assert not result.contains_label(other.root)
+        assert not result.contains(other.root_node.pre)
 
 
 class TestLimitNumbering:

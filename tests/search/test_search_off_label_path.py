@@ -8,6 +8,10 @@ or construct a single label, nor turn one back into a node — and neither
 may decoding a posting list from a v4 snapshot, nor deciding which cache
 entries survive a text-only update.  Counting wrappers, not timings; at
 the parent of this change a search made about 6,300 label comparisons.
+
+Snippet generation names nodes by ``pre`` too, so nothing on the serving
+path is left to read the tree's Dewey → node registry: a cold page 1 and a
+text-only ``update_document`` build none.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.diff import clone_tree
+from repro.xmltree.parser import parse_xml
+from repro.xmltree.serialize import to_xml_string
 from repro.xmltree.tree import XMLTree
 from tests.property.test_property_node_tables import SHAPES
 from tests.search.reference_lca import reference_search
@@ -131,6 +137,40 @@ def test_carrying_caches_over_a_text_only_update_touches_no_label(shape, calls, 
     assert report.incremental
     assert report.cache_entries_kept + report.cache_entries_invalidated > 0
     assert seen == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_cold_page_one_and_a_text_only_update_build_no_registry(shape, calls):
+    tree = SHAPES[shape]()
+    corpus = Corpus()
+    corpus.add_tree(shape, tree)
+    pool = query_pool(corpus.system(shape).index)
+    for name in calls:
+        calls[name] = 0
+
+    def browse(system) -> int:
+        return sum(
+            len(system.run_query(text, size_bound=14).snippets.page(1, 10)) for text in pool
+        )
+
+    assert browse(corpus.system(shape)) > len(pool)
+    assert tree._registry is None
+    assert calls["XMLTree.node"] == calls["XMLTree.find_node"] == 0
+    assert calls["Dewey.__hash__"] == calls["Dewey.__lt__"] == 0
+
+    # the edited version arrives the way an update request brings it: parsed
+    edited = parse_xml(to_xml_string(tree)).tree
+    victim = next(node for node in edited.nodes_by_pre if node.has_text_value)
+    victim.text = victim.text + " edited"
+    report = corpus.update_document(shape, edited)
+
+    assert report.incremental
+    assert browse(corpus.system(shape)) > len(pool)
+    assert corpus.system(shape).index.tree is edited
+    assert tree._registry is None and edited._registry is None
+    assert calls["XMLTree.node"] == calls["XMLTree.find_node"] == 0
+    # ... and whoever does name a node by label still gets it
+    assert edited.node(victim.dewey) is victim and len(edited._registry) == len(edited)
 
 
 def test_the_counters_see_the_label_routes(calls):

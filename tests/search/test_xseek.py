@@ -59,7 +59,7 @@ class TestBuildResultTree:
         result = build_result_tree(small_index, query, roots[0])
         assert any(len(ids) for ids in result.matches.values())
         for keyword in result.matches:
-            assert all(result.contains_label(label) for label in result.match_labels(keyword))
+            assert all(result.contains(pre) for pre in result.matches[keyword])
 
     def test_xseek_promotes_and_keeps_whole_entity(self, small_index, small_retailer_tree):
         query = KeywordQuery.parse("houston")

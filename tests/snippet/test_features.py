@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.builder import IndexBuilder
 from repro.search.engine import SearchEngine
+from repro.search.query import KeywordQuery
+from repro.search.xseek import build_result_tree
 from repro.snippet.features import Feature, FeatureStatistics, extract_features
+from repro.xmltree.builder import tree_from_dict
 
 
 @pytest.fixture()
@@ -49,7 +53,8 @@ class TestExtraction:
     def test_instances_recorded(self, small_stats, small_result):
         instances = small_stats.instances_of(Feature("clothes", "category", "outwear"))
         assert len(instances) == 2
-        assert all(small_result.contains_label(label) for label in instances)
+        assert all(small_result.contains(pre) for pre in instances)
+        assert instances == sorted(instances)
 
     def test_display_value_keeps_original_case(self, small_stats):
         assert small_stats.display_value(Feature("store", "city", "houston")) == "Houston"
@@ -63,10 +68,15 @@ class TestExtraction:
         assert small_stats.occurrences(ghost) is None
         assert small_stats.display_value(ghost) == "atlantis"
 
-    def test_empty_values_ignored(self, small_index):
-        statistics = FeatureStatistics()
-        statistics.add_occurrence("store", "city", "   ", small_index.tree.root.dewey)
+    def test_values_that_normalise_to_nothing_are_ignored(self):
+        tree = tree_from_dict("shops", {"store": [{"city": "--"}, {"city": "!?"}]})
+        index = IndexBuilder().build(tree)
+        statistics = extract_features(
+            index.analyzer, build_result_tree(index, KeywordQuery.parse("store"), 0)
+        )
+        assert isinstance(statistics, FeatureStatistics)
         assert len(statistics) == 0
+        assert statistics.feature_types() == []
 
 
 class TestDominanceScore:

@@ -100,8 +100,8 @@ class TestEndToEndInvariants:
             assert generated.snippet.size_edges <= bound
             assert generated.snippet.is_connected()
             # every selected node belongs to the generating result
-            for label in generated.snippet.node_labels:
-                assert generated.result.contains_label(label)
+            for node in generated.snippet.selected_nodes():
+                assert generated.result.contains(node.pre)
 
     def test_snippet_is_subtree_of_result(self, retail_results, retail_generator):
         generated = retail_generator.generate(retail_results[0], size_bound=8)

@@ -47,7 +47,7 @@ class TestFigure3:
     def test_every_item_has_instances_inside_result(self, figure1_ilist, figure1_result):
         for item in figure1_ilist:
             assert item.has_instances
-            assert all(figure1_result.contains_label(label) for label in item.instances)
+            assert all(figure1_result.contains(pre) for pre in item.instances)
 
     def test_entity_names_ordered_by_instance_count(self, figure1_ilist):
         entity_items = figure1_ilist.items_of_kind(ItemKind.ENTITY_NAME)

@@ -94,7 +94,10 @@ class TestInstanceChoice:
         houston_instance = snippet.chosen_instances.get("houston")
         assert outwear_instance is not None and houston_instance is not None
         # both chosen instances lie under the same store node
-        assert outwear_instance.prefix(houston_instance.depth - 1) == houston_instance.parent()
+        nodes = small_index.tree.nodes_by_pre
+        store = nodes[houston_instance].parent
+        assert store.tag == "store"
+        assert store.dewey.is_ancestor_of(nodes[outwear_instance].dewey)
 
     def test_first_instance_strategy(self, figure1_setup):
         result, ilist = figure1_setup
@@ -102,9 +105,7 @@ class TestInstanceChoice:
         snippet = selector.select(result, ilist, 14)
         for item in snippet.covered_items:
             chosen = snippet.chosen_instances[item.identity]
-            assert chosen == min(
-                label for label in item.instances if result.root.is_ancestor_or_self(label)
-            )
+            assert chosen == min(pre for pre in item.instances if result.contains(pre))
 
     def test_random_strategy_is_seeded(self, figure1_setup):
         result, ilist = figure1_setup

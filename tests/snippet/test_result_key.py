@@ -31,7 +31,7 @@ class TestPaperExample:
 
     def test_key_instances_inside_result(self, figure1_idx, figure1_result):
         keys = identify_keys(figure1_idx, figure1_result, "Texas, apparel, retailer")
-        assert all(figure1_result.contains_label(label) for label in keys[0].instances)
+        assert all(figure1_result.contains(pre) for pre in keys[0].instances)
 
 
 class TestFigure5:

@@ -70,8 +70,8 @@ class TestDecisionContents:
     def test_return_instances_point_into_result(self, figure1_idx, figure1_result):
         identifier = ReturnEntityIdentifier(figure1_idx.analyzer)
         decision = identifier.identify(KeywordQuery.parse("retailer"), figure1_result)
-        for labels in decision.return_instances.values():
-            assert all(figure1_result.contains_label(label) for label in labels)
+        for instances in decision.return_instances.values():
+            assert all(figure1_result.contains(pre) for pre in instances)
 
     def test_is_return_entity_and_repr(self, figure1_idx, figure1_result):
         identifier = ReturnEntityIdentifier(figure1_idx.analyzer)

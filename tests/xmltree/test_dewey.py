@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeweyError
-from repro.xmltree.dewey import Dewey, document_order, remove_ancestors, remove_descendants
+from repro.xmltree.dewey import Dewey
+from tests.search.reference_lca import common_ancestor_of_all, remove_ancestors
 
 
 class TestConstruction:
@@ -110,11 +111,11 @@ class TestRelationships:
 
     def test_common_ancestor_of_all(self):
         labels = [Dewey((0, 1, 2)), Dewey((0, 1, 3)), Dewey((0, 2))]
-        assert Dewey.common_ancestor_of_all(labels) == Dewey((0,))
+        assert common_ancestor_of_all(labels) == Dewey((0,))
 
     def test_common_ancestor_of_all_empty_raises(self):
         with pytest.raises(DeweyError):
-            Dewey.common_ancestor_of_all([])
+            common_ancestor_of_all([])
 
     def test_distance_to_ancestor(self):
         assert Dewey((0, 1, 2)).distance_to_ancestor(Dewey((0,))) == 2
@@ -139,7 +140,7 @@ class TestOrdering:
 
     def test_sorting(self):
         labels = [Dewey((1,)), Dewey((0, 5)), Dewey((0,)), Dewey.root()]
-        assert document_order(labels) == [Dewey.root(), Dewey((0,)), Dewey((0, 5)), Dewey((1,))]
+        assert sorted(labels) == [Dewey.root(), Dewey((0,)), Dewey((0, 5)), Dewey((1,))]
 
     def test_hashable(self):
         assert len({Dewey((0, 1)), Dewey((0, 1)), Dewey((0, 2))}) == 2
@@ -155,10 +156,6 @@ class TestOrdering:
 
 
 class TestAntichainHelpers:
-    def test_remove_descendants(self):
-        labels = [Dewey((0,)), Dewey((0, 1)), Dewey((1, 2)), Dewey((1, 2, 3))]
-        assert remove_descendants(labels) == [Dewey((0,)), Dewey((1, 2))]
-
     def test_remove_ancestors(self):
         labels = [Dewey((0,)), Dewey((0, 1)), Dewey((0, 2)), Dewey((1,))]
         assert remove_ancestors(labels) == [Dewey((0, 1)), Dewey((0, 2)), Dewey((1,))]
@@ -170,7 +167,3 @@ class TestAntichainHelpers:
     def test_remove_ancestors_deduplicates(self):
         labels = [Dewey((0,)), Dewey((0,))]
         assert remove_ancestors(labels) == [Dewey((0,))]
-
-    def test_remove_descendants_deduplicates(self):
-        labels = [Dewey((0,)), Dewey((0,))]
-        assert remove_descendants(labels) == [Dewey((0,))]

@@ -67,10 +67,15 @@ class TestLookup:
         assert Dewey((0,)) in sample_tree
         assert Dewey((42,)) not in sample_tree
 
-    def test_nodes_bulk(self, sample_tree):
-        labels = [Dewey((0,)), Dewey((1,))]
-        nodes = sample_tree.nodes(labels)
-        assert [node.dewey for node in nodes] == labels
+    def test_the_registry_is_built_by_the_first_label_lookup(self, sample_tree):
+        assert sample_tree._registry is None  # indexing alone builds none
+        assert len(sample_tree) == len(sample_tree.nodes_by_pre)
+        assert sample_tree.find_node(Dewey((1,))) is sample_tree.nodes_by_pre[
+            sample_tree.node(Dewey((1,))).pre
+        ]
+        assert len(sample_tree._registry) == len(sample_tree)
+        sample_tree.refresh()
+        assert sample_tree._registry is None  # stale labels never outlive a reindex
 
     def test_find_by_tag(self, sample_tree):
         stores = sample_tree.find_by_tag("store")

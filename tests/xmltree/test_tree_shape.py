@@ -13,10 +13,10 @@ import itertools
 import pytest
 
 from repro.errors import ExtractError
-from repro.xmltree import dewey as dewey_module
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.diff import clone_tree
 from repro.xmltree.parser import parse_xml
+from tests.search.reference_lca import remove_ancestors
 
 
 class TestTablesAgreeWithLabels:
@@ -49,12 +49,12 @@ class TestTablesAgreeWithLabels:
                 assert node.pre < child.pre
                 assert child.post < node.post
 
-    def test_remove_ancestors_matches_dewey_module(self, figure1_tree):
+    def test_remove_ancestors_matches_the_label_oracle(self, figure1_tree):
         nodes = figure1_tree.nodes_by_pre
         for step in (2, 3, 5):
             ids = [node.pre for node in nodes[::step]]
             kept = figure1_tree.shape.remove_ancestors(ids + ids)  # duplicates too
-            assert [nodes[pre].dewey for pre in kept] == dewey_module.remove_ancestors(
+            assert [nodes[pre].dewey for pre in kept] == remove_ancestors(
                 nodes[pre].dewey for pre in ids
             )
         assert figure1_tree.shape.remove_ancestors([]) == []
