@@ -29,7 +29,7 @@ from repro.api.protocol import (
 )
 from repro.api.service import SnippetService
 from repro.corpus import Corpus
-from repro.errors import ClusterError, UnknownDocumentError
+from repro.errors import ClusterError, DeweyError, ExtractError, UnknownDocumentError
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -234,8 +234,7 @@ class ShardServer:
         references a node or document this shard does not have — a replica
         that silently skipped a delta would drift forever.
         """
-        from repro.xmltree.dewey import Dewey
-        from repro.xmltree.diff import clone_tree
+        from repro.xmltree.diff import apply_text_edits
         from repro.xmltree.dtd import dtd_for_tree_text
         from repro.xmltree.parser import parse_xml
 
@@ -252,15 +251,16 @@ class ShardServer:
                     f"replication delta edits unknown document {delta.document!r} "
                     f"on shard {self.shard_id}"
                 )
-            edited = clone_tree(self.corpus.system(delta.document).index.tree)
-            for label_text, new_text in delta.edits:
-                label = Dewey.parse(label_text)
-                if not edited.has_node(label):
-                    raise ClusterError(
-                        f"replication delta references missing node {label_text} "
-                        f"in document {delta.document!r} on shard {self.shard_id}"
-                    )
-                edited.node(label).text = new_text if new_text else None
+            tree = self.corpus.system(delta.document).index.tree
+            try:
+                edited = apply_text_edits(tree, delta.edits)
+            except DeweyError:
+                raise  # a malformed label is reported as it is spelled
+            except ExtractError as exc:
+                raise ClusterError(
+                    f"replication delta references {exc} "
+                    f"in document {delta.document!r} on shard {self.shard_id}"
+                ) from exc
             return self.corpus.update_document(delta.document, edited)
         if delta.kind in ("replace", "add"):
             parsed = parse_xml(delta.xml or "", name=delta.document)

@@ -32,12 +32,17 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.errors import DatasetError, ExtractError, StorageError, UnknownDocumentError
+from repro.errors import (
+    DatasetError,
+    DeweyError,
+    ExtractError,
+    StorageError,
+    UnknownDocumentError,
+)
 from repro.index.postings import PostingList
 from repro.system import ExtractSystem, SearchOutcome
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.diff import TextEdit, clone_tree, diff_trees
+from repro.xmltree.diff import TextEdit, apply_text_edits, diff_trees
 from repro.xmltree.tree import XMLTree
 
 #: names accepted by :meth:`Corpus.add_builtin` → generator factory
@@ -550,15 +555,15 @@ class Corpus:
                     names_by_subdir[record.snapshot] = name
                 elif record.kind == "update":
                     name = resolve(record.subdir)
-                    edited = clone_tree(self.system(name).index.tree)
-                    for label_text, new_text in record.edits:
-                        label = Dewey.parse(label_text)
-                        if not edited.has_node(label):
-                            raise StorageError(
-                                f"update journal references missing node {label_text} "
-                                f"in document {name!r}"
-                            )
-                        edited.node(label).text = new_text if new_text else None
+                    tree = self.system(name).index.tree
+                    try:
+                        edited = apply_text_edits(tree, record.edits)
+                    except DeweyError:
+                        raise  # a malformed label is reported as it is spelled
+                    except ExtractError as exc:
+                        raise StorageError(
+                            f"update journal references {exc} in document {name!r}"
+                        ) from exc
                     self.update_document(name, edited)
                 else:
                     raise StorageError(

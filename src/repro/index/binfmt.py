@@ -24,7 +24,7 @@ Layout of ``snapshot.bin`` (all integers little-endian)::
 * **TREE** — one ``<iIi>`` record per node in pre-order: parent pre id
   (−1 for the root), tag string id, text string id (−1 for no text).
   Node identity *is* the pre-order position, so Dewey labels need not be
-  stored: one :meth:`XMLTree._reindex` pass reassigns them bit-identically.
+  stored: they follow from the rebuilt ``children`` lists.
 * **ORDER** — per node ``<II>``: post-order rank and level.  ``pre`` is
   implicit.  Validated against the reindexed tree on load.
 * **POSTINGS** — u32 term count, a directory of (term string id u32,
@@ -765,7 +765,6 @@ def _rebuild_tree(
                         f"binary index {file_path} is corrupt: node {position} "
                         f"references a parent after itself"
                     )
-                # no labels yet: the XMLTree reindex below assigns them
                 nodes[parent]._attach(node)
             elif position != 0:
                 raise StorageError(

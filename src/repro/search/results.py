@@ -92,7 +92,7 @@ class QueryResult:
     # ------------------------------------------------------------------ #
     def to_tree(self) -> XMLTree:
         """A standalone deep copy of the result subtree (for display)."""
-        return self.source.extract_subtree(self.root_node.dewey)
+        return self.source.copy_nodes(self.root_node.subtree_ids())
 
     def text_content(self) -> str:
         """The flattened text of the result (used by the text baseline)."""

@@ -71,20 +71,17 @@ def build_result_tree(
 class _MatchPathResult(QueryResult):
     """A query result materialised as the match-paths projection."""
 
+    def _kept(self) -> list[int]:
+        """The ``pre`` ids of the projection: the root, the matches, the
+        paths between them and everything below a match."""
+        return self.source.projection_ids([self.root_node.pre, *self.all_matches()])
+
     def to_tree(self):  # type: ignore[override]
-        nodes = self.source.nodes_by_pre
-        labels = [nodes[pre].dewey for pre in self.all_matches()]
-        labels.append(self.root)
-        projection, _ = self.source.extract_projection(labels)
-        return projection
+        return self.source.copy_nodes(self._kept())
 
     @property
     def size_nodes(self) -> int:  # type: ignore[override]
-        return self.to_tree().size_nodes
-
-    @property
-    def size_edges(self) -> int:  # type: ignore[override]
-        return self.to_tree().size_edges
+        return len(self._kept())
 
 
 def build_all_results(

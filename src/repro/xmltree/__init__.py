@@ -4,7 +4,7 @@ This package implements everything eXtract needs from an XML store:
 
 * :mod:`repro.xmltree.dewey` — Dewey (prefix) labels: a node's display
   name, and how journal records and the v3 text snapshot spell node
-  positions,
+  positions; computed from the tree when read, stored nowhere,
 * :mod:`repro.xmltree.node` / :mod:`repro.xmltree.tree` — an in-memory
   ordered tree model; a tree numbers its nodes in document order (``pre``)
   and its :class:`~repro.xmltree.tree.TreeShape` tables are what the

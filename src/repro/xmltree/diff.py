@@ -19,19 +19,23 @@ structural: the attribute rule of §2.1 keys on whether instances carry
 text, so such an edit can reclassify a schema node.
 
 The walk compares the two ``nodes_by_pre`` lists positionally.  A
-pre-order sequence of depths determines a tree's shape (and, labels being
-assigned purely by position, its Dewey labels), so two trees of equal size
-have the same shape iff ``level`` agrees at every position — an int
-comparison per node, no label is touched until an edit is reported.  Any
+pre-order sequence of depths determines a tree's shape (and, a label
+being a position, its Dewey labels), so two trees of equal size have the
+same shape iff ``level`` agrees at every position — an int comparison per
+node; a label is computed only to word a structural reason or when
+somebody reads :attr:`TextEdit.label`.  Any
 divergence in level, tag or attributes is reported as the structural
 reason and the walk stops early.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.errors import ExtractError
 from repro.xmltree.dewey import Dewey
+from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
 
 
@@ -41,12 +45,18 @@ class TextEdit:
 
     #: position in document order — the same node in both versions
     pre: int
-    #: the node's Dewey label, as the journal and replication records spell it
-    label: Dewey
+    #: the node in the new version
+    node: XMLNode
     tag: str
     tag_path: tuple[str, ...]
     old_text: str
     new_text: str
+
+    @property
+    def label(self) -> Dewey:
+        """The node's Dewey label, as the journal and replication records
+        spell it."""
+        return self.node.dewey
 
     def __repr__(self) -> str:
         return f"<TextEdit {self.label} {self.old_text!r} -> {self.new_text!r}>"
@@ -128,7 +138,7 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
             edits.append(
                 TextEdit(
                     pre=old_node.pre,
-                    label=old_node.dewey,
+                    node=new_node,
                     tag=old_node.tag,
                     tag_path=old_node.tag_path,
                     old_text=old_node.text or "",
@@ -149,3 +159,17 @@ def clone_tree(tree: XMLTree, name: str | None = None) -> XMLTree:
     copy = tree.copy()
     copy.name = name if name is not None else tree.name
     return copy
+
+
+def apply_text_edits(tree: XMLTree, edits: Iterable[tuple[str, str]]) -> XMLTree:
+    """A clone of ``tree`` with ``(label text, new text)`` edits applied —
+    how a journal ``update`` record and a replication delta spell a
+    text-only update.  Raises :class:`ExtractError` naming the first label
+    that is malformed or names no node."""
+    edited = clone_tree(tree)
+    for label_text, new_text in edits:
+        node = edited.find_node(Dewey.parse(label_text))
+        if node is None:
+            raise ExtractError(f"missing node {label_text}")
+        node.text = new_text if new_text else None
+    return edited

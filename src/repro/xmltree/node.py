@@ -15,19 +15,8 @@ from collections.abc import Iterator
 from repro.xmltree.dewey import Dewey
 
 
-_ROOT_LABEL = Dewey.root()
-
-
 class XMLNode:
     """A single element node of an :class:`~repro.xmltree.tree.XMLTree`.
-
-    Two ways to attach a child.  The public :meth:`append_child` labels on
-    attach: the child and everything below it get their final Dewey labels
-    at once, so a detached subtree can be read by label while it is being
-    built (at the price of relabelling it on every graft).  The private
-    :meth:`_attach` wires ``parent`` / ``children`` only, for code that
-    builds a fresh root and hands it straight to ``XMLTree(...)``: labels
-    and order ids are meaningless until the owning tree reindexes.
 
     Attributes
     ----------
@@ -36,28 +25,28 @@ class XMLNode:
     text:
         The concatenated, stripped text content directly under this
         element, or ``None`` when the element has no own text.
-    dewey:
-        The node's Dewey label.  :meth:`append_child` keeps it current on
-        every attachment; a node wired with :meth:`_attach` carries the
-        shared root label until its owning tree reindexes.
     parent:
         The parent node, or ``None`` for the root.
     children:
         Child nodes in document order.
+    ordinal:
+        The node's position among its siblings, set on attachment and
+        rewritten when the owning tree reindexes (which is what picks up a
+        manual edit of a ``children`` list).
     pre / post / level:
         The XPath-accelerator node ids (pre-order rank, post-order rank,
-        depth), assigned alongside the Dewey labels when the owning tree
-        reindexes; ``ancestor(a, b) ⟺ pre(a) <= pre(b) and post(b) <=
-        post(a)``.  They are ``0`` on detached nodes and only meaningful
-        once the node belongs to an :class:`~repro.xmltree.tree.XMLTree`.
+        depth), assigned when the owning tree reindexes; ``ancestor(a, b)
+        ⟺ pre(a) <= pre(b) and post(b) <= post(a)``.  They are ``0`` on
+        detached nodes and only meaningful once the node belongs to an
+        :class:`~repro.xmltree.tree.XMLTree`.
     """
 
     __slots__ = (
         "tag",
         "text",
-        "dewey",
         "parent",
         "children",
+        "ordinal",
         "pre",
         "post",
         "level",
@@ -69,9 +58,9 @@ class XMLNode:
             raise ValueError(f"element tag must be a non-empty string, got {tag!r}")
         self.tag = tag
         self.text = text if text else None
-        self.dewey: Dewey = _ROOT_LABEL
         self.parent: XMLNode | None = None
         self.children: list[XMLNode] = []
+        self.ordinal = 0
         self.pre = 0
         self.post = 0
         self.level = 0
@@ -81,7 +70,7 @@ class XMLNode:
     # structure
     # ------------------------------------------------------------------ #
     def append_child(self, child: "XMLNode") -> "XMLNode":
-        """Attach ``child`` as the last child and assign its Dewey label.
+        """Attach ``child``, which must be detached, as the last child.
 
         Returns the child to allow fluent construction.
         """
@@ -89,34 +78,29 @@ class XMLNode:
             raise ValueError(
                 f"node <{child.tag}> is already attached (to <{child.parent.tag}>)"
             )
-        child.dewey = self.dewey.child(len(self.children))
         self._attach(child)
-        child._relabel_subtree()
         return child
 
     def _attach(self, child: "XMLNode") -> None:
-        """Wire ``child`` in as the last child — parent and children only.
-
-        The no-relabel primitive for code that builds a fresh root and
-        hands it straight to ``XMLTree(...)`` (the parser, the v4 snapshot
-        reader, the snippet and projection copiers): ``dewey``, ``pre``,
-        ``post`` and ``level`` of everything wired this way are meaningless
-        until the owning tree's reindex assigns them, in one pass.  The
-        child must be detached; nothing is checked.
-        """
+        """:meth:`append_child` without the check, for code that only
+        ever attaches nodes it has just made (the parser, the v4 snapshot
+        reader, the snippet and projection copiers)."""
         child.parent = self
+        child.ordinal = len(self.children)
         self.children.append(child)
 
-    def _relabel_subtree(self) -> None:
-        """Recompute Dewey labels of all descendants after (re)attachment."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            for ordinal, child in enumerate(node.children):
-                child.dewey = node.dewey.child(ordinal)
-                child.parent = node
-                if child.children:
-                    stack.append(child)
+    @property
+    def dewey(self) -> Dewey:
+        """The node's Dewey label: the child ordinals on the way down from
+        the root — of the owning tree, or of the detached subtree the node
+        is in.  Computed from the ``parent`` links on every read."""
+        ordinals = []
+        node = self
+        while node.parent is not None:
+            ordinals.append(node.ordinal)
+            node = node.parent
+        ordinals.reverse()
+        return Dewey._trusted(tuple(ordinals))
 
     @property
     def is_leaf(self) -> bool:
@@ -128,7 +112,9 @@ class XMLNode:
 
     @property
     def depth(self) -> int:
-        return self.dewey.depth
+        """Number of ancestors (the root of a tree or of a detached
+        subtree has depth 0)."""
+        return sum(1 for _ in self.iter_ancestors())
 
     @property
     def raw_attributes(self) -> dict[str, str]:
@@ -198,6 +184,11 @@ class XMLNode:
         """All text in the subtree, concatenated in document order."""
         pieces = [node.text for node in self.iter_subtree() if node.text]
         return " ".join(pieces)
+
+    def subtree_ids(self) -> range:
+        """The ``pre`` ids of the subtree rooted here (including self), in
+        the owning tree: a node's descendants directly follow it."""
+        return range(self.pre, self.post + self.level + 1)
 
     def subtree_size_nodes(self) -> int:
         """Number of nodes in the subtree rooted here (including self)."""

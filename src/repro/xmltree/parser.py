@@ -2,9 +2,8 @@
 
 One compiled tokenizer regex drives an explicit stack of open elements:
 no recursion (document depth is data, not interpreter stack), one pass over
-the text, and no labelling — nodes are wired with ``XMLNode._attach`` and
-the one ``XMLTree`` reindex that follows assigns every Dewey label and
-pre/post/level id.
+the text — nodes are wired with ``XMLNode._attach`` and the one ``XMLTree``
+reindex that follows assigns every pre/post/level id.
 
 The accepted language is the subset of XML that keyword-search datasets
 use, with the leniencies those datasets need.  Accepted:
@@ -247,7 +246,7 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
     """Build the element whose ``<`` is at ``start``; the root and its end offset.
 
     Nodes are wired with ``XMLNode._attach``; the caller hands the root to
-    ``XMLTree(...)``, whose reindex labels them.
+    ``XMLTree(...)``, whose reindex numbers them.
     """
     if _TOKEN_RE.match(text, start).lastindex not in (_START_TAG, _LEAF):
         raise _start_tag_error(text, start)

@@ -64,14 +64,11 @@ def compute_stats(tree: XMLTree) -> DocumentStats:
     term_counts: Counter[str] = Counter()
     leaf_count = 0
     text_node_count = 0
-    max_depth = 0
     node_count = 0
 
     for node in tree.iter_nodes():
         node_count += 1
         tag_counts[node.tag] += 1
-        if node.depth > max_depth:
-            max_depth = node.depth
         if node.is_leaf:
             leaf_count += 1
         if node.has_text_value:
@@ -85,7 +82,7 @@ def compute_stats(tree: XMLTree) -> DocumentStats:
         name=tree.name,
         node_count=node_count,
         edge_count=max(0, node_count - 1),
-        max_depth=max_depth,
+        max_depth=tree.max_depth,
         leaf_count=leaf_count,
         text_node_count=text_node_count,
         distinct_tags=len(tag_counts),

@@ -4,10 +4,9 @@
 numbers its nodes in document order (``pre`` — the identity the index, the
 search path and snippet generation use, see :class:`TreeShape`).  What
 names a node by its Dewey label — journal and replication records, the v3
-text snapshot, projections for display — goes through a Dewey → node
-registry the tree builds the first time a label is looked up.  It also
-provides subtree extraction, which is how query result trees and snippet
-trees are cut out of the document.
+text snapshot, projections for display — is resolved by walking the
+``children`` lists down from the root.  It also provides subtree
+extraction, which is how query result trees are cut out of the document.
 """
 
 from __future__ import annotations
@@ -70,21 +69,17 @@ class TreeShape(NamedTuple):
 class XMLTree:
     """An ordered, labelled XML document tree.
 
-    Constructing a tree (and :meth:`refresh`) is what labels its nodes: one
-    reindex pass assigns every ``dewey`` / ``pre`` / ``post`` / ``level``
-    from the ``children`` lists alone.  A root built with
-    ``XMLNode._attach`` therefore needs no labels of its own — they are
-    meaningless until this constructor has run — while one built with the
-    public ``append_child`` arrives already labelled and is relabelled to
-    the same values.
+    Constructing a tree (and :meth:`refresh`) is what numbers its nodes:
+    one reindex pass assigns every ``pre`` / ``post`` / ``level`` /
+    ``ordinal`` from the ``children`` lists alone.
 
     Nodes have two names.  ``pre`` (with :attr:`shape` and
     :attr:`nodes_by_pre`) is what the index and the search path compute
-    with; the Dewey label is derived from it for display and for the
-    formats that spell node positions as text — :meth:`node` and
-    :meth:`find_node` turn a label back into its node, through a registry
-    built on the first such lookup (a tree that only serves searches and
-    snippets never builds one).
+    with.  The Dewey label, for display and for the formats that spell
+    node positions as text, is not stored anywhere: ``XMLNode.dewey``
+    computes it from ``parent`` / ``ordinal`` on every read, and
+    :meth:`node` / :meth:`find_node` turn a label back into its node by
+    indexing ``children`` once per component.
 
     >>> from repro.xmltree.builder import TreeBuilder
     >>> builder = TreeBuilder("retailer")
@@ -103,32 +98,26 @@ class XMLTree:
             raise ExtractError("the root of an XMLTree must not have a parent")
         self.name = name
         self.root = root
-        self._registry: dict[Dewey, XMLNode] | None = None
         self._by_pre: list[XMLNode] = []
         self._shape: TreeShape | None = None
         self._reindex()
 
     # ------------------------------------------------------------------ #
-    # registry maintenance
+    # numbering
     # ------------------------------------------------------------------ #
     def _reindex(self) -> None:
-        """Rebuild Dewey labels and pre/post/level ids.
+        """Rebuild the pre / post / level / ordinal ids.
 
-        One iterative depth-first pass, independent of document depth, and
-        the only place labels are assigned: whatever ``dewey`` / ``pre`` /
-        ``post`` / ``level`` the nodes carried before (a tree wired with
-        ``XMLNode._attach`` carries none worth reading) is overwritten.  A
-        parent labels its children as it pushes them — exactly one
-        :class:`Dewey` per node, derived from the parent's already-valid
-        components — a leaf is numbered the moment it is popped, and an
-        inner node is pushed a second time, under a ``None`` marker, to
-        get its ``post`` id on the way back up.
+        One iterative depth-first pass, independent of document depth:
+        whatever ids the nodes carried before is overwritten.  A parent
+        numbers its children among their siblings as it pushes them, a
+        leaf is numbered the moment it is popped, and an inner node is
+        pushed a second time, under a ``None`` marker, to get its ``post``
+        id on the way back up.
         """
         root = self.root
         root.parent = None
-        root.dewey = Dewey.root()
         root.level = 0
-        label_of = Dewey._trusted
         by_pre: list[XMLNode] = []
         visit = by_pre.append
         pre = 0
@@ -153,30 +142,18 @@ class XMLTree:
             push(node)
             push(None)
             level = node.level + 1
-            components = node.dewey.components
             for ordinal in range(len(children) - 1, -1, -1):
                 child = children[ordinal]
                 child.parent = node
                 child.level = level
-                child.dewey = label_of(components + (ordinal,))
+                child.ordinal = ordinal
                 push(child)
         self._by_pre = by_pre
-        self._registry = None
         self._shape = None
 
     def refresh(self) -> None:
-        """Public hook to re-label and re-number after manual edits."""
+        """Public hook to re-number after manual edits."""
         self._reindex()
-
-    @property
-    def _labels(self) -> dict[Dewey, XMLNode]:
-        """The Dewey → node registry, built on first use and dropped
-        whenever the tree reindexes (racing first readers build equal
-        dicts; whichever is stored last serves)."""
-        registry = self._registry
-        if registry is None:
-            registry = self._registry = {node.dewey: node for node in self._by_pre}
-        return registry
 
     @property
     def shape(self) -> TreeShape:
@@ -222,17 +199,23 @@ class XMLTree:
         Raises :class:`ExtractError` when the label does not exist in this
         tree — a symptom of mixing labels from different documents.
         """
-        try:
-            return self._labels[dewey]
-        except KeyError as exc:
-            raise ExtractError(f"no node with Dewey label {dewey} in tree {self.name!r}") from exc
+        node = self.find_node(dewey)
+        if node is None:
+            raise ExtractError(f"no node with Dewey label {dewey} in tree {self.name!r}")
+        return node
 
     def has_node(self, dewey: Dewey) -> bool:
-        return dewey in self._labels
+        return self.find_node(dewey) is not None
 
     def find_node(self, dewey: Dewey) -> XMLNode | None:
         """The node with the given Dewey label, or ``None`` if there is none."""
-        return self._labels.get(dewey)
+        node = self.root
+        for ordinal in dewey.components:
+            children = node.children
+            if ordinal >= len(children):
+                return None
+            node = children[ordinal]
+        return node
 
     @property
     def nodes_by_pre(self) -> list[XMLNode]:
@@ -276,97 +259,93 @@ class XMLTree:
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node (root has depth 0)."""
-        return max(node.depth for node in self.iter_nodes())
+        return max(node.level for node in self._by_pre)
 
     # ------------------------------------------------------------------ #
     # subtree extraction
     # ------------------------------------------------------------------ #
     def extract_subtree(self, root_label: Dewey) -> "XMLTree":
-        """Deep-copy the subtree rooted at ``root_label`` into a new tree.
-
-        The copy gets fresh Dewey labels rooted at the copied node; the
-        original labels are preserved on each copied node through the
-        ``source`` mapping available via :meth:`extract_projection`.
-        """
-        tree, _ = self.extract_projection([root_label])
-        return tree
+        """Deep-copy the subtree rooted at ``root_label`` into a new tree,
+        whose labels start over at the copied node."""
+        return self.copy_nodes(self.node(root_label).subtree_ids())
 
     def extract_projection(
         self, labels: Iterable[Dewey]
     ) -> tuple["XMLTree", dict[Dewey, Dewey]]:
-        """Build the minimal connected subtree containing ``labels``.
-
-        The projection is the classic "result tree" construction: take the
-        lowest common ancestor of all requested labels as the new root and
-        keep exactly the nodes lying on a path from that root to a
-        requested label, *plus* the full subtrees of the requested labels
-        themselves.
+        """Build the minimal connected subtree containing ``labels``
+        (:meth:`projection_ids` says which nodes that is).
 
         Returns the new tree and a mapping from new Dewey labels to the
         original labels, so callers (e.g. the snippet renderer linking back
         to the full result) can trace provenance.
         """
-        wanted = sorted(set(labels))
+        kept = self.projection_ids(self.node(label).pre for label in labels)
+        tree = self.copy_nodes(kept)
+        nodes = self._by_pre
+        # a projection keeps document order: the copies line up with ``kept``
+        return tree, {
+            copy.dewey: nodes[pre].dewey for copy, pre in zip(tree._by_pre, kept)
+        }
+
+    def projection_ids(self, ids: Iterable[int]) -> list[int]:
+        """The ``pre`` ids, in document order, of the minimal connected
+        subtree containing the nodes ``ids``.
+
+        The projection is the classic "result tree" construction: take the
+        lowest common ancestor of all requested nodes as the new root and
+        keep exactly the nodes lying on a path from that root to a
+        requested node, *plus* the full subtrees of the requested nodes
+        themselves.
+        """
+        wanted = sorted(set(ids))
         if not wanted:
-            raise ExtractError("extract_projection() requires at least one label")
-        registry = self._labels
-        for label in wanted:
-            if label not in registry:
-                raise ExtractError(f"label {label} not present in tree {self.name!r}")
-
-        # ``wanted`` is in document order, so its first and last label span
+            raise ExtractError("a projection requires at least one node")
+        nodes = self._by_pre
+        # ``wanted`` is in document order, so its first and last node span
         # all of it: their common ancestor is everyone's.
-        anchor = Dewey.common_ancestor(wanted[0], wanted[-1])
-        anchor_node = registry[anchor]
-        keep: set[Dewey] = {anchor}
-        for label in wanted:
-            node = registry[label]
-            # full subtree below the label
-            keep.update(descendant.dewey for descendant in node.iter_subtree())
+        anchor = nodes[wanted[0]]
+        last_post = nodes[wanted[-1]].post
+        while anchor.post < last_post:
+            anchor = anchor.parent
+        keep = {anchor.pre}
+        for pre in wanted:
+            node = nodes[pre]
+            keep.update(node.subtree_ids())
             # path up to the anchor, or to a path already kept
-            while node is not anchor_node:
+            while node is not anchor:
                 node = node.parent
-                if node.dewey in keep:
+                if node.pre in keep:
                     break
-                keep.add(node.dewey)
+                keep.add(node.pre)
+        return sorted(keep)
 
-        mapping: dict[Dewey, Dewey] = {}
-        new_root = self._copy_projection(anchor_node, keep, mapping)
-        tree = XMLTree(new_root, name=f"{self.name}:projection")
-        # _copy_projection recorded original labels keyed by id(node); remap
-        # now that the new tree has assigned final Dewey labels.
-        final_mapping = {node.dewey: mapping[id(node)] for node in tree.iter_nodes()}
-        return tree, final_mapping
-
-    def _copy_projection(
-        self, node: XMLNode, keep: set[Dewey], mapping: dict[int, Dewey]
-    ) -> XMLNode:
-        def copy_of(source: XMLNode) -> XMLNode:
-            copy = XMLNode(source.tag, source.text)
-            copy.raw_attributes.update(source.raw_attributes)
-            mapping[id(copy)] = source.dewey
-            return copy
-
-        root_copy = copy_of(node)
-        pending = [(node, root_copy)]
-        while pending:
-            source, copy = pending.pop()
-            for child in source.children:
-                if child.dewey in keep:
-                    child_copy = copy_of(child)
-                    copy._attach(child_copy)
-                    pending.append((child, child_copy))
-        return root_copy
+    def copy_nodes(self, kept: Iterable[int]) -> "XMLTree":
+        """Deep-copy the nodes ``kept`` — ``pre`` ids in document order,
+        the first an ancestor of all others and every other one's parent
+        among them (a subtree's id range, :meth:`projection_ids`) — into a
+        new tree."""
+        nodes = self._by_pre
+        copies: dict[int, XMLNode] = {}
+        root_copy = None
+        for pre in kept:
+            source = nodes[pre]
+            copy = copies[pre] = XMLNode(source.tag, source.text)
+            copy._attributes.update(source._attributes)
+            if root_copy is None:
+                root_copy = copy
+            else:
+                copies[source.parent.pre]._attach(copy)
+        return XMLTree(root_copy, name=f"{self.name}:projection")
 
     def copy(self) -> "XMLTree":
         """A deep copy of the whole document."""
-        return self.extract_subtree(Dewey.root())
+        return self.copy_nodes(range(len(self._by_pre)))
 
     # ------------------------------------------------------------------ #
     # dunder protocol
     # ------------------------------------------------------------------ #
     def __contains__(self, dewey: Dewey) -> bool:
-        return dewey in self._labels
+        return self.has_node(dewey)
 
     def __len__(self) -> int:
         return self.size_nodes

@@ -15,7 +15,7 @@ import pytest
 from repro.api import SearchRequest, UpdateRequest
 from repro.cluster import ShardDelta, ShardServer
 from repro.corpus import Corpus
-from repro.errors import ClusterError
+from repro.errors import ClusterError, DeweyError
 from repro.xmltree.diff import clone_tree
 from repro.xmltree.serialize import to_xml_string
 
@@ -124,12 +124,21 @@ class TestReplication:
 
     def test_delta_for_missing_node_rejected(self):
         _, replica = shard_pair()
-        with pytest.raises(ClusterError, match="missing node"):
+        with pytest.raises(ClusterError) as raised:
             replica.apply_delta(
                 ShardDelta(
                     shard=0, document="stores", kind="update",
                     edits=(("0.99.99", "nowhere"),),
                 )
+            )
+        assert str(raised.value) == (
+            "replication delta references missing node 0.99.99 "
+            "in document 'stores' on shard 0"
+        )
+        # a label that does not parse keeps its own structured error
+        with pytest.raises(DeweyError, match="malformed Dewey label text '0.x'"):
+            replica.apply_delta(
+                ShardDelta(shard=0, document="stores", kind="update", edits=(("0.x", "y"),))
             )
 
     def test_unknown_delta_kind_rejected(self):

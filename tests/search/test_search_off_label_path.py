@@ -9,12 +9,15 @@ may decoding a posting list from a v4 snapshot, nor deciding which cache
 entries survive a text-only update.  Counting wrappers, not timings; at
 the parent of this change a search made about 6,300 label comparisons.
 
-Snippet generation names nodes by ``pre`` too, so nothing on the serving
-path is left to read the tree's Dewey → node registry: a cold page 1 and a
-text-only ``update_document`` build none.
+Snippet generation names nodes by ``pre`` too, and a tree stores no label,
+so a served corpus holds none: an add, a cold page 1, a text-only
+``update_document`` and another page 1 construct no ``Dewey`` and leave
+none behind.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -98,7 +101,7 @@ def test_a_lazy_v4_index_decodes_posting_lists_without_labels(tmp_path, calls):
     loaded = load_index(tmp_path, lazy=True)
     pending = loaded.inverted.pending_terms
     for name in calls:
-        calls[name] = 0  # the reindex of the loaded tree labels every node once
+        calls[name] = 0
 
     texas = loaded.keyword_matches("texas")
     results = SearchEngine(loaded).search("store texas")
@@ -140,13 +143,20 @@ def test_carrying_caches_over_a_text_only_update_touches_no_label(shape, calls, 
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_a_cold_page_one_and_a_text_only_update_build_no_registry(shape, calls):
+def test_a_served_corpus_builds_and_holds_no_label(shape, calls):
+    def live_labels() -> set[int]:
+        gc.collect()
+        return {id(obj) for obj in gc.get_objects() if type(obj) is Dewey}
+
+    probe = Dewey((0,))
+    before = live_labels()
+    assert id(probe) in before  # the probe sees a label that is held
+    for name in calls:
+        calls[name] = 0
     tree = SHAPES[shape]()
     corpus = Corpus()
     corpus.add_tree(shape, tree)
     pool = query_pool(corpus.system(shape).index)
-    for name in calls:
-        calls[name] = 0
 
     def browse(system) -> int:
         return sum(
@@ -154,9 +164,7 @@ def test_a_cold_page_one_and_a_text_only_update_build_no_registry(shape, calls):
         )
 
     assert browse(corpus.system(shape)) > len(pool)
-    assert tree._registry is None
-    assert calls["XMLTree.node"] == calls["XMLTree.find_node"] == 0
-    assert calls["Dewey.__hash__"] == calls["Dewey.__lt__"] == 0
+    assert calls == dict.fromkeys(calls, 0)
 
     # the edited version arrives the way an update request brings it: parsed
     edited = parse_xml(to_xml_string(tree)).tree
@@ -167,10 +175,11 @@ def test_a_cold_page_one_and_a_text_only_update_build_no_registry(shape, calls):
     assert report.incremental
     assert browse(corpus.system(shape)) > len(pool)
     assert corpus.system(shape).index.tree is edited
-    assert tree._registry is None and edited._registry is None
-    assert calls["XMLTree.node"] == calls["XMLTree.find_node"] == 0
+    assert calls == dict.fromkeys(calls, 0)
+    assert live_labels() <= before
     # ... and whoever does name a node by label still gets it
-    assert edited.node(victim.dewey) is victim and len(edited._registry) == len(edited)
+    assert edited.node(victim.dewey) is victim
+    assert [str(edit.label) for edit in report.text_edits] == [str(victim.dewey)]
 
 
 def test_the_counters_see_the_label_routes(calls):
@@ -180,7 +189,7 @@ def test_the_counters_see_the_label_routes(calls):
     for name in calls:
         calls[name] = 0
 
-    assert tree.node(label) is tree.find_node(label)
+    assert tree.node(label) is tree.find_node(label) and label in {label}
     assert sorted([label, Dewey.root()])[0] == Dewey.root()
     assert Dewey.common_ancestor(label, label.parent()) == Dewey.parse(str(label.parent()))
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SearchRequest, SnippetService
+from repro.corpus import Corpus
 from repro.errors import SearchError
 from repro.index.builder import IndexBuilder
+from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.slca import compute_slca
 from repro.search.xseek import (
@@ -14,6 +17,8 @@ from repro.search.xseek import (
     build_result_tree,
     promote_to_entity_root,
 )
+from repro.xmltree.node import XMLNode
+from tests.search.test_differential_lca import _random_index
 
 
 @pytest.fixture()
@@ -81,6 +86,54 @@ class TestBuildResultTree:
         )
         assert paths_result.size_nodes <= subtree_result.size_nodes
         assert paths_result.to_tree().root.tag == subtree_result.root_node.tag
+
+
+class TestMatchPathsSizes:
+    """A match-paths result's size is the number of ``pre`` ids its
+    projection keeps; at the parent of this change every read of it copied
+    (and reindexed) the projection, so ranking plus one payload copied a
+    result that spans the document twice."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ranking_and_payloads_copy_no_node(self, seed, monkeypatch):
+        rng, index = _random_index(seed)
+        corpus = Corpus()
+        corpus.add_tree("doc", index.tree)
+        service = SnippetService(corpus)
+        vocabulary = sorted(index.inverted.vocabulary)
+        queries = [
+            " ".join(rng.sample(vocabulary, rng.randint(1, min(3, len(vocabulary)))))
+            for _ in range(10)
+        ] + ["root"]  # a match at the document root keeps the whole document
+        made = []
+        init = XMLNode.__init__
+
+        def counted_init(self, tag, text=None):
+            made.append(tag)
+            init(self, tag, text)
+
+        monkeypatch.setattr(XMLNode, "__init__", counted_init)
+        payloads = [
+            payload
+            for query in queries
+            for payload in service.run(
+                SearchRequest(
+                    query, "doc", construction="match_paths", include_snippets=False
+                )
+            ).results
+        ]
+        assert len(payloads) > len(queries) / 2 and made == []
+
+        engine = SearchEngine(index, construction=ResultConstruction.MATCH_PATHS)
+        results = [result for query in queries for result in engine.search(query)]
+        assert [result.size_edges for result in results] == [
+            payload.result_edges for payload in payloads
+        ]
+        for result in results:
+            projection = result.to_tree()
+            assert result.size_nodes == projection.size_nodes == len(made)
+            assert result.size_edges == projection.size_edges
+            made.clear()
 
 
 class TestBuildAllResults:

@@ -478,8 +478,27 @@ class TestHardenedLoadDir:
             directory,
             JournalRecord(kind="update", subdir="doc", edits=(("9.9.9", "x"),)),
         )
-        with pytest.raises(StorageError, match="missing node"):
+        with pytest.raises(StorageError) as raised:
             Corpus.load_dir(directory)
+        assert str(raised.value) == (
+            "update journal references missing node 9.9.9 in document 'doc'"
+        )
+
+    def test_journal_spelling_a_malformed_label_fails_cleanly(self, tmp_path):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree())
+        directory = tmp_path / "corpus"
+        corpus.save_dir(directory)
+        append_journal_record(
+            directory,
+            JournalRecord(kind="update", subdir="doc", edits=(("1.x", "x"),)),
+        )
+        with pytest.raises(StorageError) as raised:
+            Corpus.load_dir(directory)
+        assert str(raised.value) == (
+            "replaying journal record 'update' for directory 'doc' failed: "
+            "malformed Dewey label text '1.x'"
+        )
 
     def test_truncated_journal_fails_cleanly(self, tmp_path):
         corpus = Corpus()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.xmltree.builder import tree_from_dict
-from repro.xmltree.diff import clone_tree, diff_trees
+from repro.errors import DeweyError, ExtractError
+from repro.xmltree.diff import apply_text_edits, clone_tree, diff_trees
 from repro.xmltree.parser import parse_xml
 
 
@@ -177,3 +178,43 @@ class TestCloneTree:
 
     def test_clone_rename(self):
         assert clone_tree(shop(), name="other").name == "other"
+
+
+class TestApplyTextEdits:
+    """How a journal ``update`` record and a replication delta are applied."""
+
+    def test_edits_spelled_by_a_diff_reproduce_the_new_version(self):
+        old, new = shop(city="Houston", category="suit"), shop(city="Dallas", category="coat")
+        edits = [(str(edit.label), edit.new_text) for edit in diff_trees(old, new).text_edits]
+        assert len(edits) == 2
+
+        edited = apply_text_edits(old, edits)
+
+        assert edited is not old and edited.name == old.name
+        assert diff_trees(edited, new).is_empty
+        assert diff_trees(old, shop()).is_empty  # the source is not touched
+
+    def test_an_empty_text_clears_the_value(self):
+        city = shop().find_by_tag("city")[0]
+        edited = apply_text_edits(shop(), [(str(city.dewey), "")])
+        assert edited.node(city.dewey).text is None
+
+    def test_each_edit_costs_one_lookup(self, monkeypatch):
+        tree = shop()
+        labels = [str(node.dewey) for node in tree.find_by_tag("city")]
+        lookups = []
+        find_node = type(tree).find_node
+        monkeypatch.setattr(
+            type(tree), "find_node", lambda self, label: lookups.append(label) or find_node(self, label)
+        )
+        apply_text_edits(tree, [(label, "Waco") for label in labels])
+        assert [str(label) for label in lookups] == labels
+
+    @pytest.mark.parametrize("label", ["9.9.9", "1.0.0", "4"])
+    def test_a_label_that_names_no_node_is_named(self, label):
+        with pytest.raises(ExtractError, match=f"^missing node {label}$"):
+            apply_text_edits(shop(), [("1.0", "fine"), (label, "nowhere")])
+
+    def test_a_malformed_label_is_a_dewey_error(self):
+        with pytest.raises(DeweyError, match="malformed Dewey label text '1.x'"):
+            apply_text_edits(shop(), [("1.x", "nowhere")])

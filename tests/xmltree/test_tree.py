@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.errors import ExtractError
@@ -67,15 +69,25 @@ class TestLookup:
         assert Dewey((0,)) in sample_tree
         assert Dewey((42,)) not in sample_tree
 
-    def test_the_registry_is_built_by_the_first_label_lookup(self, sample_tree):
-        assert sample_tree._registry is None  # indexing alone builds none
+    def test_a_lookup_walks_the_children_and_keeps_no_label(self, sample_tree):
+        def live_labels() -> set[int]:
+            gc.collect()
+            return {id(obj) for obj in gc.get_objects() if type(obj) is Dewey}
+
+        label = Dewey((1,))
+        before = live_labels()
+        assert id(label) in before  # the probe sees a label that is held
         assert len(sample_tree) == len(sample_tree.nodes_by_pre)
-        assert sample_tree.find_node(Dewey((1,))) is sample_tree.nodes_by_pre[
-            sample_tree.node(Dewey((1,))).pre
-        ]
-        assert len(sample_tree._registry) == len(sample_tree)
+        found = sample_tree.find_node(label)
+        assert found is sample_tree.node(label) is sample_tree.root.children[1]
+        assert found is sample_tree.nodes_by_pre[found.pre] and found.dewey == label
+        # labels move with the nodes once a manual edit is refreshed
+        sample_tree.root.children.insert(0, XMLNode("motto", "be bold"))
         sample_tree.refresh()
-        assert sample_tree._registry is None  # stale labels never outlive a reindex
+        assert sample_tree.node(label) is sample_tree.root.children[1] is not found
+        assert found.dewey == Dewey((2,)) and sample_tree.node(found.dewey) is found
+        # ... and nothing the tree did left a label behind
+        assert live_labels() <= before
 
     def test_find_by_tag(self, sample_tree):
         stores = sample_tree.find_by_tag("store")

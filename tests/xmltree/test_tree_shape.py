@@ -30,17 +30,16 @@ class TestTablesAgreeWithLabels:
 
     def test_ancestry_agrees_with_dewey_on_every_pair(self, figure1_tree):
         size = figure1_tree.shape.size
-        nodes = figure1_tree.nodes_by_pre
-        for a, b in itertools.product(nodes, repeat=2):
-            contained = a.pre <= b.pre < a.pre + size[a.pre]
-            assert contained == a.dewey.is_ancestor_or_self(b.dewey)
+        labels = [node.dewey for node in figure1_tree.nodes_by_pre]
+        for (a, label_a), (b, label_b) in itertools.product(enumerate(labels), repeat=2):
+            contained = a <= b < a + size[a]
+            assert contained == label_a.is_ancestor_or_self(label_b)
 
     def test_lca_agrees_with_dewey_on_every_pair(self, figure1_tree):
         shape = figure1_tree.shape
-        nodes = figure1_tree.nodes_by_pre
-        for a, b in itertools.product(nodes, repeat=2):
-            expected = Dewey.common_ancestor(a.dewey, b.dewey)
-            assert nodes[shape.lca(a.pre, b.pre)].dewey == expected
+        labels = [node.dewey for node in figure1_tree.nodes_by_pre]
+        for (a, label_a), (b, label_b) in itertools.product(enumerate(labels), repeat=2):
+            assert labels[shape.lca(a, b)] == Dewey.common_ancestor(label_a, label_b)
 
     def test_spans_are_properly_nested(self, figure1_tree):
         # A child's (pre, post) interval sits strictly inside its parent's.
