@@ -197,7 +197,7 @@ def main() -> None:
 
     # The same cluster persists and reloads from disk:
     #   python -m repro.cli cluster-init --dataset retail --shards 4 --output ./cluster
-    #   python -m repro.cli cluster-serve-request --cluster-dir ./cluster --request -
+    #   python -m repro.cli serve-request --cluster-dir ./cluster --request -
     #   python -m repro.cli cluster-update --cluster-dir ./cluster --file edited.xml
     #   python -m repro.cli corpus-compact --corpus-dir ./cluster/shard-0
 

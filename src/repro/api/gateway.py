@@ -496,7 +496,6 @@ class TracingMiddleware(Middleware):
 
 def build_gateway(
     backend: ServingBackend,
-    validate: bool = True,
     max_in_flight: int | None = None,
     deadline: float | None = None,
     metrics: bool = True,
@@ -511,7 +510,8 @@ def build_gateway(
     Stages are applied innermost-first — admission, deadline, validation,
     metrics, tracing — so the composed order is
     ``tracing(metrics(validation(deadline(admission(backend)))))``; any
-    stage whose knob is ``None``/``False`` is skipped.  Admission sits
+    stage whose knob is ``None``/``False`` is skipped — except validation,
+    which is always on.  Admission sits
     inside the deadline on purpose: a timed-out request's worker holds its
     slot until the backend call finishes, so ``max_in_flight`` bounds how
     many calls can actually occupy the backend — arrivals beyond that are
@@ -537,8 +537,7 @@ def build_gateway(
         stack = AdmissionControlMiddleware(stack, max_in_flight=max_in_flight)
     if deadline is not None:
         stack = DeadlineMiddleware(stack, timeout=deadline)
-    if validate:
-        stack = ValidationMiddleware(stack)
+    stack = ValidationMiddleware(stack)
     if metrics or log is not None:
         stack = MetricsMiddleware(stack, log=log, registry=registry)
     if tracing:

@@ -33,14 +33,23 @@ CLI that drives the same pipeline.  Sub-commands:
     subdirectories — the base snapshot is never rewritten.
 ``serve-request``
     Execute one JSON request of the typed service protocol
-    (:mod:`repro.api`) against a corpus and print the JSON response — the
-    offline stand-in for one round trip of the demo's web service.
+    (:mod:`repro.api`) against a corpus, or a sharded cluster through the
+    fan-out router (``--cluster-dir``; byte-identical responses), and
+    print the JSON response — the offline stand-in for one round trip of
+    the demo's web service.
 ``serve``
     Run the asyncio HTTP frontend (:mod:`repro.api.http`) over a corpus
     or a sharded cluster: ``POST /v1/search``, ``/v1/batch``,
     ``/v1/update`` and ``GET /v1/health``, ``/v1/stats``, with the
     gateway middleware stack (validation, optional admission control and
     per-request deadlines, metrics) in front of the backend.
+``loadgen``
+    Fire a seeded mixed workload (Zipf-popular searches, batches and
+    updates) at a running server and report its latency percentiles,
+    throughput and error / shed / cache-hit rates.  See ``docs/loadgen.md``.
+``loadgen-ablate``
+    Measure serving flags one flip at a time, each against a freshly
+    spawned ``serve`` process.
 ``corpus-compact``
     Fold a saved corpus's append-only update journal back into fresh base
     snapshots (staged, atomic, byte-identical search results) — the cheap
@@ -48,10 +57,6 @@ CLI that drives the same pipeline.  Sub-commands:
 ``cluster-init``
     Partition documents across N shards and save the cluster (shard
     corpus directories plus a versioned ``cluster.manifest``).
-``cluster-serve-request``
-    Execute one JSON request against a sharded cluster through the
-    fan-out router (:class:`repro.cluster.ClusterService`) — byte-
-    identical responses to ``serve-request`` over the same documents.
 ``cluster-update``
     Apply one document edit (update, add or remove) to a saved cluster:
     the edit is routed to the owning shard, journalled in that shard's
@@ -93,7 +98,7 @@ Examples::
         --shards 4 --output ./cluster
     echo '{"kind": "search", "schema_version": 1, "query": "movie drama",
            "document": "movies"}' |
-        python -m repro.cli cluster-serve-request --cluster-dir ./cluster --request -
+        python -m repro.cli serve-request --cluster-dir ./cluster --request -
     python -m repro.cli corpus-compact --corpus-dir ./corpus
     python -m repro.cli serve --dataset figure5-stores --port 8080 \\
         --max-in-flight 16 --deadline 30
@@ -105,8 +110,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
+import signal
 import sys
+import threading
 
 from repro.corpus import builtin_dataset_names
 from repro.errors import ExtractError
@@ -114,494 +123,257 @@ from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.snippet.generator import DEFAULT_SIZE_BOUND
 from repro.snippet.render import write_result_page
 from repro.system import ExtractSystem
+from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.xmltree.export import export_doctype
 from repro.xmltree.serialize import to_xml_string
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse command tree (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="extract",
-        description="eXtract: snippet generation for XML keyword search (VLDB 2008 reproduction)",
+# ---------------------------------------------------------------------- #
+# option specs — each option is declared once; a command's row in
+# _COMMANDS lists the specs it takes
+# ---------------------------------------------------------------------- #
+def _checked(cast, accept, requirement: str):
+    """An argparse ``type``: ``cast`` the text, then refuse what ``accept``
+    rejects — an out-of-range number is a usage error (exit 2) before
+    anything is loaded or spawned."""
+
+    def convert(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    convert.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+_POSITIVE_INT = _checked(int, lambda value: value > 0, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "a positive number")
+_NON_NEGATIVE_FLOAT = _checked(float, lambda value: value >= 0, "a non-negative number")
+_PORT = _checked(int, lambda value: 0 <= value <= 65535, "a TCP port (0-65535)")
+
+
+def _arg(*flags, **spec):
+    """An option only one command takes, declared in that command's row."""
+    return lambda sub: sub.add_argument(*flags, **spec)
+
+
+def _sources(sub: argparse.ArgumentParser, one: bool = False) -> None:
+    """``--dataset`` / ``--file``: repeatable corpus sources, or (``one``)
+    exactly one document.  Either way the value is a list, so every
+    command hands :func:`_open_backend` the same shape."""
+    target = sub.add_mutually_exclusive_group(required=True) if one else sub
+    repeat = {"nargs": 1} if one else {"action": "append"}
+    target.add_argument(
+        "--dataset", default=[], choices=builtin_dataset_names(), metavar="NAME",
+        help="a built-in synthetic dataset (see 'datasets')", **repeat,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    target.add_argument("--file", default=[], metavar="PATH", help="an XML document", **repeat)
 
-    def add_source_arguments(sub: argparse.ArgumentParser) -> None:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--file", help="path to an XML document")
-        group.add_argument(
-            "--dataset",
-            choices=builtin_dataset_names(),
-            help="use a built-in synthetic dataset instead of a file",
-        )
 
-    analyze = subparsers.add_parser("analyze", help="analyze a document: schema, entities, keys")
-    add_source_arguments(analyze)
-
-    search = subparsers.add_parser("search", help="keyword search with snippets")
-    add_source_arguments(search)
-    search.add_argument("--query", required=True, help='keyword query, e.g. "store texas"')
-    search.add_argument("--bound", type=int, default=DEFAULT_SIZE_BOUND, help="snippet size bound (edges)")
-    search.add_argument("--limit", type=int, default=None, help="show only the top-k results")
-    search.add_argument("--algorithm", choices=("slca", "elca"), default="slca")
-    search.add_argument("--show-ilist", action="store_true", help="print each result's IList")
-    search.add_argument("--html", metavar="PATH", help="also write an HTML result page")
-
-    ilist = subparsers.add_parser("ilist", help="print the IList of each query result")
-    add_source_arguments(ilist)
-    ilist.add_argument("--query", required=True)
-    ilist.add_argument("--limit", type=int, default=None)
-
-    subparsers.add_parser("datasets", help="list built-in datasets")
-
-    generate = subparsers.add_parser("generate", help="write a built-in dataset to an XML file")
-    generate.add_argument("--dataset", choices=builtin_dataset_names(), required=True)
-    generate.add_argument("--output", required=True, help="path of the XML file to write")
-    generate.add_argument(
-        "--with-doctype", action="store_true", help="embed a DOCTYPE inferred from the data"
-    )
-
-    experiment = subparsers.add_parser("experiment", help="run registered experiments")
-    experiment.add_argument("ids", nargs="*", help="experiment ids (default: list them)")
-
-    def add_corpus_source_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--dataset",
-            action="append",
-            default=[],
-            choices=builtin_dataset_names(),
-            metavar="NAME",
-            help="add a built-in dataset to the corpus (repeatable)",
-        )
-        sub.add_argument(
-            "--file",
-            action="append",
-            default=[],
-            metavar="PATH",
-            help="add an XML document to the corpus (repeatable)",
-        )
-
-    def add_observability_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--request-log", metavar="PATH",
-            help="append one JSON line per served request to PATH "
-                 "(request_id, kind, code, duration; see docs/observability.md)",
-        )
-        sub.add_argument(
-            "--slow-query-ms", type=float, default=None, metavar="MS",
-            help="flag requests slower than MS milliseconds; without "
-                 "--request-log, only the slow ones are logged (to stderr)",
-        )
-
-    batch = subparsers.add_parser(
-        "batch", help="run a file of queries over a corpus in one pass"
-    )
-    batch.add_argument(
-        "--queries", required=True, metavar="PATH",
-        help="query file: one keyword query per line, '#' starts a comment",
-    )
-    add_corpus_source_arguments(batch)
-    batch.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="load a corpus saved by corpus-save instead of (re-)indexing sources",
-    )
-    batch.add_argument("--bound", type=int, default=DEFAULT_SIZE_BOUND, help="snippet size bound (edges)")
-    batch.add_argument("--limit", type=int, default=None, help="top-k results per document")
-    batch.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    batch.add_argument("--no-cache", action="store_true", help="disable the query-result cache")
-    batch.add_argument(
-        "--repeat", type=int, default=1,
-        help="run the batch N times (cache warm-up demonstration; timings per round)",
-    )
-    batch.add_argument("--show-snippets", action="store_true", help="print each query's snippets")
-
-    corpus_save = subparsers.add_parser(
-        "corpus-save", help="index documents and snapshot the corpus to a directory"
-    )
-    add_corpus_source_arguments(corpus_save)
-    corpus_save.add_argument("--output", required=True, metavar="DIR", help="snapshot directory")
-    corpus_save.add_argument("--algorithm", choices=("slca", "elca"), default="slca")
-    corpus_save.add_argument(
-        "--format", choices=("v4",), default="v4",
-        help="snapshot format; v4 (binary, mmap-able) is the only one written",
+def _corpus_dir(sub: argparse.ArgumentParser, required: bool = False) -> None:
+    sub.add_argument(
+        "--corpus-dir", required=required, metavar="DIR",
+        help="a corpus directory written by corpus-save (a cluster shard directory works too)",
     )
 
-    corpus_update = subparsers.add_parser(
-        "corpus-update",
-        help="apply a document update/add/remove to a saved corpus (journalled)",
+
+def _cluster_dir(sub: argparse.ArgumentParser, required: bool = False) -> None:
+    sub.add_argument(
+        "--cluster-dir", required=required, metavar="DIR",
+        help="a cluster directory written by cluster-init",
     )
-    corpus_update.add_argument(
-        "--corpus-dir", required=True, metavar="DIR",
-        help="corpus directory written by corpus-save",
+
+
+def _algorithm(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--algorithm", choices=("slca", "elca"), default=None,
+        help="search algorithm (default: the snapshot's own, otherwise slca)",
     )
-    update_action = corpus_update.add_mutually_exclusive_group(required=True)
-    update_action.add_argument(
+
+
+def _query(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--query", required=True, help='keyword query, e.g. "store texas"')
+
+
+def _bound(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--bound", type=_POSITIVE_INT, default=DEFAULT_SIZE_BOUND,
+        help="snippet size bound (edges)",
+    )
+
+
+def _limit(sub: argparse.ArgumentParser) -> None:
+    # Plain int: a negative limit is the protocol's structured error.
+    sub.add_argument("--limit", type=int, default=None, help="top-k results per document")
+
+
+def _output(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--output", required=True, metavar="PATH",
+        help="where to write: generate's XML file, the corpus / cluster directory",
+    )
+
+
+def _json(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--json", action="store_true", dest="as_json",
+        help="print the machine-readable JSON instead of the text report",
+    )
+
+
+def _request(sub: argparse.ArgumentParser) -> None:
+    """One JSON protocol request in, its JSON response out."""
+    sub.add_argument(
+        "--request", required=True, metavar="PATH",
+        help="file holding the JSON request object ('-' reads standard input)",
+    )
+    sub.add_argument("--pretty", action="store_true", help="indent the JSON response for humans")
+
+
+def _update(sub: argparse.ArgumentParser) -> None:
+    """One journalled lifecycle edit: ``--file`` (update or add) or ``--remove``."""
+    action = sub.add_mutually_exclusive_group(required=True)
+    action.add_argument(
         "--file", metavar="PATH",
         help="XML file holding the new version of the document (update or add)",
     )
-    update_action.add_argument(
-        "--remove", metavar="NAME", help="unregister the named document"
-    )
-    corpus_update.add_argument(
+    action.add_argument("--remove", metavar="NAME", help="unregister the named document")
+    sub.add_argument(
         "--name", metavar="NAME",
         help="document name for --file (default: the file's base name)",
     )
 
-    serve_request = subparsers.add_parser(
-        "serve-request",
-        help="execute one JSON request of the typed service protocol",
-    )
-    add_corpus_source_arguments(serve_request)
-    serve_request.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="load a corpus saved by corpus-save instead of (re-)indexing sources",
-    )
-    serve_request.add_argument(
-        "--request", required=True, metavar="PATH",
-        help="file holding the JSON request object ('-' reads standard input)",
-    )
-    serve_request.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    serve_request.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="thread-pool size for batch requests (1 = serial execution)",
-    )
-    serve_request.add_argument(
-        "--pretty", action="store_true", help="indent the JSON response for humans"
+
+def _address(sub: argparse.ArgumentParser) -> None:
+    """Where a server listens, or where a client finds it."""
+    sub.add_argument("--host", default="127.0.0.1", help="server address (default: 127.0.0.1)")
+    sub.add_argument(
+        "--port", type=_PORT, default=8080,
+        help="server TCP port (default: 8080; 0 binds an ephemeral port)",
     )
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="serve a corpus or cluster over HTTP (gateway + asyncio frontend)",
-    )
-    add_corpus_source_arguments(serve)
-    serve.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="load a corpus saved by corpus-save instead of (re-)indexing sources",
-    )
-    serve.add_argument(
-        "--cluster-dir", metavar="DIR",
-        help="serve a sharded cluster written by cluster-init (fan-out router backend)",
-    )
-    serve.add_argument(
-        "--shard-of", type=int, default=None, metavar="SHARD",
-        help="with --cluster-dir: serve only this shard's corpus (a remote-cluster "
-             "shard process; also answers POST /v1/replicate)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=8080,
-        help="TCP port (default: 8080; 0 binds an ephemeral port)",
-    )
-    serve.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    serve.add_argument(
-        "--cache-size", type=int, default=None, metavar="N",
-        help="LRU entries per document for the query/snippet caches "
-             "(0 disables serving caches; default 256)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8, metavar="N",
+
+def _serving(sub: argparse.ArgumentParser) -> None:
+    """The HTTP serve loop's gateway, lifecycle and request-log knobs."""
+    sub.add_argument(
+        "--workers", type=_POSITIVE_INT, default=8, metavar="N",
         help="HTTP worker threads executing backend calls (default: 8)",
     )
-    serve.add_argument(
-        "--max-in-flight", type=int, default=None, metavar="N",
+    sub.add_argument(
+        "--max-in-flight", type=_POSITIVE_INT, metavar="N",
         help="admission control: reject (503 overloaded) beyond N concurrent requests",
     )
-    serve.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+    sub.add_argument(
+        "--deadline", type=_POSITIVE_FLOAT, metavar="SECONDS",
         help="per-request deadline; a miss answers 504 deadline_exceeded",
     )
-    serve.add_argument(
-        "--no-validate", action="store_true",
-        help="skip the request-validation middleware (backend still validates)",
-    )
-    serve.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
+    sub.add_argument(
+        "--max-requests", type=_POSITIVE_INT, metavar="N",
         help="stop after serving N requests (scripted smoke runs)",
     )
-    serve.add_argument(
+    sub.add_argument(
         "--port-file", metavar="PATH",
         help="write the bound port to PATH once listening (for scripts using --port 0)",
     )
-    add_observability_arguments(serve)
-
-    def add_load_profile_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=int, default=0, help="traffic RNG seed (default: 0)")
-        sub.add_argument(
-            "--requests", type=int, default=100, metavar="N",
-            help="number of requests to plan (default: 100)",
-        )
-        sub.add_argument(
-            "--concurrency", type=int, default=4, metavar="N",
-            help="worker threads, one keep-alive connection each (default: 4)",
-        )
-        sub.add_argument(
-            "--duration", type=float, default=None, metavar="SECONDS",
-            help="stop firing after SECONDS even if requests remain",
-        )
-        sub.add_argument(
-            "--mix", default="search=0.8,batch=0.15,update=0.05", metavar="KIND=W,...",
-            help="request mix weights (default: search=0.8,batch=0.15,update=0.05)",
-        )
-        sub.add_argument(
-            "--zipf", type=float, default=1.1, metavar="S",
-            help="Zipf skew of document/query popularity (default: 1.1)",
-        )
-
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="fire a seeded mixed workload at a serving endpoint and measure it",
+    sub.add_argument(
+        "--request-log", metavar="PATH",
+        help="append one JSON line per served request to PATH "
+             "(request_id, kind, code, duration; see docs/observability.md)",
     )
-    add_corpus_source_arguments(loadgen)
-    loadgen.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="plan over a corpus saved by corpus-save (must mirror the server's)",
-    )
-    loadgen.add_argument("--host", default="127.0.0.1", help="server address (default: 127.0.0.1)")
-    loadgen.add_argument("--port", type=int, default=8080, help="server port (default: 8080)")
-    loadgen.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    add_load_profile_arguments(loadgen)
-    loadgen.add_argument(
-        "--arrival", choices=("closed", "poisson", "fixed"), default="closed",
-        help="arrival process: closed loop (default) or open-loop poisson/fixed",
-    )
-    loadgen.add_argument(
-        "--rate", type=float, default=None, metavar="RPS",
-        help="aggregate target arrival rate (required for poisson/fixed)",
-    )
-    loadgen.add_argument(
-        "--plan-only", action="store_true",
-        help="print the planned request sequence as JSON without firing it",
-    )
-    loadgen.add_argument("--json", action="store_true", help="print the report as JSON")
-    loadgen.add_argument(
-        "--report", metavar="PATH",
-        help="also write the report rows (schema v2, JSON) to PATH",
+    sub.add_argument(
+        "--slow-query-ms", type=_NON_NEGATIVE_FLOAT, metavar="MS",
+        help="flag requests slower than MS milliseconds; without "
+             "--request-log, only the slow ones are logged (to stderr)",
     )
 
-    loadgen_ablate = subparsers.add_parser(
-        "loadgen-ablate",
-        help="measure serving flags one flip at a time, each against a fresh server",
-    )
-    add_corpus_source_arguments(loadgen_ablate)
-    loadgen_ablate.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help="serve (and plan over) a corpus saved by corpus-save",
-    )
-    loadgen_ablate.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    add_load_profile_arguments(loadgen_ablate)
-    loadgen_ablate.add_argument(
-        "--smoke", action="store_true",
-        help="the CI matrix: caches on/off × two admission limits (4 configurations)",
-    )
-    loadgen_ablate.add_argument(
-        "--server-workers", type=int, default=4, metavar="N",
-        help="HTTP worker threads for each spawned server (default: 4)",
-    )
-    loadgen_ablate.add_argument("--json", action="store_true", help="print rows as JSON")
 
-    corpus_compact = subparsers.add_parser(
-        "corpus-compact",
-        help="fold a saved corpus's update journal back into fresh base snapshots",
+def _load_profile(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=0, help="traffic RNG seed (default: 0)")
+    sub.add_argument(
+        "--requests", type=_POSITIVE_INT, default=100, metavar="N",
+        help="number of requests to plan (default: 100)",
     )
-    corpus_compact.add_argument(
-        "--corpus-dir", required=True, metavar="DIR",
-        help="corpus directory written by corpus-save (a cluster shard directory works too)",
+    sub.add_argument(
+        "--concurrency", type=_POSITIVE_INT, default=4, metavar="N",
+        help="worker threads, one keep-alive connection each (default: 4)",
+    )
+    sub.add_argument(
+        "--duration", type=_POSITIVE_FLOAT, metavar="SECONDS",
+        help="stop firing after SECONDS even if requests remain",
+    )
+    sub.add_argument(
+        "--mix", default="search=0.8,batch=0.15,update=0.05", metavar="KIND=W,...",
+        help="request mix weights (default: search=0.8,batch=0.15,update=0.05)",
+    )
+    sub.add_argument(
+        "--zipf", type=float, default=1.1, metavar="S",
+        help="Zipf skew of document/query popularity (default: 1.1)",
     )
 
-    cluster_init = subparsers.add_parser(
-        "cluster-init", help="partition documents across N shards and save the cluster"
-    )
-    add_corpus_source_arguments(cluster_init)
-    cluster_init.add_argument("--output", required=True, metavar="DIR", help="cluster directory")
-    cluster_init.add_argument(
-        "--shards", type=int, default=2, metavar="N", help="number of shards (default: 2)"
-    )
-    cluster_init.add_argument("--algorithm", choices=("slca", "elca"), default="slca")
-    cluster_init.add_argument(
-        "--assign", action="append", default=[], metavar="NAME=SHARD",
-        help="pin a document to a shard (repeatable; implies the explicit partitioner)",
-    )
-    cluster_init.add_argument(
-        "--default-shard", type=int, default=None, metavar="N",
-        help="shard for documents without an --assign pin (explicit partitioner only)",
-    )
 
-    cluster_serve = subparsers.add_parser(
-        "cluster-serve-request",
-        help="execute one JSON request against a sharded cluster (fan-out router)",
-    )
-    cluster_serve.add_argument(
-        "--cluster-dir", required=True, metavar="DIR",
-        help="cluster directory written by cluster-init",
-    )
-    cluster_serve.add_argument(
-        "--request", required=True, metavar="PATH",
-        help="file holding the JSON request object ('-' reads standard input)",
-    )
-    cluster_serve.add_argument("--algorithm", choices=("slca", "elca"), default=None)
-    cluster_serve.add_argument(
-        "--pretty", action="store_true", help="indent the JSON response for humans"
-    )
+# ---------------------------------------------------------------------- #
+# the one rule for which backend a command opens
+# ---------------------------------------------------------------------- #
+def _open_backend(args: argparse.Namespace):
+    """Open the serving backend the command's flags name.
 
-    cluster_update = subparsers.add_parser(
-        "cluster-update",
-        help="apply a document update/add/remove to a saved cluster (journalled per shard)",
-    )
-    cluster_update.add_argument(
-        "--cluster-dir", required=True, metavar="DIR",
-        help="cluster directory written by cluster-init",
-    )
-    cluster_action = cluster_update.add_mutually_exclusive_group(required=True)
-    cluster_action.add_argument(
-        "--file", metavar="PATH",
-        help="XML file holding the new version of the document (update or add)",
-    )
-    cluster_action.add_argument(
-        "--remove", metavar="NAME", help="unregister the named document"
-    )
-    cluster_update.add_argument(
-        "--name", metavar="NAME",
-        help="document name for --file (default: the file's base name)",
-    )
-
-    cluster_spawn = subparsers.add_parser(
-        "cluster-spawn",
-        help="spawn per-shard serve processes and serve the cluster over HTTP "
-             "(remote coordinator with replicas, failover and replication)",
-    )
-    cluster_spawn.add_argument(
-        "--cluster-dir", required=True, metavar="DIR",
-        help="cluster directory written by cluster-init",
-    )
-    cluster_spawn.add_argument(
-        "--replicas", type=int, default=1, metavar="M",
-        help="endpoints per shard (1 = primary only; default: 1)",
-    )
-    cluster_spawn.add_argument("--host", default="127.0.0.1", help="coordinator bind address")
-    cluster_spawn.add_argument(
-        "--port", type=int, default=8080,
-        help="coordinator TCP port (default: 8080; 0 binds an ephemeral port)",
-    )
-    cluster_spawn.add_argument(
-        "--workers", type=int, default=8, metavar="N",
-        help="coordinator HTTP worker threads (default: 8)",
-    )
-    cluster_spawn.add_argument(
-        "--shard-workers", type=int, default=2, metavar="N",
-        help="HTTP worker threads per spawned shard process (default: 2)",
-    )
-    cluster_spawn.add_argument(
-        "--health-interval", type=float, default=0.25, metavar="SECONDS",
-        help="health-probe period for the failover monitor (default: 0.25)",
-    )
-    cluster_spawn.add_argument(
-        "--max-in-flight", type=int, default=None, metavar="N",
-        help="admission control: reject (503 overloaded) beyond N concurrent requests",
-    )
-    cluster_spawn.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline; a miss answers 504 deadline_exceeded",
-    )
-    cluster_spawn.add_argument(
-        "--no-validate", action="store_true",
-        help="skip the request-validation middleware (shards still validate)",
-    )
-    cluster_spawn.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        help="stop after serving N requests (scripted smoke runs)",
-    )
-    cluster_spawn.add_argument(
-        "--port-file", metavar="PATH",
-        help="write the coordinator's bound port to PATH once listening",
-    )
-    add_observability_arguments(cluster_spawn)
-
-    cluster_rebalance = subparsers.add_parser(
-        "cluster-rebalance",
-        help="move a document to a different shard of a saved cluster "
-             "(remove+add delta pair, manifest version bump)",
-    )
-    cluster_rebalance.add_argument(
-        "--cluster-dir", required=True, metavar="DIR",
-        help="cluster directory written by cluster-init",
-    )
-    cluster_rebalance.add_argument(
-        "--document", required=True, metavar="NAME", help="document to move"
-    )
-    cluster_rebalance.add_argument(
-        "--to-shard", required=True, type=int, metavar="SHARD",
-        help="destination shard id",
-    )
-
-    lint = subparsers.add_parser(
-        "lint", help="run the repro.analysis invariant linter over the source tree"
-    )
-    lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to analyse (default: the repro source tree)",
-    )
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 1) on stale baseline entries",
-    )
-    lint.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the machine-readable JSON report instead of text",
-    )
-    lint.add_argument(
-        "--rule", action="append", default=None, metavar="ID",
-        help="run only this rule id (repeatable; default: every registered rule)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH",
-        help="baseline file of grandfathered findings "
-             "(default: ./analysis-baseline.json when it exists)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover every current finding, then exit 0",
-    )
-
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list the registered rule ids and their invariants, then exit 0",
-    )
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="pretty-print request traces from a running server (GET /v1/trace)",
-    )
-    trace.add_argument("request_id", nargs="?", default=None, metavar="REQUEST_ID",
-                       help="print one trace by id (default: the newest traces)")
-    trace.add_argument("--host", default="127.0.0.1", help="server address (default: 127.0.0.1)")
-    trace.add_argument("--port", type=int, default=8080, help="server port (default: 8080)")
-    trace.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the raw JSON trace payload instead of the span tree",
-    )
-
-    metrics = subparsers.add_parser(
-        "metrics",
-        help="print a running server's metrics (GET /v1/metrics)",
-    )
-    metrics.add_argument("--host", default="127.0.0.1", help="server address (default: 127.0.0.1)")
-    metrics.add_argument("--port", type=int, default=8080, help="server port (default: 8080)")
-    metrics.add_argument(
-        "--format", choices=("summary", "json", "prometheus"), default="summary",
-        help="summary: human-readable series table; json: the versioned "
-             "snapshot; prometheus: the text exposition format",
-    )
-
-    return parser
-
-
-def _load_system(args: argparse.Namespace, algorithm: str = "slca") -> ExtractSystem:
-    if getattr(args, "file", None):
-        return ExtractSystem.from_file(args.file, algorithm=algorithm)
+    ``--cluster-dir`` is a saved cluster (one shard of it with
+    ``--shard-of``), else ``--corpus-dir`` a saved corpus, else a corpus
+    is indexed from ``--dataset`` / ``--file``.  A saved directory is
+    authoritative, so it combines with no other source.  ``--algorithm``
+    falls back to the snapshot's own, and to ``slca`` for a fresh index.
+    """
+    from repro.api.service import SnippetService
     from repro.corpus import Corpus
 
-    corpus = Corpus(algorithm=algorithm)
-    entry = corpus.add_builtin(args.dataset)
+    if args.cluster_dir:
+        if args.dataset or args.file or args.corpus_dir:
+            raise ExtractError(
+                "--cluster-dir cannot be combined with --dataset/--file/--corpus-dir: "
+                "the cluster manifest is authoritative"
+            )
+        if args.shard_of is not None:
+            from repro.cluster import ShardBackend
+
+            return ShardBackend.load_dir(
+                args.cluster_dir, args.shard_of,
+                algorithm=args.algorithm, cache_size=args.cache_size,
+            )
+        from repro.cluster import ClusterService
+
+        return ClusterService.load_dir(
+            args.cluster_dir, algorithm=args.algorithm, cache_size=args.cache_size
+        )
+    if args.shard_of is not None:
+        raise ExtractError("--shard-of requires --cluster-dir (a saved cluster)")
+    if args.corpus_dir:
+        if args.dataset or args.file:
+            raise ExtractError(
+                "--corpus-dir cannot be combined with --dataset/--file: the snapshot "
+                "is authoritative (re-run corpus-save to change its contents)"
+            )
+        corpus = Corpus.load_dir(
+            args.corpus_dir, algorithm=args.algorithm, cache_size=args.cache_size
+        )
+    else:
+        corpus = Corpus(algorithm=args.algorithm or "slca", cache_size=args.cache_size)
+        for dataset in args.dataset:
+            if dataset not in corpus:
+                corpus.add_builtin(dataset)
+        for path in args.file:
+            corpus.add_file(path)
+        if not corpus:
+            raise ExtractError(
+                "no documents given: pass corpus sources (--dataset/--file or --corpus-dir)"
+            )
+    return SnippetService(corpus)
+
+
+def _open_document(args: argparse.Namespace) -> ExtractSystem:
+    """The one ``--dataset`` | ``--file`` document of analyze / search / ilist."""
+    (entry,) = _open_backend(args).corpus
     return entry.system
 
 
@@ -609,7 +381,7 @@ def _load_system(args: argparse.Namespace, algorithm: str = "slca") -> ExtractSy
 # sub-command implementations
 # ---------------------------------------------------------------------- #
 def _command_analyze(args: argparse.Namespace, out) -> int:
-    system = _load_system(args)
+    system = _open_document(args)
     stats = system.document_stats()
     print(stats.format_summary(), file=out)
     analyzer = system.analyzer
@@ -631,7 +403,7 @@ def _command_analyze(args: argparse.Namespace, out) -> int:
 
 
 def _command_search(args: argparse.Namespace, out) -> int:
-    system = _load_system(args, algorithm=args.algorithm)
+    system = _open_document(args)
     outcome = system.run_query(args.query, size_bound=args.bound, limit=args.limit)
     print(outcome.render_text(show_ilist=args.show_ilist), file=out)
     if args.html:
@@ -641,7 +413,7 @@ def _command_search(args: argparse.Namespace, out) -> int:
 
 
 def _command_ilist(args: argparse.Namespace, out) -> int:
-    system = _load_system(args)
+    system = _open_document(args)
     outcome = system.run_query(args.query, limit=args.limit)
     for generated in outcome.snippets:
         print(f"Result #{generated.result.result_id}:", file=out)
@@ -694,38 +466,6 @@ def _command_experiment(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _build_corpus(args: argparse.Namespace, algorithm: str = "slca"):
-    """Assemble a Corpus from --dataset/--file flags (or --corpus-dir)."""
-    from repro.corpus import Corpus
-    from repro.utils.cache import DEFAULT_CACHE_SIZE
-
-    cache_size = getattr(args, "cache_size", None)
-    if cache_size is None:
-        cache_size = DEFAULT_CACHE_SIZE
-    elif cache_size < 0:
-        raise ExtractError(f"--cache-size must be >= 0, got {cache_size}")
-    if getattr(args, "corpus_dir", None):
-        if args.dataset or args.file:
-            raise ExtractError(
-                "--corpus-dir cannot be combined with --dataset/--file: the snapshot "
-                "is authoritative (re-run corpus-save to change its contents)"
-            )
-        return Corpus.load_dir(
-            args.corpus_dir,
-            algorithm=getattr(args, "algorithm", None),
-            cache_size=cache_size,
-        )
-    corpus = Corpus(algorithm=algorithm, cache_size=cache_size)
-    for dataset in args.dataset:
-        if dataset not in corpus:
-            corpus.add_builtin(dataset)
-    for path in args.file:
-        corpus.add_file(path)
-    if len(corpus) == 0:
-        raise ExtractError("no documents given: pass --dataset/--file (or --corpus-dir)")
-    return corpus
-
-
 def _read_query_file(path: str) -> list[str]:
     """Queries from a text file: one per line, blank lines and '#' comments
     (inline or full-line) skipped."""
@@ -754,10 +494,9 @@ def _format_batch_table(entries) -> str:
 
 def _command_batch(args: argparse.Namespace, out) -> int:
     from repro.api.protocol import BatchRequest
-    from repro.api.service import SnippetService
     from repro.search.query import KeywordQuery
 
-    corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
+    service = _open_backend(args)
     lines = _read_query_file(args.queries)
     if not lines:
         print(f"error: no queries found in {args.queries}", file=out)
@@ -774,20 +513,13 @@ def _command_batch(args: argparse.Namespace, out) -> int:
         print("error: no usable query remained after parsing", file=out)
         return 2
 
-    service = SnippetService(corpus)
-    batch = BatchRequest(
-        queries=tuple(queries),
-        size_bound=args.bound,
-        limit=args.limit,
-        use_cache=not args.no_cache,
-    )
-    repeat = max(1, args.repeat)
+    batch = BatchRequest(queries=tuple(queries), size_bound=args.bound, limit=args.limit)
     response = None
-    for round_number in range(1, repeat + 1):
+    for round_number in range(1, args.repeat + 1):
         response = service.run_batch(batch)
-        if repeat > 1:
+        if args.repeat > 1:
             seconds = sum(entry.seconds for entry in response.entries)
-            print(f"round {round_number}/{repeat}  ({seconds:.6f}s)", file=out)
+            print(f"round {round_number}/{args.repeat}  ({seconds:.6f}s)", file=out)
         print(_format_batch_table(response.entries), file=out)
         print(file=out)
     print(f"documents: {', '.join(response.documents)}", file=out)
@@ -800,12 +532,8 @@ def _command_batch(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _serve_one_request(args: argparse.Namespace, out, open_backend, refusal: str) -> int:
-    """Answer one JSON protocol request with a throwaway backend.
-
-    ``open_backend()`` builds the (context-managed) serving backend;
-    ``refusal`` is the message an update request is refused with.
-    """
+def _command_serve_request(args: argparse.Namespace, out) -> int:
+    """Answer one JSON protocol request with a throwaway backend."""
     import json
 
     from repro.api.protocol import ErrorResponse, UpdateRequest, parse_request
@@ -842,33 +570,19 @@ def _serve_one_request(args: argparse.Namespace, out, open_backend, refusal: str
         # The backend is built per invocation: an update applied here would
         # vanish on exit while the response claims success.  Lifecycle
         # edits belong to the journalled surfaces.
+        journalled = (
+            "cluster-update --cluster-dir" if args.cluster_dir else "corpus-update --corpus-dir"
+        )
+        refusal = (
+            "serve-request is stateless and cannot apply document updates; use "
+            f"'{journalled} ...' so the edit is journalled and survives reloads"
+        )
         return emit(
             ErrorResponse(error="ProtocolError", message=refusal, request=payload).to_dict()
         )
 
-    with open_backend() as backend:
+    with _open_backend(args) as backend:
         return emit(backend.handle_dict(payload, request=request))
-
-
-def _command_serve_request(args: argparse.Namespace, out) -> int:
-    from repro.api.executors import ConcurrentExecutor, SerialExecutor
-    from repro.api.service import SnippetService
-
-    def open_backend():
-        corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
-        executor = (
-            ConcurrentExecutor(max_workers=args.workers) if args.workers > 1 else SerialExecutor()
-        )
-        return SnippetService(corpus, executor=executor)
-
-    return _serve_one_request(
-        args,
-        out,
-        open_backend,
-        "serve-request is stateless and cannot apply document updates; use "
-        "'corpus-update --corpus-dir ...' so the edit is journalled and "
-        "survives reloads",
-    )
 
 
 def _apply_journalled_update(
@@ -976,112 +690,90 @@ def _write_port_file(path: str, port: int) -> None:
     os.replace(staging, path)
 
 
-def _build_request_logger(args: argparse.Namespace):
-    """--request-log / --slow-query-ms → (logger | None, closer).
+def _raise_interrupt(_signum, _frame) -> None:
+    raise KeyboardInterrupt
 
-    ``--request-log PATH`` logs every request to PATH (with the slow flag
-    when a threshold is set); ``--slow-query-ms`` alone is the classic
-    slow-query log — only the offenders, to stderr.
+
+def _serve_http(args: argparse.Namespace, out, open_backend, banner=lambda backend: ()) -> int:
+    """The HTTP serve loop of ``serve`` and ``cluster-spawn``.
+
+    Runs from ``open_backend()`` to "served N request(s)" and owns the
+    backend from the moment it exists: whatever fails after that — the
+    request log, the gateway, the executor, the bind, the port file — and
+    Ctrl-C or SIGTERM close it (a spawned cluster terminates its shard
+    processes) before the loop returns or the error propagates.
+    ``banner(backend)`` yields the command's own lines.
     """
+    from repro.api.executors import ConcurrentExecutor
+    from repro.api.gateway import build_gateway
+    from repro.api.http import HttpServer
     from repro.obs import RequestLogger
 
-    if args.request_log:
-        handle = open(args.request_log, "a", encoding="utf-8")
-        return RequestLogger(handle, slow_query_ms=args.slow_query_ms), handle.close
-    if args.slow_query_ms is not None:
-        logger = RequestLogger(
-            sys.stderr, slow_query_ms=args.slow_query_ms, only_slow=True
-        )
-        return logger, lambda: None
-    return None, lambda: None
+    server = None
+    try:
+        with contextlib.ExitStack() as owned:
+            if threading.current_thread() is threading.main_thread():
+                # SIGTERM (systemd stop, `kill`, container shutdown) must
+                # unwind this block like Ctrl-C — Python's default handler
+                # exits without running it, orphaning every spawned shard.
+                previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+                owned.callback(signal.signal, signal.SIGTERM, previous)
+            backend = open_backend()
+            # The gateway stages hold nothing of their own: closing the
+            # stack is closing the backend.
+            owned.callback(backend.close)
+            logger = None
+            if args.request_log:
+                handle = owned.enter_context(open(args.request_log, "a", encoding="utf-8"))
+                logger = RequestLogger(handle, slow_query_ms=args.slow_query_ms)
+            elif args.slow_query_ms is not None:
+                # The classic slow-query log: only the offenders, to stderr.
+                logger = RequestLogger(
+                    sys.stderr, slow_query_ms=args.slow_query_ms, only_slow=True
+                )
+            shard = args.shard_of
+            stack = build_gateway(
+                backend,
+                max_in_flight=args.max_in_flight,
+                deadline=args.deadline,
+                log=logger,
+                process_name="local" if shard is None else f"shard-{shard}",
+            )
+            executor = ConcurrentExecutor(max_workers=args.workers)
+            owned.callback(executor.close)
+            server = HttpServer(
+                stack,
+                host=args.host,
+                port=args.port,
+                executor=executor,
+                max_requests=args.max_requests,
+                # Replication bypasses the gateway stack: delta application
+                # must not compete with reads for admission-control slots.
+                replicate_backend=None if shard is None else backend,
+            )
+            owned.callback(server.stop)
+            server.start()
+            if args.port_file:
+                _write_port_file(args.port_file, server.port)
+            for line in banner(backend):
+                print(line, file=out)
+            url = f"http://{server.host}:{server.port}/v1"
+            print(
+                f"serving {backend!r}\n"
+                f"  {url}/search (POST; also /v1/batch, /v1/update)\n"
+                f"  {url}/health (GET; also /v1/stats, /v1/metrics, /v1/trace)",
+                file=out,
+            )
+            server.join()  # returns when --max-requests is spent
+    except KeyboardInterrupt:
+        print("shutting down", file=out)
+    print(f"served {server.requests_served if server else 0} request(s)", file=out)
+    return 0
 
 
 def _command_serve(args: argparse.Namespace, out) -> int:
     """Serve a corpus, cluster, or single cluster shard over HTTP."""
-    from repro.api.executors import ConcurrentExecutor
-    from repro.api.gateway import build_gateway
-    from repro.api.http import HttpServer
-
-    if args.cache_size is not None and args.cache_size < 0:
-        raise ExtractError(f"--cache-size must be >= 0, got {args.cache_size}")
-    replicate_backend = None
-    if args.cluster_dir:
-        if args.dataset or args.file or args.corpus_dir:
-            raise ExtractError(
-                "--cluster-dir cannot be combined with --dataset/--file/--corpus-dir: "
-                "the cluster manifest is authoritative"
-            )
-        from repro.utils.cache import DEFAULT_CACHE_SIZE
-
-        cache_size = args.cache_size if args.cache_size is not None else DEFAULT_CACHE_SIZE
-        if args.shard_of is not None:
-            from repro.cluster import ShardBackend
-
-            backend = ShardBackend.load_dir(
-                args.cluster_dir,
-                args.shard_of,
-                algorithm=args.algorithm,
-                cache_size=cache_size,
-            )
-            # Replication bypasses the gateway stack: delta application
-            # must not compete with reads for admission-control slots.
-            replicate_backend = backend
-        else:
-            from repro.cluster import ClusterService
-
-            backend = ClusterService.load_dir(
-                args.cluster_dir, algorithm=args.algorithm, cache_size=cache_size
-            )
-    elif args.shard_of is not None:
-        raise ExtractError("--shard-of requires --cluster-dir (a saved cluster)")
-    else:
-        from repro.api.service import SnippetService
-
-        corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
-        backend = SnippetService(corpus)
-
-    logger, close_log = _build_request_logger(args)
-    stack = build_gateway(
-        backend,
-        validate=not args.no_validate,
-        max_in_flight=args.max_in_flight,
-        deadline=args.deadline,
-        log=logger,
-        process_name=(
-            f"shard-{args.shard_of}" if args.shard_of is not None else "local"
-        ),
-    )
-    http_executor = ConcurrentExecutor(max_workers=args.workers)
-    server = HttpServer(
-        stack,
-        host=args.host,
-        port=args.port,
-        executor=http_executor,
-        max_requests=args.max_requests,
-        replicate_backend=replicate_backend,
-    )
-    server.start()
-    try:
-        if args.port_file:
-            _write_port_file(args.port_file, server.port)
-        print(
-            f"serving {backend!r}\n"
-            f"  http://{server.host}:{server.port}/v1/search (POST; also /v1/batch, /v1/update)\n"
-            f"  http://{server.host}:{server.port}/v1/health (GET; also /v1/stats, "
-            f"/v1/metrics, /v1/trace)",
-            file=out,
-        )
-        try:
-            server.join()  # returns when --max-requests is spent
-        except KeyboardInterrupt:
-            print("shutting down", file=out)
-    finally:
-        server.stop()
-        http_executor.close()
-        stack.close()
-        close_log()
-    print(f"served {server.requests_served} request(s)", file=out)
-    return 0
+    return _serve_http(args, out, lambda: _open_backend(args))
 
 
 def _load_profile_from_args(args: argparse.Namespace):
@@ -1137,8 +829,7 @@ def _command_loadgen(args: argparse.Namespace, out) -> int:
     )
 
     profile = _load_profile_from_args(args)
-    corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
-    plan = build_plan(corpus, profile)
+    plan = build_plan(_open_backend(args).corpus, profile)
     if args.plan_only:
         print(
             json.dumps(
@@ -1153,7 +844,7 @@ def _command_loadgen(args: argparse.Namespace, out) -> int:
     if args.report:
         write_report_file(report_rows(report), args.report)
         print(f"report written to {args.report}", file=out)
-    if args.json:
+    if args.as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
     else:
         print(_format_load_report(report), file=out)
@@ -1171,13 +862,8 @@ def _command_loadgen_ablate(args: argparse.Namespace, out) -> int:
         smoke_flags,
     )
 
-    if not (args.dataset or args.file or args.corpus_dir):
-        raise ExtractError(
-            "loadgen-ablate needs corpus sources the spawned servers can load: "
-            "pass --dataset/--file (or --corpus-dir)"
-        )
     profile = _load_profile_from_args(args)
-    corpus = _build_corpus(args, algorithm=args.algorithm or "slca")
+    corpus = _open_backend(args).corpus
     serve_args: list[str] = []
     if args.corpus_dir:
         serve_args += ["--corpus-dir", args.corpus_dir]
@@ -1188,14 +874,8 @@ def _command_loadgen_ablate(args: argparse.Namespace, out) -> int:
     if args.algorithm:
         serve_args += ["--algorithm", args.algorithm]
     configs = ablation_matrix(smoke_flags() if args.smoke else default_flags())
-    outcomes, table = run_ablation(
-        corpus,
-        serve_args,
-        configs,
-        profile,
-        workers=args.server_workers,
-    )
-    if args.json:
+    outcomes, table = run_ablation(corpus, serve_args, configs, profile)
+    if args.as_json:
         rows = [
             {"config": outcome.config.name, **outcome.report.to_dict()}
             for outcome in outcomes
@@ -1256,7 +936,7 @@ def _command_cluster_init(args: argparse.Namespace, out) -> int:
     """Partition documents across N shards and save the cluster."""
     from repro.cluster import ClusterService, ExplicitPartitioner
 
-    corpus = _build_corpus(args, algorithm=args.algorithm)
+    corpus = _open_backend(args).corpus
     partitioner = _parse_assignments(args.assign, args.shards)
     if partitioner is not None and args.default_shard is not None:
         partitioner = ExplicitPartitioner(
@@ -1276,20 +956,6 @@ def _command_cluster_init(args: argparse.Namespace, out) -> int:
     for row in cluster.shard_summary():
         print(f"  shard-{row['shard']}  documents={row['documents']}  [{row['names']}]", file=out)
     return 0
-
-
-def _command_cluster_serve_request(args: argparse.Namespace, out) -> int:
-    """Execute one JSON protocol request through the cluster router."""
-    from repro.cluster import ClusterService
-
-    return _serve_one_request(
-        args,
-        out,
-        lambda: ClusterService.load_dir(args.cluster_dir, algorithm=args.algorithm),
-        "cluster-serve-request is stateless and cannot apply document updates; "
-        "use 'cluster-update --cluster-dir ...' so the edit is journalled on "
-        "the owning shard",
-    )
 
 
 def _command_cluster_update(args: argparse.Namespace, out) -> int:
@@ -1332,75 +998,23 @@ def _command_cluster_update(args: argparse.Namespace, out) -> int:
 
 def _command_cluster_spawn(args: argparse.Namespace, out) -> int:
     """Spawn per-shard serve processes; serve the cluster as one backend."""
-    import signal
-
-    from repro.api.executors import ConcurrentExecutor
-    from repro.api.gateway import build_gateway
-    from repro.api.http import HttpServer
     from repro.cluster import RemoteClusterService
 
-    # SIGTERM (systemd stop, `kill`, container shutdown) must unwind the
-    # try/finally below — Python's default handler would exit without
-    # running it, orphaning every spawned shard process.
-    def _terminate(_signum, _frame):
-        raise KeyboardInterrupt
+    def spawn():
+        return RemoteClusterService.spawn(
+            args.cluster_dir, replicas=args.replicas, health_interval=args.health_interval
+        )
 
-    previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
-
-    cluster = RemoteClusterService.spawn(
-        args.cluster_dir,
-        replicas=args.replicas,
-        workers=args.shard_workers,
-        health_interval=args.health_interval,
-    )
-    logger, close_log = _build_request_logger(args)
-    stack = build_gateway(
-        cluster,
-        validate=not args.no_validate,
-        max_in_flight=args.max_in_flight,
-        deadline=args.deadline,
-        log=logger,
-    )
-    http_executor = ConcurrentExecutor(max_workers=args.workers)
-    server = HttpServer(
-        stack,
-        host=args.host,
-        port=args.port,
-        executor=http_executor,
-        max_requests=args.max_requests,
-    )
-    try:
-        server.start()
-        if args.port_file:
-            _write_port_file(args.port_file, server.port)
-        shards = len(cluster.replica_sets)
-        print(
-            f"spawned {shards} shard(s) × {args.replicas} replica(s) "
-            f"({len(cluster.processes)} process(es)) from {args.cluster_dir}",
-            file=out,
+    def banner(cluster):
+        yield (
+            f"spawned {len(cluster.replica_sets)} shard(s) × {args.replicas} replica(s) "
+            f"({len(cluster.processes)} process(es)) from {args.cluster_dir}"
         )
         for replica_set in cluster.replica_sets:
             addresses = ", ".join(endpoint.address for endpoint in replica_set.endpoints())
-            print(f"  shard-{replica_set.shard_id}  [{addresses}]", file=out)
-        print(
-            f"serving {cluster!r}\n"
-            f"  http://{server.host}:{server.port}/v1/search (POST; also /v1/batch, /v1/update)\n"
-            f"  http://{server.host}:{server.port}/v1/health (GET; also /v1/stats, "
-            f"/v1/metrics, /v1/trace)",
-            file=out,
-        )
-        try:
-            server.join()  # returns when --max-requests is spent
-        except KeyboardInterrupt:
-            print("shutting down", file=out)
-    finally:
-        server.stop()
-        http_executor.close()
-        stack.close()  # closes the cluster: monitor, clients, child processes
-        close_log()
-        signal.signal(signal.SIGTERM, previous_sigterm)
-    print(f"served {server.requests_served} request(s)", file=out)
-    return 0
+            yield f"  shard-{replica_set.shard_id}  [{addresses}]"
+
+    return _serve_http(args, out, spawn, banner)
 
 
 def _command_cluster_rebalance(args: argparse.Namespace, out) -> int:
@@ -1494,7 +1108,7 @@ def _command_lint(args: argparse.Namespace, out) -> int:
 
 
 def _command_corpus_save(args: argparse.Namespace, out) -> int:
-    corpus = _build_corpus(args, algorithm=args.algorithm)
+    corpus = _open_backend(args).corpus
     subdirs = corpus.save_dir(args.output)
     total_nodes = sum(entry.node_count for entry in corpus)
     print(
@@ -1506,25 +1120,37 @@ def _command_corpus_save(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_trace(args: argparse.Namespace, out) -> int:
-    """Fetch and pretty-print traces from a running server."""
+def _fetch(args: argparse.Namespace, out, call):
+    """``call(client)`` against the server at ``--host`` / ``--port``;
+    ``None``, with the error printed, when the server cannot be reached or
+    answers with a protocol error."""
     import http.client as http_client
-    import json
 
     from repro.api.client import ServiceClient
     from repro.errors import ProtocolError
-    from repro.obs.trace import format_trace
 
     client = ServiceClient(args.host, args.port)
     try:
-        payload = client.trace(args.request_id)
+        payload = call(client)
     except (OSError, http_client.HTTPException, ProtocolError) as exc:
         print(f"error: cannot reach http://{args.host}:{args.port}: {exc}", file=out)
-        return 1
+        return None
     finally:
         client.close()
-    if payload.get("kind") == "error":
-        print(f"error: {payload.get('message', 'trace endpoint error')}", file=out)
+    if isinstance(payload, dict) and payload.get("kind") == "error":
+        print(f"error: {payload.get('message', 'the server answered an error')}", file=out)
+        return None
+    return payload
+
+
+def _command_trace(args: argparse.Namespace, out) -> int:
+    """Fetch and pretty-print traces from a running server."""
+    import json
+
+    from repro.obs.trace import format_trace
+
+    payload = _fetch(args, out, lambda client: client.trace(args.request_id))
+    if payload is None:
         return 1
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -1540,26 +1166,17 @@ def _command_trace(args: argparse.Namespace, out) -> int:
 
 def _command_metrics(args: argparse.Namespace, out) -> int:
     """Fetch and print a running server's metrics."""
-    import http.client as http_client
     import json
 
-    from repro.api.client import ServiceClient
-    from repro.errors import ProtocolError
-
-    client = ServiceClient(args.host, args.port)
-    try:
-        if args.format == "prometheus":
-            print(client.metrics_text(), end="", file=out)
-            return 0
-        payload = client.metrics()
-    except (OSError, http_client.HTTPException, ProtocolError) as exc:
-        print(f"error: cannot reach http://{args.host}:{args.port}: {exc}", file=out)
+    prometheus = args.format == "prometheus"
+    payload = _fetch(
+        args, out, lambda client: client.metrics_text() if prometheus else client.metrics()
+    )
+    if payload is None:
         return 1
-    finally:
-        client.close()
-    if payload.get("kind") == "error":
-        print(f"error: {payload.get('message', 'metrics endpoint error')}", file=out)
-        return 1
+    if prometheus:
+        print(payload, end="", file=out)
+        return 0
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
@@ -1588,44 +1205,225 @@ def _command_metrics(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _command_analyze,
-    "search": _command_search,
-    "ilist": _command_ilist,
-    "datasets": _command_datasets,
-    "generate": _command_generate,
-    "experiment": _command_experiment,
-    "batch": _command_batch,
-    "corpus-save": _command_corpus_save,
-    "corpus-update": _command_corpus_update,
-    "corpus-compact": _command_corpus_compact,
-    "serve-request": _command_serve_request,
-    "serve": _command_serve,
-    "loadgen": _command_loadgen,
-    "loadgen-ablate": _command_loadgen_ablate,
-    "cluster-init": _command_cluster_init,
-    "cluster-serve-request": _command_cluster_serve_request,
-    "cluster-update": _command_cluster_update,
-    "cluster-spawn": _command_cluster_spawn,
-    "cluster-rebalance": _command_cluster_rebalance,
-    "lint": _command_lint,
-    "trace": _command_trace,
-    "metrics": _command_metrics,
-}
+_ONE_DOCUMENT = functools.partial(_sources, one=True)
+_SAVED_CORPUS = functools.partial(_corpus_dir, required=True)
+_SAVED_CLUSTER = functools.partial(_cluster_dir, required=True)
+
+#: Every command: name, handler, one-line help, and the option specs it
+#: takes, in the order ``--help`` lists them.
+_COMMANDS = (
+    ("analyze", _command_analyze, "analyze a document: schema, entities, keys", (_ONE_DOCUMENT,)),
+    ("search", _command_search, "keyword search with snippets", (
+        _ONE_DOCUMENT, _query, _bound, _limit, _algorithm,
+        _arg("--show-ilist", action="store_true", help="print each result's IList"),
+        _arg("--html", metavar="PATH", help="also write an HTML result page"),
+    )),
+    ("ilist", _command_ilist, "print the IList of each query result", (
+        _ONE_DOCUMENT, _query, _limit,
+    )),
+    ("datasets", _command_datasets, "list built-in datasets", ()),
+    ("generate", _command_generate, "write a built-in dataset to an XML file", (
+        _arg("--dataset", choices=builtin_dataset_names(), required=True),
+        _output,
+        _arg("--with-doctype", action="store_true", help="embed a DOCTYPE inferred from the data"),
+    )),
+    ("experiment", _command_experiment, "run registered experiments", (
+        _arg("ids", nargs="*", help="experiment ids (default: list them)"),
+    )),
+    ("batch", _command_batch, "run a file of queries over a corpus in one pass", (
+        _arg(
+            "--queries", required=True, metavar="PATH",
+            help="query file: one keyword query per line, '#' starts a comment",
+        ),
+        _sources, _corpus_dir, _bound, _limit, _algorithm,
+        _arg(
+            "--repeat", type=_POSITIVE_INT, default=1,
+            help="run the batch N times (cache warm-up demonstration; timings per round)",
+        ),
+        _arg("--show-snippets", action="store_true", help="print each query's snippets"),
+    )),
+    ("corpus-save", _command_corpus_save,
+     "index documents and snapshot the corpus to a directory", (
+        _sources, _output, _algorithm,
+        _arg(
+            "--format", choices=("v4",), default="v4",
+            help="snapshot format; v4 (binary, mmap-able) is the only one written",
+        ),
+    )),
+    ("corpus-update", _command_corpus_update,
+     "apply a document update/add/remove to a saved corpus (journalled)", (
+        _SAVED_CORPUS, _update,
+    )),
+    ("serve-request", _command_serve_request,
+     "execute one JSON request of the typed service protocol (corpus or cluster)", (
+        _sources, _corpus_dir, _cluster_dir, _algorithm, _request,
+    )),
+    ("serve", _command_serve, "serve a corpus or cluster over HTTP (gateway + asyncio frontend)", (
+        _sources, _corpus_dir, _cluster_dir,
+        _arg(
+            "--shard-of", type=_NON_NEGATIVE_INT, metavar="SHARD",
+            help="with --cluster-dir: serve only this shard's corpus (a remote-cluster "
+                 "shard process; also answers POST /v1/replicate)",
+        ),
+        _algorithm,
+        _arg(
+            "--cache-size", type=_NON_NEGATIVE_INT, default=DEFAULT_CACHE_SIZE, metavar="N",
+            help="LRU entries per document for the query/snippet caches "
+                 f"(0 disables serving caches; default {DEFAULT_CACHE_SIZE})",
+        ),
+        _address, _serving,
+    )),
+    ("loadgen", _command_loadgen,
+     "fire a seeded mixed workload at a serving endpoint and measure it", (
+        _sources, _corpus_dir, _address, _algorithm, _load_profile,
+        _arg(
+            "--arrival", choices=("closed", "poisson", "fixed"), default="closed",
+            help="arrival process: closed loop (default) or open-loop poisson/fixed",
+        ),
+        _arg(
+            "--rate", type=_POSITIVE_FLOAT, metavar="RPS",
+            help="aggregate target arrival rate (required for poisson/fixed)",
+        ),
+        _arg(
+            "--plan-only", action="store_true",
+            help="print the planned request sequence as JSON without firing it",
+        ),
+        _json,
+        _arg(
+            "--report", metavar="PATH",
+            help="also write the report rows (schema v2, JSON) to PATH",
+        ),
+    )),
+    ("loadgen-ablate", _command_loadgen_ablate,
+     "measure serving flags one flip at a time, each against a fresh server", (
+        _sources, _corpus_dir, _algorithm, _load_profile,
+        _arg(
+            "--smoke", action="store_true",
+            help="the CI matrix: caches on/off × two admission limits (4 configurations)",
+        ),
+        _json,
+    )),
+    ("corpus-compact", _command_corpus_compact,
+     "fold a saved corpus's update journal back into fresh base snapshots", (
+        _SAVED_CORPUS,
+    )),
+    ("cluster-init", _command_cluster_init,
+     "partition documents across N shards and save the cluster", (
+        _sources, _output,
+        _arg(
+            "--shards", type=_POSITIVE_INT, default=2, metavar="N",
+            help="number of shards (default: 2)",
+        ),
+        _algorithm,
+        _arg(
+            "--assign", action="append", default=[], metavar="NAME=SHARD",
+            help="pin a document to a shard (repeatable; implies the explicit partitioner)",
+        ),
+        _arg(
+            "--default-shard", type=_NON_NEGATIVE_INT, metavar="N",
+            help="shard for documents without an --assign pin (explicit partitioner only)",
+        ),
+    )),
+    ("cluster-update", _command_cluster_update,
+     "apply a document update/add/remove to a saved cluster (journalled per shard)", (
+        _SAVED_CLUSTER, _update,
+    )),
+    ("cluster-spawn", _command_cluster_spawn,
+     "spawn per-shard serve processes and serve the cluster over HTTP "
+     "(remote coordinator with replicas, failover and replication)", (
+        _SAVED_CLUSTER,
+        _arg(
+            "--replicas", type=_POSITIVE_INT, default=1, metavar="M",
+            help="endpoints per shard (1 = primary only; default: 1)",
+        ),
+        _address, _serving,
+        _arg(
+            "--health-interval", type=_POSITIVE_FLOAT, default=0.25, metavar="SECONDS",
+            help="health-probe period for the failover monitor (default: 0.25)",
+        ),
+    )),
+    ("cluster-rebalance", _command_cluster_rebalance,
+     "move a document to a different shard of a saved cluster "
+     "(remove+add delta pair, manifest version bump)", (
+        _SAVED_CLUSTER,
+        _arg("--document", required=True, metavar="NAME", help="document to move"),
+        _arg(
+            "--to-shard", required=True, type=_NON_NEGATIVE_INT, metavar="SHARD",
+            help="destination shard id",
+        ),
+    )),
+    ("lint", _command_lint, "run the repro.analysis invariant linter over the source tree", (
+        _arg(
+            "paths", nargs="*", metavar="PATH",
+            help="files or directories to analyse (default: the repro source tree)",
+        ),
+        _arg("--strict", action="store_true", help="also fail (exit 1) on stale baseline entries"),
+        _json,
+        _arg(
+            "--rule", action="append", default=None, metavar="ID",
+            help="run only this rule id (repeatable; default: every registered rule)",
+        ),
+        _arg(
+            "--baseline", metavar="PATH",
+            help="baseline file of grandfathered findings "
+                 "(default: ./analysis-baseline.json when it exists)",
+        ),
+        _arg(
+            "--update-baseline", action="store_true",
+            help="rewrite the baseline to cover every current finding, then exit 0",
+        ),
+        _arg(
+            "--list-rules", action="store_true",
+            help="list the registered rule ids and their invariants, then exit 0",
+        ),
+    )),
+    ("trace", _command_trace,
+     "pretty-print request traces from a running server (GET /v1/trace)", (
+        _arg(
+            "request_id", nargs="?", default=None, metavar="REQUEST_ID",
+            help="print one trace by id (default: the newest traces)",
+        ),
+        _address, _json,
+    )),
+    ("metrics", _command_metrics, "print a running server's metrics (GET /v1/metrics)", (
+        _address,
+        _arg(
+            "--format", choices=("summary", "json", "prometheus"), default="summary",
+            help="summary: human-readable series table; json: the versioned "
+                 "snapshot; prometheus: the text exposition format",
+        ),
+    )),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse command tree (exposed for tests and docs)."""
+    parser = argparse.ArgumentParser(
+        prog="extract",
+        description="eXtract: snippet generation for XML keyword search (VLDB 2008 reproduction)",
+    )
+    # What _open_backend and the serve loop read, for the commands that
+    # do not take the option.
+    parser.set_defaults(
+        algorithm=None, corpus_dir=None, cluster_dir=None, shard_of=None,
+        cache_size=DEFAULT_CACHE_SIZE,
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, handler, summary, specs in _COMMANDS:
+        command = subparsers.add_parser(name, help=summary)
+        command.set_defaults(handler=handler)
+        for spec in specs:
+            spec(command)
+    return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args, out)
-    except ExtractError as error:
-        print(f"error: {error}", file=out)
-        return 1
-    except FileNotFoundError as error:
+        return args.handler(args, out)
+    except (ExtractError, OSError) as error:
         print(f"error: {error}", file=out)
         return 1
 

@@ -37,6 +37,7 @@ documents whatever the shards are made of.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import os
 import subprocess
@@ -740,7 +741,10 @@ class RemoteClusterService(ClusterService):
 
         processes: list[ShardProcess] = []
         replica_sets: list[ReplicaSet] = []
-        try:
+        # Until the service is returned, every spawned child is terminated
+        # on any failure — a later spawn, the monitor's interval check, an
+        # interrupt — so a failed spawn leaves no process behind.
+        with contextlib.ExitStack() as spawned:
             for shard_id in range(manifest.shards):
                 endpoints = []
                 for index in range(replicas):
@@ -751,6 +755,7 @@ class RemoteClusterService(ClusterService):
                         workers=workers,
                         timeout=start_timeout,
                     )
+                    spawned.callback(process.terminate)
                     processes.append(process)
                     client = ServiceClient(
                         host, process.port, timeout=request_timeout, retry=retry
@@ -761,19 +766,16 @@ class RemoteClusterService(ClusterService):
                         )
                     )
                 replica_sets.append(ReplicaSet(shard_id, endpoints))
-        except (ExtractError, OSError):
-            for process in processes:
-                process.terminate()
-            raise
-        service = cls(
-            replica_sets,
-            partitioner=partitioner_from_manifest(manifest),
-            documents=documents,
-            processes=processes,
-            overload_threshold=overload_threshold,
-        )
-        if health_interval is not None:
-            service.start_monitor(health_interval)
+            service = cls(
+                replica_sets,
+                partitioner=partitioner_from_manifest(manifest),
+                documents=documents,
+                processes=processes,
+                overload_threshold=overload_threshold,
+            )
+            if health_interval is not None:
+                service.start_monitor(health_interval)
+            spawned.pop_all()  # the service owns its processes from here on
         return service
 
     def start_monitor(self, interval: float = 0.25) -> HealthMonitor:

@@ -1,15 +1,18 @@
-"""CLI tests for the cluster subcommands (init / serve-request / update)."""
+"""CLI tests for the cluster subcommands (init / serve-request --cluster-dir /
+update / spawn)."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.cluster import ClusterService, read_cluster_manifest
 from repro.xmltree.serialize import to_xml_string
+from tests.cli_process import sigterm_one_search
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -87,7 +90,7 @@ class TestClusterServeRequest:
             encoding="utf-8",
         )
         code, output = run_cli(
-            "cluster-serve-request", "--cluster-dir", str(cluster_dir),
+            "serve-request", "--cluster-dir", str(cluster_dir),
             "--request", str(request),
         )
         assert code == 0, output
@@ -117,7 +120,7 @@ class TestClusterServeRequest:
             "serve-request", "--corpus-dir", str(corpus_dir), "--request", str(request)
         )
         code_cluster, cluster_output = run_cli(
-            "cluster-serve-request", "--cluster-dir", str(cluster_dir),
+            "serve-request", "--cluster-dir", str(cluster_dir),
             "--request", str(request),
         )
         assert code_single == code_cluster == 0
@@ -135,7 +138,7 @@ class TestClusterServeRequest:
             encoding="utf-8",
         )
         code, output = run_cli(
-            "cluster-serve-request", "--cluster-dir", str(cluster_dir),
+            "serve-request", "--cluster-dir", str(cluster_dir),
             "--request", str(request),
         )
         assert code == 1
@@ -147,11 +150,26 @@ class TestClusterServeRequest:
         request = tmp_path / "bad.json"
         request.write_text("{not json", encoding="utf-8")
         code, output = run_cli(
-            "cluster-serve-request", "--cluster-dir", str(cluster_dir),
+            "serve-request", "--cluster-dir", str(cluster_dir),
             "--request", str(request),
         )
         assert code == 1
         assert json.loads(output)["error"] == "ProtocolError"
+
+    def test_cluster_dir_is_authoritative(self, cluster_dir, tmp_path):
+        request = tmp_path / "request.json"
+        request.write_text(
+            json.dumps(
+                {"kind": "search", "schema_version": 1, "query": "store", "document": "retail"}
+            ),
+            encoding="utf-8",
+        )
+        code, output = run_cli(
+            "serve-request", "--cluster-dir", str(cluster_dir), "--dataset", "retail",
+            "--request", str(request),
+        )
+        assert code == 1
+        assert "--cluster-dir cannot be combined" in output
 
 
 class TestClusterUpdate:
@@ -245,3 +263,60 @@ class TestClusterUpdate:
         assert not (cluster_dir / shard_dir / "corpus.journal").exists()
         after = ClusterService.load_dir(cluster_dir)
         assert json.dumps(after.handle_dict(probe.to_dict()), sort_keys=True) == expected
+
+
+@pytest.fixture()
+def spawned_pids(monkeypatch):
+    """The pid of every shard process ``RemoteClusterService.spawn`` starts."""
+    from repro.cluster import remote
+
+    pids: list[int] = []
+    spawn = remote.spawn_shard_server
+
+    def recording(*args, **kwargs):
+        process = spawn(*args, **kwargs)
+        pids.append(process.process.pid)
+        return process
+
+    monkeypatch.setattr(remote, "spawn_shard_server", recording)
+    return pids
+
+
+def assert_gone(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+class TestClusterSpawn:
+    def test_a_failure_after_the_spawn_terminates_every_shard(
+        self, cluster_dir, tmp_path, spawned_pids
+    ):
+        code, output = run_cli(
+            "cluster-spawn", "--cluster-dir", str(cluster_dir), "--port", "0",
+            "--request-log", str(tmp_path),  # a directory: the log cannot open
+        )
+        assert code == 1
+        assert output.startswith("error: ")
+        assert len(spawned_pids) == 3
+        assert_gone(spawned_pids)
+
+    def test_spawn_that_fails_part_way_leaves_no_child(self, cluster_dir, spawned_pids):
+        from repro.cluster import RemoteClusterService
+
+        with pytest.raises(ValueError, match="interval"):
+            RemoteClusterService.spawn(cluster_dir, health_interval=0)
+        assert len(spawned_pids) == 3
+        assert_gone(spawned_pids)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process tables from /proc")
+    def test_sigterm_unwinds_and_stops_the_shards(self, cluster_dir, tmp_path):
+        code, stdout, log_lines, shards = sigterm_one_search(
+            tmp_path, "cluster-spawn", "--cluster-dir", str(cluster_dir),
+            document="figure5-stores",
+        )
+        assert code == 0
+        assert stdout.rstrip().endswith("served 1 request(s)")
+        assert len(log_lines) == 1
+        assert len(shards) == 3
+        assert_gone(shards)

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from tests.cli_process import sigterm_one_search
 from repro.xmltree.serialize import to_xml_string
 
 
@@ -24,10 +25,13 @@ class TestParser:
         for command in (
             "analyze", "search", "ilist", "datasets", "generate", "experiment",
             "batch", "corpus-save", "corpus-update", "corpus-compact",
-            "serve-request", "serve", "cluster-init", "cluster-serve-request",
-            "cluster-update", "lint", "loadgen", "loadgen-ablate",
+            "serve-request", "serve", "cluster-init", "cluster-update",
+            "cluster-spawn", "cluster-rebalance", "lint", "loadgen",
+            "loadgen-ablate", "trace", "metrics",
         ):
             assert command in text
+        # serve-request --cluster-dir replaced it
+        assert "cluster-serve-request" not in text
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -462,27 +466,34 @@ class TestServeRequestCommand:
         assert response["total_results"] >= 2
         assert all(result["snippet_edges"] <= 6 for result in response["results"])
 
-    def test_batch_request_with_workers(self, tmp_path):
+    def test_batch_request_over_two_documents(self, tmp_path):
         import json
 
-        request = self._write_request(
-            tmp_path,
-            {
-                "kind": "batch",
-                "schema_version": 1,
-                "queries": ["store texas", "clothes casual"],
-                "size_bound": 6,
-            },
-        )
+        from repro.api import SnippetService
+        from repro.corpus import Corpus
+
+        payload = {
+            "kind": "batch",
+            "schema_version": 1,
+            "queries": ["store texas", "clothes casual"],
+            "size_bound": 6,
+        }
+        request = self._write_request(tmp_path, payload)
         code, output = run_cli(
             "serve-request", "--dataset", "figure5-stores", "--dataset", "retail",
-            "--request", request, "--workers", "4",
+            "--request", request,
         )
         assert code == 0
         response = json.loads(output)
         assert response["kind"] == "batch_response"
         assert response["documents"] == ["figure5-stores", "retail"]
         assert len(response["entries"]) == 2
+        # byte-identical to the in-process service over the same documents
+        corpus = Corpus()
+        corpus.add_builtin("figure5-stores")
+        corpus.add_builtin("retail")
+        expected = SnippetService(corpus).handle_dict(payload)
+        assert output == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_error_response_sets_exit_code(self, tmp_path):
         import json
@@ -679,9 +690,111 @@ class TestLoadgenCommand:
         assert code == 1
         assert "corpus sources" in output
 
-    def test_serve_rejects_negative_cache_size(self):
-        code, output = run_cli(
-            "serve", "--dataset", "retail", "--cache-size", "-1",
-        )
+
+# Every numeric option with the values its type refuses: each is a usage
+# error (exit 2) at parse time, before anything is loaded or spawned.
+_REQUIRED = {
+    "search": ("--dataset", "retail", "--query", "store"),
+    "batch": ("--queries", "q.txt", "--dataset", "retail"),
+    "serve": ("--dataset", "retail"),
+    "loadgen": ("--dataset", "retail"),
+    "loadgen-ablate": ("--dataset", "retail"),
+    "cluster-init": ("--dataset", "retail", "--output", "c"),
+    "cluster-spawn": ("--cluster-dir", "c"),
+    "cluster-rebalance": ("--cluster-dir", "c", "--document", "retail"),
+    "trace": (),
+    "metrics": (),
+}
+_OUT_OF_RANGE = [
+    ("search", "--bound", ("0", "-1")),
+    ("batch", "--bound", ("0", "-1")),
+    ("batch", "--repeat", ("0", "-1")),
+    ("serve", "--port", ("-1", "65536")),
+    ("serve", "--shard-of", ("-1",)),
+    ("serve", "--cache-size", ("-1",)),
+    ("serve", "--workers", ("0", "-1")),
+    ("serve", "--max-in-flight", ("0", "-1")),
+    ("serve", "--deadline", ("0", "-1")),
+    ("serve", "--max-requests", ("0", "-1")),
+    ("serve", "--slow-query-ms", ("-1",)),
+    ("loadgen", "--port", ("-1",)),
+    ("loadgen", "--requests", ("0", "-1")),
+    ("loadgen", "--concurrency", ("0", "-1")),
+    ("loadgen", "--duration", ("0", "-1")),
+    ("loadgen", "--rate", ("0", "-1")),
+    ("loadgen-ablate", "--requests", ("0", "-1")),
+    ("cluster-init", "--shards", ("0", "-1")),
+    ("cluster-init", "--default-shard", ("-1",)),
+    ("cluster-spawn", "--replicas", ("0", "-1")),
+    ("cluster-spawn", "--port", ("-1",)),
+    ("cluster-spawn", "--workers", ("0", "-1")),
+    ("cluster-spawn", "--max-in-flight", ("0", "-1")),
+    ("cluster-spawn", "--deadline", ("0", "-1")),
+    ("cluster-spawn", "--max-requests", ("0", "-1")),
+    ("cluster-spawn", "--slow-query-ms", ("-1",)),
+    ("cluster-spawn", "--health-interval", ("0", "-1")),
+    ("cluster-rebalance", "--to-shard", ("-1",)),
+    ("trace", "--port", ("-1",)),
+    ("metrics", "--port", ("-1",)),
+]
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            pytest.param(command, option, value, id=f"{command} {option} {value}")
+            for command, option, values in _OUT_OF_RANGE
+            for value in values
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, command, option, value, capsys):
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args([command, *_REQUIRED[command], option, value])
+        assert usage.value.code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
+
+    def test_the_boundary_values_parse(self):
+        args = build_parser().parse_args([
+            "serve", "--dataset", "retail", "--port", "0", "--cache-size", "0",
+            "--shard-of", "0", "--slow-query-ms", "0", "--deadline", "0.5",
+        ])
+        assert (args.port, args.cache_size, args.shard_of) == (0, 0, 0)
+        assert (args.slow_query_ms, args.deadline) == (0.0, 0.5)
+
+    def test_a_non_number_is_still_named_by_its_type(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--dataset", "retail", "--workers", "many"])
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+
+class TestOperatingSystemErrors:
+    """A path that cannot be read or written is ``error: …`` and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("serve-request", "--dataset", "figure5-stores", "--request", "{dir}"),
+            ("batch", "--queries", "{dir}", "--dataset", "figure5-stores"),
+            ("search", "--file", "{dir}", "--query", "store"),
+            ("serve", "--dataset", "figure5-stores", "--port", "0", "--request-log", "{dir}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_directory_where_a_file_belongs(self, argv, tmp_path):
+        code, output = run_cli(*(part.format(dir=tmp_path) for part in argv))
         assert code == 1
-        assert "cache-size" in output
+        assert output.startswith("error: ")
+        assert "Is a directory" in output
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process tables from /proc")
+class TestServeLoop:
+    def test_sigterm_unwinds_serve(self, tmp_path):
+        code, stdout, log_lines, _ = sigterm_one_search(
+            tmp_path, "serve", "--dataset", "figure5-stores", document="figure5-stores"
+        )
+        assert code == 0
+        assert stdout.rstrip().endswith("served 1 request(s)")
+        assert len(log_lines) == 1
+        assert '"kind": "search"' in log_lines[0]
