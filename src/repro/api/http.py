@@ -573,6 +573,10 @@ class HttpServer:
             raise RuntimeError("the HTTP server did not start in time")
         if self._startup_error is not None:
             error, self._startup_error = self._startup_error, None
+            if isinstance(error, OSError):
+                # a bind failure (port taken, address unavailable) is the
+                # caller's environment, reported as the OSError it is
+                raise error
             raise RuntimeError(f"the HTTP server failed to start: {error}") from error
         return self
 

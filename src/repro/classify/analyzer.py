@@ -21,11 +21,11 @@ from repro.classify.categories import (
     entity_paths,
 )
 from repro.classify.keys import KeyInfo, KeyMiner
-from repro.utils.text import normalize_value
+from repro.utils.text import NormalizedValues, normalize_value
 from repro.xmltree.dtd import DTD
 from repro.xmltree.node import XMLNode
-from repro.xmltree.schema import SchemaSummary, TagPath, infer_schema
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.schema import SchemaSummary, infer_schema
+from repro.xmltree.tree import TagPath, XMLTree
 
 
 @dataclass
@@ -93,6 +93,12 @@ class FeatureTable(NamedTuple):
 class DataAnalyzer:
     """Analyzes one document: schema, node categories, entities and keys.
 
+    Every step reads the tree's tag-path column (:attr:`XMLTree.paths`)
+    rather than walking ancestors: schema inference counts per path id,
+    key mining reads per-path ``pre`` lists, and binding turns per-path
+    category codes into per-node ones.  Each distinct raw text is normalised
+    once for the whole analysis.
+
     Classification is a schema-level fact (``categories``, per tag path);
     binding the analyzer to its tree resolves it for every node once, into
     two flat tables indexed by ``node.pre``: the node's category code and
@@ -130,14 +136,11 @@ class DataAnalyzer:
     """
 
     def __init__(self, tree: XMLTree, dtd: DTD | None = None):
-        self.tree = tree
-        self.dtd = dtd
-        self.schema: SchemaSummary = infer_schema(tree, dtd=dtd)
-        self.categories: dict[TagPath, NodeCategory] = classify_schema(self.schema)
-        self.entity_types: dict[TagPath, EntityType] = self._mined_entity_types()
-        self._entity_type_of_tag = _first_entity_type_per_tag(self.entity_types)
-        self._features: FeatureTable | None = None
-        self._features_lock = threading.Lock()
+        values = NormalizedValues()
+        schema = infer_schema(tree, dtd=dtd, values=values)
+        self._adopt(
+            tree, dtd, schema, classify_schema(schema), mine_entity_types(tree, schema, values)
+        )
         self._bind_nodes()
 
     @classmethod
@@ -149,17 +152,19 @@ class DataAnalyzer:
         categories: dict[TagPath, NodeCategory],
         entity_types: dict[TagPath, EntityType],
     ) -> "DataAnalyzer":
-        """An analyzer assembled from precomputed state (incremental updates).
+        """An analyzer assembled from precomputed state.
 
-        :mod:`repro.index.incremental` patches the previous analyzer's
-        schema and re-mines only the entity keys an edit can affect; this
-        constructor binds that state to the edited tree without re-running
-        schema inference, classification or full key mining.  The caller is
-        responsible for the state being exactly what ``DataAnalyzer(tree,
-        dtd)`` would compute — the incremental-update property tests hold it
-        to that.
+        The index build computes the state phase by phase (to time each),
+        the v4 snapshot reader decodes it, and :mod:`repro.index.incremental`
+        patches the previous analyzer's schema and re-mines only the entity
+        keys an edit can affect; this constructor binds that state to the
+        tree without re-running schema inference, classification or key
+        mining.  The caller is responsible for the state being exactly what
+        ``DataAnalyzer(tree, dtd)`` would compute — the incremental-update
+        property tests hold it to that.
         """
-        analyzer = cls._assembled(tree, dtd, schema, categories, entity_types)
+        analyzer = cls.__new__(cls)
+        analyzer._adopt(tree, dtd, schema, categories, entity_types)
         analyzer._bind_nodes()
         return analyzer
 
@@ -184,7 +189,8 @@ class DataAnalyzer:
         (:func:`repro.index.incremental.apply_text_update` accepts only a
         text-only diff).
         """
-        analyzer = self._assembled(tree, self.dtd, schema, dict(self.categories), entity_types)
+        analyzer = type(self).__new__(type(self))
+        analyzer._adopt(tree, self.dtd, schema, dict(self.categories), entity_types)
         analyzer._nodes = tree.nodes_by_pre
         analyzer._node_codes = self._node_codes
         analyzer._node_owners = self._node_owners
@@ -199,78 +205,51 @@ class DataAnalyzer:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def _assembled(
-        cls,
+    def _adopt(
+        self,
         tree: XMLTree,
         dtd: DTD | None,
         schema: SchemaSummary,
         categories: dict[TagPath, NodeCategory],
         entity_types: dict[TagPath, EntityType],
-    ) -> "DataAnalyzer":
-        analyzer = cls.__new__(cls)
-        analyzer.tree = tree
-        analyzer.dtd = dtd
-        analyzer.schema = schema
-        analyzer.categories = categories
-        analyzer.entity_types = entity_types
-        analyzer._entity_type_of_tag = _first_entity_type_per_tag(entity_types)
-        analyzer._features = None
-        analyzer._features_lock = threading.Lock()
-        return analyzer
+    ) -> None:
+        self.tree = tree
+        self.dtd = dtd
+        self.schema = schema
+        self.categories = categories
+        self.entity_types = entity_types
+        self._entity_type_of_tag = _first_entity_type_per_tag(entity_types)
+        self._features: FeatureTable | None = None
+        self._features_lock = threading.Lock()
 
     def _bind_nodes(self) -> None:
         """Resolve category and owning entity of every node of the tree.
 
-        One pass in document order: a node's tag path is its parent's
-        (already interned) path extended by one tag, so each distinct path
-        is built and looked up in ``categories`` once, and the owning
-        entity is the node itself or whatever its parent resolved to.
+        Classification is per path, so the tree's tag-path column
+        (:attr:`XMLTree.paths`) turns it into one code per path id and one
+        table read per node.  Owners are resolved path by path in id order —
+        a path's parent path comes first — each node owning itself or
+        inheriting its parent's owner.
         """
-        nodes = self.tree.nodes_by_pre
+        tree = self.tree
+        columns = tree.paths
         categories = self.categories
-        count = len(nodes)
-        codes = bytearray(count)
-        # One slot past the end stands for "above the root", so the root's
-        # parent index -1 reads the empty path (id 0) and no owner.
-        owners = [-1] * (count + 1)
-        path_ids = [0] * (count + 1)
-        paths: list[TagPath] = [()]
-        path_codes = [_CONNECTION]
-        extended: dict[tuple[int, str], int] = {}
-        for pre, node in enumerate(nodes):
-            parent = node.parent
-            parent_pre = parent.pre if parent is not None else -1
-            key = (path_ids[parent_pre], node.tag)
-            path_id = extended.get(key)
-            if path_id is None:
-                path = paths[key[0]] + (node.tag,)
-                path_id = extended[key] = len(paths)
-                paths.append(path)
-                path_codes.append(
-                    _CODE_OF_CATEGORY[categories.get(path, NodeCategory.CONNECTION)]
-                )
-            path_ids[pre] = path_id
-            code = codes[pre] = path_codes[path_id]
-            owners[pre] = pre if code == _ENTITY else owners[parent_pre]
-        owners.pop()
-        self._nodes = nodes
-        self._node_codes = bytes(codes)
+        path_codes = [
+            _CODE_OF_CATEGORY[categories.get(path, NodeCategory.CONNECTION)]
+            for path in columns.paths
+        ]
+        parent = tree.shape.parent
+        owners = [-1] * len(columns.ids)
+        for path_id, instances in enumerate(columns.instances):
+            if path_codes[path_id] == _ENTITY:
+                for pre in instances:
+                    owners[pre] = pre
+            elif path_id:  # the root, when no entity, is owned by none
+                for pre in instances:
+                    owners[pre] = owners[parent[pre]]
+        self._nodes = tree.nodes_by_pre
+        self._node_codes = bytes(map(path_codes.__getitem__, columns.ids))
         self._node_owners = owners
-
-    def _mined_entity_types(self) -> dict[TagPath, EntityType]:
-        paths = entity_paths(self.schema)
-        keys = KeyMiner(self.schema).mine(self.tree, paths)
-        return {
-            path: EntityType(
-                tag_path=path,
-                tag=path[-1],
-                instance_count=self.schema.node_for(path).instance_count,
-                attribute_paths=attribute_paths_of(self.schema, path),
-                key=keys.get(path),
-            )
-            for path in paths
-        }
 
     # ------------------------------------------------------------------ #
     # the feature table
@@ -304,14 +283,7 @@ class DataAnalyzer:
         """One pass over the nodes; a raw value that repeats — most do —
         is normalised once for the whole document."""
         table = FeatureTable([-1] * len(self._nodes), [], {})
-        normalised: dict[str, str] = {}
-
-        def normalise(raw: str) -> str:
-            value = normalised.get(raw)
-            if value is None:
-                value = normalised[raw] = normalize_value(raw)
-            return value
-
+        normalise = NormalizedValues().__getitem__
         ids = table.ids
         for pre in range(len(ids)):
             ids[pre] = self._feature_id_of(pre, table, normalise)
@@ -455,6 +427,26 @@ class DataAnalyzer:
             f"<DataAnalyzer tree={self.tree.name!r} entities={counts['entity']} "
             f"attributes={counts['attribute']} connections={counts['connection']}>"
         )
+
+
+def mine_entity_types(
+    tree: XMLTree, schema: SchemaSummary, values: NormalizedValues | None = None
+) -> dict[TagPath, EntityType]:
+    """The entity types of a document with their mined keys, read from the
+    tree's tag-path column; ``values`` is the normalisation memo schema
+    inference filled, so a value both read is normalised once."""
+    paths = entity_paths(schema)
+    keys = KeyMiner(schema).mine(tree, paths, values=values)
+    return {
+        path: EntityType(
+            tag_path=path,
+            tag=path[-1],
+            instance_count=schema.node_for(path).instance_count,
+            attribute_paths=attribute_paths_of(schema, path),
+            key=keys.get(path),
+        )
+        for path in paths
+    }
 
 
 def _first_entity_type_per_tag(entity_types: dict[TagPath, EntityType]) -> dict[str, EntityType]:

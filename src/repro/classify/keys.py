@@ -21,10 +21,11 @@ no attribute qualifies (the snippet then simply has no key item).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.classify.categories import attribute_paths_of
-from repro.utils.text import normalize_value
+from repro.utils.text import NormalizedValues
 from repro.xmltree.schema import SchemaSummary, TagPath
 from repro.xmltree.tree import XMLTree
 
@@ -61,32 +62,58 @@ class KeyInfo:
         )
 
 
+#: a tag path → the ``pre`` ids of its instances, ascending
+InstancesOf = Callable[[TagPath], Sequence[int]]
+
+
 class KeyMiner:
-    """Mines key attributes for every entity type of a document."""
+    """Mines key attributes for every entity type of a document.
+
+    Mining reads per-path ``pre`` lists, never the tree as a whole: an
+    entity type's instances are its path's list, and an entity's value of a
+    candidate attribute is the text of the first instance of the attribute
+    path under it — the attribute list holds the children of one entity
+    next to each other, so that is the first id per parent.  The full build
+    reads the tree's column (:attr:`XMLTree.paths`); the text-only update
+    re-mines over the structure index's lists of the version it updates.
+    """
 
     def __init__(self, schema: SchemaSummary, min_coverage: float = MIN_COVERAGE):
         self.schema = schema
         self.min_coverage = min_coverage
 
-    def mine(self, tree: XMLTree, entity_paths_: list[TagPath]) -> dict[TagPath, KeyInfo]:
-        """Return the key of each entity path that has one."""
+    def mine(
+        self,
+        tree: XMLTree,
+        entity_paths_: Iterable[TagPath],
+        instances_of: InstancesOf | None = None,
+        values: NormalizedValues | None = None,
+    ) -> dict[TagPath, KeyInfo]:
+        """Return the key of each entity path that has one.
+
+        ``instances_of`` answers a path's ``pre`` ids (default: the tree's
+        tag-path column); ``values`` is the memo each distinct raw text is
+        normalised through (default: a fresh one).
+        """
+        if instances_of is None:
+            instances_of = tree.paths.instances_of
+        if values is None:
+            values = NormalizedValues()
         keys: dict[TagPath, KeyInfo] = {}
         for entity_path in entity_paths_:
-            info = self.mine_entity(tree, entity_path)
+            info = self._mine_entity(tree, entity_path, instances_of, values)
             if info is not None:
                 keys[entity_path] = info
         return keys
 
-    def mine_entity(
-        self, tree: XMLTree, entity_path: TagPath, instances: list | None = None
+    def _mine_entity(
+        self,
+        tree: XMLTree,
+        entity_path: TagPath,
+        instances_of: InstancesOf,
+        values: NormalizedValues,
     ) -> KeyInfo | None:
-        """Mine the key attribute of a single entity type.
-
-        ``instances`` optionally supplies the entity's node instances in
-        document order (the incremental-update path materialises them from
-        the structure index in O(instances) instead of the full-tree scan
-        of :meth:`XMLTree.find_by_tag_path`).
-        """
+        """Mine the key attribute of a single entity type."""
         candidates = attribute_paths_of(self.schema, entity_path)
         if not candidates:
             return None
@@ -94,26 +121,29 @@ class KeyMiner:
         dtd = self.schema.dtd
         dtd_ids = set(dtd.id_attributes(entity_path[-1])) if dtd is not None else set()
 
-        entity_instances = (
-            instances if instances is not None else tree.find_by_tag_path(entity_path)
-        )
-        if not entity_instances:
+        entity_count = len(instances_of(entity_path))
+        if not entity_count:
             return None
 
+        nodes = tree.nodes_by_pre
+        parent = tree.shape.parent
         scored: list[tuple[tuple[float, ...], KeyInfo]] = []
         for order, attribute_path in enumerate(candidates):
             attribute_tag = attribute_path[-1]
-            values: list[str] = []
-            present = 0
-            for entity in entity_instances:
-                child = entity.find_child(attribute_tag)
-                if child is not None and child.has_text_value:
-                    present += 1
-                    values.append(normalize_value(child.text or ""))
+            found: list[str] = []
+            owner = -1
+            for pre in instances_of(attribute_path):
+                if parent[pre] == owner:
+                    continue  # a later same-tag child of the same entity
+                owner = parent[pre]
+                text = nodes[pre].text
+                if text:
+                    found.append(values[text])
+            present = len(found)
             if present == 0:
                 continue
-            coverage = present / len(entity_instances)
-            uniqueness = len(set(values)) / len(values)
+            coverage = present / entity_count
+            uniqueness = len(set(found)) / present
             from_dtd = attribute_tag in dtd_ids
             if not from_dtd and coverage < self.min_coverage:
                 continue

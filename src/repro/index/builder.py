@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.classify.analyzer import DataAnalyzer
+from repro.classify.analyzer import DataAnalyzer, mine_entity_types
+from repro.classify.categories import classify_schema
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.index.structure import StructureIndex
+from repro.utils.text import NormalizedValues
 from repro.utils.timing import TimingBreakdown
 from repro.xmltree.dtd import DTD
+from repro.xmltree.schema import infer_schema
 from repro.xmltree.tree import XMLTree
 
 
@@ -43,14 +46,22 @@ class DocumentIndex:
 
 
 class IndexBuilder:
-    """Builds a :class:`DocumentIndex` for a document (Figure 4 component)."""
+    """Builds a :class:`DocumentIndex` for a document (Figure 4 component).
+
+    :attr:`timings` accumulates one phase per step: ``paths`` (the tree's
+    shape and tag-path columns), ``schema`` (inference and
+    classification), ``keys`` (entity types and their keys), ``bind`` (the
+    analyzer's per-node tables), ``inverted_index`` and
+    ``structure_index``.
+    """
 
     def __init__(self, dtd: DTD | None = None):
         self.dtd = dtd
         self.timings = TimingBreakdown()
 
     def build(self, tree: XMLTree) -> DocumentIndex:
-        """Analyze and index ``tree``.
+        """Analyze and index ``tree`` — what ``DataAnalyzer(tree, dtd)``
+        computes, phase by phase.
 
         >>> from repro.xmltree.builder import tree_from_dict
         >>> tree = tree_from_dict("retailer", {"store": [{"city": "Houston"}, {"city": "Austin"}]})
@@ -58,10 +69,21 @@ class IndexBuilder:
         >>> len(index.keyword_matches("houston"))
         1
         """
-        with self.timings.measure("analyze"):
-            analyzer = DataAnalyzer(tree, dtd=self.dtd)
-        with self.timings.measure("inverted_index"):
+        measure = self.timings.measure
+        with measure("paths"):
+            # both built on first use: here, rather than inside the first
+            # phase that reads them
+            tree.shape, tree.paths
+        values = NormalizedValues()
+        with measure("schema"):
+            schema = infer_schema(tree, dtd=self.dtd, values=values)
+            categories = classify_schema(schema)
+        with measure("keys"):
+            entity_types = mine_entity_types(tree, schema, values)
+        with measure("bind"):
+            analyzer = DataAnalyzer.rebound(tree, self.dtd, schema, categories, entity_types)
+        with measure("inverted_index"):
             inverted = InvertedIndex().build(tree)
-        with self.timings.measure("structure_index"):
+        with measure("structure_index"):
             structure = StructureIndex().build(tree, analyzer)
         return DocumentIndex(tree=tree, analyzer=analyzer, inverted=inverted, structure=structure)

@@ -15,16 +15,18 @@ module applies the edit as a set of deltas instead:
   per-path value counters patched.
 * **entity keys** — key mining reads attribute values document-wide, so an
   edited attribute value can flip the mined key of exactly one entity
-  type: its direct parent.  Only those entity paths are re-mined (over
-  their instances, not the whole tree).
+  type: its direct parent.  Only those entity paths are re-mined, by the
+  same :class:`~repro.classify.keys.KeyMiner` as the full build, over the
+  structure index's per-path lists (not the whole tree).
 * **structure index** — stores node positions, tag paths and categories
   only, none of which a text edit can move; the object is shared as-is.
 * **feature table** — the analyzer's per-node feature ids (what snippet
   generation counts) exist only once a snippet was generated for the
   document; then they are carried as a copy with the edited nodes
   re-derived, one value normalisation per edit.
-* **tree shape** — the edited tree has the old one's shape, so it adopts
-  the old tree's ``parent``/``level``/``size`` tables: every posting list
+* **tree shape** — the edited tree has the old one's shape and tags, so it
+  adopts the old tree's ``parent``/``level``/``size`` tables and tag-path
+  column: every posting list
   the edit did not touch, every cached result root and every snippet-cache
   key names the same positions in both versions.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
-from repro.classify.analyzer import DataAnalyzer, EntityType
+from repro.classify.analyzer import DataAnalyzer
 from repro.classify.categories import NodeCategory
 from repro.classify.keys import KeyMiner
 from repro.errors import IndexError_
@@ -96,33 +98,29 @@ def apply_text_update(
             f"got {diff!r} (structural edits need a full rebuild)"
         )
 
-    new_tree.adopt_shape(old_index.tree.shape)
+    old_tree = old_index.tree
+    new_tree.adopt_shape(old_tree.shape)
+    new_tree.adopt_paths(old_tree.paths)
     added, removed = _posting_deltas(diff)
     new_inverted = old_index.inverted.apply_delta(added, removed)
 
     old_analyzer = old_index.analyzer
     schema = _patched_schema(old_analyzer.schema, diff)
 
-    affected = _affected_entity_paths(old_analyzer, diff)
+    affected = sorted(_affected_entity_paths(old_analyzer, diff))
     entity_types = dict(old_analyzer.entity_types)
     key_changed = False
     if affected:
-        miner = KeyMiner(schema)
-        for entity_path in sorted(affected):
+        keys = KeyMiner(schema).mine(
+            new_tree, affected, instances_of=old_index.structure.instances_of_path
+        )
+        for entity_path in affected:
             old_entity = entity_types[entity_path]
-            nodes = new_tree.nodes_by_pre
-            instances = [
-                nodes[pre] for pre in old_index.structure.instances_of_path(entity_path)
-            ]
-            new_key = miner.mine_entity(new_tree, entity_path, instances=instances)
+            new_key = keys.get(entity_path)
             if _key_attribute(new_key) != _key_attribute(old_entity.key):
                 key_changed = True
-            entity_types[entity_path] = EntityType(
-                tag_path=old_entity.tag_path,
-                tag=old_entity.tag,
-                instance_count=old_entity.instance_count,
-                attribute_paths=list(old_entity.attribute_paths),
-                key=new_key,
+            entity_types[entity_path] = replace(
+                old_entity, attribute_paths=list(old_entity.attribute_paths), key=new_key
             )
 
     changed_pres = tuple(edit.pre for edit in diff.text_edits)
@@ -137,7 +135,7 @@ def apply_text_update(
         index=index,
         changed_pres=changed_pres,
         changed_terms=frozenset(added) | frozenset(removed),
-        remined_entity_paths=tuple(sorted(affected)),
+        remined_entity_paths=tuple(affected),
         key_attributes_changed=key_changed,
     )
 

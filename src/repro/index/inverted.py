@@ -48,20 +48,28 @@ class InvertedIndex:
         """Index every node of ``tree``; returns ``self`` for chaining.
 
         Nodes are visited in document order, so every term's list is
-        appended in ascending ``pre`` and never sorted; a term a node
-        yields twice (tag and text, or a repeated word) is already the
-        list's last id.
+        appended in ascending ``pre`` and never sorted.  Tags and values
+        repeat, so a node's terms — its tag's, then its text's, each once —
+        are computed once per distinct ``(tag, text)`` pair, from each
+        distinct tag and text tokenised once.
         """
         accumulator: dict[str, array[int]] = {}
+        tag_terms: dict[str, tuple[str, ...]] = {}
+        text_terms: dict[str, tuple[str, ...]] = {}
+        node_terms: dict[tuple[str, str | None], tuple[str, ...]] = {}
         for pre, node in enumerate(tree.nodes_by_pre):
-            terms = iter_index_terms(node.tag)
-            if node.text:
-                terms = (*terms, *iter_index_terms(node.text))
+            key = (node.tag, node.text)
+            terms = node_terms.get(key)
+            if terms is None:
+                terms = _memoised_terms(tag_terms, node.tag)
+                if node.text:
+                    terms += _memoised_terms(text_terms, node.text)
+                terms = node_terms[key] = tuple(dict.fromkeys(terms))
             for term in terms:
                 ids = accumulator.get(term)
                 if ids is None:
                     accumulator[term] = array("I", (pre,))
-                elif ids[-1] != pre:
+                else:
                     ids.append(pre)
         shape = tree.shape
         self._postings = {
@@ -185,3 +193,10 @@ class InvertedIndex:
     def __repr__(self) -> str:
         status = f"terms={len(self._postings)}" if self._built else "unbuilt"
         return f"<InvertedIndex {status}>"
+
+
+def _memoised_terms(memo: dict[str, tuple[str, ...]], text: str) -> tuple[str, ...]:
+    terms = memo.get(text)
+    if terms is None:
+        terms = memo[text] = tuple(iter_index_terms(text))
+    return terms

@@ -8,25 +8,25 @@ adds:
 * tag path → posting list (all instances of a schema node),
 * node category per tag path (entity / attribute / connection).
 
-It is what the snapshot formats persist beside the keyword postings, and
-what incremental key re-mining reads to find an entity type's instances
-without walking the document.
+The per-path lists are the tree's tag-path column
+(:attr:`~repro.xmltree.tree.XMLTree.paths`) wrapped as posting lists: a
+build reads no node.  It is what the snapshot formats persist beside the
+keyword postings, and what incremental key re-mining reads to find the
+instances of an entity type and of its attributes.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.classify.categories import NodeCategory
 from repro.errors import IndexNotBuiltError
 from repro.index.postings import PostingList
-from repro.xmltree.schema import TagPath
-from repro.xmltree.tree import TreeShape, XMLTree
+from repro.xmltree.tree import TagPath, TreeShape, XMLTree
 
 
 class StructureIndex:
-    """Tag-path/category index over one document."""
+    """Tag-path/category index over one document: :meth:`build` wraps the
+    tree's tag-path column, a v4 load decodes the stored lists."""
 
     def __init__(self) -> None:
         self._by_path: dict[TagPath, PostingList] = {}
@@ -38,18 +38,14 @@ class StructureIndex:
     # construction
     # ------------------------------------------------------------------ #
     def build(self, tree: XMLTree, analyzer: DataAnalyzer) -> "StructureIndex":
-        by_path: dict[TagPath, array[int]] = {}
-        for pre, node in enumerate(tree.nodes_by_pre):
-            path = node.tag_path
-            ids = by_path.get(path)
-            if ids is None:
-                by_path[path] = array("I", (pre,))
-            else:
-                ids.append(pre)
+        columns = tree.paths
         shape = tree.shape
         return self._assemble(
             shape,
-            {path: PostingList._trusted(shape, ids) for path, ids in by_path.items()},
+            {
+                path: PostingList._trusted(shape, ids)
+                for path, ids in zip(columns.paths, columns.instances)
+            },
             analyzer,
         )
 

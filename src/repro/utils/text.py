@@ -115,7 +115,7 @@ def tokenize(text: str) -> list[str]:
     >>> tokenize("Brook Brothers")
     ['brook', 'brothers']
     """
-    return [match.group(0).lower() for match in _TOKEN_RE.finditer(text)]
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def iter_index_terms(text: str) -> Iterator[str]:
@@ -167,6 +167,24 @@ def normalize_value(value: str) -> str:
     'brook brothers'
     """
     return " ".join(tokenize(value))
+
+
+class NormalizedValues(dict):
+    """:func:`normalize_value` memoised per raw text: ``values[raw]``
+    normalises ``raw`` the first time it is read and looks it up after.
+
+    A document's values repeat — most of them — so the passes of an index
+    build that read the same values (schema inference, then key mining)
+    share one and normalise each distinct text once.
+
+    >>> values = NormalizedValues()
+    >>> values["  Brook   Brothers "]
+    'brook brothers'
+    """
+
+    def __missing__(self, raw: str) -> str:
+        value = self[raw] = normalize_value(raw)
+        return value
 
 
 def matches_keyword(text: str, keyword: str) -> bool:

@@ -110,6 +110,7 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
             f"node count changed from {old.size_nodes} to {new.size_nodes}"
         )
     edits: list[TextEdit] = []
+    paths = None
     for old_node, new_node in zip(old.nodes_by_pre, new.nodes_by_pre):
         if old_node.level != new_node.level:
             return _structural(
@@ -135,12 +136,14 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
                 )
             if not new_node.text:
                 continue  # "" vs None: indistinguishable to the pipeline
+            if paths is None:
+                paths = old.paths
             edits.append(
                 TextEdit(
                     pre=old_node.pre,
                     node=new_node,
                     tag=old_node.tag,
-                    tag_path=old_node.tag_path,
+                    tag_path=paths.paths[paths.ids[old_node.pre]],
                     old_text=old_node.text or "",
                     new_text=new_node.text or "",
                 )

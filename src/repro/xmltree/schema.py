@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import SchemaError
-from repro.utils.text import normalize_value
+from repro.utils.text import NormalizedValues
 from repro.xmltree.dtd import DTD
-from repro.xmltree.tree import XMLTree
+from repro.xmltree.tree import TagPath, XMLTree
 
-TagPath = tuple[str, ...]
+_text_of = attrgetter("text")
 
 
 @dataclass
@@ -70,7 +71,13 @@ class SchemaNode:
 
 
 class SchemaSummary:
-    """The inferred schema of one document (or a corpus of documents)."""
+    """The inferred schema of one document (or a corpus of documents).
+
+    :meth:`add_tree` reads a document through its tag-path column
+    (:attr:`XMLTree.paths`), not node by node: ``nodes`` lists the schema
+    nodes in path-id order, which is the order a top-down reading first
+    meets them.
+    """
 
     def __init__(self, dtd: DTD | None = None):
         self.nodes: dict[TagPath, SchemaNode] = {}
@@ -79,33 +86,44 @@ class SchemaSummary:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def add_tree(self, tree: XMLTree) -> None:
-        """Fold one document into the summary (may be called repeatedly)."""
-        for node in tree.iter_nodes():
-            path = node.tag_path
+    def add_tree(self, tree: XMLTree, values: NormalizedValues | None = None) -> None:
+        """Fold one document into the summary (may be called repeatedly).
+
+        Reads the tree's tag-path column (:attr:`XMLTree.paths`), one path
+        at a time: the counts of a schema node are counts over its
+        instances' ``pre`` ids, and its sibling maximum is the largest
+        number of its instances sharing one parent ``pre``.  Each distinct
+        raw text is normalised once, through ``values`` — pass the memo
+        key mining will read to share it.
+        """
+        if values is None:
+            values = NormalizedValues()
+        columns = tree.paths
+        nodes = tree.nodes_by_pre
+        shape = tree.shape
+        parent_of, size_of = shape.parent.__getitem__, shape.size.__getitem__
+        entries: list[SchemaNode] = []
+        for path in columns.paths:
             entry = self.nodes.get(path)
             if entry is None:
-                entry = SchemaNode(tag_path=path, tag=node.tag)
-                self.nodes[path] = entry
-            entry.instance_count += 1
-            if node.has_text_value:
-                entry.with_text += 1
-                entry.value_counts[normalize_value(node.text or "")] += 1
-            if node.children:
-                entry.with_element_children += 1
-            for child in node.children:
-                entry.child_paths.add(child.tag_path)
-            # count same-tag siblings: done from the parent's perspective so
-            # every parent instance contributes its own sibling counts
-            sibling_counts = Counter(child.tag for child in node.children)
-            for child_tag, count in sibling_counts.items():
-                child_path = path + (child_tag,)
-                child_entry = self.nodes.get(child_path)
-                if child_entry is None:
-                    child_entry = SchemaNode(tag_path=child_path, tag=child_tag)
-                    self.nodes[child_path] = child_entry
-                if count > child_entry.max_siblings_per_parent:
-                    child_entry.max_siblings_per_parent = count
+                entry = self.nodes[path] = SchemaNode(tag_path=path, tag=path[-1])
+            entries.append(entry)
+        for path_id, instances in enumerate(columns.instances):
+            entry = entries[path_id]
+            entry.instance_count += len(instances)
+            # a node has element children iff its subtree is more than itself
+            entry.with_element_children += len(instances) - list(
+                map(size_of, instances)
+            ).count(1)
+            texts = [text for text in map(_text_of, map(nodes.__getitem__, instances)) if text]
+            entry.with_text += len(texts)
+            entry.value_counts.update(map(values.__getitem__, texts))
+            if path_id:  # the root's path has no parent, and no siblings
+                widest = max(Counter(map(parent_of, instances)).values())
+                if widest > entry.max_siblings_per_parent:
+                    entry.max_siblings_per_parent = widest
+                parent_path_id = columns.ids[parent_of(instances[0])]
+                entries[parent_path_id].child_paths.add(entry.tag_path)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -165,8 +183,11 @@ class SchemaSummary:
         return f"<SchemaSummary paths={len(self.nodes)} dtd={'yes' if self.dtd else 'no'}>"
 
 
-def infer_schema(tree: XMLTree, dtd: DTD | None = None) -> SchemaSummary:
-    """Infer the schema summary of a single document.
+def infer_schema(
+    tree: XMLTree, dtd: DTD | None = None, values: NormalizedValues | None = None
+) -> SchemaSummary:
+    """Infer the schema summary of a single document (``values``: see
+    :meth:`SchemaSummary.add_tree`).
 
     >>> from repro.xmltree.builder import tree_from_dict
     >>> tree = tree_from_dict("retailer", {
@@ -180,7 +201,7 @@ def infer_schema(tree: XMLTree, dtd: DTD | None = None) -> SchemaSummary:
     False
     """
     summary = SchemaSummary(dtd=dtd)
-    summary.add_tree(tree)
+    summary.add_tree(tree, values)
     return summary
 
 

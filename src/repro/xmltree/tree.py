@@ -11,12 +11,16 @@ extraction, which is how query result trees are cut out of the document.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from repro.errors import ExtractError
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
+
+#: a root-to-node sequence of tags: what names a *schema node* (§2.1)
+TagPath = tuple[str, ...]
 
 
 class TreeShape(NamedTuple):
@@ -66,6 +70,66 @@ class TreeShape(NamedTuple):
         ]
 
 
+class TagPaths(NamedTuple):
+    """The root-to-node tag path of every node, as a column of interned ids.
+
+    ``ids[pre]`` is the id of the node's tag path, ``paths[id]`` the path
+    and ``instances[id]`` the ``pre`` ids of its nodes, ascending.  Ids
+    number the paths in the order a top-down reading of the tree meets
+    them: the root's path is ``0``, and reading a node numbers the paths of
+    its children not met before, in the order of their first child.  So a
+    path's parent path has a smaller id, and the ids list the schema nodes
+    in the order a node-by-node inference would first record them.
+
+    Tags only, like :class:`TreeShape` shape only: a text-only update hands
+    the column of the old version to the new one
+    (:meth:`XMLTree.adopt_paths`).  Nothing is edited once built.
+    """
+
+    #: per node, by ``pre``: the id of its tag path
+    ids: list[int]
+    #: per path id: the tag path
+    paths: list[TagPath]
+    #: per path id: the ``pre`` ids of its instances, ascending
+    instances: list["array[int]"]
+    #: the inverse of ``paths``
+    id_of: dict[TagPath, int]
+
+    def instances_of(self, path: TagPath) -> "array[int]":
+        """The ``pre`` ids of the instances of ``path`` (none for a path
+        the tree does not have)."""
+        path_id = self.id_of.get(path)
+        return self.instances[path_id] if path_id is not None else array("I")
+
+
+def _tag_paths(nodes: list[XMLNode]) -> TagPaths:
+    """One top-down pass: each node's children get its path extended by
+    their tag, interned once per distinct (path, tag)."""
+    ids = [0] * len(nodes)
+    paths: list[TagPath] = [(nodes[0].tag,)]
+    instances = [array("I", (0,))]
+    #: per path id: child tag → the id of the extended path
+    extended: list[dict[str, int]] = [{}]
+    for pre, node in enumerate(nodes):
+        children = node.children
+        if not children:
+            continue
+        path_id = ids[pre]
+        child_ids = extended[path_id]
+        for child in children:
+            tag = child.tag
+            child_id = child_ids.get(tag)
+            if child_id is None:
+                child_id = child_ids[tag] = len(paths)
+                paths.append(paths[path_id] + (tag,))
+                instances.append(array("I"))
+                extended.append({})
+            child_pre = child.pre
+            ids[child_pre] = child_id
+            instances[child_id].append(child_pre)
+    return TagPaths(ids, paths, instances, {path: path_id for path_id, path in enumerate(paths)})
+
+
 class XMLTree:
     """An ordered, labelled XML document tree.
 
@@ -73,7 +137,7 @@ class XMLTree:
     one reindex pass assigns every ``pre`` / ``post`` / ``level`` /
     ``ordinal`` from the ``children`` lists alone.
 
-    Nodes have two names.  ``pre`` (with :attr:`shape` and
+    Nodes have two names.  ``pre`` (with :attr:`shape`, :attr:`paths` and
     :attr:`nodes_by_pre`) is what the index and the search path compute
     with.  The Dewey label, for display and for the formats that spell
     node positions as text, is not stored anywhere: ``XMLNode.dewey``
@@ -100,6 +164,7 @@ class XMLTree:
         self.root = root
         self._by_pre: list[XMLNode] = []
         self._shape: TreeShape | None = None
+        self._paths: TagPaths | None = None
         self._reindex()
 
     # ------------------------------------------------------------------ #
@@ -150,6 +215,7 @@ class XMLTree:
                 push(child)
         self._by_pre = by_pre
         self._shape = None
+        self._paths = None
 
     def refresh(self) -> None:
         """Public hook to re-number after manual edits."""
@@ -189,6 +255,35 @@ class XMLTree:
                 f"for the {len(self._by_pre)}-node tree {self.name!r}"
             )
         self._shape = shape
+
+    @property
+    def paths(self) -> TagPaths:
+        """The tag-path column: every node's root-to-node tag path as an
+        interned id, and every path's instances.
+
+        What the index build reads instead of walking ancestors — schema
+        inference, classification, key mining, the structure index.  Built
+        on first use by one top-down pass and dropped whenever the tree
+        reindexes, like :attr:`shape`.
+        """
+        paths = self._paths
+        if paths is None:
+            paths = self._paths = _tag_paths(self._by_pre)
+        return paths
+
+    def adopt_paths(self, paths: TagPaths) -> None:
+        """Share the tag-path column of another version of this document.
+
+        For the text-only update path only, as :meth:`adopt_shape`: the
+        diff compared tags position by position, so the column is this
+        tree's too.
+        """
+        if len(paths.ids) != len(self._by_pre):
+            raise ExtractError(
+                f"cannot adopt the tag paths of a {len(paths.ids)}-node tree "
+                f"for the {len(self._by_pre)}-node tree {self.name!r}"
+            )
+        self._paths = paths
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -230,10 +325,6 @@ class XMLTree:
     def find_by_tag(self, tag: str) -> list[XMLNode]:
         """All nodes with the given tag, in document order."""
         return [node for node in self.iter_nodes() if node.tag == tag]
-
-    def find_by_tag_path(self, tag_path: tuple[str, ...]) -> list[XMLNode]:
-        """All nodes whose root-to-node tag path equals ``tag_path``."""
-        return [node for node in self.iter_nodes() if node.tag_path == tag_path]
 
     # ------------------------------------------------------------------ #
     # traversal and size

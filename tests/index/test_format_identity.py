@@ -6,10 +6,15 @@ loaded from v3 text snapshots (read-only input, written here by the frozen
 ``tests/index/v3_writer.py``), eagerly from v4 binary snapshots, lazily
 through the v4 mmap loader, or from the v3 directory after
 ``corpus-compact`` migrated it.
+
+And the bytes themselves do not move: the ``snapshot.bin`` of a fixed set
+of seeded documents is pinned by its SHA-256, so a change to how the index
+is built (rather than to the format) cannot change what is written.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -18,9 +23,23 @@ import pytest
 from repro.api.protocol import BatchRequest, SearchRequest
 from repro.api.service import SnippetService
 from repro.corpus import Corpus, compact_corpus_dir
+from repro.datasets import (
+    AuctionConfig,
+    BibliographyConfig,
+    MoviesConfig,
+    RetailConfig,
+    figure1_document,
+    figure5_document,
+    generate_auction_document,
+    generate_bibliography_document,
+    generate_movies_document,
+    generate_retail_document,
+)
 from repro.index.binfmt import BINARY_FILE, LazyInvertedIndex
-from repro.index.storage import load_index, read_corpus_manifest
+from repro.index.builder import IndexBuilder
+from repro.index.storage import load_index, read_corpus_manifest, save_index
 from repro.system import ExtractSystem
+from repro.xmltree.dtd import parse_dtd
 from tests.index.v3_writer import write_v3_corpus
 
 DATASETS = (("figure5-stores", "stores"), ("retail", "retail"))
@@ -107,3 +126,51 @@ class TestFormatByteIdentity:
         self.assert_same_bytes_everywhere(
             services, SearchRequest(query="anything", document="missing-doc")
         )
+
+
+#: declares ``store`` repeatable and its ``name`` an ID, so the DTD routes of
+#: classification and key mining both shape the snapshot
+RETAIL_DTD = (
+    "<!ELEMENT commerce (retailer*)><!ELEMENT retailer (name, product, store*)>"
+    "<!ATTLIST store name ID #REQUIRED>"
+)
+
+#: name → (document factory, DTD text or None)
+GOLDEN_DOCUMENTS = {
+    "figure1": (figure1_document, None),
+    "figure5": (figure5_document, None),
+    "retail": (lambda: generate_retail_document(RetailConfig(seed=3)), None),
+    "retail-dtd": (
+        lambda: generate_retail_document(
+            RetailConfig(retailers=2, stores_per_retailer=1, clothes_per_store=3, seed=5)
+        ),
+        RETAIL_DTD,
+    ),
+    "movies": (lambda: generate_movies_document(MoviesConfig(movies=12, seed=5)), None),
+    "auctions": (lambda: generate_auction_document(AuctionConfig(scale=2, seed=4)), None),
+    "bibliography": (
+        lambda: generate_bibliography_document(BibliographyConfig(conferences=2, seed=9)),
+        None,
+    ),
+}
+
+#: SHA-256 of each document's ``snapshot.bin``, recorded before the index
+#: build read the tag-path column
+GOLDEN_SHA256 = {
+    "auctions": "65232d0d5f0ed066731febde151d109534c22aca4ef423462bf1ea8bde6565fa",
+    "bibliography": "1073945b9a79e2e9546c442f84790b8f706eadd972a4f46e19c41a4f7e20d436",
+    "figure1": "9afd3dcb0ab21c1b4576b7d0a9a5902371f1862b517aa2b2985fbacaeb4fb10b",
+    "figure5": "d1b4c454e7af64c4a7723ead0b63ae51679b8ecacd6886891bce924b94cbd0a1",
+    "movies": "3cd7758823a65bc545d9cf98ceab85d61e1b55fc491c4c705e8cb66b6d846b96",
+    "retail": "59b371cff891a50d95c148d3790de4f483d0e48b96682f555ec950b4a9d3f263",
+    "retail-dtd": "470b0aee7c7f9af0859278c6150802d6341dbe734e35d40bd88dfbbe0df7e180",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_snapshot_bytes_are_pinned(name, tmp_path):
+    factory, dtd_text = GOLDEN_DOCUMENTS[name]
+    dtd = parse_dtd(dtd_text) if dtd_text else None
+    save_index(IndexBuilder(dtd=dtd).build(factory()), tmp_path)
+    digest = hashlib.sha256((tmp_path / BINARY_FILE).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]

@@ -641,6 +641,45 @@ class TestServeCommand:
         assert "--cluster-dir cannot be combined" in output
 
 
+class TestPortTaken:
+    """A port somebody else holds is the operator's environment, not a
+    crash: one ``error:`` line and exit 1, no traceback — for ``serve`` and
+    for ``cluster-spawn``, whose shard processes are already running when
+    the front end fails to bind."""
+
+    @pytest.mark.parametrize("command", ["serve", "cluster-spawn"])
+    def test_a_taken_port_is_an_error_line(self, command, tmp_path):
+        import socket
+
+        from tests.cli_process import spawn_cli
+
+        if command == "serve":
+            argv = ("serve", "--dataset", "figure5-stores")
+        else:
+            cluster_dir = str(tmp_path / "cluster")
+            code, _ = run_cli(
+                "cluster-init", "--dataset", "figure5-stores", "--shards", "2",
+                "--output", cluster_dir,
+            )
+            assert code == 0
+            argv = ("cluster-spawn", "--cluster-dir", cluster_dir)
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            process = spawn_cli(*argv, "--host", "127.0.0.1", "--port", str(port))
+            try:
+                stdout, stderr = process.communicate(timeout=60)
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+        assert process.returncode == 1, (stdout, stderr)
+        assert "Traceback" not in stdout + stderr
+        errors = [line for line in (stdout + stderr).splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "in use" in errors[0], (stdout, stderr)
+
+
 class TestLoadgenCommand:
     def test_plan_only_is_seed_deterministic(self):
         argv = (

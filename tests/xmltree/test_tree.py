@@ -94,9 +94,29 @@ class TestLookup:
         assert len(stores) == 2
         assert all(node.tag == "store" for node in stores)
 
-    def test_find_by_tag_path(self, sample_tree):
-        cities = sample_tree.find_by_tag_path(("retailer", "store", "city"))
-        assert sorted(node.text for node in cities) == ["Austin", "Houston"]
+    def test_paths_column(self, sample_tree):
+        paths = sample_tree.paths
+        nodes = sample_tree.nodes_by_pre
+        cities = paths.instances_of(("retailer", "store", "city"))
+        assert sorted(nodes[pre].text for pre in cities) == ["Austin", "Houston"]
+        assert list(paths.instances_of(("retailer", "nothing"))) == []
+        for node in nodes:
+            path_id = paths.ids[node.pre]
+            assert paths.paths[path_id] == node.tag_path
+            assert node.pre in paths.instances[path_id]
+        assert sorted(pre for ids in paths.instances for pre in ids) == list(range(len(nodes)))
+        # built once, dropped when the tree renumbers
+        assert sample_tree.paths is paths
+        sample_tree.refresh()
+        assert sample_tree.paths is not paths and sample_tree.paths == paths
+
+    def test_adopt_paths_requires_the_same_size(self, sample_tree):
+        other = tree_from_dict("retailer", {"name": "x"})
+        with pytest.raises(ExtractError):
+            other.adopt_paths(sample_tree.paths)
+        copy = sample_tree.copy()
+        copy.adopt_paths(sample_tree.paths)
+        assert copy.paths is sample_tree.paths
 
     def test_iter_leaves(self, sample_tree):
         leaves = list(sample_tree.iter_leaves())
