@@ -10,7 +10,8 @@ consumes.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,6 +60,15 @@ class SubtreeScan(NamedTuple):
     #: the entity instances of the subtree in document order; the subtree
     #: root always counts as one (it plays the entity role for its result)
     entities: list[XMLNode]
+
+
+#: a phase name → a context manager around that phase's work (e.g.
+#: :meth:`repro.utils.timing.TimingBreakdown.measure`)
+Measure = Callable[[str], AbstractContextManager[object]]
+
+
+def _unmeasured(phase: str) -> AbstractContextManager[object]:
+    return nullcontext()
 
 
 #: what a feature id stands for: ``(owning-entity tag, attribute tag,
@@ -135,13 +145,20 @@ class DataAnalyzer:
     'name'
     """
 
-    def __init__(self, tree: XMLTree, dtd: DTD | None = None):
-        values = NormalizedValues()
-        schema = infer_schema(tree, dtd=dtd, values=values)
-        self._adopt(
-            tree, dtd, schema, classify_schema(schema), mine_entity_types(tree, schema, values)
-        )
-        self._bind_nodes()
+    def __init__(self, tree: XMLTree, dtd: DTD | None = None, measure: Measure = _unmeasured):
+        """Analyze ``tree``; ``measure(phase)`` wraps each step — ``schema``
+        (inference and classification), ``keys`` (entity types and their
+        keys) and ``bind`` (the per-node tables) — so a caller can time
+        them (:class:`~repro.index.builder.IndexBuilder` does)."""
+        with measure("schema"):
+            values = NormalizedValues()
+            schema = infer_schema(tree, dtd=dtd, values=values)
+            categories = classify_schema(schema)
+        with measure("keys"):
+            entity_types = _mine_entity_types(tree, schema, values)
+        self._adopt(tree, dtd, schema, categories, entity_types)
+        with measure("bind"):
+            self._bind_nodes()
 
     @classmethod
     def rebound(
@@ -154,14 +171,11 @@ class DataAnalyzer:
     ) -> "DataAnalyzer":
         """An analyzer assembled from precomputed state.
 
-        The index build computes the state phase by phase (to time each),
-        the v4 snapshot reader decodes it, and :mod:`repro.index.incremental`
-        patches the previous analyzer's schema and re-mines only the entity
-        keys an edit can affect; this constructor binds that state to the
-        tree without re-running schema inference, classification or key
-        mining.  The caller is responsible for the state being exactly what
-        ``DataAnalyzer(tree, dtd)`` would compute — the incremental-update
-        property tests hold it to that.
+        The v4 snapshot reader decodes the state; this constructor binds it
+        to the tree without re-running schema inference, classification or
+        key mining.  The caller is responsible for the state being exactly
+        what ``DataAnalyzer(tree, dtd)`` would compute — the snapshot
+        round-trip tests hold it to that.
         """
         analyzer = cls.__new__(cls)
         analyzer._adopt(tree, dtd, schema, categories, entity_types)
@@ -429,8 +443,8 @@ class DataAnalyzer:
         )
 
 
-def mine_entity_types(
-    tree: XMLTree, schema: SchemaSummary, values: NormalizedValues | None = None
+def _mine_entity_types(
+    tree: XMLTree, schema: SchemaSummary, values: NormalizedValues
 ) -> dict[TagPath, EntityType]:
     """The entity types of a document with their mined keys, read from the
     tree's tag-path column; ``values`` is the normalisation memo schema

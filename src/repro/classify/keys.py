@@ -21,7 +21,7 @@ no attribute qualifies (the snippet then simply has no key item).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.classify.categories import attribute_paths_of
@@ -62,20 +62,17 @@ class KeyInfo:
         )
 
 
-#: a tag path → the ``pre`` ids of its instances, ascending
-InstancesOf = Callable[[TagPath], Sequence[int]]
-
-
 class KeyMiner:
     """Mines key attributes for every entity type of a document.
 
-    Mining reads per-path ``pre`` lists, never the tree as a whole: an
-    entity type's instances are its path's list, and an entity's value of a
-    candidate attribute is the text of the first instance of the attribute
-    path under it — the attribute list holds the children of one entity
-    next to each other, so that is the first id per parent.  The full build
-    reads the tree's column (:attr:`XMLTree.paths`); the text-only update
-    re-mines over the structure index's lists of the version it updates.
+    Mining reads the per-path ``pre`` lists of the tree's tag-path column
+    (:attr:`XMLTree.paths`), never the tree as a whole: an entity type's
+    instances are its path's list, and an entity's value of a candidate
+    attribute is the text of the first instance of the attribute path under
+    it — the attribute list holds the children of one entity next to each
+    other, so that is the first id per parent.  The full build and the
+    text-only re-mine (whose tree adopted the column of the version it
+    updates) go through the same :meth:`mine`.
     """
 
     def __init__(self, schema: SchemaSummary, min_coverage: float = MIN_COVERAGE):
@@ -86,32 +83,24 @@ class KeyMiner:
         self,
         tree: XMLTree,
         entity_paths_: Iterable[TagPath],
-        instances_of: InstancesOf | None = None,
         values: NormalizedValues | None = None,
     ) -> dict[TagPath, KeyInfo]:
         """Return the key of each entity path that has one.
 
-        ``instances_of`` answers a path's ``pre`` ids (default: the tree's
-        tag-path column); ``values`` is the memo each distinct raw text is
-        normalised through (default: a fresh one).
+        ``values`` is the memo each distinct raw text is normalised through
+        (default: a fresh one).
         """
-        if instances_of is None:
-            instances_of = tree.paths.instances_of
         if values is None:
             values = NormalizedValues()
         keys: dict[TagPath, KeyInfo] = {}
         for entity_path in entity_paths_:
-            info = self._mine_entity(tree, entity_path, instances_of, values)
+            info = self._mine_entity(tree, entity_path, values)
             if info is not None:
                 keys[entity_path] = info
         return keys
 
     def _mine_entity(
-        self,
-        tree: XMLTree,
-        entity_path: TagPath,
-        instances_of: InstancesOf,
-        values: NormalizedValues,
+        self, tree: XMLTree, entity_path: TagPath, values: NormalizedValues
     ) -> KeyInfo | None:
         """Mine the key attribute of a single entity type."""
         candidates = attribute_paths_of(self.schema, entity_path)
@@ -121,6 +110,7 @@ class KeyMiner:
         dtd = self.schema.dtd
         dtd_ids = set(dtd.id_attributes(entity_path[-1])) if dtd is not None else set()
 
+        instances_of = tree.paths.instances_of
         entity_count = len(instances_of(entity_path))
         if not entity_count:
             return None

@@ -35,6 +35,8 @@ Layout of ``snapshot.bin`` (all integers little-endian)::
   enough to answer vocabulary/containment questions; blobs are only
   decoded when a term is actually looked up (:class:`LazyInvertedIndex`).
 * **STRUCTURE** — same shape keyed by ``/``-joined tag-path string ids.
+  Checked on load against the rebuilt tree's tag-path column, which the
+  loaded structure index then wraps.
 * **ANALYZER** — canonical JSON (sorted keys) of the schema summary, node
   categories, entity types, mined keys and the DTD, rebound on load via
   :meth:`~repro.classify.analyzer.DataAnalyzer.rebound`.
@@ -665,7 +667,7 @@ def load_binary_index(
     analyzer_payload = _load_json(snapshot, _SEC_ANALYZER, file_path)
     analyzer = _decode_analyzer(tree, analyzer_payload)
 
-    structure = _rebuild_structure(snapshot, strings, shape, analyzer, file_path)
+    structure = _rebuild_structure(snapshot, strings, tree, analyzer, file_path)
 
     directory_entries = _read_directory(
         snapshot, _SEC_POSTINGS, strings, file_path
@@ -842,30 +844,39 @@ def _read_directory(
 def _rebuild_structure(
     snapshot: _SnapshotBuffer,
     strings: list[str],
-    shape: TreeShape,
+    tree: XMLTree,
     analyzer: DataAnalyzer,
     file_path: str,
 ) -> StructureIndex:
+    """The structure index of the loaded tree.
+
+    The stored lists must be the tree's tag-path column exactly — the same
+    paths, each with the same instances.  Once they proved it, the index
+    wraps the column, as a build does, and the decoded copies are dropped:
+    a loaded document holds its per-path lists once.
+    """
     entries = _read_directory(snapshot, _SEC_STRUCTURE, strings, file_path)
     base, _ = snapshot.section(_SEC_STRUCTURE)
-    node_count = len(shape.size)
-    by_path: dict[TagPath, PostingList] = {}
-    covered: set[int] = set()
+    columns = tree.paths
+    stored: set[TagPath] = set()
     for path_text, (count, blob_offset) in entries.items():
         ids = _decode_ids(
             snapshot.buffer,
             base + blob_offset,
             count,
-            node_count,
+            len(columns.ids),
             f"binary index {file_path}: structure postings for {path_text!r}",
         )
-        by_path[tuple(path_text.split(_PATH_SEPARATOR))] = PostingList._trusted(shape, ids)
-        covered.update(ids)
-    # every node has exactly one tag path: the lists partition the tree
-    listed = sum(count for count, _ in entries.values())
-    if listed != node_count or len(covered) != node_count:
+        path = tuple(path_text.split(_PATH_SEPARATOR))
+        if ids != columns.instances_of(path):
+            raise StorageError(
+                f"binary index {file_path} is corrupt: structure postings for "
+                f"{path_text!r} disagree with the tree"
+            )
+        stored.add(path)
+    if stored != columns.id_of.keys():
         raise StorageError(
             f"binary index {file_path} is corrupt: structure postings list "
-            f"{listed} nodes ({len(covered)} distinct), expected {node_count}"
+            f"{len(stored)} tag paths, the tree has {len(columns.paths)}"
         )
-    return StructureIndex()._assemble(shape, by_path, analyzer)
+    return StructureIndex().build(tree, analyzer)

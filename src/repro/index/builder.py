@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.classify.analyzer import DataAnalyzer, mine_entity_types
-from repro.classify.categories import classify_schema
+from repro.classify.analyzer import DataAnalyzer
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.index.structure import StructureIndex
-from repro.utils.text import NormalizedValues
 from repro.utils.timing import TimingBreakdown
 from repro.xmltree.dtd import DTD
-from repro.xmltree.schema import infer_schema
 from repro.xmltree.tree import XMLTree
 
 
@@ -49,10 +46,9 @@ class IndexBuilder:
     """Builds a :class:`DocumentIndex` for a document (Figure 4 component).
 
     :attr:`timings` accumulates one phase per step: ``paths`` (the tree's
-    shape and tag-path columns), ``schema`` (inference and
-    classification), ``keys`` (entity types and their keys), ``bind`` (the
-    analyzer's per-node tables), ``inverted_index`` and
-    ``structure_index``.
+    shape and tag-path columns), then the analyzer's own ``schema``,
+    ``keys`` and ``bind`` (:class:`DataAnalyzer` runs them under the
+    builder's measure), ``inverted_index`` and ``structure_index``.
     """
 
     def __init__(self, dtd: DTD | None = None):
@@ -60,8 +56,7 @@ class IndexBuilder:
         self.timings = TimingBreakdown()
 
     def build(self, tree: XMLTree) -> DocumentIndex:
-        """Analyze and index ``tree`` — what ``DataAnalyzer(tree, dtd)``
-        computes, phase by phase.
+        """Analyze and index ``tree``.
 
         >>> from repro.xmltree.builder import tree_from_dict
         >>> tree = tree_from_dict("retailer", {"store": [{"city": "Houston"}, {"city": "Austin"}]})
@@ -74,14 +69,7 @@ class IndexBuilder:
             # both built on first use: here, rather than inside the first
             # phase that reads them
             tree.shape, tree.paths
-        values = NormalizedValues()
-        with measure("schema"):
-            schema = infer_schema(tree, dtd=self.dtd, values=values)
-            categories = classify_schema(schema)
-        with measure("keys"):
-            entity_types = mine_entity_types(tree, schema, values)
-        with measure("bind"):
-            analyzer = DataAnalyzer.rebound(tree, self.dtd, schema, categories, entity_types)
+        analyzer = DataAnalyzer(tree, self.dtd, measure=measure)
         with measure("inverted_index"):
             inverted = InvertedIndex().build(tree)
         with measure("structure_index"):

@@ -17,7 +17,8 @@ module applies the edit as a set of deltas instead:
   edited attribute value can flip the mined key of exactly one entity
   type: its direct parent.  Only those entity paths are re-mined, by the
   same :class:`~repro.classify.keys.KeyMiner` as the full build, over the
-  structure index's per-path lists (not the whole tree).
+  per-path lists of the tag-path column the edited tree adopted (not the
+  whole tree).
 * **structure index** — stores node positions, tag paths and categories
   only, none of which a text edit can move; the object is shared as-is.
 * **feature table** — the analyzer's per-node feature ids (what snippet
@@ -111,9 +112,7 @@ def apply_text_update(
     entity_types = dict(old_analyzer.entity_types)
     key_changed = False
     if affected:
-        keys = KeyMiner(schema).mine(
-            new_tree, affected, instances_of=old_index.structure.instances_of_path
-        )
+        keys = KeyMiner(schema).mine(new_tree, affected)
         for entity_path in affected:
             old_entity = entity_types[entity_path]
             new_key = keys.get(entity_path)

@@ -10,9 +10,9 @@ adds:
 
 The per-path lists are the tree's tag-path column
 (:attr:`~repro.xmltree.tree.XMLTree.paths`) wrapped as posting lists: a
-build reads no node.  It is what the snapshot formats persist beside the
-keyword postings, and what incremental key re-mining reads to find the
-instances of an entity type and of its attributes.
+build reads no node, and a v4 load checks the stored lists against the
+column and then wraps the column too, so the lists have one owner.  It is
+what the snapshot formats persist beside the keyword postings.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.xmltree.tree import TagPath, TreeShape, XMLTree
 
 class StructureIndex:
     """Tag-path/category index over one document: :meth:`build` wraps the
-    tree's tag-path column, a v4 load decodes the stored lists."""
+    tree's tag-path column."""
 
     def __init__(self) -> None:
         self._by_path: dict[TagPath, PostingList] = {}
@@ -39,22 +39,11 @@ class StructureIndex:
     # ------------------------------------------------------------------ #
     def build(self, tree: XMLTree, analyzer: DataAnalyzer) -> "StructureIndex":
         columns = tree.paths
-        shape = tree.shape
-        return self._assemble(
-            shape,
-            {
-                path: PostingList._trusted(shape, ids)
-                for path, ids in zip(columns.paths, columns.instances)
-            },
-            analyzer,
-        )
-
-    def _assemble(
-        self, shape: TreeShape, by_path: dict[TagPath, PostingList], analyzer: DataAnalyzer
-    ) -> "StructureIndex":
-        """Adopt per-path lists that partition the tree with ``shape``."""
-        self._shape = shape
-        self._by_path = by_path
+        shape = self._shape = tree.shape
+        self._by_path = {
+            path: PostingList._trusted(shape, ids)
+            for path, ids in zip(columns.paths, columns.instances)
+        }
         self._category_of_path = dict(analyzer.categories)
         self._built = True
         return self

@@ -298,7 +298,7 @@ class TestHostileIds:
             binary_dir,
             lambda d: patch_posting_id(d, binfmt._SEC_STRUCTURE, len(paths) - 1, -1, taken),
         )
-        with pytest.raises(StorageError, match="expected"):
+        with pytest.raises(StorageError, match="disagree with the tree"):
             load_binary_index(binary_dir)
 
 

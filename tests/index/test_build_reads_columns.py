@@ -6,7 +6,7 @@ a v4 snapshot never rebuilds a node's tag path by walking its ancestors and
 never looks an attribute up among an entity's children.  Values and index
 terms repeat across a document, so each distinct raw text is normalised
 once and each distinct tag and text tokenised once.  A text-only update
-re-mines an entity's key over the structure index's per-path lists.
+re-mines an entity's key over the column the edited tree adopted.
 Counting wrappers, not timings, as in
 ``tests/snippet/test_recomputation_off_hot_path.py``.
 """
@@ -20,7 +20,6 @@ import pytest
 from repro.index.builder import IndexBuilder
 from repro.index.incremental import apply_text_update
 from repro.index.storage import load_index, save_index
-from repro.index.structure import StructureIndex
 from repro.utils import text as text_module
 from repro.xmltree.diff import clone_tree, diff_trees
 from repro.xmltree.dtd import parse_dtd
@@ -97,30 +96,19 @@ def test_build_and_load_read_the_columns(shape, dtd_text, calls, tmp_path):
     assert calls == dict.fromkeys(calls, 0)
 
 
-def test_the_text_only_key_remine_reads_the_structure_lists(calls, monkeypatch):
+def test_the_text_only_key_remine_reads_the_adopted_column(calls):
     tree = SHAPES["retail-wide"]()
     index = IndexBuilder().build(tree)
     store = ("commerce", "retailer", "store")
     assert index.analyzer.entity_types[store].key.attribute_tag == "name"
     edited = clone_tree(tree)
-    first_store = edited.nodes_by_pre[index.structure.instances_of_path(store)[0]]
+    first_store = edited.nodes_by_pre[tree.paths.instances_of(store)[0]]
     first_store.children[0].text = "A Brand New Name"  # the store's key attribute
 
-    read: list[tuple[str, ...]] = []
-    lists = StructureIndex.instances_of_path
-    monkeypatch.setattr(
-        StructureIndex,
-        "instances_of_path",
-        lambda self, path: read.append(path) or lists(self, path),
-    )
     reset(calls)
     update = apply_text_update(index, edited, diff_trees(tree, edited))
 
     assert update.remined_entity_paths == (store,)
-    assert store in read
-    assert {path for path in read if path[:-1] == store} == set(
-        index.analyzer.entity_types[store].attribute_paths
-    )
     assert edited.paths is tree.paths  # adopted, not rebuilt
     assert calls["tag_path"] == 0 and calls["find_child"] == 0
     assert update.index.analyzer.entity_types[store].key.attribute_tag == "name"

@@ -192,3 +192,8 @@ def test_a_v4_load_binds_the_same_tables(name):
         path: list(loaded.structure.instances_of_path(path))
         for path in loaded.structure.known_paths
     }
+    # one owner: the loaded structure index wraps the column's own arrays
+    assert all(
+        loaded.structure.instances_of_path(path)._ids is ids
+        for path, ids in zip(columns.paths, columns.instances)
+    )
