@@ -254,6 +254,7 @@ class SnippetService(ServingBackendBase):
             self.backend_name,
             documents=len(self.corpus),
             caches=self.cache_stats(),
+            live_versions=self.corpus.live_versions(),
         )
 
     def close(self) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -139,6 +140,9 @@ class Corpus:
         #: readers only contend on the brief swap under _serving_lock.
         #: Re-entrant because apply_update() delegates to update_document().
         self._update_lock = threading.RLock()
+        #: per registered document, every tree version published under its
+        #: name, held weakly: what :meth:`live_versions` counts
+        self._versions: dict[str, weakref.WeakSet[XMLTree]] = {}
 
     # ------------------------------------------------------------------ #
     # registration
@@ -209,6 +213,7 @@ class Corpus:
                     "(pass replace=True to swap it and invalidate its caches)"
                 )
             self._entries[name] = entry
+            self._versions.setdefault(name, weakref.WeakSet()).add(system.index.tree)
         if old is not None:
             # Explicit invalidation on re-registration: outstanding
             # references to the old system must not keep serving results
@@ -225,6 +230,7 @@ class Corpus:
             entry = self._entries.pop(name, None)
             if entry is None:
                 raise UnknownDocumentError(f"no document named {name!r} in the corpus")
+            self._versions.pop(name, None)
         entry.system.invalidate_cache()
 
     # ------------------------------------------------------------------ #
@@ -369,6 +375,24 @@ class Corpus:
                     "while an update was being prepared; re-read and retry"
                 )
             self._entries[name] = new_entry
+            self._versions.setdefault(name, weakref.WeakSet()).add(
+                new_entry.system.index.tree
+            )
+
+    def live_versions(self) -> dict[str, int]:
+        """Per registered document, how many of its tree versions are
+        still alive.
+
+        1 once its retired versions are all gone: the caches rebind what
+        they keep across a text-only update (:func:`_carry_serving_state`),
+        so only a request still running on a retired version — or a leak —
+        keeps one alive.  Counted from weak references to the
+        :class:`XMLTree` objects, which hold their nodes but are held by
+        none of them: a tree dies the moment nothing holds it, without
+        waiting for the cycle collector.
+        """
+        with self._serving_lock:
+            return {name: len(self._versions[name]) for name in sorted(self._entries)}
 
     # ------------------------------------------------------------------ #
     # access
@@ -773,7 +797,8 @@ class _SharedPostings:
 def _carry_serving_state(
     old_entry: CorpusEntry, new_entry: CorpusEntry, update
 ) -> tuple[int, int]:
-    """Adopt every cache entry an incremental update cannot have affected.
+    """Adopt every cache entry an incremental update cannot have affected,
+    rebound to the new version of the document.
 
     The precision contract (property-tested against from-scratch
     rebuilds):
@@ -785,10 +810,7 @@ def _carry_serving_state(
       from inside the result subtree, so an untouched subtree renders
       byte-identically.  Every result subtree counts, whether its snippet
       has been generated yet or not: a half-generated outcome dies exactly
-      when the fully generated one would.  A kept outcome generates its
-      remaining snippets with the analyzer its results belong to (they pin
-      that tree already; for the new version's analyzer their nodes are
-      foreign), through the new version's snippet cache;
+      when the fully generated one would;
     * a cached snippet is stale iff an edited node lies under its result
       root;
     * result roots, snippet-cache keys and edited nodes are all ``pre``
@@ -800,6 +822,30 @@ def _carry_serving_state(
       posting list;
     * when a re-mined entity *key attribute* moved, snippets anywhere in
       the document may name a different key — everything is dropped.
+
+    What is kept is moved onto the new version: an artefact reaches nodes
+    only through a :class:`~repro.search.results.QueryResult`, so every
+    result a kept entry reads is rebound to the new tree
+    (:meth:`QueryResult.rebind <repro.search.results.QueryResult.rebind>`),
+    and a kept half-generated outcome fills its remaining slots with the
+    new version's generator — its analyzer, its snippet cache
+    (:meth:`SnippetBatch.rebind <repro.snippet.generator.SnippetBatch.rebind>`).
+    Nothing kept points at the old tree any more, so the old version dies
+    with the last request still reading it.
+
+    Rebinding is in place — a copy per kept result would make every update
+    allocate in proportion to the caches — and that is safe for requests
+    still running on the old version, which share these objects:
+
+    * what is read through a rebound result is the same in both versions:
+      its subtree holds no edit (or the entry would not be kept), the
+      shape is shared, and tags and ordinals are equal;
+    * a batch swaps its results and its generator together under its
+      lock, which every fill holds, so a slot is generated by the analyzer
+      whose tables cover its result;
+    * any other result a kept entry reads — that of a cached snippet, or
+      of a snippet a batch was served from the cache — was generated
+      before the entry existed, and no generator reads it again.
 
     Returns combined (kept, dropped) counts over the two result caches.
     """
@@ -814,24 +860,31 @@ def _carry_serving_state(
         def keep_keyword(keyword):
             return False
     else:
-        changed = PostingList(new_system.index.tree.shape, update.changed_pres)
+        tree = new_system.index.tree
+        changed = PostingList(tree.shape, update.changed_pres)
 
         def keep_query(key, value):
             # key = (tree name, kind, keywords, algorithm, bound, limit, construction)
             keywords = key[2]
             if any(update.touches_keyword(keyword) for keyword in keywords):
                 return False
-            results = value.results if isinstance(value, SearchOutcome) else value
+            outcome = isinstance(value, SearchOutcome)
+            results = value.results if outcome else value
             if any(changed.has_descendant_of(result.root_node.pre) for result in results):
                 return False
-            if isinstance(value, SearchOutcome):
-                # what it has yet to generate goes through the live cache
-                value.snippets.serve_from(new_system.generator.cache)
+            if outcome:
+                value.snippets.rebind(new_system.generator)
+            else:
+                for result in results:
+                    result.rebind(tree)
             return True
 
         def keep_snippet(key, value):
             # key = (tree name, pre of the result root, keywords, bound)
-            return not changed.has_descendant_of(key[1])
+            if changed.has_descendant_of(key[1]):
+                return False
+            value.rebind(tree)
+            return True
 
         def keep_keyword(keyword):
             return not update.touches_keyword(keyword)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
+from repro.errors import ExtractError
 from repro.search.query import KeywordQuery
 from repro.utils.paging import page_slice
 from repro.xmltree.dewey import Dewey
@@ -33,6 +34,13 @@ class QueryResult:
     ``root_node.pre``, the ids in ``matches``, the instances of the
     result's IList — and every id here indexes ``source``, the tree the
     result holds.  The Dewey label is derived for display: :attr:`root`.
+
+    ``source`` (with ``root_node``, a node of it) is the one pointer from
+    a result — and from every snippet artefact computed for it — to a
+    document version.  A text-only update keeps a position naming the same
+    node, so a result it keeps is moved onto the live version with
+    :meth:`rebind`, and the retired tree is held by nothing the caches
+    keep.
     """
 
     query: KeywordQuery
@@ -86,6 +94,27 @@ class QueryResult:
         """The ``pre`` id of every match of every keyword, de-duplicated,
         in document order."""
         return sorted(set().union(*self.matches.values()))
+
+    def rebind(self, tree: XMLTree) -> None:
+        """Point this result at ``tree``: a later version of its document
+        with the same shape (``tree`` adopted this result's tree's
+        :class:`~repro.xmltree.tree.TreeShape`), in which no node of this
+        result's subtree changed.
+
+        The root position, matches, score and id stay as they are.  Every
+        value read through the result — tags, texts and ids of its subtree,
+        the ordinals its root label is made of — is the same in both
+        versions, so a reader that sees the pointer move mid-request reads
+        what it would have read either way.
+        """
+        if tree is self.source:  # a result two cache entries share
+            return
+        if tree.shape is not self.source.shape:
+            raise ExtractError(
+                f"cannot rebind a result of {self.source.name!r} to a tree of another shape"
+            )
+        self.root_node = tree.nodes_by_pre[self.root_node.pre]
+        self.source = tree
 
     # ------------------------------------------------------------------ #
     # materialisation

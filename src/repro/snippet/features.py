@@ -102,22 +102,22 @@ class FeatureStatistics:
     list are derived for the features a caller names (the dominant ones,
     for the IList) or, by the accessors that enumerate, for all of them.
 
-    The object reads the tables it was given and the nodes of
-    ``result.source`` whenever it is asked, and none of them ever changes
-    (an update builds new ones), so it describes the document version it
-    was computed on for as long as it is kept.
+    The object reads the tables it was given, which never change (an
+    update builds new ones), and the nodes of ``result.source`` whenever it
+    is asked: its result is its one pointer to a document version, and kept
+    statistics follow their result onto the live version
+    (:meth:`QueryResult.rebind`) unchanged.
     """
 
     def __init__(
         self,
-        nodes: Sequence[XMLNode],
-        start: int,
+        result: QueryResult,
         ids: list[int],
         keys: Sequence[FeatureKey],
         local_keys: Sequence[FeatureKey] = (),
     ):
-        self._nodes = nodes
-        self._start = start
+        self.result = result
+        self._start = result.root_node.pre
         self._ids = ids
         self._keys = keys
         self._local_keys = local_keys
@@ -169,7 +169,7 @@ class FeatureStatistics:
             for pre, feature_id in enumerate(self._ids, self._start):
                 if feature_id in instances:
                     instances[feature_id].append(pre)
-        nodes = self._nodes
+        nodes = self.result.source.nodes_by_pre
         entries: dict[int, FeatureOccurrences] = {}
         for feature_id, pres in instances.items():
             entity, attribute, value = self._key(feature_id)
@@ -289,9 +289,8 @@ def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStat
     """
     root = result.root_node
     start = root.pre
-    nodes = result.source.nodes_by_pre
     if not analyzer.covers(root):
-        return FeatureStatistics(nodes, start, *_walked_feature_ids(analyzer, root))
+        return FeatureStatistics(result, *_walked_feature_ids(analyzer, root))
     table = analyzer.feature_table
     owners = analyzer.node_owners
     end = root.post + root.level + 1  # = start + subtree size
@@ -317,7 +316,7 @@ def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStat
                     local_keys.append(key)
                 rekeyed[table_id] = local_id
             ids[offset] = local_id
-    return FeatureStatistics(nodes, start, ids, table.keys, local_keys)
+    return FeatureStatistics(result, ids, table.keys, local_keys)
 
 
 def _walked_feature_ids(

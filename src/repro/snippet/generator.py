@@ -15,7 +15,6 @@ such as 6.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from repro.snippet.snippet_tree import Snippet
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.utils.paging import page_bounds
 from repro.utils.timing import TimingBreakdown
+from repro.xmltree.tree import XMLTree
 
 #: the default snippet size bound (edges); matches the Figure 2 example
 DEFAULT_SIZE_BOUND = 14
@@ -47,6 +47,16 @@ class GeneratedSnippet:
     @property
     def covered_items(self) -> int:
         return len(self.snippet.covered_items)
+
+    def rebind(self, tree: XMLTree) -> None:
+        """Rebind every result this snippet reads nodes through to ``tree``
+        (:meth:`QueryResult.rebind`): its own and the one its snippet tree
+        and statistics were computed on — another result with the same
+        root when the snippet came from the cache."""
+        self.result.rebind(tree)
+        self.snippet.result.rebind(tree)
+        if self.ilist.statistics is not None:
+            self.ilist.statistics.result.rebind(tree)
 
     @property
     def coverage(self) -> float:
@@ -185,19 +195,30 @@ class SnippetBatch:
             if not self._pending:
                 self._generator = None
 
-    def serve_from(self, cache: LRUCache) -> None:
-        """Look up and store the snippets still to generate in ``cache``.
+    def rebind(self, generator: "SnippetGenerator") -> None:
+        """Move this batch onto ``generator``'s version of its document, a
+        later version with the same shape in which no node of its results
+        changed (:func:`repro.corpus._carry_serving_state`): every result
+        the batch reads — its own and those its filled slots read — is
+        rebound to that version's tree (:meth:`QueryResult.rebind`), and the
+        slots still empty are filled by ``generator``, whose analyzer tables
+        cover the rebound results.
 
-        An incremental update hands the outcomes it keeps to the new
-        document version (:func:`repro.corpus._carry_serving_state`).  Such
-        a batch goes on generating with the analyzer its results belong to
-        — their nodes are foreign to the new version's analyzer — but
-        through the live snippet cache, not the retired generator's.
+        Done under the batch lock, which every fill holds, so a fill
+        generates either the old results with the old generator or the
+        moved ones with the live generator.  Filled slots are read without
+        the lock; what a reader reads through a moved result is the same in
+        both versions (:meth:`QueryResult.rebind`).
         """
+        tree = generator.analyzer.tree
         with self._lock:
+            for result in self._results:
+                result.rebind(tree)
+            for generated in self._slots:
+                if generated is not None:
+                    generated.rebind(tree)
             if self._generator is not None:
-                self._generator = copy.copy(self._generator)
-                self._generator.cache = cache
+                self._generator = generator
 
     def __repr__(self) -> str:
         return (

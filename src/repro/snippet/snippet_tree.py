@@ -32,18 +32,19 @@ class Snippet:
     first id already selected: every hop is one new edge.  Labels
     (:attr:`node_labels`, :meth:`path_labels`) are derived for display.
 
-    A snippet holds ids and the ``parent`` table of ``result.source``, so it
-    describes the document version it was computed on — and, ids being
-    positions, the same nodes of every later version a text-only update
-    produces.  A node is read (:meth:`to_tree`, :meth:`selected_nodes`)
-    from ``result.source``.
+    A snippet holds ids and the ``parent`` table of ``result.source``, and
+    reads a node (:attr:`node_labels`, :meth:`to_tree`,
+    :meth:`selected_nodes`) from ``result.source`` when asked: its result
+    is its one pointer to a document version.  Ids are positions and every
+    version a text-only update produces shares the ``parent`` table, so a
+    kept snippet follows its result onto the live version
+    (:meth:`QueryResult.rebind`) unchanged.
     """
 
     def __init__(self, result: QueryResult):
         self.result = result
         root_node = result.root_node
         shape = result.source.shape
-        self._nodes = result.source.nodes_by_pre
         self._parent = shape.parent
         #: the ``pre`` range of the result subtree
         self._first = root_node.pre
@@ -66,7 +67,7 @@ class Snippet:
     @property
     def node_labels(self) -> set[Dewey]:
         """The labels of the selected nodes (a fresh set on every read)."""
-        nodes = self._nodes
+        nodes = self.result.source.nodes_by_pre
         return {nodes[pre].dewey for pre in self._selected}
 
     @property
@@ -108,7 +109,7 @@ class Snippet:
 
     def path_labels(self, instance: int) -> list[Dewey]:
         """The labels on the path from the snippet root to ``instance``."""
-        nodes = self._nodes
+        nodes = self.result.source.nodes_by_pre
         return [nodes[pre].dewey for pre in self.path(instance)]
 
     def cost_of(self, instance: int) -> int:
@@ -200,7 +201,7 @@ class Snippet:
         are *not* pulled in, because the snippet's size bound is defined
         over exactly the selected edges.
         """
-        root_copy = self._copy_selected(self._nodes[self._first])
+        root_copy = self._copy_selected(self.result.source.nodes_by_pre[self._first])
         return XMLTree(
             root_copy, name=f"snippet:{self.result.source.name}#{self.result.result_id}"
         )
@@ -220,7 +221,7 @@ class Snippet:
 
     def selected_nodes(self) -> list[XMLNode]:
         """The selected source nodes in document order."""
-        nodes = self._nodes
+        nodes = self.result.source.nodes_by_pre
         return [nodes[pre] for pre in sorted(self._selected)]
 
     def __repr__(self) -> str:

@@ -379,6 +379,116 @@ class TestIncrementalUpdateUnderServing:
         stray = [response for response in seen if response not in references]
         assert stray == [], f"{len(stray)} responses matched no document version"
 
+    def test_paging_a_kept_outcome_while_updates_land(self):
+        """Threads page through an outcome whose snippets are only partly
+        generated while another applies text-only updates that all keep
+        it: the kept outcome is rebound to each new version in turn, and
+        every page is byte-identical to that page of a from-scratch rebuild
+        of the version it was served from."""
+        import random
+        import re
+        import sys
+
+        from repro.api import UpdateRequest
+        from repro.datasets import RetailConfig, generate_retail_document
+        from repro.datasets.base import US_CITIES
+        from repro.xmltree.serialize import to_xml_string
+
+        # one result per <clothes>; a <city> edit lies outside all of them
+        # and never touches the postings of "clothes"
+        query = "clothes"
+        base = to_xml_string(generate_retail_document(
+            RetailConfig(retailers=2, stores_per_retailer=3, clothes_per_store=4), name="doc"
+        ))
+        rng = random.Random(5)
+        versions = [base]
+        for _ in range(12):
+            match = rng.choice(list(re.finditer(r"<city>([^<]*)</city>", versions[-1])))
+            city = rng.choice([city for city in US_CITIES if city != match.group(1)])
+            versions.append(f"{versions[-1][:match.start(1)]}{city}{versions[-1][match.end(1):]}")
+
+        def page(service, number):
+            return service.run(SearchRequest(
+                query=query, document="doc", size_bound=6, page=number, page_size=1
+            ))
+
+        corpus = Corpus()
+        corpus.add_xml("doc", base)
+        service = SnippetService(corpus)
+        total = page(service, 1).total_results
+        assert total >= 12
+        live = [0]  # index of the version being served
+        served: list[tuple[int, int, int, object]] = []
+        errors: list[BaseException] = []
+
+        # forwards, backwards and odd pages first: more threads than cores,
+        # racing each other for the slots of one batch
+        orders = [
+            list(range(2, total + 1)),
+            list(range(total, 1, -1)),
+            [*range(3, total + 1, 2), *range(2, total + 1, 2)],
+        ]
+        start = threading.Barrier(len(orders) + 1)
+
+        def pager(numbers: list[int]) -> None:
+            try:
+                start.wait(timeout=30)
+                for number in numbers:
+                    before = live[0]
+                    response = page(service, number)
+                    served.append((number, before, live[0], response))
+                    time.sleep(0.001)  # spread the pages over the updates
+            except BaseException as exc:  # noqa: BLE001 - surfaced in the assert
+                errors.append(exc)
+
+        def updater() -> None:
+            try:
+                start.wait(timeout=30)
+                for index, xml in enumerate(versions[1:], 1):
+                    response = service.run_update(UpdateRequest(document="doc", xml=xml))
+                    assert response.incremental and response.cache_entries_invalidated == 0
+                    live[0] = index
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside fills and carries
+        try:
+            threads = [threading.Thread(target=pager, args=(numbers,)) for numbers in orders]
+            threads.append(threading.Thread(target=updater))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert len(served) == len(orders) * (total - 1)
+        assert len({first for _, first, _, _ in served}) > 1  # pages met updates
+        references: dict[int, list[str]] = {}
+
+        def reference(version: int) -> list[str]:
+            if version not in references:
+                rebuilt = Corpus()
+                rebuilt.add_xml("doc", versions[version])
+                fresh = SnippetService(rebuilt)
+                references[version] = [
+                    wire_bytes(page(fresh, number)) for number in range(1, total + 1)
+                ]
+            return references[version]
+
+        for number, first, last, response in served:
+            assert wire_bytes(response) in {
+                reference(version)[number - 1] for version in range(first, last + 1)
+            }, number
+        # the outcome was kept through every update, on the live tree
+        system = corpus.system("doc")
+        outcome = system.run_query(query, size_bound=6)
+        assert outcome.from_cache
+        assert all(result.source is system.index.tree for result in outcome.results)
+        assert all(system.analyzer.covers(result.root_node) for result in outcome.results)
+
     def test_concurrent_cache_precision_after_update(self):
         """Under 8-thread serving, an update must invalidate exactly the
         affected document's affected entries: the untouched document keeps

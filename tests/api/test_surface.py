@@ -23,7 +23,7 @@ PUBLIC_METHODS = {
     },
     Corpus: {
         "add_builtin", "add_file", "add_system", "add_tree", "add_xml",
-        "apply_update", "entries_snapshot", "entry", "load_dir", "names", "remove",
+        "apply_update", "entries_snapshot", "entry", "live_versions", "load_dir", "names", "remove",
         "remove_document", "save_dir", "shared_postings", "summary", "system",
         "update_document",
     },

@@ -48,6 +48,20 @@ class TestEnvelope:
         assert stats["documents"] == 4
         assert "caches" in stats
 
+    def test_snippet_service_counts_live_versions(self, service):
+        documents = ["bibliography", "movies", "retail", "stores"]
+        assert service.stats()["live_versions"] == dict.fromkeys(documents, 1)
+        # a text-only update retires a version; nothing the caches kept holds it
+        service.execute(SearchRequest(query="store texas", document="stores"))
+        tree = service.corpus.system("stores").index.tree
+        edited = tree.copy()
+        next(node for node in edited.iter_nodes() if node.has_text_value).text += " edited"
+        del tree
+        assert service.corpus.update_document("stores", edited).incremental
+        assert service.stats()["live_versions"] == dict.fromkeys(documents, 1)
+        service.corpus.remove("movies")
+        assert list(service.stats()["live_versions"]) == ["bibliography", "retail", "stores"]
+
     def test_cluster_service_envelope(self, cluster):
         stats = cluster.stats()
         assert stats["schema_version"] == STATS_SCHEMA_VERSION

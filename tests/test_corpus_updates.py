@@ -301,13 +301,21 @@ class TestHalfGeneratedOutcomes:
         assert outcome.snippets.generated == 3
         assert len(live.generator.cache) == 3 and len(retired.generator.cache) == 0
 
-    def test_remaining_snippets_come_from_the_analyzer_the_results_belong_to(self, monkeypatch):
+    def test_remaining_snippets_come_from_the_live_analyzer(self, monkeypatch):
         from repro.xmltree.node import XMLNode
 
         corpus, service = self.build()
         corpus.update_document("doc", retailer_tree("Dallas"))
-        # For the new version's analyzer the kept results' nodes are
-        # foreign: it would classify them by rebuilding their tag paths.
+        live = corpus.system("doc")
+        outcome = live.run_query(self.QUERY, size_bound=6)
+        assert outcome.from_cache and outcome.snippets.generated == 1
+        # the kept results were rebound to the live tree, whose analyzer
+        # tables cover them
+        for result in outcome.results:
+            assert result.source is live.index.tree
+            assert live.analyzer.covers(result.root_node)
+        # A node the tables do not cover is classified by rebuilding its
+        # tag path: generating the rest of the outcome must not do that.
         tag_path = XMLNode.tag_path.fget
         rebuilt_paths = []
         monkeypatch.setattr(
