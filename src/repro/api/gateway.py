@@ -60,12 +60,25 @@ from repro.api.protocol import (
 from repro.errors import DeadlineError, ExtractError, OverloadedError
 from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Trace, TraceBuffer, activate, current_span_id, current_trace
+from repro.obs.trace import (
+    Trace,
+    TraceBuffer,
+    activate,
+    call_in_trace,
+    current_span_id,
+    current_trace,
+)
 from repro.obs.trace import _current_trace as _current_trace_var
 
 AnyRequest = SearchRequest | BatchRequest | UpdateRequest
 AnyResponse = SearchResponse | BatchResponse | UpdateResponse | ErrorResponse
 CallNext = Callable[[AnyRequest], AnyResponse]
+
+#: the root span name per request kind, formatted once
+_ROOT_SPAN_NAMES = {
+    kind: f"request:{kind}"
+    for kind in (SearchRequest.kind, BatchRequest.kind, UpdateRequest.kind)
+}
 
 
 class Middleware(ServingBackendBase):
@@ -113,11 +126,12 @@ class Middleware(ServingBackendBase):
         :func:`current_trace`: this runs once per stage per request, and
         the wrapper call is measurable against the trace-overhead budget.
         """
-        trace = _current_trace_var.get()
-        if trace is None or not self.traced:
-            return self.process(request, inner_call)
-        with trace.span(self._stage_span_name):
-            return self.process(request, inner_call)
+        if self.traced:
+            trace = _current_trace_var.get()
+            if trace is not None:
+                with trace.span(self._stage_span_name):
+                    return self.process(request, inner_call)
+        return self.process(request, inner_call)
 
     def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
         return self._process(request, self.inner.execute)
@@ -439,36 +453,26 @@ class TracingMiddleware(Middleware):
             else TraceBuffer(capacity=buffer_capacity)
         )
         self.process_name = process_name
+        #: the finished trace of an opted-in (include_meta) request, handed
+        #: per thread to handle_dict one frame up
         self._finished = threading.local()
-        self._root_names: dict[str, str] = {}
-
-    def _root_span_name(self, kind: str) -> str:
-        name = self._root_names.get(kind)
-        if name is None:
-            name = self._root_names[kind] = f"request:{kind}"
-        return name
 
     def process(self, request: AnyRequest, call_next: CallNext) -> AnyResponse:
+        root_name = _ROOT_SPAN_NAMES[request.kind]
         joined = _current_trace_var.get()
         if joined is not None:
             # Already inside a propagated trace (remote shard server);
             # record this gateway's root span against it and move on —
             # the HTTP frontend that activated the trace buffers it.
-            with joined.span(self._root_span_name(request.kind)):
+            if request.include_meta:
+                self._finished.trace = None  # the caller's trace, not ours to report
+            with joined.span(root_name):
                 return call_next(request)
         trace = Trace(process=self.process_name)
-        # Inlined activate(): one contextvar set/reset instead of two —
-        # the root span below owns the span-id variable anyway.
-        trace_token = _current_trace_var.set(trace)
-        try:
-            with trace.span(self._root_span_name(request.kind)):
-                response = call_next(request)
-        finally:
-            _current_trace_var.reset(trace_token)
+        response = call_in_trace(trace, root_name, call_next, request)
         self.trace_buffer.put(trace)
-        # Stashed per-thread so handle_dict (same thread, one frame up)
-        # can inject the span tree into an opted-in meta block.
-        self._finished.trace = trace
+        if request.include_meta:
+            self._finished.trace = trace
         return response
 
     def handle_dict(
@@ -476,15 +480,15 @@ class TracingMiddleware(Middleware):
         payload: dict[str, Any],
         request: AnyRequest | None = None,
     ) -> dict[str, Any]:
-        self._finished.trace = None
         body = super().handle_dict(payload, request)
-        finished = getattr(self._finished, "trace", None)
-        self._finished.trace = None
-        if finished is not None and isinstance(body, dict):
-            meta = body.get("meta")
-            if isinstance(meta, dict):
-                # meta exists only when the request asked for it
-                # (include_meta) — default responses stay byte-identical.
+        # meta exists only when the request asked for it (include_meta),
+        # and only then did process() hand a trace over — default
+        # responses stay byte-identical and skip the handoff.
+        meta = body.get("meta")
+        if isinstance(meta, dict):
+            finished = getattr(self._finished, "trace", None)
+            self._finished.trace = None
+            if finished is not None:
                 meta["trace"] = finished.to_wire()
         return body
 

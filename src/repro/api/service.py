@@ -304,7 +304,8 @@ class SnippetService(ServingBackendBase):
             )
             # The page is the unit of snippet work: reading it generates
             # the snippets of this page nobody has read yet, so cold cost
-            # scales with page_size and a generated page is a slice.  The
+            # scales with page_size and a generated page is a slice of
+            # slots that carry their rendered payloads.  The
             # phases go to this request's breakdown — the cold call's own
             # (search phases included), or a fresh one on a hit.
             from_cache = outcome.from_cache
@@ -364,19 +365,27 @@ class SnippetService(ServingBackendBase):
 
     @staticmethod
     def _snippet_payload(generated: "GeneratedSnippet") -> SnippetPayload:
-        result = generated.result
-        return SnippetPayload(
-            result_id=result.result_id,
-            score=result.score,
-            root=str(result.root),
-            root_tag=result.root_node.tag,
-            matched_keywords=tuple(result.matched_keywords),
-            result_edges=result.size_edges,
-            snippet_edges=generated.snippet.size_edges,
-            covered_items=generated.covered_items,
-            coverable_items=len(generated.ilist.coverable_items()),
-            text=render_snippet_text(generated),
-        )
+        """The slot's payload: rendered by the first request that serves
+        the slot, stored on it, and returned as is to every later one (a
+        snippet is a pure function of its result; see
+        :class:`~repro.snippet.generator.GeneratedSnippet`).  Two racing
+        first reads render equal payloads, and either one may stay."""
+        payload = generated.payload
+        if payload is None:
+            result = generated.result
+            payload = generated.payload = SnippetPayload(
+                result_id=result.result_id,
+                score=result.score,
+                root=str(result.root),
+                root_tag=result.root_node.tag,
+                matched_keywords=tuple(result.matched_keywords),
+                result_edges=result.size_edges,
+                snippet_edges=generated.snippet.size_edges,
+                covered_items=generated.covered_items,
+                coverable_items=generated.coverable_items,
+                text=render_snippet_text(generated),
+            )
+        return payload
 
     @staticmethod
     def _result_payload(result: "QueryResult") -> SnippetPayload:

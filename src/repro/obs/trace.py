@@ -35,11 +35,15 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.obs.clock import perf_counter
+
+A = TypeVar("A")
+R = TypeVar("R")
 
 #: the trace active in the current execution context (None outside a request)
 _current_trace: ContextVar["Trace | None"] = ContextVar("repro_obs_trace", default=None)
@@ -135,9 +139,7 @@ class _OpenSpan:
         ended = perf_counter()
         _current_span_id.reset(self._token)
         trace = self._trace
-        # Lock-free: list.append is atomic under the GIL, and the cap is
-        # re-enforced at export, so a racing overshoot cannot leak past
-        # MAX_SPANS onto the wire.
+        # Trace._record, inline: this runs for every span on the warm path.
         spans = trace._spans
         if len(spans) < MAX_SPANS:
             spans.append(
@@ -152,44 +154,61 @@ class _OpenSpan:
                 )
             )
         else:
-            with trace._lock:
-                trace._dropped += 1
+            trace._drop()
+
+
+#: guards what a trace does off the request path — the dropped-span
+#: counters past MAX_SPANS and naming a request on its first read — so one
+#: lock serves every trace and none is built per request
+_SLOW_PATH_LOCK = threading.Lock()
 
 
 class Trace:
-    """The span collection for one request; thread-safe."""
+    """The span collection for one request; thread-safe without a lock of
+    its own: spans are appended (atomic under the GIL), span ids come from
+    an ``itertools.count`` (likewise), and only the slow paths take the
+    shared :data:`_SLOW_PATH_LOCK`."""
 
     def __init__(self, request_id: str | None = None, process: str = "local"):
-        self.request_id = (
-            request_id or f"{_REQUEST_ID_PREFIX}-{next(_REQUEST_ID_COUNTER):x}"
-        )
+        # A fresh request is named when something first reads its id: most
+        # traces are buffered and never read.
+        self._request_id = request_id or None
         self.process = process
-        self._lock = threading.Lock()
         # Finished spans live as plain tuples in Span field order —
         # constructing a dataclass per span on the warm path is measurable;
         # Span objects materialise only when someone reads the trace.
         self._spans: list[tuple[Any, ...]] = []
-        # itertools.count increments atomically under the GIL — span ids
-        # need no lock, and spans open on the warm search path.
         self._counter = itertools.count(1)
         self._dropped = 0
         self._origin = perf_counter()
 
+    @property
+    def request_id(self) -> str:
+        request_id = self._request_id
+        if request_id is None:
+            with _SLOW_PATH_LOCK:
+                if self._request_id is None:
+                    self._request_id = (
+                        f"{_REQUEST_ID_PREFIX}-{next(_REQUEST_ID_COUNTER):x}"
+                    )
+                request_id = self._request_id
+        return request_id
+
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
-    def _next_id(self) -> str:
-        return f"{self.process}:{next(self._counter)}"
-
     def _record(self, row: tuple[Any, ...]) -> None:
-        # Same lock-free append as _OpenSpan.__exit__: atomic under the
-        # GIL, cap re-enforced at export.
+        # Lock-free: list.append is atomic under the GIL, and the cap is
+        # re-enforced at export, so a racing overshoot cannot leak past
+        # MAX_SPANS onto the wire.
         if len(self._spans) < MAX_SPANS:
-            # repro: ignore[lock-discipline]
             self._spans.append(row)
         else:
-            with self._lock:
-                self._dropped += 1
+            self._drop()
+
+    def _drop(self) -> None:
+        with _SLOW_PATH_LOCK:
+            self._dropped += 1
 
     def span(self, name: str, **attributes: Any) -> _OpenSpan:
         """Open a span around the body; nested spans parent automatically."""
@@ -204,7 +223,7 @@ class Trace:
     ) -> str:
         """Record an already-measured leaf span (queue delays, absorbed
         phase timings) under ``parent_id`` or the currently open span."""
-        span_id = self._next_id()
+        span_id = f"{self.process}:{next(self._counter)}"
         self._record(
             (
                 name,
@@ -259,10 +278,11 @@ class Trace:
     # export
     # ------------------------------------------------------------------ #
     def _rows(self) -> tuple[list[tuple[Any, ...]], int]:
-        """A consistent snapshot of (recorded rows, dropped count), with
-        the span cap re-enforced against racing lock-free appends."""
-        with self._lock:
-            rows = list(self._spans)
+        """A snapshot of (recorded rows, dropped count), with the span cap
+        re-enforced against racing lock-free appends (copying a list is
+        one step under the GIL)."""
+        rows = list(self._spans)
+        with _SLOW_PATH_LOCK:
             dropped = self._dropped
         if len(rows) > MAX_SPANS:
             dropped += len(rows) - MAX_SPANS
@@ -338,6 +358,26 @@ class activate:
         _current_trace.reset(self._trace_token)
 
 
+def call_in_trace(trace: Trace, root: str, call: Callable[[A], R], argument: A) -> R:
+    """``call(argument)`` with a fresh ``trace`` active, timed as its root
+    span ``root`` from the trace's origin.
+
+    What ``with activate(trace): with trace.span(root):`` records, without
+    either object: this is the entry of every traced request.
+    """
+    span_id = f"{trace.process}:{next(trace._counter)}"
+    trace_token = _current_trace.set(trace)
+    span_token = _current_span_id.set(span_id)
+    try:
+        return call(argument)
+    finally:
+        _current_span_id.reset(span_token)
+        _current_trace.reset(trace_token)
+        trace._record(
+            (root, span_id, None, perf_counter() - trace._origin, 0.0, trace.process, {})
+        )
+
+
 # ---------------------------------------------------------------------- #
 # cross-process propagation
 # ---------------------------------------------------------------------- #
@@ -363,54 +403,52 @@ def parse_trace_header(value: str | None) -> str | None:
 
 
 class TraceBuffer:
-    """A bounded newest-N ring of finished traces, keyed by request_id."""
+    """A bounded ring of the newest finished traces.
+
+    Putting a trace is one append to a ``deque(maxlen=capacity)``, which
+    drops the oldest entry itself: the request path does no bookkeeping.
+    Readers resolve ``request_id``\\ s, newest first; a request_id put
+    more than once (a retried round trip) answers with its newest trace.
+    Entries stay :class:`Trace` objects until someone reads them —
+    serialising every request's trace would tax the hot path for a debug
+    surface that is read rarely.
+    """
 
     def __init__(self, capacity: int = 128):
         if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
             raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        # Entries stay as Trace objects until someone reads them —
-        # serialising every request's trace to wire dicts would tax the
-        # hot path for a debug surface that is read rarely.
-        self._traces: dict[str, "Trace | dict[str, Any]"] = {}
+        self._traces: deque[Trace] = deque(maxlen=capacity)
 
-    def put(self, trace: "Trace | dict[str, Any]") -> None:
-        if isinstance(trace, Trace):
-            request_id: Any = trace.request_id
-            entry: Trace | dict[str, Any] = trace
-        else:
-            entry = dict(trace)
-            request_id = entry.get("request_id")
-        if not isinstance(request_id, str) or not request_id:
-            return
+    def put(self, trace: Trace) -> None:
         with self._lock:
-            # Re-inserting moves the trace to the newest slot (dicts keep
-            # insertion order); the oldest entry is evicted past capacity.
-            self._traces.pop(request_id, None)
-            self._traces[request_id] = entry
-            while len(self._traces) > self.capacity:
-                oldest = next(iter(self._traces))
-                del self._traces[oldest]
+            self._traces.append(trace)
 
-    @staticmethod
-    def _as_wire(entry: "Trace | dict[str, Any]") -> dict[str, Any]:
-        return entry.to_wire() if isinstance(entry, Trace) else entry
+    def _newest_first(self) -> list[Trace]:
+        """The buffered traces newest first, one per request_id."""
+        with self._lock:
+            buffered = list(self._traces)
+        seen: set[str] = set()
+        unique = []
+        for trace in reversed(buffered):
+            if trace.request_id not in seen:
+                seen.add(trace.request_id)
+                unique.append(trace)
+        return unique
 
     def get(self, request_id: str) -> dict[str, Any] | None:
-        with self._lock:
-            entry = self._traces.get(request_id)
-        return None if entry is None else self._as_wire(entry)
+        for trace in self._newest_first():
+            if trace.request_id == request_id:
+                return trace.to_wire()
+        return None
 
     def newest(self, count: int = 10) -> list[dict[str, Any]]:
         """The most recent traces, newest first."""
-        with self._lock:
-            recent = list(self._traces.values())
-        return [self._as_wire(entry) for entry in recent[::-1][: max(0, count)]]
+        return [trace.to_wire() for trace in self._newest_first()[: max(0, count)]]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return len(self._newest_first())
 
 
 def format_trace(wire: dict[str, Any]) -> str:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.classify.analyzer import DataAnalyzer
 from repro.errors import InvalidSizeBoundError
@@ -31,22 +33,44 @@ from repro.utils.paging import page_bounds
 from repro.utils.timing import TimingBreakdown
 from repro.xmltree.tree import XMLTree
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.protocol import SnippetPayload
+
 #: the default snippet size bound (edges); matches the Figure 2 example
 DEFAULT_SIZE_BOUND = 14
 
 
 @dataclass
 class GeneratedSnippet:
-    """A snippet together with the intermediate artefacts that produced it."""
+    """A snippet together with the intermediate artefacts that produced it.
+
+    ``payload`` is this snippet rendered for the wire, stored by the first
+    request that serves it (``SnippetService._snippet_payload``) and
+    returned to every later one.  It is a pure function of the fields
+    above, so it lives as long as the object: a batch slot keeps it for as
+    long as its outcome is cached, and :meth:`SnippetBatch.rebind` carries
+    it with the slot — a kept slot has no edit under its root, and its
+    label and tags are those of a same-shape version.  A snippet-cache hit
+    and a :class:`~repro.snippet.distinct.DistinctSnippetGenerator`
+    replacement are new objects without one, so neither serves another
+    result's rendering (the rendering names its result's id and score).
+    Never copy a rendered object with :func:`dataclasses.replace`.
+    """
 
     result: QueryResult
     ilist: IList
     snippet: Snippet
     size_bound: int
+    payload: "SnippetPayload | None" = field(default=None, compare=False, repr=False)
 
     @property
     def covered_items(self) -> int:
         return len(self.snippet.covered_items)
+
+    @cached_property
+    def coverable_items(self) -> int:
+        """How many IList items have an instance in the result."""
+        return len(self.ilist.coverable_items())
 
     def rebind(self, tree: XMLTree) -> None:
         """Rebind every result this snippet reads nodes through to ``tree``
@@ -61,7 +85,7 @@ class GeneratedSnippet:
     @property
     def coverage(self) -> float:
         """Fraction of coverable IList items captured by the snippet."""
-        coverable = len(self.ilist.coverable_items())
+        coverable = self.coverable_items
         if coverable == 0:
             return 1.0
         return self.covered_items / coverable
@@ -70,7 +94,7 @@ class GeneratedSnippet:
         return (
             f"<GeneratedSnippet result=#{self.result.result_id} "
             f"edges={self.snippet.size_edges}/{self.size_bound} "
-            f"items={self.covered_items}/{len(self.ilist.coverable_items())}>"
+            f"items={self.covered_items}/{self.coverable_items}>"
         )
 
 
@@ -208,7 +232,8 @@ class SnippetBatch:
         generates either the old results with the old generator or the
         moved ones with the live generator.  Filled slots are read without
         the lock; what a reader reads through a moved result is the same in
-        both versions (:meth:`QueryResult.rebind`).
+        both versions (:meth:`QueryResult.rebind`), so a filled slot keeps
+        its stored payload.
         """
         tree = generator.analyzer.tree
         with self._lock:
@@ -283,7 +308,8 @@ class SnippetGenerator:
         Identical requests (same document, result root, normalised query
         and size bound) are answered from the snippet cache; the cached
         IList and snippet tree are rewrapped around the caller's ``result``
-        object so ranking metadata (``result_id``, score) stays current.
+        object so ranking metadata (``result_id``, score) stays current —
+        in a new :class:`GeneratedSnippet`, which has no rendered payload.
 
         ``timings`` redirects the phase measurements into a caller-owned
         breakdown (the thread-safe service pipeline passes a per-request

@@ -24,30 +24,34 @@ from repro.xmltree.serialize import to_xml_string
 def render_snippet_text(generated: GeneratedSnippet, show_ilist: bool = False) -> str:
     """Render one snippet as an indented outline (terminal friendly).
 
+    The outline is the pre-order walk of the snippet tree, which is the
+    selected ``pre`` ids in ascending order (:meth:`Snippet.selected_pres`);
+    a line's depth is the node's level below the result root, plus one.
+
     >>> # see examples/quickstart.py for output samples
     """
-    tree = generated.snippet.to_tree()
-    lines: list[str] = []
+    snippet = generated.snippet
     header = f"Result #{generated.result.result_id}"
     key_texts = [item.text for item in generated.ilist.items if item.kind.value == "key"]
     if key_texts:
         header += f" — {key_texts[0]}"
     header += (
-        f"  [snippet: {generated.snippet.size_edges} edges, "
-        f"{generated.covered_items}/{len(generated.ilist.coverable_items())} items]"
+        f"  [snippet: {snippet.size_edges} edges, "
+        f"{generated.covered_items}/{generated.coverable_items} items]"
     )
-    lines.append(header)
-    _render_node_text(tree.root, lines, 1)
+    lines = [header]
+    source = snippet.result.source
+    nodes, level = source.nodes_by_pre, source.shape.level
+    pres = snippet.selected_pres()
+    base = level[pres[0]] - 1
+    for pre in pres:
+        node = nodes[pre]
+        text = node.text
+        indent = "  " * (level[pre] - base)
+        lines.append(f"{indent}{node.tag}: {text}" if text else f"{indent}{node.tag}")
     if show_ilist:
         lines.append("  IList: " + ", ".join(generated.ilist.texts()))
     return "\n".join(lines)
-
-
-def _render_node_text(node: XMLNode, lines: list[str], level: int) -> None:
-    suffix = f": {node.text}" if node.text else ""
-    lines.append(f"{'  ' * level}{node.tag}{suffix}")
-    for child in node.children:
-        _render_node_text(child, lines, level + 1)
 
 
 def render_batch_text(batch: SnippetBatch, show_ilist: bool = False) -> str:
@@ -110,7 +114,7 @@ def render_snippet_html(generated: GeneratedSnippet) -> str:
         tree=_render_node_html(tree.root),
         edges=generated.snippet.size_edges,
         covered=generated.covered_items,
-        total=len(generated.ilist.coverable_items()),
+        total=generated.coverable_items,
         full=html.escape(to_xml_string(generated.result.to_tree(), include_declaration=False)),
     )
 

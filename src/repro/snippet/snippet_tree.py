@@ -194,7 +194,8 @@ class Snippet:
     # materialisation
     # ------------------------------------------------------------------ #
     def to_tree(self) -> XMLTree:
-        """Copy the selected nodes into a standalone tree (for rendering).
+        """Copy the selected nodes into a standalone tree (HTML rendering;
+        the text renderer walks :meth:`selected_pres` instead).
 
         Only the selected nodes are copied — unlike
         :meth:`XMLTree.extract_projection`, subtrees below selected nodes
@@ -219,10 +220,19 @@ class Snippet:
                     pending.append((child, child_copy))
         return root_copy
 
+    def selected_pres(self) -> list[int]:
+        """The ``pre`` ids of the selected nodes, ascending.
+
+        The selection holds the result root and is closed under "parent",
+        so document order restricted to it is the pre-order walk of the
+        snippet tree: what :meth:`to_tree` would copy, without the copy.
+        """
+        return sorted(self._selected)
+
     def selected_nodes(self) -> list[XMLNode]:
         """The selected source nodes in document order."""
         nodes = self.result.source.nodes_by_pre
-        return [nodes[pre] for pre in sorted(self._selected)]
+        return [nodes[pre] for pre in self.selected_pres()]
 
     def __repr__(self) -> str:
         return (

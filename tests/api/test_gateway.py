@@ -420,3 +420,33 @@ class TestOrdering:
                 assert stack.handle_json(text) == bare.handle_json(text)
         finally:
             stack.close()
+
+
+class TestTracingMeta:
+    """The tracing stage hands a finished trace to ``handle_dict`` only for
+    a request that opted into ``meta``, and never one from another request."""
+
+    def test_meta_carries_this_requests_trace_and_default_bytes_do_not(self, service):
+        stack = build_gateway(service)
+        plain = json.loads(stack.handle_json(json.dumps(REQUEST.to_dict())))
+        assert "meta" not in plain
+        assert getattr(stack._finished, "trace", None) is None  # nothing handed over
+        payload = dict(REQUEST.to_dict(), include_meta=True)
+        first = stack.handle_dict(payload)["meta"]["trace"]
+        second = stack.handle_dict(payload)["meta"]["trace"]
+        assert first["request_id"] != second["request_id"]
+        assert [span["name"] for span in first["spans"]][-1] == "request:search"
+
+    def test_a_joined_trace_never_serves_a_leftover_handoff(self, service):
+        from repro.obs.trace import Trace, activate
+
+        stack = build_gateway(service)
+        opted_in = SearchRequest(
+            query="store texas", document="stores", size_bound=6, include_meta=True
+        )
+        stack.execute(opted_in)  # no handle_dict frame to collect the trace
+        joined = Trace(request_id="from-a-coordinator", process="server:1")
+        with activate(joined):
+            body = stack.handle_dict(opted_in.to_dict())
+        assert "trace" not in body["meta"]
+        assert [span.name for span in joined.spans][-1] == "request:search"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from repro.obs.trace import (
     Trace,
     TraceBuffer,
     activate,
+    call_in_trace,
     current_span_id,
     current_trace,
     format_trace,
@@ -212,6 +214,96 @@ class TestTraceBuffer:
         for request_id in ("a", "b", "c"):
             buffer.put(Trace(request_id=request_id))
         assert [wire["request_id"] for wire in buffer.newest(2)] == ["c", "b"]
+
+    def test_a_request_id_put_twice_answers_with_its_newest_trace(self):
+        buffer = TraceBuffer(capacity=8)
+        first, second = Trace(request_id="a"), Trace(request_id="a")
+        second.add_span("retried", 0.0)
+        buffer.put(first)
+        buffer.put(Trace(request_id="b"))
+        buffer.put(second)
+        assert len(buffer) == 2
+        assert [wire["request_id"] for wire in buffer.newest()] == ["a", "b"]
+        assert [span["name"] for span in buffer.get("a")["spans"]] == ["retried"]
+
+
+class TestRequestIds:
+    def test_a_fresh_trace_is_named_once_on_first_read(self):
+        trace = Trace()
+        assert trace._request_id is None  # nobody has asked yet
+        request_id = trace.request_id
+        assert trace.request_id == request_id
+        assert parse_trace_header(request_id) == request_id
+        assert Trace().request_id != request_id
+
+    def test_concurrent_first_reads_agree(self, monkeypatch):
+        import itertools
+        import time
+
+        from repro.obs import trace as trace_module
+
+        class SlowCounter:
+            """Yields the thread between taking a number and using it."""
+
+            numbers = itertools.count(1)
+
+            def __next__(self):
+                number = next(self.numbers)
+                time.sleep(0.0005)
+                return number
+
+        monkeypatch.setattr(trace_module, "_REQUEST_ID_COUNTER", SlowCounter())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                trace = Trace()
+                seen: list[str] = []
+                workers = [
+                    threading.Thread(target=lambda: seen.append(trace.request_id))
+                    for _ in range(8)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=10)
+                assert not any(worker.is_alive() for worker in workers)
+                assert len(seen) == 8 and len(set(seen)) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_given_id_is_kept(self):
+        assert Trace(request_id="req-9").request_id == "req-9"
+
+
+class TestCallInTrace:
+    def test_the_call_runs_as_the_root_span_of_the_active_trace(self):
+        trace = Trace(process="local")
+
+        def work(argument):
+            assert current_trace() is trace
+            with trace.span("child"):
+                pass
+            return argument * 2
+
+        assert call_in_trace(trace, "request:search", work, 21) == 42
+        assert current_trace() is None and current_span_id() is None
+        spans = {span.name: span for span in trace.spans}
+        root = spans["request:search"]
+        assert (root.span_id, root.parent_id, root.start) == ("local:1", None, 0.0)
+        assert spans["child"].parent_id == "local:1"
+        assert root.seconds >= spans["child"].seconds
+
+    def test_a_failing_call_still_records_the_root_and_restores_the_context(self):
+        trace = Trace()
+
+        def fail(_argument):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            call_in_trace(trace, "request:search", fail, None)
+        assert current_trace() is None
+        assert [span.name for span in trace.spans] == ["request:search"]
 
     @pytest.mark.parametrize("capacity", [0, -1, True, 1.5])
     def test_invalid_capacity_rejected(self, capacity):

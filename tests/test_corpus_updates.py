@@ -342,6 +342,130 @@ class TestHalfGeneratedOutcomes:
         assert not self.pages(service, 2)[0].from_cache
 
 
+class TestStoredPayloads:
+    """A slot's rendered payload is stored on it and lives and dies with the
+    outcome entry: what a kept outcome serves after an update, and what a
+    dead one re-serves, is what a from-scratch rebuild serves."""
+
+    def build(self, *queries):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+        for query in queries:
+            service.run(SearchRequest(query=query, document="doc", size_bound=6))
+        return corpus, service
+
+    def rebuilt(self, tree):
+        corpus = Corpus()
+        corpus.add_tree("doc", tree)
+        return SnippetService(corpus)
+
+    @pytest.fixture()
+    def rendered(self, monkeypatch):
+        """Result ids the service rendered a payload for."""
+        from repro.api import service as service_module
+
+        calls: list[int] = []
+        render = service_module.render_snippet_text
+
+        def counted(generated, *args, **kwargs):
+            calls.append(generated.result.result_id)
+            return render(generated, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "render_snippet_text", counted)
+        return calls
+
+    def test_a_kept_outcome_serves_its_stored_payloads_after_a_text_update(self, rendered):
+        # West Village's subtree is untouched by the Galleria <city> edit
+        corpus, service = self.build("store austin")
+        before = service.run(SearchRequest(query="store austin", document="doc", size_bound=6))
+        report = corpus.update_document("doc", retailer_tree("Dallas"))
+        assert report.incremental and report.cache_entries_invalidated == 0
+        del rendered[:]
+
+        after = service.run(SearchRequest(query="store austin", document="doc", size_bound=6))
+        assert after.from_cache and rendered == []
+        assert all(a is b for a, b in zip(after.results, before.results, strict=True))
+        assert wire(service, "store austin") == wire(
+            self.rebuilt(retailer_tree("Dallas")), "store austin"
+        )
+
+    def test_an_edit_under_a_rendered_root_kills_it_and_the_page_shows_the_new_text(
+        self, rendered
+    ):
+        corpus, service = self.build("galleria suit")
+        before = service.run(SearchRequest(query="galleria suit", document="doc", size_bound=6))
+        assert "city: Houston" in before.results[0].text
+        corpus.update_document("doc", retailer_tree("Dallas"))
+        # neither the outcome nor the snippet of the Galleria store survives
+        assert len(corpus.system("doc").cache) == 0
+        assert len(corpus.system("doc").generator.cache) == 0
+        del rendered[:]
+
+        after = service.run(SearchRequest(query="galleria suit", document="doc", size_bound=6))
+        assert not after.from_cache and rendered == [0]
+        assert "city: Dallas" in after.results[0].text
+        assert wire(service, "galleria suit") == wire(
+            self.rebuilt(retailer_tree("Dallas")), "galleria suit"
+        )
+
+    def test_a_snippet_cache_hit_renders_for_its_new_result(self, rendered):
+        # Galleria's city becomes Austin: "austin" changes its postings, so
+        # the outcome dies and West Village ranks among two results — but
+        # its snippet entry is kept.  The hit is a new object, rendered for
+        # its new result (id, score), not the payload of the old one.
+        corpus, service = self.build("store austin")
+        generator_cache = corpus.system("doc").generator.cache
+        assert len(generator_cache) == 1
+        corpus.update_document("doc", retailer_tree("Austin"))
+        live_cache = corpus.system("doc").generator.cache
+        assert len(live_cache) == 1
+        hits = live_cache.stats_snapshot().hits
+        del rendered[:]
+
+        after = service.run(SearchRequest(query="store austin", document="doc", size_bound=6))
+        assert not after.from_cache and after.total_results == 2
+        assert live_cache.stats_snapshot().hits == hits + 1
+        assert sorted(rendered) == [0, 1]
+        assert wire(service, "store austin") == wire(
+            self.rebuilt(retailer_tree("Austin")), "store austin"
+        )
+
+    def test_a_slot_replaced_by_distinct_generation_is_rendered_anew(self):
+        from repro.index.builder import IndexBuilder
+        from repro.search.engine import SearchEngine
+        from repro.snippet.distinct import DistinctSnippetGenerator
+        from repro.snippet.render import render_snippet_text
+
+        # two key-less Texas stores whose base snippets come out identical
+        # (tests/snippet/test_distinct.py::clashing_index)
+        stores = [
+            {
+                "state": "Texas",
+                "city": "Houston",
+                "merchandises": {"clothes": [
+                    *[{"category": "jeans", "fitting": "man"}] * 3,
+                    {"category": extra, "fitting": "woman"},
+                ]},
+            }
+            for extra in ("scarves", "socks")
+        ]
+        index = IndexBuilder().build(tree_from_dict("stores", {"store": stores}, name="clashing"))
+        results = SearchEngine(index).search("store texas jeans")
+        distinct = DistinctSnippetGenerator(index.analyzer)
+        batch = distinct.base.generate_all(results, size_bound=6)
+        old = [SnippetService._snippet_payload(generated) for generated in batch]
+        assert old[0].text.split("\n", 1)[1] == old[1].text.split("\n", 1)[1]  # a clash
+
+        assert distinct._resolve_clashes(batch, 6)
+        replaced = batch[1]
+        assert replaced.payload is None
+        payload = SnippetService._snippet_payload(replaced)
+        assert payload is not old[1] and payload.text == render_snippet_text(replaced)
+        assert payload.text != old[1].text
+        assert SnippetService._snippet_payload(batch[0]) is old[0]
+
+
 class TestRemoveAndUpsert:
     def test_remove_document_reports(self):
         corpus = Corpus()
