@@ -42,8 +42,8 @@ from typing import Any, Callable, TypeVar
 
 from repro.obs.clock import perf_counter
 
-A = TypeVar("A")
-R = TypeVar("R")
+_Arg = TypeVar("_Arg")
+_Result = TypeVar("_Result")
 
 #: the trace active in the current execution context (None outside a request)
 _current_trace: ContextVar["Trace | None"] = ContextVar("repro_obs_trace", default=None)
@@ -358,7 +358,9 @@ class activate:
         _current_trace.reset(self._trace_token)
 
 
-def call_in_trace(trace: Trace, root: str, call: Callable[[A], R], argument: A) -> R:
+def call_in_trace(
+    trace: Trace, root: str, call: Callable[[_Arg], _Result], argument: _Arg
+) -> _Result:
     """``call(argument)`` with a fresh ``trace`` active, timed as its root
     span ``root`` from the trace's origin.
 
