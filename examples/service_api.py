@@ -345,9 +345,9 @@ def main() -> None:
     # Point benchmarks time one operation; serving regressions live in the
     # mixture.  A LoadProfile plus a corpus deterministically plans a
     # Zipf-skewed search/batch/update stream (same seed ⇒ byte-identical
-    # payloads in the same order), and run_load fires it through a
-    # ClientPool while scraping GET /v1/stats before and after — so the
-    # cache-hit and shed rates cover exactly the requests of this run.
+    # payloads in the same order), and run_load fires it through one
+    # shared ServiceClient while scraping GET /v1/stats before and after —
+    # so the cache-hit and shed rates cover exactly the requests of this run.
     # Full tour: docs/loadgen.md.
     from repro.eval.loadgen import LoadProfile, build_plan, run_load
 

@@ -37,7 +37,7 @@ Quick start::
 """
 
 from repro.api.backend import ServingBackend, ServingBackendBase
-from repro.api.client import ClientPool, RetryPolicy, ServiceClient
+from repro.api.client import RetryPolicy, ServiceClient
 from repro.api.executors import ConcurrentExecutor, Executor, SerialExecutor
 from repro.api.gateway import (
     AdmissionControlMiddleware,
@@ -107,6 +107,5 @@ __all__ = [
     "build_gateway",
     "HttpServer",
     "ServiceClient",
-    "ClientPool",
     "RetryPolicy",
 ]

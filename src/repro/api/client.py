@@ -18,10 +18,24 @@ of an exception, preserving the backend contract that ``execute*`` never
 raise.  The raw-dict endpoints (:meth:`handle_dict` and the inherited
 ``handle_text`` / ``handle_json``) route on the payload's ``kind``.
 
-``keep_alive=True`` reuses one persistent connection (HTTP keep-alive) —
-noticeably faster for request streams, but then the client must stay on a
-single thread; the default opens a connection per request and is
-thread-safe.
+Every request goes through one exchange over a small pool of idle HTTP
+keep-alive connections: it takes the most recently returned idle
+connection (or opens one), runs the round trip without holding any lock,
+and puts the connection back on a LIFO stack of at most
+:data:`MAX_IDLE_CONNECTIONS`.  One client is therefore thread-safe and
+shared: N threads cost at most N connections, and a stream of requests
+from one thread rides one connection.  ``keep_alive=False`` keeps no idle
+connection (a connection per request) on the same path; :meth:`close`
+closes the idle stack and the client stays usable.
+
+The write rule: a request to :data:`NON_IDEMPOTENT_PATHS` (updates and
+replication ops) **never** rides a connection an earlier request used —
+it always opens a fresh one, and is never re-sent.  A pooled socket may
+have been closed by the server since its last answer, and a write that
+fails on it cannot tell "never arrived" from "applied, answer lost".  An
+idempotent request that fails on a *reused* connection closes every idle
+connection of the client (the server dropped one; the rest are suspect)
+and is re-sent once on a fresh one.
 
 ``retry=RetryPolicy(...)`` opts idempotent reads (search, batch, health,
 stats) into bounded retry with exponential backoff on transport failure —
@@ -65,9 +79,17 @@ from repro.errors import ProtocolError
 ENDPOINT_BY_KIND = {kind: path for path, kind in POST_ENDPOINTS.items()}
 
 #: endpoints whose requests may already have been applied when the
-#: response is lost — never retried, never re-sent on a broken keep-alive
-#: connection
+#: response is lost — never retried, never re-sent, and always sent on a
+#: fresh connection
 NON_IDEMPOTENT_PATHS = ("/v1/update", "/v1/replicate")
+
+#: the most idle keep-alive connections one client keeps; a connection
+#: returned to a full stack is closed
+MAX_IDLE_CONNECTIONS = 8
+
+
+def _idempotent(method: str, path: str) -> bool:
+    return method == "GET" or path not in NON_IDEMPOTENT_PATHS
 
 
 @dataclass(frozen=True)
@@ -111,30 +133,75 @@ class ServiceClient(ServingBackendBase):
         host: str = "127.0.0.1",
         port: int = 8080,
         timeout: float = 30.0,
-        keep_alive: bool = False,
+        keep_alive: bool = True,
         retry: RetryPolicy | None = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self.retry = retry
-        self._conn: http.client.HTTPConnection | None = None
-        self._conn_lock = threading.Lock()
+        self._idle_cap = MAX_IDLE_CONNECTIONS if keep_alive else 0
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    def _open(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _pop_idle(self) -> http.client.HTTPConnection | None:
+        with self._idle_lock:
+            return self._idle.pop() if self._idle else None
+
+    def _push_idle(self, conn: http.client.HTTPConnection) -> None:
+        # http.client drops the socket itself when the server answered
+        # ``Connection: close``; such a connection is not worth keeping.
+        if conn.sock is not None:
+            with self._idle_lock:
+                if len(self._idle) < self._idle_cap:
+                    self._idle.append(conn)
+                    return
+        conn.close()
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[str, http.client.HTTPMessage]:
+        """One request and its answer over a pooled connection: the body
+        text and the response headers.  Raises on transport failure."""
+        conn = self._pop_idle() if _idempotent(method, path) else None
+        for _attempt in (1, 2):
+            reused = conn is not None
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                data = response.read()
+            # No backoff by design: this re-sends once, on a fresh
+            # connection, a read whose pooled socket the server had already
+            # closed — not a retry against a failing server (RetryPolicy's
+            # loop in _round_trip handles those, with backoff).  A failure
+            # on a fresh connection is never re-sent here, and writes only
+            # ever use fresh connections.
+            # repro: ignore[no-unbounded-retry]
+            except (http.client.HTTPException, OSError):
+                conn.close()
+                if not reused:
+                    raise
+                self.close()
+                conn = None
+                continue
+            self._push_idle(conn)
+            return data.decode("utf-8"), response.headers
+        raise AssertionError("unreachable: the second attempt uses a fresh connection")
 
     def _round_trip(self, method: str, path: str, body: bytes | None) -> dict[str, Any]:
-        idempotent = method == "GET" or path not in NON_IDEMPOTENT_PATHS
+        idempotent = _idempotent(method, path)
         policy = self.retry if (self.retry is not None and idempotent) else None
         attempts = policy.attempts if policy is not None else 1
         for attempt in range(1, attempts + 1):
             try:
-                return self._round_trip_once(method, path, body, idempotent)
+                return self._round_trip_once(method, path, body)
             except (OSError, http.client.HTTPException):
                 if attempt == attempts:
                     raise
@@ -142,25 +209,24 @@ class ServiceClient(ServingBackendBase):
         raise AssertionError("unreachable: the retry loop returns or raises")
 
     def _round_trip_once(
-        self, method: str, path: str, body: bytes | None, idempotent: bool
+        self, method: str, path: str, body: bytes | None
     ) -> dict[str, Any]:
         trace = current_trace()
         if trace is None:
-            return self._transport_once(method, path, body, idempotent, None)
+            return self._transport_once(method, path, body, None)
         # One span per attempt (retries each get their own), covering the
         # whole remote round trip; the server's spans — shipped back in
         # the response header — stitch in underneath it.
         with trace.span(
             f"http:{method} {path}", endpoint=f"{self.host}:{self.port}"
         ):
-            return self._transport_once(method, path, body, idempotent, trace)
+            return self._transport_once(method, path, body, trace)
 
     def _transport_once(
         self,
         method: str,
         path: str,
         body: bytes | None,
-        idempotent: bool,
         trace: Any,
     ) -> dict[str, Any]:
         headers = {"Content-Type": "application/json"} if body is not None else {}
@@ -168,42 +234,8 @@ class ServiceClient(ServingBackendBase):
             # Propagate the request_id so the server joins this trace
             # instead of starting its own.
             headers[TRACE_HEADER] = trace_header_value(trace)
-        remote_spans: str | None = None
-        if self.keep_alive:
-            with self._conn_lock:
-                # A broken persistent connection is reconnected-and-resent
-                # once — but only for idempotent traffic.  An update the
-                # server may already have applied (it consumed the request,
-                # the response got lost) must never be silently re-sent:
-                # the resend would apply it twice.
-                for attempt in (1, 2):
-                    if self._conn is None:
-                        self._conn = self._open()
-                    try:
-                        self._conn.request(method, path, body=body, headers=headers)
-                        response = self._conn.getresponse()
-                        text = response.read().decode("utf-8")
-                        remote_spans = response.getheader(TRACE_SPANS_HEADER)
-                        break
-                    # No backoff by design: this reconnects a socket the
-                    # server's keep-alive timeout already closed, once, not
-                    # a retry against a failing server (RetryPolicy's loop
-                    # in _round_trip handles those, with backoff).
-                    # repro: ignore[no-unbounded-retry]
-                    except (http.client.HTTPException, OSError):
-                        self._conn.close()
-                        self._conn = None
-                        if attempt == 2 or not idempotent:
-                            raise
-        else:
-            conn = self._open()
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                text = response.read().decode("utf-8")
-                remote_spans = response.getheader(TRACE_SPANS_HEADER)
-            finally:
-                conn.close()
+        text, response_headers = self._exchange(method, path, body, headers)
+        remote_spans = response_headers.get(TRACE_SPANS_HEADER)
         if trace is not None and remote_spans:
             try:
                 spans = json.loads(remote_spans)
@@ -249,8 +281,8 @@ class ServiceClient(ServingBackendBase):
 
     def replicate(self, payload: dict[str, Any]) -> dict[str, Any]:
         """POST a replication op to ``/v1/replicate`` (raises on transport
-        failure).  Replication is non-idempotent: never retried, and a
-        broken keep-alive connection is not re-sent."""
+        failure).  Replication is non-idempotent: never retried, never
+        re-sent, and always sent on a fresh connection."""
         try:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
         except (TypeError, ValueError) as exc:
@@ -328,16 +360,12 @@ class ServiceClient(ServingBackendBase):
     def metrics_text(self) -> str:
         """``GET /v1/metrics?format=prometheus`` — the text exposition body.
 
-        Raw transport (no retry, no keep-alive): this is the scrape path,
-        and a scraper's failure handling belongs to the scraper.
+        Rides the connection pool like every request, but with no JSON
+        decode and no :class:`RetryPolicy`: this is the scrape path, and a
+        scraper's failure handling belongs to the scraper.
         """
-        conn = self._open()
-        try:
-            conn.request("GET", "/v1/metrics?format=prometheus")
-            response = conn.getresponse()
-            return response.read().decode("utf-8")
-        finally:
-            conn.close()
+        text, _headers = self._exchange("GET", "/v1/metrics?format=prometheus", None, {})
+        return text
 
     def trace(self, request_id: str | None = None) -> dict[str, Any]:
         """``GET /v1/trace`` (newest traces) or ``/v1/trace/<id>`` (one)."""
@@ -345,99 +373,14 @@ class ServiceClient(ServingBackendBase):
         return self._round_trip("GET", path, None)
 
     def close(self) -> None:
-        with self._conn_lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+        """Close every idle connection; the client stays usable (the next
+        request opens a fresh one)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def __repr__(self) -> str:
-        mode = "keep-alive" if self.keep_alive else "per-request"
-        return f"<ServiceClient http://{self.host}:{self.port} ({mode})>"
-
-
-class ClientPool:
-    """A fixed set of keep-alive clients, one per worker thread.
-
-    A ``keep_alive=True`` client is fast (one persistent connection) but
-    single-threaded; the default client is thread-safe but opens a
-    connection per request.  A load generator with N workers wants the
-    third point: N persistent connections, one owned by each worker.
-    :meth:`client` hands worker ``i`` its dedicated client — created
-    lazily, so a pool sized for the worst case costs nothing for idle
-    slots — and :meth:`close` closes every connection the pool opened.
-
-    The pool is a context manager::
-
-        with ClientPool(port=port, size=workers) as pool:
-            ...  # worker i uses pool.client(i)
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        size: int = 1,
-        timeout: float = 30.0,
-        retry: RetryPolicy | None = None,
-    ):
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise ValueError(f"pool size must be a positive integer, got {size!r}")
-        self.host = host
-        self.port = port
-        self.size = size
-        self.timeout = timeout
-        self.retry = retry
-        self._lock = threading.Lock()
-        self._clients: list[ServiceClient | None] = [None] * size
-
-    def client(self, worker: int) -> ServiceClient:
-        """Worker ``worker``'s dedicated keep-alive client (lazily built).
-
-        The caller contract mirrors ``keep_alive``'s: each index must be
-        used from one thread at a time.
-        """
-        if not 0 <= worker < self.size:
-            raise ValueError(
-                f"worker index {worker!r} outside pool of size {self.size}"
-            )
-        with self._lock:
-            existing = self._clients[worker]
-            if existing is None:
-                existing = self._clients[worker] = ServiceClient(
-                    host=self.host,
-                    port=self.port,
-                    timeout=self.timeout,
-                    keep_alive=True,
-                    retry=self.retry,
-                )
-        return existing
-
-    def clients(self) -> list[ServiceClient]:
-        """The clients created so far (idle slots excluded)."""
-        with self._lock:
-            return [client for client in self._clients if client is not None]
-
-    def close(self) -> None:
-        """Close every connection the pool opened; the pool stays usable
-        (a later :meth:`client` call reconnects lazily)."""
-        with self._lock:
-            clients = [client for client in self._clients if client is not None]
-            self._clients = [None] * self.size
-        for client in clients:
-            client.close()
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __enter__(self) -> "ClientPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        live = len(self.clients())
-        return (
-            f"<ClientPool http://{self.host}:{self.port} "
-            f"size={self.size} live={live}>"
-        )
+        with self._idle_lock:
+            idle = len(self._idle)
+        return f"<ServiceClient http://{self.host}:{self.port} idle={idle}>"

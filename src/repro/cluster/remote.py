@@ -567,7 +567,9 @@ class RemoteShard:
         except _TRANSPORT_ERRORS as exc:
             # Updates are never retried (the primary may already have
             # applied it); mark the primary down and promote so the *next*
-            # update lands on a live primary.
+            # update lands on a live primary.  The client sends every
+            # write on a fresh connection, so this failure is the primary's,
+            # not a pooled keep-alive socket the primary had closed.
             replica_set.mark_down(primary)
             replica_set.promote()
             raise ShardFailure(
@@ -730,7 +732,9 @@ class RemoteClusterService(ClusterService):
         background :class:`~repro.cluster.health.HealthMonitor`; leave it
         None for deterministic tests that drive ``check_once`` by hand.
         ``retry`` is an optional :class:`~repro.api.client.RetryPolicy`
-        applied to the per-endpoint clients' idempotent reads.
+        applied to the per-endpoint clients' idempotent reads.  Each
+        endpoint's client keeps its keep-alive connections, so a warm shard
+        hop opens no TCP connection.
         """
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
             raise ClusterError(f"replicas must be a positive integer, got {replicas!r}")

@@ -16,8 +16,9 @@ observability stack, in three layers:
    order (the ``seeded-rng`` analysis rule keeps it that way).
 
 2. **Measurement** (:func:`run_load` → :class:`LoadReport`): per-request
-   latency recorded client-side through a :class:`~repro.api.client.ClientPool`
-   (one keep-alive connection per worker), plus a before/after scrape of
+   latency recorded client-side through one shared
+   :class:`~repro.api.client.ServiceClient` (its keep-alive pool gives each
+   busy worker a connection), plus a before/after scrape of
    ``GET /v1/stats`` — p50/p95/p99 latency, achieved throughput, error and
    shed rates, and the serving-cache hit rate for exactly the requests the
    run issued.  :func:`report_rows` shapes the result for the file
@@ -43,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.api.client import ClientPool, ServiceClient
+from repro.api.client import ServiceClient
 from repro.api.protocol import (
     DEFAULT_SIZE_BOUND,
     BatchRequest,
@@ -337,23 +338,22 @@ def run_load(
 ) -> LoadReport:
     """Fire ``plan`` at the server and measure; never raises per-request.
 
-    Each worker owns one keep-alive connection from a
-    :class:`~repro.api.client.ClientPool`; requests are assigned round-robin
-    by plan index, so the per-worker subsequences are as deterministic as
-    the plan itself.  A transport failure counts as an error outcome (code
-    ``internal``), exactly as the backend contract shapes it.
+    The workers share one :class:`~repro.api.client.ServiceClient`, whose
+    keep-alive pool costs at most one connection per busy worker; requests
+    are assigned round-robin by plan index, so the per-worker subsequences
+    are as deterministic as the plan itself.  A transport failure counts as
+    an error outcome (code ``internal``), exactly as the backend contract
+    shapes it.
     """
     profile = plan.profile
     workers = min(profile.concurrency, max(1, len(plan.requests)))
-    scrape = ServiceClient(host=host, port=port, timeout=timeout)
     results: list[list[RequestOutcome]] = [[] for _ in range(workers)]
     barrier = threading.Barrier(workers + 1)
 
-    with ClientPool(host=host, port=port, size=workers, timeout=timeout) as pool:
-        stats_before = scrape.stats()
+    with ServiceClient(host=host, port=port, timeout=timeout) as client:
+        stats_before = client.stats()
 
         def work(worker: int) -> None:
-            client = pool.client(worker)
             mine = results[worker]
             barrier.wait()
             base = monotonic()
@@ -395,8 +395,7 @@ def run_load(
         for thread in threads:
             thread.join()
         duration = perf_counter() - started
-        stats_after = scrape.stats()
-    scrape.close()
+        stats_after = client.stats()
 
     outcomes = sorted(
         (outcome for bucket in results for outcome in bucket),

@@ -29,13 +29,29 @@ class MiniServer:
     byte of response — what a client sees when the server dies
     mid-request.  Later connections serve up to ``serve_per_connection``
     well-formed JSON responses, then close the socket *without* a
-    ``Connection: close`` header — the stale-keep-alive trap.
+    ``Connection: close`` header — the stale-keep-alive trap.  A request
+    to one of ``drop_paths`` is read in full and recorded, then its
+    connection is closed unanswered: the server applied it and died
+    before the response left.  With a ``gate`` barrier, every request
+    waits at it once read, so ``gate.parties`` requests are in flight at
+    once.  Each connection is served on its own thread, so concurrent
+    clients do not queue behind one another; ``paths`` lists every request
+    read in full, in arrival order, and each answer echoes its path.
     """
 
-    def __init__(self, abort_first: int = 0, serve_per_connection: int = 1):
+    def __init__(
+        self,
+        abort_first: int = 0,
+        serve_per_connection: int = 1,
+        drop_paths: tuple[str, ...] = (),
+        gate: threading.Barrier | None = None,
+    ):
         self.abort_first = abort_first
         self.serve_per_connection = serve_per_connection
+        self.drop_paths = drop_paths
+        self.gate = gate
         self.connections = 0
+        self.paths: list[str] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(("127.0.0.1", 0))
@@ -58,33 +74,45 @@ class MiniServer:
             if self.connections <= self.abort_first:
                 conn.close()  # the mid-request kill
                 continue
-            conn.settimeout(5.0)
-            try:
-                for _ in range(self.serve_per_connection):
-                    if not self._read_request(conn):
-                        break
-                    body = json.dumps(
-                        {"status": "ok", "connection": self.connections}
-                    ).encode("utf-8")
-                    conn.sendall(
-                        b"HTTP/1.1 200 OK\r\n"
-                        b"Content-Type: application/json\r\n"
-                        b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
-                        b"\r\n" + body
-                    )
-            except OSError:
-                pass
-            finally:
-                conn.close()
+            threading.Thread(
+                target=self._serve, args=(conn, self.connections), daemon=True
+            ).start()
+
+    def _serve(self, conn: socket.socket, number: int) -> None:
+        conn.settimeout(5.0)
+        try:
+            for _ in range(self.serve_per_connection):
+                path = self._read_request(conn)
+                if path is None:
+                    break
+                self.paths.append(path)
+                if path in self.drop_paths:
+                    break
+                if self.gate is not None:
+                    self.gate.wait()
+                body = json.dumps(
+                    {"status": "ok", "connection": number, "path": path}
+                ).encode("utf-8")
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
+                    b"\r\n" + body
+                )
+        except OSError:
+            pass
+        finally:
+            conn.close()
 
     @staticmethod
-    def _read_request(conn: socket.socket) -> bool:
-        """Consume one full HTTP request; False when the peer closed."""
+    def _read_request(conn: socket.socket) -> str | None:
+        """Consume one full HTTP request and return its path; None when
+        the peer closed."""
         data = b""
         while b"\r\n\r\n" not in data:
             chunk = conn.recv(4096)
             if not chunk:
-                return False
+                return None
             data += chunk
         head, _, rest = data.partition(b"\r\n\r\n")
         length = 0
@@ -94,9 +122,9 @@ class MiniServer:
         while len(rest) < length:
             chunk = conn.recv(4096)
             if not chunk:
-                return False
+                return None
             rest += chunk
-        return True
+        return head.split(b" ", 2)[1].decode("ascii")
 
     def stop(self) -> None:
         self._stop.set()
@@ -143,15 +171,15 @@ class TestReadRetry:
         # The first two connections die without a response byte; the third
         # succeeds.  attempts=3 absorbs exactly that.
         with MiniServer(abort_first=2) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
-            reply = client.health()
+            with ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY) as client:
+                reply = client.health()
             assert reply["status"] == "ok"
             assert server.connections == 3
 
     def test_read_posts_retry_too(self):
         with MiniServer(abort_first=1) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
-            reply = client.post({"kind": "search", "query": "x", "document": "d"})
+            with ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY) as client:
+                reply = client.post({"kind": "search", "query": "x", "document": "d"})
             assert reply["status"] == "ok"
             assert server.connections == 2
 
@@ -207,7 +235,7 @@ class TestKeepAliveReconnect:
         # and must transparently reconnect.  Three requests = three
         # server-side connections, all successful.
         with MiniServer(serve_per_connection=1) as server:
-            client = ServiceClient("127.0.0.1", server.port, keep_alive=True)
+            client = ServiceClient("127.0.0.1", server.port)
             try:
                 for _ in range(3):
                     assert client.health()["status"] == "ok"
@@ -220,7 +248,7 @@ class TestKeepAliveReconnect:
         # one connection — proving the test above really exercised the
         # reconnect path rather than per-request connections.
         with MiniServer(serve_per_connection=100) as server:
-            client = ServiceClient("127.0.0.1", server.port, keep_alive=True)
+            client = ServiceClient("127.0.0.1", server.port)
             try:
                 for _ in range(3):
                     assert client.health()["status"] == "ok"
@@ -228,20 +256,60 @@ class TestKeepAliveReconnect:
                 client.close()
             assert server.connections == 1
 
-    def test_stale_keep_alive_update_is_not_resent(self):
-        # First request warms the connection; the server then closes it.
-        # The update that hits the stale socket must NOT be transparently
-        # re-sent on a fresh connection — the server never sees a second
-        # connection, and the caller gets a structured transport error.
+    def test_update_after_a_dropped_keep_alive_opens_a_fresh_connection(self):
+        # A read warms a connection, which the server then drops without
+        # saying so.  The update never rides that pooled socket: it opens
+        # its own connection and reaches the server exactly once.
         with MiniServer(serve_per_connection=1) as server:
-            client = ServiceClient("127.0.0.1", server.port, keep_alive=True)
+            client = ServiceClient("127.0.0.1", server.port)
             try:
                 assert client.health()["status"] == "ok"
-                response = client.execute_update(
-                    UpdateRequest(action="remove", document="doomed")
+                reply = client.post(
+                    UpdateRequest(action="remove", document="doomed").to_dict()
                 )
             finally:
                 client.close()
-            assert response.kind == "error"
-            assert response.code == "internal"
+            assert reply == {"status": "ok", "connection": 2, "path": "/v1/update"}
+            assert server.connections == 2
+            assert server.paths == ["/v1/health", "/v1/update"]
+
+    def test_writes_never_reuse_a_live_connection(self):
+        # Even a connection the server keeps open is not used for a write:
+        # each update and replication op opens its own.
+        with MiniServer(serve_per_connection=100) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            try:
+                assert client.health()["status"] == "ok"
+                client.post(UpdateRequest(action="remove", document="doomed").to_dict())
+                client.replicate({"op": "apply-delta", "delta": None, "sequence": 1})
+            finally:
+                client.close()
+            assert server.connections == 3
+
+    @pytest.mark.parametrize(
+        "send",
+        [
+            lambda client: client.post(
+                UpdateRequest(action="remove", document="doomed").to_dict()
+            ),
+            lambda client: client.replicate(
+                {"op": "apply-delta", "delta": None, "sequence": 1}
+            ),
+        ],
+        ids=["update", "replicate"],
+    )
+    def test_write_dropped_mid_request_is_not_resent(self, send):
+        # The server reads the whole write, then its connection dies before
+        # the answer leaves.  The write may have been applied: the caller
+        # gets the transport error and the server saw it exactly once.
+        with MiniServer(
+            serve_per_connection=100, drop_paths=("/v1/update", "/v1/replicate")
+        ) as server:
+            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
+            try:
+                with pytest.raises((OSError, http.client.HTTPException)):
+                    send(client)
+            finally:
+                client.close()
             assert server.connections == 1
+            assert len(server.paths) == 1

@@ -14,12 +14,20 @@ expensive, so the read-only tests share one module-scoped cluster.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 
 import pytest
 
-from repro.api.protocol import BatchRequest, SearchRequest, UpdateRequest
+from repro.api.protocol import (
+    BatchRequest,
+    BatchResponse,
+    SearchRequest,
+    SearchResponse,
+    UpdateRequest,
+    UpdateResponse,
+)
 from repro.api.service import SnippetService
 from repro.cluster import (
     ClusterService,
@@ -118,6 +126,66 @@ class TestSpawnedCluster:
             for _ in range(2):
                 probe = SearchRequest(query="arrival", document="arrivals")
                 assert wire(remote, probe) == wire(single, probe)
+
+
+@pytest.fixture()
+def connects(monkeypatch) -> list[int]:
+    """The port of every TCP connection this process opens from here on."""
+    ports: list[int] = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting_connect(self) -> None:
+        ports.append(self.port)
+        real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    return ports
+
+
+class TestPooledHops:
+    """A warm shard hop rides a kept-alive connection; a write never does."""
+
+    def test_warm_reads_open_one_connection_per_endpoint(self, remote, connects):
+        _dataset, name = CLUSTER_DATASETS[0]
+        search = SearchRequest(query=QUERIES[0], document=name)
+        batch = BatchRequest(queries=QUERIES[:2], documents=None)
+        remote.execute(search)
+        remote.execute_batch(batch)
+        for replica_set in remote.replica_sets:
+            replica_set.close()  # count from empty idle stacks
+        connects.clear()
+        for _ in range(10):
+            assert isinstance(remote.execute(search), SearchResponse)
+        assert isinstance(remote.execute_batch(batch), BatchResponse)
+        assert len(connects) == len(set(connects))  # one per endpoint touched
+        assert len(set(connects)) >= 2  # both replicas of the search's shard
+
+    def test_update_between_reads_opens_a_fresh_connection(self, tmp_path, connects):
+        service = ClusterService.from_corpus(build_corpus(), shards=2)
+        service.save_dir(tmp_path)
+        service.close()
+        _dataset, name = CLUSTER_DATASETS[0]
+        with RemoteClusterService.spawn(tmp_path, replicas=2) as remote:
+            search = SearchRequest(query=QUERIES[0], document=name)
+            for _ in range(2):  # one read per replica warms both
+                remote.execute(search)
+            connects.clear()
+            for _ in range(2):
+                remote.execute(search)
+            assert connects == []  # every endpoint of the shard has an idle one
+            xml = "<library><book><title>New Arrival</title></book></library>"
+            update = UpdateRequest(action="update", document=name, xml=xml)
+            assert isinstance(remote.execute_update(update), UpdateResponse)
+            replica_set = remote.owner_of(name).replica_set
+            assert sorted(connects) == sorted(
+                endpoint.client.port for endpoint in replica_set.endpoints()
+            )  # apply-update to the primary, apply-delta to the replica
+            assert replica_set.primary.healthy
+            connects.clear()
+            probe = SearchRequest(query="arrival", document=name)
+            for _ in range(2):
+                assert isinstance(remote.execute(probe), SearchResponse)
+            assert connects == []
 
 
 class TestShardDeltaWire:
