@@ -23,7 +23,7 @@ Walks the ``repro.api`` protocol end to end:
   replication deltas a replica can re-apply,
 * put the whole thing **on the network**: wrap the service in the gateway
   middleware stack (validation, admission control, deadlines, metrics),
-  start the asyncio HTTP frontend (:class:`~repro.api.HttpServer`), and
+  start the HTTP frontend (:class:`~repro.api.HttpServer`), and
   query it with the typed :class:`~repro.api.ServiceClient` — which is
   itself a :class:`~repro.api.ServingBackend`, so remote and in-process
   backends are interchangeable behind one seam,

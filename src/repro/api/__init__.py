@@ -13,8 +13,8 @@ The package splits serving into layers:
   a corpus and runs requests through an executor;
 * :mod:`repro.api.gateway` — composable middleware (validation, deadlines,
   admission control, metrics), each middleware itself a backend;
-* :mod:`repro.api.http` — the asyncio HTTP/1.1 JSON frontend over any
-  backend (``POST /v1/search`` …, stdlib only);
+* :mod:`repro.api.http` — the HTTP/1.1 JSON frontend over any backend
+  (``POST /v1/search`` …, one thread per connection, stdlib only);
 * :mod:`repro.api.client` — :class:`ServiceClient`, the typed in-repo HTTP
   client (itself a backend: a remote service plugs in behind the seam).
 

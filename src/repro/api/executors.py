@@ -10,7 +10,7 @@ queries).  *How* that map runs is an executor policy:
   pipeline is thread-safe (locked caches, no shared mutable engine state),
   concurrent execution returns results identical to the serial path; the
   win is overlapping work when queries block on anything releasing the
-  GIL, and it is the substrate the async/sharding roadmap items build on.
+  GIL, and it is the substrate of the cluster's shard fan-out.
 
 Both preserve **input order** in their output list and surface the first
 worker exception (by item order) exactly like a plain loop would, so
@@ -32,7 +32,7 @@ from __future__ import annotations
 import abc
 import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, TypeVar
 
 from repro.obs.clock import perf_counter
@@ -78,6 +78,11 @@ class Executor(abc.ABC):
     #: short name used in reprs, benchmarks and the CLI
     name: str = "abstract"
 
+    #: most calls the executor runs at once — also the bound an
+    #: :class:`~repro.api.http.HttpServer` built over it puts on
+    #: concurrent backend calls
+    max_workers: int
+
     @property
     def closed(self) -> bool:
         """True between :meth:`close` and the next context-manager entry."""
@@ -98,29 +103,6 @@ class Executor(abc.ABC):
         in a plain ``for`` loop.  Raises :class:`RuntimeError` when the
         executor has been closed.
         """
-
-    def submit(self, fn: Callable[..., _Result], *args: Any) -> "Future[_Result]":
-        """Submit one call, returning a :class:`concurrent.futures.Future`.
-
-        This is the bridge an async frontend needs: the HTTP server awaits
-        the future (``asyncio.wrap_future``) while the blocking backend
-        call runs wherever the executor policy puts it.  The base
-        implementation runs the call **inline** and returns an
-        already-completed future (serial semantics — an event loop driving
-        it will block, which is exactly what "serial" means);
-        :class:`ConcurrentExecutor` dispatches to its thread pool.  Raises
-        :class:`RuntimeError` when the executor has been closed.
-        """
-        self._require_open()
-        future: Future[_Result] = Future()
-        try:
-            future.set_result(fn(*args))
-        # Nothing is swallowed: the exception is mirrored into the
-        # Future, exactly as a concurrent.futures pool does.
-        # repro: ignore[no-silent-swallow]
-        except BaseException as exc:  # noqa: BLE001 - mirrored into the future
-            future.set_exception(exc)
-        return future
 
     def close(self) -> None:
         """Release worker resources (idempotent).
@@ -147,6 +129,7 @@ class SerialExecutor(Executor):
     """Run every item inline in the calling thread (the reference path)."""
 
     name = "serial"
+    max_workers = 1
 
     def map(self, fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
         self._require_open()
@@ -188,16 +171,6 @@ class ConcurrentExecutor(Executor):
                 )
             task = _trace_preserving(fn, self.name)
             return [self._pool.submit(task, item) for item in items]
-
-    def submit(self, fn: Callable[..., _Result], *args: Any) -> "Future[_Result]":
-        """Dispatch one call to the shared pool (created lazily)."""
-        with self._pool_lock:
-            self._require_open()
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix=f"repro-{self.name}"
-                )
-            return self._pool.submit(_trace_preserving(fn, self.name), *args)
 
     def map(self, fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
         self._require_open()

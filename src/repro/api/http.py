@@ -1,8 +1,8 @@
-"""The asyncio HTTP/1.1 JSON frontend over any :class:`ServingBackend`.
+"""The HTTP/1.1 JSON frontend over any :class:`ServingBackend`.
 
 The original eXtract demo was a web service (§4); this module is the
-reproduction's network face — stdlib ``asyncio`` only, no third-party
-dependencies.  Versioned endpoints:
+reproduction's network face — stdlib sockets and threads only, no
+third-party dependencies.  Versioned endpoints:
 
 ===========================  =====================================================
 ``POST /v1/search``          one :class:`~repro.api.SearchRequest` payload
@@ -26,20 +26,21 @@ derived from their machine-readable ``code`` via the documented
 400, ``unknown_document`` → 404, ``overloaded`` → 503,
 ``deadline_exceeded`` → 504, ...).
 
-The event loop never runs backend work: blocking calls go through the
-executor seam (:meth:`repro.api.executors.Executor.submit` +
-``asyncio.wrap_future``), by default a
-:class:`~repro.api.executors.ConcurrentExecutor` thread pool — pass a
-:class:`~repro.api.executors.SerialExecutor` to serialise the whole server
-(useful for deterministic tests).
+One thread per connection: an acceptor thread hands each accepted socket
+to its own daemon thread, which reads a request with blocking reads,
+runs the backend call in place and writes head and body with one
+``sendall`` — no event loop and no hand-off between threads.  At most
+``executor.max_workers`` backend calls run at once (8 without an
+executor; a :class:`~repro.api.executors.SerialExecutor` serialises the
+whole server, useful for deterministic tests); the rest wait on their
+connection's own thread.  At most :data:`MAX_CONNECTIONS` connections
+are served at once; one more is answered ``503 overloaded`` and closed.
+An HTTP/1.1 connection persists unless the client sends ``Connection:
+close``; an HTTP/1.0 one only when it sends ``Connection: keep-alive``
+(RFC 9112 §9.3).
 
-Two ways to run it::
+Run it from synchronous code (tests, the CLI ``serve`` command)::
 
-    # embedded in an asyncio program
-    server = HttpServer(backend, port=8080)
-    await server.serve_async()
-
-    # threaded, from synchronous code (tests, the CLI `serve` command)
     with HttpServer(backend, port=0) as server:
         print(server.port)   # the bound port
         ...                  # server answers until the with-block exits
@@ -47,13 +48,13 @@ Two ways to run it::
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.api.backend import ServingBackend
-from repro.api.executors import ConcurrentExecutor, Executor
+from repro.api.executors import Executor
 from repro.api.protocol import (
     BatchRequest,
     ErrorResponse,
@@ -63,6 +64,7 @@ from repro.api.protocol import (
     http_status_for_code,
 )
 from repro.errors import ExtractError, ProtocolError
+from repro.obs.clock import monotonic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     TRACE_SPANS_HEADER,
@@ -98,8 +100,16 @@ REPLICATE_ENDPOINT = "/v1/replicate"
 #: document per update request easily fits.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: largest accepted request line + header block
+#: largest accepted request line, header line and header block; a longer
+#: one is a 400, not a dropped connection
 MAX_HEADER_BYTES = 64 * 1024
+
+#: most connections served at once; a bound, not a tuning knob — one more
+#: is answered ``503 overloaded`` and closed without a thread
+MAX_CONNECTIONS = 256
+
+#: backend calls served at once by a server built without an executor
+_DEFAULT_WORKERS = 8
 
 _REASONS = {
     200: "OK",
@@ -145,11 +155,11 @@ class HttpServer:
     """Serve a :class:`ServingBackend` over HTTP/1.1 (keep-alive, JSON).
 
     ``port=0`` binds an ephemeral port; :attr:`port` holds the real one
-    once the server is up.  ``executor`` is the blocking-call seam
-    (defaults to a :class:`ConcurrentExecutor`; owned executors are closed
-    with the server).  ``max_requests`` stops the server after N served
-    requests — the hook scripted smoke runs and the CLI use for bounded
-    serving.
+    once the server is up.  ``executor`` states how many backend calls
+    run at once (its ``max_workers``); the server runs each call on the
+    connection's own thread and submits nothing to it.  ``max_requests``
+    stops the server after N served requests — the hook scripted smoke
+    runs and the CLI use for bounded serving.
     """
 
     def __init__(
@@ -172,16 +182,18 @@ class HttpServer:
         self.replicate_backend = replicate_backend
         self.host = host
         self.port = port
-        self.executor = executor if executor is not None else ConcurrentExecutor(max_workers=8)
-        self._owns_executor = executor is None
+        workers = executor.max_workers if executor is not None else _DEFAULT_WORKERS
+        self._slots = threading.BoundedSemaphore(workers)
         self.max_requests = max_requests
         self.requests_served = 0
-        self._count_lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
+        # Guards requests_served, the listener and the connection table.
+        self._lock = threading.Lock()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        #: open connection → the thread serving it
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        #: set once the server stops or spends its request budget
+        self._done = threading.Event()
         # The observability surface (GET /v1/metrics, GET /v1/trace) is
         # discovered from the backend stack when not passed explicitly —
         # a gateway-built stack exposes both on its tracing stage.
@@ -204,7 +216,7 @@ class HttpServer:
         trace_request_id: str | None = None,
     ) -> tuple[int, "dict[str, Any] | str", dict[str, str]]:
         """One request → (status, response dict or raw text, extra headers).
-        Runs on an executor worker — everything here may block."""
+        Runs on the connection's thread — everything here may block."""
         if path == REPLICATE_ENDPOINT and self.replicate_backend is not None:
             status, payload = self._serve_replicate(method, body)
             return status, payload, {}
@@ -370,234 +382,152 @@ class HttpServer:
             code="not_found",
         )
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: "dict[str, Any] | str",
-        keep_alive: bool,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        if isinstance(payload, str):
-            # Raw text export (the Prometheus exposition format).
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            # sort_keys=True matches handle_json exactly — the byte-identity
-            # contract the round-trip tests pin down.
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        extra = ""
-        for name, value in (extra_headers or {}).items():
-            extra += f"{name}: {value}\r\n"
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("ascii")
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one request; None on clean EOF (client closed keep-alive)."""
-        try:
-            request_line = await reader.readline()
-        except ConnectionError:
-            return None
-        except ValueError as exc:
-            # The StreamReader raises ValueError when a line exceeds its
-            # buffer limit — an oversized request line is a 400, not a
-            # dropped connection.
-            raise ProtocolError(f"HTTP request line exceeds the server limit: {exc}") from exc
-        if not request_line.strip():
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            raise ProtocolError(f"malformed HTTP request line: {request_line!r}")
-        method, path, _version = parts
-        headers: dict[str, str] = {}
-        header_bytes = 0
+    # ------------------------------------------------------------------ #
+    # connections
+    # ------------------------------------------------------------------ #
+    def _accept(self, listener: socket.socket) -> None:
+        """The acceptor: one daemon thread per connection, up to the bound."""
         while True:
             try:
-                line = await reader.readline()
-            except ValueError as exc:
-                raise ProtocolError(f"HTTP header exceeds the server limit: {exc}") from exc
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES:
-                raise ProtocolError("HTTP header block exceeds the server limit")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        encoding = headers.get("transfer-encoding", "identity").lower()
-        if encoding not in ("", "identity"):
-            # Silently reading length 0 would serve an empty body and then
-            # misparse the first chunk-size line as the next request.
-            raise ProtocolError(
-                f"Transfer-Encoding {encoding!r} is not supported; "
-                "send a Content-Length body"
-            )
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            raise ProtocolError(f"invalid Content-Length {length_text!r}") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(f"request body of {length} bytes exceeds the server limit")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+                sock, _ = listener.accept()
+            # Not a retry of one peer: a failed accept (stop() shut the
+            # listener, or the process ran out of descriptors) backs off
+            # until stop() and then ends the loop.
+            # repro: ignore[no-unbounded-retry]
+            except OSError:
+                if self._done.wait(0.1):
+                    return
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                stopped = self._listener is not listener
+                admitted = not stopped and len(self._connections) < MAX_CONNECTIONS
+                if admitted:
+                    thread = threading.Thread(
+                        target=self._serve_connection,
+                        args=(sock,),
+                        name="repro-http-connection",
+                        daemon=True,
+                    )
+                    self._connections[sock] = thread
+            if admitted:
+                thread.start()
+                continue
+            with sock:
+                if not stopped:
+                    _refuse(sock)
 
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connection's requests in order until it closes."""
         try:
-            while True:
-                try:
-                    parsed = await self._read_request(reader)
-                except ProtocolError as error:
-                    await self._respond(
-                        writer, 400, _error_body(str(error), code="bad_request"), False
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if parsed is None:
-                    break
-                method, raw_path, headers, body = parsed
-                path, _, query = raw_path.partition("?")
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                trace_request_id = parse_trace_header(headers.get("x-repro-trace"))
-                extra_headers: dict[str, str] = {}
-                try:
-                    # The blocking backend call runs through the executor
-                    # seam; the event loop stays free for other connections.
-                    future = self.executor.submit(
-                        self._serve_payload,
-                        method,
-                        path,
-                        body.decode("utf-8", "replace"),
-                        query,
-                        trace_request_id,
-                    )
-                    status, payload, extra_headers = await asyncio.wrap_future(future)
-                except asyncio.CancelledError:
-                    raise
-                # The HTTP edge: any crash becomes a 500 'internal'
-                # body instead of a dropped connection.
-                # repro: ignore[no-silent-swallow]
-                except Exception as exc:  # noqa: BLE001 - a crash must answer 500
-                    status = 500
-                    payload = _error_body(
-                        f"internal server error: {exc}", code="internal"
-                    )
-                    keep_alive = False
-                await self._respond(writer, status, payload, keep_alive, extra_headers)
-                if self._count_request():
-                    break
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+            with sock, sock.makefile("rb") as reader:
+                keep_alive = True
+                while keep_alive:
+                    try:
+                        parsed = _read_request(reader)
+                    except ProtocolError as error:
+                        sock.sendall(
+                            _response(400, _error_body(str(error), code="bad_request"), False)
+                        )
+                        return
+                    if parsed is None:
+                        return
+                    method, raw_path, version, headers, body = parsed
+                    path, _, query = raw_path.partition("?")
+                    keep_alive = _keeps_alive(version, headers.get("connection", ""))
+                    trace_request_id = parse_trace_header(headers.get("x-repro-trace"))
+                    extra_headers: dict[str, str] = {}
+                    with self._slots:
+                        try:
+                            status, payload, extra_headers = self._serve_payload(
+                                method,
+                                path,
+                                body.decode("utf-8", "replace"),
+                                query,
+                                trace_request_id,
+                            )
+                        # The HTTP edge: any crash becomes a 500 'internal'
+                        # body instead of a dropped connection.
+                        # repro: ignore[no-silent-swallow]
+                        except Exception as exc:  # noqa: BLE001 - a crash must answer 500
+                            status = 500
+                            payload = _error_body(
+                                f"internal server error: {exc}", code="internal"
+                            )
+                            keep_alive = False
+                    sock.sendall(_response(status, payload, keep_alive, extra_headers))
+                    if self._count_request():
+                        return
+        except OSError:
+            pass  # the peer went away, or stop() shut the socket
         finally:
-            # CancelledError included: at shutdown asyncio.run cancels the
-            # still-draining keep-alive handlers mid-wait_closed; ending
-            # the task cancelled here would make the streams machinery
-            # re-raise it into the loop's exception handler as noise.
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+            with self._lock:
+                self._connections.pop(sock, None)
 
     def _count_request(self) -> bool:
         """Bump the served counter; True when the request budget is spent."""
-        with self._count_lock:
+        with self._lock:
             self.requests_served += 1
             spent = (
                 self.max_requests is not None
                 and self.requests_served >= self.max_requests
             )
-        if spent and self._loop is not None and self._shutdown is not None:
-            self._loop.call_soon_threadsafe(self._shutdown.set)
+        if spent:
+            self._shut_down()
         return spent
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    async def serve_async(self) -> None:
-        """Bind, publish :attr:`port`, and serve until :meth:`stop` (or the
-        ``max_requests`` budget) shuts the server down."""
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(self._on_client, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        try:
-            async with server:
-                await self._shutdown.wait()
-        finally:
-            self._started.clear()
+    def start(self) -> "HttpServer":
+        """Bind, publish :attr:`port` and start accepting connections.
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self.serve_async())
-        # Stored, not swallowed: start() re-raises this as the
-        # server's startup failure.
-        # repro: ignore[no-silent-swallow]
-        except BaseException as exc:  # noqa: BLE001 - surfaced to start()
-            self._startup_error = exc
-            self._started.set()
-
-    def start(self, timeout: float = 10.0) -> "HttpServer":
-        """Run the server on a daemon thread; returns once it is accepting
-        connections (with :attr:`port` resolved)."""
-        if self._thread is not None and self._thread.is_alive():
+        A bind failure (port taken, address unavailable) raises its
+        :class:`OSError` here."""
+        if self._acceptor is not None:
             raise RuntimeError("the server is already running")
-        if self._owns_executor and self.executor.closed:
-            # stop() closed the owned executor; a restart must reopen it
-            # (the documented context-manager re-entry contract) or every
-            # request would answer 500 off a closed pool.
-            self.executor.__enter__()
-        self._startup_error = None
-        self._started.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-http", daemon=True
+        listener = socket.create_server((self.host, self.port))
+        self.port = listener.getsockname()[1]
+        self._done.clear()
+        with self._lock:
+            self._listener = listener
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(listener,), name="repro-http", daemon=True
         )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("the HTTP server did not start in time")
-        if self._startup_error is not None:
-            error, self._startup_error = self._startup_error, None
-            if isinstance(error, OSError):
-                # a bind failure (port taken, address unavailable) is the
-                # caller's environment, reported as the OSError it is
-                raise error
-            raise RuntimeError(f"the HTTP server failed to start: {error}") from error
+        self._acceptor.start()
         return self
 
+    def _shut_down(self) -> None:
+        """Stop accepting and wake every connection's blocked read."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+            connections = list(self._connections)
+        self._done.set()
+        if listener is not None:
+            _shutdown_socket(listener)  # wakes the acceptor's accept()
+            listener.close()
+        for sock in connections:
+            _shutdown_socket(sock)
+
     def stop(self, timeout: float = 10.0) -> None:
-        """Shut the server down (idempotent); closes an owned executor."""
-        if self._loop is not None and self._shutdown is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._shutdown.set)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-        if self._owns_executor:
-            self.executor.close()
+        """Shut the server down and wait for its threads (idempotent)."""
+        self._shut_down()
+        acceptor, self._acceptor = self._acceptor, None
+        if acceptor is None:
+            return
+        deadline = monotonic() + timeout
+        acceptor.join(timeout)
+        with self._lock:
+            threads = list(self._connections.values())
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - monotonic()))
 
     def join(self, timeout: float | None = None) -> None:
-        """Block until the serving thread exits (Ctrl-C still interrupts —
-        the CLI's foreground wait)."""
-        if self._thread is not None:
-            self._thread.join(timeout)
+        """Block until the server stops or spends its request budget
+        (Ctrl-C still interrupts — the CLI's foreground wait)."""
+        if self._acceptor is not None:
+            self._done.wait(timeout)
 
     def __enter__(self) -> "HttpServer":
         return self.start()
@@ -606,5 +536,136 @@ class HttpServer:
         self.stop()
 
     def __repr__(self) -> str:
-        state = "running" if self._started.is_set() else "stopped"
+        state = "running" if self._listener is not None else "stopped"
         return f"<HttpServer {self.host}:{self.port} backend={self.backend!r} ({state})>"
+
+
+def _read_line(reader: BinaryIO, what: str) -> bytes:
+    """One line, at most :data:`MAX_HEADER_BYTES` long; a longer one is a
+    :class:`ProtocolError` (a 400, not a dropped connection)."""
+    line = reader.readline(MAX_HEADER_BYTES + 1)
+    if len(line) > MAX_HEADER_BYTES:
+        raise ProtocolError(
+            f"HTTP {what} exceeds the server limit of {MAX_HEADER_BYTES} bytes"
+        )
+    return line
+
+
+def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], bytes] | None:
+    """Parse one request; None when the connection ends before a whole
+    request arrived (a client closing its keep-alive connection, a request
+    cut short — never served)."""
+    request_line = _read_line(reader, "request line")
+    if not request_line.endswith(b"\n") or not request_line.strip():
+        return None
+    parts = request_line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise ProtocolError(f"malformed HTTP request line: {request_line!r}")
+    method, path, version = parts
+    headers: dict[str, str] = {}
+    header_bytes = 0
+    while True:
+        line = _read_line(reader, "header line")
+        header_bytes += len(line)
+        if header_bytes > MAX_HEADER_BYTES:
+            raise ProtocolError("HTTP header block exceeds the server limit")
+        if not line.endswith(b"\n"):
+            return None
+        if line in (b"\r\n", b"\n"):
+            break
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            # RFC 9112 §5: a field line is "name: value" with nothing
+            # around the name; guessing at anything else is how two
+            # parsers come to disagree on where a request ends.
+            raise ProtocolError(f"malformed HTTP header line: {line!r}")
+        name = name.lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 §6.3: disagreeing lengths leave the framing
+            # ambiguous — never pick one.
+            raise ProtocolError(
+                f"conflicting Content-Length headers {headers[name]!r} and {value!r}"
+            )
+        headers[name] = value
+    encoding = headers.get("transfer-encoding", "identity").lower()
+    if encoding not in ("", "identity"):
+        # Silently reading length 0 would serve an empty body and then
+        # misparse the first chunk-size line as the next request.
+        raise ProtocolError(
+            f"Transfer-Encoding {encoding!r} is not supported; "
+            "send a Content-Length body"
+        )
+    length_text = headers.get("content-length", "0")
+    # RFC 9112 §6.3: Content-Length is 1*DIGIT; int() would also take a
+    # sign, underscores and non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ProtocolError(f"invalid Content-Length {length_text!r}")
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"request body of {length} bytes exceeds the server limit")
+    body = reader.read(length) if length else b""
+    if len(body) < length:
+        return None
+    return method, path, version, headers, body
+
+
+def _keeps_alive(version: str, connection: str) -> bool:
+    """RFC 9112 §9.3: ``close`` ends the connection; otherwise HTTP/1.1
+    persists by default and HTTP/1.0 only when the client asked."""
+    tokens = {token.strip() for token in connection.lower().split(",")}
+    if "close" in tokens:
+        return False
+    return version != "HTTP/1.0" or "keep-alive" in tokens
+
+
+def _response(
+    status: int,
+    payload: "dict[str, Any] | str",
+    keep_alive: bool,
+    extra_headers: dict[str, str] | None = None,
+) -> bytes:
+    """Head and body of one response, ready for a single ``sendall``."""
+    if isinstance(payload, str):
+        # Raw text export (the Prometheus exposition format).
+        body = payload.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        # sort_keys=True matches handle_json exactly — the byte-identity
+        # contract the round-trip tests pin down.
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        content_type = "application/json"
+    extra = ""
+    for name, value in (extra_headers or {}).items():
+        extra += f"{name}: {value}\r\n"
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        f"{extra}"
+        "\r\n"
+    ).encode("ascii")
+    return head + body
+
+
+def _refuse(sock: socket.socket) -> None:
+    """Answer a connection over :data:`MAX_CONNECTIONS` with one 503."""
+    body = _error_body(
+        f"the server is serving its limit of {MAX_CONNECTIONS} connections; "
+        "retry later",
+        code="overloaded",
+    )
+    try:
+        sock.sendall(_response(http_status_for_code("overloaded"), body, False))
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # the client already left
+
+
+def _shutdown_socket(sock: socket.socket) -> None:
+    """``shutdown(SHUT_RDWR)``: wakes a thread blocked reading the socket."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already closed

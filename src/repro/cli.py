@@ -38,7 +38,7 @@ CLI that drives the same pipeline.  Sub-commands:
     print the JSON response — the offline stand-in for one round trip of
     the demo's web service.
 ``serve``
-    Run the asyncio HTTP frontend (:mod:`repro.api.http`) over a corpus
+    Run the HTTP frontend (:mod:`repro.api.http`) over a corpus
     or a sharded cluster: ``POST /v1/search``, ``/v1/batch``,
     ``/v1/update`` and ``GET /v1/health``, ``/v1/stats``, with the
     gateway middleware stack (validation, optional admission control and
@@ -259,7 +259,7 @@ def _serving(sub: argparse.ArgumentParser) -> None:
     """The HTTP serve loop's gateway, lifecycle and request-log knobs."""
     sub.add_argument(
         "--workers", type=_POSITIVE_INT, default=8, metavar="N",
-        help="HTTP worker threads executing backend calls (default: 8)",
+        help="backend calls served at once; the rest wait (default: 8)",
     )
     sub.add_argument(
         "--max-in-flight", type=_POSITIVE_INT, metavar="N",
@@ -1258,7 +1258,7 @@ _COMMANDS = (
      "execute one JSON request of the typed service protocol (corpus or cluster)", (
         _sources, _corpus_dir, _cluster_dir, _algorithm, _request,
     )),
-    ("serve", _command_serve, "serve a corpus or cluster over HTTP (gateway + asyncio frontend)", (
+    ("serve", _command_serve, "serve a corpus or cluster over HTTP (gateway + HTTP frontend)", (
         _sources, _corpus_dir, _cluster_dir,
         _arg(
             "--shard-of", type=_NON_NEGATIVE_INT, metavar="SHARD",

@@ -481,8 +481,7 @@ class TestServerLifecycle:
         server.start()
         first_port = server.port
         server.stop()
-        # stop() closed the owned executor; start() must reopen it so the
-        # restarted server actually serves (not 500 off a closed pool).
+        # start() after stop() binds a fresh listener and serves again.
         server.start()
         try:
             status, _ = _raw_get(server.port, "/v1/health")

@@ -2,7 +2,8 @@
 
 ``sigterm_one_search`` starts ``serve`` / ``cluster-spawn`` with ``--port
 0``, answers one search over the wire, then stops it with SIGTERM — the
-signal ``kill``, systemd and container runtimes send.
+signal ``kill``, systemd and container runtimes send — optionally while
+the client still holds its keep-alive connection.
 """
 
 from __future__ import annotations
@@ -42,28 +43,36 @@ def wait_for_port(process, port_file: str, timeout: float = 60.0) -> int:
         return int(handle.read())
 
 
-def sigterm_one_search(tmp_path, command: str, *argv: str, document: str):
+def sigterm_one_search(
+    tmp_path, command: str, *argv: str, document: str, hold_connection: bool = False
+):
     """Serve ``command`` in a child process, answer one search, SIGTERM it.
 
-    Returns ``(exit code, stdout, request-log lines, child pids seen while
-    serving)``; the child and its children are killed if they outlive the
-    test.
+    With ``hold_connection`` the client keeps its keep-alive connection
+    open until the child has exited, so the signal lands on a server with
+    an idle peer.  Returns ``(exit code, stdout, request-log lines, child
+    pids seen while serving)``; the child and its children are killed if
+    they outlive the test.
     """
     port_file = str(tmp_path / "port")
     log = tmp_path / "requests.jsonl"
     process = spawn_cli(
         command, *argv, "--port", "0", "--port-file", port_file, "--request-log", str(log)
     )
+    client = None
     try:
         port = wait_for_port(process, port_file)
         client = ServiceClient(port=port)
         response = client.execute(SearchRequest(query="store", document=document))
-        client.close()
+        if not hold_connection:
+            client.close()
         assert response.kind == "search_response"
         children = child_pids(process.pid)
         process.send_signal(signal.SIGTERM)
         stdout, _ = process.communicate(timeout=5)
     finally:
+        if client is not None:
+            client.close()
         if process.poll() is None:
             leftovers = child_pids(process.pid)
             process.kill()

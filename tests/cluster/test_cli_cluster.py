@@ -320,3 +320,18 @@ class TestClusterSpawn:
         assert len(log_lines) == 1
         assert len(shards) == 3
         assert_gone(shards)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process tables from /proc")
+    def test_sigterm_with_a_connection_held_open_stops_the_shards(self, cluster_dir, tmp_path):
+        # The client holds its connection to the coordinator, and the
+        # coordinator holds pooled connections to its shards, while the
+        # signal lands: every server must still stop within the deadline.
+        code, stdout, log_lines, shards = sigterm_one_search(
+            tmp_path, "cluster-spawn", "--cluster-dir", str(cluster_dir),
+            document="figure5-stores", hold_connection=True,
+        )
+        assert code == 0
+        assert stdout.rstrip().endswith("served 1 request(s)")
+        assert len(log_lines) == 1
+        assert len(shards) == 3
+        assert_gone(shards)

@@ -837,3 +837,14 @@ class TestServeLoop:
         assert stdout.rstrip().endswith("served 1 request(s)")
         assert len(log_lines) == 1
         assert '"kind": "search"' in log_lines[0]
+
+    def test_sigterm_unwinds_serve_with_a_connection_held_open(self, tmp_path):
+        # The client's idle keep-alive connection must not keep the
+        # server's connection thread, or the process, alive.
+        code, stdout, log_lines, _ = sigterm_one_search(
+            tmp_path, "serve", "--dataset", "figure5-stores",
+            document="figure5-stores", hold_connection=True,
+        )
+        assert code == 0
+        assert stdout.rstrip().endswith("served 1 request(s)")
+        assert len(log_lines) == 1
