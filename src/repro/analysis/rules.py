@@ -791,8 +791,8 @@ class NoUnboundedRetryRule(Rule):
     """Every transport retry loop carries an attempt bound and a backoff.
 
     A retry loop is a ``for``/``while`` whose body catches a
-    transport-class exception (``OSError`` and kin,
-    ``http.client.HTTPException``, ``socket.error``/``timeout``, or a
+    transport-class exception (``OSError`` and kin, the stdlib HTTP
+    client's ``HTTPException``, ``socket.error``/``timeout``, or a
     constant named like ``_TRANSPORT_ERRORS``) in a handler that can run
     another iteration — it ``continue``\\ s, or simply falls through
     instead of ending in an unconditional ``raise``/``return``/``break``.

@@ -1,8 +1,8 @@
 """A typed in-repo client for the HTTP frontend (:mod:`repro.api.http`).
 
-:class:`ServiceClient` speaks the versioned endpoints with stdlib
-``http.client`` and is **itself a** :class:`~repro.api.backend.ServingBackend`
-— a remote service plugs in behind the exact seam the local facades
+:class:`ServiceClient` speaks the versioned endpoints over plain sockets
+and is **itself a** :class:`~repro.api.backend.ServingBackend` — a remote
+service plugs in behind the exact seam the local facades
 implement, so code written against the protocol cannot tell a
 :class:`~repro.api.SnippetService` in-process from one across the network::
 
@@ -22,11 +22,22 @@ Every request goes through one exchange over a small pool of idle HTTP
 keep-alive connections: it takes the most recently returned idle
 connection (or opens one), runs the round trip without holding any lock,
 and puts the connection back on a LIFO stack of at most
-:data:`MAX_IDLE_CONNECTIONS`.  One client is therefore thread-safe and
-shared: N threads cost at most N connections, and a stream of requests
-from one thread rides one connection.  ``keep_alive=False`` keeps no idle
-connection (a connection per request) on the same path; :meth:`close`
-closes the idle stack and the client stays usable.
+:data:`MAX_IDLE_CONNECTIONS` (unless the server answered ``Connection:
+close``).  One client is therefore thread-safe and shared: N threads
+cost at most N connections, and a stream of requests from one thread
+rides one connection.  ``keep_alive=False`` keeps no idle connection (a
+connection per request) on the same path; :meth:`close` closes the idle
+stack and the client stays usable.
+
+A connection is one ``TCP_NODELAY`` socket plus a buffered reader that
+lives as long as it.  A request is one ``sendall`` of head and body; the
+answer is read by the framing helpers of :mod:`repro.api.http` that
+:class:`~repro.api.http.HttpServer` parses requests with, so both ends
+apply the same rules (64 KiB line bound, ``name: value`` header lines,
+one digits-only ``Content-Length``, no short body).  A transport failure
+raises :class:`OSError` (the connection failed or ended early) or
+:class:`~repro.errors.ProtocolError` (the bytes broke the framing) and
+closes its connection; it is never pooled.
 
 The write rule: a request to :data:`NON_IDEMPOTENT_PATHS` (updates and
 replication ops) **never** rides a connection an earlier request used —
@@ -35,10 +46,13 @@ have been closed by the server since its last answer, and a write that
 fails on it cannot tell "never arrived" from "applied, answer lost".  An
 idempotent request that fails on a *reused* connection closes every idle
 connection of the client (the server dropped one; the rest are suspect)
-and is re-sent once on a fresh one.
+and is re-sent once on a fresh one — but only when the server hung up
+before a byte of the answer arrived (end of stream, ``ECONNRESET`` or
+``EPIPE``).  A timeout is not a stale socket: a read against a wedged
+server raises after one ``timeout`` and reaches it once.
 
 ``retry=RetryPolicy(...)`` opts idempotent reads (search, batch, health,
-stats) into bounded retry with exponential backoff on transport failure —
+stats) into bounded retry with exponential backoff on :class:`OSError` —
 a server killed mid-request surfaces as a connection reset, which a fresh
 attempt against its restarted (or failed-over) successor can absorb.
 Updates and replication ops are **never** retried regardless of policy:
@@ -48,8 +62,9 @@ re-sending would apply it twice.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -72,7 +87,7 @@ from repro.api.protocol import (
     UpdateResponse,
     parse_response,
 )
-from repro.api.http import POST_ENDPOINTS
+from repro.api.http import POST_ENDPOINTS, _keeps_alive, _read_response
 from repro.errors import ProtocolError
 
 #: request kind → versioned endpoint (the inverse of the server's table)
@@ -88,8 +103,31 @@ NON_IDEMPOTENT_PATHS = ("/v1/update", "/v1/replicate")
 MAX_IDLE_CONNECTIONS = 8
 
 
+#: bytes a request target may not carry (they would end or split the
+#: request line)
+_UNSAFE_PATH_CHAR = re.compile("[^\x21-\x7e]")
+
+#: response header names arrive lower-cased from the shared parser
+_TRACE_SPANS_KEY = TRACE_SPANS_HEADER.lower()
+
+
 def _idempotent(method: str, path: str) -> bool:
     return method == "GET" or path not in NON_IDEMPOTENT_PATHS
+
+
+class _Connection:
+    """One keep-alive connection: the socket and a buffered reader that
+    lives as long as it, so bytes read ahead stay with their connection."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 @dataclass(frozen=True)
@@ -141,58 +179,94 @@ class ServiceClient(ServingBackendBase):
         self.timeout = timeout
         self.retry = retry
         self._idle_cap = MAX_IDLE_CONNECTIONS if keep_alive else 0
-        self._idle: list[http.client.HTTPConnection] = []
+        self._host_line = f"Host: {host}:{port}\r\n"
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    def _pop_idle(self) -> http.client.HTTPConnection | None:
+    def _connect(self) -> _Connection:
+        """Open a new connection to the server."""
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return _Connection(sock)
+
+    def _pop_idle(self) -> _Connection | None:
         with self._idle_lock:
             return self._idle.pop() if self._idle else None
 
-    def _push_idle(self, conn: http.client.HTTPConnection) -> None:
-        # http.client drops the socket itself when the server answered
-        # ``Connection: close``; such a connection is not worth keeping.
-        if conn.sock is not None:
-            with self._idle_lock:
-                if len(self._idle) < self._idle_cap:
-                    self._idle.append(conn)
-                    return
+    def _push_idle(self, conn: _Connection) -> None:
+        with self._idle_lock:
+            if len(self._idle) < self._idle_cap:
+                self._idle.append(conn)
+                return
         conn.close()
+
+    def _frame(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> bytes:
+        """Head and body of one request, ready for a single ``sendall``."""
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        if body is None:
+            return (head + "\r\n").encode("latin-1")
+        return (head + f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
+
+    @staticmethod
+    def _ask(
+        conn: _Connection, request: bytes
+    ) -> tuple[str, int, dict[str, str], bytes] | None:
+        """Send one request and read its answer; None when the server hung
+        up before the first byte of the answer (end of stream,
+        ``ECONNRESET``, ``EPIPE``) — a stale keep-alive socket."""
+        try:
+            conn.sock.sendall(request)
+            # Look at the first byte without consuming it.
+            if not conn.reader.peek(1):
+                return None
+        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
+            return None
+        return _read_response(conn.reader)
 
     def _exchange(
         self, method: str, path: str, body: bytes | None, headers: dict[str, str]
-    ) -> tuple[str, http.client.HTTPMessage]:
+    ) -> tuple[str, dict[str, str]]:
         """One request and its answer over a pooled connection: the body
-        text and the response headers.  Raises on transport failure."""
+        text and the response headers (names lower-cased).  Raises
+        :class:`OSError` or :class:`ProtocolError` on transport failure."""
+        request = self._frame(method, path, body, headers)
         conn = self._pop_idle() if _idempotent(method, path) else None
         for _attempt in (1, 2):
             reused = conn is not None
             if conn is None:
-                conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
+                conn = self._connect()
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            # No backoff by design: this re-sends once, on a fresh
-            # connection, a read whose pooled socket the server had already
-            # closed — not a retry against a failing server (RetryPolicy's
-            # loop in _round_trip handles those, with backoff).  A failure
-            # on a fresh connection is never re-sent here, and writes only
-            # ever use fresh connections.
-            # repro: ignore[no-unbounded-retry]
-            except (http.client.HTTPException, OSError):
+                answer = self._ask(conn, request)
+            except (OSError, ProtocolError):
+                conn.close()  # a timeout included: never re-sent
+                raise
+            if answer is None:
                 conn.close()
                 if not reused:
-                    raise
+                    raise ConnectionResetError(
+                        "the server closed the connection without answering"
+                    )
+                # No backoff by design: this re-sends once, on a fresh
+                # connection, a read whose pooled socket the server had
+                # already closed — not a retry against a failing server
+                # (RetryPolicy's loop in _round_trip handles those, with
+                # backoff).  Writes only ever use fresh connections.
                 self.close()
                 conn = None
                 continue
-            self._push_idle(conn)
-            return data.decode("utf-8"), response.headers
+            version, _status, response_headers, data = answer
+            if _keeps_alive(version, response_headers.get("connection", "")):
+                self._push_idle(conn)
+            else:
+                conn.close()
+            return data.decode("utf-8"), response_headers
         raise AssertionError("unreachable: the second attempt uses a fresh connection")
 
     def _round_trip(self, method: str, path: str, body: bytes | None) -> dict[str, Any]:
@@ -202,7 +276,7 @@ class ServiceClient(ServingBackendBase):
         for attempt in range(1, attempts + 1):
             try:
                 return self._round_trip_once(method, path, body)
-            except (OSError, http.client.HTTPException):
+            except OSError:
                 if attempt == attempts:
                     raise
                 time.sleep(policy.delay_before(attempt + 1))
@@ -235,7 +309,7 @@ class ServiceClient(ServingBackendBase):
             # instead of starting its own.
             headers[TRACE_HEADER] = trace_header_value(trace)
         text, response_headers = self._exchange(method, path, body, headers)
-        remote_spans = response_headers.get(TRACE_SPANS_HEADER)
+        remote_spans = response_headers.get(_TRACE_SPANS_KEY)
         if trace is not None and remote_spans:
             try:
                 spans = json.loads(remote_spans)
@@ -272,8 +346,7 @@ class ServiceClient(ServingBackendBase):
         """POST a raw protocol payload, routed by its ``kind``.
 
         Unlike :meth:`handle_dict` this **raises** on transport failure
-        (``OSError`` / ``http.client.HTTPException`` /
-        :class:`~repro.errors.ProtocolError`) — the seam a failover
+        (``OSError`` / :class:`~repro.errors.ProtocolError`) — the seam a failover
         coordinator needs, because "this endpoint is unreachable" must be
         distinguishable from "the service answered with an error".
         """
@@ -306,19 +379,19 @@ class ServiceClient(ServingBackendBase):
     def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
         try:
             return parse_response(self._post_dict(request.to_dict()))
-        except (OSError, http.client.HTTPException, ProtocolError) as exc:
+        except (OSError, ProtocolError) as exc:
             return self._transport_error(exc, request.to_dict())
 
     def execute_batch(self, batch: BatchRequest) -> BatchResponse | ErrorResponse:
         try:
             return parse_response(self._post_dict(batch.to_dict()))
-        except (OSError, http.client.HTTPException, ProtocolError) as exc:
+        except (OSError, ProtocolError) as exc:
             return self._transport_error(exc, batch.to_dict())
 
     def execute_update(self, request: UpdateRequest) -> UpdateResponse | ErrorResponse:
         try:
             return parse_response(self._post_dict(request.to_dict()))
-        except (OSError, http.client.HTTPException, ProtocolError) as exc:
+        except (OSError, ProtocolError) as exc:
             return self._transport_error(exc, request.to_dict())
 
     def handle_dict(
@@ -333,7 +406,7 @@ class ServiceClient(ServingBackendBase):
         del request  # the server re-parses; a pre-parsed form saves nothing
         try:
             return self._post_dict(payload)
-        except (OSError, http.client.HTTPException, ProtocolError) as exc:
+        except (OSError, ProtocolError) as exc:
             echoed = payload if isinstance(payload, dict) else None
             return self._transport_error(exc, echoed).to_dict()
 
@@ -369,6 +442,8 @@ class ServiceClient(ServingBackendBase):
 
     def trace(self, request_id: str | None = None) -> dict[str, Any]:
         """``GET /v1/trace`` (newest traces) or ``/v1/trace/<id>`` (one)."""
+        if request_id is not None and _UNSAFE_PATH_CHAR.search(request_id):
+            raise ProtocolError(f"invalid trace id {request_id!r}")
         path = "/v1/trace" if request_id is None else f"/v1/trace/{request_id}"
         return self._round_trip("GET", path, None)
 

@@ -39,6 +39,11 @@ An HTTP/1.1 connection persists unless the client sends ``Connection:
 close``; an HTTP/1.0 one only when it sends ``Connection: keep-alive``
 (RFC 9112 §9.3).
 
+HTTP/1.1 framing is decided in this module only: :func:`_read_request`
+here and :func:`_read_response`, which
+:class:`~repro.api.client.ServiceClient` reads its answers with, share
+the line bound, the header-block parser and the ``Content-Length`` rule.
+
 Run it from synchronous code (tests, the CLI ``serve`` command)::
 
     with HttpServer(backend, port=0) as server:
@@ -546,9 +551,66 @@ def _read_line(reader: BinaryIO, what: str) -> bytes:
     line = reader.readline(MAX_HEADER_BYTES + 1)
     if len(line) > MAX_HEADER_BYTES:
         raise ProtocolError(
-            f"HTTP {what} exceeds the server limit of {MAX_HEADER_BYTES} bytes"
+            f"HTTP {what} exceeds the limit of {MAX_HEADER_BYTES} bytes"
         )
     return line
+
+
+def _read_headers(reader: BinaryIO) -> dict[str, str] | None:
+    """The header block after a start line, names lower-cased; None when
+    the connection ends inside it.
+
+    Shared by both ends (:func:`_read_request` here, :func:`_read_response`
+    for :class:`~repro.api.client.ServiceClient`), so one parser decides
+    where every message on the wire ends."""
+    headers: dict[str, str] = {}
+    header_bytes = 0
+    while True:
+        line = _read_line(reader, "header line")
+        header_bytes += len(line)
+        if header_bytes > MAX_HEADER_BYTES:
+            raise ProtocolError("HTTP header block exceeds the limit")
+        if not line.endswith(b"\n"):
+            return None
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            # RFC 9112 §5: a field line is "name: value" with nothing
+            # around the name; guessing at anything else is how two
+            # parsers come to disagree on where a message ends.
+            raise ProtocolError(f"malformed HTTP header line: {line!r}")
+        name = name.lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 §6.3: disagreeing lengths leave the framing
+            # ambiguous — never pick one.
+            raise ProtocolError(
+                f"conflicting Content-Length headers {headers[name]!r} and {value!r}"
+            )
+        headers[name] = value
+
+
+def _content_length(headers: dict[str, str], default: str | None = "0") -> int:
+    """The body length the headers declare.  A message with no
+    ``Content-Length`` has ``default`` bytes; ``default=None`` makes the
+    header required."""
+    encoding = headers.get("transfer-encoding", "identity").lower()
+    if encoding not in ("", "identity"):
+        # Silently reading length 0 would take an empty body and then
+        # misparse the first chunk-size line as the next message.
+        raise ProtocolError(
+            f"Transfer-Encoding {encoding!r} is not supported; "
+            "send a Content-Length body"
+        )
+    length_text = headers.get("content-length", default)
+    if length_text is None:
+        raise ProtocolError("HTTP message has no Content-Length")
+    # RFC 9112 §6.3: Content-Length is 1*DIGIT; int() would also take a
+    # sign, underscores and non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ProtocolError(f"invalid Content-Length {length_text!r}")
+    return int(length_text)
 
 
 def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], bytes] | None:
@@ -562,46 +624,10 @@ def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], byte
     if len(parts) != 3:
         raise ProtocolError(f"malformed HTTP request line: {request_line!r}")
     method, path, version = parts
-    headers: dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        line = _read_line(reader, "header line")
-        header_bytes += len(line)
-        if header_bytes > MAX_HEADER_BYTES:
-            raise ProtocolError("HTTP header block exceeds the server limit")
-        if not line.endswith(b"\n"):
-            return None
-        if line in (b"\r\n", b"\n"):
-            break
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon or not name or name != name.strip():
-            # RFC 9112 §5: a field line is "name: value" with nothing
-            # around the name; guessing at anything else is how two
-            # parsers come to disagree on where a request ends.
-            raise ProtocolError(f"malformed HTTP header line: {line!r}")
-        name = name.lower()
-        value = value.strip()
-        if name == "content-length" and headers.get(name, value) != value:
-            # RFC 9112 §6.3: disagreeing lengths leave the framing
-            # ambiguous — never pick one.
-            raise ProtocolError(
-                f"conflicting Content-Length headers {headers[name]!r} and {value!r}"
-            )
-        headers[name] = value
-    encoding = headers.get("transfer-encoding", "identity").lower()
-    if encoding not in ("", "identity"):
-        # Silently reading length 0 would serve an empty body and then
-        # misparse the first chunk-size line as the next request.
-        raise ProtocolError(
-            f"Transfer-Encoding {encoding!r} is not supported; "
-            "send a Content-Length body"
-        )
-    length_text = headers.get("content-length", "0")
-    # RFC 9112 §6.3: Content-Length is 1*DIGIT; int() would also take a
-    # sign, underscores and non-ASCII digits.
-    if not (length_text.isascii() and length_text.isdigit()):
-        raise ProtocolError(f"invalid Content-Length {length_text!r}")
-    length = int(length_text)
+    headers = _read_headers(reader)
+    if headers is None:
+        return None
+    length = _content_length(headers)
     if length > MAX_BODY_BYTES:
         raise ProtocolError(f"request body of {length} bytes exceeds the server limit")
     body = reader.read(length) if length else b""
@@ -610,9 +636,41 @@ def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], byte
     return method, path, version, headers, body
 
 
+def _read_response(reader: BinaryIO) -> tuple[str, int, dict[str, str], bytes]:
+    """Parse one response: (version, status, headers, body).
+
+    The client's half of the framing, through the same helpers as
+    :func:`_read_request`, and as strict: a response must declare its
+    ``Content-Length``.  Bytes that break the framing raise
+    :class:`ProtocolError`; a connection that ends inside the response
+    raises :class:`ConnectionResetError` (the server went away
+    mid-answer)."""
+    status_line = _read_line(reader, "status line")
+    if not status_line.endswith(b"\n"):
+        raise ConnectionResetError("the server closed the connection inside the status line")
+    parts = status_line.decode("latin-1").split(None, 2)
+    if (
+        len(parts) < 2
+        or not parts[0].startswith("HTTP/")
+        or len(parts[1]) != 3
+        or not (parts[1].isascii() and parts[1].isdigit())
+    ):
+        raise ProtocolError(f"malformed HTTP status line: {status_line!r}")
+    headers = _read_headers(reader)
+    if headers is None:
+        raise ConnectionResetError("the server closed the connection inside the header block")
+    length = _content_length(headers, default=None)
+    body = reader.read(length) if length else b""
+    if len(body) < length:
+        raise ConnectionResetError(
+            f"the server closed the connection after {len(body)} of {length} body bytes"
+        )
+    return parts[0], int(parts[1]), headers, body
+
+
 def _keeps_alive(version: str, connection: str) -> bool:
     """RFC 9112 §9.3: ``close`` ends the connection; otherwise HTTP/1.1
-    persists by default and HTTP/1.0 only when the client asked."""
+    persists by default and HTTP/1.0 only when the peer asked."""
     tokens = {token.strip() for token in connection.lower().split(",")}
     if "close" in tokens:
         return False

@@ -27,7 +27,7 @@ Design rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Iterable
 
 from repro.errors import (
     DeadlineError,
@@ -159,16 +159,23 @@ def _check_envelope(payload: dict[str, Any], expected_kind: str) -> None:
         )
 
 
-def _reject_unknown_fields(
-    payload: dict[str, Any], known: set[str], kind: str, envelope: bool = True
-) -> None:
-    """``envelope=False`` is for nested sub-objects (snippet payloads,
-    batch entries) that carry no ``kind``/``schema_version`` of their own —
+_ENVELOPE_FIELDS = frozenset({"kind", "schema_version"})
+
+
+def _allowed_fields(known: Iterable[str], envelope: bool = True) -> frozenset[str]:
+    """One payload type's allowed top-level fields, built once at import.
+
+    ``envelope=False`` is for nested sub-objects (snippet payloads, batch
+    entries) that carry no ``kind``/``schema_version`` of their own —
     those fields are then unknown like any other, not silently accepted."""
-    allowed = known | ({"kind", "schema_version"} if envelope else set())
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ProtocolError(f"unknown field(s) in {kind!r} payload: {', '.join(unknown)}")
+    return frozenset(known) | (_ENVELOPE_FIELDS if envelope else frozenset())
+
+
+def _reject_unknown_fields(payload: dict[str, Any], allowed: frozenset[str], kind: str) -> None:
+    if payload.keys() <= allowed:
+        return
+    unknown = sorted(payload.keys() - allowed)
+    raise ProtocolError(f"unknown field(s) in {kind!r} payload: {', '.join(unknown)}")
 
 
 def _require(payload: dict[str, Any], name: str, kind: str) -> Any:
@@ -286,8 +293,7 @@ class SearchRequest:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SearchRequest":
         _check_envelope(payload, cls.kind)
-        known = {f.name for f in fields(cls)}
-        _reject_unknown_fields(payload, known, cls.kind)
+        _reject_unknown_fields(payload, _SEARCH_REQUEST_FIELDS, cls.kind)
         request = cls(
             query=_require(payload, "query", cls.kind),
             document=_require(payload, "document", cls.kind),
@@ -394,8 +400,7 @@ class BatchRequest:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "BatchRequest":
         _check_envelope(payload, cls.kind)
-        known = {f.name for f in fields(cls)}
-        _reject_unknown_fields(payload, known, cls.kind)
+        _reject_unknown_fields(payload, _BATCH_REQUEST_FIELDS, cls.kind)
         queries = _as_list(_require(payload, "queries", cls.kind), "queries", cls.kind)
         documents = payload.get("documents")
         if documents is not None:
@@ -475,8 +480,7 @@ class UpdateRequest:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "UpdateRequest":
         _check_envelope(payload, cls.kind)
-        known = {f.name for f in fields(cls)}
-        _reject_unknown_fields(payload, known, cls.kind)
+        _reject_unknown_fields(payload, _UPDATE_REQUEST_FIELDS, cls.kind)
         request = cls(
             document=_require(payload, "document", cls.kind),
             xml=payload.get("xml"),
@@ -529,8 +533,7 @@ class SnippetPayload:
     def from_dict(cls, payload: dict[str, Any]) -> "SnippetPayload":
         if not isinstance(payload, dict):
             raise ProtocolError(f"snippet payload must be a JSON object, got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        _reject_unknown_fields(payload, known, cls.kind, envelope=False)
+        _reject_unknown_fields(payload, _SNIPPET_PAYLOAD_FIELDS, cls.kind)
         return cls(
             result_id=_require(payload, "result_id", cls.kind),
             score=_require(payload, "score", cls.kind),
@@ -610,11 +613,7 @@ class SearchResponse:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SearchResponse":
         _check_envelope(payload, cls.kind)
-        known = {
-            "query", "document", "keywords", "algorithm", "total_results",
-            "page", "page_size", "next_page", "results", "meta",
-        }
-        _reject_unknown_fields(payload, known, cls.kind)
+        _reject_unknown_fields(payload, _SEARCH_RESPONSE_FIELDS, cls.kind)
         meta = _meta_dict(payload, cls.kind)
         results = _as_list(_require(payload, "results", cls.kind), "results", cls.kind)
         return cls(
@@ -661,7 +660,7 @@ class BatchEntry:
     def from_dict(cls, payload: dict[str, Any]) -> "BatchEntry":
         if not isinstance(payload, dict):
             raise ProtocolError(f"batch entry must be a JSON object, got {type(payload).__name__}")
-        _reject_unknown_fields(payload, {"query", "responses", "meta"}, cls.kind, envelope=False)
+        _reject_unknown_fields(payload, _BATCH_ENTRY_FIELDS, cls.kind)
         responses = _as_list(_require(payload, "responses", cls.kind), "responses", cls.kind)
         meta = _meta_dict(payload, cls.kind)
         return cls(
@@ -696,7 +695,7 @@ class BatchResponse:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "BatchResponse":
         _check_envelope(payload, cls.kind)
-        _reject_unknown_fields(payload, {"entries", "documents"}, cls.kind)
+        _reject_unknown_fields(payload, _BATCH_RESPONSE_FIELDS, cls.kind)
         entries = _as_list(_require(payload, "entries", cls.kind), "entries", cls.kind)
         return cls(
             entries=tuple(BatchEntry.from_dict(entry) for entry in entries),
@@ -760,11 +759,7 @@ class UpdateResponse:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "UpdateResponse":
         _check_envelope(payload, cls.kind)
-        known = {
-            "document", "action", "incremental", "nodes",
-            "changed_nodes", "changed_terms", "structural_reason", "meta",
-        }
-        _reject_unknown_fields(payload, known, cls.kind)
+        _reject_unknown_fields(payload, _UPDATE_RESPONSE_FIELDS, cls.kind)
         meta = _meta_dict(payload, cls.kind)
         return cls(
             document=_require(payload, "document", cls.kind),
@@ -816,7 +811,7 @@ class ErrorResponse:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ErrorResponse":
         _check_envelope(payload, cls.kind)
-        _reject_unknown_fields(payload, {"error", "code", "message", "request"}, cls.kind)
+        _reject_unknown_fields(payload, _ERROR_RESPONSE_FIELDS, cls.kind)
         return cls(
             error=_require(payload, "error", cls.kind),
             message=_require(payload, "message", cls.kind),
@@ -832,6 +827,32 @@ class ErrorResponse:
             request=request,
             code=code_for_exception(exc),
         )
+
+
+# ---------------------------------------------------------------------- #
+# the fields each payload type accepts — computed once, not per decode
+# ---------------------------------------------------------------------- #
+_SEARCH_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(SearchRequest))
+_BATCH_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(BatchRequest))
+_UPDATE_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(UpdateRequest))
+_SNIPPET_PAYLOAD_FIELDS = _allowed_fields(
+    (f.name for f in fields(SnippetPayload)), envelope=False
+)
+_SEARCH_RESPONSE_FIELDS = _allowed_fields(
+    (
+        "query", "document", "keywords", "algorithm", "total_results",
+        "page", "page_size", "next_page", "results", "meta",
+    )
+)
+_BATCH_ENTRY_FIELDS = _allowed_fields(("query", "responses", "meta"), envelope=False)
+_BATCH_RESPONSE_FIELDS = _allowed_fields(("entries", "documents"))
+_UPDATE_RESPONSE_FIELDS = _allowed_fields(
+    (
+        "document", "action", "incremental", "nodes",
+        "changed_nodes", "changed_terms", "structural_reason", "meta",
+    )
+)
+_ERROR_RESPONSE_FIELDS = _allowed_fields(("error", "code", "message", "request"))
 
 
 # ---------------------------------------------------------------------- #

@@ -1124,15 +1124,13 @@ def _fetch(args: argparse.Namespace, out, call):
     """``call(client)`` against the server at ``--host`` / ``--port``;
     ``None``, with the error printed, when the server cannot be reached or
     answers with a protocol error."""
-    import http.client as http_client
-
     from repro.api.client import ServiceClient
     from repro.errors import ProtocolError
 
     client = ServiceClient(args.host, args.port)
     try:
         payload = call(client)
-    except (OSError, http_client.HTTPException, ProtocolError) as exc:
+    except (OSError, ProtocolError) as exc:
         print(f"error: cannot reach http://{args.host}:{args.port}: {exc}", file=out)
         return None
     finally:

@@ -18,7 +18,6 @@ deterministically; :meth:`start` merely runs it on a daemon thread every
 
 from __future__ import annotations
 
-import http.client
 import threading
 from typing import Sequence
 
@@ -79,7 +78,7 @@ class HealthMonitor:
                 # Not a retry: each iteration probes a *different* endpoint,
                 # and the failed one is retried by the next scheduled sweep.
                 # repro: ignore[no-unbounded-retry]
-                except (OSError, http.client.HTTPException, ProtocolError):
+                except (OSError, ProtocolError):
                     replica_set.mark_down(endpoint)
                     if was_healthy:
                         self._record_transition(replica_set.shard_id, "down")

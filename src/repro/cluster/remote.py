@@ -38,7 +38,6 @@ documents whatever the shards are made of.
 from __future__ import annotations
 
 import contextlib
-import http.client
 import os
 import subprocess
 import sys
@@ -85,7 +84,7 @@ from repro.utils.cache import DEFAULT_CACHE_SIZE
 REPLICATION_OPS = ("apply-update", "apply-delta")
 
 #: transport-level failures that trigger read failover
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ProtocolError)
+_TRANSPORT_ERRORS = (OSError, ProtocolError)
 
 
 class ShardBackend(ServingBackendBase):

@@ -14,12 +14,12 @@ expensive, so the read-only tests share one module-scoped cluster.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 
 import pytest
 
+from repro.api.client import ServiceClient
 from repro.api.protocol import (
     BatchRequest,
     BatchResponse,
@@ -132,13 +132,13 @@ class TestSpawnedCluster:
 def connects(monkeypatch) -> list[int]:
     """The port of every TCP connection this process opens from here on."""
     ports: list[int] = []
-    real_connect = http.client.HTTPConnection.connect
+    real_connect = ServiceClient._connect
 
-    def counting_connect(self) -> None:
+    def counting_connect(self):
         ports.append(self.port)
-        real_connect(self)
+        return real_connect(self)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    monkeypatch.setattr(ServiceClient, "_connect", counting_connect)
     return ports
 
 
