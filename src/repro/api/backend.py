@@ -11,8 +11,9 @@ interface:
   requests in, typed responses out; failures become
   :class:`~repro.api.protocol.ErrorResponse`, never an exception, which is
   exactly what a wire endpoint wants;
-* ``handle_dict`` / ``handle_text`` / ``handle_json`` — the plain-JSON
-  endpoint surface a transport (CLI, HTTP server) drives;
+* ``handle_dict`` / ``handle_text`` / ``handle_json`` /
+  ``handle_encoded`` — the plain-JSON endpoint surface a transport (CLI,
+  HTTP server) drives; ``handle_encoded`` answers in wire bytes;
 * ``capabilities`` / ``stats`` — introspection: what the backend serves
   and how it has been doing, both JSON-ready;
 * ``close`` — release resources (idempotent).
@@ -43,6 +44,7 @@ from repro.api.protocol import (
     SearchResponse,
     UpdateRequest,
     UpdateResponse,
+    encode_response,
     parse_request,
 )
 from repro.errors import ExtractError, ProtocolError
@@ -113,6 +115,10 @@ class ServingBackend(Protocol):
         """Serve one JSON document (string in, string out)."""
         ...  # pragma: no cover - protocol stub
 
+    def handle_encoded(self, payload: Any) -> tuple[str | None, bytes]:
+        """Serve one decoded JSON payload: (error code or None, body bytes)."""
+        ...  # pragma: no cover - protocol stub
+
     def capabilities(self) -> dict[str, Any]:
         """What this backend serves (JSON-ready; stable keys, cheap call)."""
         ...  # pragma: no cover - protocol stub
@@ -141,6 +147,40 @@ class ServingBackendBase:
     #: short backend name surfaced by :meth:`capabilities` (subclasses set it)
     backend_name: str = "backend"
 
+    def _answer(
+        self,
+        payload: Any,
+        request: SearchRequest | BatchRequest | UpdateRequest | None = None,
+    ) -> tuple[SearchResponse | BatchResponse | UpdateResponse | ErrorResponse, bool]:
+        """Parse (unless ``request`` is the parsed form) and execute one
+        payload: the typed response, and whether the request asked for
+        ``meta``.  A payload that does not parse answers through
+        :meth:`_reject`."""
+        try:
+            if request is None:
+                request = parse_request(payload)
+        except ExtractError as error:
+            echoed = payload if isinstance(payload, dict) else None
+            return self._reject(error, echoed), False
+        if isinstance(request, BatchRequest):
+            response = self.execute_batch(request)
+        elif isinstance(request, UpdateRequest):
+            response = self.execute_update(request)
+        else:
+            response = self.execute(request)
+        return response, request.include_meta
+
+    def _body(
+        self,
+        response: SearchResponse | BatchResponse | UpdateResponse | ErrorResponse,
+        include_meta: bool,
+    ) -> dict[str, Any]:
+        """The response as a plain dict — the hook a stage that adds to
+        ``meta`` (the tracing stage) overrides."""
+        if isinstance(response, ErrorResponse):
+            return response.to_dict()
+        return response.to_dict(include_meta=include_meta)
+
     def handle_dict(
         self,
         payload: dict[str, Any],
@@ -156,46 +196,55 @@ class ServingBackendBase:
         a JSON object, unknown kind, ill-typed fields — come back as a
         structured ``bad_request`` error response.
         """
-        try:
-            if request is None:
-                request = parse_request(payload)
-        except ExtractError as error:
-            echoed = payload if isinstance(payload, dict) else None
-            return self._reject(error, echoed)
-        if isinstance(request, BatchRequest):
-            response = self.execute_batch(request)
-        elif isinstance(request, UpdateRequest):
-            response = self.execute_update(request)
-        else:
-            response = self.execute(request)
-        if isinstance(response, ErrorResponse):
-            return response.to_dict()
-        return response.to_dict(include_meta=request.include_meta)
+        return self._body(*self._answer(payload, request))
+
+    def handle_encoded(
+        self,
+        payload: Any,
+        request: SearchRequest | BatchRequest | UpdateRequest | None = None,
+    ) -> tuple[str | None, bytes]:
+        """Serve one decoded JSON payload as wire bytes: the error code
+        (``None`` for a success, ``"internal"`` for an error without one)
+        and the UTF-8 body :func:`~repro.api.protocol.encode_response`
+        makes.  The HTTP frontend's one backend call per protocol POST;
+        :meth:`handle_json` is this plus a decode, so the two bodies are
+        equal by construction.  A meta-free answer skips the dict
+        entirely, and a shard answer pinned to its wire text is not
+        re-encoded."""
+        response, include_meta = self._answer(payload, request)
+        code = (response.code or "internal") if isinstance(response, ErrorResponse) else None
+        body = self._body(response, include_meta) if include_meta else response
+        return code, encode_response(body).encode("utf-8")
 
     def handle_text(self, text: str) -> dict[str, Any]:
         """Serve one JSON document, returning the response as a dict.
 
         Frontends that format the response themselves (the CLI's
-        ``--pretty`` flag, the HTTP server) use this to avoid a parse →
-        serialise → re-parse round trip; :meth:`handle_json` is the
-        string-in/string-out convenience over it.
+        ``--pretty`` flag) use this to avoid a parse → serialise →
+        re-parse round trip; the HTTP server and :meth:`handle_json` use it
+        for the canonical error of a body that is not JSON.
         """
         try:
             payload = json.loads(text)
         except (json.JSONDecodeError, TypeError, ValueError) as error:
-            return self._reject(ProtocolError(f"request is not valid JSON: {error}"), None)
+            return self._reject(ProtocolError(f"request is not valid JSON: {error}"), None).to_dict()
         return self.handle_dict(payload)
 
     def handle_json(self, text: str) -> str:
-        """Serve one JSON document (the wire entry point)."""
-        return json.dumps(self.handle_text(text), sort_keys=True)
+        """Serve one JSON document (the wire entry point): the decoded
+        text through :meth:`handle_encoded`."""
+        try:
+            payload = json.loads(text)
+        except (json.JSONDecodeError, TypeError, ValueError):
+            return encode_response(self.handle_text(text))
+        return self.handle_encoded(payload)[1].decode("utf-8")
 
-    def _reject(self, error: ExtractError, request: dict[str, Any] | None) -> dict[str, Any]:
+    def _reject(self, error: ExtractError, request: dict[str, Any] | None) -> ErrorResponse:
         """Shape a payload-level rejection (malformed JSON, unknown kind,
-        ill-typed fields) — the one funnel both JSON endpoints use, so an
+        ill-typed fields) — the one funnel every JSON endpoint uses, so an
         observing middleware can override it to count rejections that
         never became a typed request."""
-        return ErrorResponse.from_exception(error, request=request).to_dict()
+        return ErrorResponse.from_exception(error, request=request)
 
     # ------------------------------------------------------------------ #
     # introspection & lifecycle defaults

@@ -115,6 +115,19 @@ def _idempotent(method: str, path: str) -> bool:
     return method == "GET" or path not in NON_IDEMPOTENT_PATHS
 
 
+class Answer(dict):
+    """A JSON object answer, plus the HTTP ``status`` it came with and the
+    ``text`` it was decoded from — what lets a coordinator forward a shard
+    answer it has validated without encoding it again."""
+
+    __slots__ = ("status", "text")
+
+    def __init__(self, payload: dict[str, Any], status: int, text: str):
+        super().__init__(payload)
+        self.status = status
+        self.text = text
+
+
 class _Connection:
     """One keep-alive connection: the socket and a buffered reader that
     lives as long as it, so bytes read ahead stay with their connection."""
@@ -232,10 +245,11 @@ class ServiceClient(ServingBackendBase):
 
     def _exchange(
         self, method: str, path: str, body: bytes | None, headers: dict[str, str]
-    ) -> tuple[str, dict[str, str]]:
-        """One request and its answer over a pooled connection: the body
-        text and the response headers (names lower-cased).  Raises
-        :class:`OSError` or :class:`ProtocolError` on transport failure."""
+    ) -> tuple[int, str, dict[str, str]]:
+        """One request and its answer over a pooled connection: the status,
+        the body text and the response headers (names lower-cased).  Raises
+        :class:`OSError` or :class:`ProtocolError` on transport failure
+        (a body that is not UTF-8 included)."""
         request = self._frame(method, path, body, headers)
         conn = self._pop_idle() if _idempotent(method, path) else None
         for _attempt in (1, 2):
@@ -261,15 +275,20 @@ class ServiceClient(ServingBackendBase):
                 self.close()
                 conn = None
                 continue
-            version, _status, response_headers, data = answer
+            version, status, response_headers, data = answer
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                conn.close()
+                raise ProtocolError(f"server returned a body that is not UTF-8: {exc}") from exc
             if _keeps_alive(version, response_headers.get("connection", "")):
                 self._push_idle(conn)
             else:
                 conn.close()
-            return data.decode("utf-8"), response_headers
+            return status, text, response_headers
         raise AssertionError("unreachable: the second attempt uses a fresh connection")
 
-    def _round_trip(self, method: str, path: str, body: bytes | None) -> dict[str, Any]:
+    def _round_trip(self, method: str, path: str, body: bytes | None) -> Answer:
         idempotent = _idempotent(method, path)
         policy = self.retry if (self.retry is not None and idempotent) else None
         attempts = policy.attempts if policy is not None else 1
@@ -284,7 +303,7 @@ class ServiceClient(ServingBackendBase):
 
     def _round_trip_once(
         self, method: str, path: str, body: bytes | None
-    ) -> dict[str, Any]:
+    ) -> Answer:
         trace = current_trace()
         if trace is None:
             return self._transport_once(method, path, body, None)
@@ -302,24 +321,18 @@ class ServiceClient(ServingBackendBase):
         path: str,
         body: bytes | None,
         trace: Any,
-    ) -> dict[str, Any]:
+    ) -> Answer:
         headers = {"Content-Type": "application/json"} if body is not None else {}
         if trace is not None:
             # Propagate the request_id so the server joins this trace
             # instead of starting its own.
             headers[TRACE_HEADER] = trace_header_value(trace)
-        text, response_headers = self._exchange(method, path, body, headers)
+        status, text, response_headers = self._exchange(method, path, body, headers)
         remote_spans = response_headers.get(_TRACE_SPANS_KEY)
         if trace is not None and remote_spans:
-            try:
-                spans = json.loads(remote_spans)
-                if isinstance(spans, list):
-                    trace.absorb_wire(spans)
-            # A malformed span header must not fail the request whose
-            # body arrived intact — the trace just loses remote detail.
-            # repro: ignore[no-silent-swallow]
-            except (json.JSONDecodeError, TypeError, ValueError):
-                pass
+            # Kept raw: the spans are parsed and stitched in only if
+            # someone reads the trace.
+            trace.absorb_header(remote_spans)
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -328,9 +341,9 @@ class ServiceClient(ServingBackendBase):
             raise ProtocolError(
                 f"server returned a non-object JSON body ({type(payload).__name__})"
             )
-        return payload
+        return Answer(payload, status, text)
 
-    def _post_dict(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def _post_dict(self, payload: dict[str, Any]) -> Answer:
         kind = payload.get("kind") if isinstance(payload, dict) else None
         # Unroutable payloads (unknown, missing, or unhashable kinds) still
         # go to /v1/search so the *server* produces its canonical
@@ -342,13 +355,15 @@ class ServiceClient(ServingBackendBase):
             raise ProtocolError(f"request payload is not JSON-serialisable: {exc}") from exc
         return self._round_trip("POST", path, body)
 
-    def post(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def post(self, payload: dict[str, Any]) -> Answer:
         """POST a raw protocol payload, routed by its ``kind``.
 
         Unlike :meth:`handle_dict` this **raises** on transport failure
         (``OSError`` / :class:`~repro.errors.ProtocolError`) — the seam a failover
         coordinator needs, because "this endpoint is unreachable" must be
-        distinguishable from "the service answered with an error".
+        distinguishable from "the service answered with an error".  The
+        answer is a dict that also carries its status and its text
+        (:class:`Answer`).
         """
         return self._post_dict(payload)
 
@@ -437,7 +452,9 @@ class ServiceClient(ServingBackendBase):
         decode and no :class:`RetryPolicy`: this is the scrape path, and a
         scraper's failure handling belongs to the scraper.
         """
-        text, _headers = self._exchange("GET", "/v1/metrics?format=prometheus", None, {})
+        _status, text, _headers = self._exchange(
+            "GET", "/v1/metrics?format=prometheus", None, {}
+        )
         return text
 
     def trace(self, request_id: str | None = None) -> dict[str, Any]:

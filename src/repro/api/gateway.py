@@ -385,13 +385,13 @@ class MetricsMiddleware(Middleware):
                 pass
         return response
 
-    def _reject(self, error: ExtractError, request: dict[str, Any] | None) -> dict[str, Any]:
+    def _reject(self, error: ExtractError, request: dict[str, Any] | None) -> ErrorResponse:
         # Payloads rejected before they became a typed request (malformed
         # JSON, unknown kind) never reach process(); the base endpoints
         # funnel them through this hook, so they land in the counters too.
         response = ErrorResponse.from_exception(error, request=request)
         self._record("invalid", response, 0.0)
-        return response.to_dict()
+        return response
 
     def stats(self) -> dict[str, Any]:
         merged = super().stats()
@@ -454,7 +454,7 @@ class TracingMiddleware(Middleware):
         )
         self.process_name = process_name
         #: the finished trace of an opted-in (include_meta) request, handed
-        #: per thread to handle_dict one frame up
+        #: per thread to _body one frame up
         self._finished = threading.local()
 
     def process(self, request: AnyRequest, call_next: CallNext) -> AnyResponse:
@@ -475,12 +475,8 @@ class TracingMiddleware(Middleware):
             self._finished.trace = trace
         return response
 
-    def handle_dict(
-        self,
-        payload: dict[str, Any],
-        request: AnyRequest | None = None,
-    ) -> dict[str, Any]:
-        body = super().handle_dict(payload, request)
+    def _body(self, response: AnyResponse, include_meta: bool) -> dict[str, Any]:
+        body = super()._body(response, include_meta)
         # meta exists only when the request asked for it (include_meta),
         # and only then did process() hand a trace over — default
         # responses stay byte-identical and skip the handoff.

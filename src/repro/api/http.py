@@ -18,8 +18,10 @@ A server built with ``replicate_backend=`` additionally answers
 middleware by design and stays out of the public endpoint tables.
 
 Contract: for a well-routed request the response **body is byte-identical
-to the in-process** ``backend.handle_json(body)`` — the HTTP layer adds
-transport, never semantics.  Protocol failures stay structured
+to the in-process** ``backend.handle_json(body)`` — both are the bytes of
+one backend call, :meth:`~repro.api.backend.ServingBackendBase.handle_encoded`,
+which encodes through :func:`~repro.api.protocol.encode_response`; the HTTP
+layer adds transport, never semantics.  Protocol failures stay structured
 :class:`~repro.api.protocol.ErrorResponse` bodies, with the HTTP status
 derived from their machine-readable ``code`` via the documented
 :data:`~repro.api.protocol.HTTP_STATUS_BY_CODE` mapping (``bad_request`` →
@@ -66,6 +68,7 @@ from repro.api.protocol import (
     SearchRequest,
     UpdateRequest,
     code_for_exception,
+    encode_response,
     http_status_for_code,
 )
 from repro.errors import ExtractError, ProtocolError
@@ -101,8 +104,9 @@ TRACE_LIST_COUNT = 10
 #: client's endpoint table for requests).
 REPLICATE_ENDPOINT = "/v1/replicate"
 
-#: largest accepted request body; a bound, not a tuning knob — one XML
-#: document per update request easily fits.
+#: largest accepted request body — and response body, on the client's
+#: side; a bound, not a tuning knob — one XML document per update request
+#: easily fits.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: largest accepted request line, header line and header block; a longer
@@ -219,9 +223,10 @@ class HttpServer:
         body: str,
         query: str = "",
         trace_request_id: str | None = None,
-    ) -> tuple[int, "dict[str, Any] | str", dict[str, str]]:
-        """One request → (status, response dict or raw text, extra headers).
-        Runs on the connection's thread — everything here may block."""
+    ) -> tuple[int, "dict[str, Any] | str | bytes", dict[str, str]]:
+        """One request → (status, response dict, raw text or encoded JSON
+        body, extra headers).  Runs on the connection's thread — everything
+        here may block."""
         if path == REPLICATE_ENDPOINT and self.replicate_backend is not None:
             status, payload = self._serve_replicate(method, body)
             return status, payload, {}
@@ -268,35 +273,33 @@ class HttpServer:
         spans = json.dumps(trace.to_wire()["spans"], separators=(",", ":"))
         return status, payload, {TRACE_SPANS_HEADER: spans}
 
-    def _serve_post(self, path: str, body: str) -> tuple[int, dict[str, Any]]:
-        """Serve one protocol POST (search/batch/update) via the backend."""
+    def _serve_post(self, path: str, body: str) -> tuple[int, "dict[str, Any] | bytes"]:
+        """Serve one protocol POST (search/batch/update) via the backend:
+        the status and the backend's encoded body."""
         expected_kind = POST_ENDPOINTS[path]
         try:
             payload = json.loads(body)
         except (json.JSONDecodeError, ValueError):
             # handle_text reproduces the canonical invalid-JSON error.
             response = self.backend.handle_text(body)
-        else:
-            if isinstance(payload, dict):
-                kind = payload.get("kind")
-                # Only a *valid but different* kind is a misroute; unknown
-                # or ill-typed kinds fall through to the backend, whose
-                # canonical structured error keeps HTTP bytes identical to
-                # handle_json.
-                if kind != expected_kind and kind in POST_ENDPOINTS.values():
-                    return 400, _error_body(
-                        f"endpoint {path} serves kind {expected_kind!r}, "
-                        f"got {kind!r} (POST /v1/<kind> must match the payload kind)",
-                        code="bad_request",
-                        request=payload,
-                    )
-            # Already parsed — hand the object over directly; re-parsing
-            # the text would deserialise every request body twice.
-            response = self.backend.handle_dict(payload)
-        status = 200
-        if response.get("kind") == ErrorResponse.kind:
-            status = http_status_for_code(response.get("code"))
-        return status, response
+            return http_status_for_code(response.get("code")), response
+        if isinstance(payload, dict):
+            kind = payload.get("kind")
+            # Only a *valid but different* kind is a misroute; unknown
+            # or ill-typed kinds fall through to the backend, whose
+            # canonical structured error keeps HTTP bytes identical to
+            # handle_json.
+            if kind != expected_kind and kind in POST_ENDPOINTS.values():
+                return 400, _error_body(
+                    f"endpoint {path} serves kind {expected_kind!r}, "
+                    f"got {kind!r} (POST /v1/<kind> must match the payload kind)",
+                    code="bad_request",
+                    request=payload,
+                )
+        # Already parsed — hand the object over directly; re-parsing the
+        # text would deserialise every request body twice.
+        code, encoded = self.backend.handle_encoded(payload)
+        return (200 if code is None else http_status_for_code(code)), encoded
 
     def _serve_metrics(
         self, query: str
@@ -641,10 +644,11 @@ def _read_response(reader: BinaryIO) -> tuple[str, int, dict[str, str], bytes]:
 
     The client's half of the framing, through the same helpers as
     :func:`_read_request`, and as strict: a response must declare its
-    ``Content-Length``.  Bytes that break the framing raise
-    :class:`ProtocolError`; a connection that ends inside the response
-    raises :class:`ConnectionResetError` (the server went away
-    mid-answer)."""
+    ``Content-Length``, and no more than :data:`MAX_BODY_BYTES` of it.
+    Bytes that break the framing raise :class:`ProtocolError` (an
+    oversized length before any body byte is read); a connection that
+    ends inside the response raises :class:`ConnectionResetError` (the
+    server went away mid-answer)."""
     status_line = _read_line(reader, "status line")
     if not status_line.endswith(b"\n"):
         raise ConnectionResetError("the server closed the connection inside the status line")
@@ -660,6 +664,8 @@ def _read_response(reader: BinaryIO) -> tuple[str, int, dict[str, str], bytes]:
     if headers is None:
         raise ConnectionResetError("the server closed the connection inside the header block")
     length = _content_length(headers, default=None)
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"response body of {length} bytes exceeds the client limit")
     body = reader.read(length) if length else b""
     if len(body) < length:
         raise ConnectionResetError(
@@ -679,19 +685,19 @@ def _keeps_alive(version: str, connection: str) -> bool:
 
 def _response(
     status: int,
-    payload: "dict[str, Any] | str",
+    payload: "dict[str, Any] | str | bytes",
     keep_alive: bool,
     extra_headers: dict[str, str] | None = None,
 ) -> bytes:
-    """Head and body of one response, ready for a single ``sendall``."""
+    """Head and body of one response, ready for a single ``sendall``.
+    ``payload`` is a JSON body already encoded (bytes), one to encode (a
+    dict), or raw text."""
     if isinstance(payload, str):
         # Raw text export (the Prometheus exposition format).
         body = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
-        # sort_keys=True matches handle_json exactly — the byte-identity
-        # contract the round-trip tests pin down.
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else encode_response(payload).encode("utf-8")
         content_type = "application/json"
     extra = ""
     for name, value in (extra_headers or {}).items():

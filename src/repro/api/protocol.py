@@ -22,10 +22,14 @@ Design rules:
   emitted when a request sets ``include_meta``; the default serialisation
   of a response is byte-for-byte reproducible, which the concurrency tests
   rely on.
+* **One encoder** — :func:`encode_response` is the only place a response
+  becomes JSON text: the HTTP body, ``handle_json`` and a forwarded shard
+  answer all come from it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Iterable
 
@@ -566,6 +570,14 @@ class SearchResponse:
     served the response.  It is ``None`` for single-corpus services and is
     emitted in the ``meta`` block only when set, so the meta wire form of
     a non-sharded service is unchanged.
+
+    ``wire`` is the default-form JSON text the response arrived as, when
+    a shard hop validated it (``from_dict(payload, wire=text)``, kept only
+    for a payload without ``meta``); :func:`encode_response` returns it
+    verbatim for a meta-free answer instead of re-encoding.  It is never
+    an ``__init__`` argument, so ``dataclasses.replace`` drops it: a copy
+    that changes a default-form field cannot carry a stale text.  Only
+    :meth:`with_shard`, which changes meta alone, keeps it.
     """
 
     kind: ClassVar[str] = "search_response"
@@ -584,6 +596,14 @@ class SearchResponse:
     seconds: float = field(default=0.0, compare=False)
     timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
     shard: int | None = field(default=None, compare=False)
+    wire: str | None = field(default=None, init=False, compare=False, repr=False)
+
+    def with_shard(self, shard: int) -> "SearchResponse":
+        """This response stamped with the shard that served it.  ``shard``
+        appears only in ``meta``, so the copy keeps :attr:`wire`."""
+        stamped = replace(self, shard=shard)
+        object.__setattr__(stamped, "wire", self.wire)
+        return stamped
 
     def to_dict(self, include_meta: bool = False) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -611,12 +631,14 @@ class SearchResponse:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SearchResponse":
+    def from_dict(cls, payload: dict[str, Any], wire: str | None = None) -> "SearchResponse":
+        """Parse ``payload``; ``wire`` is the JSON text it was decoded
+        from, kept as :attr:`wire` when the payload carries no ``meta``."""
         _check_envelope(payload, cls.kind)
         _reject_unknown_fields(payload, _SEARCH_RESPONSE_FIELDS, cls.kind)
         meta = _meta_dict(payload, cls.kind)
         results = _as_list(_require(payload, "results", cls.kind), "results", cls.kind)
-        return cls(
+        response = cls(
             query=_require(payload, "query", cls.kind),
             document=_require(payload, "document", cls.kind),
             keywords=tuple(_as_list(payload.get("keywords", ()), "keywords", cls.kind)),
@@ -631,6 +653,11 @@ class SearchResponse:
             timings=dict(meta.get("timings", {})),
             shard=meta.get("shard"),
         )
+        if wire is not None and "meta" not in payload:
+            # A fresh object nobody else holds yet: pinning it in place is
+            # the only way past the init=False field.
+            object.__setattr__(response, "wire", wire)
+        return response
 
 
 @dataclass(frozen=True)
@@ -888,9 +915,13 @@ def parse_request(payload: dict[str, Any]) -> "SearchRequest | BatchRequest | Up
 
 
 def parse_response(
-    payload: dict[str, Any],
+    payload: dict[str, Any], wire: str | None = None
 ) -> "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse":
-    """Parse a response payload, dispatching on its ``kind`` field."""
+    """Parse a response payload, dispatching on its ``kind`` field.
+
+    ``wire`` is the JSON text ``payload`` was decoded from; a
+    ``search_response`` without ``meta`` keeps it (:attr:`SearchResponse.wire`),
+    every other kind ignores it."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"response must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
@@ -899,4 +930,28 @@ def parse_response(
         raise ProtocolError(
             f"unknown response kind {kind!r}; expected one of {sorted(_RESPONSE_KINDS)}"
         )
+    if parser is SearchResponse:
+        return SearchResponse.from_dict(payload, wire)
     return parser.from_dict(payload)
+
+
+def encode_response(
+    response: "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse | dict[str, Any]",
+    include_meta: bool = False,
+) -> str:
+    """The JSON text of a response: the one encoder behind every wire body.
+
+    A typed response is encoded in its default form, or with ``meta`` when
+    ``include_meta`` is set; a :class:`SearchResponse` pinned to the text
+    it arrived as (:attr:`SearchResponse.wire`) returns that text for the
+    default form, unchanged.  A dict — an error body built by a frontend,
+    a response a tracing stage added ``meta.trace`` to — is encoded as is.
+    Keys are sorted, so equal responses are equal bytes.
+    """
+    if isinstance(response, dict):
+        return json.dumps(response, sort_keys=True)
+    if isinstance(response, ErrorResponse):
+        return json.dumps(response.to_dict(), sort_keys=True)
+    if not include_meta and isinstance(response, SearchResponse) and response.wire is not None:
+        return response.wire
+    return json.dumps(response.to_dict(include_meta=include_meta), sort_keys=True)

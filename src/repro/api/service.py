@@ -222,8 +222,9 @@ class SnippetService(ServingBackendBase):
         except ExtractError as error:
             return ErrorResponse.from_exception(error, request=request.to_dict())
 
-    # JSON endpoints (handle_dict / handle_text / handle_json) come from
-    # ServingBackendBase, shared byte-for-byte with the cluster router.
+    # JSON endpoints (handle_dict / handle_text / handle_json /
+    # handle_encoded) come from ServingBackendBase, shared byte-for-byte
+    # with the cluster router.
 
     # ------------------------------------------------------------------ #
     # observability

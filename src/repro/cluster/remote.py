@@ -30,9 +30,15 @@ The byte-identity contract survives the network hop: the default wire
 responses of an N-shard × M-replica remote cluster are byte-identical to
 a single-corpus :class:`~repro.api.SnippetService` holding the same
 documents — including error bytes — because requests are forwarded
-verbatim, responses round-trip losslessly through the typed protocol, and
-the router fabricates registry errors over the union of every shard's
-documents whatever the shards are made of.
+verbatim, every shard answer is decoded and parsed by the typed protocol
+with its full strictness before it is used, and the router fabricates
+registry errors over the union of every shard's documents whatever the
+shards are made of.  A meta-free search answer that passed those checks
+is then forwarded as the text the shard sent
+(:attr:`~repro.api.protocol.SearchResponse.wire`) — the shard encoded it
+with the same :func:`~repro.api.protocol.encode_response` — instead of
+being rebuilt and encoded again; meta, errors and batches are re-encoded
+from the parsed form.
 """
 
 from __future__ import annotations
@@ -498,19 +504,28 @@ class RemoteShard:
     # ------------------------------------------------------------------ #
     # the read path (failover + load balancing)
     # ------------------------------------------------------------------ #
-    def _post(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """POST one payload to a healthy endpoint of this shard.
+    def _read(self, request: SearchRequest | BatchRequest) -> Any:
+        """Send one read to a healthy endpoint of this shard and parse the
+        answer.
 
+        The shard receives the request verbatim, so every byte of its
+        answer — an error's included — matches the single-corpus service.
         Endpoints are tried in the replica set's rotation order; a
-        transport failure marks the endpoint down and moves on, an
-        ``overloaded`` answer counts toward shedding and also moves on
-        (falling back to the overloaded answer when every endpoint is
-        loaded).  Raises :class:`ClusterError` when every endpoint is
-        unreachable — the router's ``execute*`` shapes that structurally.
+        transport failure — the answer could not be read, decoded or
+        parsed — marks the endpoint down and moves on, an ``overloaded``
+        answer counts toward shedding and also moves on (falling back to
+        the overloaded answer when every endpoint is loaded).  A meta-free
+        search answered 200 keeps the text it arrived as
+        (:attr:`~repro.api.protocol.SearchResponse.wire`).  Raises
+        :class:`ShardFailure` for an error answer and :class:`ClusterError`
+        when every endpoint is unreachable — the router's ``execute*``
+        shapes both structurally.
         """
+        payload = request.to_dict()
+        forwards = isinstance(request, SearchRequest) and not request.include_meta
         replica_set = self.replica_set
         trace = current_trace()
-        overloaded_raw: dict[str, Any] | None = None
+        overloaded: ErrorResponse | None = None
         for endpoint in replica_set.read_candidates():
             try:
                 if trace is not None:
@@ -518,6 +533,8 @@ class RemoteShard:
                         raw = endpoint.client.post(payload)
                 else:
                     raw = endpoint.client.post(payload)
+                wire = raw.text if forwards and raw.status == 200 else None
+                parsed = parse_response(raw, wire)
             # Failover, not a retry: each iteration tries a *different*
             # endpoint; the failed one is re-probed by the health monitor.
             # repro: ignore[no-unbounded-retry]
@@ -525,27 +542,21 @@ class RemoteShard:
                 replica_set.mark_down(endpoint)
                 self._failovers.inc()
                 continue
-            if raw.get("kind") == "error" and raw.get("code") == "overloaded":
+            if isinstance(parsed, ErrorResponse) and parsed.code == "overloaded":
                 replica_set.record_overloaded(endpoint, self.overload_threshold)
                 self._sheds.inc()
-                overloaded_raw = raw
+                overloaded = parsed
                 continue
             replica_set.record_served(endpoint)
-            return raw
-        if overloaded_raw is not None:
-            return overloaded_raw
+            if isinstance(parsed, ErrorResponse):
+                raise ShardFailure(parsed)
+            return parsed
+        if overloaded is not None:
+            raise ShardFailure(overloaded)
         raise ClusterError(
             f"every endpoint of shard {self.shard_id} is unreachable; "
             "reads cannot fail over"
         )
-
-    def _read(self, request: SearchRequest | BatchRequest) -> Any:
-        # The shard receives the request verbatim, so every byte of its
-        # answer — an error's included — matches the single-corpus service.
-        parsed = parse_response(self._post(request.to_dict()))
-        if isinstance(parsed, ErrorResponse):
-            raise ShardFailure(parsed)
-        return parsed
 
     def search(self, request: SearchRequest, pin: str) -> SearchResponse:
         return self._read(request)

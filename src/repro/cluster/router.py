@@ -256,7 +256,7 @@ class ClusterService(ServingBackendBase):
         shard, pin = self._capture(request.document)
         with _span("cluster:route", shard=shard.shard_id):
             response = shard.search(request, pin)
-        return replace(response, shard=shard.shard_id)
+        return response.with_shard(shard.shard_id)
 
     def execute(self, request: SearchRequest) -> SearchResponse | ErrorResponse:
         """Like :meth:`run`, but failures become an :class:`ErrorResponse`."""

@@ -16,9 +16,12 @@ propagation story is explicit where it has to be:
   ``request_id`` across a process boundary in the ``X-Repro-Trace``
   request header; the remote server records its own spans under the same
   ``request_id`` and ships them back in the ``X-Repro-Trace-Spans``
-  response header, which :meth:`Trace.absorb_wire` re-parents under the
-  calling span.  One request over a remote cluster yields one stitched
-  span tree.
+  response header.  :meth:`Trace.absorb_header` keeps that value raw, in
+  place, with the calling span as its anchor; only a read of the trace
+  (:attr:`Trace.spans`, :meth:`Trace.to_wire`) parses it and re-parents
+  its remote roots under that anchor.  One request over a remote
+  cluster yields one stitched span tree, and a trace nobody reads never
+  pays for the stitch.
 
 Span identity is deterministic per process: ``"<process>:<n>"`` from a
 per-trace counter — distinct processes carry distinct ``process`` tags
@@ -33,7 +36,9 @@ bytes.
 from __future__ import annotations
 
 import itertools
+import json
 import os
+import re
 import threading
 from collections import deque
 from contextvars import ContextVar
@@ -61,7 +66,9 @@ TRACE_SPANS_HEADER = "X-Repro-Trace-Spans"
 #: trace without bound; later spans are dropped and counted
 MAX_SPANS = 512
 
-_MAX_REQUEST_ID = 64
+#: a propagated request_id: 1-64 ASCII token characters, surrounding
+#: whitespace ignored — exactly what ``ServiceClient.trace()`` can fetch
+_REQUEST_ID_RE = re.compile(r"\s*([A-Za-z0-9_.:-]{1,64})\s*")
 
 #: Request ids are "<process-random-prefix><counter>": unique across
 #: processes via the 8-byte random prefix, unique within one via the
@@ -157,6 +164,53 @@ class _OpenSpan:
             trace._drop()
 
 
+class _Shipped:
+    """A remote process's span header, kept raw in a trace's span list
+    until someone reads the trace; ``anchor`` is the span that was open
+    when it arrived."""
+
+    __slots__ = ("text", "anchor")
+
+    def __init__(self, text: str, anchor: str | None):
+        self.text = text
+        self.anchor = anchor
+
+    def rows(self) -> list[tuple[Any, ...]]:
+        """The shipped spans as rows: remote roots (no parent, or a parent
+        outside the shipped set) re-parented under the anchor, interior
+        links kept, non-object entries skipped; none at all when the
+        header is malformed."""
+        try:
+            spans = json.loads(self.text)
+            if not isinstance(spans, list):
+                return []
+            known = {wire.get("id") for wire in spans if isinstance(wire, dict)}
+            rows = []
+            for wire in spans:
+                if not isinstance(wire, dict):
+                    continue
+                span = Span.from_wire(wire)
+                if span.parent_id is None or span.parent_id not in known:
+                    span.parent_id = self.anchor
+                rows.append(
+                    (
+                        span.name,
+                        span.span_id,
+                        span.parent_id,
+                        span.seconds,
+                        span.start,
+                        span.process,
+                        span.attributes,
+                    )
+                )
+            return rows
+        # A malformed span header must not fail the request whose body
+        # arrived intact, nor the read — the trace just loses remote detail.
+        # repro: ignore[no-silent-swallow]
+        except (TypeError, ValueError):
+            return []
+
+
 #: guards what a trace does off the request path — the dropped-span
 #: counters past MAX_SPANS and naming a request on its first read — so one
 #: lock serves every trace and none is built per request
@@ -176,8 +230,9 @@ class Trace:
         self.process = process
         # Finished spans live as plain tuples in Span field order —
         # constructing a dataclass per span on the warm path is measurable;
-        # Span objects materialise only when someone reads the trace.
-        self._spans: list[tuple[Any, ...]] = []
+        # Span objects materialise only when someone reads the trace.  A
+        # remote span header sits among them raw (a _Shipped) until then.
+        self._spans: list[Any] = []
         self._counter = itertools.count(1)
         self._dropped = 0
         self._origin = perf_counter()
@@ -200,7 +255,8 @@ class Trace:
     def _record(self, row: tuple[Any, ...]) -> None:
         # Lock-free: list.append is atomic under the GIL, and the cap is
         # re-enforced at export, so a racing overshoot cannot leak past
-        # MAX_SPANS onto the wire.
+        # MAX_SPANS onto the wire.  A shipped header counts as one entry
+        # here (and is dropped whole at the cap).
         if len(self._spans) < MAX_SPANS:
             self._spans.append(row)
         else:
@@ -245,43 +301,32 @@ class Trace:
         for phase, seconds in phases.items():
             self.add_span(f"{prefix}{phase}", seconds)
 
-    def absorb_wire(
-        self, spans: list[dict[str, Any]], parent_id: str | None = None
-    ) -> None:
-        """Stitch spans recorded by a remote process into this trace.
+    def absorb_header(self, text: str) -> None:
+        """Keep a remote process's ``X-Repro-Trace-Spans`` value (a JSON
+        list of wire spans), raw, as one entry anchored to the currently
+        open span.
 
-        Remote root spans (no parent, or a parent outside the shipped set)
-        are re-parented under ``parent_id`` (default: the currently open
-        span); interior parent links are preserved.
+        It is parsed and stitched in when the trace is read: remote root
+        spans (no parent, or a parent outside the shipped set) are
+        re-parented under the anchor, interior parent links are kept, and
+        a malformed value is dropped.
         """
-        anchor = parent_id if parent_id is not None else _current_span_id.get()
-        known = {wire.get("id") for wire in spans if isinstance(wire, dict)}
-        for wire in spans:
-            if not isinstance(wire, dict):
-                continue
-            span = Span.from_wire(wire)
-            if span.parent_id is None or span.parent_id not in known:
-                span.parent_id = anchor
-            self._record(
-                (
-                    span.name,
-                    span.span_id,
-                    span.parent_id,
-                    span.seconds,
-                    span.start,
-                    span.process,
-                    span.attributes,
-                )
-            )
+        self._record(_Shipped(text, _current_span_id.get()))
 
     # ------------------------------------------------------------------ #
     # export
     # ------------------------------------------------------------------ #
     def _rows(self) -> tuple[list[tuple[Any, ...]], int]:
-        """A snapshot of (recorded rows, dropped count), with the span cap
-        re-enforced against racing lock-free appends (copying a list is
-        one step under the GIL)."""
-        rows = list(self._spans)
+        """A snapshot of (recorded rows, dropped count): shipped span
+        headers expanded in place, then the span cap re-enforced against
+        the expansion and racing lock-free appends (copying a list is one
+        step under the GIL)."""
+        rows = []
+        for row in list(self._spans):
+            if type(row) is _Shipped:
+                rows.extend(row.rows())
+            else:
+                rows.append(row)
         with _SLOW_PATH_LOCK:
             dropped = self._dropped
         if len(rows) > MAX_SPANS:
@@ -391,17 +436,15 @@ def trace_header_value(trace: Trace) -> str:
 def parse_trace_header(value: str | None) -> str | None:
     """The request_id carried by an ``X-Repro-Trace`` header, or None.
 
-    Malformed values (empty, oversized, non-token characters) are treated
-    as absent — a garbage header must not fail or slow the request.
+    Malformed values (empty, oversized, anything but ASCII letters, digits
+    and ``-_.:``) are treated as absent — a garbage header must not fail
+    or slow the request, and an id the client could not fetch back must
+    not name a trace.
     """
     if not value:
         return None
-    request_id = value.strip()
-    if not request_id or len(request_id) > _MAX_REQUEST_ID:
-        return None
-    if not all(ch.isalnum() or ch in "-_.:" for ch in request_id):
-        return None
-    return request_id
+    match = _REQUEST_ID_RE.fullmatch(value)
+    return match.group(1) if match is not None else None
 
 
 class TraceBuffer:

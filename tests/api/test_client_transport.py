@@ -19,8 +19,9 @@ import time
 
 import pytest
 
-from repro.api import SearchRequest, ServiceClient, SnippetService
-from repro.api.http import HttpServer
+from repro.api import ErrorResponse, SearchRequest, ServiceClient, SnippetService
+from repro.api.http import MAX_BODY_BYTES, HttpServer
+from repro.api.protocol import encode_response
 from repro.cluster.remote import RemoteShard
 from repro.cluster.replication import ReplicaSet, ShardEndpoint
 from repro.corpus import Corpus
@@ -237,6 +238,37 @@ class TestMalformedAnswers:
             assert server.connections == 2
 
 
+class TestAnswerBody:
+    def test_a_non_utf8_body_is_an_internal_error_not_an_exception(self):
+        body = b'\xff\xfe{"kind": "search_response"}'
+        request = SearchRequest(query="store texas", document="stores")
+        with ScriptedServer([(answer(body=body), False)]) as server:
+            with ServiceClient(port=server.port, timeout=5.0) as client:
+                with pytest.raises(ProtocolError, match="not UTF-8"):
+                    client.post(request.to_dict())
+        with ScriptedServer([(answer(body=body), False)]) as server:
+            with ServiceClient(port=server.port, timeout=5.0) as client:
+                response = client.execute(request)
+        assert isinstance(response, ErrorResponse)
+        assert response.code == "internal"
+
+    def test_a_declared_length_over_the_bound_fails_before_the_body(self):
+        # The head promises one byte more than the bound and no body
+        # follows: reading it would stall until the timeout.
+        oversized = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+        )
+        with ScriptedServer([(answer(), False), (oversized, False), (answer(), False)]) as server:
+            with ServiceClient(port=server.port, timeout=5.0) as client:
+                assert client.health() == {"status": "ok"}
+                started = time.monotonic()
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    client.health()
+                assert time.monotonic() - started < 2.5
+                assert client.health() == {"status": "ok"}
+            assert server.connections == 2  # the oversized answer's was not pooled
+
+
 class TestConnectionReuse:
     def test_keep_alive_answer_is_pooled_whatever_the_header_case(self):
         odd_case = answer().replace(b"Content-Length", b"CONTENT-length")
@@ -297,12 +329,16 @@ class TestTimeouts:
 
 
 class TestShardFailover:
-    def test_malformed_answer_marks_the_endpoint_down_and_fails_over(self):
+    @pytest.mark.parametrize(
+        "garbage",
+        [answer(head=b"HTTP/1.1 2xx Fine\r\n"), answer(body=b'\xff\xfe{"kind": "error"}')],
+        ids=["malformed-status-line", "non-utf8-body"],
+    )
+    def test_malformed_answer_marks_the_endpoint_down_and_fails_over(self, garbage):
         request = SearchRequest(query="store texas", document="stores")
         corpus = Corpus()
         corpus.add_builtin("figure5-stores", name="stores")
         service = SnippetService(corpus)
-        garbage = answer(head=b"HTTP/1.1 2xx Fine\r\n")
         with ScriptedServer([(garbage, False)]) as bad, HttpServer(service) as good:
             replica_set = ReplicaSet(
                 0,
@@ -321,4 +357,5 @@ class TestShardFailover:
             assert not primary.healthy
             assert replica.healthy
         assert response.to_dict() == service.execute(request).to_dict()
+        assert encode_response(response) == service.handle_json(json.dumps(request.to_dict()))
         service.close()

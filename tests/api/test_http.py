@@ -197,7 +197,7 @@ class TestStatusMapping:
 
     def test_backend_crash_answers_500(self):
         class Exploding(SnippetService):
-            def handle_dict(self, payload, request=None):
+            def handle_encoded(self, payload, request=None):
                 raise RuntimeError("backend blew up")
 
         with HttpServer(Exploding(_fresh_corpus()), port=0) as server:

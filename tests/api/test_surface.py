@@ -29,13 +29,13 @@ PUBLIC_METHODS = {
     },
     SnippetService: {
         "cache_stats", "capabilities", "close", "execute", "execute_batch",
-        "execute_update", "handle_dict", "handle_json", "handle_text", "run",
-        "run_batch", "run_update", "run_update_with_report", "stats",
+        "execute_update", "handle_dict", "handle_encoded", "handle_json", "handle_text",
+        "run", "run_batch", "run_update", "run_update_with_report", "stats",
     },
     ClusterService: {
         "cache_stats", "capabilities", "close", "execute", "execute_batch",
-        "execute_update", "from_corpus", "handle_dict", "handle_json", "handle_text",
-        "load_dir", "names", "owner_of", "run", "run_batch",
+        "execute_update", "from_corpus", "handle_dict", "handle_encoded", "handle_json",
+        "handle_text", "load_dir", "names", "owner_of", "run", "run_batch",
         "run_update", "run_update_with_delta", "save_dir", "shard_summary", "stats",
     },
 }

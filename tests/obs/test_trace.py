@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
@@ -137,7 +138,7 @@ class TestWireFormat:
         assert restored[0].name == "root"
         assert restored[0].process == "local"
 
-    def test_absorb_wire_reparents_remote_roots(self):
+    def test_absorb_header_reparents_remote_roots(self):
         trace = Trace(process="local")
         remote = [
             {"name": "http:/v1/search", "id": "server:9:1", "parent": None,
@@ -146,26 +147,25 @@ class TestWireFormat:
              "seconds": 0.009, "start": 0.001, "process": "server:9"},
         ]
         with trace.span("http:POST /v1/search") as anchor:
-            trace.absorb_wire(remote)
+            trace.absorb_header(json.dumps(remote))
         spans = {span.span_id: span for span in trace.spans}
         assert spans["server:9:1"].parent_id == anchor
         # interior links survive the stitch
         assert spans["server:9:2"].parent_id == "server:9:1"
 
-    def test_absorb_wire_reparents_unknown_parents(self):
+    def test_absorb_header_reparents_unknown_parents(self):
         trace = Trace()
-        anchor = trace.add_span("anchor", 0.0)
-        trace.absorb_wire(
-            [{"name": "orphan", "id": "x:1", "parent": "never-shipped",
-              "seconds": 0.0, "start": 0.0, "process": "x"}],
-            parent_id=anchor,
-        )
+        with trace.span("anchor") as anchor:
+            trace.absorb_header(json.dumps(
+                [{"name": "orphan", "id": "x:1", "parent": "never-shipped",
+                  "seconds": 0.0, "start": 0.0, "process": "x"}]
+            ))
         orphan = next(span for span in trace.spans if span.span_id == "x:1")
         assert orphan.parent_id == anchor
 
-    def test_absorb_wire_ignores_garbage_rows(self):
+    def test_absorb_header_ignores_garbage_rows(self):
         trace = Trace()
-        trace.absorb_wire(["not-a-dict", 42])  # type: ignore[list-item]
+        trace.absorb_header(json.dumps(["not-a-dict", 42]))
         assert trace.spans == []
 
 
@@ -175,7 +175,7 @@ class TestTraceHeader:
         assert parse_trace_header(trace_header_value(trace)) == trace.request_id
 
     @pytest.mark.parametrize(
-        "value", [None, "", "   ", "x" * 65, "bad header", "semi;colon", "a\nb"]
+        "value", [None, "", "   ", "x" * 65, "bad header", "semi;colon", "a\nb", "café", "x²"]
     )
     def test_malformed_values_are_absent(self, value):
         assert parse_trace_header(value) is None
