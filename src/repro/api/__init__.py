@@ -66,7 +66,6 @@ from repro.api.protocol import (
     code_for_exception,
     decode_page_token,
     encode_page_token,
-    encode_response,
     http_status_for_code,
     parse_request,
     parse_response,
@@ -90,7 +89,6 @@ __all__ = [
     "ErrorResponse",
     "parse_request",
     "parse_response",
-    "encode_response",
     "encode_page_token",
     "decode_page_token",
     "code_for_exception",

@@ -15,8 +15,9 @@ implement, so code written against the protocol cannot tell a
 (connection refused, read timeout) become a structured
 :class:`~repro.api.protocol.ErrorResponse` with code ``internal`` instead
 of an exception, preserving the backend contract that ``execute*`` never
-raise.  The raw-dict endpoints (:meth:`handle_dict` and the inherited
-``handle_text`` / ``handle_json``) route on the payload's ``kind``.
+raise.  The raw endpoints (:meth:`handle_dict`, :meth:`handle_encoded`
+and the inherited ``handle_text`` / ``handle_json``) route on the
+payload's ``kind`` and return the server's answer as it came.
 
 Every request goes through one exchange over a small pool of idle HTTP
 keep-alive connections: it takes the most recently returned idle
@@ -85,6 +86,7 @@ from repro.api.protocol import (
     SearchResponse,
     UpdateRequest,
     UpdateResponse,
+    encode_response,
     parse_response,
 )
 from repro.api.http import POST_ENDPOINTS, _keeps_alive, _read_response
@@ -116,15 +118,14 @@ def _idempotent(method: str, path: str) -> bool:
 
 
 class Answer(dict):
-    """A JSON object answer, plus the HTTP ``status`` it came with and the
-    ``text`` it was decoded from — what lets a coordinator forward a shard
-    answer it has validated without encoding it again."""
+    """A JSON object answer, plus the ``text`` it was decoded from — what
+    lets a coordinator forward a shard answer it has validated without
+    encoding it again."""
 
-    __slots__ = ("status", "text")
+    __slots__ = ("text",)
 
-    def __init__(self, payload: dict[str, Any], status: int, text: str):
+    def __init__(self, payload: dict[str, Any], text: str):
         super().__init__(payload)
-        self.status = status
         self.text = text
 
 
@@ -245,9 +246,9 @@ class ServiceClient(ServingBackendBase):
 
     def _exchange(
         self, method: str, path: str, body: bytes | None, headers: dict[str, str]
-    ) -> tuple[int, str, dict[str, str]]:
-        """One request and its answer over a pooled connection: the status,
-        the body text and the response headers (names lower-cased).  Raises
+    ) -> tuple[str, dict[str, str]]:
+        """One request and its answer over a pooled connection: the body
+        text and the response headers (names lower-cased).  Raises
         :class:`OSError` or :class:`ProtocolError` on transport failure
         (a body that is not UTF-8 included)."""
         request = self._frame(method, path, body, headers)
@@ -275,7 +276,7 @@ class ServiceClient(ServingBackendBase):
                 self.close()
                 conn = None
                 continue
-            version, status, response_headers, data = answer
+            version, _status, response_headers, data = answer
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -285,7 +286,7 @@ class ServiceClient(ServingBackendBase):
                 self._push_idle(conn)
             else:
                 conn.close()
-            return status, text, response_headers
+            return text, response_headers
         raise AssertionError("unreachable: the second attempt uses a fresh connection")
 
     def _round_trip(self, method: str, path: str, body: bytes | None) -> Answer:
@@ -327,7 +328,7 @@ class ServiceClient(ServingBackendBase):
             # Propagate the request_id so the server joins this trace
             # instead of starting its own.
             headers[TRACE_HEADER] = trace_header_value(trace)
-        status, text, response_headers = self._exchange(method, path, body, headers)
+        text, response_headers = self._exchange(method, path, body, headers)
         remote_spans = response_headers.get(_TRACE_SPANS_KEY)
         if trace is not None and remote_spans:
             # Kept raw: the spans are parsed and stitched in only if
@@ -341,7 +342,7 @@ class ServiceClient(ServingBackendBase):
             raise ProtocolError(
                 f"server returned a non-object JSON body ({type(payload).__name__})"
             )
-        return Answer(payload, status, text)
+        return Answer(payload, text)
 
     def _post_dict(self, payload: dict[str, Any]) -> Answer:
         kind = payload.get("kind") if isinstance(payload, dict) else None
@@ -362,8 +363,7 @@ class ServiceClient(ServingBackendBase):
         (``OSError`` / :class:`~repro.errors.ProtocolError`) — the seam a failover
         coordinator needs, because "this endpoint is unreachable" must be
         distinguishable from "the service answered with an error".  The
-        answer is a dict that also carries its status and its text
-        (:class:`Answer`).
+        answer is a dict that also carries its text (:class:`Answer`).
         """
         return self._post_dict(payload)
 
@@ -425,6 +425,23 @@ class ServiceClient(ServingBackendBase):
             echoed = payload if isinstance(payload, dict) else None
             return self._transport_error(exc, echoed).to_dict()
 
+    def handle_encoded(
+        self,
+        payload: Any,
+        request: SearchRequest | BatchRequest | UpdateRequest | None = None,
+    ) -> tuple[str | None, bytes]:
+        """Ship the raw payload to the server and return the bytes it
+        answered with, and the answer's error code — the server's own
+        body, ``meta.trace`` included, neither re-parsed nor re-encoded."""
+        del request  # the server re-parses; a pre-parsed form saves nothing
+        try:
+            answer = self._post_dict(payload)
+        except (OSError, ProtocolError) as exc:
+            echoed = payload if isinstance(payload, dict) else None
+            return "internal", encode_response(self._transport_error(exc, echoed)).encode("utf-8")
+        code = (answer.get("code") or "internal") if answer.get("kind") == "error" else None
+        return code, answer.text.encode("utf-8")
+
     # ------------------------------------------------------------------ #
     # monitoring endpoints
     # ------------------------------------------------------------------ #
@@ -452,9 +469,7 @@ class ServiceClient(ServingBackendBase):
         decode and no :class:`RetryPolicy`: this is the scrape path, and a
         scraper's failure handling belongs to the scraper.
         """
-        _status, text, _headers = self._exchange(
-            "GET", "/v1/metrics?format=prometheus", None, {}
-        )
+        text, _headers = self._exchange("GET", "/v1/metrics?format=prometheus", None, {})
         return text
 
     def trace(self, request_id: str | None = None) -> dict[str, Any]:

@@ -937,21 +937,19 @@ def parse_response(
 
 def encode_response(
     response: "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse | dict[str, Any]",
-    include_meta: bool = False,
 ) -> str:
     """The JSON text of a response: the one encoder behind every wire body.
 
-    A typed response is encoded in its default form, or with ``meta`` when
-    ``include_meta`` is set; a :class:`SearchResponse` pinned to the text
-    it arrived as (:attr:`SearchResponse.wire`) returns that text for the
-    default form, unchanged.  A dict — an error body built by a frontend,
-    a response a tracing stage added ``meta.trace`` to — is encoded as is.
-    Keys are sorted, so equal responses are equal bytes.
+    A typed response is encoded in its default form (no ``meta``); a
+    :class:`SearchResponse` pinned to the text it arrived as
+    (:attr:`SearchResponse.wire`) returns that text unchanged.  A dict —
+    a response with ``meta`` (``to_dict(include_meta=True)``, which a
+    tracing stage adds ``meta.trace`` to), an error body built by a
+    frontend — is encoded as is.  Keys are sorted, so equal responses are
+    equal bytes.
     """
     if isinstance(response, dict):
         return json.dumps(response, sort_keys=True)
-    if isinstance(response, ErrorResponse):
-        return json.dumps(response.to_dict(), sort_keys=True)
-    if not include_meta and isinstance(response, SearchResponse) and response.wire is not None:
+    if isinstance(response, SearchResponse) and response.wire is not None:
         return response.wire
-    return json.dumps(response.to_dict(include_meta=include_meta), sort_keys=True)
+    return json.dumps(response.to_dict(), sort_keys=True)

@@ -515,7 +515,7 @@ class RemoteShard:
         parsed — marks the endpoint down and moves on, an ``overloaded``
         answer counts toward shedding and also moves on (falling back to
         the overloaded answer when every endpoint is loaded).  A meta-free
-        search answered 200 keeps the text it arrived as
+        search keeps the text it arrived as
         (:attr:`~repro.api.protocol.SearchResponse.wire`).  Raises
         :class:`ShardFailure` for an error answer and :class:`ClusterError`
         when every endpoint is unreachable — the router's ``execute*``
@@ -533,7 +533,7 @@ class RemoteShard:
                         raw = endpoint.client.post(payload)
                 else:
                     raw = endpoint.client.post(payload)
-                wire = raw.text if forwards and raw.status == 200 else None
+                wire = raw.text if forwards else None
                 parsed = parse_response(raw, wire)
             # Failover, not a retry: each iteration tries a *different*
             # endpoint; the failed one is re-probed by the health monitor.

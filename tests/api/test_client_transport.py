@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.api import ErrorResponse, SearchRequest, ServiceClient, SnippetService
+from repro.api.gateway import build_gateway
 from repro.api.http import MAX_BODY_BYTES, HttpServer
 from repro.api.protocol import encode_response
 from repro.cluster.remote import RemoteShard
@@ -267,6 +268,60 @@ class TestAnswerBody:
                 assert time.monotonic() - started < 2.5
                 assert client.health() == {"status": "ok"}
             assert server.connections == 2  # the oversized answer's was not pooled
+
+
+class RecordingBackend:
+    """Forwards to ``inner``, keeping every body the server was handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bodies: list[bytes] = []
+
+    def handle_encoded(self, payload, request=None):
+        code, body = self.inner.handle_encoded(payload, request)
+        self.bodies.append(body)
+        return code, body
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestServerBodies:
+    """``ServiceClient``'s wire entry points answer with the server's bytes."""
+
+    @pytest.fixture()
+    def served(self):
+        corpus = Corpus()
+        corpus.add_builtin("figure5-stores", name="stores")
+        recording = RecordingBackend(build_gateway(SnippetService(corpus)))
+        with HttpServer(recording, port=0) as server:
+            with ServiceClient(port=server.port, timeout=5.0) as client:
+                yield client, recording
+        recording.close()
+
+    def test_handle_json_is_the_servers_body_meta_trace_included(self, served):
+        client, recording = served
+        request = SearchRequest(query="store texas", document="stores", include_meta=True)
+        text = client.handle_json(json.dumps(request.to_dict()))
+        assert [text.encode("utf-8")] == recording.bodies
+        assert "trace" in json.loads(text)["meta"]
+        assert json.loads(text) == client.handle_text(json.dumps(request.to_dict())) | {
+            "meta": json.loads(text)["meta"]  # timings and trace differ per request
+        }
+
+    def test_a_payload_that_does_not_parse_is_rejected_by_the_server(self, served):
+        client, recording = served
+        code, body = client.handle_encoded({"kind": "search", "query": 3})
+        assert code == "bad_request"
+        assert [body] == recording.bodies
+
+    def test_a_transport_failure_is_an_internal_error(self):
+        # Nothing listens on port 1.
+        code, body = ServiceClient(port=1, timeout=1.0).handle_encoded(
+            SearchRequest(query="store texas", document="stores").to_dict()
+        )
+        assert code == "internal"
+        assert json.loads(body)["code"] == "internal"
 
 
 class TestConnectionReuse:

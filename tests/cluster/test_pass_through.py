@@ -167,9 +167,9 @@ class TestNotForwarded:
         stamped = pinned.with_shard(1)
         assert stamped.wire == text  # shard is meta-only
         assert encode_response(stamped) == text
-        assert json.loads(encode_response(stamped, include_meta=True))["meta"]["shard"] == 1
+        assert json.loads(encode_response(stamped.to_dict(include_meta=True)))["meta"]["shard"] == 1
 
     def test_a_meta_bearing_payload_is_never_pinned(self, single):
         request = SearchRequest(query=QUERIES[0], document="stores")
-        text = encode_response(single.execute(request), include_meta=True)
+        text = encode_response(single.execute(request).to_dict(include_meta=True))
         assert parse_response(json.loads(text), text).wire is None
