@@ -23,6 +23,11 @@ of a result are a count over the slice of that table its subtree spans.
 :class:`Feature` objects, display values and instance lists — ``pre`` ids,
 which is what the instance selector prices — are made for the features
 somebody asks about, not for every feature of the result.
+
+No quantity here depends on the query: they are counted inside the result
+subtree alone, so the statistics of a root are computed once per document
+version and shared by every query whose result has that root
+(:class:`~repro.snippet.ilist.IListBuilder`).
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 
 from repro.classify.analyzer import DataAnalyzer, FeatureKey
+from repro.errors import ExtractError
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_value
 from repro.xmltree.node import XMLNode
+from repro.xmltree.tree import XMLTree
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class FeatureStatistics:
     instance selector needs.
 
     Inside, a feature is an int.  ``ids`` holds, for every node of the
-    result subtree (position ``i`` is the node at ``pre == start + i``),
+    result subtree (position ``i`` is the node at ``pre == root_pre + i``),
     the id of the feature it carries or ``-1``; ``keys[id]`` says what a
     non-negative id stands for, and ids from ``-2`` downwards stand for
     ``local_keys[-2 - id]`` — features that exist only under this result's
@@ -102,22 +109,26 @@ class FeatureStatistics:
     list are derived for the features a caller names (the dominant ones,
     for the IList) or, by the accessors that enumerate, for all of them.
 
-    The object reads the tables it was given, which never change (an
-    update builds new ones), and the nodes of ``result.source`` whenever it
-    is asked: its result is its one pointer to a document version, and kept
-    statistics follow their result onto the live version
-    (:meth:`QueryResult.rebind`) unchanged.
+    The statistics belong to the result subtree rooted at ``root_pre`` in
+    ``source``, not to any one query: every query whose result has that
+    root may share them (:class:`~repro.snippet.ilist.IListBuilder` keeps
+    them per root).  The object reads the tables it was given, which never
+    change (an update builds new ones), and the nodes of ``source``
+    whenever it is asked: ``source`` is its one pointer to a document
+    version, and kept statistics move onto the live version with
+    :meth:`rebind`.
     """
 
     def __init__(
         self,
-        result: QueryResult,
+        source: XMLTree,
+        root_pre: int,
         ids: list[int],
         keys: Sequence[FeatureKey],
         local_keys: Sequence[FeatureKey] = (),
     ):
-        self.result = result
-        self._start = result.root_node.pre
+        self.source = source
+        self.root_pre = root_pre
         self._ids = ids
         self._keys = keys
         self._local_keys = local_keys
@@ -131,6 +142,21 @@ class FeatureStatistics:
             totals = self._types.setdefault(self._key(feature_id)[:2], [0, 0])
             totals[0] += occurrences
             totals[1] += 1
+
+    def rebind(self, tree: XMLTree) -> None:
+        """Point these statistics at ``tree``: a later version of their
+        document with the same shape, in which no node under their root
+        changed — the rule of :meth:`QueryResult.rebind
+        <repro.search.results.QueryResult.rebind>`, whose check this shares.
+        Every count and id stays; only the nodes display values are read
+        from move."""
+        if tree is self.source:  # statistics several snippets share
+            return
+        if tree.shape is not self.source.shape:
+            raise ExtractError(
+                f"cannot rebind statistics of {self.source.name!r} to a tree of another shape"
+            )
+        self.source = tree
 
     # ------------------------------------------------------------------ #
     # ids ↔ features
@@ -166,10 +192,10 @@ class FeatureStatistics:
         text of the first one, as written."""
         instances: dict[int, list[int]] = {feature_id: [] for feature_id in feature_ids}
         if instances:
-            for pre, feature_id in enumerate(self._ids, self._start):
+            for pre, feature_id in enumerate(self._ids, self.root_pre):
                 if feature_id in instances:
                     instances[feature_id].append(pre)
-        nodes = self.result.source.nodes_by_pre
+        nodes = self.source.nodes_by_pre
         entries: dict[int, FeatureOccurrences] = {}
         for feature_id, pres in instances.items():
             entity, attribute, value = self._key(feature_id)
@@ -290,7 +316,7 @@ def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStat
     root = result.root_node
     start = root.pre
     if not analyzer.covers(root):
-        return FeatureStatistics(result, *_walked_feature_ids(analyzer, root))
+        return FeatureStatistics(result.source, start, *_walked_feature_ids(analyzer, root))
     table = analyzer.feature_table
     owners = analyzer.node_owners
     end = root.post + root.level + 1  # = start + subtree size
@@ -316,7 +342,7 @@ def extract_features(analyzer: DataAnalyzer, result: QueryResult) -> FeatureStat
                     local_keys.append(key)
                 rekeyed[table_id] = local_id
             ids[offset] = local_id
-    return FeatureStatistics(result, ids, table.keys, local_keys)
+    return FeatureStatistics(result.source, start, ids, table.keys, local_keys)
 
 
 def _walked_feature_ids(

@@ -73,14 +73,16 @@ class GeneratedSnippet:
         return len(self.ilist.coverable_items())
 
     def rebind(self, tree: XMLTree) -> None:
-        """Rebind every result this snippet reads nodes through to ``tree``
-        (:meth:`QueryResult.rebind`): its own and the one its snippet tree
-        and statistics were computed on — another result with the same
-        root when the snippet came from the cache."""
+        """Rebind everything this snippet reads nodes through to ``tree``:
+        its own result and the one its snippet tree was computed on —
+        another result with the same root when the snippet came from the
+        cache — (:meth:`QueryResult.rebind`), and its statistics, which
+        every query with this root shares
+        (:meth:`~repro.snippet.features.FeatureStatistics.rebind`)."""
         self.result.rebind(tree)
         self.snippet.result.rebind(tree)
         if self.ilist.statistics is not None:
-            self.ilist.statistics.result.rebind(tree)
+            self.ilist.statistics.rebind(tree)
 
     @property
     def coverage(self) -> float:
@@ -131,10 +133,14 @@ class SnippetBatch:
         results: ResultSet,
         size_bound: int = DEFAULT_SIZE_BOUND,
         timings: TimingBreakdown | None = None,
+        use_cache: bool = True,
     ):
         _check_size_bound(size_bound)
         self.query = results.query
         self.size_bound = size_bound
+        #: whether slots are filled through the generator's caches
+        #: (:meth:`SnippetGenerator.generate`)
+        self.use_cache = use_cache
         #: where the phases of on-demand generation are measured when the
         #: reader brings no breakdown of its own
         self.timings = timings if timings is not None else generator.timings
@@ -214,6 +220,7 @@ class SnippetBatch:
                         size_bound=self.size_bound,
                         query=self.query,
                         timings=breakdown,
+                        use_cache=self.use_cache,
                     )
                     self._pending -= 1
             if not self._pending:
@@ -278,7 +285,9 @@ class SnippetGenerator:
         cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.analyzer = analyzer
-        self.ilist_builder = IListBuilder(analyzer)
+        #: its root memo (:attr:`IListBuilder.roots`) shares the snippet
+        #: cache's bound
+        self.ilist_builder = IListBuilder(analyzer, cache_size=cache_size)
         self.selector = GreedyInstanceSelector(
             strategy=strategy, skip_unfitting_items=skip_unfitting_items
         )
@@ -302,6 +311,7 @@ class SnippetGenerator:
         size_bound: int = DEFAULT_SIZE_BOUND,
         query: KeywordQuery | None = None,
         timings: TimingBreakdown | None = None,
+        use_cache: bool = True,
     ) -> GeneratedSnippet:
         """Generate the snippet of one query result.
 
@@ -310,6 +320,8 @@ class SnippetGenerator:
         IList and snippet tree are rewrapped around the caller's ``result``
         object so ranking metadata (``result_id``, score) stays current —
         in a new :class:`GeneratedSnippet`, which has no rendered payload.
+        ``use_cache=False`` neither reads nor fills the snippet cache or
+        the IList builder's root memo: the snippet is computed from scratch.
 
         ``timings`` redirects the phase measurements into a caller-owned
         breakdown (the thread-safe service pipeline passes a per-request
@@ -319,17 +331,20 @@ class SnippetGenerator:
         breakdown = timings if timings is not None else self.timings
         effective_query = query or result.query
         key = (result.source.name, result.root_node.pre, effective_query.keywords, size_bound)
-        cached = self.cache.get(key)
+        cached = self.cache.get(key) if use_cache else None
         if cached is not None:
             return GeneratedSnippet(
                 result=result, ilist=cached.ilist, snippet=cached.snippet, size_bound=size_bound
             )
         with breakdown.measure("ilist"):
-            ilist = self.ilist_builder.build(effective_query, result, timings=breakdown)
+            ilist = self.ilist_builder.build(
+                effective_query, result, timings=breakdown, use_cache=use_cache
+            )
         with breakdown.measure("instance_selection"):
             snippet = self.selector.select(result, ilist, size_bound)
         generated = GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)
-        self.cache.put(key, generated)
+        if use_cache:
+            self.cache.put(key, generated)
         return generated
 
     def generate_all(
@@ -345,5 +360,7 @@ class SnippetGenerator:
         return batch
 
     def invalidate_cache(self) -> int:
-        """Drop every cached snippet; returns the number of entries removed."""
+        """Drop every cached snippet and every memoised root; returns the
+        number of snippet entries removed."""
+        self.ilist_builder.roots.clear()
         return self.cache.clear()

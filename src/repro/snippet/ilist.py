@@ -20,6 +20,17 @@ why neither appears twice in Figure 3.
 Every item carries the node instances of the query result that *cover* it
 — their ``pre`` ids, document order — because the Instance Selector (§2.4)
 chooses among those instances.
+
+Groups 2 and 4 are properties of the result subtree alone: the entity names
+are found in it, and §2.3's ``N(e, a, v)``, ``N(e, a)`` and ``D(e, a)`` are
+counted inside it.  Only the keywords, the return entity and the result key
+depend on the query.  So the builder keeps, per result root, the subtree's
+entity scan, its feature statistics, its entity-name items and its ranked
+dominant-feature items (:class:`RootStatistics`), and a second query whose
+result has the same root adds only its own items on top.  A builder serves
+one document version — its analyzer's — so the memo needs no invalidation:
+it dies with the version.  Items are shared between the ILists of one root
+and never mutated after :meth:`IListBuilder.build`.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.classify.analyzer import DataAnalyzer, SubtreeScan
 from repro.search.query import KeywordQuery
@@ -35,6 +47,7 @@ from repro.snippet.dominant import DominantFeatureIdentifier, ScoredFeature
 from repro.snippet.features import FeatureStatistics, extract_features
 from repro.snippet.result_key import QueryResultKeyIdentifier, ResultKey
 from repro.snippet.return_entity import ReturnEntityDecision, ReturnEntityIdentifier
+from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.utils.text import matches_keyword, normalize_token
 from repro.utils.timing import TimingBreakdown
 
@@ -118,49 +131,87 @@ class IList:
         return f"<IList {', '.join(self.texts())}>"
 
 
-class IListBuilder:
-    """Builds the IList of a query result (ties §2.1–§2.3 together)."""
+class RootStatistics(NamedTuple):
+    """The query-independent half of the IList of one result root."""
 
-    def __init__(self, analyzer: DataAnalyzer):
+    scan: SubtreeScan
+    statistics: FeatureStatistics
+    entity_items: list[IListItem]
+    feature_items: list[IListItem]
+
+
+class IListBuilder:
+    """Builds the IList of a query result (ties §2.1–§2.3 together).
+
+    ``roots`` memoises :class:`RootStatistics` by root ``pre`` for results
+    of the analyzer's own tree, at most ``cache_size`` of them (0 keeps
+    none).
+    """
+
+    def __init__(self, analyzer: DataAnalyzer, cache_size: int = DEFAULT_CACHE_SIZE):
         self.analyzer = analyzer
         self.return_entity_identifier = ReturnEntityIdentifier(analyzer)
         self.key_identifier = QueryResultKeyIdentifier(analyzer)
         self.dominant_identifier = DominantFeatureIdentifier(analyzer)
+        self.roots = LRUCache(cache_size)
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def build(
-        self, query: KeywordQuery, result: QueryResult, timings: TimingBreakdown | None = None
+        self,
+        query: KeywordQuery,
+        result: QueryResult,
+        timings: TimingBreakdown | None = None,
+        use_cache: bool = True,
     ) -> IList:
         """Construct the IList of ``result`` for ``query``.
 
         The four groups are appended in the paper's order; duplicates
         (same normalised identity) keep their earliest, most important
-        position.  The entities of the result subtree are found once, for
-        return-entity identification and the entity names.  Feature
-        extraction — counting the result's features — is timed as the
-        ``features`` phase of ``timings`` when the caller passes a
-        breakdown.
+        position.  The root's statistics come from the memo when an
+        earlier query's result had the same root; otherwise they are
+        computed — feature extraction timed as the ``features`` phase of
+        ``timings`` when the caller passes a breakdown — and, unless
+        ``use_cache`` is false, kept.  Concurrent builders of one root
+        converge on the first entry stored.
         """
-        scan = self.analyzer.scan_subtree(result.root_node)
-        breakdown = timings if timings is not None else TimingBreakdown()
-        with breakdown.measure("features"):
-            statistics = extract_features(self.analyzer, result)
-        decision = self.return_entity_identifier.identify(query, result, scan)
+        root = result.root_node
+        memo = use_cache and self.analyzer.covers(root)
+        part = self.roots.get(root.pre) if memo else None
+        if part is None:
+            part = self._root_statistics(result, timings)
+            if memo:
+                part = self.roots.setdefault(root.pre, part)
+        decision = self.return_entity_identifier.identify(query, result, part.scan)
 
-        ilist = IList(return_entity_decision=decision, statistics=statistics)
+        ilist = IList(return_entity_decision=decision, statistics=part.statistics)
         seen: set[str] = set()
 
         for item in self._keyword_items(query, result):
             self._append(ilist, item, seen)
-        for item in self._entity_name_items(scan):
+        for item in part.entity_items:
             self._append(ilist, item, seen)
         for item in self._key_items(result, decision):
             self._append(ilist, item, seen)
-        for item in self._feature_items(result, statistics):
+        for item in part.feature_items:
             self._append(ilist, item, seen)
         return ilist
+
+    def _root_statistics(
+        self, result: QueryResult, timings: TimingBreakdown | None
+    ) -> RootStatistics:
+        """Scan, count and rank the subtree under ``result``'s root."""
+        scan = self.analyzer.scan_subtree(result.root_node)
+        breakdown = timings if timings is not None else TimingBreakdown()
+        with breakdown.measure("features"):
+            statistics = extract_features(self.analyzer, result)
+        return RootStatistics(
+            scan,
+            statistics,
+            self._entity_name_items(scan),
+            self._feature_items(result, statistics),
+        )
 
     # ------------------------------------------------------------------ #
     # item construction

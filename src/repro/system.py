@@ -177,9 +177,12 @@ class ExtractSystem:
         (same normalised keywords, bound, limit, construction) was answered
         before — the ranked results plus the batch, however much of it has
         been generated so far; ``use_cache=False`` forces a cold evaluation
-        and does not populate the cache.  ``postings`` optionally supplies
-        pre-fetched posting lists per keyword (the batch executor shares
-        lookups across queries this way).
+        and populates nothing: it neither reads nor fills this cache, the
+        snippet cache or the IList builder's root memo, so every snippet of
+        its batch is generated from scratch.  ``postings`` optionally
+        supplies pre-fetched posting lists per keyword (the batch executor
+        shares lookups across queries this way, and the service passes its
+        per-document postings memo whatever ``use_cache`` says).
         """
         parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
         key = self._cache_key("query", parsed, size_bound, limit, construction)
@@ -193,7 +196,9 @@ class ExtractSystem:
             results = self.engine.search(
                 parsed, limit=limit, postings=postings, construction=construction, timings=timings
             )
-        snippets = SnippetBatch(self.generator, results, size_bound=size_bound, timings=timings)
+        snippets = SnippetBatch(
+            self.generator, results, size_bound=size_bound, timings=timings, use_cache=use_cache
+        )
         if use_cache:
             # The cached copy carries an empty breakdown: a warm hit did no
             # phase work, and re-reporting the cold run's timings would

@@ -268,6 +268,86 @@ class TestConcurrentFirstSnippetsOfOneColdDocument:
         assert analyzer._features is not None
 
 
+class TestConcurrentQueriesSharingRoots:
+    """A root's statistics are computed once per document version and kept
+    in the IList builder's root memo: eight threads running different
+    queries whose results are the same stores, on a cold document, converge
+    on one memo entry per store."""
+
+    QUERIES = [
+        "store texas", "store houston", "store austin", "store casual",
+        "store formal", "store suit", "store jeans", "store woman",
+    ]
+
+    def test_eight_threads_count_each_root_about_once(self, monkeypatch):
+        import sys
+        from collections import Counter
+
+        from repro.snippet import ilist as ilist_module
+
+        assert len(self.QUERIES) == THREADS
+        requests = [
+            SearchRequest(query=query, document="retail", size_bound=6) for query in self.QUERIES
+        ]
+        serial_corpus = fresh_corpus()
+        serial = SnippetService(serial_corpus)
+        reference = [wire_bytes(serial.run(request)) for request in requests]
+        # which queries' results have each root
+        askers = Counter(
+            result.root_node.pre
+            for query in self.QUERIES
+            for result in serial_corpus.system("retail").run_query(query, size_bound=6).results
+        )
+        assert min(askers.values()) >= THREADS // 2  # every store is in half the results or more
+
+        counted: list[int] = []
+        extract = ilist_module.extract_features
+
+        def counted_extract(analyzer, result):
+            counted.append(result.root_node.pre)
+            return extract(analyzer, result)
+
+        monkeypatch.setattr(ilist_module, "extract_features", counted_extract)
+        corpus = fresh_corpus()
+        service = SnippetService(corpus)
+        got: list[str] = [""] * THREADS
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(THREADS)
+
+        def worker(slot: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                got[slot] = wire_bytes(service.run(requests[slot]))
+            except BaseException as exc:  # noqa: BLE001 - surfaced in the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the builds
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert got == reference
+        # once per root, plus at most one run by each other thread racing it
+        runs = Counter(counted)
+        assert set(runs) == set(askers)
+        assert all(1 <= runs[pre] <= askers[pre] for pre in runs)
+        # ... and every snippet reads the one entry the memo kept
+        system = corpus.system("retail")
+        memo = system.generator.ilist_builder.roots
+        assert len(memo) == len(askers)
+        for query in self.QUERIES:
+            for generated in system.run_query(query, size_bound=6).snippets:
+                pre = generated.result.root_node.pre
+                assert generated.ilist.statistics is memo.get(pre).statistics
+
+
 class TestRegistrationUnderServing:
     def test_replace_leaves_no_unregistered_window(self):
         """Requests racing a replace must always find the document — the

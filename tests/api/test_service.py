@@ -212,7 +212,9 @@ class TestPagination:
         # … and generated nothing
         assert corpus.system("stores").generator.cache.stats.lookups == 0
 
-    def test_use_cache_false_generates_only_the_requested_page(self, service, corpus):
+    def test_use_cache_false_generates_only_the_requested_page(
+        self, service, corpus, monkeypatch
+    ):
         request = SearchRequest(
             query="store", document="stores", size_bound=6, page=2, page_size=1, use_cache=False
         )
@@ -220,12 +222,19 @@ class TestPagination:
             service.run(SearchRequest(query="store", document="stores", size_bound=6, page_size=1, page=page))
             for page in (1, 2)
         ]
-        snippets = corpus.system("stores").generator.cache
-        before = snippets.stats_snapshot()
+        generator = corpus.system("stores").generator
+        generated = []
+        generate = generator.generate
+        monkeypatch.setattr(
+            generator, "generate", lambda *args, **kwargs: generated.append(1) or generate(*args, **kwargs)
+        )
+        before = generator.cache.stats_snapshot()
         response = service.run(request)
         assert response.from_cache is False
         assert response.results == cached_walk[1].results
-        assert snippets.stats_snapshot().lookups - before.lookups == 1
+        assert len(generated) == 1
+        # ... from scratch: the snippet cache is not even looked at
+        assert generator.cache.stats_snapshot().lookups == before.lookups
 
     def test_page_size_none_is_one_page(self, service):
         response = service.run(SearchRequest(query="store texas", document="stores", size_bound=6))

@@ -11,7 +11,8 @@ For random documents, random in-vocabulary queries and random size bounds:
   (:mod:`tests.snippet.reference_snippet`) produces: under every result
   construction, from an index as built or lazily loaded from a v4 snapshot,
   and after text-only updates, where the carried feature table must decode
-  to what a from-scratch bind gives.
+  to what a from-scratch bind gives — and through a builder whose root memo
+  another query's result with the same root has already filled.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from repro.index.builder import IndexBuilder
 from repro.index.incremental import apply_text_update
 from repro.index.storage import load_index, save_index
 from repro.search.engine import SearchEngine
-from repro.search.xseek import ResultConstruction
+from repro.search.query import KeywordQuery
+from repro.search.xseek import ResultConstruction, build_result_tree
 from repro.snippet.features import extract_features
 from repro.snippet.generator import SnippetGenerator
+from repro.snippet.ilist import IListBuilder
 from repro.snippet.optimal import OptimalInstanceSelector
 from repro.xmltree.diff import clone_tree, diff_trees
 from tests.property.strategies import TAGS, VALUES, xml_trees
@@ -162,3 +165,35 @@ def test_snippets_match_the_label_oracle(tmp_path_factory, tree, queries, lazily
         index = apply_text_update(index, edited, diff).index
         assert index.analyzer._features is not None
         assert decoded(index.analyzer) == decoded(DataAnalyzer(edited))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(xml_trees(), _queries, st.data())
+def test_memo_hits_match_the_label_oracle(tree, queries, data):
+    """The same comparison through one builder per version, each result
+    built right after every other query's result with the same root: what
+    the oracle sees is the scan, statistics, entity names and ranked
+    features another query left in the root memo."""
+    index = IndexBuilder().build(tree)
+    for _ in range(2):
+        for construction in ResultConstruction:
+            builder = IListBuilder(index.analyzer)
+            engine = SearchEngine(index, construction=construction)
+            for text in queries:
+                for result in engine.search(text):
+                    pre = result.root_node.pre
+                    for rival in queries:
+                        query = KeywordQuery.parse(rival)
+                        if query.keywords != result.query.keywords:
+                            builder.build(query, build_result_tree(index, query, pre, construction))
+                    ilist = assert_snippet_matches_reference(
+                        index.analyzer, result, size_bounds=(1, 5), builder=builder
+                    )
+                    assert ilist.statistics is builder.roots.get(pre).statistics
+        # second round on the version a text-only update makes
+        edited = _text_edit(index.tree, data)
+        diff = diff_trees(index.tree, edited)
+        if not diff.is_text_only:
+            break
+        index.analyzer.feature_table
+        index = apply_text_update(index, edited, diff).index

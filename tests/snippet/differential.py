@@ -50,17 +50,22 @@ def decoded(analyzer: DataAnalyzer) -> list[tuple | None]:
 
 
 def assert_snippet_matches_reference(
-    analyzer: DataAnalyzer, result: QueryResult, size_bounds=(1, 6, 14)
+    analyzer: DataAnalyzer,
+    result: QueryResult,
+    size_bounds=(1, 6, 14),
+    builder: IListBuilder | None = None,
 ) -> IList:
     """Hold the IList, the statistics and the selections of ``result`` to
-    the oracle; returns the IList built."""
+    the oracle; returns the IList built — by ``builder`` when given (one
+    whose root memo may already hold ``result``'s root), by a fresh one
+    otherwise."""
     context = (result.source.name, result.query.keywords, str(result.root))
     nodes = result.source.nodes_by_pre
 
     def labels(instances):
         return [nodes[pre].dewey for pre in instances]
 
-    ilist = IListBuilder(analyzer).build(result.query, result)
+    ilist = (builder or IListBuilder(analyzer)).build(result.query, result)
     reference = reference_ilist(analyzer, result.query, result)
 
     # the IList, item by item

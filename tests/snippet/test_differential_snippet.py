@@ -26,6 +26,7 @@ from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.xseek import ResultConstruction, build_result_tree
 from repro.snippet.features import Feature, extract_features
+from repro.snippet.ilist import IListBuilder
 from repro.xmltree.diff import clone_tree, diff_trees
 from repro.xmltree.parser import parse_xml
 from tests.property.test_property_node_tables import SHAPES
@@ -67,6 +68,47 @@ def test_a_lazily_loaded_v4_index(shape, tmp_path):
     assert loaded.analyzer._features is None  # nothing of the table is persisted
     assert assert_page_ones_match(loaded, queries=query_pool(built)) > 20
     assert decoded(loaded.analyzer) == decoded(built.analyzer)
+
+
+# ---------------------------------------------------------------------- #
+# the memo-hit path: a root whose statistics another query computed
+# ---------------------------------------------------------------------- #
+def assert_memo_hits_match(index, construction=ResultConstruction.XSEEK) -> int:
+    """Every page-1 result of the pool, built by one builder right after
+    the result of a different query with the same root went through it —
+    so its scan, statistics, entity names and ranked features are the memo
+    entry that query left."""
+    builder = IListBuilder(index.analyzer)
+    engine = SearchEngine(index, construction=construction)
+    pool = query_pool(index)
+    compared = 0
+    for text, rival in zip(pool, pool[1:] + pool[:1]):
+        rival_query = KeywordQuery.parse(rival)
+        for result in engine.search(text).results[:PAGE_SIZE]:
+            pre = result.root_node.pre
+            assert rival_query.keywords != result.query.keywords
+            earlier = build_result_tree(index, rival_query, pre, construction)
+            assert earlier.root_node.pre == pre
+            builder.build(rival_query, earlier)
+            statistics = builder.roots.get(pre).statistics
+            ilist = assert_snippet_matches_reference(index.analyzer, result, builder=builder)
+            assert ilist.statistics is statistics
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("construction", list(ResultConstruction), ids=lambda c: c.value)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_root_another_query_went_through_first(shape, construction):
+    index = IndexBuilder().build(SHAPES[shape]())
+    assert assert_memo_hits_match(index, construction) > 20
+    # the whole document, first for another query
+    builder = IListBuilder(index.analyzer)
+    rival = KeywordQuery.parse(query_pool(index)[0])
+    builder.build(rival, build_result_tree(index, rival, 0, construction))
+    assert 0 in builder.roots
+    whole = build_result_tree(index, KeywordQuery.parse(index.tree.root.tag), 0, construction)
+    assert_snippet_matches_reference(index.analyzer, whole, builder=builder)
 
 
 # ---------------------------------------------------------------------- #

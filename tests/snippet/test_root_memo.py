@@ -1,0 +1,197 @@
+"""A result root's statistics are computed once per document version.
+
+The §2.3 statistics — ``N(e, a, v)``, ``N(e, a)``, ``D(e, a)`` — and the
+entity names are counted inside the result subtree alone, so the IList
+builder keeps each root's scan, feature statistics, entity-name items and
+ranked dominant features (``IListBuilder.roots``), and a second query whose
+result has the same root adds only its keywords, return entity and key on
+top.  Counting wrappers, not timings: over one service, the subtree scan,
+the feature count and the dominance ranking run once per distinct root,
+and every response is byte-identical to a fresh service's.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.api import SearchRequest, SnippetService
+from repro.classify.analyzer import DataAnalyzer
+from repro.corpus import Corpus
+from repro.datasets.retail import RetailConfig, generate_retail_document
+from repro.index.builder import IndexBuilder
+from repro.search.engine import SearchEngine
+from repro.search.query import KeywordQuery
+from repro.snippet import features as features_module
+from repro.snippet.dominant import DominantFeatureIdentifier
+from repro.snippet.generator import SnippetGenerator
+from repro.snippet.ilist import IListBuilder
+from repro.xmltree.diff import clone_tree
+from tests.search.test_search_off_label_path import query_pool
+
+PAGE_SIZE = 10
+SIZE_BOUND = 14
+CONFIG = RetailConfig(retailers=4, stores_per_retailer=4, clothes_per_store=5, seed=3)
+
+
+def retail_corpus(cache_size: int | None = None) -> Corpus:
+    corpus = Corpus() if cache_size is None else Corpus(cache_size=cache_size)
+    corpus.add_tree("retail", generate_retail_document(CONFIG, name="retail"))
+    return corpus
+
+
+def request(query: str, **overrides) -> SearchRequest:
+    options = {"size_bound": SIZE_BOUND, "page_size": PAGE_SIZE, **overrides}
+    return SearchRequest(query=query, document="retail", **options)
+
+
+def wire(response) -> str:
+    return json.dumps(response.to_dict(), sort_keys=True)
+
+
+def fresh_wire(query: str, **overrides) -> str:
+    """What a service that answered nothing else serves for ``query``."""
+    return wire(SnippetService(retail_corpus()).run(request(query, **overrides)))
+
+
+@pytest.fixture(scope="module")
+def pool() -> list[str]:
+    return query_pool(IndexBuilder().build(generate_retail_document(CONFIG, name="retail")))
+
+
+@pytest.fixture()
+def roots(monkeypatch):
+    """Per counted route, the root ``pre`` of every call: the IList builds,
+    the subtree scans, the feature counts and the dominance rankings."""
+    seen: dict[str, list[int]] = {"build": [], "scan": [], "features": [], "dominant": []}
+
+    build = IListBuilder.build
+
+    def counted_build(self, query, result, *args, **kwargs):
+        seen["build"].append(result.root_node.pre)
+        return build(self, query, result, *args, **kwargs)
+
+    scan = DataAnalyzer.scan_subtree
+
+    def counted_scan(self, root):
+        seen["scan"].append(root.pre)
+        return scan(self, root)
+
+    identify = DominantFeatureIdentifier.identify
+
+    def counted_identify(self, result, statistics=None):
+        seen["dominant"].append(result.root_node.pre)
+        return identify(self, result, statistics)
+
+    extract = features_module.extract_features
+
+    def counted_extract(analyzer, result):
+        seen["features"].append(result.root_node.pre)
+        return extract(analyzer, result)
+
+    monkeypatch.setattr(IListBuilder, "build", counted_build)
+    monkeypatch.setattr(DataAnalyzer, "scan_subtree", counted_scan)
+    monkeypatch.setattr(DominantFeatureIdentifier, "identify", counted_identify)
+    # bound by name wherever it was imported
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and getattr(module, "extract_features", None) is extract:
+            monkeypatch.setattr(module, "extract_features", counted_extract)
+    return seen
+
+
+def test_each_root_is_scanned_counted_and_ranked_once(pool, roots):
+    service = SnippetService(retail_corpus())
+    served = [wire(service.run(request(query))) for query in pool]
+
+    built = Counter(roots["build"])
+    assert sum(built.values()) > len(built)  # the pool does repeat roots
+    for route in ("scan", "features", "dominant"):
+        assert Counter(roots[route]) == Counter(dict.fromkeys(built, 1)), route
+    memo = service.corpus.system("retail").generator.ilist_builder.roots
+    assert len(memo) == len(built)
+    # ... and no response shows it
+    assert served == [fresh_wire(query) for query in pool]
+
+
+def test_a_second_query_on_the_same_roots_counts_nothing(roots):
+    service = SnippetService(retail_corpus())
+    every_store = service.run(request("store", page_size=None))
+    stores = set(roots["build"])
+    assert len(stores) == every_store.total_results > 1
+    for route in roots:
+        del roots[route][:]
+
+    texas = service.run(request("store texas", page_size=None))
+
+    assert 0 < len(roots["build"]) == texas.total_results < len(stores)
+    assert set(roots["build"]) <= stores
+    assert roots["features"] == roots["scan"] == roots["dominant"] == []
+    assert wire(texas) == fresh_wire("store texas", page_size=None)
+
+
+def test_two_queries_share_one_statistics_object():
+    system = retail_corpus().system("retail")
+    stores = {
+        generated.result.root_node.pre: generated
+        for generated in system.run_query("store", size_bound=SIZE_BOUND).snippets
+    }
+    for generated in system.run_query("store texas", size_bound=SIZE_BOUND).snippets:
+        first = stores[generated.result.root_node.pre]
+        assert generated.ilist is not first.ilist
+        assert generated.ilist.statistics is first.ilist.statistics
+        # the root's own items are the same objects (less any a keyword
+        # of this query already names)
+        shared = {id(item) for item in first.ilist.items_of_kind("feature")}
+        assert all(id(item) in shared for item in generated.ilist.items_of_kind("feature"))
+
+
+def test_a_root_of_another_tree_never_hits_the_memo(roots):
+    local = IndexBuilder().build(generate_retail_document(CONFIG, name="retail"))
+    foreign = IndexBuilder().build(clone_tree(local.tree, name="foreign"))
+    generator = SnippetGenerator(local.analyzer)
+    result = SearchEngine(foreign).search("store texas")[0]
+    assert not local.analyzer.covers(result.root_node)
+
+    for query in ("store texas", "texas store", "store"):
+        generator.generate(result, size_bound=SIZE_BOUND, query=KeywordQuery.parse(query))
+
+    assert len(generator.ilist_builder.roots) == 0
+    assert roots["features"] == [result.root_node.pre] * 3
+
+
+def test_cache_size_zero_keeps_no_root(pool, roots):
+    service = SnippetService(retail_corpus(cache_size=0))
+    served = [wire(service.run(request(query))) for query in pool[:8]]
+
+    assert len(service.corpus.system("retail").generator.ilist_builder.roots) == 0
+    assert roots["features"] == roots["build"]  # every build counts its root
+    assert served == [fresh_wire(query) for query in pool[:8]]
+
+
+def test_invalidate_cache_drops_the_memo():
+    system = retail_corpus().system("retail")
+    list(system.run_query("store texas", size_bound=SIZE_BOUND).snippets)
+    assert len(system.generator.ilist_builder.roots) > 0
+    system.invalidate_cache()
+    assert len(system.generator.ilist_builder.roots) == 0
+
+
+def test_use_cache_false_is_a_cold_evaluation(roots):
+    """``use_cache=False`` reads and fills neither the result cache, the
+    snippet cache nor the root memo: a second such request generates every
+    snippet again, and reports the phases it ran."""
+    service = SnippetService(retail_corpus())
+    cold = request("store texas", use_cache=False, include_meta=True)
+    first = service.run(cold)
+    second = service.run(cold)
+
+    generator = service.corpus.system("retail").generator
+    assert len(generator.cache) == 0 and len(generator.ilist_builder.roots) == 0
+    assert len(service.corpus.system("retail").cache) == 0
+    assert not second.from_cache
+    assert {"ilist", "features"} <= set(second.timings)
+    assert len(roots["features"]) == 2 * len(second.results) > 0
+    assert wire(second) == wire(first) == fresh_wire("store texas")

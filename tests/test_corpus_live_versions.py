@@ -24,6 +24,7 @@ from repro.datasets import RetailConfig, generate_retail_document
 from repro.datasets.base import US_CITIES
 from repro.search.results import ResultSet
 from repro.system import SearchOutcome
+from repro.xmltree.diff import clone_tree
 from repro.xmltree.node import XMLNode
 from repro.xmltree.serialize import to_xml_string
 from repro.xmltree.tree import XMLTree
@@ -158,6 +159,75 @@ def test_a_sharded_corpus_keeps_one_tree_per_document(nodes_before):
         assert_one_live_version(corpora, nodes_before)
     finally:
         cluster.close()
+
+
+def shared_root_queries(tree: XMLTree) -> tuple[str, str, int, str]:
+    """Two queries whose one result is the same store, and a text edit
+    outside that store that changes the postings of the first query's
+    keywords only: (killed query, kept query, ``pre`` of the other store's
+    ``<city>``, the city it becomes)."""
+    stores = [
+        store for store in tree.find_by_tag("store")
+        if " " not in store.find_child("city").text
+    ]
+    shared, other = next(
+        (store, other)
+        for store in stores
+        for other in stores
+        if other.find_child("city").text != store.find_child("city").text
+        and other.find_child("name").text.split()[:2] != store.find_child("name").text.split()[:2]
+    )
+    city = shared.find_child("city").text
+    name = " ".join(shared.find_child("name").text.split()[:2])
+    return f"store {city}", f"store {name}", other.find_child("city").pre, city
+
+
+def test_two_queries_share_a_root_and_an_update_keeps_one():
+    """The statistics of a root are computed once and shared by every query
+    whose result has that root.  An edit under another store that changes
+    one query's postings kills that query's outcome and keeps the other's:
+    the kept entry moves the shared statistics onto the live version, and
+    the retired version dies."""
+    current = documents()
+    corpus = Corpus()
+    for name, xml in current.items():
+        corpus.add_xml(name, xml)
+    service = SnippetService(corpus)
+    name = DOCUMENTS[0]
+    killed, kept, edited_pre, city = shared_root_queries(corpus.system(name).index.tree)
+
+    def snippets(query: str) -> list:
+        return list(corpus.system(name).run_query(query, size_bound=6).snippets)
+
+    for query in (killed, kept):
+        service.run(SearchRequest(query=query, document=name, size_bound=6))
+    (kept_snippet,) = snippets(kept)
+    statistics = kept_snippet.ilist.statistics
+    root = kept_snippet.result.root_node.pre
+    assert [
+        generated.ilist.statistics for generated in snippets(killed)
+        if generated.result.root_node.pre == root
+    ] == [statistics]
+    del kept_snippet
+
+    edited = clone_tree(corpus.system(name).index.tree)
+    edited.nodes_by_pre[edited_pre].text = city
+    current[name] = to_xml_string(edited)
+    del edited
+    response = service.run_update(UpdateRequest(document=name, xml=current[name]))
+    assert response.incremental and response.cache_entries_invalidated >= 1
+
+    live = corpus.system(name)
+    assert live.run_query(kept, size_bound=6).from_cache
+    assert not live.run_query(killed, size_bound=6).from_cache
+    assert statistics.source is live.index.tree
+    assert service.stats()["live_versions"] == dict.fromkeys(DOCUMENTS, 1)
+    rebuilt = Corpus()
+    rebuilt.add_xml(name, current[name])
+    fresh = SnippetService(rebuilt)
+    for query in (kept, killed):
+        request = SearchRequest(query=query, document=name, size_bound=6)
+        assert service.run(request).to_dict() == fresh.run(request).to_dict(), query
 
 
 def test_a_retired_version_lives_while_a_request_holds_it():

@@ -466,6 +466,72 @@ class TestStoredPayloads:
         assert SnippetService._snippet_payload(batch[0]) is old[0]
 
 
+class TestSharedRootStatistics:
+    """Every query whose result has a root shares that root's statistics
+    (the IList builder's root memo), so an update moves them with whichever
+    entry it keeps — never through one query's result."""
+
+    # both rooted at the West Village store; Galleria's <city> becoming
+    # "Austin" changes the postings of "austin" only, under another root
+    KILLED, KEPT = "store austin", "store outwear"
+
+    def build(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+        for query in (self.KILLED, self.KEPT):
+            service.run(SearchRequest(query=query, document="doc", size_bound=6))
+        return corpus, service
+
+    def snippet(self, corpus, query):
+        (generated,) = corpus.system("doc").run_query(query, size_bound=6).snippets
+        return generated
+
+    def test_two_queries_share_one_root_and_an_update_keeps_one(self):
+        corpus, service = self.build()
+        killed, kept = self.snippet(corpus, self.KILLED), self.snippet(corpus, self.KEPT)
+        assert killed.result.root_node.pre == kept.result.root_node.pre
+        statistics = kept.ilist.statistics
+        assert killed.ilist.statistics is statistics and killed.ilist is not kept.ilist
+        retired = corpus.system("doc")
+
+        report = corpus.update_document("doc", retailer_tree("Austin"))
+        assert report.incremental and report.cache_entries_invalidated >= 1
+
+        live = corpus.system("doc")
+        assert live is not retired and live.index.tree is not retired.index.tree
+        assert live.run_query(self.KEPT, size_bound=6).from_cache
+        assert not live.run_query(self.KILLED, size_bound=6).from_cache
+        # the kept entry moved the shared statistics onto the live version
+        assert statistics.source is live.index.tree
+        assert len(retired.generator.ilist_builder.roots) == 0
+        # what still reads the retired version here is this test alone
+        assert corpus.live_versions() == {"doc": 2}
+        del killed, retired
+        assert corpus.live_versions() == {"doc": 1}
+        assert service.stats()["live_versions"] == {"doc": 1}
+        rebuilt = Corpus()
+        rebuilt.add_tree("doc", retailer_tree("Austin"))
+        for query in (self.KEPT, self.KILLED):
+            assert wire(service, query) == wire(SnippetService(rebuilt), query), query
+
+    def test_statistics_rebind_only_to_a_tree_of_the_same_shape(self):
+        corpus, _service = self.build()
+        generated = self.snippet(corpus, self.KEPT)
+        statistics = generated.ilist.statistics
+        source = statistics.source
+        other = retailer_tree("Houston", categories=("suit", "jeans", "skirt"))
+        other.refresh()
+        assert other.shape is not source.shape
+        with pytest.raises(ExtractError, match="another shape"):
+            generated.result.rebind(other)
+        with pytest.raises(ExtractError, match="another shape"):
+            statistics.rebind(other)
+        assert statistics.source is source
+        statistics.rebind(source)  # the tree it already reads: nothing to do
+        assert statistics.source is source
+
+
 class TestRemoveAndUpsert:
     def test_remove_document_reports(self):
         corpus = Corpus()
