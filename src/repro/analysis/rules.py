@@ -943,11 +943,11 @@ class NoUnboundedRetryRule(Rule):
 class FormatVersionRule(Rule):
     """On-disk format magics live in named constants next to their version.
 
-    The persistence modules (text/binary snapshots, corpus manifest and
+    The persistence modules (binary snapshots, corpus manifest and
     journal, cluster manifest) each declare a ``*_FORMAT_VERSION`` integer
-    and derive their magic header from it — ``save_index`` writing
-    ``"#extract-index v3"`` inline would silently fork the format the
-    moment the constant moved to 4.  Two findings:
+    and derive their magic header from it — ``write_corpus_manifest``
+    writing ``"#extract-corpus v1"`` inline would silently fork the format
+    the moment the constant moved to 2.  Two findings:
 
     * a magic-looking literal (``#extract-…`` text header or an
       ``EXIDX…`` binary sentinel) anywhere except a module-level

@@ -35,6 +35,7 @@ from typing import Any, ClassVar, Iterable
 
 from repro.errors import (
     DeadlineError,
+    DocumentNameError,
     OverloadedError,
     PagingError,
     ProtocolError,
@@ -102,6 +103,7 @@ _CODE_BY_EXCEPTION = (
     (ProtocolError, "bad_request"),
     (QueryError, "bad_request"),
     (XMLParseError, "bad_request"),
+    (DocumentNameError, "bad_request"),
 )
 
 

@@ -1420,10 +1420,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader hung up (``| head``): write nothing more, and point
+        # stdout at devnull so the interpreter's exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ExtractError, OSError) as error:
         print(f"error: {error}", file=out)
         return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples

@@ -23,8 +23,8 @@ snapshot subdirectories (each one a corpus directory written by
 :meth:`repro.corpus.Corpus.save_dir`) and the partitioner that assigned
 documents to them.  ``#version`` is a monotonically increasing update
 counter — every ``cluster-update`` bumps it — and the ``#end`` sentinel
-rejects truncated manifests before any shard directory is trusted, the
-same discipline as the v3 index snapshots of :mod:`repro.index.storage`.
+rejects truncated manifests before any shard directory is trusted, as
+the end magic and checksum of a ``snapshot.bin`` do for an index.
 
 Format (UTF-8 text)::
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from repro.errors import (
     DatasetError,
     DeweyError,
+    DocumentNameError,
     ExtractError,
     StorageError,
     UnknownDocumentError,
@@ -200,6 +201,10 @@ class Corpus:
         return self._register(name, system, replace=replace)
 
     def _register(self, name: str, system: ExtractSystem, replace: bool = False) -> CorpusEntry:
+        if not name or "\n" in name or "\r" in name:
+            raise DocumentNameError(
+                f"document name {name!r} must be non-empty and hold no line break"
+            )
         entry = CorpusEntry(name=name, system=system)
         # Atomic swap: concurrent requests either see the old entry (with
         # its own index-bound postings memo) or the new one — never a
@@ -646,10 +651,8 @@ def compact_corpus_dir(
 
     A ``snapshot.bin`` the journal never touched is **copied
     byte-for-byte** instead of being re-serialised; documents with journal
-    records, and base snapshots still in the read-only version 3 text
-    format, get fresh snapshots.  Compaction is therefore the whole
-    migration story for a text corpus, and compacting a journal-free
-    binary corpus is byte-stable: every snapshot and the manifest come out
+    records get fresh snapshots.  Compacting a journal-free corpus is
+    therefore byte-stable: every snapshot and the manifest come out
     identical.
 
     The compaction is **staged**: the journal-replayed corpus is saved
@@ -664,7 +667,7 @@ def compact_corpus_dir(
     (rename it back to recover; the next compaction only clears leftovers
     when the corpus directory itself is present).  Search results before
     and after are byte-identical (``load_dir`` replay, snapshot copies and
-    binary rewrites all preserve served bytes).
+    rewrites all preserve served bytes).
     """
     import shutil
 
@@ -685,12 +688,6 @@ def compact_corpus_dir(
         if record.snapshot:
             touched.add(record.snapshot)
 
-    def keeps(subdir: str) -> bool:
-        """An untouched binary snapshot is copied; anything else is rewritten."""
-        return subdir not in touched and os.path.exists(
-            os.path.join(path, subdir, BINARY_FILE)
-        )
-
     subdir_of = {name: subdir for subdir, name in directory_documents(path).items()}
     staging = f"{path}.compacting"
     backup = f"{path}.pre-compact"
@@ -701,10 +698,10 @@ def compact_corpus_dir(
         os.makedirs(staging)
         subdirs: list[str] = []
         entries: list[tuple[str, str]] = []
-        used = {subdir.lower() for subdir in subdir_of.values() if keeps(subdir)}
+        used = {subdir.lower() for subdir in subdir_of.values() if subdir not in touched}
         for name in corpus.names():
             current = subdir_of.get(name)
-            if current is not None and keeps(current):
+            if current is not None and current not in touched:
                 subdir = current
                 os.makedirs(os.path.join(staging, subdir))
                 shutil.copyfile(

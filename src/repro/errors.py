@@ -95,6 +95,12 @@ class UnknownDocumentError(ExtractError):
     (HTTP 404) instead of a generic failure."""
 
 
+class DocumentNameError(ExtractError):
+    """Raised when a document is registered under an empty name or one
+    holding a line break: ``corpus.manifest`` and ``corpus.journal`` keep
+    one name per line.  Wire frontends map it to ``bad_request``."""
+
+
 class OverloadedError(ExtractError):
     """Raised (or wrapped into an ``overloaded`` error response, HTTP 503)
     by the gateway's admission-control middleware when the bounded

@@ -4,16 +4,18 @@
 user input keywords, as well as the information about node category, and
 parent-children relationship."
 
-* :mod:`repro.index.postings` — sorted Dewey posting lists and merge ops,
+* :mod:`repro.index.postings` — sorted posting lists of ``pre`` ids and
+  merge ops,
 * :mod:`repro.index.inverted` — keyword → posting list inverted index,
 * :mod:`repro.index.structure` — tag/label index, node-category index and
   parent/children accessors,
 * :mod:`repro.index.builder` — the façade that builds all of them,
 * :mod:`repro.index.storage` — persistence: ``save_index`` / ``load_index``
-  (the v3 text snapshots of older builds are read-only input), the corpus
-  manifest/journal,
+  (``snapshot.bin`` only; an older build's text snapshot is rejected by
+  name), the corpus manifest/journal,
 * :mod:`repro.index.binfmt` — the v4 mmap-able binary snapshot format
-  every snapshot is written in, with lazy posting-list materialisation.
+  every snapshot is written and read in, with lazy posting-list
+  materialisation.
 """
 
 from repro.index.postings import PostingList

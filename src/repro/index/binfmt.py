@@ -1,14 +1,11 @@
-"""The v4 binary, mmap-able snapshot format — the one format written.
+"""The v4 binary, mmap-able snapshot format — the one format written and read.
 
-The version 3 text snapshots older builds wrote (still readable, see
-:mod:`repro.index.storage`) are diff-friendly UTF-8: loading one re-parses
-``document.xml``, re-runs the full analysis and rebuilds both indexes just
-to validate the stored sections — per document, at every cold shard
-bootstrap and replica spin-up.  Version 4 instead persists *everything*
-the loaded :class:`~repro.index.builder.DocumentIndex` needs — tree,
-pre/post/level order, posting lists, structure index and the full analyzer
-state (including the DTD, which the text format could not round-trip) — as
-one struct-packed file that is opened via :mod:`mmap` and decoded lazily.
+A snapshot persists *everything* the loaded
+:class:`~repro.index.builder.DocumentIndex` needs — tree, pre/post/level
+order, posting lists, structure index and the full analyzer state
+(including the DTD) — as one struct-packed file that is opened via
+:mod:`mmap` and decoded lazily, so loading one re-parses and re-analyzes
+nothing.
 
 Layout of ``snapshot.bin`` (all integers little-endian)::
 
@@ -45,8 +42,7 @@ Truncation and corruption are rejected *before any posting is trusted*:
 the header magic, format version, end sentinel and whole-file checksum are
 all verified at open, and every table/directory offset is bounds-checked
 against the actual file size.  Any failure raises
-:class:`~repro.errors.StorageError`, matching the staged-load contract of
-the text reader.
+:class:`~repro.errors.StorageError`.
 """
 
 from __future__ import annotations
@@ -640,17 +636,13 @@ class LazyInvertedIndex(InvertedIndex):
             )
 
 
-def load_binary_index(
-    directory: str | os.PathLike[str], lazy: bool = True
-) -> DocumentIndex:
+def load_binary_index(directory: str | os.PathLike[str]) -> DocumentIndex:
     """Load a :class:`DocumentIndex` from a v4 binary snapshot directory.
 
-    With ``lazy=True`` (the default) the inverted index is a
-    :class:`LazyInvertedIndex` backed by the mmap'd file; ``lazy=False``
-    materialises every posting list up front and returns a plain
-    :class:`InvertedIndex`.  Either way, queries over the loaded index are
-    byte-identical to queries over the index that was saved — and to a
-    v3 text load of the same corpus.
+    The inverted index is a :class:`LazyInvertedIndex` backed by the
+    mmap'd file (:meth:`~LazyInvertedIndex.postings_dict` decodes every
+    list).  Queries over the loaded index are byte-identical to queries
+    over the index that was saved.
     """
     path = os.fspath(directory)
     file_path = os.path.join(path, BINARY_FILE)
@@ -672,20 +664,10 @@ def load_binary_index(
     directory_entries = _read_directory(
         snapshot, _SEC_POSTINGS, strings, file_path
     )
-    source = _PostingSource(snapshot, shape, file_path)
-    if lazy:
-        inverted: InvertedIndex = LazyInvertedIndex(
-            source,
-            {term: (offset, count) for term, (count, offset) in directory_entries.items()},
-        )
-    else:
-        inverted = InvertedIndex.from_postings(
-            shape,
-            {
-                term: source.posting_list(term, offset, count)
-                for term, (count, offset) in directory_entries.items()
-            },
-        )
+    inverted = LazyInvertedIndex(
+        _PostingSource(snapshot, shape, file_path),
+        {term: (offset, count) for term, (count, offset) in directory_entries.items()},
+    )
     return DocumentIndex(
         tree=tree, analyzer=analyzer, inverted=inverted, structure=structure
     )

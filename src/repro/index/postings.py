@@ -13,7 +13,7 @@ An integer carries no provenance: an id from another document is not an
 error the way a foreign label was, it is a plausible wrong answer.  So a
 list holds the :class:`~repro.xmltree.tree.TreeShape` its ids index (the
 tables the primitives read), ids are range-checked wherever they enter
-(the constructor, :meth:`PostingList.from_labels`, the snapshot reader),
+(the constructor and the snapshot reader),
 and search code refuses lists of different shapes.  A text-only update
 keeps the shape — and with it every list it did not touch.
 """
@@ -25,8 +25,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import IndexError_
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.tree import TreeShape, XMLTree
+from repro.xmltree.tree import TreeShape
 
 
 class PostingList:
@@ -54,13 +53,6 @@ class PostingList:
         postings.shape = shape
         postings._ids = ids
         return postings
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[Dewey], tree: XMLTree) -> "PostingList":
-        """The boundary constructor for formats that spell nodes as Dewey
-        labels (the v3 text snapshot).  A label ``tree`` does not have
-        raises :class:`~repro.errors.ExtractError`."""
-        return cls(tree.shape, (tree.node(label).pre for label in labels))
 
     # ------------------------------------------------------------------ #
     # basic container protocol

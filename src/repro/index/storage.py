@@ -4,32 +4,12 @@ The original eXtract demo precomputed its indexes on the server so queries
 over the web UI were fast.  This module is the one way to put a
 :class:`DocumentIndex` on disk and get it back: :func:`save_index` writes
 the binary ``snapshot.bin`` of :mod:`repro.index.binfmt` (format version
-4) and nothing else; :func:`load_index` reads it, and also still reads the
-version 3 *text* snapshots older builds wrote, as a **read-only migration
-input** — re-save the corpus or run ``corpus-compact`` to upgrade a
-directory.  :class:`repro.corpus.Corpus` builds on both to round-trip
-whole multi-document corpora (``save_dir``/``load_dir``).
-
-The version 3 text format this module reads (``inverted.idx``, UTF-8)::
-
-    #extract-index v3
-    #document <name>
-    #nodes <count>
-    #summary entity=<n> attribute=<n> connection=<n>
-    #counts terms=<n> paths=<n>
-    T <term> <label> <label> ...
-    P <tag-path joined by '/'> <label> <label> ...
-    #end
-
-The ``#counts`` header and the ``#end`` sentinel let a truncated file (a
-killed writer, a partial copy) be detected *before* any posting list is
-trusted.  The tree is stored alongside as regular XML (``document.xml``).
-On load the document is re-parsed and re-analyzed, then *validated section
-by section* against the stored artefact: node count, analyzer summary,
-structure paths and vocabulary must all agree, guarding against a
-document/index mismatch on disk.  The stored posting lists are
-authoritative for the loaded index.  Versions 1 and 2 lacked the
-truncation guards and are rejected by name.
+4) and nothing else, and :func:`load_index` reads it.  A directory that
+holds a text snapshot of an older build (``document.xml`` +
+``inverted.idx``) is rejected with a :class:`StorageError` naming the last
+commit whose ``corpus-compact`` rewrites it.  :class:`repro.corpus.Corpus`
+builds on both to round-trip whole multi-document corpora
+(``save_dir``/``load_dir``).
 
 This module also owns the **corpus-level persistence**: the
 ``corpus.manifest`` written by :meth:`Corpus.save_dir` and the
@@ -49,28 +29,19 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.errors import ExtractError, StorageError
+from repro.errors import StorageError
 from repro.index.binfmt import (
     BINARY_FILE,
     BINARY_FORMAT_VERSION,
     load_binary_index,
     write_binary_index,
 )
-from repro.index.builder import DocumentIndex, IndexBuilder
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingList
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.parser import parse_xml_file
-from repro.xmltree.tree import XMLTree
+from repro.index.builder import DocumentIndex
 
-#: the one version of the plain-text snapshot format this module still reads
-TEXT_FORMAT_VERSION = 3
-
-_MAGIC_V3 = f"#extract-index v{TEXT_FORMAT_VERSION}"
-
-#: file names inside a text snapshot directory
-DOCUMENT_FILE = "document.xml"
-INDEX_FILE = "inverted.idx"
+#: the index file of the text snapshots builds before format version 4
+#: wrote, and the last commit whose loader reads them
+_TEXT_INDEX_FILE = "inverted.idx"
+_LAST_TEXT_READER = "356af2d"
 
 #: corpus-level files (written next to the per-document subdirectories)
 MANIFEST_FILE = "corpus.manifest"
@@ -80,9 +51,6 @@ JOURNAL_FORMAT_VERSION = 1
 _MANIFEST_MAGIC = f"#extract-corpus v{MANIFEST_FORMAT_VERSION}"
 _JOURNAL_MAGIC = f"#extract-corpus-journal v{JOURNAL_FORMAT_VERSION}"
 
-_PATH_SEPARATOR = "/"
-_END_SENTINEL = "#end"
-
 
 def save_index(
     index: DocumentIndex,
@@ -91,10 +59,6 @@ def save_index(
 ) -> None:
     """Persist ``index`` (document + inverted + structure + analyzer state,
     DTD included) into ``directory`` as ``snapshot.bin``.
-
-    A text snapshot already in ``directory`` is removed once the new file
-    is complete: re-saving over a version 3 directory is the upgrade path,
-    and nothing stale may outlive the fresh snapshot.
 
     ``format_version`` is a one-valued assertion kept for
     ``benchmarks/e2e`` (which passes ``4``); any other value is a
@@ -106,214 +70,27 @@ def save_index(
             f"writes version {BINARY_FORMAT_VERSION} only"
         )
     write_binary_index(index, directory)
-    path = os.fspath(directory)
-    try:
-        for stale in (DOCUMENT_FILE, INDEX_FILE):
-            stale_path = os.path.join(path, stale)
-            if os.path.exists(stale_path):
-                os.remove(stale_path)
-    except OSError as exc:
-        raise StorageError(f"failed to remove the text snapshot in {path}: {exc}") from exc
 
 
-def load_index(directory: str | os.PathLike[str], lazy: bool = True) -> DocumentIndex:
-    """Load a :class:`DocumentIndex` from a snapshot directory.
+def load_index(directory: str | os.PathLike[str]) -> DocumentIndex:
+    """Load a :class:`DocumentIndex` from the ``snapshot.bin`` in ``directory``
+    (mmap'd, posting lists decoded on first lookup).
 
-    The snapshot format is detected from the directory contents: a
-    ``snapshot.bin`` is loaded through :mod:`repro.index.binfmt` (mmap'd,
-    with posting lists materialised lazily unless ``lazy=False``); a
-    version 3 text snapshot takes the validate-and-replace path below.
-
-    For the text format, the XML document is re-parsed and re-analyzed;
-    every stored section is validated against the freshly built index
-    (node count, analyzer summary, structure paths, vocabulary) and the
-    stored posting lists then replace the rebuilt ones — they are
-    authoritative for the artefact on disk, and queries over the loaded
-    index are byte-identical to queries over the index that was saved.
-    The text format never stored a DTD: a document whose DTD changed the
-    classification fails the summary check instead of silently loading
-    with different semantics.
+    A text snapshot (``inverted.idx``, written by builds before format
+    version 4) is a :class:`StorageError` that names the last build which
+    reads it; a text file beside a ``snapshot.bin`` is never read.
     """
     path = os.fspath(directory)
-    if os.path.exists(os.path.join(path, BINARY_FILE)):
-        return load_binary_index(path, lazy=lazy)
-    document_path = os.path.join(path, DOCUMENT_FILE)
-    index_path = os.path.join(path, INDEX_FILE)
-    if not os.path.exists(document_path) or not os.path.exists(index_path):
-        raise StorageError(f"{path} does not contain a saved eXtract index")
-
-    try:
-        parse_result = parse_xml_file(document_path)
-    except OSError as exc:
-        raise StorageError(f"failed to read stored document: {exc}") from exc
-
-    snapshot = _read_snapshot(index_path, parse_result.tree)
-
-    if snapshot.document_name:
-        # The file on disk is always called document.xml; the logical name
-        # lives in the snapshot header and must survive the round trip
-        # (cache keys and corpus registration key on it).
-        parse_result.tree.name = snapshot.document_name
-
-    index = IndexBuilder().build(parse_result.tree)
-    if snapshot.nodes is not None and snapshot.nodes != parse_result.tree.size_nodes:
+    if not os.path.exists(os.path.join(path, BINARY_FILE)) and os.path.exists(
+        os.path.join(path, _TEXT_INDEX_FILE)
+    ):
         raise StorageError(
-            f"stored index covers {snapshot.nodes} nodes but the stored document has "
-            f"{parse_result.tree.size_nodes}; the artefacts are out of sync"
+            f"{path} holds a text snapshot ({_TEXT_INDEX_FILE}), which this build "
+            f"no longer reads; run corpus-compact on its corpus directory with "
+            f"commit {_LAST_TEXT_READER} (the last build that reads it) to "
+            f"rewrite it as {BINARY_FILE}"
         )
-    if snapshot.summary is not None:
-        rebuilt_summary = index.analyzer.summary()
-        if rebuilt_summary != snapshot.summary:
-            raise StorageError(
-                f"stored analyzer summary {snapshot.summary} does not match the "
-                f"re-analysis {rebuilt_summary}; the index was likely built with a "
-                "DTD that is not part of the snapshot"
-            )
-    if snapshot.structure_paths is not None:
-        rebuilt_structure = {
-            _PATH_SEPARATOR.join(tag_path): index.structure.instances_of_path(tag_path)
-            for tag_path in index.structure.known_paths
-        }
-        if set(rebuilt_structure) != set(snapshot.structure_paths):
-            raise StorageError(
-                "stored structure index paths do not match the stored document; "
-                "refusing to load inconsistent index"
-            )
-        for path_text, stored in snapshot.structure_paths.items():
-            if stored != rebuilt_structure[path_text]:
-                raise StorageError(
-                    f"stored structure postings for path {path_text!r} do not match the "
-                    "stored document; refusing to load inconsistent index"
-                )
-    if snapshot.postings:
-        stored_terms = set(snapshot.postings)
-        rebuilt_vocabulary = set(index.inverted.vocabulary)
-        if stored_terms != rebuilt_vocabulary:
-            drifted = sorted(stored_terms ^ rebuilt_vocabulary)[:5]
-            raise StorageError(
-                f"stored inverted index vocabulary does not match the stored document "
-                f"(e.g. {', '.join(drifted)}); refusing to load inconsistent index"
-            )
-    if snapshot.postings:
-        index.inverted = InvertedIndex.from_postings(index.tree.shape, snapshot.postings)
-    return index
-
-
-class _Snapshot:
-    """Parsed content of one ``inverted.idx`` file."""
-
-    def __init__(self) -> None:
-        self.document_name: str | None = None
-        self.nodes: int | None = None
-        self.summary: dict[str, int] | None = None
-        self.postings: dict[str, PostingList] = {}
-        self.structure_paths: dict[str, PostingList] | None = None
-        self.counts: dict[str, int] | None = None
-        self.end_seen = False
-
-
-def _read_snapshot(index_path: str, tree: XMLTree) -> _Snapshot:
-    """Parse ``inverted.idx``; its Dewey label texts become ``pre`` ids of
-    ``tree`` (the stored document) here and nowhere else."""
-    snapshot = _Snapshot()
-    try:
-        with open(index_path, "r", encoding="utf-8") as handle:
-            first = handle.readline().rstrip("\n")
-            if first != _MAGIC_V3:
-                # names the version of a v1/v2 file: it is in the header
-                raise StorageError(
-                    f"unsupported index file header {first!r} in {index_path}; "
-                    f"the only text snapshot this build reads is {_MAGIC_V3!r}"
-                )
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line == _END_SENTINEL:
-                    # The sentinel *terminates* the snapshot: anything after
-                    # it (a concatenated fragment, stray bytes) must not be
-                    # able to override the already-read header sections.
-                    snapshot.end_seen = True
-                    break
-                if line.startswith("#document "):
-                    snapshot.document_name = line.partition(" ")[2]
-                    continue
-                if line.startswith("#nodes "):
-                    try:
-                        snapshot.nodes = int(line.split(" ", 1)[1])
-                    except ValueError as exc:
-                        raise StorageError(f"malformed #nodes line: {line!r}") from exc
-                    continue
-                if line.startswith("#summary "):
-                    snapshot.summary = _parse_summary(line)
-                    continue
-                if line.startswith("#counts "):
-                    snapshot.counts = _parse_counts(line)
-                    continue
-                if line.startswith("#"):
-                    continue
-                kind, _, rest = line.partition(" ")
-                name, _, labels_text = rest.partition(" ")
-                if kind == "T":
-                    snapshot.postings[name] = _stored_postings(labels_text, tree, name)
-                elif kind == "P":
-                    if snapshot.structure_paths is None:
-                        snapshot.structure_paths = {}
-                    snapshot.structure_paths[name] = _stored_postings(labels_text, tree, name)
-    except OSError as exc:
-        raise StorageError(f"failed to read stored index: {exc}") from exc
-    _check_snapshot_complete(snapshot, index_path)
-    return snapshot
-
-
-def _stored_postings(labels_text: str, tree: XMLTree, name: str) -> PostingList:
-    try:
-        return PostingList.from_labels(map(Dewey.parse, labels_text.split()), tree)
-    except ExtractError as exc:
-        raise StorageError(
-            f"stored postings for {name!r} do not fit the stored document: {exc}"
-        ) from exc
-
-
-def _check_snapshot_complete(snapshot: _Snapshot, index_path: str) -> None:
-    """Reject truncated v3 snapshots before any section is trusted."""
-    if not snapshot.end_seen:
-        raise StorageError(
-            f"stored index {index_path} is truncated: missing the {_END_SENTINEL!r} sentinel"
-        )
-    if snapshot.counts is None:
-        raise StorageError(f"stored index {index_path} is missing its #counts section")
-    stored_paths = len(snapshot.structure_paths or {})
-    if snapshot.counts.get("terms") != len(snapshot.postings) or snapshot.counts.get(
-        "paths"
-    ) != stored_paths:
-        raise StorageError(
-            f"stored index {index_path} is truncated: #counts declares "
-            f"{snapshot.counts.get('terms')} terms / {snapshot.counts.get('paths')} paths "
-            f"but {len(snapshot.postings)} / {stored_paths} were read"
-        )
-
-
-def _parse_counts(line: str) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for piece in line.split(" ")[1:]:
-        key, _, value = piece.partition("=")
-        try:
-            counts[key] = int(value)
-        except ValueError as exc:
-            raise StorageError(f"malformed #counts line: {line!r}") from exc
-    return counts
-
-
-def _parse_summary(line: str) -> dict[str, int]:
-    summary: dict[str, int] = {}
-    for piece in line.split(" ")[1:]:
-        key, _, value = piece.partition("=")
-        try:
-            summary[key] = int(value)
-        except ValueError as exc:
-            raise StorageError(f"malformed #summary line: {line!r}") from exc
-    return summary
+    return load_binary_index(path)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ O(depth) time and without touching the tree:
 * the lowest common ancestor of two nodes (longest common prefix),
 
 which is what makes a label a self-describing name for a node on the
-wire, in the update journal and in the v3 text snapshot.  (The keyword
+wire and in the update journal.  (The keyword
 indexes, the SLCA / ELCA search path and snippet generation answer the
 same questions on ``pre`` ids and the tree's flat
 :class:`~repro.xmltree.tree.TreeShape` tables instead — integer bisects

@@ -3,8 +3,8 @@
 :class:`XMLTree` owns a root :class:`~repro.xmltree.node.XMLNode` and
 numbers its nodes in document order (``pre`` — the identity the index, the
 search path and snippet generation use, see :class:`TreeShape`).  What
-names a node by its Dewey label — journal and replication records, the v3
-text snapshot, projections for display — is resolved by walking the
+names a node by its Dewey label — journal and replication records,
+projections for display — is resolved by walking the
 ``children`` lists down from the root.  It also provides subtree
 extraction, which is how query result trees are cut out of the document.
 """

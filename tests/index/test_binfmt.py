@@ -26,9 +26,7 @@ from repro.index.binfmt import (
     load_binary_index,
     write_binary_index,
 )
-from repro.index.inverted import InvertedIndex
 from repro.index.storage import load_index, save_index
-from tests.index.v3_writer import write_v3_index
 
 
 def snapshot_path(directory):
@@ -54,13 +52,6 @@ class TestRoundTrip:
         write_binary_index(small_index, tmp_path / "idx")
         assert os.listdir(tmp_path / "idx") == [BINARY_FILE]
 
-    def test_eager_round_trip(self, small_index, tmp_path):
-        write_binary_index(small_index, tmp_path / "idx")
-        loaded = load_binary_index(tmp_path / "idx", lazy=False)
-        assert isinstance(loaded.inverted, InvertedIndex)
-        assert not isinstance(loaded.inverted, LazyInvertedIndex)
-        assert_equivalent(loaded, small_index)
-
     def test_lazy_round_trip(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
         loaded = load_binary_index(tmp_path / "idx")
@@ -75,20 +66,17 @@ class TestRoundTrip:
         results = SearchEngine(loaded).search("store texas")
         assert len(results) == 2
 
-    def test_indexed_nodes_matches_text_load(self, small_index, tmp_path):
+    def test_indexed_nodes_is_the_node_count(self, small_index, tmp_path):
         # indexed_nodes is the document's node count on every path — as
-        # built, from either loader, and after an incremental update — not
-        # the sum of posting-list lengths the loaders used to report.
+        # built, as loaded, and after an incremental update — not the sum
+        # of posting-list lengths the loaders used to report.
         nodes = small_index.tree.size_nodes
         assert small_index.inverted.indexed_nodes == nodes
         assert sum(len(p) for p in small_index.inverted.postings_dict().values()) != nodes
-        write_v3_index(small_index, tmp_path / "v3")
         write_binary_index(small_index, tmp_path / "v4")
-        assert load_index(tmp_path / "v3").inverted.indexed_nodes == nodes
-        for lazy in (False, True):
-            loaded = load_binary_index(tmp_path / "v4", lazy=lazy).inverted
-            assert loaded.indexed_nodes == nodes
-            assert loaded.apply_delta({"fresh": {1}}, {}).indexed_nodes == nodes
+        loaded = load_binary_index(tmp_path / "v4").inverted
+        assert loaded.indexed_nodes == nodes
+        assert loaded.apply_delta({"fresh": {1}}, {}).indexed_nodes == nodes
 
     def test_deterministic_bytes(self, small_index):
         assert build_binary_snapshot(small_index) == build_binary_snapshot(small_index)
@@ -124,16 +112,6 @@ class TestRoundTrip:
         assert (loaded.analyzer.dtd is None) == (original.dtd is None)
         if original.dtd is not None:
             assert set(loaded.analyzer.dtd.elements) == set(original.dtd.elements)
-
-
-class TestMigration:
-    def test_text_snapshot_resaves_as_binary(self, small_index, tmp_path):
-        write_v3_index(small_index, tmp_path / "idx")
-        from_text = load_index(tmp_path / "idx")
-        save_index(from_text, tmp_path / "idx")
-        assert os.listdir(tmp_path / "idx") == [BINARY_FILE]
-        for lazy in (False, True):
-            assert_equivalent(load_binary_index(tmp_path / "idx", lazy=lazy), from_text)
 
 
 class TestCorruption:
@@ -267,16 +245,14 @@ class TestHostileIds:
             binary_dir,
             lambda d: patch_posting_id(d, binfmt._SEC_POSTINGS, entry, position, value),
         )
-        with pytest.raises(StorageError, match="ids must ascend and stay below"):
-            load_binary_index(binary_dir, lazy=False)
-        # the lazy loader reads the directory only; the list fails when decoded
-        lazy = load_binary_index(binary_dir)
-        assert lazy.inverted.lookup("houston") == small_index.inverted.lookup("houston")
+        # the loader reads the directory only; the list fails when decoded
+        loaded = load_binary_index(binary_dir)
+        assert loaded.inverted.lookup("houston") == small_index.inverted.lookup("houston")
         for _ in range(2):  # a failed decode does not turn the term into "absent"
             with pytest.raises(StorageError, match="postings for 'texas'"):
-                lazy.inverted.lookup("texas")
-        with pytest.raises(StorageError):
-            lazy.inverted.postings_dict()
+                loaded.inverted.lookup("texas")
+        with pytest.raises(StorageError, match="ids must ascend and stay below"):
+            loaded.inverted.postings_dict()
 
     def test_structure_blob_out_of_range(self, small_index, binary_dir):
         self.corrupt(
@@ -314,9 +290,8 @@ class TestLazyMaterialisation:
     def test_lookup_matches_eager(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
         lazy = load_binary_index(tmp_path / "idx").inverted
-        eager = load_binary_index(tmp_path / "idx", lazy=False).inverted
         for term in sorted(small_index.inverted.vocabulary):
-            assert lazy.lookup(term) == eager.lookup(term)
+            assert lazy.lookup(term) == small_index.inverted.lookup(term)
             assert len(lazy.lookup(term)) >= 1
 
     def test_contains_term_does_not_materialise_blob(self, small_index, tmp_path):
@@ -334,10 +309,9 @@ class TestLazyMaterialisation:
     def test_apply_delta_on_lazy_index(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
         lazy = load_binary_index(tmp_path / "idx").inverted
-        eager = load_binary_index(tmp_path / "idx", lazy=False).inverted
         pre = small_index.inverted.lookup("texas")[0]
         added = {"fresh-term": {pre}}
         removed = {"texas": {pre}}
         lazy_after = lazy.apply_delta(added, removed)
-        eager_after = eager.apply_delta(added, removed)
-        assert lazy_after.postings_dict() == eager_after.postings_dict()
+        built_after = small_index.inverted.apply_delta(added, removed)
+        assert lazy_after.postings_dict() == built_after.postings_dict()

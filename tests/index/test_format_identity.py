@@ -1,11 +1,11 @@
-"""Wire byte-identity across snapshot formats.
+"""Wire byte-identity between a built corpus and its snapshots.
 
 The acceptance property of the v4 format: the default (meta-free) wire
-responses of a corpus are byte-identical whether the documents were
-loaded from v3 text snapshots (read-only input, written here by the frozen
-``tests/index/v3_writer.py``), eagerly from v4 binary snapshots, lazily
-through the v4 mmap loader, or from the v3 directory after
-``corpus-compact`` migrated it.
+responses of a corpus loaded from ``snapshot.bin`` files — lazily, through
+the mmap loader — are byte-identical to those of the same corpus built in
+memory from the same XML; and so are those of a saved corpus after one
+journalled edit and ``corpus-compact``, against the in-memory corpus with
+the same edit applied.
 
 And the bytes themselves do not move: the ``snapshot.bin`` of a fixed set
 of seeded documents is pinned by its SHA-256, so a change to how the index
@@ -15,6 +15,7 @@ is built (rather than to the format) cannot change what is written.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 
@@ -22,6 +23,7 @@ import pytest
 
 from repro.api.protocol import BatchRequest, SearchRequest
 from repro.api.service import SnippetService
+from repro.cli import main
 from repro.corpus import Corpus, compact_corpus_dir
 from repro.datasets import (
     AuctionConfig,
@@ -37,13 +39,15 @@ from repro.datasets import (
 )
 from repro.index.binfmt import BINARY_FILE, LazyInvertedIndex
 from repro.index.builder import IndexBuilder
-from repro.index.storage import load_index, read_corpus_manifest, save_index
-from repro.system import ExtractSystem
+from repro.index.storage import read_corpus_manifest, save_index
+from repro.xmltree.diff import clone_tree
 from repro.xmltree.dtd import parse_dtd
-from tests.index.v3_writer import write_v3_corpus
+from repro.xmltree.serialize import to_xml_string
 
 DATASETS = (("figure5-stores", "stores"), ("retail", "retail"))
-QUERIES = ("store texas", "retailer apparel", "clothes casual", "nothing-matches")
+QUERIES = (
+    "store texas", "store nevada", "retailer apparel", "clothes casual", "nothing-matches",
+)
 
 
 def build_corpus() -> Corpus:
@@ -51,6 +55,15 @@ def build_corpus() -> Corpus:
     for dataset, name in DATASETS:
         corpus.add_builtin(dataset, name=name)
     return corpus
+
+
+def edited_stores(corpus: Corpus):
+    """The ``stores`` document with every ``Texas`` changed to ``Nevada``."""
+    edited = clone_tree(corpus.system("stores").index.tree)
+    for node in edited.iter_nodes():
+        if node.text == "Texas":
+            node.text = "Nevada"
+    return edited
 
 
 def wire(service, payload) -> str:
@@ -62,53 +75,56 @@ def wire(service, payload) -> str:
 @pytest.fixture(scope="module")
 def format_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("format-identity")
-    write_v3_corpus(build_corpus(), base / "v3")
     build_corpus().save_dir(base / "v4")
-    write_v3_corpus(build_corpus(), base / "migrated")
-    compact_corpus_dir(base / "migrated")
+    build_corpus().save_dir(base / "compacted")
+    update = base / "stores.xml"
+    update.write_text(to_xml_string(edited_stores(build_corpus())), encoding="utf-8")
+    argv = ["corpus-update", "--corpus-dir", str(base / "compacted"), "--file", str(update)]
+    out = io.StringIO()
+    assert main(argv, out=out) == 0, out.getvalue()
+    assert "incrementally" in out.getvalue()
+    assert compact_corpus_dir(base / "compacted").records_folded == 1
     return base
 
 
 @pytest.fixture(scope="module")
 def services(format_dirs):
-    """(v3-text, v4-lazy, v4-eager, compacted-v3) services over the same documents."""
-    from_text = SnippetService(Corpus.load_dir(format_dirs / "v3"))
-    lazy = SnippetService(Corpus.load_dir(format_dirs / "v4"))
-    migrated = SnippetService(Corpus.load_dir(format_dirs / "migrated"))
-
-    manifest = read_corpus_manifest(os.fspath(format_dirs / "v4"))
-    eager_corpus = Corpus(algorithm=manifest.algorithm)
-    for subdir, name in manifest.entries:
-        index = load_index(format_dirs / "v4" / subdir, lazy=False)
-        eager_corpus.add_system(name, ExtractSystem(index, algorithm=manifest.algorithm))
-    eager = SnippetService(eager_corpus)
-
-    yield {"v3": from_text, "v4-lazy": lazy, "v4-eager": eager, "migrated": migrated}
-    for service in (from_text, lazy, eager, migrated):
-        service.close()
+    """Per loaded corpus, (in-memory reference, loaded) services."""
+    edited = build_corpus()
+    edited.update_document("stores", edited_stores(edited))
+    pairs = {
+        "v4": (SnippetService(build_corpus()), SnippetService(Corpus.load_dir(format_dirs / "v4"))),
+        "compacted": (
+            SnippetService(edited),
+            SnippetService(Corpus.load_dir(format_dirs / "compacted")),
+        ),
+    }
+    yield pairs
+    for pair in pairs.values():
+        for service in pair:
+            service.close()
 
 
 class TestFormatByteIdentity:
-    def test_v4_corpus_is_binary_and_lazy(self, format_dirs, services):
-        manifest = read_corpus_manifest(os.fspath(format_dirs / "v4"))
-        for subdir, name in manifest.entries:
-            assert (format_dirs / "v4" / subdir / BINARY_FILE).exists()
-            lazy_corpus = services["v4-lazy"].corpus
-            assert isinstance(lazy_corpus.system(name).index.inverted, LazyInvertedIndex)
-
-    def test_text_input_is_text_and_compaction_migrates_it(self, format_dirs):
-        for subdir, _name in read_corpus_manifest(format_dirs / "v3").entries:
-            assert sorted(os.listdir(format_dirs / "v3" / subdir)) == [
-                "document.xml",
-                "inverted.idx",
-            ]
-        for subdir, _name in read_corpus_manifest(format_dirs / "migrated").entries:
-            assert os.listdir(format_dirs / "migrated" / subdir) == [BINARY_FILE]
+    def test_loaded_corpora_are_binary_and_lazy(self, format_dirs, services):
+        for kind in ("v4", "compacted"):
+            directory = format_dirs / kind
+            assert not (directory / "corpus.journal").exists()
+            loaded = services[kind][1].corpus
+            for subdir, name in read_corpus_manifest(directory).entries:
+                assert os.listdir(directory / subdir) == [BINARY_FILE]
+                assert isinstance(loaded.system(name).index.inverted, LazyInvertedIndex)
 
     def assert_same_bytes_everywhere(self, services, payload):
-        reference = wire(services["v3"], payload)
-        for kind in ("v4-lazy", "v4-eager", "migrated"):
-            assert wire(services[kind], payload) == reference, kind
+        for kind, (built, loaded) in services.items():
+            assert wire(loaded, payload) == wire(built, payload), kind
+
+    def test_the_edit_is_served(self, services):
+        payload = SearchRequest(query="store nevada", document="stores", size_bound=6)
+        built, _loaded = services["v4"]
+        edited, _compacted = services["compacted"]
+        assert json.loads(wire(edited, payload))["results"]
+        assert not json.loads(wire(built, payload))["results"]
 
     def test_search_bytes_identical(self, services):
         for _dataset, name in DATASETS:
@@ -119,7 +135,7 @@ class TestFormatByteIdentity:
 
     def test_batch_bytes_identical(self, services):
         self.assert_same_bytes_everywhere(
-            services, BatchRequest(queries=QUERIES[:3], documents=None)
+            services, BatchRequest(queries=QUERIES[:4], documents=None)
         )
 
     def test_error_bytes_identical(self, services):

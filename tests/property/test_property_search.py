@@ -111,7 +111,7 @@ def test_pipeline_matches_the_label_oracle(tmp_path_factory, tree, queries, lazi
     if lazily_loaded:
         directory = tmp_path_factory.mktemp("snapshot")
         save_index(index, directory)
-        index = load_index(directory, lazy=True)
+        index = load_index(directory)
     for _ in range(2):
         for keywords in queries:
             for algorithm in ALGORITHMS:

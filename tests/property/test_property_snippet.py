@@ -148,7 +148,7 @@ def test_snippets_match_the_label_oracle(tmp_path_factory, tree, queries, lazily
     if lazily_loaded:
         directory = tmp_path_factory.mktemp("snapshot")
         save_index(index, directory)
-        index = load_index(directory, lazy=True)
+        index = load_index(directory)
     for _ in range(2):
         for construction in ResultConstruction:
             engine = SearchEngine(index, construction=construction)

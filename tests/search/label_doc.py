@@ -1,7 +1,8 @@
 """Posting lists from bare Dewey label texts, for semantics tests.
 
 LCA semantics are easiest to read in labels ("the SLCA of 0.0.0 and 0.0.1
-is 0.0"), but a posting list indexes a real tree.  :class:`LabelDoc`
+is 0.0"), but a posting list indexes a real tree.  :func:`postings_from_labels`
+turns labels of a tree into the ``pre`` ids a list holds; :class:`LabelDoc`
 builds the smallest tree that has every label a test mentions (filler
 siblings included) and hands out the int posting lists over it, the
 label lists of the frozen oracle over the same nodes, and the way back
@@ -17,6 +18,12 @@ from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
 from tests.search.reference_lca import LabelPostingList
+
+
+def postings_from_labels(labels: Iterable[Dewey], tree: XMLTree) -> PostingList:
+    """The posting list of the nodes of ``tree`` named by ``labels``; a
+    label ``tree`` does not have raises :class:`~repro.errors.ExtractError`."""
+    return PostingList(tree.shape, (tree.node(label).pre for label in labels))
 
 
 def tree_covering(labels: Iterable[Dewey]) -> XMLTree:
@@ -41,7 +48,7 @@ class LabelDoc:
         ]
         self.tree = tree_covering(label for group in groups for label in group)
         #: the posting lists under test, one per keyword
-        self.lists = [PostingList.from_labels(group, self.tree) for group in groups]
+        self.lists = [postings_from_labels(group, self.tree) for group in groups]
         #: the same matches as the oracle's label lists
         self.label_lists = [LabelPostingList(group) for group in groups]
 

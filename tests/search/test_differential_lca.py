@@ -175,7 +175,7 @@ def _edited(rng: random.Random, tree):
 def test_pipeline_matches_the_label_oracle(seed, tmp_path):
     rng, built = _random_index(seed)
     save_index(built, tmp_path / "snapshot")
-    lazy = load_index(tmp_path / "snapshot", lazy=True)
+    lazy = load_index(tmp_path / "snapshot")
     assert lazy.inverted.pending_terms == lazy.inverted.vocabulary_size
 
     for index in (built, lazy):

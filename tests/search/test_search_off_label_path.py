@@ -98,7 +98,7 @@ def test_a_cold_search_touches_no_label(shape, calls):
 def test_a_lazy_v4_index_decodes_posting_lists_without_labels(tmp_path, calls):
     built = IndexBuilder().build(SHAPES["retail-wide"]())
     save_index(built, tmp_path)
-    loaded = load_index(tmp_path, lazy=True)
+    loaded = load_index(tmp_path)
     pending = loaded.inverted.pending_terms
     for name in calls:
         calls[name] = 0

@@ -64,7 +64,7 @@ def test_the_cold_browse_shapes(shape, construction):
 def test_a_lazily_loaded_v4_index(shape, tmp_path):
     built = IndexBuilder().build(SHAPES[shape]())
     save_index(built, tmp_path)
-    loaded = load_index(tmp_path, lazy=True)
+    loaded = load_index(tmp_path)
     assert loaded.analyzer._features is None  # nothing of the table is persisted
     assert assert_page_ones_match(loaded, queries=query_pool(built)) > 20
     assert decoded(loaded.analyzer) == decoded(built.analyzer)

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
-from tests.cli_process import sigterm_one_search
+from tests.cli_process import sigterm_one_search, spawn_cli
 from repro.xmltree.serialize import to_xml_string
 
 
@@ -276,28 +276,6 @@ class TestCorpusSaveCommand:
             )
         assert usage.value.code == 2
         assert not (tmp_path / "text").exists()
-
-    def test_resave_over_a_text_corpus_serves_the_new_document(self, tmp_path):
-        # The upgrade path: a directory an older build wrote as v3 text is
-        # re-saved; nothing of the old document may be left to load.
-        from repro.corpus import Corpus
-        from tests.index.v3_writer import write_v3_corpus
-
-        source = tmp_path / "doc.xml"
-        source.write_text("<shop><name>Levis</name></shop>", encoding="utf-8")
-        old = Corpus()
-        old.add_file(source)
-        snapshot = tmp_path / "corpus"
-        write_v3_corpus(old, snapshot)
-        assert Corpus.load_dir(snapshot).system("doc").run_query("levis").results
-
-        source.write_text("<shop><name>Esprit</name></shop>", encoding="utf-8")
-        code, _ = run_cli("corpus-save", "--file", str(source), "--output", str(snapshot))
-        assert code == 0
-        assert os.listdir(snapshot / "doc") == ["snapshot.bin"]
-        reloaded = Corpus.load_dir(snapshot).system("doc")
-        assert reloaded.run_query("esprit").results
-        assert not reloaded.run_query("levis").results
 
     def test_corpus_update_journals_text_edit(self, tmp_path):
         import json
@@ -825,6 +803,18 @@ class TestOperatingSystemErrors:
         assert code == 1
         assert output.startswith("error: ")
         assert "Is a directory" in output
+
+
+class TestClosedOutputPipe:
+    def test_a_reader_that_hangs_up_gets_no_traceback(self):
+        # ``extract search ... | head -n 2``: the read end closes before the
+        # command writes, and the command must not print to it again
+        process = spawn_cli("search", "--dataset", "retail", "--query", "store texas")
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=60)
+        assert process.returncode == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process tables from /proc")

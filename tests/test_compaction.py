@@ -15,7 +15,6 @@ from repro.errors import StorageError
 from repro.index.storage import JOURNAL_FILE, read_corpus_journal
 from repro.xmltree.diff import clone_tree
 from repro.xmltree.serialize import to_xml_string
-from tests.index.v3_writer import write_v3_corpus
 
 QUERIES = ("store texas", "store nevada", "retailer apparel", "alpha")
 
@@ -180,26 +179,3 @@ class TestJournalFreeByteStability:
         assert retail_files
         for rel, data in retail_files.items():
             assert after.get(rel) == data
-
-
-class TestTextCorpusMigration:
-    """A version 3 text corpus is read-only input: compaction rewrites every
-    text base snapshot as ``snapshot.bin``, journal or no journal."""
-
-    def test_untouched_text_snapshots_are_rewritten(self, tmp_path):
-        directory = tmp_path / "corpus"
-        corpus = Corpus()
-        corpus.add_builtin("figure5-stores")
-        corpus.add_builtin("retail")
-        subdirs = write_v3_corpus(corpus, directory)
-        # one journalled edit, so the rewrite is not just the journal-free case
-        journal_text_edit(corpus, directory, tmp_path / "figure5-stores.xml")
-
-        before = wire_all(directory)
-        report = compact_corpus_dir(directory)
-        assert report.records_folded == 1
-        assert sorted(report.subdirs) == sorted(subdirs)
-        assert sorted(tree_bytes(directory)) == sorted(
-            ["corpus.manifest"] + [os.path.join(subdir, "snapshot.bin") for subdir in subdirs]
-        )
-        assert wire_all(directory) == before
