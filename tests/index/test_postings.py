@@ -6,8 +6,9 @@ from array import array
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import ExtractError, IndexError_
 from repro.index.postings import PostingList
+from repro.xmltree.builder import tree_from_dict
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.parser import parse_xml
 from tests.search.label_doc import postings_from_labels
@@ -67,6 +68,17 @@ class TestBasics:
 
 class TestProvenance:
     """An id carries no provenance, so it is checked where it enters."""
+
+    def test_from_labels_converts_in_document_order(self, tree):
+        postings = plist(tree, "1.2", "0", "1.2", "0.1")
+        assert labels(tree, postings) == ["0", "0.1", "1.2"]
+        assert postings.shape is tree.shape
+
+    def test_from_labels_rejects_a_label_of_another_tree(self, tree):
+        other = tree_from_dict("r", {"s": {"l": ["a", "b", "c", "d"]}})
+        foreign = other.node(Dewey.parse("0.3")).dewey
+        with pytest.raises(ExtractError, match="no node with Dewey label 0.3"):
+            postings_from_labels([foreign], tree)
 
     @pytest.mark.parametrize("ids", [[-1], [0, 13], [4, 10**9]])
     def test_out_of_range_ids_are_an_error_not_a_wrap_around(self, tree, ids):

@@ -10,7 +10,10 @@ import os
 import pytest
 
 from repro.errors import StorageError
+from repro.index.builder import IndexBuilder
 from repro.index.storage import load_index, save_index
+from repro.system import ExtractSystem
+from repro.xmltree.builder import tree_from_dict
 
 
 class TestSaveLoad:
@@ -49,3 +52,37 @@ class TestSaveLoad:
         with pytest.raises(StorageError, match="version 3"):
             save_index(small_index, tmp_path / "text", format_version=3)
         assert not (tmp_path / "text").exists()
+
+    def test_saving_over_a_snapshot_replaces_it(self, small_index, tmp_path):
+        directory = tmp_path / "idx"
+        save_index(small_index, directory)
+        changed = IndexBuilder().build(
+            tree_from_dict("retailer", {"name": "Levis"}, name="small-retailer")
+        )
+        save_index(changed, directory)
+        assert os.listdir(directory) == ["snapshot.bin"]
+        loaded = load_index(directory)
+        assert len(loaded.keyword_matches("levis")) == 1
+        assert loaded.keyword_matches("texas").is_empty
+
+    def test_document_name_survives_round_trip(self, small_index, tmp_path):
+        save_index(small_index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.tree.name == small_index.tree.name == "small-retailer"
+
+    def test_postings_identical_round_trip(self, small_index, tmp_path):
+        # every stored list comes back equal, and over the loaded tree
+        save_index(small_index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        original = small_index.inverted.postings_dict()
+        restored = loaded.inverted.postings_dict()
+        assert sorted(original) == sorted(restored)
+        for term, postings in original.items():
+            assert restored[term] == postings, term
+            assert restored[term].shape is loaded.tree.shape, term
+
+    def test_search_results_identical_after_load(self, small_index, tmp_path):
+        save_index(small_index, tmp_path / "idx")
+        before = ExtractSystem(small_index).run_query("store texas", size_bound=6)
+        after = ExtractSystem(load_index(tmp_path / "idx")).run_query("store texas", size_bound=6)
+        assert before.render_text() == after.render_text()
