@@ -22,7 +22,7 @@ Walks the ``repro.api`` protocol end to end:
   any shard count, shard provenance in the opt-in ``meta`` block, and
   replication deltas a replica can re-apply,
 * put the whole thing **on the network**: wrap the service in the gateway
-  middleware stack (validation, admission control, deadlines, metrics),
+  (tracing, metrics, deadlines, admission control),
   start the HTTP frontend (:class:`~repro.api.HttpServer`), and
   query it with the typed :class:`~repro.api.ServiceClient` — which is
   itself a :class:`~repro.api.ServingBackend`, so remote and in-process
@@ -40,7 +40,7 @@ The same flow is available from the command line::
         python -m repro.cli serve-request --dataset figure5-stores --request -
 
     python -m repro.cli serve --dataset figure5-stores --port 8080 \\
-        --max-in-flight 16 --deadline 30
+        --max-in-flight 6 --deadline 30
     curl -s -X POST http://127.0.0.1:8080/v1/search -d '{
         "kind": "search", "schema_version": 1,
         "query": "store texas", "document": "figure5-stores"}'
@@ -202,18 +202,19 @@ def main() -> None:
     #   python -m repro.cli corpus-compact --corpus-dir ./cluster/shard-0
 
     # ------------------------------------------------------------------ #
-    # 8. the network frontend: gateway middleware + HTTP server + client
+    # 8. the network frontend: gateway + HTTP server + client
     # ------------------------------------------------------------------ #
     from repro.api import HttpServer, ServiceClient, ServingBackend, build_gateway
 
     # Any backend — the single-corpus service, the cluster router, or a
-    # middleware stack — plugs in behind the same ServingBackend seam.
+    # gateway — plugs in behind the same ServingBackend seam.
     gateway = build_gateway(
         SnippetService(fresh_corpus()),
-        max_in_flight=8,    # admission control: shed load past 8 in flight
+        max_in_flight=6,    # admission control: shed load past 6 in flight
+                            # (below the server's 8 concurrent backend calls)
         deadline=30.0,      # per-request deadline: a miss answers 504
     )
-    print(f"=== gateway stack: {gateway.capabilities()['middleware']} ===")
+    print(f"=== gateway steps: {gateway.capabilities()['middleware']} ===")
 
     with HttpServer(gateway, port=0) as server:  # port=0: pick a free port
         client = ServiceClient(port=server.port)
@@ -242,7 +243,7 @@ def main() -> None:
 
     # The same server from the command line:
     #   python -m repro.cli serve --dataset figure5-stores --port 8080 \
-    #       --max-in-flight 16 --deadline 30
+    #       --max-in-flight 6 --deadline 30
 
     # ------------------------------------------------------------------ #
     # 9. the distributed cluster: spawned shard processes + replica sets
@@ -299,8 +300,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 10. observability: traces, metrics, request logs
     # ------------------------------------------------------------------ #
-    # Every request through a traced gateway gets a span tree — gateway
-    # stages, executor queue delay, service phases, and (over a cluster)
+    # Every request through a traced gateway gets a span tree — the
+    # gateway root, executor queue delay, service phases, and (over a cluster)
     # per-shard HTTP round trips stitched across processes.  Default wire
     # bytes never change: traces surface only in the opt-in meta block
     # and the bounded buffer behind GET /v1/trace.  Full tour:

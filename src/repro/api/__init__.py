@@ -11,8 +11,8 @@ The package splits serving into layers:
   thread-pool concurrent) with identical observable results;
 * :mod:`repro.api.service` — :class:`SnippetService`, the facade that owns
   a corpus and runs requests through an executor;
-* :mod:`repro.api.gateway` — composable middleware (validation, deadlines,
-  admission control, metrics), each middleware itself a backend;
+* :mod:`repro.api.gateway` — :func:`build_gateway`, one stage (tracing,
+  metrics, deadlines, admission control) that is itself a backend;
 * :mod:`repro.api.http` — the HTTP/1.1 JSON frontend over any backend
   (``POST /v1/search`` …, one thread per connection, stdlib only);
 * :mod:`repro.api.client` — :class:`ServiceClient`, the typed in-repo HTTP
@@ -39,14 +39,7 @@ Quick start::
 from repro.api.backend import ServingBackend, ServingBackendBase
 from repro.api.client import RetryPolicy, ServiceClient
 from repro.api.executors import ConcurrentExecutor, Executor, SerialExecutor
-from repro.api.gateway import (
-    AdmissionControlMiddleware,
-    DeadlineMiddleware,
-    MetricsMiddleware,
-    Middleware,
-    ValidationMiddleware,
-    build_gateway,
-)
+from repro.api.gateway import build_gateway
 from repro.api.http import HttpServer
 from repro.api.protocol import (
     CONSTRUCTION_MODES,
@@ -99,11 +92,6 @@ __all__ = [
     "ServingBackend",
     "ServingBackendBase",
     "SnippetService",
-    "Middleware",
-    "ValidationMiddleware",
-    "DeadlineMiddleware",
-    "AdmissionControlMiddleware",
-    "MetricsMiddleware",
     "build_gateway",
     "HttpServer",
     "ServiceClient",

@@ -2,7 +2,7 @@
 
 Every serving facade of the reproduction — the single-corpus
 :class:`repro.api.SnippetService`, the sharded
-:class:`repro.cluster.ClusterService`, every gateway middleware
+:class:`repro.cluster.ClusterService`, the gateway
 (:mod:`repro.api.gateway`) and the HTTP client
 (:class:`repro.api.client.ServiceClient`) — implements one checked
 interface:
@@ -27,8 +27,8 @@ methods.
 
 This seam is what lets frontends and backends scale independently: the
 HTTP frontend (:mod:`repro.api.http`) sees only a :class:`ServingBackend`,
-so a single corpus, an N-shard cluster, a middleware-wrapped gateway stack
-or a remote client all plug in behind the same contract.
+so a single corpus, an N-shard cluster, a gateway around either, or a
+remote client all plug in behind the same contract.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def stats_envelope(backend_name: str, **sections: Any) -> dict[str, Any]:
     backend's envelope through) uniformly: dispatch on ``backend``, check
     ``schema_version``, then read the optional sections (``documents``,
     ``caches``, ``shards``, and the gateway-merged ``requests`` /
-    ``admission``).  Middleware stages merge their sections *into* the
-    inner envelope rather than wrapping it, so one flat object describes
-    the whole stack.
+    ``admission``).  The gateway merges its sections *into* the inner
+    envelope rather than wrapping it, so one flat object describes the
+    whole stack.
     """
     return {
         "schema_version": STATS_SCHEMA_VERSION,
@@ -139,8 +139,8 @@ class ServingBackendBase:
     ``execute_update`` (returning protocol responses, never raising library
     errors) and inherit the plain-JSON endpoints plus default
     introspection — :class:`repro.api.SnippetService`, the sharded
-    :class:`repro.cluster.ClusterService` and every gateway middleware
-    speak byte-identical JSON through this one implementation, which is
+    :class:`repro.cluster.ClusterService` and the gateway speak
+    byte-identical JSON through this one implementation, which is
     what makes them interchangeable at the wire level.
     """
 
@@ -175,8 +175,8 @@ class ServingBackendBase:
         response: SearchResponse | BatchResponse | UpdateResponse | ErrorResponse,
         include_meta: bool,
     ) -> dict[str, Any]:
-        """The response as a plain dict — the hook a stage that adds to
-        ``meta`` (the tracing stage) overrides."""
+        """The response as a plain dict — the hook the gateway overrides
+        to add ``meta.trace``."""
         if isinstance(response, ErrorResponse):
             return response.to_dict()
         return response.to_dict(include_meta=include_meta)
@@ -241,9 +241,9 @@ class ServingBackendBase:
 
     def _reject(self, error: ExtractError, request: dict[str, Any] | None) -> ErrorResponse:
         """Shape a payload-level rejection (malformed JSON, unknown kind,
-        ill-typed fields) — the one funnel every JSON endpoint uses, so an
-        observing middleware can override it to count rejections that
-        never became a typed request."""
+        ill-typed fields) — the one funnel every JSON endpoint uses, so the
+        gateway can override it to count rejections that never became a
+        typed request."""
         return ErrorResponse.from_exception(error, request=request)
 
     # ------------------------------------------------------------------ #

@@ -15,7 +15,7 @@ third-party dependencies.  Versioned endpoints:
 A server built with ``replicate_backend=`` additionally answers
 ``POST /v1/replicate`` (cluster replication ops — see
 :mod:`repro.cluster.remote`); the endpoint bypasses ``backend`` and its
-middleware by design and stays out of the public endpoint tables.
+gateway by design and stays out of the public endpoint tables.
 
 Contract: for a well-routed request the response **body is byte-identical
 to the in-process** ``backend.handle_json(body)`` — both are the bytes of
@@ -36,10 +36,11 @@ runs the backend call in place and writes head and body with one
 executor; a :class:`~repro.api.executors.SerialExecutor` serialises the
 whole server, useful for deterministic tests); the rest wait on their
 connection's own thread.  At most :data:`MAX_CONNECTIONS` connections
-are served at once; one more is answered ``503 overloaded`` and closed.
-An HTTP/1.1 connection persists unless the client sends ``Connection:
-close``; an HTTP/1.0 one only when it sends ``Connection: keep-alive``
-(RFC 9112 §9.3).
+are served at once; one more is answered ``503 overloaded`` and closed,
+and one that sends nothing for :data:`IDLE_TIMEOUT` seconds is closed
+without an answer.  An HTTP/1.1 connection persists unless the client
+sends ``Connection: close``; an HTTP/1.0 one only when it sends
+``Connection: keep-alive`` (RFC 9112 §9.3).
 
 HTTP/1.1 framing is decided in this module only: :func:`_read_request`
 here and :func:`_read_response`, which
@@ -73,14 +74,7 @@ from repro.api.protocol import (
 )
 from repro.errors import ExtractError, ProtocolError
 from repro.obs.clock import monotonic
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    TRACE_SPANS_HEADER,
-    Trace,
-    TraceBuffer,
-    activate,
-    parse_trace_header,
-)
+from repro.obs.trace import TRACE_SPANS_HEADER, Trace, activate, parse_trace_header
 
 #: request kind expected by each POST endpoint
 POST_ENDPOINTS = {
@@ -117,6 +111,11 @@ MAX_HEADER_BYTES = 64 * 1024
 #: is answered ``503 overloaded`` and closed without a thread
 MAX_CONNECTIONS = 256
 
+#: seconds a connection may stay silent; a bound, not a tuning knob — a
+#: peer that sends no byte for this long is closed without an answer, so
+#: idle peers cannot hold every :data:`MAX_CONNECTIONS` slot
+IDLE_TIMEOUT = 60.0
+
 #: backend calls served at once by a server built without an executor
 _DEFAULT_WORKERS = 8
 
@@ -141,25 +140,6 @@ def _error_body(message: str, code: str, request: dict[str, Any] | None = None) 
     ).to_dict()
 
 
-def _discover_obs(
-    backend: ServingBackend,
-) -> tuple[MetricsRegistry | None, TraceBuffer | None]:
-    """Walk the middleware chain for the stack's registry + trace buffer."""
-    stage: Any = backend
-    seen = 0
-    while stage is not None and seen < 32:
-        registry = getattr(stage, "registry", None)
-        buffer = getattr(stage, "trace_buffer", None)
-        if isinstance(registry, MetricsRegistry) or isinstance(buffer, TraceBuffer):
-            return (
-                registry if isinstance(registry, MetricsRegistry) else None,
-                buffer if isinstance(buffer, TraceBuffer) else None,
-            )
-        stage = getattr(stage, "inner", None)
-        seen += 1
-    return None, None
-
-
 class HttpServer:
     """Serve a :class:`ServingBackend` over HTTP/1.1 (keep-alive, JSON).
 
@@ -179,14 +159,12 @@ class HttpServer:
         executor: Executor | None = None,
         max_requests: int | None = None,
         replicate_backend: Any | None = None,
-        registry: MetricsRegistry | None = None,
-        trace_buffer: TraceBuffer | None = None,
     ):
         self.backend = backend
         #: a :class:`~repro.cluster.remote.ShardBackend` (anything with a
         #: ``handle_replicate(payload) -> dict``) serving POST
         #: /v1/replicate.  Replication deliberately bypasses ``backend`` —
-        #: usually a gateway-wrapped stack — so admission control shedding
+        #: usually a gateway — so admission control shedding
         #: reads can never stall the primary→replica delta stream.
         self.replicate_backend = replicate_backend
         self.host = host
@@ -204,14 +182,9 @@ class HttpServer:
         #: set once the server stops or spends its request budget
         self._done = threading.Event()
         # The observability surface (GET /v1/metrics, GET /v1/trace) is
-        # discovered from the backend stack when not passed explicitly —
-        # a gateway-built stack exposes both on its tracing stage.
-        if registry is None or trace_buffer is None:
-            found_registry, found_buffer = _discover_obs(backend)
-            registry = registry if registry is not None else found_registry
-            trace_buffer = trace_buffer if trace_buffer is not None else found_buffer
-        self.registry = registry
-        self.trace_buffer = trace_buffer
+        # the backend's own: a gateway exposes both.
+        self.registry = getattr(backend, "registry", None)
+        self.trace_buffer = getattr(backend, "trace_buffer", None)
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -426,9 +399,11 @@ class HttpServer:
                     _refuse(sock)
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        """Serve one connection's requests in order until it closes."""
+        """Serve one connection's requests in order until it closes, or
+        until it stays silent for :data:`IDLE_TIMEOUT` seconds."""
         try:
             with sock, sock.makefile("rb") as reader:
+                sock.settimeout(IDLE_TIMEOUT)
                 keep_alive = True
                 while keep_alive:
                     try:
@@ -467,7 +442,7 @@ class HttpServer:
                     if self._count_request():
                         return
         except OSError:
-            pass  # the peer went away, or stop() shut the socket
+            pass  # the peer went away or went silent, or stop() shut the socket
         finally:
             with self._lock:
                 self._connections.pop(sock, None)

@@ -945,8 +945,8 @@ def encode_response(
     A typed response is encoded in its default form (no ``meta``); a
     :class:`SearchResponse` pinned to the text it arrived as
     (:attr:`SearchResponse.wire`) returns that text unchanged.  A dict —
-    a response with ``meta`` (``to_dict(include_meta=True)``, which a
-    tracing stage adds ``meta.trace`` to), an error body built by a
+    a response with ``meta`` (``to_dict(include_meta=True)``, which the
+    gateway adds ``meta.trace`` to), an error body built by a
     frontend — is encoded as is.  Keys are sorted, so equal responses are
     equal bytes.
     """

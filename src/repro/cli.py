@@ -41,8 +41,8 @@ CLI that drives the same pipeline.  Sub-commands:
     Run the HTTP frontend (:mod:`repro.api.http`) over a corpus
     or a sharded cluster: ``POST /v1/search``, ``/v1/batch``,
     ``/v1/update`` and ``GET /v1/health``, ``/v1/stats``, with the
-    gateway middleware stack (validation, optional admission control and
-    per-request deadlines, metrics) in front of the backend.
+    gateway (tracing, metrics, optional per-request deadlines and
+    admission control) in front of the backend.
 ``loadgen``
     Fire a seeded mixed workload (Zipf-popular searches, batches and
     updates) at a running server and report its latency percentiles,
@@ -101,7 +101,7 @@ Examples::
         python -m repro.cli serve-request --cluster-dir ./cluster --request -
     python -m repro.cli corpus-compact --corpus-dir ./corpus
     python -m repro.cli serve --dataset figure5-stores --port 8080 \\
-        --max-in-flight 16 --deadline 30
+        --max-in-flight 6 --deadline 30
     python -m repro.cli cluster-spawn --cluster-dir ./cluster --replicas 2 --port 8080
     python -m repro.cli cluster-rebalance --cluster-dir ./cluster \\
         --document movies --to-shard 1
@@ -263,7 +263,8 @@ def _serving(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--max-in-flight", type=_POSITIVE_INT, metavar="N",
-        help="admission control: reject (503 overloaded) beyond N concurrent requests",
+        help="admission control: reject (503 overloaded) beyond N concurrent "
+             "requests; N must be below --workers",
     )
     sub.add_argument(
         "--deadline", type=_POSITIVE_FLOAT, metavar="SECONDS",
@@ -709,6 +710,12 @@ def _serve_http(args: argparse.Namespace, out, open_backend, banner=lambda backe
     from repro.api.http import HttpServer
     from repro.obs import RequestLogger
 
+    if args.max_in_flight is not None and args.max_in_flight >= args.workers:
+        raise ExtractError(
+            f"--max-in-flight {args.max_in_flight} must be below --workers "
+            f"{args.workers}: at most --workers requests are in flight at once, "
+            "so admission control would never shed load"
+        )
     server = None
     try:
         with contextlib.ExitStack() as owned:
@@ -719,8 +726,8 @@ def _serve_http(args: argparse.Namespace, out, open_backend, banner=lambda backe
                 previous = signal.signal(signal.SIGTERM, _raise_interrupt)
                 owned.callback(signal.signal, signal.SIGTERM, previous)
             backend = open_backend()
-            # The gateway stages hold nothing of their own: closing the
-            # stack is closing the backend.
+            # The gateway holds nothing of its own: closing it is closing
+            # the backend.
             owned.callback(backend.close)
             logger = None
             if args.request_log:
@@ -747,7 +754,7 @@ def _serve_http(args: argparse.Namespace, out, open_backend, banner=lambda backe
                 port=args.port,
                 executor=executor,
                 max_requests=args.max_requests,
-                # Replication bypasses the gateway stack: delta application
+                # Replication bypasses the gateway: delta application
                 # must not compete with reads for admission-control slots.
                 replicate_backend=None if shard is None else backend,
             )

@@ -11,7 +11,7 @@ shard:
   (``apply-update`` on a primary returns the response *and* the
   :class:`~repro.cluster.shard.ShardDelta`; ``apply-delta`` applies a
   primary's delta on a replica).  Replication deliberately bypasses the
-  gateway middleware: update propagation is a separate path from read
+  gateway: update propagation is a separate path from read
   serving, so admission control shedding reads never stalls replication.
 * :class:`RemoteShard` — the router's shard seam over one
   :class:`~repro.cluster.replication.ReplicaSet` of

@@ -103,14 +103,14 @@ class DocumentNameError(ExtractError):
 
 class OverloadedError(ExtractError):
     """Raised (or wrapped into an ``overloaded`` error response, HTTP 503)
-    by the gateway's admission-control middleware when the bounded
+    by the gateway's admission control when the bounded
     in-flight request budget is exhausted — shedding load explicitly
     instead of queueing without bound."""
 
 
 class DeadlineError(ExtractError):
     """Raised (or wrapped into a ``deadline_exceeded`` error response,
-    HTTP 504) by the gateway's deadline middleware when a request misses
+    HTTP 504) by the gateway's deadline when a request misses
     its per-request completion deadline."""
 
 

@@ -596,7 +596,7 @@ def default_flags() -> list[AblationFlag]:
             baseline=FlagValue("unlimited"),
             variants=(
                 FlagValue("2", ("--max-in-flight", "2")),
-                FlagValue("8", ("--max-in-flight", "8")),
+                FlagValue("3", ("--max-in-flight", "3")),
             ),
         ),
         AblationFlag(
@@ -621,7 +621,7 @@ def smoke_flags() -> list[AblationFlag]:
             baseline=FlagValue("unlimited"),
             variants=(
                 FlagValue("2", ("--max-in-flight", "2")),
-                FlagValue("8", ("--max-in-flight", "8")),
+                FlagValue("3", ("--max-in-flight", "3")),
             ),
         ),
     ]

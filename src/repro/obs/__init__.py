@@ -1,6 +1,6 @@
 """Observability: tracing, metrics and structured request logs.
 
-The serving stack (gateway middleware, HTTP frontend, executors, cluster
+The serving stack (gateway, HTTP frontend, executors, cluster
 router, remote shards) records *where a request's time goes* through this
 package:
 

@@ -1,7 +1,7 @@
 """Counters, gauges and fixed-bucket histograms behind one registry.
 
 :class:`MetricsRegistry` is the aggregation point for a serving process:
-the gateway's metrics stage, executors, caches and the remote cluster's
+the gateway's metrics step, executors, caches and the remote cluster's
 replica bookkeeping all record into one registry, and ``GET /v1/metrics``
 exports it two ways — a versioned JSON snapshot (stable, machine-checked
 shape) and the Prometheus text exposition format (scrapeable as-is).
@@ -85,7 +85,7 @@ class _BoundCounter:
     """One resolved label row of a :class:`Counter`.
 
     Label resolution costs a kwargs dict, a set comparison and a tuple per
-    call; hot callers (the metrics middleware, once per request) bind the
+    call; hot callers (the gateway, once per request) bind the
     row once via :meth:`Counter.labels` and pay none of it per increment.
     """
 

@@ -1,7 +1,7 @@
 """The structured request log: one JSON line per request.
 
 :class:`RequestLogger` plugs into the gateway's existing log-callback
-seam (``MetricsMiddleware(log=...)`` calls it as
+seam (``build_gateway(log=...)`` calls it as
 ``log(request, response, seconds)``), so request logging composes with
 the rest of the stack without a new hook.  Each line is a single JSON
 object::
@@ -10,12 +10,12 @@ object::
      "code": null, "seconds": 0.0042, "document": "stores",
      "from_cache": true, "shard": 0, "slow": false}
 
-``request_id`` comes from the active trace (the gateway's tracing stage
+``request_id`` comes from the active trace (the gateway's tracing step
 assigns it), so a log line joins against its trace and its metrics.
 ``slow_query_ms`` marks lines over the threshold ``"slow": true``;
 ``only_slow=True`` turns the logger into a pure slow-query log that emits
 nothing below the threshold.  A failing sink never fails the request —
-the metrics stage already guards the callback, and the logger itself
+the gateway already guards the callback, and the logger itself
 swallows write errors for the same reason.
 """
 

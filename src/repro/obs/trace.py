@@ -1,9 +1,9 @@
 """Per-request traces: spans, context propagation, cross-process stitching.
 
-One :class:`Trace` lives for one request.  The gateway's tracing stage
+One :class:`Trace` lives for one request.  The gateway's tracing step
 creates it (assigning the ``request_id``), activates it in a contextvar,
-and every layer below — middleware stages, executors, the cluster router,
-remote shard round trips — opens :class:`Span`\\ s against whatever trace
+and every layer below — executors, the cluster router, remote shard
+round trips — opens :class:`Span`\\ s against whatever trace
 is active, without threading a handle through every signature.
 
 Contextvars do **not** cross thread-pool boundaries by themselves, so the

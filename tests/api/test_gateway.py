@@ -1,15 +1,15 @@
-"""Tests for the gateway middleware pipeline (:mod:`repro.api.gateway`).
+"""Tests for the gateway (:mod:`repro.api.gateway`).
 
 The contracts under test:
 
-* every middleware (and both service facades) satisfies the checked
+* the gateway (and both service facades) satisfies the checked
   :class:`~repro.api.backend.ServingBackend` protocol;
 * admission control under concurrent load rejects the overflow with
   ``overloaded`` (never deadlocks, never loses a slot), while admitted
   requests complete correctly;
 * deadline expiry surfaces a structured ``deadline_exceeded`` error;
-* middleware ordering is observable (capabilities chain + short-circuit
-  behaviour);
+* the step order is observable (capabilities list, admission inside the
+  deadline, metrics counting shed load);
 * metrics count what actually happened.
 """
 
@@ -28,17 +28,10 @@ from repro.api import (
     SearchResponse,
     ServingBackend,
     SnippetService,
-    UpdateRequest,
     build_gateway,
 )
-from repro.api.gateway import (
-    AdmissionControlMiddleware,
-    DeadlineMiddleware,
-    MetricsMiddleware,
-    Middleware,
-    ValidationMiddleware,
-)
 from repro.corpus import Corpus
+from tests.api.hooked import Gate, Hooked
 
 
 @pytest.fixture()
@@ -49,39 +42,6 @@ def service():
 
 
 REQUEST = SearchRequest(query="store texas", document="stores", size_bound=6)
-
-
-class Gate(Middleware):
-    """A controllable stage: blocks every request until released."""
-
-    name = "gate"
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.release = threading.Event()
-        self.entered = threading.Semaphore(0)
-
-    def process(self, request, call_next):
-        self.entered.release()
-        assert self.release.wait(timeout=30), "gate never released (deadlock?)"
-        return call_next(request)
-
-
-class Trace(Middleware):
-    """Records the order it saw the request in a shared list."""
-
-    name = "trace"
-
-    def __init__(self, inner, log, tag):
-        super().__init__(inner)
-        self._order_log = log
-        self._tag = tag
-
-    def process(self, request, call_next):
-        self._order_log.append(f"{self._tag}:in")
-        response = call_next(request)
-        self._order_log.append(f"{self._tag}:out")
-        return response
 
 
 class TestServingBackendProtocol:
@@ -95,72 +55,47 @@ class TestServingBackendProtocol:
         corpus.add_builtin("figure5-stores", name="stores")
         assert isinstance(ClusterService.from_corpus(corpus, shards=2), ServingBackend)
 
-    def test_every_middleware_is_a_backend(self, service):
-        stages = [
-            ValidationMiddleware(service),
-            DeadlineMiddleware(service, timeout=1.0),
-            AdmissionControlMiddleware(service, max_in_flight=2),
-            MetricsMiddleware(service),
-            Middleware(service),
-        ]
-        for stage in stages:
-            assert isinstance(stage, ServingBackend), stage
+    def test_gateway_is_a_backend(self, service):
+        for stack in (
+            build_gateway(service),
+            build_gateway(service, max_in_flight=2, deadline=1.0),
+            build_gateway(service, metrics=False, tracing=False),
+        ):
+            assert isinstance(stack, ServingBackend), stack
 
     def test_client_is_a_backend(self):
         from repro.api import ServiceClient
 
         assert isinstance(ServiceClient(port=1), ServingBackend)
 
-    def test_transparent_middleware_preserves_bytes(self, service):
-        wrapped = Middleware(Middleware(service))
-        text = json.dumps(REQUEST.to_dict())
-        assert wrapped.handle_json(text) == service.handle_json(text)
-
     def test_capabilities_report_chain_innermost_first(self, service):
         stack = build_gateway(service, max_in_flight=2, deadline=5.0)
         caps = stack.capabilities()
         assert caps["backend"] == "snippet-service"
-        assert caps["middleware"] == [
-            "admission",
-            "deadline",
-            "validation",
-            "metrics",
-            "tracing",
-        ]
+        assert caps["middleware"] == ["admission", "deadline", "metrics", "tracing"]
         assert caps["documents"] == 1
+        assert build_gateway(service, metrics=False, tracing=False).capabilities()[
+            "middleware"
+        ] == []
 
 
 class TestValidation:
     def test_invalid_request_short_circuits(self, service):
-        calls = []
-
-        class Spy(Middleware):
-            def process(self, request, call_next):
-                calls.append(request)
-                return call_next(request)
-
-        stack = ValidationMiddleware(Spy(service))
-        response = stack.execute(SearchRequest(query="", document="stores"))
-        assert isinstance(response, ErrorResponse)
-        assert response.code == "bad_request"
-        assert calls == []  # the backend never saw the garbage
-
-    def test_valid_request_passes_through(self, service):
-        response = ValidationMiddleware(service).execute(REQUEST)
-        assert isinstance(response, SearchResponse)
-        assert response.total_results >= 2
-
-    def test_all_three_request_shapes_guarded(self, service):
-        stack = ValidationMiddleware(service)
-        bad_batch = stack.execute_batch(BatchRequest(queries=()))
-        bad_update = stack.execute_update(UpdateRequest(document="", xml="<a/>"))
-        assert bad_batch.code == "bad_request"
-        assert bad_update.code == "bad_request"
+        # A wire payload is validated where it is parsed: the garbage is a
+        # bad_request counted under "invalid" that never takes a slot.
+        stack = build_gateway(service, max_in_flight=1)
+        garbage = {"kind": "search", "schema_version": 1, "query": "", "document": "stores"}
+        body = stack.handle_dict(garbage)
+        assert body["code"] == "bad_request"
+        stats = stack.stats()
+        assert stats["requests"]["by_kind"] == {"invalid": 1}
+        assert stats["requests"]["by_code"] == {"bad_request": 1}
+        assert stats["admission"] == {"max_in_flight": 1, "admitted": 0, "rejected": 0}
 
 
 class TestDeadline:
     def test_fast_request_unaffected(self, service):
-        stack = DeadlineMiddleware(service, timeout=30.0)
+        stack = build_gateway(service, deadline=30.0)
         try:
             response = stack.execute(REQUEST)
             assert isinstance(response, SearchResponse)
@@ -168,12 +103,7 @@ class TestDeadline:
             stack.close()
 
     def test_expiry_surfaces_timeout_error(self, service):
-        class Slow(Middleware):
-            def process(self, request, call_next):
-                time.sleep(0.5)
-                return call_next(request)
-
-        stack = DeadlineMiddleware(Slow(service), timeout=0.05)
+        stack = build_gateway(Hooked(service, lambda _request: time.sleep(0.5)), deadline=0.05)
         try:
             started = time.perf_counter()
             response = stack.execute(REQUEST)
@@ -188,26 +118,24 @@ class TestDeadline:
 
     def test_rejects_non_positive_timeout(self, service):
         with pytest.raises(ValueError):
-            DeadlineMiddleware(service, timeout=0)
+            build_gateway(service, deadline=0)
 
     def test_worker_exception_propagates(self, service):
-        class Broken(Middleware):
-            def process(self, request, call_next):
-                raise RuntimeError("programming error")
+        def broken(_request):
+            raise RuntimeError("programming error")
 
-        stack = DeadlineMiddleware(Broken(service), timeout=5.0)
+        stack = build_gateway(Hooked(service, broken), deadline=5.0)
         with pytest.raises(RuntimeError, match="programming error"):
             stack.execute(REQUEST)
 
     def test_abandoned_worker_keeps_its_admission_slot(self, service):
-        # build_gateway composes admission INSIDE the deadline: a timed-out
-        # request's worker must hold its slot until the backend call really
-        # finishes, so max_in_flight bounds actual backend concurrency and
-        # a wedged backend sheds later arrivals instead of stacking
-        # abandoned workers.
-        gate = Gate(service)
-        admission = AdmissionControlMiddleware(gate, max_in_flight=1)
-        stack = DeadlineMiddleware(admission, timeout=0.2)
+        # Admission runs INSIDE the deadline: a timed-out request's worker
+        # must hold its slot until the backend call really finishes, so
+        # max_in_flight bounds actual backend concurrency and a wedged
+        # backend sheds later arrivals instead of stacking abandoned
+        # workers.
+        gate = Gate()
+        stack = build_gateway(Hooked(service, gate), max_in_flight=1, deadline=0.2)
 
         stuck = stack.execute(REQUEST)
         assert stuck.code == "deadline_exceeded"
@@ -221,29 +149,24 @@ class TestDeadline:
                 break
             time.sleep(0.05)
         assert isinstance(response, SearchResponse)
-        assert admission.stats()["admission"]["rejected"] >= 1
+        assert stack.stats()["admission"]["rejected"] >= 1
 
     def test_abandoned_workers_never_block_new_requests(self, service):
         # A timed-out request's worker keeps running in the background;
         # requests admitted afterwards must get a *fresh* worker, not
         # queue behind the dead one and burn their deadline waiting.
         release = threading.Event()
+        calls = []
+        lock = threading.Lock()
 
-        class StuckOnce(Middleware):
-            def __init__(self, inner):
-                super().__init__(inner)
-                self.calls = 0
-                self._lock = threading.Lock()
+        def stuck_once(_request):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                assert release.wait(timeout=30)
 
-            def process(self, request, call_next):
-                with self._lock:
-                    self.calls += 1
-                    first = self.calls == 1
-                if first:
-                    assert release.wait(timeout=30)
-                return call_next(request)
-
-        stack = DeadlineMiddleware(StuckOnce(service), timeout=0.2)
+        stack = build_gateway(Hooked(service, stuck_once), deadline=0.2)
         try:
             stuck = stack.execute(REQUEST)
             assert stuck.code == "deadline_exceeded"
@@ -257,8 +180,8 @@ class TestAdmissionControl:
     def test_burst_beyond_limit_gets_overloaded(self, service):
         limit = 2
         extra = 4
-        gate = Gate(service)
-        stack = AdmissionControlMiddleware(gate, max_in_flight=limit)
+        gate = Gate()
+        stack = build_gateway(Hooked(service, gate), max_in_flight=limit)
         responses: list = [None] * (limit + extra)
 
         def call(index):
@@ -297,13 +220,13 @@ class TestAdmissionControl:
         assert stats == {"max_in_flight": limit, "admitted": limit, "rejected": extra}
 
     def test_slots_are_released_after_completion(self, service):
-        stack = AdmissionControlMiddleware(service, max_in_flight=1)
+        stack = build_gateway(service, max_in_flight=1)
         for _ in range(5):  # sequential requests never trip the limit
             assert isinstance(stack.execute(REQUEST), SearchResponse)
         assert stack.stats()["admission"]["rejected"] == 0
 
     def test_slot_released_when_backend_errors(self, service):
-        stack = AdmissionControlMiddleware(service, max_in_flight=1)
+        stack = build_gateway(service, max_in_flight=1)
         for _ in range(3):
             response = stack.execute(SearchRequest(query="x", document="ghost"))
             assert response.code == "unknown_document"
@@ -311,13 +234,13 @@ class TestAdmissionControl:
 
     def test_rejects_non_positive_limit(self, service):
         with pytest.raises(ValueError):
-            AdmissionControlMiddleware(service, max_in_flight=0)
+            build_gateway(service, max_in_flight=0)
 
 
 class TestMetrics:
     def test_counts_requests_and_errors(self, service):
         logged = []
-        stack = MetricsMiddleware(
+        stack = build_gateway(
             service, log=lambda req, resp, secs: logged.append((req.kind, resp.kind))
         )
         stack.execute(REQUEST)
@@ -339,13 +262,13 @@ class TestMetrics:
         def bad_log(*_args):
             raise RuntimeError("observability crashed")
 
-        stack = MetricsMiddleware(service, log=bad_log)
+        stack = build_gateway(service, log=bad_log)
         assert isinstance(stack.execute(REQUEST), SearchResponse)
 
     def test_malformed_payloads_are_counted(self, service):
         # Garbage never produces a typed request, but a flood of it must
         # still be visible in the stats (the "invalid" kind bucket).
-        stack = MetricsMiddleware(service)
+        stack = build_gateway(service)
         stack.handle_json("{not json")
         stack.handle_dict({"kind": "nope"})
         stack.handle_dict([1, 2])
@@ -357,36 +280,15 @@ class TestMetrics:
         assert stats["by_code"] == {"bad_request": 3}
 
     def test_parseable_requests_counted_exactly_once(self, service):
-        stack = MetricsMiddleware(service)
-        stack.handle_dict(REQUEST.to_dict())  # flows through process() only
+        stack = build_gateway(service)
+        stack.handle_dict(REQUEST.to_dict())
         assert stack.stats()["requests"]["total"] == 1
 
 
 class TestOrdering:
-    def test_order_is_observable_and_matches_composition(self, service):
-        order: list[str] = []
-        stack = Trace(Trace(service, order, "inner"), order, "outer")
-        stack.execute(REQUEST)
-        assert order == ["outer:in", "inner:in", "inner:out", "outer:out"]
-
-    def test_validation_before_admission_spares_a_slot(self, service):
-        # build_gateway puts validation outside admission: garbage must be
-        # rejected without ever touching the admission counters.
-        stack = build_gateway(service, max_in_flight=1, metrics=False)
-        admission = stack.inner.inner  # tracing -> validation -> admission -> backend
-        assert isinstance(admission, AdmissionControlMiddleware)
-        response = stack.execute(SearchRequest(query="", document="stores"))
-        assert response.code == "bad_request"
-        assert admission.stats()["admission"] == {
-            "max_in_flight": 1,
-            "admitted": 0,
-            "rejected": 0,
-        }
-
     def test_metrics_outermost_counts_shed_load(self, service):
-        gate = Gate(service)
-        admission = AdmissionControlMiddleware(gate, max_in_flight=1)
-        stack = MetricsMiddleware(admission)
+        gate = Gate()
+        stack = build_gateway(Hooked(service, gate), max_in_flight=1)
 
         blocker = threading.Thread(target=stack.execute, args=(REQUEST,))
         blocker.start()

@@ -32,6 +32,7 @@ from repro.api.http import HttpServer
 from repro.corpus import Corpus
 from repro.xmltree.diff import clone_tree
 from repro.xmltree.serialize import to_xml_string
+from tests.api.hooked import Gate, Hooked
 
 
 def _fresh_corpus() -> Corpus:
@@ -318,24 +319,8 @@ class TestGatewayOverHttp:
     def test_overloaded_maps_to_503(self):
         # A 1-slot gateway with a gated backend: the second concurrent
         # request must be shed with HTTP 503 while the first completes.
-        from repro.api.gateway import AdmissionControlMiddleware, Middleware
-
-        release = threading.Event()
-
-        class Gate(Middleware):
-            name = "gate"
-
-            def __init__(self, inner):
-                super().__init__(inner)
-                self.entered = threading.Semaphore(0)
-
-            def process(self, request, call_next):
-                self.entered.release()
-                assert release.wait(timeout=30)
-                return call_next(request)
-
-        gate = Gate(SnippetService(_fresh_corpus()))
-        stack = AdmissionControlMiddleware(gate, max_in_flight=1)
+        gate = Gate()
+        stack = build_gateway(Hooked(SnippetService(_fresh_corpus()), gate), max_in_flight=1)
         with HttpServer(stack, port=0) as server:
             payload = json.dumps(
                 SearchRequest(query="store texas", document="stores").to_dict()
@@ -351,7 +336,7 @@ class TestGatewayOverHttp:
             thread.start()
             assert gate.entered.acquire(timeout=10)
             status, body = _raw_post(server.port, "/v1/search", payload)
-            release.set()
+            gate.release.set()
             thread.join(timeout=30)
             assert status == 503
             assert json.loads(body)["code"] == "overloaded"
@@ -360,16 +345,8 @@ class TestGatewayOverHttp:
     def test_deadline_maps_to_504(self):
         import time
 
-        from repro.api.gateway import DeadlineMiddleware, Middleware
-
-        class Slow(Middleware):
-            name = "slow"
-
-            def process(self, request, call_next):
-                time.sleep(0.5)
-                return call_next(request)
-
-        stack = DeadlineMiddleware(Slow(SnippetService(_fresh_corpus())), timeout=0.05)
+        slow = Hooked(SnippetService(_fresh_corpus()), lambda _request: time.sleep(0.5))
+        stack = build_gateway(slow, deadline=0.05)
         with HttpServer(stack, port=0) as server:
             status, body = _raw_post(
                 server.port,

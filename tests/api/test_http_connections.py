@@ -22,9 +22,9 @@ import pytest
 import repro.api.http as http_module
 from repro.api import SearchRequest, SnippetService
 from repro.api.executors import ConcurrentExecutor, SerialExecutor
-from repro.api.gateway import Middleware
 from repro.api.http import HttpServer
 from repro.corpus import Corpus
+from tests.api.hooked import Hooked
 
 
 def _service() -> SnippetService:
@@ -80,30 +80,25 @@ def _exchange(port: int, request: bytes, repeat: int = 1):
     return answers, closed
 
 
-class Counting(Middleware):
-    """Counts backend calls and the most that ever ran at once."""
+class Counting:
+    """A hook counting backend calls and the most that ever ran at once
+    (each call holds its count for ``delay`` seconds)."""
 
-    name = "counting"
-
-    def __init__(self, inner, delay: float = 0.0):
-        super().__init__(inner)
+    def __init__(self, delay: float = 0.0):
         self.delay = delay
         self.calls = 0
         self.running = 0
         self.most = 0
         self._lock = threading.Lock()
 
-    def process(self, request, call_next):
+    def __call__(self, _request) -> None:
         with self._lock:
             self.calls += 1
             self.running += 1
             self.most = max(self.most, self.running)
-        try:
-            time.sleep(self.delay)
-            return call_next(request)
-        finally:
-            with self._lock:
-                self.running -= 1
+        time.sleep(self.delay)
+        with self._lock:
+            self.running -= 1
 
 
 def _http_threads() -> list[str]:
@@ -140,7 +135,8 @@ class TestFraming:
         ]
 
     def test_short_body_then_eof_is_never_served(self):
-        backend = Counting(_service())
+        counting = Counting()
+        backend = Hooked(_service(), counting)
         with HttpServer(backend, port=0) as server:
             with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
                 sock.sendall(
@@ -148,7 +144,7 @@ class TestFraming:
                 )
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.recv(65536) == b""  # closed, no answer
-        assert backend.calls == 0
+        assert counting.calls == 0
 
     @pytest.mark.parametrize("line", ["request", "header"])
     def test_oversized_line_is_400(self, line):
@@ -180,7 +176,8 @@ class TestFraming:
         ],
     )
     def test_ambiguous_framing_is_400_and_closes(self, head):
-        backend = Counting(_service())
+        counting = Counting()
+        backend = Hooked(_service(), counting)
         with HttpServer(backend, port=0) as server:
             answers, closed = _exchange(
                 server.port, f"POST /v1/search HTTP/1.1\r\n{head}\r\n\r\n".encode("ascii")
@@ -190,7 +187,7 @@ class TestFraming:
         assert json.loads(body)["code"] == "bad_request"
         assert headers["connection"] == "close"
         assert closed
-        assert backend.calls == 0
+        assert counting.calls == 0
 
     def test_repeated_agreeing_length_is_accepted(self):
         text = _search_text("store texas").encode("utf-8")
@@ -301,16 +298,18 @@ class TestBackendConcurrency:
             assert not thread.is_alive()
 
     def test_serial_executor_serialises_backend_calls(self):
-        backend = Counting(_service(), delay=0.1)
+        counting = Counting(delay=0.1)
+        backend = Hooked(_service(), counting)
         with HttpServer(backend, port=0, executor=SerialExecutor()) as server:
             self._drive(server.port, clients=2)
-        assert backend.calls == 4
-        assert backend.most == 1
+        assert counting.calls == 4
+        assert counting.most == 1
 
     def test_concurrent_executor_bounds_backend_calls(self):
-        backend = Counting(_service(), delay=0.1)
+        counting = Counting(delay=0.1)
+        backend = Hooked(_service(), counting)
         with ConcurrentExecutor(max_workers=2) as executor:
             with HttpServer(backend, port=0, executor=executor) as server:
                 self._drive(server.port, clients=4)
-        assert backend.calls == 8
-        assert backend.most == 2
+        assert counting.calls == 8
+        assert counting.most == 2

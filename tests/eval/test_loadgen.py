@@ -158,7 +158,7 @@ class TestAblationMatrix:
             baseline=FlagValue("unlimited"),
             variants=(
                 FlagValue("2", ("--max-in-flight", "2")),
-                FlagValue("8", ("--max-in-flight", "8")),
+                FlagValue("3", ("--max-in-flight", "3")),
             ),
         ),
     ]
@@ -166,7 +166,7 @@ class TestAblationMatrix:
     def test_exhaustive_one_flip_each(self):
         matrix = ablation_matrix(self.FLAGS)
         assert [config.name for config in matrix] == [
-            "baseline", "caches=off", "max-in-flight=2", "max-in-flight=8",
+            "baseline", "caches=off", "max-in-flight=2", "max-in-flight=3",
         ]
         # every variant of every flag appears exactly once, flipped alone
         assert matrix[1].values == (("caches", "off"), ("max-in-flight", "unlimited"))
@@ -176,7 +176,7 @@ class TestAblationMatrix:
         matrix = ablation_matrix(self.FLAGS)
         assert matrix[0].argv == ()  # baseline: every flag at default
         assert matrix[1].argv == ("--cache-size", "0")
-        assert matrix[3].argv == ("--max-in-flight", "8")
+        assert matrix[3].argv == ("--max-in-flight", "3")
 
     def test_deterministic(self):
         assert ablation_matrix(self.FLAGS) == ablation_matrix(self.FLAGS)

@@ -177,7 +177,16 @@ class TestCoordinator:
         assert [root["name"] for root in roots] == ["request:search"]
         assert all(span["parent"] in spans for span in spans.values() if span["parent"])
         names = {span["name"] for span in spans.values()}
-        assert "stage:validation" in names
+        # the shard process's gateway root, under the coordinator's hop
+        shard_roots = [
+            span for span in spans.values()
+            if span["name"] == "request:search" and span["process"] != "local"
+        ]
+        assert shard_roots
+        for root in shard_roots:
+            server_side = spans[root["parent"]]
+            assert server_side["name"] == "http:/v1/search"
+            assert spans[server_side["parent"]]["name"].startswith("http:POST")
         assert any(name.startswith("shard:") for name in names)
         assert any(name.startswith("service:") for name in names)
         assert any(name.startswith("phase:") for name in names)
