@@ -11,8 +11,10 @@ Walks the ``repro.api`` protocol end to end:
 * execute a typed :class:`~repro.api.SearchRequest` (and the same request
   as a raw JSON object, the way a wire frontend would),
 * paginate through the result list with ``next_page`` tokens,
-* fan a :class:`~repro.api.BatchRequest` out over a thread pool with the
-  :class:`~repro.api.ConcurrentExecutor` — byte-identical to serial,
+* run a :class:`~repro.api.BatchRequest`, then the same queries as
+  independent requests from a thread pool
+  (:class:`~repro.api.ConcurrentExecutor`) — one service serves many
+  threads, byte-identical to serial,
 * edit a document through an :class:`~repro.api.UpdateRequest` — the
   text-only edit is applied incrementally (posting-level deltas) and only
   the affected cache entries are invalidated — then query again,
@@ -104,19 +106,27 @@ def main() -> None:
     print(f"walked {page_number} pages of {page.total_results} results\n")
 
     # ------------------------------------------------------------------ #
-    # 4. a batch over a thread pool — identical bytes, concurrent wall clock
+    # 4. a batch, and the same queries from a thread pool — identical bytes
     # ------------------------------------------------------------------ #
     batch = BatchRequest(
         queries=("store texas", "clothes casual", "retailer apparel"), size_bound=6
     )
-    serial_batch = service.run_batch(batch)
-    with SnippetService(corpus, executor=ConcurrentExecutor(max_workers=4)) as threaded:
-        concurrent_batch = threaded.run_batch(batch)
-    identical = json.dumps(serial_batch.to_dict(), sort_keys=True) == json.dumps(
-        concurrent_batch.to_dict(), sort_keys=True
-    )
-    print(f"batch of {len(batch.queries)} queries over {len(serial_batch.documents)} documents: "
-          f"{serial_batch.total_results} results; threaded == serial: {identical}\n")
+    batch_response = service.run_batch(batch)
+    # One service is shared by many threads: independent requests from a
+    # pool answer exactly what the batch answered for each pair.
+    requests = [
+        batch.search_request(query, document)
+        for query in batch.queries
+        for document in batch_response.documents
+    ]
+    with ConcurrentExecutor(max_workers=4) as pool:
+        threaded = pool.map(service.run, requests)
+    in_batch = [response for entry in batch_response.entries for response in entry.responses]
+    identical = [json.dumps(r.to_dict(), sort_keys=True) for r in threaded] == [
+        json.dumps(r.to_dict(), sort_keys=True) for r in in_batch
+    ]
+    print(f"batch of {len(batch.queries)} queries over {len(batch_response.documents)} documents: "
+          f"{batch_response.total_results} results; threaded == batch: {identical}\n")
 
     # ------------------------------------------------------------------ #
     # 5. update-then-query: incremental edits through the same protocol

@@ -19,8 +19,7 @@ The most useful entry points:
 
 * :class:`ExtractSystem` — end-to-end: document → index → search → snippets,
 * :class:`repro.api.SnippetService` — the typed serving surface: versioned
-  JSON requests/responses, pluggable (serial/threaded) executors,
-  pagination (see :mod:`repro.api`),
+  JSON requests/responses, pagination (see :mod:`repro.api`),
 * :class:`SnippetGenerator` — the paper's contribution in isolation
   (query + query result + size bound → snippet),
 * :class:`SearchEngine` / :class:`IndexBuilder` — the search substrate,
@@ -53,7 +52,6 @@ from repro.api import (
     ErrorResponse,
     SearchRequest,
     SearchResponse,
-    SerialExecutor,
     SnippetPayload,
     SnippetService,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "BatchResponse",
     "SnippetPayload",
     "ErrorResponse",
-    "SerialExecutor",
     "ConcurrentExecutor",
     # sharded serving
     "ClusterService",

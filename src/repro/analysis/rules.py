@@ -665,7 +665,7 @@ class ExecutorLifecycleRule(Rule):
     EXECUTORS_PATH = "repro/api/executors.py"
 
     _EXECUTOR_BASES = frozenset(
-        {"Executor", "SerialExecutor", "ConcurrentExecutor", "ShardExecutor"}
+        {"Executor", "ConcurrentExecutor", "ShardExecutor"}
     )
     _POOLS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
 
@@ -797,10 +797,9 @@ class NoUnboundedRetryRule(Rule):
     another iteration — it ``continue``\\ s, or simply falls through
     instead of ending in an unconditional ``raise``/``return``/``break``.
     An unbounded retry against a dead dependency is a tight connect-storm
-    hammering a struggling server (and a spinning client); the documented
-    discipline (:class:`repro.api.client.RetryPolicy`) is a bounded
-    attempt count with exponential backoff.  Two findings, anchored at the
-    transport ``except``:
+    hammering a struggling server (and a spinning client); a retry loop
+    needs a bounded attempt count and a backoff between attempts.  Two
+    findings, anchored at the transport ``except``:
 
     * ``while True:`` retry loops have no attempt bound;
     * a retry loop with no sleep/wait/backoff call between attempts
@@ -817,7 +816,7 @@ class NoUnboundedRetryRule(Rule):
     rule_id = "no-unbounded-retry"
     description = (
         "transport retry loops must bound their attempts and back off "
-        "between them (RetryPolicy discipline)"
+        "between them"
     )
 
     #: exception names (last dotted segment) treated as transport-class.
@@ -863,8 +862,8 @@ class NoUnboundedRetryRule(Rule):
                         module,
                         handler,
                         "transport retry loop with no backoff between "
-                        "attempts; sleep with an increasing delay (see "
-                        "RetryPolicy) or justify the site",
+                        "attempts; sleep with an increasing delay or "
+                        "justify the site",
                     )
 
     def _own_handlers(self, loop: ast.AST) -> list[ast.ExceptHandler]:

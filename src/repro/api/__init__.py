@@ -7,10 +7,10 @@ The package splits serving into layers:
   machine-readable error codes and their HTTP status mapping;
 * :mod:`repro.api.backend` — :class:`ServingBackend`, the checked
   transport-agnostic contract every serving facade implements;
-* :mod:`repro.api.executors` — pluggable execution strategies (serial or
-  thread-pool concurrent) with identical observable results;
+* :mod:`repro.api.executors` — the thread-pool executor behind the
+  cluster's shard fan-out and the HTTP front end's concurrency bound;
 * :mod:`repro.api.service` — :class:`SnippetService`, the facade that owns
-  a corpus and runs requests through an executor;
+  a corpus and runs requests against it;
 * :mod:`repro.api.gateway` — :func:`build_gateway`, one stage (tracing,
   metrics, deadlines, admission control) that is itself a backend;
 * :mod:`repro.api.http` — the HTTP/1.1 JSON frontend over any backend
@@ -37,8 +37,8 @@ Quick start::
 """
 
 from repro.api.backend import ServingBackend, ServingBackendBase
-from repro.api.client import RetryPolicy, ServiceClient
-from repro.api.executors import ConcurrentExecutor, Executor, SerialExecutor
+from repro.api.client import ServiceClient
+from repro.api.executors import ConcurrentExecutor, Executor
 from repro.api.gateway import build_gateway
 from repro.api.http import HttpServer
 from repro.api.protocol import (
@@ -87,7 +87,6 @@ __all__ = [
     "code_for_exception",
     "http_status_for_code",
     "Executor",
-    "SerialExecutor",
     "ConcurrentExecutor",
     "ServingBackend",
     "ServingBackendBase",
@@ -95,5 +94,4 @@ __all__ = [
     "build_gateway",
     "HttpServer",
     "ServiceClient",
-    "RetryPolicy",
 ]

@@ -50,15 +50,10 @@ connection of the client (the server dropped one; the rest are suspect)
 and is re-sent once on a fresh one — but only when the server hung up
 before a byte of the answer arrived (end of stream, ``ECONNRESET`` or
 ``EPIPE``).  A timeout is not a stale socket: a read against a wedged
-server raises after one ``timeout`` and reaches it once.
-
-``retry=RetryPolicy(...)`` opts idempotent reads (search, batch, health,
-stats) into bounded retry with exponential backoff on :class:`OSError` —
-a server killed mid-request surfaces as a connection reset, which a fresh
-attempt against its restarted (or failed-over) successor can absorb.
-Updates and replication ops are **never** retried regardless of policy:
-the server may have applied the request before the response was lost, and
-re-sending would apply it twice.
+server raises after one ``timeout`` and reaches it once.  Any other
+transport failure raises to the caller; a cluster read fails over to the
+next replica (:class:`repro.cluster.remote.RemoteShard`), not back to the
+same server.
 """
 
 from __future__ import annotations
@@ -67,8 +62,6 @@ import json
 import re
 import socket
 import threading
-import time
-from dataclasses import dataclass
 from typing import Any
 
 from repro.api.backend import ServingBackendBase
@@ -96,8 +89,7 @@ from repro.errors import ProtocolError
 ENDPOINT_BY_KIND = {kind: path for path, kind in POST_ENDPOINTS.items()}
 
 #: endpoints whose requests may already have been applied when the
-#: response is lost — never retried, never re-sent, and always sent on a
-#: fresh connection
+#: response is lost — never re-sent, and always sent on a fresh connection
 NON_IDEMPOTENT_PATHS = ("/v1/update", "/v1/replicate")
 
 #: the most idle keep-alive connections one client keeps; a connection
@@ -144,37 +136,6 @@ class _Connection:
         self.sock.close()
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-exponential-backoff for idempotent reads.
-
-    ``attempts`` is the total try count (1 = no retry); the delay before
-    retry *n* is ``backoff * multiplier**(n-1)``, capped at
-    ``max_backoff``.  The policy only ever applies to idempotent traffic
-    (GETs and read POSTs); :attr:`NON_IDEMPOTENT_PATHS` are excluded at
-    the transport layer no matter what the policy says.
-    """
-
-    attempts: int = 3
-    backoff: float = 0.05
-    multiplier: float = 2.0
-    max_backoff: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.attempts, int) or isinstance(self.attempts, bool) or (
-            self.attempts < 1
-        ):
-            raise ValueError(f"retry attempts must be a positive integer, got {self.attempts!r}")
-        if self.backoff < 0 or self.max_backoff < 0:
-            raise ValueError("retry backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"retry multiplier must be >= 1, got {self.multiplier!r}")
-
-    def delay_before(self, attempt: int) -> float:
-        """The sleep before attempt ``attempt`` (2-based: first retry = 2)."""
-        return min(self.backoff * self.multiplier ** (attempt - 2), self.max_backoff)
-
-
 class ServiceClient(ServingBackendBase):
     """Drive a served backend over HTTP; a backend itself."""
 
@@ -186,12 +147,10 @@ class ServiceClient(ServingBackendBase):
         port: int = 8080,
         timeout: float = 30.0,
         keep_alive: bool = True,
-        retry: RetryPolicy | None = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.retry = retry
         self._idle_cap = MAX_IDLE_CONNECTIONS if keep_alive else 0
         self._host_line = f"Host: {host}:{port}\r\n"
         self._idle: list[_Connection] = []
@@ -270,9 +229,8 @@ class ServiceClient(ServingBackendBase):
                     )
                 # No backoff by design: this re-sends once, on a fresh
                 # connection, a read whose pooled socket the server had
-                # already closed — not a retry against a failing server
-                # (RetryPolicy's loop in _round_trip handles those, with
-                # backoff).  Writes only ever use fresh connections.
+                # already closed — not a retry against a failing server.
+                # Writes only ever use fresh connections.
                 self.close()
                 conn = None
                 continue
@@ -290,33 +248,18 @@ class ServiceClient(ServingBackendBase):
         raise AssertionError("unreachable: the second attempt uses a fresh connection")
 
     def _round_trip(self, method: str, path: str, body: bytes | None) -> Answer:
-        idempotent = _idempotent(method, path)
-        policy = self.retry if (self.retry is not None and idempotent) else None
-        attempts = policy.attempts if policy is not None else 1
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._round_trip_once(method, path, body)
-            except OSError:
-                if attempt == attempts:
-                    raise
-                time.sleep(policy.delay_before(attempt + 1))
-        raise AssertionError("unreachable: the retry loop returns or raises")
-
-    def _round_trip_once(
-        self, method: str, path: str, body: bytes | None
-    ) -> Answer:
         trace = current_trace()
         if trace is None:
-            return self._transport_once(method, path, body, None)
-        # One span per attempt (retries each get their own), covering the
-        # whole remote round trip; the server's spans — shipped back in
-        # the response header — stitch in underneath it.
+            return self._transport(method, path, body, None)
+        # One span covering the whole remote round trip; the server's
+        # spans — shipped back in the response header — stitch in
+        # underneath it.
         with trace.span(
             f"http:{method} {path}", endpoint=f"{self.host}:{self.port}"
         ):
-            return self._transport_once(method, path, body, trace)
+            return self._transport(method, path, body, trace)
 
-    def _transport_once(
+    def _transport(
         self,
         method: str,
         path: str,
@@ -369,8 +312,8 @@ class ServiceClient(ServingBackendBase):
 
     def replicate(self, payload: dict[str, Any]) -> dict[str, Any]:
         """POST a replication op to ``/v1/replicate`` (raises on transport
-        failure).  Replication is non-idempotent: never retried, never
-        re-sent, and always sent on a fresh connection."""
+        failure).  Replication is non-idempotent: never re-sent, and always
+        sent on a fresh connection."""
         try:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
         except (TypeError, ValueError) as exc:
@@ -466,8 +409,8 @@ class ServiceClient(ServingBackendBase):
         """``GET /v1/metrics?format=prometheus`` — the text exposition body.
 
         Rides the connection pool like every request, but with no JSON
-        decode and no :class:`RetryPolicy`: this is the scrape path, and a
-        scraper's failure handling belongs to the scraper.
+        decode and no trace span: this is the scrape path, and a scraper's
+        failure handling belongs to the scraper.
         """
         text, _headers = self._exchange("GET", "/v1/metrics?format=prometheus", None, {})
         return text

@@ -1,20 +1,19 @@
-"""Pluggable request executors for the snippet service.
+"""Thread-pool executors: the shard fan-out and the HTTP front end's bound.
 
-The service maps a function over a list of work items (requests, batch
-queries).  *How* that map runs is an executor policy:
+An executor maps a function over a list of work items:
+:class:`ConcurrentExecutor` fans them out over a
+:class:`concurrent.futures.ThreadPoolExecutor`.  Because the query
+pipeline is thread-safe (locked caches, no shared mutable engine state),
+concurrent execution returns results identical to a plain loop; the win
+is overlapping work that blocks on anything releasing the GIL, which is
+what the cluster's shard fan-out
+(:class:`repro.cluster.router.ShardExecutor`) does over remote shards.
+An :class:`~repro.api.http.HttpServer` built over an executor reads only
+its ``max_workers``, as the bound on concurrent backend calls.
 
-* :class:`SerialExecutor` — run in the calling thread, one item at a time
-  (deterministic, zero overhead; the default).
-* :class:`ConcurrentExecutor` — fan out over a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  Because the query
-  pipeline is thread-safe (locked caches, no shared mutable engine state),
-  concurrent execution returns results identical to the serial path; the
-  win is overlapping work when queries block on anything releasing the
-  GIL, and it is the substrate of the cluster's shard fan-out.
-
-Both preserve **input order** in their output list and surface the first
-worker exception (by item order) exactly like a plain loop would, so
-swapping executors never changes observable results — only wall-clock.
+``map`` preserves **input order** in its output list and surfaces the
+first worker exception (by item order) exactly like a plain loop would,
+so the pool never changes observable results — only wall-clock.
 
 Lifecycle contract (every implementation, including
 :class:`repro.cluster.router.ShardExecutor`, must satisfy it):
@@ -123,17 +122,6 @@ class Executor(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
-
-
-class SerialExecutor(Executor):
-    """Run every item inline in the calling thread (the reference path)."""
-
-    name = "serial"
-    max_workers = 1
-
-    def map(self, fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
-        self._require_open()
-        return [fn(item) for item in items]
 
 
 class ConcurrentExecutor(Executor):

@@ -33,8 +33,8 @@ to its own daemon thread, which reads a request with blocking reads,
 runs the backend call in place and writes head and body with one
 ``sendall`` — no event loop and no hand-off between threads.  At most
 ``executor.max_workers`` backend calls run at once (8 without an
-executor; a :class:`~repro.api.executors.SerialExecutor` serialises the
-whole server, useful for deterministic tests); the rest wait on their
+executor; ``ConcurrentExecutor(max_workers=1)`` serialises the whole
+server, useful for deterministic tests); the rest wait on their
 connection's own thread.  At most :data:`MAX_CONNECTIONS` connections
 are served at once; one more is answered ``503 overloaded`` and closed,
 and one that sends nothing for :data:`IDLE_TIMEOUT` seconds is closed

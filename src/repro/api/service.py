@@ -3,8 +3,7 @@
 This is the serving surface the ROADMAP's concurrent-serving work builds
 on.  A service owns a :class:`repro.corpus.Corpus` and executes
 :class:`~repro.api.protocol.SearchRequest` /
-:class:`~repro.api.protocol.BatchRequest` payloads through a pluggable
-:class:`~repro.api.executors.Executor`:
+:class:`~repro.api.protocol.BatchRequest` payloads:
 
 * ``run*`` methods raise :class:`~repro.errors.ExtractError` subclasses —
   the in-process API;
@@ -17,9 +16,8 @@ on.  A service owns a :class:`repro.corpus.Corpus` and executes
 Thread safety: the underlying pipeline never mutates shared engine state
 (:meth:`repro.system.ExtractSystem.run_query`), the LRU caches lock
 internally, and shared posting-list memos serialise their lookups — so one
-service instance may execute requests from many threads (or through
-:class:`~repro.api.executors.ConcurrentExecutor`) and return responses
-identical to serial execution.
+service instance may execute requests from many threads and return
+responses identical to serial execution.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.api.backend import ServingBackend, ServingBackendBase, stats_envelope
-from repro.api.executors import Executor, SerialExecutor
 from repro.api.protocol import (
     BatchEntry,
     BatchRequest,
@@ -69,9 +66,8 @@ class SnippetService(ServingBackendBase):
 
     backend_name = "snippet-service"
 
-    def __init__(self, corpus: "Corpus", executor: Executor | None = None):
+    def __init__(self, corpus: "Corpus"):
         self.corpus = corpus
-        self.executor = executor if executor is not None else SerialExecutor()
 
     # ------------------------------------------------------------------ #
     # single requests
@@ -109,8 +105,8 @@ class SnippetService(ServingBackendBase):
         parsed once (strings normalising to the same keyword tuple share a
         :class:`KeywordQuery`) and per document every distinct keyword's
         posting list is looked up at most once via the corpus-level shared
-        posting memos.  The executor fans out across *queries*; per query,
-        documents run in order, so response order is deterministic.
+        posting memos.  Queries run in order and, per query, documents in
+        order, so response order is deterministic.
 
         ``entries``, when given, aligns with ``batch.documents`` and pins
         each one to an already-captured corpus entry (snapshot semantics
@@ -136,23 +132,17 @@ class SnippetService(ServingBackendBase):
             batch.check_fanout(len(names))
 
         shared = KeywordQuery.share([KeywordQuery.parse(raw) for raw in batch.queries])
-        pairs = list(zip(batch.queries, shared))
-
-        def run_one(pair: tuple[str, KeywordQuery]) -> BatchEntry:
-            raw, parsed = pair
+        answered = []
+        for raw, parsed in zip(batch.queries, shared):
             started = perf_counter()
             responses = tuple(
                 self._run_on_entry(batch.search_request(raw, entry.name), entry, parsed)
                 for entry in entries
             )
-            return BatchEntry(
-                query=raw, responses=responses, seconds=perf_counter() - started
+            answered.append(
+                BatchEntry(query=raw, responses=responses, seconds=perf_counter() - started)
             )
-
-        return BatchResponse(
-            entries=tuple(self.executor.map(run_one, pairs)),
-            documents=tuple(names),
-        )
+        return BatchResponse(entries=tuple(answered), documents=tuple(names))
 
     def execute_batch(
         self, batch: BatchRequest
@@ -247,7 +237,6 @@ class SnippetService(ServingBackendBase):
     def capabilities(self) -> dict[str, Any]:
         caps = super().capabilities()
         caps["documents"] = len(self.corpus)
-        caps["executor"] = self.executor.name
         return caps
 
     def stats(self) -> dict[str, Any]:
@@ -258,22 +247,8 @@ class SnippetService(ServingBackendBase):
             live_versions=self.corpus.live_versions(),
         )
 
-    def close(self) -> None:
-        """Release executor resources (idempotent)."""
-        self.executor.close()
-
-    def __enter__(self) -> "SnippetService":
-        # Entering the service enters its executor, so service-level
-        # context-manager re-entry re-opens a previously closed executor —
-        # the same contract the executors themselves document.
-        self.executor.__enter__()
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
     def __repr__(self) -> str:
-        return f"<SnippetService documents={len(self.corpus)} executor={self.executor.name}>"
+        return f"<SnippetService documents={len(self.corpus)}>"
 
     # ------------------------------------------------------------------ #
     # pipeline plumbing
@@ -290,49 +265,38 @@ class SnippetService(ServingBackendBase):
         concurrent re-registration can never pair an old engine with a new
         index's postings (or vice versa).
         """
-        construction = ResultConstruction(request.construction)
         system = entry.system
-        postings = entry.postings
         started = perf_counter()
+        outcome = system.run_query(
+            parsed,
+            size_bound=request.size_bound,
+            limit=request.limit,
+            construction=ResultConstruction(request.construction),
+            use_cache=request.use_cache,
+            postings=entry.postings,
+        )
+        # The phases go to this request's breakdown — the cold call's own
+        # (search phases included), or a fresh one on a hit.
+        from_cache = outcome.from_cache
+        breakdown = TimingBreakdown() if from_cache else outcome.timings
         if request.include_snippets:
-            outcome = system.run_query(
-                parsed,
-                size_bound=request.size_bound,
-                limit=request.limit,
-                construction=construction,
-                use_cache=request.use_cache,
-                postings=postings,
-            )
             # The page is the unit of snippet work: reading it generates
             # the snippets of this page nobody has read yet, so cold cost
             # scales with page_size and a generated page is a slice of
-            # slots that carry their rendered payloads.  The
-            # phases go to this request's breakdown — the cold call's own
-            # (search phases included), or a fresh one on a hit.
-            from_cache = outcome.from_cache
-            breakdown = TimingBreakdown() if from_cache else outcome.timings
+            # slots that carry their rendered payloads.
             page_items = outcome.snippets.page(
                 request.page, request.page_size, timings=breakdown
             )
             seconds = perf_counter() - started
             payloads = tuple(self._snippet_payload(generated) for generated in page_items)
-            count = len(outcome.snippets)
-            total = outcome.results.total_results
         else:
-            breakdown = TimingBreakdown()
-            results, from_cache = system.run_search(
-                parsed,
-                limit=request.limit,
-                construction=construction,
-                use_cache=request.use_cache,
-                postings=postings,
-                timings=breakdown,
-            )
+            # Results only: the batch's slots stay empty, so the same
+            # query with snippets later reuses this search.
             seconds = perf_counter() - started
-            page_items = results.page(request.page, request.page_size)
+            page_items = outcome.results.page(request.page, request.page_size)
             payloads = tuple(self._result_payload(result) for result in page_items)
-            count = len(results)
-            total = results.total_results
+        count = len(outcome.results)
+        total = outcome.results.total_results
         # The phases this request executed: a hit on a generated page
         # skipped engine and generator alike and reports none.
         timings = breakdown.as_dict() if request.include_meta else {}

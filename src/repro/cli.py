@@ -117,6 +117,7 @@ import signal
 import sys
 import threading
 
+from repro.api.executors import MAX_WORKERS
 from repro.corpus import builtin_dataset_names
 from repro.errors import ExtractError
 from repro.eval.experiments import EXPERIMENTS, run_experiment
@@ -152,6 +153,9 @@ _NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, "a non-negative inte
 _POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "a positive number")
 _NON_NEGATIVE_FLOAT = _checked(float, lambda value: value >= 0, "a non-negative number")
 _PORT = _checked(int, lambda value: 0 <= value <= 65535, "a TCP port (0-65535)")
+_WORKERS = _checked(
+    int, lambda value: 1 <= value <= MAX_WORKERS, f"an integer in 1-{MAX_WORKERS}"
+)
 
 
 def _arg(*flags, **spec):
@@ -258,8 +262,9 @@ def _address(sub: argparse.ArgumentParser) -> None:
 def _serving(sub: argparse.ArgumentParser) -> None:
     """The HTTP serve loop's gateway, lifecycle and request-log knobs."""
     sub.add_argument(
-        "--workers", type=_POSITIVE_INT, default=8, metavar="N",
-        help="backend calls served at once; the rest wait (default: 8)",
+        "--workers", type=_WORKERS, default=8, metavar="N",
+        help=f"backend calls served at once, 1-{MAX_WORKERS}; the rest wait "
+             "(default: 8)",
     )
     sub.add_argument(
         "--max-in-flight", type=_POSITIVE_INT, metavar="N",

@@ -54,7 +54,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.api.backend import ServingBackendBase
 from repro.api.client import ServiceClient
-from repro.api.executors import Executor
 from repro.api.protocol import (
     BatchRequest,
     BatchResponse,
@@ -269,9 +268,6 @@ class ShardBackend(ServingBackendBase):
         stats["shard"] = self.shard.shard_id
         stats["replication_sequence"] = self.sequence
         return stats
-
-    def close(self) -> None:
-        self.shard.service.close()
 
     def __repr__(self) -> str:
         return (
@@ -658,10 +654,9 @@ class RemoteShard:
         endpoint's ``/v1/stats`` reports its own)."""
         return {}
 
-    def open(self) -> None:
-        """Nothing to re-open: endpoint clients reconnect lazily."""
-
     def close(self) -> None:
+        # Endpoint clients reconnect lazily, so a re-entered router needs
+        # nothing re-opened.
         self.replica_set.close()
 
 
@@ -686,7 +681,6 @@ class RemoteClusterService(ClusterService):
         replica_sets: Sequence[ReplicaSet],
         partitioner: Partitioner | None = None,
         documents: Mapping[str, int] | None = None,
-        executor: Executor | None = None,
         processes: Sequence[ShardProcess] = (),
         overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
     ):
@@ -706,7 +700,6 @@ class RemoteClusterService(ClusterService):
                 for replica_set in replica_sets
             ],
             partitioner=partitioner,
-            executor=executor,
         )
         for name, shard_id in documents.items():
             if not 0 <= shard_id < len(self.shards):
@@ -732,7 +725,6 @@ class RemoteClusterService(ClusterService):
         start_timeout: float = 60.0,
         health_interval: float | None = None,
         overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
-        retry: "Any | None" = None,
     ) -> "RemoteClusterService":
         """Spawn a full remote cluster from a saved cluster directory.
 
@@ -741,10 +733,8 @@ class RemoteClusterService(ClusterService):
         starts in sync at sequence 0.  ``health_interval`` starts a
         background :class:`~repro.cluster.health.HealthMonitor`; leave it
         None for deterministic tests that drive ``check_once`` by hand.
-        ``retry`` is an optional :class:`~repro.api.client.RetryPolicy`
-        applied to the per-endpoint clients' idempotent reads.  Each
-        endpoint's client keeps its keep-alive connections, so a warm shard
-        hop opens no TCP connection.
+        Each endpoint's client keeps its keep-alive connections, so a warm
+        shard hop opens no TCP connection.
         """
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
             raise ClusterError(f"replicas must be a positive integer, got {replicas!r}")
@@ -771,9 +761,7 @@ class RemoteClusterService(ClusterService):
                     )
                     spawned.callback(process.terminate)
                     processes.append(process)
-                    client = ServiceClient(
-                        host, process.port, timeout=request_timeout, retry=retry
-                    )
+                    client = ServiceClient(host, process.port, timeout=request_timeout)
                     endpoints.append(
                         ShardEndpoint(
                             client, role="primary" if index == 0 else "replica"

@@ -12,9 +12,9 @@ All routing policy lives here, once; of a shard the router touches only
 ``shard_id``, ``names()`` / ``in`` / ``len()``, ``capture(document)`` /
 ``capture_all()`` (pins, opaque to the router, handed back on execution),
 ``search(request, pin)`` / ``batch(sub_batch, pins)``, ``update(request)
--> (response, delta)``, ``describe()``, ``cache_stats()`` and ``open()`` /
-``close()``.  :class:`~repro.cluster.shard.ShardServer` implements that in
-process (the pin is the captured corpus entry),
+-> (response, delta)``, ``describe()``, ``cache_stats()`` and ``close()``.
+:class:`~repro.cluster.shard.ShardServer` implements that in process (the
+pin is the captured corpus entry),
 :class:`~repro.cluster.remote.RemoteShard` over a replica set of spawned
 processes — failover and replication live there, below the seam.
 
@@ -47,7 +47,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
-from repro.api.executors import ConcurrentExecutor, Executor
+from repro.api.executors import ConcurrentExecutor
 from repro.api.protocol import (
     BatchEntry,
     BatchRequest,
@@ -131,7 +131,6 @@ class ClusterService(ServingBackendBase):
         self,
         shards: Sequence[Any],
         partitioner: Partitioner | None = None,
-        executor: Executor | None = None,
     ):
         shard_list = list(shards)
         if not shard_list:
@@ -150,7 +149,7 @@ class ClusterService(ServingBackendBase):
                 f"partitioner covers {self.partitioner.shards} shard(s) but the "
                 f"cluster has {len(self.shards)}"
             )
-        self.executor = executor if executor is not None else ShardExecutor(len(self.shards))
+        self.executor = ShardExecutor(len(self.shards))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -161,7 +160,6 @@ class ClusterService(ServingBackendBase):
         corpus,
         shards: int | None = None,
         partitioner: Partitioner | None = None,
-        executor: Executor | None = None,
     ) -> "ClusterService":
         """Partition an existing corpus's documents into a new cluster.
 
@@ -189,7 +187,7 @@ class ClusterService(ServingBackendBase):
             ShardServer(shard_id, corpus=shard_corpus)
             for shard_id, shard_corpus in enumerate(shard_corpora)
         ]
-        return cls(servers, partitioner=partitioner, executor=executor)
+        return cls(servers, partitioner=partitioner)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -431,7 +429,6 @@ class ClusterService(ServingBackendBase):
         directory: str | os.PathLike[str],
         algorithm: str | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        executor: Executor | None = None,
     ) -> "ClusterService":
         """Restore a cluster written by :meth:`save_dir`.
 
@@ -453,9 +450,7 @@ class ClusterService(ServingBackendBase):
             )
             for shard_id, subdir in enumerate(manifest.shard_dirs)
         ]
-        service = cls(
-            servers, partitioner=partitioner_from_manifest(manifest), executor=executor
-        )
+        service = cls(servers, partitioner=partitioner_from_manifest(manifest))
         service.manifest_version = manifest.version
         return service
 
@@ -511,11 +506,9 @@ class ClusterService(ServingBackendBase):
 
     def __enter__(self) -> "ClusterService":
         # Service-level context-manager re-entry re-opens the fan-out
-        # executor and every shard, mirroring the executor lifecycle
-        # contract one level up.
+        # executor, mirroring the executor lifecycle contract one level
+        # up; shards hold nothing that needs re-opening.
         self.executor.__enter__()
-        for shard in self.shards:
-            shard.open()
         return self
 
     def __exit__(self, *_exc: Any) -> None:

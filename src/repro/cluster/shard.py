@@ -119,8 +119,8 @@ class ShardDelta:
 class ShardServer:
     """One shard's corpus behind the standard service facade.
 
-    The shard's own service runs a :class:`~repro.api.executors.
-    SerialExecutor` — cross-shard concurrency is the router's job (the
+    The shard's own service runs a batch in the calling thread —
+    cross-shard concurrency is the router's job (the
     :class:`~repro.cluster.router.ShardExecutor`), and nesting a thread
     pool per shard would oversubscribe the machine without changing any
     observable result.
@@ -186,11 +186,8 @@ class ShardServer:
     def cache_stats(self) -> dict[str, dict[str, dict[str, float]]]:
         return self.service.cache_stats()
 
-    def open(self) -> None:
-        self.service.__enter__()
-
     def close(self) -> None:
-        self.service.close()
+        """Nothing to release: the shard's service holds no resources."""
 
     # ------------------------------------------------------------------ #
     # the replication primitive

@@ -42,7 +42,7 @@ from repro.errors import (
     UnknownDocumentError,
 )
 from repro.index.postings import PostingList
-from repro.system import ExtractSystem, SearchOutcome
+from repro.system import ExtractSystem
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.xmltree.diff import TextEdit, apply_text_edits, diff_trees
 from repro.xmltree.tree import XMLTree
@@ -860,20 +860,16 @@ def _carry_serving_state(
         tree = new_system.index.tree
         changed = PostingList(tree.shape, update.changed_pres)
 
-        def keep_query(key, value):
-            # key = (tree name, kind, keywords, algorithm, bound, limit, construction)
-            keywords = key[2]
-            if any(update.touches_keyword(keyword) for keyword in keywords):
+        def keep_query(key, outcome):
+            # key = (tree name, keywords, algorithm, bound, limit, construction)
+            if any(update.touches_keyword(keyword) for keyword in key[1]):
                 return False
-            outcome = isinstance(value, SearchOutcome)
-            results = value.results if outcome else value
-            if any(changed.has_descendant_of(result.root_node.pre) for result in results):
+            if any(
+                changed.has_descendant_of(result.root_node.pre)
+                for result in outcome.results
+            ):
                 return False
-            if outcome:
-                value.snippets.rebind(new_system.generator)
-            else:
-                for result in results:
-                    result.rebind(tree)
+            outcome.snippets.rebind(new_system.generator)
             return True
 
         def keep_snippet(key, value):

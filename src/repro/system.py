@@ -180,12 +180,16 @@ class ExtractSystem:
         and populates nothing: it neither reads nor fills this cache, the
         snippet cache or the IList builder's root memo, so every snippet of
         its batch is generated from scratch.  ``postings`` optionally
-        supplies pre-fetched posting lists per keyword (the batch executor
-        shares lookups across queries this way, and the service passes its
+        supplies pre-fetched posting lists per keyword (a batch shares
+        lookups across queries this way, and the service passes its
         per-document postings memo whatever ``use_cache`` says).
+
+        A caller that wants only the results reads ``outcome.results`` and
+        never a page of snippets: nothing is generated, and the cached
+        outcome serves the same query with snippets later.
         """
         parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
-        key = self._cache_key("query", parsed, size_bound, limit, construction)
+        key = self._cache_key(parsed, size_bound, limit, construction)
         if use_cache:
             cached = self.cache.get(key)
             if cached is not None:
@@ -212,57 +216,18 @@ class ExtractSystem:
             results, snippets = shared.results, shared.snippets
         return SearchOutcome(results=results, snippets=snippets, timings=timings)
 
-    def run_search(
-        self,
-        query_text: str | KeywordQuery,
-        limit: int | None = None,
-        construction: ResultConstruction = ResultConstruction.XSEEK,
-        use_cache: bool = True,
-        postings: dict[str, PostingList] | None = None,
-        timings: TimingBreakdown | None = None,
-    ) -> tuple[ResultSet, bool]:
-        """Evaluate a keyword query without snippet generation (thread-safe).
-
-        Returns the result set plus whether it came from the cache (the
-        service reports this in response metadata; result sets, unlike
-        :class:`SearchOutcome`, carry no provenance flag of their own).
-        Result sets are cached independently of full outcomes (no snippet
-        bound in the key), so callers that only need result roots never pay
-        for snippets.  Phase timings go into the caller-provided ``timings``
-        breakdown (or a discarded per-call one), never into shared engine
-        state — cache hits record no phases.
-        """
-        parsed = query_text if isinstance(query_text, KeywordQuery) else KeywordQuery.parse(query_text)
-        key = self._cache_key("search", parsed, None, limit, construction)
-        if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached, True
-        results = self.engine.search(
-            parsed,
-            limit=limit,
-            postings=postings,
-            construction=construction,
-            timings=timings if timings is not None else TimingBreakdown(),
-        )
-        if use_cache:
-            self.cache.put(key, results)
-        return results, False
-
     # ------------------------------------------------------------------ #
     # cache management
     # ------------------------------------------------------------------ #
     def _cache_key(
         self,
-        kind: str,
         parsed: KeywordQuery,
-        size_bound: int | None,
+        size_bound: int,
         limit: int | None,
         construction: ResultConstruction,
     ) -> tuple:
         return (
             self.index.tree.name,
-            kind,
             parsed.keywords,
             self.engine.algorithm,
             size_bound,
@@ -271,8 +236,8 @@ class ExtractSystem:
         )
 
     def invalidate_cache(self) -> int:
-        """Drop every cached outcome, result set and snippet; returns the
-        number of query-level entries removed."""
+        """Drop every cached outcome and snippet; returns the number of
+        query-level entries removed."""
         self.generator.invalidate_cache()
         return self.cache.clear()
 

@@ -17,7 +17,7 @@ import threading
 from repro.api import ServiceClient
 from repro.api.client import MAX_IDLE_CONNECTIONS
 
-from test_client_retry import MiniServer
+from test_client_resend import MiniServer
 
 
 def run_threads(count: int, target) -> None:

@@ -1,12 +1,13 @@
-"""ServiceClient transport resilience: retry policy and keep-alive reconnect.
+"""ServiceClient re-sends: the keep-alive reconnect, and writes sent once.
 
 A hand-rolled socket server plays the failure modes HTTP libraries are bad
 at faking: a server killed mid-request (accept, then slam the connection),
 and a keep-alive peer that closes the socket between requests without
 saying so.  The assertions count *connections observed by the server* —
 the ground truth for "was this request re-sent", which is exactly the
-property that separates idempotent reads (retried under a policy) from
-updates and replication ops (never re-sent, no matter what).
+property that separates idempotent reads (re-sent once, on a fresh
+socket, when a pooled one turns out closed) from updates and replication
+ops (never re-sent).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.api import RetryPolicy, ServiceClient, UpdateRequest
+from repro.api import ServiceClient, UpdateRequest
 from repro.errors import ProtocolError
 
 
@@ -137,75 +138,22 @@ class MiniServer:
         self.stop()
 
 
-FAST_RETRY = RetryPolicy(attempts=3, backoff=0.001, multiplier=2.0, max_backoff=0.01)
-
-
-class TestRetryPolicy:
-    def test_delay_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(attempts=5, backoff=0.05, multiplier=2.0, max_backoff=0.15)
-        assert policy.delay_before(2) == pytest.approx(0.05)
-        assert policy.delay_before(3) == pytest.approx(0.10)
-        assert policy.delay_before(4) == pytest.approx(0.15)  # capped
-        assert policy.delay_before(5) == pytest.approx(0.15)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempts": 0},
-            {"attempts": -1},
-            {"attempts": True},
-            {"attempts": 2.5},
-            {"backoff": -0.1},
-            {"max_backoff": -1.0},
-            {"multiplier": 0.5},
-        ],
-    )
-    def test_invalid_policies_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-
-class TestReadRetry:
-    def test_read_survives_a_server_killed_mid_request(self):
-        # The first two connections die without a response byte; the third
-        # succeeds.  attempts=3 absorbs exactly that.
-        with MiniServer(abort_first=2) as server:
-            with ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY) as client:
-                reply = client.health()
-            assert reply["status"] == "ok"
-            assert server.connections == 3
-
-    def test_read_posts_retry_too(self):
-        with MiniServer(abort_first=1) as server:
-            with ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY) as client:
-                reply = client.post({"kind": "search", "query": "x", "document": "d"})
-            assert reply["status"] == "ok"
-            assert server.connections == 2
-
-    def test_attempts_are_bounded(self):
-        # Everything fails: the client must give up after exactly
-        # `attempts` connections, not hammer forever.
-        with MiniServer(abort_first=10 ** 6) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
-            with pytest.raises((OSError, ProtocolError)):
-                client.health()
-            assert server.connections == FAST_RETRY.attempts
-
-    def test_no_policy_means_one_attempt(self):
+class TestSentOnce:
+    def test_read_failing_on_a_fresh_connection_is_sent_once(self):
+        # Only a pooled socket the server already closed makes a read
+        # re-send; a fresh connection that dies raises after one attempt.
         with MiniServer(abort_first=10 ** 6) as server:
             client = ServiceClient("127.0.0.1", server.port)
             with pytest.raises((OSError, ProtocolError)):
                 client.health()
             assert server.connections == 1
 
-
-class TestNonIdempotentNeverRetried:
     def test_update_is_sent_exactly_once(self):
         # The server may have applied an update whose response was lost;
-        # re-sending would apply it twice.  Even with a retry policy the
-        # wire must see exactly one connection.
+        # re-sending would apply it twice: the wire must see exactly one
+        # connection.
         with MiniServer(abort_first=10 ** 6) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
+            client = ServiceClient("127.0.0.1", server.port)
             response = client.execute_update(
                 UpdateRequest(action="remove", document="doomed")
             )
@@ -216,7 +164,7 @@ class TestNonIdempotentNeverRetried:
 
     def test_replicate_is_sent_exactly_once(self):
         with MiniServer(abort_first=10 ** 6) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
+            client = ServiceClient("127.0.0.1", server.port)
             with pytest.raises((OSError, ProtocolError)):
                 client.replicate({"op": "apply-delta", "delta": None, "sequence": 1})
             assert server.connections == 1
@@ -304,7 +252,7 @@ class TestKeepAliveReconnect:
         with MiniServer(
             serve_per_connection=100, drop_paths=("/v1/update", "/v1/replicate")
         ) as server:
-            client = ServiceClient("127.0.0.1", server.port, retry=FAST_RETRY)
+            client = ServiceClient("127.0.0.1", server.port)
             try:
                 with pytest.raises((OSError, ProtocolError)):
                     send(client)

@@ -30,7 +30,7 @@ from repro.errors import ProtocolError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Trace, activate
 
-from test_client_retry import MiniServer
+from test_client_resend import MiniServer
 
 
 def answer(

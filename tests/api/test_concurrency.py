@@ -1,8 +1,9 @@
 """Concurrent serving tests (ISSUE 2 satellite).
 
-Eight threads pushing identical/overlapping requests through the
-``ConcurrentExecutor`` must produce responses **byte-identical** to the
-serial path, and the locked caches must report coherent statistics.
+Eight threads pushing identical/overlapping requests into one shared
+``SnippetService`` (from a standalone ``ConcurrentExecutor`` or raw
+threads) must produce responses **byte-identical** to the serial path,
+and the locked caches must report coherent statistics.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.api import (
     BatchRequest,
     ConcurrentExecutor,
     SearchRequest,
-    SerialExecutor,
     SnippetService,
 )
 from repro.corpus import Corpus
@@ -38,6 +38,12 @@ def fresh_corpus() -> Corpus:
     return corpus
 
 
+def pooled(fn, items) -> list:
+    """``fn`` over ``items`` from a fresh pool of :data:`THREADS` workers."""
+    with ConcurrentExecutor(max_workers=THREADS) as pool:
+        return pool.map(fn, list(items))
+
+
 def wire_bytes(response) -> str:
     """The canonical wire form (no volatile meta), as sorted JSON bytes."""
     return json.dumps(response.to_dict(), sort_keys=True)
@@ -48,15 +54,13 @@ class TestIdenticalConcurrentRequests:
         request = SearchRequest(query="store texas", document="stores", size_bound=6)
 
         # Reference: the serial path on a pristine corpus.
-        serial_service = SnippetService(fresh_corpus(), executor=SerialExecutor())
+        serial_service = SnippetService(fresh_corpus())
         reference = wire_bytes(serial_service.run(request))
 
         # Eight threads, same request, pristine corpus: every thread races
         # through parsing, posting lookups, caching and snippet generation.
-        with SnippetService(
-            fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            responses = service.executor.map(service.run, [request] * THREADS)
+        service = SnippetService(fresh_corpus())
+        responses = pooled(service.run, [request] * THREADS)
 
         assert len(responses) == THREADS
         for response in responses:
@@ -64,11 +68,9 @@ class TestIdenticalConcurrentRequests:
 
     def test_eight_threads_coherent_cache_stats(self):
         request = SearchRequest(query="store texas", document="stores", size_bound=6)
-        with SnippetService(
-            fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            service.executor.map(service.run, [request] * THREADS)
-            stats = service.cache_stats()["stores"]["query"]
+        service = SnippetService(fresh_corpus())
+        pooled(service.run, [request] * THREADS)
+        stats = service.cache_stats()["stores"]["query"]
 
         # Every thread either hit or missed — no lookup may be lost to a
         # race — and at least the very first evaluation was a miss.
@@ -113,10 +115,8 @@ class TestOverlappingConcurrentRequests:
         serial_service = SnippetService(fresh_corpus())
         reference = [wire_bytes(serial_service.run(request)) for request in requests]
 
-        with SnippetService(
-            fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            concurrent = [wire_bytes(r) for r in service.executor.map(service.run, requests)]
+        service = SnippetService(fresh_corpus())
+        concurrent = [wire_bytes(r) for r in pooled(service.run, requests)]
 
         assert concurrent == reference
 
@@ -124,22 +124,18 @@ class TestOverlappingConcurrentRequests:
         batch = BatchRequest(queries=tuple(QUERIES), size_bound=6)
 
         serial = SnippetService(fresh_corpus()).run_batch(batch)
-        with SnippetService(
-            fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            concurrent = service.run_batch(batch)
+        service = SnippetService(fresh_corpus())
+        concurrent = pooled(service.run_batch, [batch] * THREADS)
 
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            concurrent.to_dict(), sort_keys=True
-        )
+        reference = json.dumps(serial.to_dict(), sort_keys=True)
+        for response in concurrent:
+            assert json.dumps(response.to_dict(), sort_keys=True) == reference
 
     def test_concurrent_snippet_cache_stats_are_coherent(self):
         request = SearchRequest(query="store texas", document="stores", size_bound=6)
-        with SnippetService(
-            fresh_corpus(), executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            service.executor.map(service.run, [request] * THREADS)
-            snippet_stats = service.cache_stats()["stores"]["snippet"]
+        service = SnippetService(fresh_corpus())
+        pooled(service.run, [request] * THREADS)
+        snippet_stats = service.cache_stats()["stores"]["snippet"]
         # Lookups happen only on cold evaluations; hits+misses must equal
         # the number of generate() calls that reached the cache, with no
         # counter lost to a race (every snippet lookup is accounted for).
@@ -582,19 +578,17 @@ class TestIncrementalUpdateUnderServing:
         untouched = SearchRequest(query="city houston", document="other", size_bound=6)
         requests = [affected, unaffected, untouched] * 4
 
-        with SnippetService(
-            corpus, executor=ConcurrentExecutor(max_workers=THREADS)
-        ) as service:
-            service.executor.map(service.run, requests)  # warm every cache under contention
-            report = corpus.update_document("doc", self.make_tree("Dallas"))
-            assert report.incremental
-            assert report.cache_entries_kept >= 1
+        service = SnippetService(corpus)
+        pooled(service.run, requests)  # warm every cache under contention
+        report = corpus.update_document("doc", self.make_tree("Dallas"))
+        assert report.incremental
+        assert report.cache_entries_kept >= 1
 
-            doc_before = corpus.system("doc").cache.stats_snapshot()
-            other_before = corpus.system("other").cache.stats_snapshot()
-            responses = service.executor.map(service.run, requests)
-            doc_after = corpus.system("doc").cache.stats_snapshot()
-            other_after = corpus.system("other").cache.stats_snapshot()
+        doc_before = corpus.system("doc").cache.stats_snapshot()
+        other_before = corpus.system("other").cache.stats_snapshot()
+        responses = pooled(service.run, requests)
+        doc_after = corpus.system("doc").cache.stats_snapshot()
+        other_after = corpus.system("other").cache.stats_snapshot()
 
         assert all(response.kind == "search_response" for response in responses)
         # the untouched document served every repeat from cache

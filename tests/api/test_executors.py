@@ -1,8 +1,8 @@
 """Tests for the pluggable executors, including the lifecycle contract.
 
 The lifecycle contract (documented in :mod:`repro.api.executors`) is
-shared by every implementation — :class:`SerialExecutor`,
-:class:`ConcurrentExecutor` and the cluster's
+shared by every implementation — :class:`ConcurrentExecutor` and the
+cluster's
 :class:`~repro.cluster.router.ShardExecutor`: close is idempotent,
 submitting through a closed executor raises a clear :class:`RuntimeError`,
 and context-manager re-entry re-opens the executor.
@@ -14,31 +14,8 @@ import threading
 
 import pytest
 
-from repro.api.executors import ConcurrentExecutor, Executor, SerialExecutor
+from repro.api.executors import MAX_WORKERS, ConcurrentExecutor, Executor
 from repro.cluster.router import ShardExecutor
-
-
-class TestSerialExecutor:
-    def test_maps_in_order(self):
-        executor = SerialExecutor()
-        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_propagates_first_exception(self):
-        def boom(x):
-            if x == 2:
-                raise ValueError("two")
-            return x
-
-        with pytest.raises(ValueError, match="two"):
-            SerialExecutor().map(boom, [1, 2, 3])
-
-    def test_runs_in_calling_thread(self):
-        threads = SerialExecutor().map(lambda _: threading.current_thread().name, range(3))
-        assert set(threads) == {threading.current_thread().name}
-
-    def test_context_manager(self):
-        with SerialExecutor() as executor:
-            assert executor.map(str, [1]) == ["1"]
 
 
 class TestConcurrentExecutor:
@@ -110,7 +87,6 @@ class TestConcurrentExecutor:
 
 #: every executor implementation must satisfy the same lifecycle contract
 LIFECYCLE_FACTORIES = [
-    pytest.param(SerialExecutor, id="serial"),
     pytest.param(lambda: ConcurrentExecutor(max_workers=2), id="concurrent"),
     pytest.param(lambda: ShardExecutor(shards=2), id="shard"),
 ]
@@ -157,9 +133,11 @@ class TestExecutorLifecycleContract:
 
     def test_every_executor_states_its_bound(self):
         # HttpServer reads max_workers as the number of backend calls it
-        # serves at once: a serial executor serialises the whole server.
-        assert SerialExecutor().max_workers == 1
+        # serves at once: one worker serialises the whole server, and the
+        # bound never exceeds MAX_WORKERS.
+        assert ConcurrentExecutor(max_workers=1).max_workers == 1
         assert ConcurrentExecutor(max_workers=3).max_workers == 3
+        assert ConcurrentExecutor(max_workers=MAX_WORKERS + 1).max_workers == MAX_WORKERS
 
     def test_shard_executor_is_an_executor(self):
         assert issubclass(ShardExecutor, Executor)

@@ -302,10 +302,14 @@ class TestOrdering:
         assert stats["by_code"] == {"overloaded": 1}
 
     def test_close_closes_the_whole_stack(self, service):
-        stack = build_gateway(service, max_in_flight=2, deadline=5.0)
+        from repro.cluster import ClusterService
+
+        cluster = ClusterService.from_corpus(service.corpus, shards=2)
+        stack = build_gateway(cluster, max_in_flight=2, deadline=5.0)
         stack.close()
-        # the service's executor honours the documented lifecycle contract
-        assert service.executor.closed
+        # the router's fan-out executor honours the documented lifecycle
+        # contract
+        assert cluster.executor.closed
 
     def test_gateway_wire_bytes_match_bare_backend(self, service):
         corpus = Corpus()

@@ -21,7 +21,7 @@ import pytest
 
 import repro.api.http as http_module
 from repro.api import SearchRequest, SnippetService
-from repro.api.executors import ConcurrentExecutor, SerialExecutor
+from repro.api.executors import ConcurrentExecutor
 from repro.api.http import HttpServer
 from repro.corpus import Corpus
 from tests.api.hooked import Hooked
@@ -297,11 +297,12 @@ class TestBackendConcurrency:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-    def test_serial_executor_serialises_backend_calls(self):
+    def test_one_worker_serialises_backend_calls(self):
         counting = Counting(delay=0.1)
         backend = Hooked(_service(), counting)
-        with HttpServer(backend, port=0, executor=SerialExecutor()) as server:
-            self._drive(server.port, clients=2)
+        with ConcurrentExecutor(max_workers=1) as executor:
+            with HttpServer(backend, port=0, executor=executor) as server:
+                self._drive(server.port, clients=2)
         assert counting.calls == 4
         assert counting.most == 1
 

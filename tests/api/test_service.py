@@ -171,6 +171,78 @@ class TestRun:
         )
         assert {"lookup", "lca", "ranking"} <= set(response.timings)
 
+    def test_results_then_snippets_search_once(self, service, monkeypatch):
+        # A results-only request caches the outcome it searched for; the
+        # same query with snippets generates from it instead of searching
+        # again.
+        from repro.search.engine import SearchEngine
+
+        searches = []
+        search = SearchEngine.search
+
+        def counting(engine, *args, **kwargs):
+            searches.append(args)
+            return search(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SearchEngine, "search", counting)
+        results_only = service.run(SearchRequest(
+            query="store texas", document="stores", size_bound=6, include_snippets=False
+        ))
+        with_snippets = service.run(
+            SearchRequest(query="store texas", document="stores", size_bound=6)
+        )
+        assert len(searches) == 1
+        assert with_snippets.from_cache is True
+        assert [payload.result_id for payload in with_snippets.results] == [
+            payload.result_id for payload in results_only.results
+        ]
+        assert all(payload.text for payload in with_snippets.results)
+
+    def test_snippets_then_results_only_search_once(self, service, corpus):
+        request = SearchRequest(query="store texas", document="stores", size_bound=6)
+        service.run(request)
+        results_only = service.run(SearchRequest(
+            query="store texas", document="stores", size_bound=6, include_snippets=False
+        ))
+        assert results_only.from_cache is True
+        stats = corpus.system("stores").cache.stats_snapshot()
+        assert (stats.misses, stats.hits) == (1, 1)
+
+    def test_results_only_cold_meta_has_a_search_phase(self, service):
+        # A results-only request runs run_query, whose breakdown measures
+        # the whole search as well as the engine's own phases.
+        response = service.run(SearchRequest(
+            query="store texas", document="stores",
+            include_snippets=False, include_meta=True,
+        ))
+        assert response.from_cache is False
+        assert {"search", "lookup", "lca", "ranking"} <= set(response.timings)
+        assert "snippets" not in response.timings
+
+    def test_results_only_without_the_cache_stores_and_generates_nothing(
+        self, service, corpus
+    ):
+        service.run(SearchRequest(
+            query="store texas", document="stores", include_snippets=False, use_cache=False
+        ))
+        system = corpus.system("stores")
+        assert len(system.cache) == 0
+        assert system.generator.cache.stats.lookups == 0
+
+    def test_results_only_pages_match_the_snippet_pages(self, service):
+        def page(number, include_snippets):
+            return service.run(SearchRequest(
+                query="store", document="stores", size_bound=6, page_size=1,
+                page=number, include_snippets=include_snippets,
+            ))
+
+        for number in (1, 2, 3):
+            bare, full = page(number, False), page(number, True)
+            assert (bare.total_results, bare.next_page) == (full.total_results, full.next_page)
+            assert [(p.result_id, p.root, p.score) for p in bare.results] == [
+                (p.result_id, p.root, p.score) for p in full.results
+            ]
+
     def test_results_only_request_leaves_engine_state_untouched(self, service, corpus):
         service.run(
             SearchRequest(query="store texas", document="stores", include_snippets=False)
@@ -639,17 +711,33 @@ class TestObservability:
         assert errors == []
 
     def test_repr(self, service):
-        assert "documents=2" in repr(service)
-        assert "serial" in repr(service)
+        assert repr(service) == "<SnippetService documents=2>"
 
-    def test_context_manager_closes_executor(self, corpus):
-        from repro.api import ConcurrentExecutor
+    def test_capabilities_name_no_executor(self, service):
+        # a batch runs in the calling thread: there is no executor to name
+        caps = service.capabilities()
+        assert set(caps) == {"backend", "kinds", "documents"}
+        assert (caps["backend"], caps["documents"]) == ("snippet-service", 2)
 
-        executor = ConcurrentExecutor(max_workers=2)
-        with SnippetService(corpus, executor=executor) as service:
-            service.run_batch(BatchRequest(queries=("store texas", "clothes casual")))
-            assert "running" in repr(executor)
-        # Exiting the context manager closes the executor; per the
-        # lifecycle contract it now refuses work until re-entered.
-        assert "closed" in repr(executor)
-        assert executor.closed
+    def test_run_batch_runs_in_the_calling_thread_in_query_order(
+        self, service, monkeypatch
+    ):
+        import threading
+
+        seen = []
+        run_on_entry = SnippetService._run_on_entry
+
+        def recording(self, request, entry, parsed):
+            seen.append((threading.current_thread(), request.query, request.document))
+            return run_on_entry(self, request, entry, parsed)
+
+        monkeypatch.setattr(SnippetService, "_run_on_entry", recording)
+        queries = ("store texas", "clothes casual", "store texas")
+        response = service.run_batch(
+            BatchRequest(queries=queries, documents=("stores", "retailer"))
+        )
+        assert [entry.query for entry in response.entries] == list(queries)
+        assert {thread for thread, _query, _document in seen} == {threading.current_thread()}
+        assert [(query, document) for _thread, query, document in seen] == [
+            (query, document) for query in queries for document in ("stores", "retailer")
+        ]

@@ -1,7 +1,7 @@
 """The query surface is an explicit list.
 
-There is one way into the pipeline: ``ExtractSystem.run_query`` /
-``run_search`` in process, ``SnippetService`` / ``ClusterService``
+There is one way into the pipeline: ``ExtractSystem.run_query`` in
+process, ``SnippetService`` / ``ClusterService``
 (``run*`` raise, ``execute*`` are total, ``handle_*`` speak JSON) for typed
 requests.  A new entry point or a new knob on ``run*`` must show up here
 as a deliberate diff (see docs/serving.md).
@@ -14,12 +14,13 @@ import inspect
 import pytest
 
 from repro import ClusterService, Corpus, ExtractSystem, SnippetService
-from repro.api import SearchResponse
+from repro.api import SearchResponse, ServiceClient
+from repro.cluster import RemoteClusterService
 
 PUBLIC_METHODS = {
     ExtractSystem: {
         "analyzer", "cache_stats", "document_stats", "from_file", "from_saved",
-        "from_tree", "from_xml", "invalidate_cache", "run_query", "run_search",
+        "from_tree", "from_xml", "invalidate_cache", "run_query",
     },
     Corpus: {
         "add_builtin", "add_file", "add_system", "add_tree", "add_xml",
@@ -67,6 +68,48 @@ def test_public_methods_are_the_explicit_list(cls):
 )
 def test_run_methods_take_the_request_and_the_pin_only(cls, name):
     assert list(inspect.signature(getattr(cls, name)).parameters) == RUN_PARAMETERS[cls, name]
+
+
+CONSTRUCTOR_PARAMETERS = {
+    (SnippetService, "__init__"): ["self", "corpus"],
+    (ClusterService, "__init__"): ["self", "shards", "partitioner"],
+    (ClusterService, "from_corpus"): ["corpus", "shards", "partitioner"],
+    (ClusterService, "load_dir"): ["directory", "algorithm", "cache_size"],
+    (RemoteClusterService, "__init__"): [
+        "self", "replica_sets", "partitioner", "documents", "processes",
+        "overload_threshold",
+    ],
+}
+
+#: the client sends a read once more only when its pooled socket was
+#: already closed; there is no retry policy to pass, here or to a spawn
+CLIENT_PARAMETERS = {
+    (ServiceClient, "__init__"): ["self", "host", "port", "timeout", "keep_alive"],
+    (RemoteClusterService, "spawn"): [
+        "cluster_dir", "replicas", "host", "workers", "request_timeout",
+        "start_timeout", "health_interval", "overload_threshold",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "cls,name", CONSTRUCTOR_PARAMETERS, ids=lambda value: getattr(value, "__name__", value)
+)
+def test_services_take_no_executor(cls, name):
+    # a batch runs in the calling thread; only the router's ShardExecutor
+    # fans out, and it is built from the shard count
+    assert list(inspect.signature(getattr(cls, name)).parameters) == (
+        CONSTRUCTOR_PARAMETERS[cls, name]
+    )
+
+
+@pytest.mark.parametrize(
+    "cls,name", CLIENT_PARAMETERS, ids=lambda value: getattr(value, "__name__", value)
+)
+def test_clients_take_no_retry_policy(cls, name):
+    assert list(inspect.signature(getattr(cls, name)).parameters) == (
+        CLIENT_PARAMETERS[cls, name]
+    )
 
 
 @pytest.mark.parametrize("cls", (Corpus, ClusterService), ids=lambda cls: cls.__name__)

@@ -22,7 +22,6 @@ from repro.api import (
     SnippetService,
     UpdateRequest,
 )
-from repro.api.executors import SerialExecutor
 from repro.api.protocol import parse_response
 from repro.cluster import (
     ClusterService,
@@ -359,8 +358,8 @@ class TestClusterConstruction:
         batch = BatchRequest(queries=("store texas",))
         with cluster:
             first = cluster.run_batch(batch)
-        # Re-entering the service re-opens its executor and every shard
-        # service — the lifecycle contract one level up from executors.
+        # Re-entering the service re-opens its fan-out executor — the
+        # lifecycle contract one level up from executors.
         with cluster:
             again = cluster.run_batch(batch)
         assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
@@ -376,14 +375,14 @@ class TestClusterConstruction:
         batch = BatchRequest(queries=("movie drama",), documents=("stores", "movies"))
         expected = dumps(single.run_batch(batch).to_dict())
 
-        class RemoveThenMap(SerialExecutor):
-            def map(self, fn, items):
-                cluster.run_update(UpdateRequest(document="movies", action="remove"))
-                return super().map(fn, items)
+        cluster = ClusterService.from_corpus(build_corpus(), shards=3)
+        fan_out = cluster.executor.map
 
-        cluster = ClusterService.from_corpus(
-            build_corpus(), shards=3, executor=RemoveThenMap()
-        )
+        def remove_then_map(fn, items):
+            cluster.run_update(UpdateRequest(document="movies", action="remove"))
+            return fan_out(fn, items)
+
+        cluster.executor.map = remove_then_map
         assert dumps(cluster.run_batch(batch).to_dict()) == expected
         assert "movies" not in cluster
         # the next batch sees the removal

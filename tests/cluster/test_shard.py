@@ -161,3 +161,18 @@ class TestShardServer:
         assert len(shard) == 2
         assert shard.names() == ["retail", "stores"]
         assert "documents=2" in repr(shard)
+
+    def test_close_releases_nothing_and_the_shard_keeps_serving(self):
+        # The shard's service holds no executor: closing the shard (what
+        # the router does on close) leaves it serving, so a re-entered
+        # router needs nothing re-opened.
+        shard, reference = shard_pair()
+        shard.close()
+        shard.close()
+        pin = shard.capture("stores")
+        response = shard.search(
+            SearchRequest(query="store texas", document="stores", size_bound=6), pin
+        )
+        assert json.dumps(response.to_dict(), sort_keys=True) == wire(
+            reference, "store texas", "stores"
+        )

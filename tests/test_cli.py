@@ -729,7 +729,8 @@ _OUT_OF_RANGE = [
     ("serve", "--port", ("-1", "65536")),
     ("serve", "--shard-of", ("-1",)),
     ("serve", "--cache-size", ("-1",)),
-    ("serve", "--workers", ("0", "-1")),
+    # above MAX_WORKERS (64) a pool would silently serve 64
+    ("serve", "--workers", ("0", "-1", "65")),
     ("serve", "--max-in-flight", ("0", "-1")),
     ("serve", "--deadline", ("0", "-1")),
     ("serve", "--max-requests", ("0", "-1")),
@@ -744,7 +745,7 @@ _OUT_OF_RANGE = [
     ("cluster-init", "--default-shard", ("-1",)),
     ("cluster-spawn", "--replicas", ("0", "-1")),
     ("cluster-spawn", "--port", ("-1",)),
-    ("cluster-spawn", "--workers", ("0", "-1")),
+    ("cluster-spawn", "--workers", ("0", "-1", "65")),
     ("cluster-spawn", "--max-in-flight", ("0", "-1")),
     ("cluster-spawn", "--deadline", ("0", "-1")),
     ("cluster-spawn", "--max-requests", ("0", "-1")),
@@ -775,8 +776,9 @@ class TestNumericOptions:
         args = build_parser().parse_args([
             "serve", "--dataset", "retail", "--port", "0", "--cache-size", "0",
             "--shard-of", "0", "--slow-query-ms", "0", "--deadline", "0.5",
+            "--workers", "64",
         ])
-        assert (args.port, args.cache_size, args.shard_of) == (0, 0, 0)
+        assert (args.port, args.cache_size, args.shard_of, args.workers) == (0, 0, 0, 64)
         assert (args.slow_query_ms, args.deadline) == (0.0, 0.5)
 
     def test_a_non_number_is_still_named_by_its_type(self, capsys):

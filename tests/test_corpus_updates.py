@@ -342,6 +342,59 @@ class TestHalfGeneratedOutcomes:
         assert not self.pages(service, 2)[0].from_cache
 
 
+class TestResultsOnlyOutcomes:
+    """A results-only request caches the same outcome as a request with
+    snippets, with no slot generated; an update carries it over by the
+    same rule."""
+
+    QUERY = "clothes"
+
+    def build(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        service = SnippetService(corpus)
+        first = service.run(SearchRequest(
+            query=self.QUERY, document="doc", size_bound=6, include_snippets=False
+        ))
+        assert first.total_results == 3
+        return corpus, service
+
+    def rebuilt(self, tree):
+        corpus = Corpus()
+        corpus.add_tree("doc", tree)
+        return SnippetService(corpus)
+
+    def test_edit_outside_every_result_keeps_it_on_the_live_tree(self):
+        corpus, service = self.build()
+        report = corpus.update_document("doc", retailer_tree("Dallas"))
+        assert report.incremental and report.cache_entries_invalidated == 0
+        live = corpus.system("doc")
+        outcome = live.run_query(self.QUERY, size_bound=6)
+        assert outcome.from_cache and outcome.snippets.generated == 0
+        assert all(result.source is live.index.tree for result in outcome.results)
+        assert wire(service, self.QUERY, include_snippets=False) == wire(
+            self.rebuilt(retailer_tree("Dallas")), self.QUERY, include_snippets=False
+        )
+
+    def test_a_kept_outcome_serves_snippets_that_match_a_rebuild(self):
+        corpus, service = self.build()
+        corpus.update_document("doc", retailer_tree("Dallas"))
+        response = service.run(SearchRequest(query=self.QUERY, document="doc", size_bound=6))
+        assert response.from_cache
+        assert wire(service, self.QUERY) == wire(
+            self.rebuilt(retailer_tree("Dallas")), self.QUERY
+        )
+
+    def test_edit_inside_a_result_kills_it(self):
+        corpus, service = self.build()
+        report = corpus.update_document("doc", retailer_tree("Houston", ("coat", "jeans")))
+        assert report.incremental and report.cache_entries_invalidated >= 1
+        response = service.run(SearchRequest(
+            query=self.QUERY, document="doc", size_bound=6, include_snippets=False
+        ))
+        assert not response.from_cache
+
+
 class TestStoredPayloads:
     """A slot's rendered payload is stored on it and lives and dies with the
     outcome entry: what a kept outcome serves after an update, and what a

@@ -169,15 +169,18 @@ class TestQueryResultCache:
         stats = system.cache_stats()
         assert set(stats) == {"query", "snippet"}
 
-    def test_run_search_caches_result_sets(self, figure5_idx):
+    def test_results_only_read_caches_the_result_set(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        first, first_cached = system.run_search("store texas")
-        second, second_cached = system.run_search("store texas")
-        assert second is first  # served verbatim from the cache
-        assert (first_cached, second_cached) == (False, True)
-        assert len(first) == 2
+        first = system.run_query("store texas")
+        second = system.run_query("store texas")
+        assert second.results is first.results  # served verbatim from the cache
+        assert (first.from_cache, second.from_cache) == (False, True)
+        assert len(first.results) == 2
+        # reading only the results generates no snippet
+        assert first.snippets.generated == 0
+        assert system.generator.cache.stats.lookups == 0
 
     def test_cache_size_zero_disables_caching(self, figure5_idx):
         from repro.system import ExtractSystem
@@ -254,13 +257,13 @@ class TestQueryResultCache:
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        baseline, _ = ExtractSystem(figure5_idx).run_search("store texas")
+        baseline = ExtractSystem(figure5_idx).run_query("store texas").results
         # A prior query with a different construction must not leak into a
-        # later run_search(): construction is an explicit parameter.
+        # later run_query(): construction is an explicit parameter.
         system.run_query(
             "store texas", size_bound=6, construction=ResultConstruction.MATCH_PATHS
         )
-        results, _ = system.run_search("store texas")
+        results = system.run_query("store texas").results
         assert [type(r) for r in results] == [type(r) for r in baseline]
         assert [str(r.root) for r in results] == [str(r.root) for r in baseline]
 
