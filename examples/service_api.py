@@ -311,8 +311,9 @@ def main() -> None:
     # 10. observability: traces, metrics, request logs
     # ------------------------------------------------------------------ #
     # Every request through a traced gateway gets a span tree — the
-    # gateway root, executor queue delay, service phases, and (over a cluster)
-    # per-shard HTTP round trips stitched across processes.  Default wire
+    # gateway root, service phases, and (over a cluster) the per-shard
+    # HTTP round trips, made one after another and stitched across
+    # processes.  Default wire
     # bytes never change: traces surface only in the opt-in meta block
     # and the bounded buffer behind GET /v1/trace.  Full tour:
     # docs/observability.md.

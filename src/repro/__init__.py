@@ -55,7 +55,7 @@ from repro.api import (
     SnippetPayload,
     SnippetService,
 )
-from repro.cluster import ClusterService, HashPartitioner, ShardExecutor, ShardServer
+from repro.cluster import ClusterService, HashPartitioner, ShardServer
 from repro.corpus import Corpus, compact_corpus_dir
 from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.index.storage import load_index, save_index
@@ -91,7 +91,6 @@ __all__ = [
     # sharded serving
     "ClusterService",
     "ShardServer",
-    "ShardExecutor",
     "HashPartitioner",
     "compact_corpus_dir",
     "LRUCache",

@@ -664,9 +664,7 @@ class ExecutorLifecycleRule(Rule):
 
     EXECUTORS_PATH = "repro/api/executors.py"
 
-    _EXECUTOR_BASES = frozenset(
-        {"Executor", "ConcurrentExecutor", "ShardExecutor"}
-    )
+    _EXECUTOR_BASES = frozenset({"Executor", "ConcurrentExecutor"})
     _POOLS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
 
     def check(self, module: ModuleSource, context: AnalysisContext) -> Iterator[Finding]:

@@ -1,22 +1,21 @@
-"""Thread-pool executors: the shard fan-out and the HTTP front end's bound.
+"""Thread-pool executors: the HTTP front end's bound.
 
 An executor maps a function over a list of work items:
 :class:`ConcurrentExecutor` fans them out over a
 :class:`concurrent.futures.ThreadPoolExecutor`.  Because the query
 pipeline is thread-safe (locked caches, no shared mutable engine state),
-concurrent execution returns results identical to a plain loop; the win
-is overlapping work that blocks on anything releasing the GIL, which is
-what the cluster's shard fan-out
-(:class:`repro.cluster.router.ShardExecutor`) does over remote shards.
-An :class:`~repro.api.http.HttpServer` built over an executor reads only
-its ``max_workers``, as the bound on concurrent backend calls.
+concurrent execution returns results identical to a plain loop.  No
+serving path submits work to one: every request runs on its caller's
+thread, a cluster batch's shard calls included.  An
+:class:`~repro.api.http.HttpServer` built over an executor reads only
+its ``max_workers``, as the bound on concurrent backend calls; tests
+drive one service from several threads through :meth:`Executor.map`.
 
 ``map`` preserves **input order** in its output list and surfaces the
 first worker exception (by item order) exactly like a plain loop would,
 so the pool never changes observable results — only wall-clock.
 
-Lifecycle contract (every implementation, including
-:class:`repro.cluster.router.ShardExecutor`, must satisfy it):
+Lifecycle contract (every implementation must satisfy it):
 
 * :meth:`Executor.close` is **idempotent** — closing twice is a no-op;
 * submitting work through a closed executor raises :class:`RuntimeError`

@@ -46,6 +46,8 @@ HTTP/1.1 framing is decided in this module only: :func:`_read_request`
 here and :func:`_read_response`, which
 :class:`~repro.api.client.ServiceClient` reads its answers with, share
 the line bound, the header-block parser and the ``Content-Length`` rule.
+A request that breaks the framing, or whose body is not UTF-8, is
+answered ``400 bad_request`` and its connection closed.
 
 Run it from synchronous code (tests, the CLI ``serve`` command)::
 
@@ -425,7 +427,7 @@ class HttpServer:
                             status, payload, extra_headers = self._serve_payload(
                                 method,
                                 path,
-                                body.decode("utf-8", "replace"),
+                                body,
                                 query,
                                 trace_request_id,
                             )
@@ -591,10 +593,11 @@ def _content_length(headers: dict[str, str], default: str | None = "0") -> int:
     return int(length_text)
 
 
-def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], bytes] | None:
-    """Parse one request; None when the connection ends before a whole
-    request arrived (a client closing its keep-alive connection, a request
-    cut short — never served)."""
+def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], str] | None:
+    """Parse one request, its body decoded as UTF-8; None when the
+    connection ends before a whole request arrived (a client closing its
+    keep-alive connection, a request cut short — never served).  A body
+    that is not UTF-8 is a :class:`ProtocolError`, never a guess."""
     request_line = _read_line(reader, "request line")
     if not request_line.endswith(b"\n") or not request_line.strip():
         return None
@@ -611,7 +614,11 @@ def _read_request(reader: BinaryIO) -> tuple[str, str, str, dict[str, str], byte
     body = reader.read(length) if length else b""
     if len(body) < length:
         return None
-    return method, path, version, headers, body
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"request body is not UTF-8: {exc}") from exc
+    return method, path, version, headers, text
 
 
 def _read_response(reader: BinaryIO) -> tuple[str, int, dict[str, str], bytes]:

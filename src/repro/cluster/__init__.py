@@ -1,8 +1,8 @@
 """``repro.cluster`` — one logical corpus served from N shards.
 
-The scale-out layer of the reproduction's serving stack (the executor seam
-of :mod:`repro.api` and the update journal of :mod:`repro.index.storage`
-were built so this package could ship journal deltas, not documents).
+The scale-out layer of the reproduction's serving stack (the update journal
+of :mod:`repro.index.storage` was built so this package could ship journal
+deltas, not documents).
 There is **one coordinator**, the router, over two kinds of shard:
 
 * :mod:`repro.cluster.partition` — deterministic document → shard
@@ -11,8 +11,9 @@ There is **one coordinator**, the router, over two kinds of shard:
   directories, and the reader of a saved cluster's name → shard registry;
 * :mod:`repro.cluster.router` — :class:`ClusterService`, a drop-in
   replacement for :class:`repro.api.SnippetService`: routing, the batch
-  split → fan-out (:class:`ShardExecutor`) → merge, placement and
-  union-registry errors, written once against a duck-typed shard seam;
+  split → one shard call after another on the caller's thread → merge,
+  placement and union-registry errors, written once against a duck-typed
+  shard seam;
 * :mod:`repro.cluster.shard` — :class:`ShardServer`, the in-process
   shard: one corpus plus service, producing and applying replication
   deltas (:class:`ShardDelta`) so replicas stay byte-identical to their
@@ -70,7 +71,7 @@ from repro.cluster.replication import (
     ShardEndpoint,
     rebalance_document,
 )
-from repro.cluster.router import ClusterService, ShardExecutor
+from repro.cluster.router import ClusterService
 from repro.cluster.shard import ShardDelta, ShardServer
 
 __all__ = [
@@ -86,7 +87,6 @@ __all__ = [
     "ShardServer",
     "ShardDelta",
     "ClusterService",
-    "ShardExecutor",
     "ShardEndpoint",
     "ReplicaSet",
     "RebalanceReport",

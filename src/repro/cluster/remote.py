@@ -72,11 +72,7 @@ from repro.cluster.partition import (
     read_cluster_manifest,
     saved_cluster_documents,
 )
-from repro.cluster.replication import (
-    DEFAULT_OVERLOAD_THRESHOLD,
-    ReplicaSet,
-    ShardEndpoint,
-)
+from repro.cluster.replication import ReplicaSet, ShardEndpoint
 from repro.cluster.router import ClusterService, ShardFailure
 from repro.cluster.shard import ShardDelta, ShardServer
 from repro.errors import ClusterError, ExtractError, ProtocolError
@@ -90,6 +86,12 @@ REPLICATION_OPS = ("apply-update", "apply-delta")
 
 #: transport-level failures that trigger read failover
 _TRANSPORT_ERRORS = (OSError, ProtocolError)
+
+#: seconds a coordinator waits for one shard answer
+REQUEST_TIMEOUT = 30.0
+
+#: seconds a spawned ``serve`` process gets to publish its port
+START_TIMEOUT = 60.0
 
 
 class ShardBackend(ServingBackendBase):
@@ -333,8 +335,7 @@ def spawn_server(
     label: str = "serve",
     host: str = "127.0.0.1",
     workers: int = 2,
-    timeout: float = 60.0,
-    python: str | None = None,
+    timeout: float = START_TIMEOUT,
     shard_id: int = -1,
 ) -> ShardProcess:
     """Spawn one ``repro.cli serve`` process; wait until it is listening.
@@ -353,7 +354,7 @@ def spawn_server(
     os.remove(port_file)
     stderr_path = port_file + ".stderr"
     command = [
-        python or sys.executable,
+        sys.executable,
         "-m",
         "repro.cli",
         "serve",
@@ -406,8 +407,6 @@ def spawn_shard_server(
     shard_id: int,
     host: str = "127.0.0.1",
     workers: int = 2,
-    timeout: float = 60.0,
-    python: str | None = None,
 ) -> ShardProcess:
     """Spawn one ``serve --shard-of`` process; wait until it is listening.
 
@@ -421,8 +420,6 @@ def spawn_shard_server(
         label=f"shard {shard_id}",
         host=host,
         workers=workers,
-        timeout=timeout,
-        python=python,
         shard_id=shard_id,
     )
 
@@ -458,11 +455,9 @@ class RemoteShard:
         replica_set: ReplicaSet,
         names: Iterable[str],
         registry: MetricsRegistry,
-        overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
     ):
         self.replica_set = replica_set
         self.shard_id = replica_set.shard_id
-        self.overload_threshold = overload_threshold
         self._names = set(names)
         self._lock = threading.Lock()
         self._failovers = registry.counter(
@@ -539,7 +534,7 @@ class RemoteShard:
                 self._failovers.inc()
                 continue
             if isinstance(parsed, ErrorResponse) and parsed.code == "overloaded":
-                replica_set.record_overloaded(endpoint, self.overload_threshold)
+                replica_set.record_overloaded(endpoint)
                 self._sheds.inc()
                 overloaded = parsed
                 continue
@@ -573,11 +568,15 @@ class RemoteShard:
         except _TRANSPORT_ERRORS as exc:
             # Updates are never retried (the primary may already have
             # applied it); mark the primary down and promote so the *next*
-            # update lands on a live primary.  The client sends every
-            # write on a fresh connection, so this failure is the primary's,
-            # not a pooled keep-alive socket the primary had closed.
+            # update lands on a live primary.  A primary that lost the slot
+            # is stale: it may hold the write its replicas never saw, so
+            # a health probe must not bring it back into the read rotation.
+            # The client sends every write on a fresh connection, so this
+            # failure is the primary's, not a pooled keep-alive socket the
+            # primary had closed.
             replica_set.mark_down(primary)
-            replica_set.promote()
+            if replica_set.promote() not in (None, primary):
+                replica_set.mark_stale(primary)
             raise ShardFailure(
                 ErrorResponse(
                     error=type(exc).__name__,
@@ -682,7 +681,6 @@ class RemoteClusterService(ClusterService):
         partitioner: Partitioner | None = None,
         documents: Mapping[str, int] | None = None,
         processes: Sequence[ShardProcess] = (),
-        overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
     ):
         # Public so build_gateway adopts it: coordinator-side failover /
         # shed / health counters land in the same registry the gateway's
@@ -695,7 +693,6 @@ class RemoteClusterService(ClusterService):
                     replica_set,
                     [name for name, owner in documents.items() if owner == replica_set.shard_id],
                     self.registry,
-                    overload_threshold,
                 )
                 for replica_set in replica_sets
             ],
@@ -721,10 +718,7 @@ class RemoteClusterService(ClusterService):
         replicas: int = 1,
         host: str = "127.0.0.1",
         workers: int = 2,
-        request_timeout: float = 30.0,
-        start_timeout: float = 60.0,
         health_interval: float | None = None,
-        overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
     ) -> "RemoteClusterService":
         """Spawn a full remote cluster from a saved cluster directory.
 
@@ -752,16 +746,10 @@ class RemoteClusterService(ClusterService):
             for shard_id in range(manifest.shards):
                 endpoints = []
                 for index in range(replicas):
-                    process = spawn_shard_server(
-                        path,
-                        shard_id,
-                        host=host,
-                        workers=workers,
-                        timeout=start_timeout,
-                    )
+                    process = spawn_shard_server(path, shard_id, host=host, workers=workers)
                     spawned.callback(process.terminate)
                     processes.append(process)
-                    client = ServiceClient(host, process.port, timeout=request_timeout)
+                    client = ServiceClient(host, process.port, timeout=REQUEST_TIMEOUT)
                     endpoints.append(
                         ShardEndpoint(
                             client, role="primary" if index == 0 else "replica"
@@ -773,7 +761,6 @@ class RemoteClusterService(ClusterService):
                 partitioner=partitioner_from_manifest(manifest),
                 documents=documents,
                 processes=processes,
-                overload_threshold=overload_threshold,
             )
             if health_interval is not None:
                 service.start_monitor(health_interval)

@@ -25,7 +25,9 @@ State model per endpoint (:class:`ShardEndpoint`):
 Failover: :meth:`ReplicaSet.promote` moves the first healthy, in-sync
 replica into the primary slot (the dead primary is demoted to the tail,
 where a later health recovery makes it a read replica again — but never
-silently a primary).
+silently a primary).  A primary demoted because a write's answer was lost
+is marked stale as well (:meth:`~repro.cluster.remote.RemoteShard.update`):
+it may have applied the write its replicas never saw.
 
 :func:`rebalance_document` is the offline counterpart for saved cluster
 directories: move one document between shards as a remove+add delta pair
@@ -54,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.client import ServiceClient
 
 #: consecutive ``overloaded`` responses after which an endpoint is shed
-DEFAULT_OVERLOAD_THRESHOLD = 3
+OVERLOAD_THRESHOLD = 3
 
 
 class ShardEndpoint:
@@ -161,14 +163,13 @@ class ReplicaSet:
             endpoint.healthy = True
             endpoint.overloaded_streak = 0
 
-    def record_overloaded(
-        self, endpoint: ShardEndpoint, threshold: int = DEFAULT_OVERLOAD_THRESHOLD
-    ) -> bool:
-        """Count one ``overloaded`` answer; shed the endpoint at the
-        threshold.  Returns True when the endpoint was marked down."""
+    def record_overloaded(self, endpoint: ShardEndpoint) -> bool:
+        """Count one ``overloaded`` answer; shed the endpoint at
+        :data:`OVERLOAD_THRESHOLD`.  Returns True when the endpoint was
+        marked down."""
         with self._lock:
             endpoint.overloaded_streak += 1
-            if endpoint.overloaded_streak >= threshold:
+            if endpoint.overloaded_streak >= OVERLOAD_THRESHOLD:
                 endpoint.healthy = False
                 return True
             return False

@@ -25,11 +25,11 @@ processes — failover and replication live there, below the seam.
   at an empty trailing page that a different shard would have served.
 * **Batch** — documents are grouped by owning shard, each shard executes
   its sub-batch (keeping the per-shard shared-parse and shared-postings
-  wins) through the :class:`ShardExecutor`, and the per-shard responses
-  are merged back into the global document order — by name when the batch
-  asked for "all documents", in the caller's order otherwise — so the
-  merged :class:`~repro.api.BatchResponse` is exactly what a single
-  corpus would have produced.
+  wins) in turn, in shard-id order on the calling thread, and the
+  per-shard responses are merged back into the global document order —
+  by name when the batch asked for "all documents", in the caller's order
+  otherwise — so the merged :class:`~repro.api.BatchResponse` is exactly
+  what a single corpus would have produced.
 * **Update** — routed to the owning shard (registered documents) or to
   the partitioner's assignment (new documents); the shard returns the
   response plus a :class:`~repro.cluster.shard.ShardDelta` for
@@ -47,7 +47,6 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
-from repro.api.executors import ConcurrentExecutor
 from repro.api.protocol import (
     BatchEntry,
     BatchRequest,
@@ -64,7 +63,6 @@ from repro.cluster.partition import (
     CLUSTER_MANIFEST_FILE,
     HashPartitioner,
     Partitioner,
-    _require_shard_count,
     manifest_for_partitioner,
     partitioner_from_manifest,
     read_cluster_manifest,
@@ -73,24 +71,6 @@ from repro.cluster.partition import (
 from repro.cluster.shard import ShardDelta, ShardServer
 from repro.errors import ClusterError, ExtractError, StorageError, UnknownDocumentError
 from repro.utils.cache import DEFAULT_CACHE_SIZE
-
-
-class ShardExecutor(ConcurrentExecutor):
-    """Thread-backed fan-out across shards.
-
-    One worker per shard: the router submits at most one sub-request per
-    shard at a time, so more workers would idle.  It satisfies the full
-    :class:`~repro.api.executors.Executor` lifecycle contract (idempotent
-    close, closed submissions raise, context-manager re-entry re-opens).
-    Over remote shards the workers block on HTTP I/O (which releases the
-    GIL), so N shard processes make true wall-clock progress in parallel
-    even though the coordinator is a single Python process.
-    """
-
-    name = "shard"
-
-    def __init__(self, shards: int = 4):
-        super().__init__(max_workers=_require_shard_count(shards))
 
 
 def _span(name: str, **attributes: Any):
@@ -149,7 +129,6 @@ class ClusterService(ServingBackendBase):
                 f"partitioner covers {self.partitioner.shards} shard(s) but the "
                 f"cluster has {len(self.shards)}"
             )
-        self.executor = ShardExecutor(len(self.shards))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -266,8 +245,9 @@ class ClusterService(ServingBackendBase):
     def run_batch(self, batch: BatchRequest) -> BatchResponse:
         """Fan a batch out across shards and merge deterministically.
 
-        Each shard runs the sub-batch of documents it owns (one executor
-        item per shard), then per query the per-shard responses are
+        Each shard runs the sub-batch of documents it owns, one shard after
+        another in shard-id order on the calling thread (the first failure
+        in that order propagates), then per query the per-shard responses are
         stitched back into the global document order with ``seconds`` =
         the slowest shard.  Ordering contract: ``documents=None`` means
         every cluster document in name order (exactly :meth:`names`); an
@@ -306,15 +286,13 @@ class ClusterService(ServingBackendBase):
             documents.append(name)
             pins.append(pin)
 
-        def run_sub(item: tuple[int, tuple[list[str], list]]) -> tuple[int, BatchResponse]:
-            shard_id, (documents, pins) = item
-            sub_batch = replace(batch, documents=tuple(documents))
-            return shard_id, self.shards[shard_id].batch(sub_batch, pins)
-
         with _span("cluster:fanout", shards=len(per_shard)):
-            shard_responses = dict(
-                self.executor.map(run_sub, sorted(per_shard.items()))
-            )
+            shard_responses = {
+                shard_id: self.shards[shard_id].batch(
+                    replace(batch, documents=tuple(documents)), pins
+                )
+                for shard_id, (documents, pins) in sorted(per_shard.items())
+            }
 
         with _span("cluster:merge"):
             entries: list[BatchEntry] = []
@@ -474,7 +452,6 @@ class ClusterService(ServingBackendBase):
     def capabilities(self) -> dict[str, Any]:
         caps = super().capabilities()
         caps["documents"] = len(self)
-        caps["executor"] = self.executor.name
         caps["shards"] = len(self.shards)
         caps["partitioner"] = self.partitioner.kind
         return caps
@@ -499,23 +476,12 @@ class ClusterService(ServingBackendBase):
         ]
 
     def close(self) -> None:
-        """Release the fan-out executor and every shard (idempotent)."""
-        self.executor.close()
+        """Release every shard (idempotent)."""
         for shard in self.shards:
             shard.close()
-
-    def __enter__(self) -> "ClusterService":
-        # Service-level context-manager re-entry re-opens the fan-out
-        # executor, mirroring the executor lifecycle contract one level
-        # up; shards hold nothing that needs re-opening.
-        self.executor.__enter__()
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} shards={len(self.shards)} documents={len(self)} "
-            f"partitioner={self.partitioner.kind} executor={self.executor.name}>"
+            f"partitioner={self.partitioner.kind}>"
         )

@@ -119,11 +119,9 @@ class ShardDelta:
 class ShardServer:
     """One shard's corpus behind the standard service facade.
 
-    The shard's own service runs a batch in the calling thread —
-    cross-shard concurrency is the router's job (the
-    :class:`~repro.cluster.router.ShardExecutor`), and nesting a thread
-    pool per shard would oversubscribe the machine without changing any
-    observable result.
+    The shard's own service runs a batch in the calling thread, and so
+    does the router that calls one shard after another: no thread pool
+    sits anywhere between a cluster request and the shard services.
     """
 
     def __init__(

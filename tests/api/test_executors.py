@@ -1,11 +1,9 @@
 """Tests for the pluggable executors, including the lifecycle contract.
 
 The lifecycle contract (documented in :mod:`repro.api.executors`) is
-shared by every implementation — :class:`ConcurrentExecutor` and the
-cluster's
-:class:`~repro.cluster.router.ShardExecutor`: close is idempotent,
-submitting through a closed executor raises a clear :class:`RuntimeError`,
-and context-manager re-entry re-opens the executor.
+shared by every implementation: close is idempotent, submitting through a
+closed executor raises a clear :class:`RuntimeError`, and context-manager
+re-entry re-opens the executor.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ import threading
 
 import pytest
 
-from repro.api.executors import MAX_WORKERS, ConcurrentExecutor, Executor
-from repro.cluster.router import ShardExecutor
+from repro.api.executors import MAX_WORKERS, ConcurrentExecutor
 
 
 class TestConcurrentExecutor:
@@ -88,7 +85,6 @@ class TestConcurrentExecutor:
 #: every executor implementation must satisfy the same lifecycle contract
 LIFECYCLE_FACTORIES = [
     pytest.param(lambda: ConcurrentExecutor(max_workers=2), id="concurrent"),
-    pytest.param(lambda: ShardExecutor(shards=2), id="shard"),
 ]
 
 
@@ -138,18 +134,3 @@ class TestExecutorLifecycleContract:
         assert ConcurrentExecutor(max_workers=1).max_workers == 1
         assert ConcurrentExecutor(max_workers=3).max_workers == 3
         assert ConcurrentExecutor(max_workers=MAX_WORKERS + 1).max_workers == MAX_WORKERS
-
-    def test_shard_executor_is_an_executor(self):
-        assert issubclass(ShardExecutor, Executor)
-        executor = ShardExecutor(shards=3)
-        assert executor.name == "shard"
-        assert executor.max_workers == 3
-        executor.close()
-
-    def test_shard_executor_rejects_bad_shard_count(self):
-        from repro.errors import ClusterError
-
-        with pytest.raises(ClusterError):
-            ShardExecutor(shards=0)
-        with pytest.raises(ClusterError):
-            ShardExecutor(shards=True)

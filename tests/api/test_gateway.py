@@ -305,11 +305,18 @@ class TestOrdering:
         from repro.cluster import ClusterService
 
         cluster = ClusterService.from_corpus(service.corpus, shards=2)
+        closed: list[int] = []
+        for shard in cluster.shards:
+
+            def recording(_shard=shard, _close=shard.close):
+                closed.append(_shard.shard_id)
+                _close()
+
+            shard.close = recording
         stack = build_gateway(cluster, max_in_flight=2, deadline=5.0)
         stack.close()
-        # the router's fan-out executor honours the documented lifecycle
-        # contract
-        assert cluster.executor.closed
+        # closing the gateway reaches every shard behind the router
+        assert closed == [0, 1]
 
     def test_gateway_wire_bytes_match_bare_backend(self, service):
         corpus = Corpus()

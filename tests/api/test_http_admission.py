@@ -78,6 +78,84 @@ class TestLimitBelowWorkers:
         assert stack.stats()["admission"] == {"max_in_flight": 2, "admitted": 2, "rejected": 4}
 
 
+class TestWedgedBackendFlood:
+    def test_threads_stay_bounded_and_come_back(self):
+        # A backend that never answers, an admission limit, a deadline and
+        # a flood over keep-alive connections: every answer is a shed or a
+        # timeout, and the only threads that outlive a request are the two
+        # admitted calls stuck in the backend.
+        corpus = Corpus()
+        corpus.add_builtin("figure5-stores", name="stores")
+        gate = Gate()
+        stack = build_gateway(
+            Hooked(SnippetService(corpus), gate), max_in_flight=2, deadline=0.1
+        )
+        payload = json.dumps(SearchRequest(query="store texas", document="stores").to_dict())
+        connections, posts, stuck, workers = 8, 200, 2, 4
+        answers: list[tuple[int, str]] = []
+        lock = threading.Lock()
+        go, finished = threading.Event(), threading.Event()
+
+        with ConcurrentExecutor(max_workers=workers) as executor:
+            with HttpServer(stack, port=0, executor=executor) as server:
+
+                def flood() -> None:
+                    import http.client
+
+                    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+                    go.wait(timeout=30)
+                    try:
+                        for _ in range(posts // connections):
+                            connection.request("POST", "/v1/search", body=payload)
+                            response = connection.getresponse()
+                            answer = (response.status, json.loads(response.read())["code"])
+                            with lock:
+                                answers.append(answer)
+                        finished.wait(timeout=30)
+                    finally:
+                        connection.close()
+
+                clients = [threading.Thread(target=flood) for _ in range(connections)]
+                for client in clients:
+                    client.start()
+                baseline = set(threading.enumerate())
+                peak = 0
+                go.set()
+                try:
+                    deadline = time.monotonic() + 30
+                    while len(answers) < posts and time.monotonic() < deadline:
+                        peak = max(peak, _started_since(baseline))
+                        time.sleep(0.001)
+                    assert len(answers) == posts
+                    # one connection thread each, the stuck calls, and at
+                    # most one deadline thread per worker slot in passing
+                    assert peak <= connections + stuck + workers + 2
+                    gate.release.set()
+                    assert _settles(baseline, connections)
+                finally:
+                    gate.release.set()
+                    finished.set()
+                    for client in clients:
+                        client.join(timeout=30)
+        assert set(answers) <= {(503, "overloaded"), (504, "deadline_exceeded")}
+        assert answers.count((504, "deadline_exceeded")) == stuck
+
+
+def _started_since(baseline: set[threading.Thread]) -> int:
+    """Live threads that were not running at ``baseline`` (threads other
+    tests left behind may end meanwhile; they are not counted either way)."""
+    return len(set(threading.enumerate()) - baseline)
+
+
+def _settles(baseline: set[threading.Thread], count: int, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while _started_since(baseline) != count:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 def _cluster_dir(tmp_path) -> str:
     directory = str(tmp_path / "cluster")
     argv = ["cluster-init", "--dataset", "figure5-stores", "--shards", "1", "--output", directory]

@@ -20,7 +20,7 @@ import time
 import pytest
 
 import repro.api.http as http_module
-from repro.api import SearchRequest, SnippetService
+from repro.api import SearchRequest, SnippetService, UpdateRequest
 from repro.api.executors import ConcurrentExecutor
 from repro.api.http import HttpServer
 from repro.corpus import Corpus
@@ -187,6 +187,53 @@ class TestFraming:
         assert json.loads(body)["code"] == "bad_request"
         assert headers["connection"] == "close"
         assert closed
+        assert counting.calls == 0
+
+    @staticmethod
+    def _latin1_post(path: str, payload: dict) -> bytes:
+        data = json.dumps(payload, ensure_ascii=False).encode("latin-1")
+        head = f"POST {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n"
+        return head.encode("ascii") + data
+
+    def test_latin1_update_is_400_and_registers_nothing(self):
+        service = _service()
+        update = UpdateRequest(document="caf\xe9", xml="<menu>caf\xe9</menu>")
+        with HttpServer(service, port=0) as server:
+            answers, closed = _exchange(
+                server.port, self._latin1_post("/v1/update", update.to_dict())
+            )
+        status, headers, body = answers[0]
+        assert status == 400
+        assert json.loads(body)["code"] == "bad_request"
+        assert "UTF-8" in json.loads(body)["message"]
+        assert headers["connection"] == "close" and closed
+        assert service.corpus.names() == ["stores"]
+
+    def test_latin1_replication_op_is_400_and_applies_nothing(self):
+        from repro.cluster import ShardBackend, ShardServer
+
+        backend = ShardBackend(ShardServer(0, corpus=_service().corpus))
+        update = UpdateRequest(document="caf\xe9", xml="<menu>caf\xe9</menu>")
+        op = {"op": "apply-update", "request": update.to_dict()}
+        with HttpServer(backend, port=0, replicate_backend=backend) as server:
+            answers, _ = _exchange(server.port, self._latin1_post("/v1/replicate", op))
+        status, _, body = answers[0]
+        assert status == 400
+        assert json.loads(body)["code"] == "bad_request"
+        assert backend.sequence == 0
+        assert backend.shard.names() == ["stores"]
+
+    def test_search_with_a_non_utf8_byte_is_400(self):
+        counting = Counting()
+        backend = Hooked(_service(), counting)
+        search = SearchRequest(query="store \xff", document="stores")
+        with HttpServer(backend, port=0) as server:
+            answers, _ = _exchange(
+                server.port, self._latin1_post("/v1/search", search.to_dict())
+            )
+        status, _, body = answers[0]
+        assert status == 400
+        assert json.loads(body)["code"] == "bad_request"
         assert counting.calls == 0
 
     def test_repeated_agreeing_length_is_accepted(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import ClusterService, Corpus, ExtractSystem, SnippetService
 from repro.api import SearchResponse, ServiceClient
-from repro.cluster import RemoteClusterService
+from repro.cluster import RemoteClusterService, spawn_server, spawn_shard_server
 
 PUBLIC_METHODS = {
     ExtractSystem: {
@@ -77,7 +77,6 @@ CONSTRUCTOR_PARAMETERS = {
     (ClusterService, "load_dir"): ["directory", "algorithm", "cache_size"],
     (RemoteClusterService, "__init__"): [
         "self", "replica_sets", "partitioner", "documents", "processes",
-        "overload_threshold",
     ],
 }
 
@@ -86,8 +85,7 @@ CONSTRUCTOR_PARAMETERS = {
 CLIENT_PARAMETERS = {
     (ServiceClient, "__init__"): ["self", "host", "port", "timeout", "keep_alive"],
     (RemoteClusterService, "spawn"): [
-        "cluster_dir", "replicas", "host", "workers", "request_timeout",
-        "start_timeout", "health_interval", "overload_threshold",
+        "cluster_dir", "replicas", "host", "workers", "health_interval",
     ],
 }
 
@@ -96,8 +94,7 @@ CLIENT_PARAMETERS = {
     "cls,name", CONSTRUCTOR_PARAMETERS, ids=lambda value: getattr(value, "__name__", value)
 )
 def test_services_take_no_executor(cls, name):
-    # a batch runs in the calling thread; only the router's ShardExecutor
-    # fans out, and it is built from the shard count
+    # a batch runs in the calling thread, a cluster's shard calls included
     assert list(inspect.signature(getattr(cls, name)).parameters) == (
         CONSTRUCTOR_PARAMETERS[cls, name]
     )
@@ -110,6 +107,17 @@ def test_clients_take_no_retry_policy(cls, name):
     assert list(inspect.signature(getattr(cls, name)).parameters) == (
         CLIENT_PARAMETERS[cls, name]
     )
+
+
+def test_spawners_take_no_interpreter():
+    # the child runs this interpreter; a shard waits START_TIMEOUT for its
+    # port, the load harness passes its own timeout
+    assert list(inspect.signature(spawn_server).parameters) == [
+        "serve_args", "label", "host", "workers", "timeout", "shard_id",
+    ]
+    assert list(inspect.signature(spawn_shard_server).parameters) == [
+        "cluster_dir", "shard_id", "host", "workers",
+    ]
 
 
 @pytest.mark.parametrize("cls", (Corpus, ClusterService), ids=lambda cls: cls.__name__)

@@ -19,7 +19,7 @@ import pytest
 from repro.api.protocol import BatchRequest, SearchRequest, UpdateRequest
 from repro.api.service import SnippetService
 from repro.cluster import ClusterService, HealthMonitor, RemoteClusterService
-from tests.cluster.conftest import QUERIES, build_corpus
+from tests.cluster.conftest import QUERIES, build_corpus, in_thread_remote
 
 
 def wire(backend, payload) -> str:
@@ -140,6 +140,61 @@ class TestPrimaryDeath:
             assert wire(remote, request) == wire(single, request)
             # ... and the post-remove state agrees too (unknown-doc bytes).
             probe = SearchRequest(query="drama", document="movies")
+            assert wire(remote, probe) == wire(single, probe)
+
+    def test_lost_write_answer_leaves_one_state_to_read(self, tmp_path):
+        # The primary applies the write but its answer never arrives: the
+        # coordinator promotes the replica, which never saw the write, so
+        # the old primary must not come back into the read rotation when
+        # the next health sweep finds it alive.
+        with spawn_cluster(tmp_path, replicas=2) as remote:
+            shard_id = remote.owner_of("stores").shard_id
+            replica_set = remote.replica_sets[shard_id]
+            old_primary = replica_set.primary
+            forward = old_primary.client.replicate
+
+            def answer_lost(payload):
+                forward(payload)
+                raise OSError("connection reset after the write was sent")
+
+            old_primary.client.replicate = answer_lost
+            lost = remote.execute_update(
+                UpdateRequest(document="stores", xml="<stores><store>zebra</store></stores>")
+            )
+            assert lost.kind == "error" and "transport failure" in lost.message
+            promoted = replica_set.primary
+            assert promoted is not old_primary
+            assert old_primary.stale
+
+            HealthMonitor(remote.replica_sets).check_once()
+            assert old_primary.healthy and old_primary.stale
+            probe = SearchRequest(query="zebra", document="stores")
+            expected = promoted.client.post(probe.to_dict())
+            for _ in range(4):
+                assert json.loads(wire(remote, probe)) == expected
+
+    def test_lost_write_answer_without_a_replica_keeps_the_primary(self, single):
+        # With nothing to promote, the primary that applied the write stays
+        # the primary, in sync, and keeps serving what it applied.
+        def build():
+            return ClusterService.from_corpus(build_corpus(), shards=2)
+
+        with in_thread_remote(build, replicas=1) as remote:
+            replica_set = remote.replica_sets[remote.owner_of("stores").shard_id]
+            primary = replica_set.primary
+            forward = primary.client.replicate
+
+            def answer_lost(payload):
+                forward(payload)
+                raise OSError("connection reset after the write was sent")
+
+            primary.client.replicate = answer_lost
+            update = UpdateRequest(document="stores", xml="<stores><store>zebra</store></stores>")
+            assert remote.execute_update(update).kind == "error"
+            assert replica_set.primary is primary
+            assert not primary.stale
+            single.run_update(update)
+            probe = SearchRequest(query="zebra", document="stores")
             assert wire(remote, probe) == wire(single, probe)
 
     def test_monitor_promotes_past_dead_primary(self, tmp_path):

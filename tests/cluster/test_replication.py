@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import HealthMonitor, ReplicaSet, ShardEndpoint
-from repro.cluster.replication import DEFAULT_OVERLOAD_THRESHOLD
+from repro.cluster.replication import OVERLOAD_THRESHOLD
 from repro.errors import ClusterError
 
 
@@ -115,7 +115,7 @@ class TestOverloadShedding:
     def test_streak_sheds_at_threshold(self):
         replica_set = make_set(size=2)
         endpoint = replica_set.primary
-        for _ in range(DEFAULT_OVERLOAD_THRESHOLD - 1):
+        for _ in range(OVERLOAD_THRESHOLD - 1):
             assert replica_set.record_overloaded(endpoint) is False
             assert endpoint.healthy
         assert replica_set.record_overloaded(endpoint) is True
@@ -129,14 +129,8 @@ class TestOverloadShedding:
         replica_set.record_served(endpoint)
         assert endpoint.overloaded_streak == 0
         # the counter really restarted: threshold more needed to shed
-        for _ in range(DEFAULT_OVERLOAD_THRESHOLD - 1):
+        for _ in range(OVERLOAD_THRESHOLD - 1):
             assert replica_set.record_overloaded(endpoint) is False
-
-    def test_custom_threshold(self):
-        replica_set = make_set(size=2)
-        endpoint = replica_set.primary
-        assert replica_set.record_overloaded(endpoint, threshold=1) is True
-        assert not endpoint.healthy
 
 
 class TestPromotion:

@@ -13,6 +13,7 @@ transport; the construction/lifecycle class pins in-process specifics.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.cluster import (
     ClusterService,
     ExplicitPartitioner,
     HashPartitioner,
-    ShardExecutor,
     ShardServer,
 )
 from repro.corpus import Corpus
@@ -341,54 +341,81 @@ class TestClusterConstruction:
         assert set(stats) == set(cluster.names())
         assert stats["stores"]["query"]["misses"] >= 1
 
-    def test_close_then_fan_out_raises(self):
-        cluster = in_process(2)
-        cluster.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            cluster.run_batch(BatchRequest(queries=("store texas",)))
-
     def test_context_manager(self):
         with in_process(2) as cluster:
             response = cluster.run(SearchRequest(query="store texas", document="stores"))
             assert response.total_results >= 1
-        assert cluster.executor.closed
 
     def test_context_manager_reentry_reopens_the_whole_service(self):
         cluster = in_process(2)
         batch = BatchRequest(queries=("store texas",))
         with cluster:
             first = cluster.run_batch(batch)
-        # Re-entering the service re-opens its fan-out executor — the
-        # lifecycle contract one level up from executors.
+        # A closed cluster keeps serving, as a closed SnippetService does:
+        # nothing between the router and its shards needs re-opening.
+        closed = cluster.run_batch(batch)
         with cluster:
             again = cluster.run_batch(batch)
-        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
-            first.to_dict(), sort_keys=True
-        )
+        assert dumps(closed.to_dict()) == dumps(first.to_dict())
+        assert dumps(again.to_dict()) == dumps(first.to_dict())
 
     def test_batch_snapshot_survives_concurrent_remove(self):
         # Drop-in parity with SnippetService.entries_snapshot: a document
-        # removed after the router pinned its entries — here, between the
-        # capture and the fan-out — is still served from the pinned state
+        # removed after the router pinned its entries — here, as the first
+        # shard's sub-batch starts — is still served from the pinned state
         # instead of failing the batch part-way.
         single = SnippetService(build_corpus())
         batch = BatchRequest(queries=("movie drama",), documents=("stores", "movies"))
         expected = dumps(single.run_batch(batch).to_dict())
 
         cluster = ClusterService.from_corpus(build_corpus(), shards=3)
-        fan_out = cluster.executor.map
+        first = min(
+            (cluster.owner_of(name) for name in batch.documents),
+            key=lambda shard: shard.shard_id,
+        )
+        run_batch = first.batch
 
-        def remove_then_map(fn, items):
+        def remove_then_batch(sub_batch, pins):
             cluster.run_update(UpdateRequest(document="movies", action="remove"))
-            return fan_out(fn, items)
+            return run_batch(sub_batch, pins)
 
-        cluster.executor.map = remove_then_map
+        first.batch = remove_then_batch
         assert dumps(cluster.run_batch(batch).to_dict()) == expected
         assert "movies" not in cluster
         # the next batch sees the removal
         assert cluster.execute_batch(batch).kind == "error"
 
-    def test_default_executor_is_shard_executor(self):
-        cluster = in_process(3)
-        assert isinstance(cluster.executor, ShardExecutor)
-        assert cluster.executor.max_workers == 3
+    @staticmethod
+    def three_busy_shards() -> ClusterService:
+        placement = {"stores": 0, "retail": 1, "movies": 2, "bibliography": 2}
+        return ClusterService.from_corpus(
+            build_corpus(), partitioner=ExplicitPartitioner(placement, 3)
+        )
+
+    def test_batch_runs_every_shard_on_the_calling_thread(self):
+        cluster = self.three_busy_shards()
+        calls: list[tuple[int, threading.Thread]] = []
+        for shard in cluster.shards:
+
+            def recording(sub_batch, pins, _shard=shard, _batch=shard.batch):
+                calls.append((_shard.shard_id, threading.current_thread()))
+                return _batch(sub_batch, pins)
+
+            shard.batch = recording
+        cluster.run_batch(BatchRequest(queries=QUERIES[:2]))
+        assert [shard_id for shard_id, _ in calls] == [0, 1, 2]
+        assert all(thread is threading.current_thread() for _, thread in calls)
+
+    def test_first_failure_in_shard_order_propagates(self):
+        cluster = self.three_busy_shards()
+        reached: list[int] = []
+        for shard in cluster.shards[1:]:
+
+            def failing(sub_batch, pins, _shard_id=shard.shard_id):
+                reached.append(_shard_id)
+                raise ClusterError(f"shard {_shard_id} failed")
+
+            shard.batch = failing
+        with pytest.raises(ClusterError, match="shard 1 failed"):
+            cluster.run_batch(BatchRequest(queries=("store texas",)))
+        assert reached == [1]
