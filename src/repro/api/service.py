@@ -220,19 +220,20 @@ class SnippetService(ServingBackendBase):
     # observability
     # ------------------------------------------------------------------ #
     def cache_stats(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Atomic per-document serving-cache counters, JSON-ready.
+        """Atomic per-document serving-cache counters, JSON-ready: the
+        result cache (``query``), the snippet cache (``snippet``) and the
+        root memo (``roots``) of :meth:`ExtractSystem.cache_stats`.
 
         Iterates a snapshot of the registry, so a document removed while
         the stats are being collected is simply absent from the report
         instead of crashing the monitoring call.
         """
-        stats: dict[str, dict[str, dict[str, float]]] = {}
-        for entry in self.corpus.entries_snapshot():
-            stats[entry.name] = {
-                "query": entry.system.cache.stats_snapshot().as_dict(),
-                "snippet": entry.system.generator.cache.stats_snapshot().as_dict(),
+        return {
+            entry.name: {
+                cache: counters.as_dict() for cache, counters in entry.system.cache_stats().items()
             }
-        return stats
+            for entry in self.corpus.entries_snapshot()
+        }
 
     def capabilities(self) -> dict[str, Any]:
         caps = super().capabilities()

@@ -285,8 +285,9 @@ class SnippetGenerator:
         cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.analyzer = analyzer
-        #: its root memo (:attr:`IListBuilder.roots`) shares the snippet
-        #: cache's bound
+        #: its root memo (:attr:`IListBuilder.roots`) is bounded by subtree
+        #: nodes, not by ``cache_size``; a ``cache_size`` of 0 turns it off
+        #: with the snippet cache
         self.ilist_builder = IListBuilder(analyzer, cache_size=cache_size)
         self.selector = GreedyInstanceSelector(
             strategy=strategy, skip_unfitting_items=skip_unfitting_items

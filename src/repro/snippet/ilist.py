@@ -23,14 +23,21 @@ chooses among those instances.
 
 Groups 2 and 4 are properties of the result subtree alone: the entity names
 are found in it, and §2.3's ``N(e, a, v)``, ``N(e, a)`` and ``D(e, a)`` are
-counted inside it.  Only the keywords, the return entity and the result key
-depend on the query.  So the builder keeps, per result root, the subtree's
-entity scan, its feature statistics, its entity-name items and its ranked
-dominant-feature items (:class:`RootStatistics`), and a second query whose
-result has the same root adds only its own items on top.  A builder serves
-one document version — its analyzer's — so the memo needs no invalidation:
-it dies with the version.  Items are shared between the ILists of one root
-and never mutated after :meth:`IListBuilder.build`.
+counted inside it.  So is everything the return-entity rules read: the
+entity tags, their instances and their attribute names.  Only the keywords
+and the choice of return entity depend on the query, and the result key
+depends on that choice alone.  So the builder keeps, per result root, the
+subtree's entity tags, its feature statistics, its entity-name items and
+its ranked dominant-feature items, plus the key items of every set of
+return entities a query has chosen there (:class:`RootStatistics`); a
+second query whose result has the same root decides its return entity
+over the root's entity tags and adds only its keyword items on top.  The
+memo is bounded by work, not by roots: an entry weighs its root's subtree
+nodes, and the budget is :data:`ROOT_MEMO_BUDGET` times the document's
+node count.  A builder serves one document version — its analyzer's — so
+the memo needs no invalidation: it dies with the version.  Items are
+shared between the ILists of one root and never mutated after
+:meth:`IListBuilder.build`.
 """
 
 from __future__ import annotations
@@ -40,16 +47,26 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from repro.classify.analyzer import DataAnalyzer, SubtreeScan
+from repro.classify.analyzer import DataAnalyzer
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.snippet.dominant import DominantFeatureIdentifier, ScoredFeature
 from repro.snippet.features import FeatureStatistics, extract_features
 from repro.snippet.result_key import QueryResultKeyIdentifier, ResultKey
-from repro.snippet.return_entity import ReturnEntityDecision, ReturnEntityIdentifier
+from repro.snippet.return_entity import (
+    ResultEntities,
+    ReturnEntityDecision,
+    ReturnEntityIdentifier,
+)
 from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.utils.text import matches_keyword, normalize_token
 from repro.utils.timing import TimingBreakdown
+
+#: the root memo's budget, in subtree nodes per node of the document: the
+#: roots of one document's results overlap — a store's subtree sits inside
+#: its retailer's — and on the ``cold_browse`` documents the roots their
+#: query pools reach sum to 2.1–3.4 times the node count, so 4 keeps them all
+ROOT_MEMO_BUDGET = 4
 
 
 class ItemKind(str, Enum):
@@ -134,18 +151,24 @@ class IList:
 class RootStatistics(NamedTuple):
     """The query-independent half of the IList of one result root."""
 
-    scan: SubtreeScan
+    #: what the return-entity rules read of the subtree
+    entities: ResultEntities
     statistics: FeatureStatistics
     entity_items: list[IListItem]
     feature_items: list[IListItem]
+    #: return-entity tags → the key items they give in this subtree,
+    #: filled by the queries that chose them
+    key_items: dict[tuple[str, ...], list[IListItem]]
 
 
 class IListBuilder:
     """Builds the IList of a query result (ties §2.1–§2.3 together).
 
     ``roots`` memoises :class:`RootStatistics` by root ``pre`` for results
-    of the analyzer's own tree, at most ``cache_size`` of them (0 keeps
-    none).
+    of the analyzer's own tree.  An entry weighs its root's subtree nodes
+    and the memo holds :data:`ROOT_MEMO_BUDGET` times the document's node
+    count of them, least recently used out first; a ``cache_size`` of 0
+    keeps no root.
     """
 
     def __init__(self, analyzer: DataAnalyzer, cache_size: int = DEFAULT_CACHE_SIZE):
@@ -153,7 +176,8 @@ class IListBuilder:
         self.return_entity_identifier = ReturnEntityIdentifier(analyzer)
         self.key_identifier = QueryResultKeyIdentifier(analyzer)
         self.dominant_identifier = DominantFeatureIdentifier(analyzer)
-        self.roots = LRUCache(cache_size)
+        budget = ROOT_MEMO_BUDGET * analyzer.tree.size_nodes if cache_size else 0
+        self.roots = LRUCache(budget)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -173,7 +197,8 @@ class IListBuilder:
         earlier query's result had the same root; otherwise they are
         computed — feature extraction timed as the ``features`` phase of
         ``timings`` when the caller passes a breakdown — and, unless
-        ``use_cache`` is false, kept.  Concurrent builders of one root
+        ``use_cache`` is false, kept.  So are the key items of the return
+        entities the query chose.  Concurrent builders of one root
         converge on the first entry stored.
         """
         root = result.root_node
@@ -182,8 +207,14 @@ class IListBuilder:
         if part is None:
             part = self._root_statistics(result, timings)
             if memo:
-                part = self.roots.setdefault(root.pre, part)
-        decision = self.return_entity_identifier.identify(query, result, part.scan)
+                part = self.roots.setdefault(root.pre, part, weight=len(root.subtree_ids()))
+        decision = self.return_entity_identifier.decide(query, result, part.entities)
+        tags = tuple(decision.return_entities)
+        key_items = part.key_items.get(tags)
+        if key_items is None:
+            key_items = self._key_items(result, decision)
+            if memo:
+                key_items = part.key_items.setdefault(tags, key_items)
 
         ilist = IList(return_entity_decision=decision, statistics=part.statistics)
         seen: set[str] = set()
@@ -192,7 +223,7 @@ class IListBuilder:
             self._append(ilist, item, seen)
         for item in part.entity_items:
             self._append(ilist, item, seen)
-        for item in self._key_items(result, decision):
+        for item in key_items:
             self._append(ilist, item, seen)
         for item in part.feature_items:
             self._append(ilist, item, seen)
@@ -202,15 +233,16 @@ class IListBuilder:
         self, result: QueryResult, timings: TimingBreakdown | None
     ) -> RootStatistics:
         """Scan, count and rank the subtree under ``result``'s root."""
-        scan = self.analyzer.scan_subtree(result.root_node)
+        entities = ReturnEntityIdentifier.entities(self.analyzer.scan_subtree(result.root_node))
         breakdown = timings if timings is not None else TimingBreakdown()
         with breakdown.measure("features"):
             statistics = extract_features(self.analyzer, result)
         return RootStatistics(
-            scan,
+            entities,
             statistics,
-            self._entity_name_items(scan),
+            self._entity_name_items(entities),
             self._feature_items(result, statistics),
+            {},
         )
 
     # ------------------------------------------------------------------ #
@@ -247,7 +279,7 @@ class IListBuilder:
             or (node.has_text_value and matches_keyword(node.text or "", keyword))
         ]
 
-    def _entity_name_items(self, scan: SubtreeScan) -> list[IListItem]:
+    def _entity_name_items(self, entities: ResultEntities) -> list[IListItem]:
         """Entity names, most frequent entity type in the result first.
 
         The paper's Figure 3 lists ``clothes`` before ``store``; ordering
@@ -256,16 +288,14 @@ class IListBuilder:
         is a sensible importance proxy: the more instances an entity type
         has, the more of the result it describes.
         """
-        instances_by_tag: dict[str, list[int]] = {}
-        for node in scan.entities:
-            instances_by_tag.setdefault(node.tag, []).append(node.pre)
-        ordered = sorted(instances_by_tag, key=lambda tag: (-len(instances_by_tag[tag]), tag))
+        instances = entities.instances
+        ordered = sorted(entities.tags, key=lambda tag: (-len(instances[tag]), tag))
         return [
             IListItem(
                 kind=ItemKind.ENTITY_NAME,
                 text=tag,
                 identity=normalize_token(tag),
-                instances=instances_by_tag[tag],
+                instances=instances[tag],
             )
             for tag in ordered
         ]

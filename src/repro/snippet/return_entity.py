@@ -13,18 +13,51 @@ entities* (used to describe return entities).  The paper's heuristics:
 The identifier works at the level of entity *types* present in the result
 (the decision "retailer is the return entity" is about the type) while
 also exposing the concrete return-entity instances, which the key
-identifier needs.
+identifier needs.  Everything the rules read of a result is a property of
+its subtree alone — the entity tags, their instances and their attribute
+names (:class:`ResultEntities`) — so a caller that keeps that per result
+root (:class:`repro.snippet.ilist.RootStatistics`) decides a query in
+O(keywords × entity tags) with :meth:`ReturnEntityIdentifier.decide`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.classify.analyzer import DataAnalyzer, EntityType, SubtreeScan
 from repro.search.query import KeywordQuery
 from repro.search.results import QueryResult
 from repro.utils.text import normalize_token, singularize
-from repro.xmltree.node import XMLNode
+
+
+def _word(name: str) -> str:
+    """How a rule compares a tag with a keyword: plural-insensitively
+    ("stores" finds <store>)."""
+    return singularize(normalize_token(name))
+
+
+class ResultEntities(NamedTuple):
+    """What rules 1–3 read of one result subtree, by entity tag.
+
+    Every query whose result has this root may share it.  The first three
+    members are never mutated once built, and a decision's
+    ``return_instances`` are lists of ``instances``.
+    """
+
+    #: the entity tags, in document order of their first instance — the
+    #: result root's tag first
+    tags: list[str]
+    #: per tag, its instances in the result as ``pre`` ids, document order
+    instances: dict[str, list[int]]
+    #: per tag, the word rule 1 compares with the keywords
+    words: dict[str, str]
+    #: per tag, the words of its attribute names that rule 2 compares: the
+    #: schema's attribute tags of the entity type plus the attribute
+    #: children its instances in the result have.  Filled a tag at a time
+    #: by the first query that reaches rule 2 — most never do: one of their
+    #: keywords names an entity
+    attribute_words: dict[str, frozenset[str]]
 
 
 @dataclass
@@ -77,58 +110,81 @@ class ReturnEntityIdentifier:
         """
         if scan is None:
             scan = self.analyzer.scan_subtree(result.root_node)
-        decision = ReturnEntityDecision()
-        # the scan is in document order, so the tags come out ordered by
-        # the ``pre`` of their first instance
-        instances_by_tag: dict[str, list[XMLNode]] = {}
-        for node in scan.entities:
-            instances_by_tag.setdefault(node.tag, []).append(node)
-        decision.entities_in_result = list(instances_by_tag)
+        return self.decide(query, result, self.entities(scan))
 
-        # Keyword comparison is plural-insensitive ("stores" finds <store>).
-        keywords = {singularize(normalize_token(keyword)) for keyword in query.keywords}
+    @staticmethod
+    def entities(scan: SubtreeScan) -> ResultEntities:
+        """The entity tags of a scanned result subtree, with the words
+        rule 1 compares."""
+        # the scan is in document order, root first, so the tags come out
+        # ordered by the ``pre`` of their first instance
+        instances: dict[str, list[int]] = {}
+        for node in scan.entities:
+            instances.setdefault(node.tag, []).append(node.pre)
+        return ResultEntities(
+            tags=list(instances),
+            instances=instances,
+            words={tag: _word(tag) for tag in instances},
+            attribute_words={},
+        )
+
+    def decide(
+        self, query: KeywordQuery, result: QueryResult, entities: ResultEntities
+    ) -> ReturnEntityDecision:
+        """Rules 1–3 over the entity tags of ``result`` (``entities``):
+        O(keywords × entity tags) once rule 2 has read the result's
+        attribute names."""
+        keywords = {_word(keyword) for keyword in query.keywords}
+        decision = ReturnEntityDecision(entities_in_result=list(entities.tags))
 
         # Rule 1: entity name matches a keyword.
-        for tag in decision.entities_in_result:
-            if singularize(normalize_token(tag)) in keywords:
+        for tag in entities.tags:
+            if entities.words[tag] in keywords:
                 decision.return_entities.append(tag)
                 decision.reasons[tag] = "name-match"
 
         # Rule 2: an attribute name of the entity matches a keyword.
         if not decision.return_entities:
-            for tag in decision.entities_in_result:
-                if self._attribute_name_matches(tag, instances_by_tag[tag], keywords):
+            for tag in entities.tags:
+                if not self._attribute_words(result, entities, tag).isdisjoint(keywords):
                     decision.return_entities.append(tag)
                     decision.reasons[tag] = "attribute-match"
 
         # Rule 3: default — the highest entities (no ancestor entity in the
         # result).  The result root plays the entity role and every other
-        # node of the result has it for an ancestor, so that is the root.
+        # node of the result has it for an ancestor, so that is the root,
+        # whose tag comes first.
         if not decision.return_entities:
-            tag = result.root_node.tag
+            tag = entities.tags[0]
             decision.return_entities.append(tag)
             decision.reasons[tag] = "default-highest"
 
         decision.supporting_entities = [
-            tag for tag in decision.entities_in_result if tag not in decision.return_entities
+            tag for tag in entities.tags if tag not in decision.return_entities
         ]
         for tag in decision.return_entities:
-            decision.return_instances[tag] = [node.pre for node in instances_by_tag[tag]]
+            decision.return_instances[tag] = entities.instances[tag]
         return decision
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _attribute_name_matches(
-        self, tag: str, instances: list[XMLNode], keywords: set[str]
-    ) -> bool:
+    def _attribute_words(
+        self, result: QueryResult, entities: ResultEntities, tag: str
+    ) -> frozenset[str]:
+        """``entities.attribute_words[tag]``, read off the result the first
+        time a query asks."""
+        words = entities.attribute_words.get(tag)
+        if words is not None:
+            return words
         entity_type: EntityType | None = self.analyzer.entity_type_by_tag(tag)
-        attribute_tags: set[str] = set(entity_type.attribute_tags) if entity_type else set()
+        names: set[str] = set(entity_type.attribute_tags) if entity_type else set()
         # Also look at the concrete instances: a result may expose attribute
         # children the schema-wide entity type does not know about (e.g.
         # when the analyzer was built on a larger corpus).
-        for instance in instances:
-            for child in instance.children:
-                if self.analyzer.is_attribute(child):
-                    attribute_tags.add(child.tag)
-        return any(singularize(normalize_token(attribute)) in keywords for attribute in attribute_tags)
+        nodes = result.source.nodes_by_pre
+        is_attribute = self.analyzer.is_attribute
+        for pre in entities.instances[tag]:
+            names.update(child.tag for child in nodes[pre].children if is_attribute(child))
+        # equal sets either way, so a concurrent first reader may store its own
+        return entities.attribute_words.setdefault(tag, frozenset(_word(name) for name in names))

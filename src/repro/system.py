@@ -242,8 +242,14 @@ class ExtractSystem:
         return self.cache.clear()
 
     def cache_stats(self) -> dict[str, CacheStats]:
-        """Hit/miss/eviction counters of the two serving caches."""
-        return {"query": self.cache.stats, "snippet": self.generator.cache.stats}
+        """Snapshots of the counters of the result cache (``query``), the
+        snippet cache (``snippet``) and the IList builder's root memo
+        (``roots``)."""
+        return {
+            "query": self.cache.stats_snapshot(),
+            "snippet": self.generator.cache.stats_snapshot(),
+            "roots": self.generator.ilist_builder.roots.stats_snapshot(),
+        }
 
     def document_stats(self) -> DocumentStats:
         """Statistics of the loaded document."""

@@ -2,16 +2,20 @@
 
 The eXtract demo served interactive web traffic, where the same handful of
 show-case queries arrive over and over.  :class:`LRUCache` is the shared
-building block for the two serving caches:
+building block for the serving caches:
 
 * the **query-result cache** in :class:`repro.system.ExtractSystem`
-  (keyed on document, normalised query, algorithm, snippet bound), and
+  (keyed on document, normalised query, algorithm, snippet bound),
 * the **snippet cache** in :class:`repro.snippet.generator.SnippetGenerator`
-  (keyed on result root, normalised query and size bound).
+  (keyed on result root, normalised query and size bound), and
+* the **root memo** of its IList builder
+  (:attr:`repro.snippet.ilist.IListBuilder.roots`, keyed on result root).
 
 It is deliberately dependency-free (an ``OrderedDict`` with move-to-end
 semantics) and records hit/miss/eviction counts so the cache benchmarks and
-the CLI can report hit rates.
+the CLI can report hit rates.  An entry may carry a weight, and the cache
+bounds the summed weight of its entries: the root memo weighs a root by
+its subtree nodes, so it is bounded by work rather than by roots.
 
 The cache is **thread-safe**: every operation (including the statistics
 updates) runs under one re-entrant lock, so the concurrent executor of
@@ -87,6 +91,11 @@ class LRUCache:
     ``put`` is a no-op), which lets callers switch caching off without
     branching at every call site.
 
+    ``maxsize`` bounds the summed *weight* of the entries; an entry weighs
+    1 unless :meth:`put` / :meth:`setdefault` say otherwise, so by default
+    it bounds their number.  An entry heavier than ``maxsize`` is never
+    stored.
+
     All operations are serialised through one :class:`threading.RLock`, so
     concurrent readers/writers never corrupt the recency order and always
     observe coherent statistics.
@@ -97,6 +106,11 @@ class LRUCache:
             raise ValueError(f"cache maxsize must be >= 0, got {maxsize}")
         self.maxsize = maxsize
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: the weight of every entry that does not weigh 1 (so an
+        #: unweighted cache keeps no per-entry weight)
+        self._weights: dict[Hashable, int] = {}
+        #: summed weight of the entries, never above ``maxsize``
+        self._weight = 0
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
@@ -114,23 +128,34 @@ class LRUCache:
             self.stats.hits += 1
             return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh an entry, evicting the oldest when full."""
+    def put(self, key: Hashable, value: Any, weight: int = 1) -> None:
+        """Insert or refresh an entry of ``weight``, evicting the least
+        recently used ones until the summed weight fits ``maxsize``.  An
+        entry heavier than ``maxsize`` is not stored, and drops the entry
+        it would have replaced."""
         if self.maxsize == 0:
             return
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            if key in entries:
+                self._drop(key)
+            if weight > self.maxsize:
+                return
+            entries[key] = value
+            if weight != 1:
+                self._weights[key] = weight
+            self._weight += weight
+            while self._weight > self.maxsize:
+                evicted, _ = entries.popitem(last=False)
+                self._weight -= self._weights.pop(evicted, 1)
                 self.stats.evictions += 1
 
-    def setdefault(self, key: Hashable, value: Any) -> Any:
-        """The entry under ``key``, after inserting ``value`` if there is
-        none — one atomic step, so concurrent callers that each computed
-        the entry all leave holding the one that got there first.  Counts
-        neither a hit nor a miss: the caller's :meth:`get` already did.
+    def setdefault(self, key: Hashable, value: Any, weight: int = 1) -> Any:
+        """The entry under ``key``, after inserting ``value`` (of ``weight``,
+        as :meth:`put`) if there is none — one atomic step, so concurrent
+        callers that each computed the entry all leave holding the one that
+        got there first.  Counts neither a hit nor a miss: the caller's
+        :meth:`get` already did.
         """
         if self.maxsize == 0:
             return value
@@ -139,7 +164,7 @@ class LRUCache:
             if existing is not _MISSING:
                 self._entries.move_to_end(key)
                 return existing
-            self.put(key, value)
+            self.put(key, value, weight)
             return value
 
     def __contains__(self, key: Hashable) -> bool:
@@ -151,6 +176,12 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
+    @property
+    def weight(self) -> int:
+        """The summed weight of the entries (their number when unweighted)."""
+        with self._lock:
+            return self._weight
+
     # ------------------------------------------------------------------ #
     # invalidation
     # ------------------------------------------------------------------ #
@@ -158,7 +189,7 @@ class LRUCache:
         """Drop one entry; returns whether it was present."""
         with self._lock:
             if key in self._entries:
-                del self._entries[key]
+                self._drop(key)
                 self.stats.invalidations += 1
                 return True
             return False
@@ -174,7 +205,7 @@ class LRUCache:
         with self._lock:
             doomed = [key for key in self._entries if predicate(key)]
             for key in doomed:
-                del self._entries[key]
+                self._drop(key)
             self.stats.invalidations += len(doomed)
             return len(doomed)
 
@@ -196,14 +227,15 @@ class LRUCache:
         the two locks are never held together.
         """
         with source._lock:
-            entries = list(source._entries.items())
+            weights = source._weights
+            entries = [(key, value, weights.get(key, 1)) for key, value in source._entries.items()]
             stats = source.stats_snapshot()
         kept = dropped = 0
         with self._lock:
             self.stats = stats
-            for key, value in entries:
+            for key, value, weight in entries:
                 if keep(key, value):
-                    self.put(key, value)
+                    self.put(key, value, weight)
                     kept += 1
                 else:
                     dropped += 1
@@ -215,8 +247,15 @@ class LRUCache:
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
+            self._weights.clear()
+            self._weight = 0
             self.stats.invalidations += count
             return count
+
+    def _drop(self, key: Hashable) -> None:
+        with self._lock:  # re-entered: every caller holds it already
+            del self._entries[key]
+            self._weight -= self._weights.pop(key, 1)
 
     def stats_snapshot(self) -> CacheStats:
         """An atomic copy of the counters (safe to read while serving)."""
@@ -230,4 +269,6 @@ class LRUCache:
 
     def __repr__(self) -> str:
         with self._lock:
-            return f"<LRUCache size={len(self._entries)}/{self.maxsize} {self.stats!r}>"
+            size = len(self._entries)
+            bound = f"{size}" if self._weight == size else f"{size} weight={self._weight}"
+            return f"<LRUCache size={bound}/{self.maxsize} {self.stats!r}>"

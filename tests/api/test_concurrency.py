@@ -19,6 +19,7 @@ from repro.api import (
     SnippetService,
 )
 from repro.corpus import Corpus
+from repro.snippet.ilist import ItemKind
 from repro.utils.cache import LRUCache
 
 THREADS = 8
@@ -341,7 +342,12 @@ class TestConcurrentQueriesSharingRoots:
         for query in self.QUERIES:
             for generated in system.run_query(query, size_bound=6).snippets:
                 pre = generated.result.root_node.pre
-                assert generated.ilist.statistics is memo.get(pre).statistics
+                part = memo.get(pre)
+                assert generated.ilist.statistics is part.statistics
+                # ... and the key items the memo kept for its return entity
+                kept = part.key_items[tuple(generated.ilist.return_entity_decision.return_entities)]
+                shown = generated.ilist.items_of_kind(ItemKind.RESULT_KEY)
+                assert shown and all(any(item is key for key in kept) for item in shown)
 
 
 class TestRegistrationUnderServing:

@@ -680,10 +680,12 @@ class TestObservability:
         service.run(SearchRequest(query="store texas", document="stores", size_bound=6))
         stats = service.cache_stats()
         assert set(stats) == {"retailer", "stores"}
-        assert set(stats["stores"]) == {"query", "snippet"}
-        snapshot = stats["stores"]["query"]
-        assert snapshot["misses"] >= 1  # the one cold evaluation above
-        assert "evictions" in snapshot and "hit_rate" in snapshot
+        assert set(stats["stores"]) == {"query", "snippet", "roots"}
+        counters = {"hits", "misses", "evictions", "invalidations", "hit_rate"}
+        for cache in ("query", "snippet", "roots"):
+            assert set(stats["stores"][cache]) == counters, cache
+            # the one cold evaluation above
+            assert stats["stores"][cache]["misses"] >= 1, cache
 
     def test_cache_stats_survives_concurrent_removal(self, service, corpus):
         import threading

@@ -12,7 +12,11 @@ For random documents, random in-vocabulary queries and random size bounds:
   construction, from an index as built or lazily loaded from a v4 snapshot,
   and after text-only updates, where the carried feature table must decode
   to what a from-scratch bind gives — and through a builder whose root memo
-  another query's result with the same root has already filled.
+  another query's result with the same root has already filled,
+* and a repeated root's return entity and key items, decided over the
+  memo's entity tags and read from its key-item memo, are what a fresh
+  :class:`ReturnEntityIdentifier` and :class:`QueryResultKeyIdentifier`
+  give for the same query and result.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from repro.search.query import KeywordQuery
 from repro.search.xseek import ResultConstruction, build_result_tree
 from repro.snippet.features import extract_features
 from repro.snippet.generator import SnippetGenerator
-from repro.snippet.ilist import IListBuilder
+from repro.snippet.ilist import IListBuilder, ItemKind
 from repro.snippet.optimal import OptimalInstanceSelector
+from repro.snippet.result_key import QueryResultKeyIdentifier
+from repro.snippet.return_entity import ReturnEntityIdentifier
 from repro.xmltree.diff import clone_tree, diff_trees
 from tests.property.strategies import TAGS, VALUES, xml_trees
 from tests.snippet.differential import assert_snippet_matches_reference, decoded
@@ -197,3 +203,61 @@ def test_memo_hits_match_the_label_oracle(tree, queries, data):
             break
         index.analyzer.feature_table
         index = apply_text_update(index, edited, diff).index
+
+
+def _key(key) -> tuple:
+    return (key.entity_tag, key.attribute_tag, key.value, list(key.instances), key.mined)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(
+    xml_trees(),
+    st.sampled_from(VALUES),
+    st.lists(
+        st.lists(st.sampled_from(TAGS + VALUES + ("stores", "cities")), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(list(ResultConstruction)),
+)
+def test_memoised_decision_and_key_items_match_a_fresh_identification(
+    tree, seed_keyword, keyword_sets, construction
+):
+    """Random keyword sets over the roots one keyword reaches, each root
+    built once per set through one builder: every decision and every set
+    of key items after the first build of a root comes out of the memo."""
+    index = IndexBuilder().build(tree)
+    roots = [result.root_node.pre for result in SearchEngine(index).search(seed_keyword)]
+    builder = IListBuilder(index.analyzer)
+    identifier = ReturnEntityIdentifier(index.analyzer)
+    key_identifier = QueryResultKeyIdentifier(index.analyzer)
+    for keywords in keyword_sets:
+        query = KeywordQuery.from_keywords(keywords)
+        for pre in roots:
+            result = build_result_tree(index, query, pre, construction)
+            ilist = builder.build(query, result)
+            decision = ilist.return_entity_decision
+            expected = identifier.identify(query, result)
+            assert (
+                decision.entities_in_result, decision.return_entities,
+                decision.supporting_entities, decision.reasons, decision.return_instances,
+            ) == (
+                expected.entities_in_result, expected.return_entities,
+                expected.supporting_entities, expected.reasons, expected.return_instances,
+            )
+            part = builder.roots.get(pre)
+            memoised = part.key_items[tuple(decision.return_entities)]
+            expected_keys = key_identifier.identify(result, expected)
+            assert [_key(item.result_key) for item in memoised] == [
+                _key(key) for key in expected_keys
+            ]
+            normalized_value = index.analyzer.normalized_value
+            nodes = index.tree.nodes_by_pre
+            assert [(item.text, item.identity, list(item.instances)) for item in memoised] == [
+                (key.value, normalized_value(nodes[key.instances[0]]), key.instances)
+                for key in expected_keys
+            ]
+            # the IList's key items are the memo's, less those an earlier
+            # item already names
+            shown = [item for item in ilist.items if item.kind is ItemKind.RESULT_KEY]
+            assert all(any(item is kept for kept in memoised) for item in shown)

@@ -2,12 +2,14 @@
 
 The §2.3 statistics — ``N(e, a, v)``, ``N(e, a)``, ``D(e, a)`` — and the
 entity names are counted inside the result subtree alone, so the IList
-builder keeps each root's scan, feature statistics, entity-name items and
-ranked dominant features (``IListBuilder.roots``), and a second query whose
-result has the same root adds only its keywords, return entity and key on
-top.  Counting wrappers, not timings: over one service, the subtree scan,
-the feature count and the dominance ranking run once per distinct root,
-and every response is byte-identical to a fresh service's.
+builder keeps each root's entity tags, feature statistics, entity-name
+items, ranked dominant features and key items (``IListBuilder.roots``),
+and a second query whose result has the same root decides its return
+entity and adds its keywords on top.  Counting wrappers, not timings: over
+one service, the subtree scan, the feature count and the dominance ranking
+run once per distinct root — also when the roots outnumber the serving
+caches' entries, since the memo is bounded by subtree nodes — and every
+response is byte-identical to a fresh service's.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from repro.index.builder import IndexBuilder
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.snippet import features as features_module
+from repro.snippet import ilist as ilist_module
 from repro.snippet.dominant import DominantFeatureIdentifier
 from repro.snippet.generator import SnippetGenerator
 from repro.snippet.ilist import IListBuilder
+from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.xmltree.diff import clone_tree
 from tests.search.test_search_off_label_path import query_pool
 
@@ -37,9 +41,9 @@ SIZE_BOUND = 14
 CONFIG = RetailConfig(retailers=4, stores_per_retailer=4, clothes_per_store=5, seed=3)
 
 
-def retail_corpus(cache_size: int | None = None) -> Corpus:
+def retail_corpus(cache_size: int | None = None, config: RetailConfig = CONFIG) -> Corpus:
     corpus = Corpus() if cache_size is None else Corpus(cache_size=cache_size)
-    corpus.add_tree("retail", generate_retail_document(CONFIG, name="retail"))
+    corpus.add_tree("retail", generate_retail_document(config, name="retail"))
     return corpus
 
 
@@ -52,9 +56,9 @@ def wire(response) -> str:
     return json.dumps(response.to_dict(), sort_keys=True)
 
 
-def fresh_wire(query: str, **overrides) -> str:
+def fresh_wire(query: str, config: RetailConfig = CONFIG, **overrides) -> str:
     """What a service that answered nothing else serves for ``query``."""
-    return wire(SnippetService(retail_corpus()).run(request(query, **overrides)))
+    return wire(SnippetService(retail_corpus(config=config)).run(request(query, **overrides)))
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +199,48 @@ def test_use_cache_false_is_a_cold_evaluation(roots):
     assert {"ilist", "features"} <= set(second.timings)
     assert len(roots["features"]) == 2 * len(second.results) > 0
     assert wire(second) == wire(first) == fresh_wire("store texas")
+
+
+#: a document whose pool reaches more distinct roots than the serving
+#: caches hold entries (``DEFAULT_CACHE_SIZE``)
+WIDE = RetailConfig(retailers=8, stores_per_retailer=8, clothes_per_store=5, seed=3)
+
+
+def test_the_memo_keeps_more_roots_than_the_cache_holds_entries(roots):
+    """The memo is bounded by subtree nodes, not by roots: replayed at
+    another size bound — past the result and snippet caches — the pool
+    finds every root it reached the first time still there."""
+    service = SnippetService(retail_corpus(config=WIDE))
+    pool = query_pool(service.corpus.system("retail").index)
+    for query in pool:
+        service.run(request(query, page_size=None))
+    reached = set(roots["build"])
+    assert len(reached) > DEFAULT_CACHE_SIZE
+    for route in roots:
+        del roots[route][:]
+
+    replayed = [wire(service.run(request(query, page_size=None, size_bound=6))) for query in pool]
+
+    assert set(roots["build"]) == reached
+    assert roots["features"] == roots["scan"] == roots["dominant"] == []
+    memo = service.corpus.system("retail").generator.ilist_builder.roots
+    assert len(memo) == len(reached) and memo.stats_snapshot().evictions == 0
+    assert replayed == [
+        fresh_wire(query, config=WIDE, page_size=None, size_bound=6) for query in pool
+    ]
+
+
+def test_the_memo_holds_its_budget_in_subtree_nodes(pool, monkeypatch):
+    """With a budget of one document's worth of subtree nodes, the pool's
+    roots (which sum to more) evict each other by weight, and no response
+    shows it."""
+    monkeypatch.setattr(ilist_module, "ROOT_MEMO_BUDGET", 1)
+    service = SnippetService(retail_corpus())
+    served = [wire(service.run(request(query, page_size=None))) for query in pool]
+
+    system = service.corpus.system("retail")
+    memo = system.generator.ilist_builder.roots
+    assert memo.maxsize == system.index.tree.size_nodes
+    assert 0 < memo.weight <= memo.maxsize
+    assert memo.stats_snapshot().evictions > 0
+    assert served == [fresh_wire(query, page_size=None) for query in pool]

@@ -162,12 +162,18 @@ class TestQueryResultCache:
         assert len(system.generator.cache) == 0
         assert system.run_query("store texas", size_bound=6).from_cache is False
 
-    def test_cache_stats_expose_both_caches(self, figure5_idx):
+    def test_cache_stats_expose_the_three_caches(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
+        list(system.run_query("store texas", size_bound=6).snippets)
         stats = system.cache_stats()
-        assert set(stats) == {"query", "snippet"}
+        assert set(stats) == {"query", "snippet", "roots"}
+        assert stats["roots"].misses >= 1
+        # snapshots, not the live counters
+        system.run_query("store texas", size_bound=5)
+        assert system.cache_stats()["query"].misses == stats["query"].misses + 1
+        assert stats["query"] is not system.cache.stats
 
     def test_results_only_read_caches_the_result_set(self, figure5_idx):
         from repro.system import ExtractSystem

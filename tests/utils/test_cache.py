@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.utils.cache import CacheStats, LRUCache
@@ -87,6 +90,135 @@ class TestLRUCache:
         cache = LRUCache(maxsize=4)
         cache.put("a", 1)
         assert "size=1/4" in repr(cache)
+
+
+class TestWeightedLRUCache:
+    """``maxsize`` bounds the summed weight of the entries."""
+
+    def test_eviction_by_summed_weight(self):
+        cache = LRUCache(maxsize=10)
+        cache.put("a", 1, weight=4)
+        cache.put("b", 2, weight=4)
+        assert cache.weight == 8 and len(cache) == 2
+        cache.get("a")  # "b" is now least recently used
+        cache.put("c", 3, weight=5)  # 13 > 10: "b" goes, 9 is left
+        assert "b" not in cache and cache.get("a") == 1 and cache.get("c") == 3
+        assert cache.weight == 9
+        cache.put("d", 4, weight=9)  # both others go
+        assert list(cache._entries) == ["d"] and cache.weight == 9
+        assert cache.stats.evictions == 3
+
+    def test_refreshing_an_entry_replaces_its_weight(self):
+        cache = LRUCache(maxsize=10)
+        cache.put("a", 1, weight=6)
+        cache.put("a", 2, weight=2)
+        cache.put("b", 3, weight=8)
+        assert cache.weight == 10 and cache.get("a") == 2
+        cache.put("b", 4)  # back to the default weight of 1
+        assert cache.weight == 3 and cache.get("b") == 4
+        assert cache.stats.evictions == 0
+
+    def test_an_unweighted_cache_keeps_no_per_entry_weight(self):
+        cache = LRUCache(maxsize=2)
+        for key in "abc":
+            cache.put(key, key)
+        assert cache.weight == len(cache) == 2 and cache._weights == {}
+
+    def test_an_entry_heavier_than_the_budget_is_not_stored(self):
+        cache = LRUCache(maxsize=10)
+        cache.put("a", 1, weight=3)
+        cache.put("huge", 2, weight=11)
+        assert "huge" not in cache
+        assert cache.get("a") == 1 and cache.weight == 3  # nothing was evicted for it
+        assert cache.stats.evictions == 0
+        # ... and a heavy put under a stored key drops the stale entry
+        cache.put("a", 10, weight=11)
+        assert "a" not in cache and cache.weight == 0
+
+    def test_setdefault_returns_an_entry_it_cannot_store(self):
+        cache = LRUCache(maxsize=10)
+        value = object()
+        assert cache.setdefault("huge", value, weight=11) is value
+        assert "huge" not in cache and cache.weight == 0
+        assert LRUCache(maxsize=0).setdefault("a", value) is value
+
+    def test_setdefault_honours_the_weight(self):
+        cache = LRUCache(maxsize=10)
+        assert cache.setdefault("a", 1, weight=7) == 1
+        assert cache.setdefault("a", 2, weight=7) == 1  # the first one stays
+        assert cache.weight == 7
+        assert cache.setdefault("b", 3, weight=4) == 3  # evicts "a"
+        assert "a" not in cache and cache.weight == 4
+        assert cache.stats.evictions == 1
+        assert cache.stats.lookups == 0  # setdefault counts no lookup
+
+    def test_invalidation_and_clear_release_weight(self):
+        cache = LRUCache(maxsize=10)
+        cache.put("a", 1, weight=3)
+        cache.put("b", 2, weight=4)
+        cache.put("c", 3, weight=2)
+        cache.invalidate("a")
+        assert cache.weight == 6
+        cache.invalidate_where(lambda key: key == "b")
+        assert cache.weight == 2
+        cache.clear()
+        assert cache.weight == 0 and cache.stats.invalidations == 3
+
+    def test_adopt_carries_the_weights(self):
+        source = LRUCache(maxsize=10)
+        source.put("a", 1, weight=6)
+        source.put("b", 2, weight=3)
+        target = LRUCache(maxsize=10)
+        assert target.adopt(source, lambda key, value: True) == (2, 0)
+        assert target.weight == 9
+        target.put("c", 3, weight=2)  # 11: "a" goes
+        assert "a" not in target and target.weight == 5
+
+    def test_repr_shows_the_weight_when_it_is_not_the_size(self):
+        cache = LRUCache(maxsize=10)
+        cache.put("a", 1, weight=4)
+        assert "size=1 weight=4/10" in repr(cache)
+
+    def test_summed_weight_never_exceeds_the_budget_under_threads(self):
+        cache = LRUCache(maxsize=50)
+        overweight: list[int] = []
+        start = threading.Barrier(8)
+
+        def work(worker: int) -> None:
+            start.wait()
+            for step in range(500):
+                key = (worker * 7 + step) % 40
+                weight = 1 + (worker + step) % 12
+                if step % 3:
+                    cache.put(key, step, weight=weight)
+                else:
+                    cache.setdefault(key, step, weight=weight)
+                cache.get((key + 1) % 40)
+                if step % 50 == 0:
+                    cache.invalidate(key)
+                with cache._lock:
+                    total = sum(cache._weights.get(key, 1) for key in cache._entries)
+                    if total > cache.maxsize or total != cache.weight:
+                        overweight.append(total)
+
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert overweight == []
+        assert 0 < cache.weight <= 50
+        assert cache.weight == sum(cache._weights.get(key, 1) for key in cache._entries)
+        assert set(cache._weights) <= set(cache._entries)
+        assert cache.stats.evictions > 0
+        assert cache.stats.lookups == 8 * 500
 
 
 class TestCacheStats:
