@@ -18,8 +18,9 @@ faster.  ``docs/observability.md`` records the measured costs.
 Measurement design, each piece earned by an A/A test (two identical
 stacks must read ~1.00):
 
-* both gateways wrap ONE shared service — separate services thrash the
-  snippet cache between contenders and read as ~10% phantom overhead;
+* both gateways wrap ONE shared service, so both read one warm result
+  cache — separate services, each with caches of its own, read as ~10%
+  phantom overhead;
 * every timed batch starts with a short untimed warm-up on the same
   stack — switching stacks has its own cost (inline caches, branch
   predictors) that must not land inside the measurement;

@@ -46,9 +46,9 @@ def retail_result_set(retail_index):
 
 @pytest.fixture(scope="session")
 def retail_snippet_generator(retail_index):
-    # Snippet cache disabled: the E1/E2 benchmarks re-invoke generate_all
-    # with identical arguments, and a warm cache would make them measure
-    # LRU lookups instead of snippet generation (the e2e warm_read
-    # workload covers the cache itself).
+    # Root memo disabled: the E1/E2 benchmarks re-invoke generate_all
+    # with identical arguments, and a warm memo would make them measure
+    # the query-dependent half of the IList instead of snippet generation
+    # (the e2e workloads cover the memo itself).
     return SnippetGenerator(retail_index.analyzer, cache_size=0)
 

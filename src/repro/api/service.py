@@ -221,8 +221,8 @@ class SnippetService(ServingBackendBase):
     # ------------------------------------------------------------------ #
     def cache_stats(self) -> dict[str, dict[str, dict[str, float]]]:
         """Atomic per-document serving-cache counters, JSON-ready: the
-        result cache (``query``), the snippet cache (``snippet``) and the
-        root memo (``roots``) of :meth:`ExtractSystem.cache_stats`.
+        result cache (``query``) and the root memo (``roots``) of
+        :meth:`ExtractSystem.cache_stats`.
 
         Iterates a snapshot of the registry, so a document removed while
         the stats are being collected is simply absent from the report

@@ -1278,8 +1278,9 @@ _COMMANDS = (
         _algorithm,
         _arg(
             "--cache-size", type=_NON_NEGATIVE_INT, default=DEFAULT_CACHE_SIZE, metavar="N",
-            help="LRU entries per document for the query/snippet caches "
-                 f"(0 disables serving caches; default {DEFAULT_CACHE_SIZE})",
+            help="LRU entries per document for the result cache; the root memo is "
+                 "bounded by subtree nodes instead "
+                 f"(0 disables both serving caches; default {DEFAULT_CACHE_SIZE})",
         ),
         _address, _serving,
     )),

@@ -13,7 +13,7 @@ Serving features (the demo ran as a web service):
   corpus without re-indexing, with byte-identical query results, replaying
   any append-only update journal left by ``corpus-update``.
 * **Re-registration** — ``add_*(..., replace=True)`` swaps a document in
-  place and explicitly invalidates its result/snippet caches.
+  place and explicitly invalidates its result cache and root memo.
 * **Incremental updates** — :meth:`Corpus.update_document` diffs the new
   version against the registered index and applies posting-level deltas
   (:mod:`repro.index.incremental`) instead of rebuilding, invalidating
@@ -112,6 +112,7 @@ class DocumentUpdate:
     changed_nodes: int = 0
     changed_terms: int = 0
     remined_entities: int = 0
+    #: cached query outcomes plus memoised roots
     cache_entries_kept: int = 0
     cache_entries_invalidated: int = 0
     structural_reason: str | None = None
@@ -252,7 +253,7 @@ class Corpus:
           (:func:`repro.index.incremental.apply_text_update`): unchanged
           posting lists, the structure index, the schema and unaffected
           entity keys are shared with the previous index, and the new
-          entry *adopts* every result/snippet cache entry and memoised
+          entry *adopts* every cached outcome, memoised root and memoised
           posting lookup the edit provably cannot affect (only entries
           whose keywords hit a changed term, whose result subtree contains
           an edited node, or — when a re-mined entity key moved — all
@@ -281,9 +282,7 @@ class Corpus:
                     action="updated",
                     incremental=True,
                     nodes=old_index.tree.size_nodes,
-                    cache_entries_kept=(
-                        len(old_system.cache) + len(old_system.generator.cache)
-                    ),
+                    cache_entries_kept=_cache_entries(old_system),
                 )
             if diff.is_text_only:
                 update = apply_text_update(old_index, tree, diff)
@@ -315,7 +314,7 @@ class Corpus:
                 new_index, algorithm=self.algorithm, cache_size=self.cache_size
             )
             new_entry = CorpusEntry(name=name, system=new_system)
-            dropped = len(old_system.cache) + len(old_system.generator.cache)
+            dropped = _cache_entries(old_system)
             self._swap_entry(name, old_entry, new_entry)
             old_system.invalidate_cache()
             return DocumentUpdate(
@@ -334,7 +333,7 @@ class Corpus:
         the report-less original)."""
         with self._update_lock:
             entry = self.entry(name)
-            dropped = len(entry.system.cache) + len(entry.system.generator.cache)
+            dropped = _cache_entries(entry.system)
             self.remove(name)
             return DocumentUpdate(
                 document=name,
@@ -808,10 +807,11 @@ def _carry_serving_state(
       byte-identically.  Every result subtree counts, whether its snippet
       has been generated yet or not: a half-generated outcome dies exactly
       when the fully generated one would;
-    * a cached snippet is stale iff an edited node lies under its result
-      root;
-    * result roots, snippet-cache keys and edited nodes are all ``pre``
-      ids, compared across the two versions: a text-only update preserves
+    * a memoised root (:class:`~repro.snippet.ilist.RootStatistics`) is
+      stale iff an edited node lies under it: everything it holds is
+      counted inside that subtree, for any query;
+    * result roots, root-memo keys and edited nodes are all ``pre`` ids,
+      compared across the two versions: a text-only update preserves
       the tree's shape (the new tree adopts the old one's tables), so a
       position names the same node in both.  A structural update never
       gets here — it starts from empty caches;
@@ -821,11 +821,15 @@ def _carry_serving_state(
       the document may name a different key — everything is dropped.
 
     What is kept is moved onto the new version: an artefact reaches nodes
-    only through a :class:`~repro.search.results.QueryResult`, so every
-    result a kept entry reads is rebound to the new tree
+    only through a :class:`~repro.search.results.QueryResult` or a root's
+    :class:`~repro.snippet.features.FeatureStatistics`, so every result a
+    kept entry reads is rebound to the new tree
     (:meth:`QueryResult.rebind <repro.search.results.QueryResult.rebind>`),
-    and a kept half-generated outcome fills its remaining slots with the
-    new version's generator — its analyzer, its snippet cache
+    so are the statistics of every kept root
+    (:meth:`FeatureStatistics.rebind
+    <repro.snippet.features.FeatureStatistics.rebind>`), and a kept
+    half-generated outcome fills its remaining slots with the new version's
+    generator — its analyzer, its root memo
     (:meth:`SnippetBatch.rebind <repro.snippet.generator.SnippetBatch.rebind>`).
     Nothing kept points at the old tree any more, so the old version dies
     with the last request still reading it.
@@ -840,11 +844,11 @@ def _carry_serving_state(
     * a batch swaps its results and its generator together under its
       lock, which every fill holds, so a slot is generated by the analyzer
       whose tables cover its result;
-    * any other result a kept entry reads — that of a cached snippet, or
-      of a snippet a batch was served from the cache — was generated
-      before the entry existed, and no generator reads it again.
+    * a kept root's statistics are read by requests of both versions
+      through the same argument: no edit lies under the root.
 
-    Returns combined (kept, dropped) counts over the two result caches.
+    Returns combined (kept, dropped) counts over the result cache and the
+    root memo.
     """
     old_system = old_entry.system
     new_system = new_entry.system
@@ -852,7 +856,7 @@ def _carry_serving_state(
         def keep_query(key, value):
             return False
 
-        keep_snippet = keep_query
+        keep_root = keep_query
 
         def keep_keyword(keyword):
             return False
@@ -872,22 +876,26 @@ def _carry_serving_state(
             outcome.snippets.rebind(new_system.generator)
             return True
 
-        def keep_snippet(key, value):
-            # key = (tree name, pre of the result root, keywords, bound)
-            if changed.has_descendant_of(key[1]):
+        def keep_root(pre, part):
+            if changed.has_descendant_of(pre):
                 return False
-            value.rebind(tree)
+            part.statistics.rebind(tree)
             return True
 
         def keep_keyword(keyword):
             return not update.touches_keyword(keyword)
 
     kept_q, dropped_q = new_system.cache.adopt(old_system.cache, keep_query)
-    kept_s, dropped_s = new_system.generator.cache.adopt(
-        old_system.generator.cache, keep_snippet
+    kept_r, dropped_r = new_system.generator.ilist_builder.roots.adopt(
+        old_system.generator.ilist_builder.roots, keep_root
     )
     new_entry.postings.adopt(old_entry.postings, keep_keyword)
-    return kept_q + kept_s, dropped_q + dropped_s
+    return kept_q + kept_r, dropped_q + dropped_r
+
+
+def _cache_entries(system: ExtractSystem) -> int:
+    """What a document's caches hold: cached outcomes plus memoised roots."""
+    return len(system.cache) + len(system.generator.ilist_builder.roots)
 
 
 def _subdir_for(name: str, used: set[str]) -> str:

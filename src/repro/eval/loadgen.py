@@ -305,21 +305,20 @@ class LoadReport:
 
 
 def _cache_totals(stats: dict[str, Any]) -> tuple[float, float]:
-    """(hits, lookups) summed over every document's query+snippet cache."""
+    """(hits, lookups) summed over every document's result cache (the
+    ``"query"`` section): one lookup per request.  The root memo
+    (``"roots"``) looks up once per generated snippet, so adding it in
+    would weigh a request by its snippets."""
     hits = 0.0
     lookups = 0.0
     caches = stats.get("caches")
     if not isinstance(caches, dict):
         return hits, lookups
     for per_document in caches.values():
-        if not isinstance(per_document, dict):
-            continue
-        for cache in per_document.values():
-            if isinstance(cache, dict):
-                hits += float(cache.get("hits", 0))
-                lookups += float(cache.get("hits", 0)) + float(
-                    cache.get("misses", 0)
-                )
+        cache = per_document.get("query") if isinstance(per_document, dict) else None
+        if isinstance(cache, dict):
+            hits += float(cache.get("hits", 0))
+            lookups += float(cache.get("hits", 0)) + float(cache.get("misses", 0))
     return hits, lookups
 
 

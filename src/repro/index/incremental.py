@@ -28,7 +28,7 @@ module applies the edit as a set of deltas instead:
 * **tree shape** — the edited tree has the old one's shape and tags, so it
   adopts the old tree's ``parent``/``level``/``size`` tables and tag-path
   column: every posting list
-  the edit did not touch, every cached result root and every snippet-cache
+  the edit did not touch, every cached result root and every root-memo
   key names the same positions in both versions.
 
 Everything is copy-on-write: the previous index keeps serving unchanged

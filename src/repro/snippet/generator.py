@@ -28,7 +28,7 @@ from repro.search.results import QueryResult, ResultSet
 from repro.snippet.ilist import IList, IListBuilder
 from repro.snippet.instance_selector import GreedyInstanceSelector, SelectionStrategy
 from repro.snippet.snippet_tree import Snippet
-from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
+from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.utils.paging import page_bounds
 from repro.utils.timing import TimingBreakdown
 from repro.xmltree.tree import XMLTree
@@ -50,11 +50,11 @@ class GeneratedSnippet:
     above, so it lives as long as the object: a batch slot keeps it for as
     long as its outcome is cached, and :meth:`SnippetBatch.rebind` carries
     it with the slot — a kept slot has no edit under its root, and its
-    label and tags are those of a same-shape version.  A snippet-cache hit
-    and a :class:`~repro.snippet.distinct.DistinctSnippetGenerator`
-    replacement are new objects without one, so neither serves another
-    result's rendering (the rendering names its result's id and score).
-    Never copy a rendered object with :func:`dataclasses.replace`.
+    label and tags are those of a same-shape version.  A
+    :class:`~repro.snippet.distinct.DistinctSnippetGenerator` replacement
+    is a new object without one, so it never serves the rendering of the
+    snippet it replaced.  Never copy a rendered object with
+    :func:`dataclasses.replace`.
     """
 
     result: QueryResult
@@ -74,13 +74,11 @@ class GeneratedSnippet:
 
     def rebind(self, tree: XMLTree) -> None:
         """Rebind everything this snippet reads nodes through to ``tree``:
-        its own result and the one its snippet tree was computed on —
-        another result with the same root when the snippet came from the
-        cache — (:meth:`QueryResult.rebind`), and its statistics, which
-        every query with this root shares
+        its result, which its snippet tree was computed on
+        (:meth:`QueryResult.rebind`), and its statistics, which every query
+        with this root shares
         (:meth:`~repro.snippet.features.FeatureStatistics.rebind`)."""
         self.result.rebind(tree)
-        self.snippet.result.rebind(tree)
         if self.ilist.statistics is not None:
             self.ilist.statistics.rebind(tree)
 
@@ -138,7 +136,7 @@ class SnippetBatch:
         _check_size_bound(size_bound)
         self.query = results.query
         self.size_bound = size_bound
-        #: whether slots are filled through the generator's caches
+        #: whether slots are filled through the generator's root memo
         #: (:meth:`SnippetGenerator.generate`)
         self.use_cache = use_cache
         #: where the phases of on-demand generation are measured when the
@@ -229,10 +227,10 @@ class SnippetBatch:
     def rebind(self, generator: "SnippetGenerator") -> None:
         """Move this batch onto ``generator``'s version of its document, a
         later version with the same shape in which no node of its results
-        changed (:func:`repro.corpus._carry_serving_state`): every result
-        the batch reads — its own and those its filled slots read — is
-        rebound to that version's tree (:meth:`QueryResult.rebind`), and the
-        slots still empty are filled by ``generator``, whose analyzer tables
+        changed (:func:`repro.corpus._carry_serving_state`): its results
+        and the statistics its filled slots read are rebound to that
+        version's tree (:meth:`GeneratedSnippet.rebind`), and the slots
+        still empty are filled by ``generator``, whose analyzer tables
         cover the rebound results.
 
         Done under the batch lock, which every fill holds, so a fill
@@ -287,17 +285,11 @@ class SnippetGenerator:
         self.analyzer = analyzer
         #: its root memo (:attr:`IListBuilder.roots`) is bounded by subtree
         #: nodes, not by ``cache_size``; a ``cache_size`` of 0 turns it off
-        #: with the snippet cache
         self.ilist_builder = IListBuilder(analyzer, cache_size=cache_size)
         self.selector = GreedyInstanceSelector(
             strategy=strategy, skip_unfitting_items=skip_unfitting_items
         )
         self.timings = TimingBreakdown()
-        #: snippet cache: (document, result root, normalised query, bound) →
-        #: GeneratedSnippet.  The document and its analysis are immutable
-        #: for the lifetime of a generator, so identical requests can reuse
-        #: the IList and the selected snippet tree verbatim.
-        self.cache = LRUCache(cache_size)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -316,13 +308,10 @@ class SnippetGenerator:
     ) -> GeneratedSnippet:
         """Generate the snippet of one query result.
 
-        Identical requests (same document, result root, normalised query
-        and size bound) are answered from the snippet cache; the cached
-        IList and snippet tree are rewrapped around the caller's ``result``
-        object so ranking metadata (``result_id``, score) stays current —
-        in a new :class:`GeneratedSnippet`, which has no rendered payload.
-        ``use_cache=False`` neither reads nor fills the snippet cache or
-        the IList builder's root memo: the snippet is computed from scratch.
+        The query-independent half of the IList comes from the IList
+        builder's root memo when an earlier result had the same root;
+        ``use_cache=False`` neither reads nor fills it: the snippet is
+        computed from scratch.
 
         ``timings`` redirects the phase measurements into a caller-owned
         breakdown (the thread-safe service pipeline passes a per-request
@@ -330,23 +319,13 @@ class SnippetGenerator:
         """
         _check_size_bound(size_bound)
         breakdown = timings if timings is not None else self.timings
-        effective_query = query or result.query
-        key = (result.source.name, result.root_node.pre, effective_query.keywords, size_bound)
-        cached = self.cache.get(key) if use_cache else None
-        if cached is not None:
-            return GeneratedSnippet(
-                result=result, ilist=cached.ilist, snippet=cached.snippet, size_bound=size_bound
-            )
         with breakdown.measure("ilist"):
             ilist = self.ilist_builder.build(
-                effective_query, result, timings=breakdown, use_cache=use_cache
+                query or result.query, result, timings=breakdown, use_cache=use_cache
             )
         with breakdown.measure("instance_selection"):
             snippet = self.selector.select(result, ilist, size_bound)
-        generated = GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)
-        if use_cache:
-            self.cache.put(key, generated)
-        return generated
+        return GeneratedSnippet(result=result, ilist=ilist, snippet=snippet, size_bound=size_bound)
 
     def generate_all(
         self,
@@ -359,9 +338,3 @@ class SnippetGenerator:
         batch = SnippetBatch(self, results, size_bound=size_bound, timings=timings)
         batch.page(1, None)  # one page holding everything
         return batch
-
-    def invalidate_cache(self) -> int:
-        """Drop every cached snippet and every memoised root; returns the
-        number of snippet entries removed."""
-        self.ilist_builder.roots.clear()
-        return self.cache.clear()

@@ -34,9 +34,10 @@ second query whose result has the same root decides its return entity
 over the root's entity tags and adds only its keyword items on top.  The
 memo is bounded by work, not by roots: an entry weighs its root's subtree
 nodes, and the budget is :data:`ROOT_MEMO_BUDGET` times the document's
-node count.  A builder serves one document version — its analyzer's — so
-the memo needs no invalidation: it dies with the version.  Items are
-shared between the ILists of one root and never mutated after
+node count.  A builder serves one document version — its analyzer's; a
+text-only update carries over to the next version's builder every root
+with no edit under it (:func:`repro.corpus._carry_serving_state`).  Items
+are shared between the ILists of one root and never mutated after
 :meth:`IListBuilder.build`.
 """
 
@@ -88,7 +89,7 @@ class IListItem:
     ``instances`` are positions (``pre`` ids) in ``result.source``, the
     tree the item's result was cut from.  A position means the same node
     in every version of a document that has the same shape, which is why a
-    cached IList survives the text-only updates its cache entry survives.
+    memoised root's items survive the text-only updates its entry survives.
     """
 
     kind: ItemKind

@@ -167,8 +167,8 @@ class ExtractSystem:
 
         It is **thread-safe**: every phase measures into a per-call
         :class:`TimingBreakdown`, the result construction mode is passed
-        down explicitly (no engine attribute is mutated), the result and
-        snippet caches serialise access internally and a batch fills its
+        down explicitly (no engine attribute is mutated), the result cache
+        and the root memo serialise access internally and a batch fills its
         slots under its own lock — so many threads may run queries over the
         same system concurrently and get results identical to serial
         execution, each snippet of a cached outcome generated once.
@@ -177,9 +177,9 @@ class ExtractSystem:
         (same normalised keywords, bound, limit, construction) was answered
         before — the ranked results plus the batch, however much of it has
         been generated so far; ``use_cache=False`` forces a cold evaluation
-        and populates nothing: it neither reads nor fills this cache, the
-        snippet cache or the IList builder's root memo, so every snippet of
-        its batch is generated from scratch.  ``postings`` optionally
+        and populates nothing: it neither reads nor fills this cache or
+        the IList builder's root memo, so every snippet of its batch is
+        generated from scratch.  ``postings`` optionally
         supplies pre-fetched posting lists per keyword (a batch shares
         lookups across queries this way, and the service passes its
         per-document postings memo whatever ``use_cache`` says).
@@ -236,18 +236,16 @@ class ExtractSystem:
         )
 
     def invalidate_cache(self) -> int:
-        """Drop every cached outcome and snippet; returns the number of
-        query-level entries removed."""
-        self.generator.invalidate_cache()
+        """Drop every cached outcome and every memoised root; returns the
+        number of query-level entries removed."""
+        self.generator.ilist_builder.roots.clear()
         return self.cache.clear()
 
     def cache_stats(self) -> dict[str, CacheStats]:
-        """Snapshots of the counters of the result cache (``query``), the
-        snippet cache (``snippet``) and the IList builder's root memo
-        (``roots``)."""
+        """Snapshots of the counters of the result cache (``query``) and
+        the IList builder's root memo (``roots``)."""
         return {
             "query": self.cache.stats_snapshot(),
-            "snippet": self.generator.cache.stats_snapshot(),
             "roots": self.generator.ilist_builder.roots.stats_snapshot(),
         }
 

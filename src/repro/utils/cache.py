@@ -5,11 +5,13 @@ show-case queries arrive over and over.  :class:`LRUCache` is the shared
 building block for the serving caches:
 
 * the **query-result cache** in :class:`repro.system.ExtractSystem`
-  (keyed on document, normalised query, algorithm, snippet bound),
-* the **snippet cache** in :class:`repro.snippet.generator.SnippetGenerator`
-  (keyed on result root, normalised query and size bound), and
-* the **root memo** of its IList builder
+  (keyed on document, normalised query, algorithm, snippet bound), and
+* the **root memo** of the snippet generator's IList builder
   (:attr:`repro.snippet.ilist.IListBuilder.roots`, keyed on result root).
+
+An entry leaves by eviction, by :meth:`LRUCache.clear`, or by not being
+adopted: a text-only document update carries into the new version's
+caches every entry it cannot have affected (:meth:`LRUCache.adopt`).
 
 It is deliberately dependency-free (an ``OrderedDict`` with move-to-end
 semantics) and records hit/miss/eviction counts so the cache benchmarks and
@@ -138,7 +140,8 @@ class LRUCache:
         with self._lock:
             entries = self._entries
             if key in entries:
-                self._drop(key)
+                del entries[key]
+                self._weight -= self._weights.pop(key, 1)
             if weight > self.maxsize:
                 return
             entries[key] = value
@@ -185,30 +188,6 @@ class LRUCache:
     # ------------------------------------------------------------------ #
     # invalidation
     # ------------------------------------------------------------------ #
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            if key in self._entries:
-                self._drop(key)
-                self.stats.invalidations += 1
-                return True
-            return False
-
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; returns the count.
-
-        A selective-invalidation utility for caches shared across
-        documents (the serving caches key on tuples whose first element is
-        the document name).  The built-in serving caches are per-system and
-        are dropped wholesale via :meth:`clear` on re-registration.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                self._drop(key)
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
     def adopt(
         self, source: "LRUCache", keep: Callable[[Hashable, Any], bool]
     ) -> tuple[int, int]:
@@ -251,11 +230,6 @@ class LRUCache:
             self._weight = 0
             self.stats.invalidations += count
             return count
-
-    def _drop(self, key: Hashable) -> None:
-        with self._lock:  # re-entered: every caller holds it already
-            del self._entries[key]
-            self._weight -= self._weights.pop(key, 1)
 
     def stats_snapshot(self) -> CacheStats:
         """An atomic copy of the counters (safe to read while serving)."""

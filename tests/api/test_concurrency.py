@@ -132,15 +132,15 @@ class TestOverlappingConcurrentRequests:
         for response in concurrent:
             assert json.dumps(response.to_dict(), sort_keys=True) == reference
 
-    def test_concurrent_snippet_cache_stats_are_coherent(self):
+    def test_concurrent_root_memo_stats_are_coherent(self):
         request = SearchRequest(query="store texas", document="stores", size_bound=6)
         service = SnippetService(fresh_corpus())
-        pooled(service.run, [request] * THREADS)
-        snippet_stats = service.cache_stats()["stores"]["snippet"]
-        # Lookups happen only on cold evaluations; hits+misses must equal
-        # the number of generate() calls that reached the cache, with no
-        # counter lost to a race (every snippet lookup is accounted for).
-        assert snippet_stats["hits"] + snippet_stats["misses"] >= snippet_stats["misses"] > 0
+        responses = pooled(service.run, [request] * THREADS)
+        root_stats = service.cache_stats()["stores"]["roots"]
+        # The batch of the one cached outcome generates each snippet once,
+        # and each generation looks its root up once: with no counter lost
+        # to a race, the memo saw one miss per result and no hit.
+        assert (root_stats["misses"], root_stats["hits"]) == (len(responses[0].results), 0)
 
 
 class TestConcurrentPagesOfOneColdQuery:
@@ -198,8 +198,8 @@ class TestConcurrentPagesOfOneColdQuery:
         assert errors == [] and not any(thread.is_alive() for thread in threads)
         assert got == [reference[page - 1] for page in wanted]
         system = corpus.system("retail")
-        stats = system.generator.cache.stats_snapshot()
-        # one snippet-cache miss per generated snippet, none looked up twice
+        stats = system.generator.ilist_builder.roots.stats_snapshot()
+        # one root-memo miss per generated snippet, none looked up twice
         assert (stats.misses, stats.hits) == (total, 0)
         cached = system.run_query("suit formal", size_bound=6)
         assert cached.from_cache and cached.snippets.generated == total

@@ -227,7 +227,7 @@ class TestRun:
         ))
         system = corpus.system("stores")
         assert len(system.cache) == 0
-        assert system.generator.cache.stats.lookups == 0
+        assert system.generator.ilist_builder.roots.stats.lookups == 0
 
     def test_results_only_pages_match_the_snippet_pages(self, service):
         def page(number, include_snippets):
@@ -282,7 +282,7 @@ class TestPagination:
         assert response.results == ()
         assert response.next_page is None
         # … and generated nothing
-        assert corpus.system("stores").generator.cache.stats.lookups == 0
+        assert corpus.system("stores").generator.ilist_builder.roots.stats.lookups == 0
 
     def test_use_cache_false_generates_only_the_requested_page(
         self, service, corpus, monkeypatch
@@ -300,13 +300,13 @@ class TestPagination:
         monkeypatch.setattr(
             generator, "generate", lambda *args, **kwargs: generated.append(1) or generate(*args, **kwargs)
         )
-        before = generator.cache.stats_snapshot()
+        before = generator.ilist_builder.roots.stats_snapshot()
         response = service.run(request)
         assert response.from_cache is False
         assert response.results == cached_walk[1].results
         assert len(generated) == 1
-        # ... from scratch: the snippet cache is not even looked at
-        assert generator.cache.stats_snapshot().lookups == before.lookups
+        # ... from scratch: the root memo is not even looked at
+        assert generator.ilist_builder.roots.stats_snapshot().lookups == before.lookups
 
     def test_page_size_none_is_one_page(self, service):
         response = service.run(SearchRequest(query="store texas", document="stores", size_bound=6))
@@ -680,9 +680,9 @@ class TestObservability:
         service.run(SearchRequest(query="store texas", document="stores", size_bound=6))
         stats = service.cache_stats()
         assert set(stats) == {"retailer", "stores"}
-        assert set(stats["stores"]) == {"query", "snippet", "roots"}
+        assert set(stats["stores"]) == {"query", "roots"}
         counters = {"hits", "misses", "evictions", "invalidations", "hit_rate"}
-        for cache in ("query", "snippet", "roots"):
+        for cache in ("query", "roots"):
             assert set(stats["stores"][cache]) == counters, cache
             # the one cold evaluation above
             assert stats["stores"][cache]["misses"] >= 1, cache

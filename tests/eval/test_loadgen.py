@@ -244,6 +244,18 @@ class TestRunLoad:
         assert report.cache_hit_rate is not None
         assert 0.0 < report.cache_hit_rate <= 1.0
 
+    def test_cache_hit_rate_counts_the_result_cache_only(self):
+        # the root memo looks up once per generated snippet, the result
+        # cache once per request: only the latter is the request hit rate
+        envelope = {"caches": {
+            "doc-a": {
+                "query": {"hits": 3, "misses": 1, "hit_rate": 0.75},
+                "roots": {"hits": 0, "misses": 40, "hit_rate": 0.0},
+            },
+            "doc-b": {"query": {"hits": 1, "misses": 1}, "roots": {"hits": 9, "misses": 1}},
+        }}
+        assert loadgen._cache_totals(envelope) == (4.0, 6.0)
+
     def test_report_rows_carry_the_v2_fields(self, run):
         _, report = run
         (row,) = report_rows(report)

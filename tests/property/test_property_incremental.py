@@ -185,3 +185,52 @@ def test_incremental_lifecycle_matches_from_scratch_rebuild(sequence):
             ), (name, query)
     if len(rebuilt) > 0:
         assert wire_batch(service) == wire_batch(reference)
+
+
+def key_attributes(corpus: Corpus, name: str) -> dict:
+    entity_types = corpus.system(name).analyzer.entity_types
+    return {path: info.key and info.key.attribute_path for path, info in entity_types.items()}
+
+
+@settings(deadline=None)
+@given(small_trees(), st.data())
+def test_queries_on_carried_roots_match_a_rebuild(tree, data):
+    """Roots memoised before a text-only edit serve other queries after it.
+
+    The update carries every memoised root with no edit under it (none
+    when an entity key attribute moved), rebound to the new tree; requests
+    that did not run before the edit — every query at another size bound,
+    so past the result cache — then answer byte-identical to a rebuild.
+    """
+    corpus = Corpus()
+    corpus.add_tree("doc", clone_tree(tree, name="doc"))
+    service = SnippetService(corpus)
+    for query in QUERIES[:3]:
+        service.run(SearchRequest(query=query, document="doc", size_bound=6))
+    memoised = dict(corpus.system("doc").generator.ilist_builder.roots._entries)
+    keys = key_attributes(corpus, "doc")
+    edited = data.draw(text_edit(tree))
+
+    report = corpus.update_document("doc", clone_tree(edited, name="doc"))
+
+    live = corpus.system("doc")
+    carried = live.generator.ilist_builder.roots._entries
+    if not report.incremental or key_attributes(corpus, "doc") != keys:
+        assert len(carried) == 0
+    else:
+        shape = live.index.tree.shape
+        edited_pres = [edit.pre for edit in report.text_edits]
+        assert set(carried) == {
+            pre for pre in memoised
+            if not any(pre <= edit < pre + shape.size[pre] for edit in edited_pres)
+        }
+        for pre, part in carried.items():
+            assert part is memoised[pre] and part.statistics.source is live.index.tree
+    rebuilt = Corpus()
+    rebuilt.add_tree("doc", clone_tree(edited, name="doc"))
+    reference = SnippetService(rebuilt)
+    for query in QUERIES:
+        request = SearchRequest(query=query, document="doc", size_bound=4)
+        assert json.dumps(service.run(request).to_dict(), sort_keys=True) == json.dumps(
+            reference.run(request).to_dict(), sort_keys=True
+        ), query

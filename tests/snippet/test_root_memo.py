@@ -34,6 +34,7 @@ from repro.snippet.generator import SnippetGenerator
 from repro.snippet.ilist import IListBuilder
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.xmltree.diff import clone_tree
+from repro.xmltree.tree import XMLTree
 from tests.search.test_search_off_label_path import query_pool
 
 PAGE_SIZE = 10
@@ -184,16 +185,16 @@ def test_invalidate_cache_drops_the_memo():
 
 
 def test_use_cache_false_is_a_cold_evaluation(roots):
-    """``use_cache=False`` reads and fills neither the result cache, the
-    snippet cache nor the root memo: a second such request generates every
-    snippet again, and reports the phases it ran."""
+    """``use_cache=False`` reads and fills neither the result cache nor the
+    root memo: a second such request generates every snippet again, and
+    reports the phases it ran."""
     service = SnippetService(retail_corpus())
     cold = request("store texas", use_cache=False, include_meta=True)
     first = service.run(cold)
     second = service.run(cold)
 
     generator = service.corpus.system("retail").generator
-    assert len(generator.cache) == 0 and len(generator.ilist_builder.roots) == 0
+    assert len(generator.ilist_builder.roots) == 0
     assert len(service.corpus.system("retail").cache) == 0
     assert not second.from_cache
     assert {"ilist", "features"} <= set(second.timings)
@@ -208,7 +209,7 @@ WIDE = RetailConfig(retailers=8, stores_per_retailer=8, clothes_per_store=5, see
 
 def test_the_memo_keeps_more_roots_than_the_cache_holds_entries(roots):
     """The memo is bounded by subtree nodes, not by roots: replayed at
-    another size bound — past the result and snippet caches — the pool
+    another size bound — past the result cache — the pool
     finds every root it reached the first time still there."""
     service = SnippetService(retail_corpus(config=WIDE))
     pool = query_pool(service.corpus.system("retail").index)
@@ -244,3 +245,93 @@ def test_the_memo_holds_its_budget_in_subtree_nodes(pool, monkeypatch):
     assert 0 < memo.weight <= memo.maxsize
     assert memo.stats_snapshot().evictions > 0
     assert served == [fresh_wire(query, page_size=None) for query in pool]
+
+
+# ---------------------------------------------------------------------- #
+# carried across a text-only update
+# ---------------------------------------------------------------------- #
+#: queries that between them memoise every retailer, store and suit
+MEMOISING = ("retailer", "store", "clothes suit")
+
+
+def memoised_service() -> SnippetService:
+    service = SnippetService(retail_corpus())
+    for query in MEMOISING:
+        service.run(request(query, page_size=None))
+    return service
+
+
+def edited_copy(service: SnippetService, edit) -> XMLTree:
+    """A copy of the served document with ``edit(copy)`` applied."""
+    edited = clone_tree(service.corpus.system("retail").index.tree)
+    edit(edited)
+    return edited
+
+
+def rebuilt_wire(tree: XMLTree, query: str, **overrides) -> str:
+    corpus = Corpus()
+    corpus.add_tree("retail", clone_tree(tree, name="retail"))
+    return wire(SnippetService(corpus).run(request(query, **overrides)))
+
+
+def test_a_text_edit_keeps_every_root_with_no_edit_under_it(roots):
+    """One ``<city>`` changes: its store and that store's ancestors lose
+    their memo entries, every other root is carried to the new version —
+    rebound to its tree — and a query that did not run before the edit
+    counts no feature on a carried root, answering as a rebuild does."""
+    service = memoised_service()
+    before = set(service.corpus.system("retail").generator.ilist_builder.roots._entries)
+    store = service.corpus.system("retail").index.tree.find_by_tag("store")[5]
+    city = store.find_child("city")
+    over_the_edit = {node.pre for node in (city, *city.iter_ancestors())}
+    assert {store.pre, store.parent.pre} <= before
+
+    def move_city(tree: XMLTree) -> None:
+        tree.nodes_by_pre[city.pre].text = "Zzyzx"
+
+    edited = edited_copy(service, move_city)
+    report = service.corpus.update_document("retail", clone_tree(edited, name="retail"))
+
+    assert report.incremental
+    live = service.corpus.system("retail")
+    memo = live.generator.ilist_builder.roots
+    assert set(memo._entries) == before - over_the_edit
+    assert all(part.statistics.source is live.index.tree for part in memo._entries.values())
+    # the two roots, and the "retailer" and "store" outcomes around them
+    assert report.cache_entries_invalidated == len(before & over_the_edit) + 2
+    for route in roots:
+        del roots[route][:]
+
+    texas = wire(service.run(request("store texas", page_size=None)))
+
+    assert set(roots["build"]) <= before
+    assert set(roots["features"]) == set(roots["build"]) & over_the_edit
+    assert len(roots["features"]) < len(roots["build"])
+    assert texas == rebuilt_wire(edited, "store texas", page_size=None)
+
+
+def test_a_moved_key_attribute_drops_every_root():
+    """Two stores come to share a name, so ``name`` is no longer the
+    store key: any root's key items may name another attribute now, and
+    the update keeps no root — each counted as an invalidation in the
+    memo's carried counters."""
+    service = memoised_service()
+    memo = service.corpus.system("retail").generator.ilist_builder.roots
+    memoised, misses = len(memo), memo.stats_snapshot().misses
+    assert memoised > 0
+
+    def share_a_name(tree: XMLTree) -> None:
+        first, second = tree.find_by_tag("store")[:2]
+        second.find_child("name").text = first.find_child("name").text
+
+    edited = edited_copy(service, share_a_name)
+    report = service.corpus.update_document("retail", clone_tree(edited, name="retail"))
+
+    assert report.incremental
+    live = service.corpus.system("retail")
+    assert live.analyzer.entity_types[("commerce", "retailer", "store")].key is None
+    stats = live.cache_stats()["roots"]
+    assert len(live.generator.ilist_builder.roots) == 0
+    assert (stats.invalidations, stats.misses) == (memoised, misses)
+    for query in MEMOISING:
+        assert wire(service.run(request(query))) == rebuilt_wire(edited, query), query

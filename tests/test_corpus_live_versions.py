@@ -1,8 +1,8 @@
 """A document has one live version.
 
 A text-only update rebinds every cache entry it keeps — result sets,
-outcomes whose snippets are only partly generated, snippet-cache entries —
-to the new tree (``repro.corpus._carry_serving_state``), so once the
+outcomes whose snippets are only partly generated, memoised roots — to the
+new tree (``repro.corpus._carry_serving_state``), so once the
 requests that were reading a retired version have finished, nothing holds
 it: exactly one ``XMLTree`` per document is alive, and the live
 ``XMLNode``s are the corpus's own.  Before rebinding, every kept entry
@@ -120,7 +120,11 @@ def assert_kept_entries_left_behind(corpora: dict[str, Corpus]) -> None:
             for value in values
         ), name
         assert any(value.snippets.generated == 0 for value in values), name
-        assert len(system.generator.cache), name
+        # the root memo: every entry carried across the last update reads
+        # the live tree
+        roots = list(system.generator.ilist_builder.roots._entries.values())
+        assert roots, name
+        assert all(part.statistics.source is system.index.tree for part in roots), name
 
 
 @pytest.fixture()

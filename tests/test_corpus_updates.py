@@ -88,7 +88,7 @@ class TestUpdateDocument:
         )
 
     def test_structural_edit_that_shifts_every_position_drops_the_old_shape(self):
-        # Result roots, snippet-cache keys and posting lists are positions
+        # Result roots, root-memo keys and posting lists are positions
         # in document order.  One <store> inserted first shifts every later
         # position: nothing computed on the old shape may answer afterwards.
         def with_a_store_in_front(tree):
@@ -107,14 +107,15 @@ class TestUpdateDocument:
                 SearchRequest(query=query, document="doc", size_bound=6, page_size=1)
             ).from_cache
         old = corpus.entry("doc")
-        assert len(old.system.cache) and len(old.system.generator.cache) and len(old.postings)
+        old_roots = old.system.generator.ilist_builder.roots
+        assert len(old.system.cache) and len(old_roots) and len(old.postings)
         old_store = old.system.index.keyword_matches("store")
 
         report = corpus.update_document("doc", with_a_store_in_front(retailer_tree()))
         assert not report.incremental
 
         new = corpus.entry("doc")
-        assert not len(new.system.cache) and not len(new.system.generator.cache)
+        assert not len(new.system.cache) and not len(new.system.generator.ilist_builder.roots)
         assert not len(new.postings)
         new_store = new.system.index.keyword_matches("store")
         assert new_store.shape is new.system.index.tree.shape is not old_store.shape
@@ -297,9 +298,12 @@ class TestHalfGeneratedOutcomes:
         assert [json.dumps(r.to_dict(), sort_keys=True) for r in later] == [
             json.dumps(r.to_dict(), sort_keys=True) for r in reference
         ]
-        # generated through the live snippet cache, not the retired one
+        # generated through the live root memo, which the update carried
+        # page 1's root into, not the retired one
         assert outcome.snippets.generated == 3
-        assert len(live.generator.cache) == 3 and len(retired.generator.cache) == 0
+        live_roots = live.generator.ilist_builder.roots
+        assert len(live_roots) == 3 and live_roots.stats_snapshot().hits == 0
+        assert len(retired.generator.ilist_builder.roots) == 0
 
     def test_remaining_snippets_come_from_the_live_analyzer(self, monkeypatch):
         from repro.xmltree.node import XMLNode
@@ -450,9 +454,9 @@ class TestStoredPayloads:
         before = service.run(SearchRequest(query="galleria suit", document="doc", size_bound=6))
         assert "city: Houston" in before.results[0].text
         corpus.update_document("doc", retailer_tree("Dallas"))
-        # neither the outcome nor the snippet of the Galleria store survives
+        # neither the outcome nor the memoised Galleria store survives
         assert len(corpus.system("doc").cache) == 0
-        assert len(corpus.system("doc").generator.cache) == 0
+        assert len(corpus.system("doc").generator.ilist_builder.roots) == 0
         del rendered[:]
 
         after = service.run(SearchRequest(query="galleria suit", document="doc", size_bound=6))
@@ -462,23 +466,23 @@ class TestStoredPayloads:
             self.rebuilt(retailer_tree("Dallas")), "galleria suit"
         )
 
-    def test_a_snippet_cache_hit_renders_for_its_new_result(self, rendered):
+    def test_a_carried_root_renders_for_its_new_result(self, rendered):
         # Galleria's city becomes Austin: "austin" changes its postings, so
         # the outcome dies and West Village ranks among two results — but
-        # its snippet entry is kept.  The hit is a new object, rendered for
-        # its new result (id, score), not the payload of the old one.
+        # its memoised root is kept.  The snippet built on it is a new
+        # object, rendered for its new result (id, score), not the payload
+        # of the old one.
         corpus, service = self.build("store austin")
-        generator_cache = corpus.system("doc").generator.cache
-        assert len(generator_cache) == 1
+        assert len(corpus.system("doc").generator.ilist_builder.roots) == 1
         corpus.update_document("doc", retailer_tree("Austin"))
-        live_cache = corpus.system("doc").generator.cache
-        assert len(live_cache) == 1
-        hits = live_cache.stats_snapshot().hits
+        live_roots = corpus.system("doc").generator.ilist_builder.roots
+        assert len(live_roots) == 1
+        hits = live_roots.stats_snapshot().hits
         del rendered[:]
 
         after = service.run(SearchRequest(query="store austin", document="doc", size_bound=6))
         assert not after.from_cache and after.total_results == 2
-        assert live_cache.stats_snapshot().hits == hits + 1
+        assert live_roots.stats_snapshot().hits == hits + 1
         assert sorted(rendered) == [0, 1]
         assert wire(service, "store austin") == wire(
             self.rebuilt(retailer_tree("Austin")), "store austin"

@@ -155,20 +155,20 @@ class TestQueryResultCache:
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
-        system.run_query("store texas", size_bound=6)
-        assert len(system.cache) > 0
+        list(system.run_query("store texas", size_bound=6).snippets)
+        assert len(system.cache) > 0 and len(system.generator.ilist_builder.roots) > 0
         system.invalidate_cache()
         assert len(system.cache) == 0
-        assert len(system.generator.cache) == 0
+        assert len(system.generator.ilist_builder.roots) == 0
         assert system.run_query("store texas", size_bound=6).from_cache is False
 
-    def test_cache_stats_expose_the_three_caches(self, figure5_idx):
+    def test_cache_stats_expose_both_caches(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
         list(system.run_query("store texas", size_bound=6).snippets)
         stats = system.cache_stats()
-        assert set(stats) == {"query", "snippet", "roots"}
+        assert set(stats) == {"query", "roots"}
         assert stats["roots"].misses >= 1
         # snapshots, not the live counters
         system.run_query("store texas", size_bound=5)
@@ -186,7 +186,7 @@ class TestQueryResultCache:
         assert len(first.results) == 2
         # reading only the results generates no snippet
         assert first.snippets.generated == 0
-        assert system.generator.cache.stats.lookups == 0
+        assert system.generator.ilist_builder.roots.stats.lookups == 0
 
     def test_cache_size_zero_disables_caching(self, figure5_idx):
         from repro.system import ExtractSystem
@@ -195,19 +195,23 @@ class TestQueryResultCache:
         system.run_query("store texas", size_bound=6)
         assert system.run_query("store texas", size_bound=6).from_cache is False
 
-    def test_snippet_cache_rewraps_current_result(self, figure5_idx):
+    def test_a_memoised_root_serves_each_outcome_its_own_result(self, figure5_idx):
         from repro.system import ExtractSystem
 
         system = ExtractSystem(figure5_idx)
         # Same document/root/query/bound through different limits: the
-        # snippet cache must serve the tree but keep each outcome's own
-        # result objects (ranking metadata stays current).
+        # root memo serves the root's statistics, and each outcome's
+        # snippet is built around its own result object (ranking metadata
+        # stays current).
         full = system.run_query("store texas", size_bound=6)
         limited = system.run_query("store texas", size_bound=6, limit=1)
-        assert system.generator.cache.stats.lookups == 0  # nothing read, nothing generated
+        roots = system.generator.ilist_builder.roots
+        assert roots.stats.lookups == 0  # nothing read, nothing generated
         assert len(full.snippets.snippets) == 2
         assert limited.snippets[0].result is limited.results[0]
-        assert system.generator.cache.stats.hits == 1  # the tree came from the snippet cache
+        assert limited.snippets[0].snippet.result is limited.results[0]
+        assert roots.stats.hits == 1  # the statistics came from the memo
+        assert limited.snippets[0].ilist.statistics is full.snippets[0].ilist.statistics
         assert (
             limited.snippets[0].snippet.size_edges
             == full.snippets[0].snippet.size_edges
@@ -224,7 +228,7 @@ class TestQueryResultCache:
                 system.run_query("store texas", size_bound=size_bound)
         with pytest.raises(InvalidSizeBoundError):
             system.run_query("nothing matches this", size_bound=size_bound)
-        assert len(system.cache) == 0 and len(system.generator.cache) == 0
+        assert len(system.cache) == 0 and len(system.generator.ilist_builder.roots) == 0
 
     def test_page_past_the_end_generates_nothing(self, figure5_idx):
         from repro.system import ExtractSystem
@@ -233,7 +237,7 @@ class TestQueryResultCache:
         outcome = system.run_query("store texas", size_bound=6)
         assert outcome.snippets.page(99, 5) == [] == outcome.snippets.page(2, None)
         assert outcome.snippets.generated == 0
-        assert system.generator.cache.stats.lookups == 0
+        assert system.generator.ilist_builder.roots.stats.lookups == 0
         assert "snippets" not in outcome.timings.phases
 
     def test_use_cache_false_generates_only_the_page_read(self, figure5_idx):

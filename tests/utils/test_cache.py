@@ -54,24 +54,6 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(maxsize=-1)
 
-    def test_invalidate_single_key(self):
-        cache = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.get("a") is None
-        assert cache.stats.invalidations == 1
-
-    def test_invalidate_where_predicate(self):
-        cache = LRUCache(maxsize=8)
-        cache.put(("doc1", "q1"), 1)
-        cache.put(("doc1", "q2"), 2)
-        cache.put(("doc2", "q1"), 3)
-        removed = cache.invalidate_where(lambda key: key[0] == "doc1")
-        assert removed == 2
-        assert cache.get(("doc2", "q1")) == 3
-        assert cache.get(("doc1", "q1")) is None
-
     def test_clear(self):
         cache = LRUCache(maxsize=4)
         cache.put("a", 1)
@@ -157,12 +139,15 @@ class TestWeightedLRUCache:
         cache.put("a", 1, weight=3)
         cache.put("b", 2, weight=4)
         cache.put("c", 3, weight=2)
-        cache.invalidate("a")
-        assert cache.weight == 6
-        cache.invalidate_where(lambda key: key == "b")
-        assert cache.weight == 2
-        cache.clear()
-        assert cache.weight == 0 and cache.stats.invalidations == 3
+        cache.put("a", 1)  # the same key again, at weight 1
+        assert cache.weight == 7
+        cache.put("c", 3, weight=11)  # too heavy to store: drops "c"
+        assert "c" not in cache and cache.weight == 5
+        target = LRUCache(maxsize=10)
+        assert target.adopt(cache, lambda key, value: key != "b") == (1, 1)
+        assert target.weight == 1 and target.stats.invalidations == 1
+        assert target.clear() == 1
+        assert target.weight == 0 and target.stats.invalidations == 2
 
     def test_adopt_carries_the_weights(self):
         source = LRUCache(maxsize=10)
@@ -194,8 +179,8 @@ class TestWeightedLRUCache:
                 else:
                     cache.setdefault(key, step, weight=weight)
                 cache.get((key + 1) % 40)
-                if step % 50 == 0:
-                    cache.invalidate(key)
+                if step % 50 == 0:  # too heavy to store: drops the entry
+                    cache.put(key, step, weight=cache.maxsize + 1)
                 with cache._lock:
                     total = sum(cache._weights.get(key, 1) for key in cache._entries)
                     if total > cache.maxsize or total != cache.weight:
