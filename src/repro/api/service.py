@@ -15,7 +15,7 @@ on.  A service owns a :class:`repro.corpus.Corpus` and executes
 
 Thread safety: the underlying pipeline never mutates shared engine state
 (:meth:`repro.system.ExtractSystem.run_query`), the LRU caches lock
-internally, and shared posting-list memos serialise their lookups — so one
+internally, and a keyword lookup only reads the index's term map — so one
 service instance may execute requests from many threads and return
 responses identical to serial execution.
 """
@@ -101,12 +101,10 @@ class SnippetService(ServingBackendBase):
     ) -> BatchResponse:
         """Execute a batch: every query over every selected document.
 
-        Shared work mirrors the PR-1 batch path: each query string is
-        parsed once (strings normalising to the same keyword tuple share a
-        :class:`KeywordQuery`) and per document every distinct keyword's
-        posting list is looked up at most once via the corpus-level shared
-        posting memos.  Queries run in order and, per query, documents in
-        order, so response order is deterministic.
+        Each query string is parsed once (strings normalising to the same
+        keyword tuple share a :class:`KeywordQuery`).  Queries run in order
+        and, per query, documents in order, so response order is
+        deterministic.
 
         ``entries``, when given, aligns with ``batch.documents`` and pins
         each one to an already-captured corpus entry (snapshot semantics
@@ -260,12 +258,7 @@ class SnippetService(ServingBackendBase):
         entry: "CorpusEntry",
         parsed: KeywordQuery,
     ) -> SearchResponse:
-        """Execute a validated request against one captured corpus entry.
-
-        System and postings memo both come off the same entry object, so a
-        concurrent re-registration can never pair an old engine with a new
-        index's postings (or vice versa).
-        """
+        """Execute a validated request against one captured corpus entry."""
         system = entry.system
         started = perf_counter()
         outcome = system.run_query(
@@ -274,7 +267,6 @@ class SnippetService(ServingBackendBase):
             limit=request.limit,
             construction=ResultConstruction(request.construction),
             use_cache=request.use_cache,
-            postings=entry.postings,
         )
         # The phases go to this request's breakdown — the cold call's own
         # (search phases included), or a fresh one on a hit.

@@ -284,6 +284,12 @@ class DataAnalyzer:
                     table = self._features = self._build_feature_table()
         return table
 
+    @property
+    def built_feature_table(self) -> FeatureTable | None:
+        """The feature table if a snippet has built it (or an update carried
+        it), ``None`` otherwise; reading this never builds one."""
+        return self._features
+
     def normalized_value(self, node: XMLNode) -> str:
         """``normalize_value(node.text)`` — read off the feature table for
         an attribute node of the bound tree, where it is already there."""

@@ -1257,7 +1257,7 @@ _COMMANDS = (
         _sources, _output, _algorithm,
         _arg(
             "--format", choices=("v4",), default="v4",
-            help="snapshot format; v4 (binary, mmap-able) is the only one written",
+            help="snapshot format; v4 (binary) is the only one written",
         ),
     )),
     ("corpus-update", _command_corpus_update,

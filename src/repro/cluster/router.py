@@ -24,9 +24,9 @@ processes — failover and replication live there, below the seam.
   same shard (ownership *is* the per-shard cursor), so tokens never point
   at an empty trailing page that a different shard would have served.
 * **Batch** — documents are grouped by owning shard, each shard executes
-  its sub-batch (keeping the per-shard shared-parse and shared-postings
-  wins) in turn, in shard-id order on the calling thread, and the
-  per-shard responses are merged back into the global document order —
+  its sub-batch (keeping the per-shard shared parse) in turn, in
+  shard-id order on the calling thread, and the per-shard responses are
+  merged back into the global document order —
   by name when the batch asked for "all documents", in the caller's order
   otherwise — so the merged :class:`~repro.api.BatchResponse` is exactly
   what a single corpus would have produced.

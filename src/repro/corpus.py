@@ -17,11 +17,8 @@ Serving features (the demo ran as a web service):
 * **Incremental updates** — :meth:`Corpus.update_document` diffs the new
   version against the registered index and applies posting-level deltas
   (:mod:`repro.index.incremental`) instead of rebuilding, invalidating
-  only the cache entries and memoised postings the edit can actually
-  affect; :meth:`Corpus.remove_document` completes the document lifecycle.
-* **Shared posting lookups** — each entry memoises its keyword → posting
-  list lookups (:meth:`Corpus.shared_postings`), so a batch looks every
-  distinct keyword up at most once per document.
+  only the cache entries the edit can actually affect;
+  :meth:`Corpus.remove_document` completes the document lifecycle.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from repro.errors import (
 )
 from repro.index.postings import PostingList
 from repro.system import ExtractSystem
-from repro.utils.cache import DEFAULT_CACHE_SIZE, LRUCache
+from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.xmltree.diff import TextEdit, apply_text_edits, diff_trees
 from repro.xmltree.tree import XMLTree
 
@@ -70,19 +67,10 @@ def builtin_dataset_names() -> list[str]:
 
 @dataclass
 class CorpusEntry:
-    """One registered document and its ready-to-query system.
-
-    The entry also owns the document's batch-level shared-postings memo
-    (:attr:`postings`): binding the memo to the entry means a replaced or
-    removed document's memo dies with its entry — stale postings can never
-    be paired with a different index, even under concurrent swaps.
-    """
+    """One registered document and its ready-to-query system."""
 
     name: str
     system: ExtractSystem
-
-    def __post_init__(self) -> None:
-        self.postings = _SharedPostings(self.system.index)
 
     @property
     def node_count(self) -> int:
@@ -207,10 +195,8 @@ class Corpus:
                 f"document name {name!r} must be non-empty and hold no line break"
             )
         entry = CorpusEntry(name=name, system=system)
-        # Atomic swap: concurrent requests either see the old entry (with
-        # its own index-bound postings memo) or the new one — never a
-        # window where the name is unregistered, and never old/new state
-        # mixed (system and memo travel together on the entry).
+        # Atomic swap: concurrent requests either see the old entry or the
+        # new one — never a window where the name is unregistered.
         with self._serving_lock:
             old = self._entries.get(name)
             if old is not None and not replace:
@@ -229,9 +215,8 @@ class Corpus:
 
     def remove(self, name: str) -> None:
         """Unregister a document (no-op error if absent); its caches are
-        invalidated and its batch-level memoised postings die with the
-        entry, so stale outcomes cannot be served — even if the name is
-        later re-registered."""
+        invalidated, so stale outcomes cannot be served — even if the name
+        is later re-registered."""
         with self._serving_lock:
             entry = self._entries.pop(name, None)
             if entry is None:
@@ -253,11 +238,11 @@ class Corpus:
           (:func:`repro.index.incremental.apply_text_update`): unchanged
           posting lists, the structure index, the schema and unaffected
           entity keys are shared with the previous index, and the new
-          entry *adopts* every cached outcome, memoised root and memoised
-          posting lookup the edit provably cannot affect (only entries
-          whose keywords hit a changed term, whose result subtree contains
-          an edited node, or — when a re-mined entity key moved — all
-          snippet-bearing state are invalidated);
+          entry *adopts* every cached outcome and memoised root the edit
+          provably cannot affect (only entries whose keywords hit a
+          changed term, whose result subtree contains an edited node, or —
+          when a re-mined entity key moved — all snippet-bearing state are
+          invalidated);
         * **structural edits** — full re-index fallback (preserving the
           document's original DTD context) with fresh caches.
 
@@ -289,9 +274,8 @@ class Corpus:
                 new_system = ExtractSystem(
                     update.index, algorithm=self.algorithm, cache_size=self.cache_size
                 )
-                new_entry = CorpusEntry(name=name, system=new_system)
-                kept, dropped = _carry_serving_state(old_entry, new_entry, update)
-                self._swap_entry(name, old_entry, new_entry)
+                kept, dropped = _carry_serving_state(old_system, new_system, update)
+                self._swap_entry(name, old_entry, CorpusEntry(name=name, system=new_system))
                 old_system.invalidate_cache()
                 return DocumentUpdate(
                     document=name,
@@ -433,17 +417,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[CorpusEntry]:
         return iter(self.entries_snapshot())
-
-    def shared_postings(self, name: str) -> "_SharedPostings":
-        """The memoised keyword → posting-list mapping of one document.
-
-        At most one posting lookup per (document, distinct keyword) across
-        *all* queries and batches served from this corpus.  The memo lives
-        on the :class:`CorpusEntry` (always paired with the index it was
-        built from), so replacing or removing the document retires it
-        atomically with the entry.
-        """
-        return self.entry(name).postings
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -733,65 +706,8 @@ def compact_corpus_dir(
     )
 
 
-#: per-document cap on memoised keyword lookups; large enough that every
-#: hot vocabulary fits, small enough that a stream of never-repeated
-#: keywords (typos, adversarial queries) cannot grow a long-lived service
-#: without bound.
-SHARED_POSTINGS_MAXSIZE = 4096
-
-
-class _SharedPostings:
-    """A lazily-memoising keyword → posting-list mapping for one document.
-
-    ``SearchEngine.search`` pulls posting lists via :meth:`get`; the first
-    query of a batch that needs a keyword performs the index lookup, every
-    later query reuses it.  Queries answered from the result cache never
-    call :meth:`get`, so warm batches do no lookups.
-
-    The memo is a bounded :class:`~repro.utils.cache.LRUCache`: unlike the
-    one-batch memos of PR 1 it lives as long as its document entry, and an
-    unbounded dict would grow with every distinct keyword ever queried —
-    LRU eviction keeps the hot vocabulary resident while a stream of
-    never-repeated keywords cycles through the tail.  The outer lock makes
-    the lookup-compute-store step atomic, so concurrent executors never
-    perform duplicate index work.
-    """
-
-    __slots__ = ("_index", "_cache", "_lock")
-
-    def __init__(self, index, maxsize: int = SHARED_POSTINGS_MAXSIZE) -> None:
-        self._index = index
-        self._cache = LRUCache(maxsize)
-        self._lock = threading.Lock()
-
-    def get(self, keyword: str, default=None):
-        with self._lock:
-            postings = self._cache.get(keyword)
-            if postings is None:
-                postings = self._index.keyword_matches(keyword)
-                self._cache.put(keyword, postings)
-            return postings
-
-    def adopt(self, source: "_SharedPostings", keep) -> tuple[int, int]:
-        """Carry over the memoised lookups of a replaced entry's memo.
-
-        ``keep(keyword)`` decides survival; for keywords an incremental
-        update did not touch, the memoised :class:`PostingList` is the very
-        object the new index shares with the old one, so re-looking it up
-        would be pure waste.  Returns ``(kept, dropped)``.
-        """
-        with self._lock:
-            return self._cache.adopt(source._cache, lambda keyword, _postings: keep(keyword))
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword in self._cache
-
-
 def _carry_serving_state(
-    old_entry: CorpusEntry, new_entry: CorpusEntry, update
+    old_system: ExtractSystem, new_system: ExtractSystem, update
 ) -> tuple[int, int]:
     """Adopt every cache entry an incremental update cannot have affected,
     rebound to the new version of the document.
@@ -815,8 +731,6 @@ def _carry_serving_state(
       the tree's shape (the new tree adopts the old one's tables), so a
       position names the same node in both.  A structural update never
       gets here — it starts from empty caches;
-    * a memoised posting lookup is stale iff its keyword has a changed
-      posting list;
     * when a re-mined entity *key attribute* moved, snippets anywhere in
       the document may name a different key — everything is dropped.
 
@@ -827,7 +741,9 @@ def _carry_serving_state(
     (:meth:`QueryResult.rebind <repro.search.results.QueryResult.rebind>`),
     so are the statistics of every kept root
     (:meth:`FeatureStatistics.rebind
-    <repro.snippet.features.FeatureStatistics.rebind>`), and a kept
+    <repro.snippet.features.FeatureStatistics.rebind>`), which read their
+    feature ids through the new version's key list from then on
+    (:meth:`~repro.snippet.features.FeatureStatistics.swap_keys`), and a kept
     half-generated outcome fills its remaining slots with the new version's
     generator — its analyzer, its root memo
     (:meth:`SnippetBatch.rebind <repro.snippet.generator.SnippetBatch.rebind>`).
@@ -850,19 +766,18 @@ def _carry_serving_state(
     Returns combined (kept, dropped) counts over the result cache and the
     root memo.
     """
-    old_system = old_entry.system
-    new_system = new_entry.system
     if update.key_attributes_changed:
         def keep_query(key, value):
             return False
 
         keep_root = keep_query
-
-        def keep_keyword(keyword):
-            return False
     else:
         tree = new_system.index.tree
         changed = PostingList(tree.shape, update.changed_pres)
+        # The new version is read by nobody yet, so its feature table, if
+        # it has one, is the patched copy of the old one's.
+        retired = old_system.analyzer.built_feature_table
+        live = new_system.analyzer.built_feature_table
 
         def keep_query(key, outcome):
             # key = (tree name, keywords, algorithm, bound, limit, construction)
@@ -880,16 +795,14 @@ def _carry_serving_state(
             if changed.has_descendant_of(pre):
                 return False
             part.statistics.rebind(tree)
+            if live is not None:
+                part.statistics.swap_keys(retired.keys, live.keys)
             return True
-
-        def keep_keyword(keyword):
-            return not update.touches_keyword(keyword)
 
     kept_q, dropped_q = new_system.cache.adopt(old_system.cache, keep_query)
     kept_r, dropped_r = new_system.generator.ilist_builder.roots.adopt(
         old_system.generator.ilist_builder.roots, keep_root
     )
-    new_entry.postings.adopt(old_entry.postings, keep_keyword)
     return kept_q + kept_r, dropped_q + dropped_r
 
 

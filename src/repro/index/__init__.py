@@ -13,9 +13,9 @@ parent-children relationship."
 * :mod:`repro.index.storage` — persistence: ``save_index`` / ``load_index``
   (``snapshot.bin`` only; an older build's text snapshot is rejected by
   name), the corpus manifest/journal,
-* :mod:`repro.index.binfmt` — the v4 mmap-able binary snapshot format
-  every snapshot is written and read in, with lazy posting-list
-  materialisation.
+* :mod:`repro.index.binfmt` — the v4 binary snapshot format every
+  snapshot is written and read in; a load decodes every posting list into
+  the same :class:`InvertedIndex` a build produces.
 """
 
 from repro.index.postings import PostingList
@@ -25,7 +25,6 @@ from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.index.storage import save_index, load_index
 from repro.index.binfmt import (
     BINARY_FORMAT_VERSION,
-    LazyInvertedIndex,
     load_binary_index,
     write_binary_index,
 )
@@ -33,7 +32,6 @@ from repro.index.binfmt import (
 __all__ = [
     "PostingList",
     "InvertedIndex",
-    "LazyInvertedIndex",
     "StructureIndex",
     "DocumentIndex",
     "IndexBuilder",

@@ -1,11 +1,10 @@
-"""The v4 binary, mmap-able snapshot format — the one format written and read.
+"""The v4 binary snapshot format — the one format written and read.
 
 A snapshot persists *everything* the loaded
 :class:`~repro.index.builder.DocumentIndex` needs — tree, pre/post/level
 order, posting lists, structure index and the full analyzer state
-(including the DTD) — as one struct-packed file that is opened via
-:mod:`mmap` and decoded lazily, so loading one re-parses and re-analyzes
-nothing.
+(including the DTD) — as one struct-packed file that is read whole and
+decoded at load, so loading one re-parses and re-analyzes nothing.
 
 Layout of ``snapshot.bin`` (all integers little-endian)::
 
@@ -28,9 +27,9 @@ Layout of ``snapshot.bin`` (all integers little-endian)::
   posting count u32, section-relative blob offset u64), then the blobs:
   sorted u32 pre ids — the very array an in-memory
   :class:`~repro.index.postings.PostingList` holds, so decoding a list is
-  one ``array.frombytes`` plus its range check.  The directory alone is
-  enough to answer vocabulary/containment questions; blobs are only
-  decoded when a term is actually looked up (:class:`LazyInvertedIndex`).
+  one ``array.frombytes`` plus its range check.  Every blob is decoded
+  and checked at load into a plain
+  :class:`~repro.index.inverted.InvertedIndex`.
 * **STRUCTURE** — same shape keyed by ``/``-joined tag-path string ids.
   Checked on load against the rebuilt tree's tag-path column, which the
   loaded structure index then wraps.
@@ -40,20 +39,19 @@ Layout of ``snapshot.bin`` (all integers little-endian)::
 
 Truncation and corruption are rejected *before any posting is trusted*:
 the header magic, format version, end sentinel and whole-file checksum are
-all verified at open, and every table/directory offset is bounds-checked
-against the actual file size.  Any failure raises
-:class:`~repro.errors.StorageError`.
+all verified at open, every table/directory offset is bounds-checked
+against the actual file size, and every id blob is checked as it is
+decoded.  Any failure raises :class:`~repro.errors.StorageError` from the
+load, so a snapshot that loads answers every lookup.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import operator
 import os
 import struct
 import sys
-import threading
 import zlib
 from array import array
 from collections import Counter
@@ -66,7 +64,6 @@ from repro.index.builder import DocumentIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.index.structure import StructureIndex
-from repro.utils.text import normalize_token, singularize
 from repro.xmltree.dtd import DTD, AttributeDecl, ChildSpec, ElementDecl
 from repro.xmltree.node import XMLNode
 from repro.xmltree.schema import SchemaNode, SchemaSummary, TagPath
@@ -404,32 +401,22 @@ def _decode_dtd(payload: dict | None) -> DTD | None:
 # reader
 # ---------------------------------------------------------------------- #
 class _SnapshotBuffer:
-    """A verified, mmap'd v4 snapshot: section table plus raw bytes.
-
-    Holding a reference to this object keeps the mapping alive for the
-    lazily-decoded posting lists; the file descriptor itself is closed as
-    soon as the mapping exists.
-    """
+    """A verified v4 snapshot: section table plus the file's bytes, read
+    once."""
 
     def __init__(self, file_path: str):
         try:
-            size = os.path.getsize(file_path)
+            with open(file_path, "rb") as handle:
+                self.buffer = handle.read()
         except OSError as exc:
             raise StorageError(f"failed to read binary index {file_path}: {exc}") from exc
+        self.size = size = len(self.buffer)
         floor = _HEADER.size + _TRAILER.size
         if size < floor:
             raise StorageError(
                 f"binary index {file_path} is truncated: {size} bytes is smaller "
                 f"than the {floor}-byte header and trailer"
             )
-        try:
-            with open(file_path, "rb") as handle:
-                self.buffer: mmap.mmap | bytes = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-        except (OSError, ValueError) as exc:
-            raise StorageError(f"failed to map binary index {file_path}: {exc}") from exc
-        self.size = size
         self._verify(file_path)
 
     def _verify(self, file_path: str) -> None:
@@ -449,7 +436,7 @@ class _SnapshotBuffer:
             raise StorageError(
                 f"binary index {file_path} is truncated: missing the end sentinel"
             )
-        if zlib.crc32(buffer[: self.size - _TRAILER.size]) != crc:
+        if zlib.crc32(memoryview(buffer)[: self.size - _TRAILER.size]) != crc:
             raise StorageError(
                 f"binary index {file_path} is corrupt: checksum mismatch"
             )
@@ -482,11 +469,11 @@ class _SnapshotBuffer:
 
     def section_bytes(self, section_id: int) -> bytes:
         offset, length = self.sections[section_id]
-        return bytes(self.buffer[offset : offset + length])
+        return self.buffer[offset : offset + length]
 
 
 def _decode_ids(
-    buffer: mmap.mmap | bytes, start: int, count: int, node_count: int, what: str
+    buffer: bytes, start: int, count: int, node_count: int, what: str
 ) -> "array[int]":
     """One blob of u32 pre ids as the ``array('I')`` a posting list holds.
 
@@ -509,140 +496,13 @@ def _decode_ids(
     return ids
 
 
-class _PostingSource:
-    """Decodes blobs of the POSTINGS section into the posting lists of the
-    tree with ``shape``."""
-
-    __slots__ = ("shape", "_buffer", "_base", "_file_path")
-
-    def __init__(self, snapshot: _SnapshotBuffer, shape: TreeShape, file_path: str):
-        self.shape = shape
-        self._buffer = snapshot.buffer
-        self._base = snapshot.section(_SEC_POSTINGS)[0]
-        self._file_path = file_path
-
-    def posting_list(self, term: str, offset: int, count: int) -> PostingList:
-        ids = _decode_ids(
-            self._buffer,
-            self._base + offset,
-            count,
-            len(self.shape.size),
-            f"binary index {self._file_path}: postings for {term!r}",
-        )
-        return PostingList._trusted(self.shape, ids)
-
-
-class LazyInvertedIndex(InvertedIndex):
-    """An inverted index whose posting lists decode from mmap on first use.
-
-    The term directory (term → blob span) is read eagerly — it is what
-    vocabulary and containment questions need — but each posting list is
-    only materialised when the term is actually looked up, so a cold shard
-    answers its first query after decoding just the lists that query
-    touches.  Materialisation is guarded by a lock: the serving layer
-    shares one index across executor threads.
-
-    :meth:`apply_delta` keeps incremental updates and journal replay lazy
-    too: only the terms the delta touches are materialised; the clone
-    shares the mmap source for everything else.
-    """
-
-    def __init__(self, source: _PostingSource, pending: dict[str, tuple[int, int]]):
-        super().__init__()
-        self._source = source
-        self._shape = source.shape
-        self._pending = dict(pending)
-        self._lock = threading.Lock()
-        self._built = True
-
-    # -------------------------------------------------------------- #
-    # materialisation
-    # -------------------------------------------------------------- #
-    def _materialize(self, term: str) -> None:
-        with self._lock:
-            span = self._pending.get(term)
-            if span is not None:
-                # decoded before it stops being pending: a blob that fails
-                # its check fails every lookup, it does not become "absent"
-                self._postings[term] = self._source.posting_list(term, *span)
-                del self._pending[term]
-
-    def _materialize_all(self) -> None:
-        with self._lock:
-            for term, span in self._pending.items():
-                self._postings[term] = self._source.posting_list(term, *span)
-            self._pending = {}
-
-    @property
-    def pending_terms(self) -> int:
-        """Number of posting lists not yet decoded (observability/tests)."""
-        with self._lock:
-            return len(self._pending)
-
-    # -------------------------------------------------------------- #
-    # overridden lookups
-    # -------------------------------------------------------------- #
-    def lookup(self, keyword: str) -> PostingList:
-        token = normalize_token(keyword)
-        self._materialize(token)
-        self._materialize(singularize(token))
-        return super().lookup(keyword)
-
-    def contains_term(self, keyword: str) -> bool:
-        token = normalize_token(keyword)
-        forms = {token, singularize(token)}
-        with self._lock:
-            return any(
-                form in self._postings or form in self._pending for form in forms
-            )
-
-    @property
-    def vocabulary(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._postings) | set(self._pending))
-
-    @property
-    def vocabulary_size(self) -> int:
-        with self._lock:
-            return len(self._postings) + len(self._pending)
-
-    def postings_dict(self) -> dict[str, PostingList]:
-        self._materialize_all()
-        return super().postings_dict()
-
-    def apply_delta(
-        self,
-        added: dict[str, set[int]],
-        removed: dict[str, set[int]],
-    ) -> "LazyInvertedIndex":
-        touched = set(added) | set(removed)
-        for term in touched:
-            self._materialize(term)
-        with self._lock:
-            pending = {
-                term: span for term, span in self._pending.items() if term not in touched
-            }
-            postings = dict(self._postings)
-        self._apply_delta_to(postings, added, removed)
-        clone = LazyInvertedIndex(self._source, pending)
-        clone._postings = postings
-        return clone
-
-    def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"<LazyInvertedIndex terms={len(self._postings) + len(self._pending)} "
-                f"pending={len(self._pending)}>"
-            )
-
-
 def load_binary_index(directory: str | os.PathLike[str]) -> DocumentIndex:
     """Load a :class:`DocumentIndex` from a v4 binary snapshot directory.
 
-    The inverted index is a :class:`LazyInvertedIndex` backed by the
-    mmap'd file (:meth:`~LazyInvertedIndex.postings_dict` decodes every
-    list).  Queries over the loaded index are byte-identical to queries
-    over the index that was saved.
+    Every posting list is decoded and checked here, so a snapshot that
+    loads answers every lookup; a blob that fails its check is a
+    :class:`StorageError` naming its term.  Queries over the loaded index
+    are byte-identical to queries over the index that was saved.
     """
     path = os.fspath(directory)
     file_path = os.path.join(path, BINARY_FILE)
@@ -661,12 +521,8 @@ def load_binary_index(directory: str | os.PathLike[str]) -> DocumentIndex:
 
     structure = _rebuild_structure(snapshot, strings, tree, analyzer, file_path)
 
-    directory_entries = _read_directory(
-        snapshot, _SEC_POSTINGS, strings, file_path
-    )
-    inverted = LazyInvertedIndex(
-        _PostingSource(snapshot, shape, file_path),
-        {term: (offset, count) for term, (count, offset) in directory_entries.items()},
+    inverted = InvertedIndex.from_postings(
+        shape, _read_postings(snapshot, strings, shape, file_path)
     )
     return DocumentIndex(
         tree=tree, analyzer=analyzer, inverted=inverted, structure=structure
@@ -787,8 +643,8 @@ def _read_directory(
 ) -> dict[str, tuple[int, int]]:
     """Parse a directory section into name → (count, blob offset).
 
-    Blob spans are bounds-checked against the section length here, so the
-    lazy decoder can trust them later without re-validating.
+    Blob spans are bounds-checked against the section length here, so
+    decoding a blob need not re-validate them.
     """
     offset, length = snapshot.section(section_id)
     buffer = snapshot.buffer
@@ -821,6 +677,30 @@ def _read_directory(
             )
         entries[strings[name_sid]] = (list_count, blob_offset)
     return entries
+
+
+def _read_postings(
+    snapshot: _SnapshotBuffer, strings: list[str], shape: TreeShape, file_path: str
+) -> dict[str, PostingList]:
+    """Every keyword posting list of the POSTINGS section, decoded and
+    checked against the tree with ``shape``."""
+    base, _ = snapshot.section(_SEC_POSTINGS)
+    node_count = len(shape.size)
+    return {
+        term: PostingList._trusted(
+            shape,
+            _decode_ids(
+                snapshot.buffer,
+                base + offset,
+                count,
+                node_count,
+                f"binary index {file_path}: postings for {term!r}",
+            ),
+        )
+        for term, (count, offset) in _read_directory(
+            snapshot, _SEC_POSTINGS, strings, file_path
+        ).items()
+    }
 
 
 def _rebuild_structure(

@@ -112,18 +112,6 @@ class InvertedIndex:
         """
         self._ensure_built()
         postings = dict(self._postings)
-        self._apply_delta_to(postings, added, removed)
-        # Text edits touch values, not the node set: the edited document
-        # has this one's shape by construction (structural edits take the
-        # full-rebuild path instead).
-        return InvertedIndex.from_postings(self._shape, postings)
-
-    def _apply_delta_to(
-        self,
-        postings: dict[str, PostingList],
-        added: dict[str, set[int]],
-        removed: dict[str, set[int]],
-    ) -> None:
         for term in set(added) | set(removed):
             base = postings.get(term) or PostingList(self._shape)
             updated = base.with_changes(
@@ -133,6 +121,10 @@ class InvertedIndex:
                 postings.pop(term, None)
             else:
                 postings[term] = updated
+        # Text edits touch values, not the node set: the edited document
+        # has this one's shape by construction (structural edits take the
+        # full-rebuild path instead).
+        return InvertedIndex.from_postings(self._shape, postings)
 
     # ------------------------------------------------------------------ #
     # lookup

@@ -74,7 +74,7 @@ def save_index(
 
 def load_index(directory: str | os.PathLike[str]) -> DocumentIndex:
     """Load a :class:`DocumentIndex` from the ``snapshot.bin`` in ``directory``
-    (mmap'd, posting lists decoded on first lookup).
+    (read whole, every posting list decoded and checked before it returns).
 
     A text snapshot (``inverted.idx``, written by builds before format
     version 4) is a :class:`StorageError` that names the last build which

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.errors import QueryError, SearchError
 from repro.index.builder import DocumentIndex
-from repro.index.postings import PostingList
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results
@@ -62,7 +61,6 @@ class SearchEngine:
         self,
         query: str | KeywordQuery,
         limit: int | None = None,
-        postings: dict[str, PostingList] | None = None,
         construction: ResultConstruction | None = None,
         timings: TimingBreakdown | None = None,
     ) -> ResultSet:
@@ -72,9 +70,6 @@ class SearchEngine:
         returns everything, which the efficiency experiments rely on.  A
         negative ``limit`` is a :class:`QueryError` (as a slice bound it
         would silently drop results from the end of the ranking).
-        ``postings`` optionally maps keywords to pre-fetched posting lists
-        (the batch executor shares one lookup across many queries); absent
-        keywords fall back to an index lookup.
 
         ``construction`` overrides :attr:`construction` for this call only
         and ``timings`` redirects the phase measurements into a
@@ -91,12 +86,7 @@ class SearchEngine:
         breakdown = timings if timings is not None else self.timings
 
         with breakdown.measure("lookup"):
-            posting_lists = []
-            for keyword in parsed.keywords:
-                shared = postings.get(keyword) if postings is not None else None
-                posting_lists.append(
-                    shared if shared is not None else self.index.keyword_matches(keyword)
-                )
+            posting_lists = [self.index.keyword_matches(keyword) for keyword in parsed.keywords]
 
         with breakdown.measure("lca"):
             if self.algorithm == "slca":

@@ -158,6 +158,16 @@ class FeatureStatistics:
             )
         self.source = tree
 
+    def swap_keys(self, retired: list[FeatureKey], live: list[FeatureKey]) -> None:
+        """Read feature ids through ``live`` if these statistics read them
+        through ``retired``: ``live`` is a text-only update's patched copy
+        of ``retired`` (:meth:`DataAnalyzer.rebound_to_same_shape
+        <repro.classify.analyzer.DataAnalyzer.rebound_to_same_shape>`),
+        which only appends keys, so every id keeps its feature and a
+        carried root pins no retired key list."""
+        if self._keys is retired:
+            self._keys = live
+
     # ------------------------------------------------------------------ #
     # ids ↔ features
     # ------------------------------------------------------------------ #

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 from repro.index.builder import DocumentIndex, IndexBuilder
-from repro.index.postings import PostingList
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.results import ResultSet
@@ -150,7 +149,6 @@ class ExtractSystem:
         limit: int | None = None,
         construction: ResultConstruction = ResultConstruction.XSEEK,
         use_cache: bool = True,
-        postings: dict[str, PostingList] | None = None,
     ) -> SearchOutcome:
         """Evaluate a keyword query; snippets are generated a page at a time.
 
@@ -179,10 +177,7 @@ class ExtractSystem:
         been generated so far; ``use_cache=False`` forces a cold evaluation
         and populates nothing: it neither reads nor fills this cache or
         the IList builder's root memo, so every snippet of its batch is
-        generated from scratch.  ``postings`` optionally
-        supplies pre-fetched posting lists per keyword (a batch shares
-        lookups across queries this way, and the service passes its
-        per-document postings memo whatever ``use_cache`` says).
+        generated from scratch.
 
         A caller that wants only the results reads ``outcome.results`` and
         never a page of snippets: nothing is generated, and the cached
@@ -198,7 +193,7 @@ class ExtractSystem:
         timings = TimingBreakdown()
         with timings.measure("search"):
             results = self.engine.search(
-                parsed, limit=limit, postings=postings, construction=construction, timings=timings
+                parsed, limit=limit, construction=construction, timings=timings
             )
         snippets = SnippetBatch(
             self.generator, results, size_bound=size_bound, timings=timings, use_cache=use_cache

@@ -620,58 +620,25 @@ class TestStaleCacheRegression:
         assert after.total_results == 2
         assert "Beta" in after.results[0].text
 
-    def test_replace_true_purges_batch_memoised_postings(self):
+    def test_replace_true_batch_sees_the_new_postings(self):
         old, new = self._documents()
         corpus = Corpus()
         service = SnippetService(corpus)
         corpus.add_tree("doc", old)
         batch = BatchRequest(queries=("store texas",), size_bound=6)
-        # Memoise postings at the batch level (corpus-wide shared state).
-        service.run_batch(batch)
-        memo = corpus.shared_postings("doc")
-        assert memo.get("store") is not None
+        assert service.run_batch(batch).entries[0].total_results == 1
 
         corpus.add_tree("doc", new, replace=True)
-        # The memo bound to the replaced index must be gone...
-        assert corpus.shared_postings("doc") is not memo
-        # ...and a fresh batch must see the new document's two stores.
+        # a fresh batch must see the new document's two stores
         assert service.run_batch(batch).entries[0].total_results == 2
 
-    def test_shared_postings_memo_is_bounded(self):
-        from repro.corpus import _SharedPostings
-
-        corpus = Corpus()
-        corpus.add_tree("doc", self._documents()[0])
-        memo = _SharedPostings(corpus.system("doc").index, maxsize=3)
-        for keyword in ("alpha", "beta", "gamma", "delta", "epsilon"):
-            memo.get(keyword)
-        # never grows past the cap, even under a stream of unseen keywords
-        assert len(memo) == 3
-        assert "alpha" not in memo  # least recently used evicted first
-        assert "epsilon" in memo
-
-    def test_shared_postings_keeps_hot_keywords_resident(self):
-        from repro.corpus import _SharedPostings
-
-        corpus = Corpus()
-        corpus.add_tree("doc", self._documents()[0])
-        memo = _SharedPostings(corpus.system("doc").index, maxsize=3)
-        memo.get("store")
-        for keyword in ("one", "two", "three", "four"):
-            memo.get("store")  # keep the hot keyword recently used
-            memo.get(keyword)
-        assert "store" in memo  # LRU, not FIFO: the hot entry survives
-
-    def test_stale_postings_would_have_leaked_without_purge(self):
-        """Demonstrate the hazard the purge closes: an old memo answers for
-        the old index even after the document changed."""
+    def test_replace_true_lookups_read_the_new_index(self):
         old, new = self._documents()
         corpus = Corpus()
         corpus.add_tree("doc", old)
-        stale_memo = corpus.shared_postings("doc")
-        stale_postings = stale_memo.get("store")
+        stale_postings = corpus.system("doc").index.keyword_matches("store")
         corpus.add_tree("doc", new, replace=True)
-        fresh_postings = corpus.shared_postings("doc").get("store")
+        fresh_postings = corpus.system("doc").index.keyword_matches("store")
         assert len(fresh_postings) != len(stale_postings)
 
 

@@ -25,7 +25,7 @@ PUBLIC_METHODS = {
     Corpus: {
         "add_builtin", "add_file", "add_system", "add_tree", "add_xml",
         "apply_update", "entries_snapshot", "entry", "live_versions", "load_dir", "names", "remove",
-        "remove_document", "save_dir", "shared_postings", "summary", "system",
+        "remove_document", "save_dir", "summary", "system",
         "update_document",
     },
     SnippetService: {

@@ -1,10 +1,12 @@
-"""Tests for the v4 mmap-able binary snapshot format (repro.index.binfmt).
+"""Tests for the v4 binary snapshot format (repro.index.binfmt).
 
 The contract under test: a v4 snapshot round-trips a built index
 bit-for-bit (same postings, same structure, same analyzer), the bytes are
 deterministic, corruption anywhere in the file is rejected with
-:class:`~repro.errors.StorageError` before any posting is trusted, and
-the lazy mmap loader materialises posting lists only on first touch.
+:class:`~repro.errors.StorageError` by the load, before any posting is
+trusted, and the loaded index is a plain
+:class:`~repro.index.inverted.InvertedIndex` that answers exactly what
+the built one answers.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from repro.index import binfmt
 from repro.index.binfmt import (
     BINARY_FILE,
     BINARY_FORMAT_VERSION,
-    LazyInvertedIndex,
     build_binary_snapshot,
     load_binary_index,
     write_binary_index,
 )
+from repro.index.inverted import InvertedIndex
 from repro.index.storage import load_index, save_index
+from tests.cli_process import spawn_cli
 
 
 def snapshot_path(directory):
@@ -52,10 +55,10 @@ class TestRoundTrip:
         write_binary_index(small_index, tmp_path / "idx")
         assert os.listdir(tmp_path / "idx") == [BINARY_FILE]
 
-    def test_lazy_round_trip(self, small_index, tmp_path):
+    def test_round_trip(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
         loaded = load_binary_index(tmp_path / "idx")
-        assert isinstance(loaded.inverted, LazyInvertedIndex)
+        assert type(loaded.inverted) is InvertedIndex
         assert_equivalent(loaded, small_index)
 
     def test_loaded_index_searchable(self, small_index, tmp_path):
@@ -218,6 +221,31 @@ def patch_posting_id(data: bytearray, section_id: int, entry: int, position: int
     return data
 
 
+def write_corrupt_texas_corpus(tree, directory) -> None:
+    """A one-document corpus directory whose ``texas`` posting blob holds
+    an id past the end of the document, under a valid checksum."""
+    corpus = Corpus()
+    corpus.add_tree("doc", tree)
+    (subdir,) = corpus.save_dir(directory)
+    entry = corpus.system("doc").index.inverted.vocabulary.index("texas")
+    path = snapshot_path(directory / subdir)
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    patch_posting_id(data, binfmt._SEC_POSTINGS, entry, -1, 10**6)
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+class RegistrationCounter(Corpus):
+    """A corpus that records every document it registers."""
+
+    registered: list[str] = []
+
+    def _register(self, name, system, replace=False):
+        RegistrationCounter.registered.append(name)
+        return super()._register(name, system, replace=replace)
+
+
 class TestHostileIds:
     """A ``pre`` id names a position, so one that names no node of this
     document — or the wrong one — is a StorageError where the list is
@@ -245,14 +273,36 @@ class TestHostileIds:
             binary_dir,
             lambda d: patch_posting_id(d, binfmt._SEC_POSTINGS, entry, position, value),
         )
-        # the loader reads the directory only; the list fails when decoded
-        loaded = load_binary_index(binary_dir)
-        assert loaded.inverted.lookup("houston") == small_index.inverted.lookup("houston")
-        for _ in range(2):  # a failed decode does not turn the term into "absent"
-            with pytest.raises(StorageError, match="postings for 'texas'"):
-                loaded.inverted.lookup("texas")
-        with pytest.raises(StorageError, match="ids must ascend and stay below"):
-            loaded.inverted.postings_dict()
+        # every list is decoded at load: the load fails, naming the term,
+        # and no search over the index ever sees the list
+        with pytest.raises(StorageError, match="postings for 'texas'") as raised:
+            load_binary_index(binary_dir)
+        assert "ids must ascend and stay below" in str(raised.value)
+
+    def test_keyword_blob_fails_the_corpus_load(self, small_retailer_tree, tmp_path):
+        directory = tmp_path / "corpus"
+        write_corrupt_texas_corpus(small_retailer_tree, directory)
+        RegistrationCounter.registered = []
+        with pytest.raises(StorageError, match="postings for 'texas'"):
+            RegistrationCounter.load_dir(directory)
+        assert RegistrationCounter.registered == []
+
+    def test_serve_exits_1_with_an_error_line_and_no_traceback(
+        self, small_retailer_tree, tmp_path
+    ):
+        directory = tmp_path / "corpus"
+        write_corrupt_texas_corpus(small_retailer_tree, directory)
+        process = spawn_cli("serve", "--corpus-dir", str(directory), "--port", "0")
+        try:
+            stdout, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 1
+        assert stdout.startswith("error: ")
+        assert "postings for 'texas'" in stdout
+        assert "Traceback" not in stderr
 
     def test_structure_blob_out_of_range(self, small_index, binary_dir):
         self.corrupt(
@@ -278,40 +328,32 @@ class TestHostileIds:
             load_binary_index(binary_dir)
 
 
-class TestLazyMaterialisation:
-    def test_postings_stay_pending_until_looked_up(self, small_index, tmp_path):
-        write_binary_index(small_index, tmp_path / "idx")
-        inverted = load_binary_index(tmp_path / "idx").inverted
-        before = inverted.pending_terms
-        assert before == small_index.inverted.vocabulary_size
-        inverted.lookup("texas")
-        assert inverted.pending_terms < before
+class TestLoadedMatchesBuilt:
+    """A loaded index is the built one: same class, same answers."""
 
-    def test_lookup_matches_eager(self, small_index, tmp_path):
+    @pytest.fixture()
+    def loaded(self, small_index, tmp_path):
         write_binary_index(small_index, tmp_path / "idx")
-        lazy = load_binary_index(tmp_path / "idx").inverted
+        return load_binary_index(tmp_path / "idx").inverted
+
+    def test_lookup_matches_built(self, small_index, loaded):
         for term in sorted(small_index.inverted.vocabulary):
-            assert lazy.lookup(term) == small_index.inverted.lookup(term)
-            assert len(lazy.lookup(term)) >= 1
+            assert loaded.lookup(term) == small_index.inverted.lookup(term)
+            assert len(loaded.lookup(term)) >= 1
 
-    def test_contains_term_does_not_materialise_blob(self, small_index, tmp_path):
-        write_binary_index(small_index, tmp_path / "idx")
-        inverted = load_binary_index(tmp_path / "idx").inverted
-        assert inverted.contains_term("texas")
-        assert not inverted.contains_term("zzz-absent")
+    def test_contains_term_matches_built(self, small_index, loaded):
+        for term in ("texas", "stores", "zzz-absent"):
+            assert loaded.contains_term(term) == small_index.inverted.contains_term(term)
+        assert loaded.contains_term("texas")
+        assert not loaded.contains_term("zzz-absent")
 
-    def test_vocabulary_size_without_materialisation(self, small_index, tmp_path):
-        write_binary_index(small_index, tmp_path / "idx")
-        inverted = load_binary_index(tmp_path / "idx").inverted
-        assert inverted.vocabulary_size == small_index.inverted.vocabulary_size
-        assert inverted.pending_terms == small_index.inverted.vocabulary_size
+    def test_vocabulary_size_matches_built(self, small_index, loaded):
+        assert loaded.vocabulary_size == small_index.inverted.vocabulary_size
 
-    def test_apply_delta_on_lazy_index(self, small_index, tmp_path):
-        write_binary_index(small_index, tmp_path / "idx")
-        lazy = load_binary_index(tmp_path / "idx").inverted
+    def test_apply_delta_matches_built(self, small_index, loaded):
         pre = small_index.inverted.lookup("texas")[0]
         added = {"fresh-term": {pre}}
         removed = {"texas": {pre}}
-        lazy_after = lazy.apply_delta(added, removed)
+        loaded_after = loaded.apply_delta(added, removed)
         built_after = small_index.inverted.apply_delta(added, removed)
-        assert lazy_after.postings_dict() == built_after.postings_dict()
+        assert loaded_after.postings_dict() == built_after.postings_dict()

@@ -37,7 +37,8 @@ from repro.datasets import (
     generate_movies_document,
     generate_retail_document,
 )
-from repro.index.binfmt import BINARY_FILE, LazyInvertedIndex
+from repro.index.binfmt import BINARY_FILE
+from repro.index.inverted import InvertedIndex
 from repro.index.builder import IndexBuilder
 from repro.index.storage import read_corpus_manifest, save_index
 from repro.xmltree.diff import clone_tree
@@ -106,14 +107,14 @@ def services(format_dirs):
 
 
 class TestFormatByteIdentity:
-    def test_loaded_corpora_are_binary_and_lazy(self, format_dirs, services):
+    def test_loaded_corpora_are_binary_and_decoded(self, format_dirs, services):
         for kind in ("v4", "compacted"):
             directory = format_dirs / kind
             assert not (directory / "corpus.journal").exists()
             loaded = services[kind][1].corpus
             for subdir, name in read_corpus_manifest(directory).entries:
                 assert os.listdir(directory / subdir) == [BINARY_FILE]
-                assert isinstance(loaded.system(name).index.inverted, LazyInvertedIndex)
+                assert type(loaded.system(name).index.inverted) is InvertedIndex
 
     def assert_same_bytes_everywhere(self, services, payload):
         for kind, (built, loaded) in services.items():

@@ -310,6 +310,37 @@ def test_a_text_edit_keeps_every_root_with_no_edit_under_it(roots):
     assert texas == rebuilt_wire(edited, "store texas", page_size=None)
 
 
+def test_carried_roots_read_the_live_key_list():
+    """Over 20 versions — four reads, then one ``<city>`` moved — every
+    carried root reads its feature ids through the live version's key
+    list, so no root pins a retired one.  Each version's list only extends
+    the one before it, so an id keeps its feature across the swap."""
+    service = SnippetService(retail_corpus())
+    reads = ("retailer", "store", "clothes suit", "store texas")
+    key_lists = []
+    for round_ in range(20):
+        for query in reads:
+            service.run(request(query))
+        key_lists.append(service.corpus.system("retail").analyzer.built_feature_table.keys)
+
+        def move_city(tree: XMLTree) -> None:
+            stores = tree.find_by_tag("store")
+            stores[round_ % len(stores)].find_child("city").text = f"Town{round_}"
+
+        edited = edited_copy(service, move_city)
+        assert service.corpus.update_document("retail", clone_tree(edited, name="retail")).incremental
+
+    live = service.corpus.system("retail")
+    live_keys = live.analyzer.built_feature_table.keys
+    memo = live.generator.ilist_builder.roots
+    assert len(memo) > 0
+    assert all(part.statistics._keys is live_keys for part in memo._entries.values())
+    for keys in key_lists:
+        assert live_keys[: len(keys)] == keys
+    for query in reads:
+        assert wire(service.run(request(query))) == rebuilt_wire(edited, query), query
+
+
 def test_a_moved_key_attribute_drops_every_root():
     """Two stores come to share a name, so ``name`` is no longer the
     store key: any root's key items may name another attribute now, and

@@ -108,7 +108,7 @@ class TestUpdateDocument:
             ).from_cache
         old = corpus.entry("doc")
         old_roots = old.system.generator.ilist_builder.roots
-        assert len(old.system.cache) and len(old_roots) and len(old.postings)
+        assert len(old.system.cache) and len(old_roots)
         old_store = old.system.index.keyword_matches("store")
 
         report = corpus.update_document("doc", with_a_store_in_front(retailer_tree()))
@@ -116,7 +116,6 @@ class TestUpdateDocument:
 
         new = corpus.entry("doc")
         assert not len(new.system.cache) and not len(new.system.generator.ilist_builder.roots)
-        assert not len(new.postings)
         new_store = new.system.index.keyword_matches("store")
         assert new_store.shape is new.system.index.tree.shape is not old_store.shape
         assert list(new_store) != list(old_store)
@@ -238,16 +237,17 @@ class TestCacheInvalidationPrecision:
         corpus.update_document("doc", retailer_tree("Dallas"))
         assert not service.run(plural).from_cache
 
-    def test_shared_postings_memo_carries_unaffected_keywords(self):
+    def test_queries_after_an_update_see_the_new_postings(self):
         corpus, service = self.build()
-        service.run(SearchRequest(query="store austin", document="doc", size_bound=6, use_cache=False))
-        memo_before = corpus.shared_postings("doc")
-        assert "austin" in memo_before
+        austin_before = corpus.system("doc").index.keyword_matches("austin")
+        request = SearchRequest(query="store houston", document="doc", size_bound=6, use_cache=False)
+        assert service.run(request).total_results == 1
         corpus.update_document("doc", retailer_tree("Dallas"))
-        memo_after = corpus.shared_postings("doc")
-        assert memo_after is not memo_before
-        assert "austin" in memo_after  # carried: postings unchanged
-        assert "houston" not in memo_after  # touched term dropped
+        # an untouched term's list is shared with the old index
+        assert corpus.system("doc").index.keyword_matches("austin") is austin_before
+        assert service.run(request).total_results == 0  # touched term dropped
+        moved = SearchRequest(query="store dallas", document="doc", size_bound=6, use_cache=False)
+        assert service.run(moved).total_results == 1
 
 
 class TestHalfGeneratedOutcomes:
