@@ -27,6 +27,8 @@ rules are grounded in):
 ``seeded-rng``              ``repro.eval`` modules draw randomness only
                             from an injected ``random.Random(seed)``;
                             bare ``random.*`` module calls are findings
+``gc-policy``               the cycle collector is configured only in
+                            ``repro/cli.py``'s ``__main__`` block
 ==========================  =============================================
 
 Every rule is suppressible per line with ``# repro: ignore[rule-id]``.
@@ -1088,3 +1090,96 @@ class SeededRngRule(Rule):
                     f"module-level {name}() in repro.eval; draw from the "
                     "injected random.Random(seed) generator instead",
                 )
+
+
+# ---------------------------------------------------------------------- #
+# gc-policy
+# ---------------------------------------------------------------------- #
+def _is_main_guard(statement: ast.stmt) -> bool:
+    """True for a module-level ``if __name__ == "__main__":``."""
+    test = getattr(statement, "test", None)
+    return (
+        isinstance(statement, ast.If)
+        and isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and test.left.id == "__name__"
+        and len(test.comparators) == 1
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value == "__main__"
+    )
+
+
+@register_rule
+class GcPolicyRule(Rule):
+    """The cycle collector is configured in one place: the CLI's entry block.
+
+    A served corpus is a heap of long-lived objects with no reference
+    cycle in them (``XMLNode.parent`` is weak), so every process the CLI
+    starts — a server, a shard, ``corpus-save`` — raises the young-
+    generation threshold once, in ``repro/cli.py``'s
+    ``if __name__ == "__main__":`` block (``YOUNG_GC_THRESHOLD``).  The
+    collector's settings are one interpreter-wide state: a library module
+    that changed them would change them for whoever imports it — a test
+    run, an embedding application — and two such calls would fight over
+    one setting.  ``tests/`` and ``benchmarks/`` may switch the collector
+    off to count what it finds.
+    """
+
+    rule_id = "gc-policy"
+    description = (
+        "gc.set_threshold/freeze/unfreeze/disable/enable/set_debug only in "
+        "repro/cli.py's __main__ block"
+    )
+
+    #: paths that may drive the collector to measure it.
+    EXEMPT = ("tests/", "benchmarks/")
+    #: the one module whose ``__main__`` block sets the policy.
+    ENTRY = ("repro/cli.py",)
+    #: the ``gc`` functions that change the collector's behaviour.
+    _SETTERS = frozenset({"set_threshold", "freeze", "unfreeze", "disable", "enable", "set_debug"})
+
+    def check(self, module: ModuleSource, context: AnalysisContext) -> Iterator[Finding]:
+        if path_matches(module.rel_path, self.EXEMPT):
+            return
+        allowed: set[int] = set()
+        if path_matches(module.rel_path, self.ENTRY):
+            for statement in module.tree.body:
+                if _is_main_guard(statement):
+                    allowed.update(id(node) for node in ast.walk(statement))
+        # names bound to the module (``import gc as g``) and to its setters
+        # (``from gc import disable as off``)
+        modules: set[str] = set()
+        setters: dict[str, str] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                modules.update(
+                    alias.asname or alias.name for alias in node.names if alias.name == "gc"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                for alias in node.names:
+                    if alias.name in self._SETTERS:
+                        setters[alias.asname or alias.name] = alias.name
+        if not modules and not setters:
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            target = node.func
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id in modules
+                and target.attr in self._SETTERS
+            ):
+                name = target.attr
+            elif isinstance(target, ast.Name) and target.id in setters:
+                name = setters[target.id]
+            else:
+                continue
+            yield self.finding(
+                module,
+                node,
+                f"gc.{name}() outside repro/cli.py's __main__ block; the "
+                "collector's settings are process-wide, and the CLI's entry "
+                "block is where a serving process sets them",
+            )

@@ -376,8 +376,10 @@ class Corpus:
         so only a request still running on a retired version — or a leak —
         keeps one alive.  Counted from weak references to the
         :class:`XMLTree` objects, which hold their nodes but are held by
-        none of them: a tree dies the moment nothing holds it, without
-        waiting for the cycle collector.
+        none of them.  A version holds no reference cycle at all — a
+        node's ``parent`` link is weak, its ``children`` links strong — so
+        the moment nothing holds a tree, reference counting frees it *and
+        its nodes*, without waiting for the cycle collector.
         """
         with self._serving_lock:
             return {name: len(self._versions[name]) for name in sorted(self._entries)}

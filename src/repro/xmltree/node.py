@@ -11,6 +11,7 @@ connection node) apply uniformly.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from weakref import ref
 
 from repro.xmltree.dewey import Dewey
 
@@ -26,7 +27,15 @@ class XMLNode:
         The concatenated, stripped text content directly under this
         element, or ``None`` when the element has no own text.
     parent:
-        The parent node, or ``None`` for the root.
+        The parent node, or ``None`` for the root.  The link up is weak
+        (a ``weakref.ref`` in ``_parent``, one per parent, shared by all
+        its children) and the links down (``children``) are strong: **a
+        node keeps its subtree alive, not its ancestors**.  So a document
+        version holds no reference cycle and reference counting frees it
+        the moment its last holder lets go, without the cycle collector;
+        the price is that a node whose ancestors were all dropped reads
+        ``parent`` as ``None``.  Whoever keeps a node keeps its tree (a
+        ``QueryResult`` holds its ``source``).
     children:
         Child nodes in document order.
     ordinal:
@@ -44,13 +53,14 @@ class XMLNode:
     __slots__ = (
         "tag",
         "text",
-        "parent",
+        "_parent",
         "children",
         "ordinal",
         "pre",
         "post",
         "level",
         "_attributes",
+        "__weakref__",
     )
 
     def __init__(self, tag: str, text: str | None = None):
@@ -58,7 +68,7 @@ class XMLNode:
             raise ValueError(f"element tag must be a non-empty string, got {tag!r}")
         self.tag = tag
         self.text = text if text else None
-        self.parent: XMLNode | None = None
+        self._parent: ref[XMLNode] | None = None
         self.children: list[XMLNode] = []
         self.ordinal = 0
         self.pre = 0
@@ -69,23 +79,33 @@ class XMLNode:
     # ------------------------------------------------------------------ #
     # structure
     # ------------------------------------------------------------------ #
+    @property
+    def parent(self) -> "XMLNode | None":
+        link = self._parent
+        return None if link is None else link()
+
+    @parent.setter
+    def parent(self, node: "XMLNode | None") -> None:
+        self._parent = None if node is None else ref(node)
+
     def append_child(self, child: "XMLNode") -> "XMLNode":
         """Attach ``child``, which must be detached, as the last child.
 
         Returns the child to allow fluent construction.
         """
-        if child.parent is not None:
-            raise ValueError(
-                f"node <{child.tag}> is already attached (to <{child.parent.tag}>)"
-            )
-        self._attach(child)
+        parent = child.parent
+        if parent is not None:
+            raise ValueError(f"node <{child.tag}> is already attached (to <{parent.tag}>)")
+        self._attach(child, ref(self))
         return child
 
-    def _attach(self, child: "XMLNode") -> None:
+    def _attach(self, child: "XMLNode", link: "ref[XMLNode]") -> None:
         """:meth:`append_child` without the check, for code that only
         ever attaches nodes it has just made (the parser, the v4 snapshot
-        reader, the snippet and projection copiers)."""
-        child.parent = self
+        reader, the snippet and projection copiers).  ``link`` is
+        ``weakref.ref(self)``, made once by the caller for all of this
+        node's children."""
+        child._parent = link
         child.ordinal = len(self.children)
         self.children.append(child)
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from weakref import ref
 
 from repro.errors import XMLParseError
 from repro.xmltree.node import XMLNode
@@ -252,9 +253,10 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
         raise _start_tag_error(text, start)
     root: XMLNode | None = None
     node: XMLNode | None = None  # the innermost open element
+    link: ref[XMLNode] | None = None  # the weak link its children share
     pieces: list[str] = []  # its stripped, non-empty character data so far
-    # (element, pieces) of every open ancestor, under a (None, ...) sentinel
-    open_elements: list[tuple[XMLNode | None, list[str]]] = []
+    # (element, link, pieces) of every open ancestor, under a (None, ...) sentinel
+    open_elements: list[tuple[XMLNode | None, ref[XMLNode] | None, list[str]]] = []
     for match in _TOKEN_RE.finditer(text, start):
         kind = match.lastindex
         if kind == _LEAF or kind == _START_TAG:
@@ -263,12 +265,13 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
             if node is None:
                 root = child
             else:
-                node._attach(child)
+                node._attach(child, link)
             if "=" in segment:
                 _read_attributes(child, segment, text, match.start(4), attributes_as_children)
             if content is None and not segment.endswith("/"):
-                open_elements.append((node, pieces))
+                open_elements.append((node, link, pieces))
                 node = child
+                link = ref(child)
                 pieces = []
                 continue
             if content:  # <tag>content</tag> in one token
@@ -284,7 +287,7 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
                 raise _malformed(text, match.start(), node)
             if pieces:
                 node.text = " ".join(pieces)
-            node, pieces = open_elements.pop()
+            node, link, pieces = open_elements.pop()
             if node is None:
                 return root, match.end()
         elif kind == _TEXT:
@@ -320,9 +323,10 @@ def _read_attributes(
         if "&" in value:
             value = _decode(value, text, offset + match.start(quoted))
         attributes[match.group(1)] = value
-    if attributes_as_children:
+    if attributes_as_children and attributes:
+        link = ref(node)
         for attr_name, attr_value in attributes.items():
-            node._attach(XMLNode(attr_name, attr_value))
+            node._attach(XMLNode(attr_name, attr_value), link)
 
 
 def _malformed(text: str, position: int, node: XMLNode) -> XMLParseError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
+from weakref import ref
 
 from repro.errors import ExtractError
 from repro.xmltree.dewey import Dewey
@@ -178,10 +179,11 @@ class XMLTree:
         numbers its children among their siblings as it pushes them, a
         leaf is numbered the moment it is popped, and an inner node is
         pushed a second time, under a ``None`` marker, to get its ``post``
-        id on the way back up.
+        id on the way back up.  Each parent's children are given one weak
+        link to it (``XMLNode.parent``).
         """
         root = self.root
-        root.parent = None
+        root._parent = None
         root.level = 0
         by_pre: list[XMLNode] = []
         visit = by_pre.append
@@ -207,9 +209,10 @@ class XMLTree:
             push(node)
             push(None)
             level = node.level + 1
+            link = ref(node)
             for ordinal in range(len(children) - 1, -1, -1):
                 child = children[ordinal]
-                child.parent = node
+                child._parent = link
                 child.level = level
                 child.ordinal = ordinal
                 push(child)
@@ -232,7 +235,7 @@ class XMLTree:
         shape = self._shape
         if shape is None:
             nodes = self._by_pre
-            parent = [node.parent.pre for node in nodes[1:]]
+            parent = [node._parent().pre for node in nodes[1:]]
             parent.insert(0, -1)
             shape = self._shape = TreeShape(
                 parent,
@@ -417,6 +420,8 @@ class XMLTree:
         new tree."""
         nodes = self._by_pre
         copies: dict[int, XMLNode] = {}
+        #: per copied parent's ``pre``: the one weak link its children get
+        links: dict[int, ref[XMLNode]] = {}
         root_copy = None
         for pre in kept:
             source = nodes[pre]
@@ -424,8 +429,13 @@ class XMLTree:
             copy._attributes.update(source._attributes)
             if root_copy is None:
                 root_copy = copy
-            else:
-                copies[source.parent.pre]._attach(copy)
+                continue
+            parent_pre = source.parent.pre
+            parent = copies[parent_pre]
+            link = links.get(parent_pre)
+            if link is None:
+                link = links[parent_pre] = ref(parent)
+            parent._attach(copy, link)
         return XMLTree(root_copy, name=f"{self.name}:projection")
 
     def copy(self) -> "XMLTree":

@@ -3,6 +3,8 @@ quiet on a negative one, and honours ``# repro: ignore[rule-id]``."""
 
 from __future__ import annotations
 
+import pytest
+
 
 # ---------------------------------------------------------------------- #
 # lock-discipline
@@ -835,3 +837,81 @@ class TestSeededRng:
             "    return random.random()  # repro: ignore[seeded-rng]\n"
         )
         assert lint_tree({"repro/eval/loadgen.py": source}, self.RULE) == []
+
+
+# ---------------------------------------------------------------------- #
+# gc-policy
+# ---------------------------------------------------------------------- #
+class TestGcPolicy:
+    RULE = "gc-policy"
+
+    ENTRY_BLOCK = (
+        "import gc\n\n"
+        "YOUNG_GC_THRESHOLD = 50_000\n\n"
+        "def main():\n"
+        "    return 0\n\n"
+        'if __name__ == "__main__":\n'
+        "    gc.set_threshold(YOUNG_GC_THRESHOLD)\n"
+        "    raise SystemExit(main())\n"
+    )
+
+    def test_the_cli_entry_block_is_the_sanctioned_place(self, lint_tree):
+        assert lint_tree({"repro/cli.py": self.ENTRY_BLOCK}, self.RULE) == []
+
+    @pytest.mark.parametrize(
+        "call",
+        ["set_threshold(1000)", "freeze()", "unfreeze()", "disable()", "enable()", "set_debug(0)"],
+    )
+    def test_every_setter_fires_in_library_code(self, lint_tree, call):
+        source = f"import gc\n\ndef serve():\n    gc.{call}\n"
+        findings = lint_tree({"repro/api/http.py": source}, self.RULE)
+        assert [f.rule_id for f in findings] == [self.RULE]
+        assert f"gc.{call.split('(')[0]}()" in findings[0].message
+
+    def test_the_cli_outside_its_entry_block_fires(self, lint_tree):
+        source = self.ENTRY_BLOCK.replace("    return 0\n", "    gc.freeze()\n    return 0\n")
+        findings = lint_tree({"repro/cli.py": source}, self.RULE)
+        assert [(f.rule_id, f.line) for f in findings] == [(self.RULE, 6)]
+
+    def test_a_main_block_elsewhere_is_not_sanctioned(self, lint_tree):
+        findings = lint_tree({"repro/api/http.py": self.ENTRY_BLOCK}, self.RULE)
+        assert len(findings) == 1
+
+    def test_aliases_are_resolved(self, lint_tree):
+        source = (
+            "import gc as collector\n"
+            "from gc import disable as off, collect\n\n"
+            "def serve():\n"
+            "    collector.set_threshold(10)\n"
+            "    off()\n"
+            "    collect()\n"
+        )
+        findings = lint_tree({"repro/corpus.py": source}, self.RULE)
+        assert [f.line for f in findings] == [5, 6]
+
+    def test_reading_the_collector_is_clean(self, lint_tree):
+        source = (
+            "import gc\n\n"
+            "def stats():\n"
+            "    gc.collect()\n"
+            "    return gc.get_threshold(), gc.isenabled(), gc.get_count()\n"
+        )
+        assert lint_tree({"repro/api/service.py": source}, self.RULE) == []
+
+    def test_a_method_of_another_object_is_clean(self, lint_tree):
+        source = "def stop(server):\n    server.disable()\n    server.enable()\n"
+        assert lint_tree({"repro/api/http.py": source}, self.RULE) == []
+
+    @pytest.mark.parametrize("path", ["tests/test_heap_acyclic.py", "benchmarks/e2e/run.py"])
+    def test_tests_and_benchmarks_are_exempt(self, lint_tree, path):
+        source = (
+            "import gc\n\n"
+            "def measure():\n"
+            "    gc.disable()\n"
+            "    gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        )
+        assert lint_tree({path: source}, self.RULE) == []
+
+    def test_suppression(self, lint_tree):
+        source = "import gc\n\ndef serve():\n    gc.freeze()  # repro: ignore[gc-policy]\n"
+        assert lint_tree({"repro/api/http.py": source}, self.RULE) == []

@@ -97,14 +97,21 @@ def live_xml_nodes() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is XMLNode)
 
 
-def assert_one_live_version(corpora: dict[str, Corpus], nodes_before: int) -> None:
-    gc.collect()
+def assert_one_live_version(
+    corpora: dict[str, Corpus], nodes_before: int, collect: bool = True
+) -> None:
+    """One tree and its nodes per document, and nothing else; with
+    ``collect=False`` read before any collection, so what reference
+    counting did not free is counted too."""
+    if collect:
+        gc.collect()
     trees = [obj for obj in gc.get_objects() if type(obj) is XMLTree and obj.name in DOCUMENTS]
     assert sorted(tree.name for tree in trees) == sorted(DOCUMENTS)
     for tree in trees:
         assert tree is corpora[tree.name].system(tree.name).index.tree
     corpus_nodes = sum(corpora[name].entry(name).node_count for name in DOCUMENTS)
-    assert live_xml_nodes() - nodes_before == corpus_nodes
+    nodes = sum(1 for obj in gc.get_objects() if type(obj) is XMLNode)
+    assert nodes - nodes_before == corpus_nodes
     for name in DOCUMENTS:
         assert corpora[name].live_versions()[name] == 1
 
@@ -145,6 +152,24 @@ def test_a_served_corpus_keeps_one_tree_per_document(nodes_before):
     assert_kept_entries_left_behind(corpora)
     assert_one_live_version(corpora, nodes_before)
     assert service.stats()["live_versions"] == dict.fromkeys(DOCUMENTS, 1)
+
+
+def test_retired_versions_die_without_the_collector(nodes_before):
+    """A document version holds no reference cycle (``XMLNode.parent`` is
+    weak), so reference counting alone frees a retired one: with the
+    cycle collector off for the whole replay, nothing but the live
+    versions' nodes is left."""
+    current = documents()
+    gc.disable()
+    try:
+        corpus = Corpus()
+        for name, xml in current.items():
+            corpus.add_xml(name, xml)
+        service = SnippetService(corpus)
+        assert replay(service, current) > 0
+        assert_one_live_version(dict.fromkeys(DOCUMENTS, corpus), nodes_before, collect=False)
+    finally:
+        gc.enable()
 
 
 def test_a_sharded_corpus_keeps_one_tree_per_document(nodes_before):
