@@ -55,7 +55,6 @@ import sys
 import zlib
 from array import array
 from collections import Counter
-from weakref import ref
 
 from repro.classify.analyzer import DataAnalyzer, EntityType
 from repro.classify.categories import NodeCategory
@@ -587,8 +586,6 @@ def _rebuild_tree(
     if count == 0:
         raise StorageError(f"binary index {file_path} is corrupt: empty tree section")
     nodes: list[XMLNode] = []
-    #: per node with children: the one weak link they share
-    links: dict[int, ref[XMLNode]] = {}
     try:
         for position, (parent, tag_sid, text_sid) in enumerate(
             _TREE_RECORD.iter_unpack(data)
@@ -608,10 +605,7 @@ def _rebuild_tree(
                         f"binary index {file_path} is corrupt: node {position} "
                         f"references a parent after itself"
                     )
-                link = links.get(parent)
-                if link is None:
-                    link = links[parent] = ref(nodes[parent])
-                nodes[parent]._attach(node, link)
+                nodes[parent]._attach(node)
             elif position != 0:
                 raise StorageError(
                     f"binary index {file_path} is corrupt: node {position} is a "

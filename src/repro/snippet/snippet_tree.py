@@ -11,7 +11,6 @@ the number of new edges that path contributes.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from weakref import ref
 
 from repro.errors import SnippetError
 from repro.search.results import QueryResult
@@ -214,11 +213,10 @@ class Snippet:
         pending = [(node, root_copy)]
         while pending:
             source, copy = pending.pop()
-            link = ref(copy)
             for child in source.children:
                 if child.pre in selected:
                     child_copy = XMLNode(child.tag, child.text)
-                    copy._attach(child_copy, link)
+                    copy._attach(child_copy)
                     pending.append((child, child_copy))
         return root_copy
 

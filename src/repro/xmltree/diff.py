@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from repro.errors import ExtractError
 from repro.xmltree.dewey import Dewey
-from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
 
 
@@ -45,8 +44,10 @@ class TextEdit:
 
     #: position in document order — the same node in both versions
     pre: int
-    #: the node in the new version
-    node: XMLNode
+    #: the new version.  Held whole, not as the edited node alone: a node
+    #: holds its ancestors weakly, so once the version is retired a lone
+    #: node would forget where it sat.
+    tree: XMLTree
     tag: str
     tag_path: tuple[str, ...]
     old_text: str
@@ -56,7 +57,7 @@ class TextEdit:
     def label(self) -> Dewey:
         """The node's Dewey label, as the journal and replication records
         spell it."""
-        return self.node.dewey
+        return self.tree.nodes_by_pre[self.pre].dewey
 
     def __repr__(self) -> str:
         return f"<TextEdit {self.label} {self.old_text!r} -> {self.new_text!r}>"
@@ -141,7 +142,7 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
             edits.append(
                 TextEdit(
                     pre=old_node.pre,
-                    node=new_node,
+                    tree=new,
                     tag=old_node.tag,
                     tag_path=paths.paths[paths.ids[old_node.pre]],
                     old_text=old_node.text or "",

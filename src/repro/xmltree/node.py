@@ -84,10 +84,6 @@ class XMLNode:
         link = self._parent
         return None if link is None else link()
 
-    @parent.setter
-    def parent(self, node: "XMLNode | None") -> None:
-        self._parent = None if node is None else ref(node)
-
     def append_child(self, child: "XMLNode") -> "XMLNode":
         """Attach ``child``, which must be detached, as the last child.
 
@@ -96,16 +92,16 @@ class XMLNode:
         parent = child.parent
         if parent is not None:
             raise ValueError(f"node <{child.tag}> is already attached (to <{parent.tag}>)")
-        self._attach(child, ref(self))
+        child._parent = ref(self)
+        self._attach(child)
         return child
 
-    def _attach(self, child: "XMLNode", link: "ref[XMLNode]") -> None:
-        """:meth:`append_child` without the check, for code that only
-        ever attaches nodes it has just made (the parser, the v4 snapshot
-        reader, the snippet and projection copiers).  ``link`` is
-        ``weakref.ref(self)``, made once by the caller for all of this
-        node's children."""
-        child._parent = link
+    def _attach(self, child: "XMLNode") -> None:
+        """:meth:`append_child` without the check and without the link up,
+        for code that only ever attaches nodes it has just made and hands
+        the root to :class:`~repro.xmltree.tree.XMLTree` (the parser, the
+        v4 snapshot reader, the snippet and projection copiers): the
+        tree's reindex gives each parent's children one weak link to it."""
         child.ordinal = len(self.children)
         self.children.append(child)
 

@@ -56,7 +56,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from weakref import ref
 
 from repro.errors import XMLParseError
 from repro.xmltree.node import XMLNode
@@ -253,10 +252,9 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
         raise _start_tag_error(text, start)
     root: XMLNode | None = None
     node: XMLNode | None = None  # the innermost open element
-    link: ref[XMLNode] | None = None  # the weak link its children share
     pieces: list[str] = []  # its stripped, non-empty character data so far
-    # (element, link, pieces) of every open ancestor, under a (None, ...) sentinel
-    open_elements: list[tuple[XMLNode | None, ref[XMLNode] | None, list[str]]] = []
+    # (element, pieces) of every open ancestor, under a (None, ...) sentinel
+    open_elements: list[tuple[XMLNode | None, list[str]]] = []
     for match in _TOKEN_RE.finditer(text, start):
         kind = match.lastindex
         if kind == _LEAF or kind == _START_TAG:
@@ -265,13 +263,12 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
             if node is None:
                 root = child
             else:
-                node._attach(child, link)
+                node._attach(child)
             if "=" in segment:
                 _read_attributes(child, segment, text, match.start(4), attributes_as_children)
             if content is None and not segment.endswith("/"):
-                open_elements.append((node, link, pieces))
+                open_elements.append((node, pieces))
                 node = child
-                link = ref(child)
                 pieces = []
                 continue
             if content:  # <tag>content</tag> in one token
@@ -287,7 +284,7 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
                 raise _malformed(text, match.start(), node)
             if pieces:
                 node.text = " ".join(pieces)
-            node, link, pieces = open_elements.pop()
+            node, pieces = open_elements.pop()
             if node is None:
                 return root, match.end()
         elif kind == _TEXT:
@@ -323,10 +320,9 @@ def _read_attributes(
         if "&" in value:
             value = _decode(value, text, offset + match.start(quoted))
         attributes[match.group(1)] = value
-    if attributes_as_children and attributes:
-        link = ref(node)
+    if attributes_as_children:
         for attr_name, attr_value in attributes.items():
-            node._attach(XMLNode(attr_name, attr_value), link)
+            node._attach(XMLNode(attr_name, attr_value))
 
 
 def _malformed(text: str, position: int, node: XMLNode) -> XMLParseError:

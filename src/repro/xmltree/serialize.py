@@ -8,7 +8,6 @@ to make sure the parser and serialiser agree on the data model.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from weakref import ref
 
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
@@ -89,9 +88,8 @@ def from_plain_dict(data: Mapping[str, object], name: str = "document") -> XMLTr
 
 def _node_from_plain(data: Mapping[str, object]) -> XMLNode:
     node = XMLNode(str(data["tag"]), data.get("text") if data.get("text") else None)
-    link = ref(node)
     for child in data.get("children", []):  # type: ignore[union-attr]
-        node._attach(_node_from_plain(child), link)  # type: ignore[arg-type]
+        node._attach(_node_from_plain(child))  # type: ignore[arg-type]
     return node
 
 

@@ -420,8 +420,6 @@ class XMLTree:
         new tree."""
         nodes = self._by_pre
         copies: dict[int, XMLNode] = {}
-        #: per copied parent's ``pre``: the one weak link its children get
-        links: dict[int, ref[XMLNode]] = {}
         root_copy = None
         for pre in kept:
             source = nodes[pre]
@@ -429,13 +427,8 @@ class XMLTree:
             copy._attributes.update(source._attributes)
             if root_copy is None:
                 root_copy = copy
-                continue
-            parent_pre = source.parent.pre
-            parent = copies[parent_pre]
-            link = links.get(parent_pre)
-            if link is None:
-                link = links[parent_pre] = ref(parent)
-            parent._attach(copy, link)
+            else:
+                copies[source.parent.pre]._attach(copy)
         return XMLTree(root_copy, name=f"{self.name}:projection")
 
     def copy(self) -> "XMLTree":

@@ -33,7 +33,7 @@ def tree_covering(labels: Iterable[Dewey]) -> XMLTree:
         node = root
         for ordinal in label.components:
             while len(node.children) <= ordinal:
-                node.append_child(XMLNode("n"))
+                node._attach(XMLNode("n"))
             node = node.children[ordinal]
     return XMLTree(root, name="label-doc")
 

@@ -566,7 +566,7 @@ class ReferenceSnippet:
             for child in source.children:
                 if child.pre in selected:
                     child_copy = XMLNode(child.tag, child.text)
-                    copy.append_child(child_copy)
+                    copy._attach(child_copy)
                     pending.append((child, child_copy))
         return XMLTree(root_copy, name="reference-snippet")
 

@@ -110,8 +110,7 @@ def assert_one_live_version(
     for tree in trees:
         assert tree is corpora[tree.name].system(tree.name).index.tree
     corpus_nodes = sum(corpora[name].entry(name).node_count for name in DOCUMENTS)
-    nodes = sum(1 for obj in gc.get_objects() if type(obj) is XMLNode)
-    assert nodes - nodes_before == corpus_nodes
+    assert live_xml_nodes() - nodes_before == corpus_nodes
     for name in DOCUMENTS:
         assert corpora[name].live_versions()[name] == 1
 

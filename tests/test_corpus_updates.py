@@ -73,6 +73,21 @@ class TestUpdateDocument:
         for query in ("store dallas", "store houston", "store austin", "brook brothers"):
             assert wire(ours, query) == wire(theirs, query), query
 
+    def test_a_report_spells_its_labels_after_its_version_is_retired(self):
+        # A node holds its ancestors weakly.  A shard spells a replication
+        # delta from the report's edits after the update lock is released,
+        # so a later update may already have retired the version the edits
+        # were read from: their labels must still name the edited nodes.
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        report = corpus.update_document("doc", retailer_tree("Dallas"))
+        corpus.update_document("doc", retailer_tree("Waco"))
+        tree = corpus.system("doc").index.tree
+        [edit] = report.text_edits
+        assert edit.label == tree.nodes_by_pre[edit.pre].dewey
+        assert tree.node(edit.label).tag == "city"
+        assert tree.node(edit.label).text == "Waco"
+
     def test_structural_edit_falls_back_to_rebuild(self):
         corpus = Corpus()
         corpus.add_tree("doc", retailer_tree())
@@ -94,7 +109,6 @@ class TestUpdateDocument:
         def with_a_store_in_front(tree):
             front = tree_from_dict("store", {"name": "Annex", "city": "Austin"}).root
             tree.root.children.insert(1, front)  # right after <name>
-            front.parent = tree.root
             tree.refresh()
             return tree
 
