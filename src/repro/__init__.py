@@ -29,48 +29,70 @@ The most useful entry points:
   figure/table documented in EXPERIMENTS.md.
 """
 
-from repro.errors import (
-    ClusterError,
-    DatasetError,
-    DeweyError,
-    DTDParseError,
-    EvaluationError,
-    ExtractError,
-    InvalidSizeBoundError,
-    ProtocolError,
-    QueryError,
-    SchemaError,
-    SearchError,
-    SnippetError,
-    StorageError,
-    XMLParseError,
-)
-from repro.api import (
-    BatchRequest,
-    BatchResponse,
-    ConcurrentExecutor,
-    ErrorResponse,
-    SearchRequest,
-    SearchResponse,
-    SnippetPayload,
-    SnippetService,
-)
-from repro.cluster import ClusterService, HashPartitioner, ShardServer
-from repro.corpus import Corpus, compact_corpus_dir
-from repro.index.builder import DocumentIndex, IndexBuilder
-from repro.index.storage import load_index, save_index
-from repro.search.engine import SearchEngine
-from repro.search.query import KeywordQuery
-from repro.search.results import QueryResult, ResultSet
-from repro.snippet.distinct import DistinctSnippetGenerator
-from repro.snippet.generator import DEFAULT_SIZE_BOUND, GeneratedSnippet, SnippetBatch, SnippetGenerator
-from repro.snippet.ilist import IList, IListBuilder, IListItem, ItemKind
-from repro.snippet.snippet_tree import Snippet
-from repro.system import ExtractSystem, SearchOutcome
-from repro.utils.cache import DEFAULT_CACHE_SIZE, CacheStats, LRUCache
-from repro.xmltree.builder import TreeBuilder, tree_from_dict
-from repro.xmltree.parser import parse_xml, parse_xml_file
-from repro.xmltree.tree import XMLTree
+import importlib
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """The PEP 562 ``__getattr__`` / ``__dir__`` pair of a package whose
+    exports are imported on first use.
+
+    ``exports`` maps each submodule to the names the package re-exports
+    from it.  The first read of a name imports its submodule and caches
+    the value in ``namespace`` (the package's globals), so every later
+    read — and whoever rebinds module attributes by name — finds a plain
+    global.  ``from package import name``, ``import *`` (through
+    ``__all__``) and ``dir()`` see every export, and importing the package
+    imports none of its submodules: a process loads the modules it uses.
+    """
+    package = namespace["__name__"]
+    owners = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = owners.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | owners.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.errors": (
+        "ClusterError", "DatasetError", "DeweyError", "DTDParseError", "EvaluationError",
+        "ExtractError", "InvalidSizeBoundError", "ProtocolError", "QueryError", "SchemaError",
+        "SearchError", "SnippetError", "StorageError", "XMLParseError",
+    ),
+    "repro.api.executors": ("ConcurrentExecutor",),
+    "repro.api.protocol": (
+        "BatchRequest", "BatchResponse", "ErrorResponse", "SearchRequest", "SearchResponse",
+        "SnippetPayload",
+    ),
+    "repro.api.service": ("SnippetService",),
+    "repro.cluster.partition": ("HashPartitioner",),
+    "repro.cluster.router": ("ClusterService",),
+    "repro.cluster.shard": ("ShardServer",),
+    "repro.corpus": ("Corpus", "compact_corpus_dir"),
+    "repro.index.builder": ("DocumentIndex", "IndexBuilder"),
+    "repro.index.storage": ("load_index", "save_index"),
+    "repro.search.engine": ("SearchEngine",),
+    "repro.search.query": ("KeywordQuery",),
+    "repro.search.results": ("QueryResult", "ResultSet"),
+    "repro.snippet.distinct": ("DistinctSnippetGenerator",),
+    "repro.snippet.generator": (
+        "DEFAULT_SIZE_BOUND", "GeneratedSnippet", "SnippetBatch", "SnippetGenerator",
+    ),
+    "repro.snippet.ilist": ("IList", "IListBuilder", "IListItem", "ItemKind"),
+    "repro.snippet.snippet_tree": ("Snippet",),
+    "repro.system": ("ExtractSystem", "SearchOutcome"),
+    "repro.utils.cache": ("DEFAULT_CACHE_SIZE", "CacheStats", "LRUCache"),
+    "repro.xmltree.builder": ("TreeBuilder", "tree_from_dict"),
+    "repro.xmltree.parser": ("parse_xml", "parse_xml_file"),
+    "repro.xmltree.tree": ("XMLTree",),
+})
 
 __version__ = "1.0.0"
 

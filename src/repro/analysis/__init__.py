@@ -6,34 +6,22 @@ error-code tables, executor lifecycle) are enforced mechanically here;
 the rule catalogue.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_VERSION,
-    DEFAULT_BASELINE_NAME,
-    BaselineEntry,
-    apply_baseline,
-    entry_for,
-    read_baseline,
-    write_baseline,
-)
-from repro.analysis.findings import (
-    REPORT_SCHEMA_VERSION,
-    Finding,
-    finding_from_dict,
-    report_to_dict,
-)
-from repro.analysis.framework import (
-    SYNTAX_ERROR_RULE,
-    AnalysisContext,
-    AnalysisReport,
-    Analyzer,
-    ModuleSource,
-    Rule,
-    build_rules,
-    parse_suppressions,
-    path_matches,
-    register_rule,
-    registered_rule_ids,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.analysis.baseline": (
+        "BASELINE_VERSION", "DEFAULT_BASELINE_NAME", "BaselineEntry", "apply_baseline",
+        "entry_for", "read_baseline", "write_baseline",
+    ),
+    "repro.analysis.findings": (
+        "REPORT_SCHEMA_VERSION", "Finding", "finding_from_dict", "report_to_dict",
+    ),
+    "repro.analysis.framework": (
+        "SYNTAX_ERROR_RULE", "AnalysisContext", "AnalysisReport", "Analyzer", "ModuleSource",
+        "Rule", "build_rules", "parse_suppressions", "path_matches", "register_rule",
+        "registered_rule_ids",
+    ),
+})
 
 __all__ = [
     "BASELINE_VERSION",

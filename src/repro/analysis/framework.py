@@ -100,13 +100,6 @@ class ModuleSource:
                 return True
         return False
 
-    def suppressed_rule_ids(self) -> frozenset[str]:
-        """Every rule id named by a suppression anywhere in the file."""
-        ids: set[str] = set()
-        for rules in self.suppressions.values():
-            ids.update(rules)
-        return frozenset(ids)
-
 
 class AnalysisContext:
     """All modules of one run, addressable by relative-path suffix."""

@@ -29,6 +29,9 @@ rules are grounded in):
                             bare ``random.*`` module calls are findings
 ``gc-policy``               the cycle collector is configured only in
                             ``repro/cli.py``'s ``__main__`` block
+``lazy-exports``            a package ``__init__.py`` under ``repro/``
+                            imports no ``repro`` module at module level
+                            (outside ``if TYPE_CHECKING:``)
 ==========================  =============================================
 
 Every rule is suppressible per line with ``# repro: ignore[rule-id]``.
@@ -1183,3 +1186,102 @@ class GcPolicyRule(Rule):
                 "collector's settings are process-wide, and the CLI's entry "
                 "block is where a serving process sets them",
             )
+
+
+# ---------------------------------------------------------------------- #
+# lazy-exports
+# ---------------------------------------------------------------------- #
+def _is_type_checking_guard(statement: ast.stmt) -> bool:
+    """True for ``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
+    test = getattr(statement, "test", None)
+    return isinstance(statement, ast.If) and (
+        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+    )
+
+
+def _import_time_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Every statement that runs when the module is imported: module level,
+    inside ``if`` / ``try`` / ``with`` / loops and class bodies, but not
+    inside a function or an ``if TYPE_CHECKING:`` body (its ``else`` runs)."""
+    for statement in body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield statement
+        if _is_type_checking_guard(statement):
+            yield from _import_time_statements(statement.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            yield from _import_time_statements(getattr(statement, field, []))
+        for handler in getattr(statement, "handlers", []):
+            yield from _import_time_statements(handler.body)
+
+
+@register_rule
+class LazyExportsRule(Rule):
+    """A package ``__init__`` imports none of the package's modules.
+
+    Importing ``repro.<anything>`` runs ``repro/__init__.py`` and every
+    package ``__init__`` on the way down, so an eager re-export there is
+    paid by every process: before the packages exported lazily, a
+    ``serve`` process loaded the experiment harness, the dataset
+    generators and the cluster stack it never used (92 ``repro`` modules
+    against the 60 it needs).  A package therefore re-exports through
+    ``repro._lazy_exports`` (a PEP 562 ``__getattr__`` that imports the
+    owning module on first use).  Flagged, in any ``repro/**/__init__.py``
+    and outside ``if TYPE_CHECKING:`` and function bodies:
+
+    * ``import repro.<module>`` and ``from repro.<module> import …``;
+    * relative imports (``from . import x``, ``from .x import y``);
+    * ``from repro import <name>`` where the scan has a module of that
+      name (``repro/<name>.py`` or ``repro/<name>/__init__.py``) — the
+      root package's own names, ``_lazy_exports`` among them, stay
+      importable.
+    """
+
+    rule_id = "lazy-exports"
+    description = (
+        "a package __init__.py under repro/ imports no repro module at module "
+        "level (outside if TYPE_CHECKING:); re-export through _lazy_exports"
+    )
+
+    SCOPE = ("repro/",)
+
+    def check(self, module: ModuleSource, context: AnalysisContext) -> Iterator[Finding]:
+        if not path_matches(module.rel_path, self.SCOPE):
+            return
+        if module.rel_path.rpartition("/")[2] != "__init__.py":
+            return
+        for statement in _import_time_statements(module.tree.body):
+            imported = self._eager_import(statement, context)
+            if imported is not None:
+                yield self.finding(
+                    module,
+                    statement,
+                    f"package __init__ imports {imported} when the package is "
+                    "imported; every process importing any module under it pays "
+                    "for that import — re-export through _lazy_exports",
+                )
+
+    @staticmethod
+    def _eager_import(statement: ast.stmt, context: AnalysisContext) -> str | None:
+        """The ``repro`` module ``statement`` imports, or ``None``."""
+        if isinstance(statement, ast.Import):
+            for alias in statement.names:
+                if alias.name.startswith("repro."):
+                    return alias.name
+            return None
+        if not isinstance(statement, ast.ImportFrom):
+            return None
+        if statement.level:
+            return "." * statement.level + (statement.module or "")
+        if statement.module is None or statement.module.split(".")[0] != "repro":
+            return None
+        if statement.module != "repro":
+            return statement.module
+        for alias in statement.names:
+            if context.find_module(f"repro/{alias.name}.py") or context.find_module(
+                f"repro/{alias.name}/__init__.py"
+            ):
+                return f"repro.{alias.name}"
+        return None

@@ -36,34 +36,23 @@ Quick start::
         ).with_page(response.next_page)))
 """
 
-from repro.api.backend import ServingBackend, ServingBackendBase
-from repro.api.client import ServiceClient
-from repro.api.executors import ConcurrentExecutor, Executor
-from repro.api.gateway import build_gateway
-from repro.api.http import HttpServer
-from repro.api.protocol import (
-    CONSTRUCTION_MODES,
-    ERROR_CODES,
-    HTTP_STATUS_BY_CODE,
-    SCHEMA_VERSION,
-    UPDATE_ACTIONS,
-    BatchEntry,
-    BatchRequest,
-    BatchResponse,
-    ErrorResponse,
-    SearchRequest,
-    SearchResponse,
-    SnippetPayload,
-    UpdateRequest,
-    UpdateResponse,
-    code_for_exception,
-    decode_page_token,
-    encode_page_token,
-    http_status_for_code,
-    parse_request,
-    parse_response,
-)
-from repro.api.service import SnippetService
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.api.backend": ("ServingBackend", "ServingBackendBase"),
+    "repro.api.client": ("ServiceClient",),
+    "repro.api.executors": ("ConcurrentExecutor", "Executor"),
+    "repro.api.gateway": ("build_gateway",),
+    "repro.api.http": ("HttpServer",),
+    "repro.api.protocol": (
+        "CONSTRUCTION_MODES", "ERROR_CODES", "HTTP_STATUS_BY_CODE", "SCHEMA_VERSION",
+        "UPDATE_ACTIONS", "BatchEntry", "BatchRequest", "BatchResponse", "ErrorResponse",
+        "SearchRequest", "SearchResponse", "SnippetPayload", "UpdateRequest", "UpdateResponse",
+        "code_for_exception", "decode_page_token", "encode_page_token", "http_status_for_code",
+        "parse_request", "parse_response",
+    ),
+    "repro.api.service": ("SnippetService",),
+})
 
 __all__ = [
     "SCHEMA_VERSION",

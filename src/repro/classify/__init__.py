@@ -4,9 +4,13 @@ Implements the §2.1 classification rules adopted from XSeek [6] and the
 §2.2 key mining ("After mining the keys of entities in the data ...").
 """
 
-from repro.classify.categories import NodeCategory, classify_path, classify_schema
-from repro.classify.analyzer import DataAnalyzer, EntityType
-from repro.classify.keys import KeyMiner, KeyInfo
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.classify.categories": ("NodeCategory", "classify_path", "classify_schema"),
+    "repro.classify.analyzer": ("DataAnalyzer", "EntityType"),
+    "repro.classify.keys": ("KeyMiner", "KeyInfo"),
+})
 
 __all__ = [
     "NodeCategory",

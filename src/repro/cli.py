@@ -117,17 +117,19 @@ import os
 import signal
 import sys
 import threading
+from typing import TYPE_CHECKING
 
+# Option parsing needs these; every other import sits in the command that
+# uses it, so a process loads only what its command serves (a ``serve``
+# process carries no experiment harness, dataset generator or linter).
 from repro.api.executors import MAX_WORKERS
 from repro.corpus import builtin_dataset_names
 from repro.errors import ExtractError
-from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.snippet.generator import DEFAULT_SIZE_BOUND
-from repro.snippet.render import write_result_page
-from repro.system import ExtractSystem
 from repro.utils.cache import DEFAULT_CACHE_SIZE
-from repro.xmltree.export import export_doctype
-from repro.xmltree.serialize import to_xml_string
+
+if TYPE_CHECKING:
+    from repro.system import ExtractSystem
 
 #: The young-generation threshold of a CLI process (CPython's default is
 #: 700 allocations).  A served corpus is a heap of long-lived objects — the
@@ -425,6 +427,8 @@ def _command_search(args: argparse.Namespace, out) -> int:
     outcome = system.run_query(args.query, size_bound=args.bound, limit=args.limit)
     print(outcome.render_text(show_ilist=args.show_ilist), file=out)
     if args.html:
+        from repro.snippet.render import write_result_page
+
         write_result_page(outcome.snippets, args.html)
         print(f"\nwrote HTML result page to {args.html}", file=out)
     return 0
@@ -451,7 +455,9 @@ def _command_datasets(args: argparse.Namespace, out) -> int:
 
 def _command_generate(args: argparse.Namespace, out) -> int:
     from repro.corpus import Corpus
+    from repro.xmltree.export import export_doctype
     from repro.xmltree.schema import infer_schema
+    from repro.xmltree.serialize import to_xml_string
 
     corpus = Corpus()
     entry = corpus.add_builtin(args.dataset)
@@ -468,6 +474,8 @@ def _command_generate(args: argparse.Namespace, out) -> int:
 
 
 def _command_experiment(args: argparse.Namespace, out) -> int:
+    from repro.eval.experiments import EXPERIMENTS, run_experiment
+
     if not args.ids:
         print("registered experiments:", file=out)
         for experiment_id, spec in EXPERIMENTS.items():

@@ -45,34 +45,25 @@ Quick start::
     response = cluster.run(SearchRequest(query="store texas", document="stores"))
 """
 
-from repro.cluster.partition import (
-    CLUSTER_MANIFEST_FILE,
-    ClusterManifest,
-    ExplicitPartitioner,
-    HashPartitioner,
-    Partitioner,
-    partitioner_from_manifest,
-    read_cluster_manifest,
-    saved_cluster_documents,
-    write_cluster_manifest,
-)
-from repro.cluster.health import HealthMonitor
-from repro.cluster.remote import (
-    RemoteClusterService,
-    RemoteShard,
-    ShardBackend,
-    ShardProcess,
-    spawn_server,
-    spawn_shard_server,
-)
-from repro.cluster.replication import (
-    RebalanceReport,
-    ReplicaSet,
-    ShardEndpoint,
-    rebalance_document,
-)
-from repro.cluster.router import ClusterService
-from repro.cluster.shard import ShardDelta, ShardServer
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.cluster.partition": (
+        "CLUSTER_MANIFEST_FILE", "ClusterManifest", "ExplicitPartitioner", "HashPartitioner",
+        "Partitioner", "partitioner_from_manifest", "read_cluster_manifest",
+        "saved_cluster_documents", "write_cluster_manifest",
+    ),
+    "repro.cluster.health": ("HealthMonitor",),
+    "repro.cluster.remote": (
+        "RemoteClusterService", "RemoteShard", "ShardBackend", "ShardProcess", "spawn_server",
+        "spawn_shard_server",
+    ),
+    "repro.cluster.replication": (
+        "RebalanceReport", "ReplicaSet", "ShardEndpoint", "rebalance_document",
+    ),
+    "repro.cluster.router": ("ClusterService",),
+    "repro.cluster.shard": ("ShardDelta", "ShardServer"),
+})
 
 __all__ = [
     "Partitioner",

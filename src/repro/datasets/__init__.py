@@ -17,16 +17,18 @@ structural shape (see DESIGN.md, substitutions):
   workloads with deeper nesting and many small entities.
 """
 
-from repro.datasets.paper_example import (
-    figure1_document,
-    figure1_query,
-    FIGURE1_EXPECTED_ILIST,
-    FIGURE1_EXPECTED_SCORES,
-)
-from repro.datasets.retail import RetailConfig, generate_retail_document, figure5_document
-from repro.datasets.movies import MoviesConfig, generate_movies_document
-from repro.datasets.auctions import AuctionConfig, generate_auction_document
-from repro.datasets.bibliography import BibliographyConfig, generate_bibliography_document
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.datasets.paper_example": (
+        "figure1_document", "figure1_query", "FIGURE1_EXPECTED_ILIST",
+        "FIGURE1_EXPECTED_SCORES",
+    ),
+    "repro.datasets.retail": ("RetailConfig", "generate_retail_document", "figure5_document"),
+    "repro.datasets.movies": ("MoviesConfig", "generate_movies_document"),
+    "repro.datasets.auctions": ("AuctionConfig", "generate_auction_document"),
+    "repro.datasets.bibliography": ("BibliographyConfig", "generate_bibliography_document"),
+})
 
 __all__ = [
     "figure1_document",

@@ -3,7 +3,9 @@
 Every error raised intentionally by the library derives from
 :class:`ExtractError`, so callers can catch library failures with a single
 ``except`` clause while still letting programming errors (``TypeError``,
-``KeyError`` on internal dicts, ...) propagate unchanged.
+``KeyError`` on internal dicts, ...) propagate unchanged.  The one error
+defined here outside that tree, :class:`DeadParentError`, reports such a
+programming error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,18 @@ from __future__ import annotations
 
 class ExtractError(Exception):
     """Base class for every error raised by the ``repro`` library."""
+
+
+class DeadParentError(RuntimeError):
+    """Raised when a node's weak parent link points at a node that was freed.
+
+    An internal error, not an :class:`ExtractError`: a node keeps its
+    subtree alive, not its ancestors (:class:`repro.xmltree.node.XMLNode`),
+    so reading upward from a node whose tree was dropped is a bug in the
+    caller — it should have kept the tree — and answering as if the node
+    were a root would hand out a wrong Dewey label.  On the wire it is an
+    ``internal`` error, like any other bug.
+    """
 
 
 class XMLParseError(ExtractError):

@@ -22,38 +22,19 @@ EXPERIMENTS.md stay in sync.
   (F1–F5, E1–E7, A1–A2) to runnable functions.
 """
 
-from repro.eval.reporting import ExperimentTable
-from repro.eval.workload import QueryWorkload, WorkloadGenerator
-from repro.eval.metrics import SnippetQuality, evaluate_snippet, distinguishability
-from repro.eval.experiments import EXPERIMENTS, run_experiment, list_experiments
+from repro import _lazy_exports
 
-#: loadgen names re-exported lazily — the load harness imports the serving
-#: stack (repro.api), which itself imports repro.eval.metrics during
-#: package init, so an eager import here would be circular
-_LOADGEN_EXPORTS = (
-    "AblationConfig",
-    "AblationFlag",
-    "FlagValue",
-    "LoadProfile",
-    "LoadReport",
-    "RequestPlan",
-    "SMOKE_PROFILE",
-    "ablation_matrix",
-    "build_plan",
-    "default_flags",
-    "run_ablation",
-    "run_load",
-    "smoke_flags",
-)
-
-
-def __getattr__(name: str):
-    if name in _LOADGEN_EXPORTS:
-        from repro.eval import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.eval.reporting": ("ExperimentTable",),
+    "repro.eval.workload": ("QueryWorkload", "WorkloadGenerator"),
+    "repro.eval.metrics": ("SnippetQuality", "evaluate_snippet", "distinguishability"),
+    "repro.eval.experiments": ("EXPERIMENTS", "run_experiment", "list_experiments"),
+    "repro.eval.loadgen": (
+        "AblationConfig", "AblationFlag", "FlagValue", "LoadProfile", "LoadReport",
+        "RequestPlan", "SMOKE_PROFILE", "ablation_matrix", "build_plan", "default_flags",
+        "run_ablation", "run_load", "smoke_flags",
+    ),
+})
 
 __all__ = [
     "ExperimentTable",

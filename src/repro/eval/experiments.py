@@ -87,8 +87,3 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentTable:
             f"unknown experiment {experiment_id!r}; known: {', '.join(EXPERIMENTS)}"
         )
     return spec.run(**kwargs)
-
-
-def run_all(**kwargs) -> dict[str, ExperimentTable]:
-    """Run every registered experiment (used by examples/run_experiments.py)."""
-    return {experiment_id: spec.run() for experiment_id, spec in EXPERIMENTS.items()}

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.snippet.baselines import TextSnippet
+from repro.snippet.distinct import snippet_signature
 from repro.snippet.generator import GeneratedSnippet
 from repro.snippet.ilist import ItemKind
 from repro.utils.text import normalize_value
@@ -99,17 +100,6 @@ def evaluate_snippet(generated: GeneratedSnippet) -> SnippetQuality:
         dominant_feature_coverage=feature_coverage,
         dominance_mass_coverage=mass_coverage,
     )
-
-
-def snippet_signature(generated: GeneratedSnippet) -> frozenset[str]:
-    """The set of (tag, value) strings a snippet shows — its visible content."""
-    parts: set[str] = set()
-    for node in generated.snippet.selected_nodes():
-        if node.has_text_value:
-            parts.add(f"{node.tag}={normalize_value(node.text or '')}")
-        else:
-            parts.add(node.tag)
-    return frozenset(parts)
 
 
 def distinguishability(snippets: list[GeneratedSnippet]) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.datasets.base import DatasetRandom
 from repro.datasets.movies import MoviesConfig, generate_movies_document
 from repro.datasets.retail import RetailConfig, generate_retail_document
-from repro.eval.metrics import mean, snippet_signature
+from repro.eval.metrics import mean
 from repro.eval.reporting import ExperimentTable
 from repro.eval.workload import WorkloadGenerator
 from repro.index.builder import DocumentIndex, IndexBuilder
@@ -41,6 +41,7 @@ from repro.snippet.baselines import (
     RandomSubtreeSnippetGenerator,
     TextWindowSnippetGenerator,
 )
+from repro.snippet.distinct import snippet_signature
 from repro.snippet.dominant import DominantFeatureIdentifier
 from repro.snippet.generator import SnippetGenerator
 from repro.snippet.return_entity import ReturnEntityIdentifier
@@ -94,16 +95,6 @@ def _match_score(knowledge: UserKnowledge, facts: set[str], flat_text: str) -> f
         overlap = len(knowledge.feature_facts & facts)
         score += overlap / len(knowledge.feature_facts)
     return score
-
-
-@dataclass
-class StudyOutcome:
-    """Per-method aggregate of the simulated study."""
-
-    method: str
-    accuracy: float
-    mean_effort: float
-    trials: int
 
 
 def run_user_study(

@@ -18,16 +18,16 @@ parent-children relationship."
   the same :class:`InvertedIndex` a build produces.
 """
 
-from repro.index.postings import PostingList
-from repro.index.inverted import InvertedIndex
-from repro.index.structure import StructureIndex
-from repro.index.builder import DocumentIndex, IndexBuilder
-from repro.index.storage import save_index, load_index
-from repro.index.binfmt import (
-    BINARY_FORMAT_VERSION,
-    load_binary_index,
-    write_binary_index,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.index.postings": ("PostingList",),
+    "repro.index.inverted": ("InvertedIndex",),
+    "repro.index.structure": ("StructureIndex",),
+    "repro.index.builder": ("DocumentIndex", "IndexBuilder"),
+    "repro.index.storage": ("save_index", "load_index"),
+    "repro.index.binfmt": ("BINARY_FORMAT_VERSION", "load_binary_index", "write_binary_index"),
+})
 
 __all__ = [
     "PostingList",

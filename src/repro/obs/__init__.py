@@ -20,24 +20,19 @@ the opt-in ``meta`` block and the ``GET /v1/trace`` buffer, metrics only
 through ``GET /v1/metrics``.
 """
 
-from repro.obs.clock import monotonic, perf_counter, wall_clock
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-)
-from repro.obs.reqlog import RequestLogger
-from repro.obs.trace import (
-    Span,
-    Trace,
-    TraceBuffer,
-    activate,
-    current_trace,
-    parse_trace_header,
-    trace_header_value,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.obs.clock": ("monotonic", "perf_counter", "wall_clock"),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "METRICS_SCHEMA_VERSION", "MetricsRegistry",
+    ),
+    "repro.obs.reqlog": ("RequestLogger",),
+    "repro.obs.trace": (
+        "Span", "Trace", "TraceBuffer", "activate", "current_trace", "parse_trace_header",
+        "trace_header_value",
+    ),
+})
 
 __all__ = [
     "Counter",

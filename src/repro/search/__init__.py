@@ -17,14 +17,18 @@ search substrate so the reproduction is end-to-end runnable:
 * :mod:`repro.search.engine` — the façade combining all of the above.
 """
 
-from repro.search.query import KeywordQuery
-from repro.search.results import QueryResult, ResultSet
-from repro.search.slca import compute_slca
-from repro.search.elca import compute_elca
-from repro.search.lca import brute_force_slca, brute_force_elca
-from repro.search.xseek import ResultConstruction, build_result_tree
-from repro.search.ranking import rank_results
-from repro.search.engine import SearchEngine
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.search.query": ("KeywordQuery",),
+    "repro.search.results": ("QueryResult", "ResultSet"),
+    "repro.search.slca": ("compute_slca",),
+    "repro.search.elca": ("compute_elca",),
+    "repro.search.lca": ("brute_force_slca", "brute_force_elca"),
+    "repro.search.xseek": ("ResultConstruction", "build_result_tree"),
+    "repro.search.ranking": ("rank_results",),
+    "repro.search.engine": ("SearchEngine",),
+})
 
 __all__ = [
     "KeywordQuery",

@@ -19,24 +19,25 @@ The pipeline mirrors Figure 4 of the paper:
 * :mod:`repro.snippet.render` — text/HTML presentation.
 """
 
-from repro.snippet.features import Feature, FeatureStatistics, extract_features
-from repro.snippet.return_entity import ReturnEntityIdentifier, ReturnEntityDecision
-from repro.snippet.result_key import QueryResultKeyIdentifier, ResultKey
-from repro.snippet.dominant import DominantFeatureIdentifier, ScoredFeature
-from repro.snippet.ilist import IList, IListItem, ItemKind, IListBuilder
-from repro.snippet.snippet_tree import Snippet
-from repro.snippet.instance_selector import GreedyInstanceSelector, SelectionStrategy
-from repro.snippet.optimal import OptimalInstanceSelector
-from repro.snippet.generator import SnippetGenerator
-from repro.snippet.baselines import (
-    FirstEdgesSnippetGenerator,
-    RawFrequencySnippetGenerator,
-    RandomSubtreeSnippetGenerator,
-    TextWindowSnippetGenerator,
-    TextSnippet,
-)
-from repro.snippet.distinct import DistinctSnippetGenerator
-from repro.snippet.render import render_snippet_text, render_snippet_html, render_result_page
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.snippet.features": ("Feature", "FeatureStatistics", "extract_features"),
+    "repro.snippet.return_entity": ("ReturnEntityIdentifier", "ReturnEntityDecision"),
+    "repro.snippet.result_key": ("QueryResultKeyIdentifier", "ResultKey"),
+    "repro.snippet.dominant": ("DominantFeatureIdentifier", "ScoredFeature"),
+    "repro.snippet.ilist": ("IList", "IListItem", "ItemKind", "IListBuilder"),
+    "repro.snippet.snippet_tree": ("Snippet",),
+    "repro.snippet.instance_selector": ("GreedyInstanceSelector", "SelectionStrategy"),
+    "repro.snippet.optimal": ("OptimalInstanceSelector",),
+    "repro.snippet.generator": ("SnippetGenerator",),
+    "repro.snippet.baselines": (
+        "FirstEdgesSnippetGenerator", "RawFrequencySnippetGenerator",
+        "RandomSubtreeSnippetGenerator", "TextWindowSnippetGenerator", "TextSnippet",
+    ),
+    "repro.snippet.distinct": ("DistinctSnippetGenerator",),
+    "repro.snippet.render": ("render_snippet_text", "render_snippet_html", "render_result_page"),
+})
 
 __all__ = [
     "Feature",

@@ -19,12 +19,23 @@ exceeded — discrimination only changes which items compete for the budget.
 from __future__ import annotations
 
 from repro.classify.analyzer import DataAnalyzer
-from repro.eval.metrics import snippet_signature
 from repro.search.results import ResultSet
 from repro.snippet.dominant import DominantFeatureIdentifier
 from repro.snippet.generator import DEFAULT_SIZE_BOUND, GeneratedSnippet, SnippetBatch, SnippetGenerator
 from repro.snippet.ilist import IList, IListItem, ItemKind
 from repro.snippet.instance_selector import GreedyInstanceSelector
+from repro.utils.text import normalize_value
+
+
+def snippet_signature(generated: GeneratedSnippet) -> frozenset[str]:
+    """The set of (tag, value) strings a snippet shows — its visible content."""
+    parts: set[str] = set()
+    for node in generated.snippet.selected_nodes():
+        if node.has_text_value:
+            parts.add(f"{node.tag}={normalize_value(node.text or '')}")
+        else:
+            parts.add(node.tag)
+    return frozenset(parts)
 
 
 class DistinctSnippetGenerator:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import html
 import os
+from typing import TYPE_CHECKING
 
-from repro.snippet.baselines import TextSnippet
 from repro.snippet.generator import GeneratedSnippet, SnippetBatch
 from repro.xmltree.node import XMLNode
 from repro.xmltree.serialize import to_xml_string
+
+if TYPE_CHECKING:
+    from repro.snippet.baselines import TextSnippet
 
 
 # ---------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.index.builder import DocumentIndex, IndexBuilder
 from repro.search.engine import SearchEngine
@@ -31,8 +32,10 @@ from repro.utils.cache import DEFAULT_CACHE_SIZE, CacheStats, LRUCache
 from repro.utils.timing import TimingBreakdown
 from repro.xmltree.dtd import dtd_for_tree_text
 from repro.xmltree.parser import parse_xml, parse_xml_file
-from repro.xmltree.stats import DocumentStats, compute_stats
 from repro.xmltree.tree import XMLTree
+
+if TYPE_CHECKING:
+    from repro.xmltree.stats import DocumentStats
 
 
 @dataclass
@@ -246,6 +249,8 @@ class ExtractSystem:
 
     def document_stats(self) -> DocumentStats:
         """Statistics of the loaded document."""
+        from repro.xmltree.stats import compute_stats
+
         return compute_stats(self.index.tree)
 
     @property

@@ -24,15 +24,19 @@ This package implements everything eXtract needs from an XML store:
   harness.
 """
 
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.node import XMLNode
-from repro.xmltree.tree import TreeShape, XMLTree
-from repro.xmltree.builder import TreeBuilder
-from repro.xmltree.parser import parse_xml, parse_xml_file
-from repro.xmltree.serialize import to_xml_string, to_plain_dict
-from repro.xmltree.dtd import DTD, parse_dtd
-from repro.xmltree.schema import SchemaSummary, infer_schema
-from repro.xmltree.stats import DocumentStats, compute_stats
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.xmltree.dewey": ("Dewey",),
+    "repro.xmltree.node": ("XMLNode",),
+    "repro.xmltree.tree": ("TreeShape", "XMLTree"),
+    "repro.xmltree.builder": ("TreeBuilder",),
+    "repro.xmltree.parser": ("parse_xml", "parse_xml_file"),
+    "repro.xmltree.serialize": ("to_xml_string", "to_plain_dict"),
+    "repro.xmltree.dtd": ("DTD", "parse_dtd"),
+    "repro.xmltree.schema": ("SchemaSummary", "infer_schema"),
+    "repro.xmltree.stats": ("DocumentStats", "compute_stats"),
+})
 
 __all__ = [
     "Dewey",

@@ -158,19 +158,9 @@ class Dewey:
             and other._components[: len(self._components)] == self._components
         )
 
-    def is_descendant_of(self, other: "Dewey") -> bool:
-        """Strict descendant test."""
-        return other.is_ancestor_of(self)
-
     def is_ancestor_or_self(self, other: "Dewey") -> bool:
         """Ancestor-or-self test (prefix test)."""
         return other._components[: len(self._components)] == self._components
-
-    def is_sibling_of(self, other: "Dewey") -> bool:
-        """True when both labels share a parent and differ."""
-        if self == other or self.is_root or other.is_root:
-            return False
-        return self._components[:-1] == other._components[:-1]
 
     @staticmethod
     def common_ancestor(first: "Dewey", second: "Dewey") -> "Dewey":
@@ -180,17 +170,6 @@ class Dewey:
         while length < limit and first._components[length] == second._components[length]:
             length += 1
         return Dewey(first._components[:length])
-
-    def distance_to_ancestor(self, ancestor: "Dewey") -> int:
-        """Number of edges between this node and an ancestor-or-self label."""
-        if not ancestor.is_ancestor_or_self(self):
-            raise DeweyError(f"{ancestor} is not an ancestor of {self}")
-        return self.depth - ancestor.depth
-
-    def tree_distance(self, other: "Dewey") -> int:
-        """Number of edges on the unique path between two nodes."""
-        lca = Dewey.common_ancestor(self, other)
-        return (self.depth - lca.depth) + (other.depth - lca.depth)
 
     # ------------------------------------------------------------------ #
     # dunder protocol

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from weakref import ref
 
+from repro.errors import DeadParentError
 from repro.xmltree.dewey import Dewey
 
 
@@ -32,10 +33,14 @@ class XMLNode:
         its children) and the links down (``children``) are strong: **a
         node keeps its subtree alive, not its ancestors**.  So a document
         version holds no reference cycle and reference counting frees it
-        the moment its last holder lets go, without the cycle collector;
-        the price is that a node whose ancestors were all dropped reads
-        ``parent`` as ``None``.  Whoever keeps a node keeps its tree (a
-        ``QueryResult`` holds its ``source``).
+        the moment its last holder lets go, without the cycle collector.
+        Whoever keeps a node keeps its tree (a ``QueryResult`` holds its
+        ``source``): once a node's parent has been freed, ``parent`` — and
+        so every upward read, ``dewey``, ``is_root``, ``depth`` and
+        ``iter_ancestors`` — raises :class:`~repro.errors.DeadParentError`
+        instead of answering as if the node were a root.  Such a node is
+        refused by :meth:`append_child` too (the same error): it still
+        belongs to the dropped tree, so to move it elsewhere, copy it.
     children:
         Child nodes in document order.
     ordinal:
@@ -82,12 +87,22 @@ class XMLNode:
     @property
     def parent(self) -> "XMLNode | None":
         link = self._parent
-        return None if link is None else link()
+        if link is None:
+            return None
+        parent = link()
+        if parent is None:
+            raise DeadParentError(
+                f"the parent of <{self.tag}> was freed: keep the tree (or its root) "
+                "while reading upward from one of its nodes"
+            )
+        return parent
 
     def append_child(self, child: "XMLNode") -> "XMLNode":
         """Attach ``child``, which must be detached, as the last child.
 
-        Returns the child to allow fluent construction.
+        Returns the child to allow fluent construction.  A node whose
+        parent was freed is not detached: reading its ``parent`` raises
+        :class:`~repro.errors.DeadParentError`, and so does this.
         """
         parent = child.parent
         if parent is not None:
@@ -223,7 +238,11 @@ class XMLNode:
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:
         value = f" {self.text!r}" if self.text else ""
-        return f"<XMLNode {self.tag}@{self.dewey}{value}>"
+        try:
+            label = str(self.dewey)
+        except DeadParentError:
+            label = "(parent freed)"
+        return f"<XMLNode {self.tag}@{label}{value}>"
 
     def __iter__(self) -> Iterator["XMLNode"]:
         return iter(self.children)

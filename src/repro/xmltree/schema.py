@@ -44,12 +44,6 @@ class SchemaNode:
     value_counts: Counter[str] = field(default_factory=Counter)
 
     @property
-    def parent_path(self) -> TagPath | None:
-        if len(self.tag_path) <= 1:
-            return None
-        return self.tag_path[:-1]
-
-    @property
     def repeats_in_data(self) -> bool:
         """True when some parent instance holds >= 2 children of this tag."""
         return self.max_siblings_per_parent >= 2
@@ -133,9 +127,6 @@ class SchemaSummary:
             return self.nodes[tag_path]
         except KeyError as exc:
             raise SchemaError(f"unknown schema node {'/'.join(tag_path)}") from exc
-
-    def has_path(self, tag_path: TagPath) -> bool:
-        return tag_path in self.nodes
 
     def is_star_node(self, tag_path: TagPath) -> bool:
         """Is the schema node a ``*``-node (and hence an entity candidate)?

@@ -915,3 +915,77 @@ class TestGcPolicy:
     def test_suppression(self, lint_tree):
         source = "import gc\n\ndef serve():\n    gc.freeze()  # repro: ignore[gc-policy]\n"
         assert lint_tree({"repro/api/http.py": source}, self.RULE) == []
+
+
+# ---------------------------------------------------------------------- #
+# lazy-exports
+# ---------------------------------------------------------------------- #
+class TestLazyExports:
+    RULE = "lazy-exports"
+
+    LAZY_PACKAGE = (
+        '"""A package."""\n\n'
+        "from typing import TYPE_CHECKING\n\n"
+        "from repro import _lazy_exports\n\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.api.service import SnippetService\n\n"
+        '__getattr__, __dir__ = _lazy_exports(globals(), {"repro.api.service": ("SnippetService",)})\n'
+        '__all__ = ["SnippetService"]\n'
+    )
+
+    def test_a_lazy_package_is_clean(self, lint_tree):
+        files = {"repro/__init__.py": "def _lazy_exports(namespace, exports):\n    pass\n",
+                 "repro/api/__init__.py": self.LAZY_PACKAGE}
+        assert lint_tree(files, self.RULE) == []
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from repro.api.service import SnippetService",
+            "import repro.api.service",
+            "import json, repro.eval.experiments as experiments",
+            "from . import service",
+            "from .service import SnippetService",
+            "from repro import corpus",
+        ],
+    )
+    def test_an_eager_import_fires(self, lint_tree, statement):
+        files = {"repro/corpus.py": "", "repro/api/__init__.py": f"{statement}\n"}
+        findings = lint_tree(files, self.RULE)
+        assert [(f.rule_id, f.path, f.line) for f in findings] == [
+            (self.RULE, "repro/api/__init__.py", 1)
+        ]
+
+    def test_import_time_blocks_count(self, lint_tree):
+        source = (
+            "from typing import TYPE_CHECKING\n\n"
+            "if TYPE_CHECKING:\n"
+            "    pass\n"
+            "else:\n"
+            "    from repro.eval import loadgen\n"
+            "try:\n"
+            "    import repro.cluster.remote\n"
+            "except ImportError:\n"
+            "    from repro.cluster import router\n"
+            "class Exports:\n"
+            "    from repro.snippet.render import render_snippet_text\n"
+        )
+        findings = lint_tree({"repro/eval/__init__.py": source}, self.RULE)
+        assert [f.line for f in findings] == [6, 8, 10, 12]
+
+    def test_an_import_inside_a_function_is_clean(self, lint_tree):
+        source = "def experiments():\n    from repro.eval import experiments\n    return experiments\n"
+        assert lint_tree({"repro/eval/__init__.py": source}, self.RULE) == []
+
+    def test_modules_and_other_packages_are_out_of_scope(self, lint_tree):
+        source = "from repro.api.service import SnippetService\nimport repro.corpus\n"
+        files = {"repro/cli.py": source, "tests/__init__.py": source, "benchmarks/e2e/__init__.py": source}
+        assert lint_tree(files, self.RULE) == []
+
+    def test_stdlib_and_root_names_are_clean(self, lint_tree):
+        source = "import importlib\nimport repro\nfrom repro import _lazy_exports\n"
+        assert lint_tree({"repro/xmltree/__init__.py": source}, self.RULE) == []
+
+    def test_suppression(self, lint_tree):
+        source = "from repro.utils.text import tokenize  # repro: ignore[lazy-exports]\n"
+        assert lint_tree({"repro/utils/__init__.py": source}, self.RULE) == []

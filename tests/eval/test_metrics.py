@@ -8,11 +8,11 @@ from repro.eval.metrics import (
     distinguishability,
     evaluate_snippet,
     mean,
-    snippet_signature,
     text_snippet_contains,
 )
 from repro.search.engine import SearchEngine
 from repro.snippet.baselines import TextWindowSnippetGenerator
+from repro.snippet.distinct import snippet_signature
 from repro.snippet.generator import SnippetGenerator
 
 

@@ -52,13 +52,6 @@ def test_document_order_matches_prefix_semantics(a, b):
         assert a.is_ancestor_of(b)
 
 
-@given(dewey_labels(), dewey_labels())
-def test_tree_distance_symmetric_and_triangle_with_zero(a, b):
-    assert a.tree_distance(b) == b.tree_distance(a)
-    assert a.tree_distance(a) == 0
-    assert a.tree_distance(b) >= 0
-
-
 @given(label_sets())
 def test_remove_ancestors_returns_antichain_preserving_maximal_elements(labels):
     result = remove_ancestors(labels)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.metrics import distinguishability, snippet_signature
+from repro.eval.metrics import distinguishability
 from repro.index.builder import IndexBuilder
 from repro.search.engine import SearchEngine
-from repro.snippet.distinct import DistinctSnippetGenerator
+from repro.snippet.distinct import DistinctSnippetGenerator, snippet_signature
 from repro.snippet.generator import SnippetGenerator
 from repro.xmltree.builder import tree_from_dict
 

@@ -86,21 +86,10 @@ class TestRelationships:
     def test_ancestor_is_strict(self):
         assert not Dewey((0, 1)).is_ancestor_of(Dewey((0, 1)))
 
-    def test_is_descendant_of(self):
-        assert Dewey((0, 1)).is_descendant_of(Dewey((0,)))
-
     def test_ancestor_or_self(self):
         assert Dewey((0, 1)).is_ancestor_or_self(Dewey((0, 1)))
         assert Dewey((0,)).is_ancestor_or_self(Dewey((0, 1)))
         assert not Dewey((0, 2)).is_ancestor_or_self(Dewey((0, 1)))
-
-    def test_siblings(self):
-        assert Dewey((0, 1)).is_sibling_of(Dewey((0, 2)))
-        assert not Dewey((0, 1)).is_sibling_of(Dewey((0, 1)))
-        assert not Dewey((0, 1)).is_sibling_of(Dewey((1, 1)))
-
-    def test_root_has_no_siblings(self):
-        assert not Dewey.root().is_sibling_of(Dewey((0,)))
 
     def test_common_ancestor(self):
         assert Dewey.common_ancestor(Dewey((0, 1, 2)), Dewey((0, 1, 5))) == Dewey((0, 1))
@@ -116,19 +105,6 @@ class TestRelationships:
     def test_common_ancestor_of_all_empty_raises(self):
         with pytest.raises(DeweyError):
             common_ancestor_of_all([])
-
-    def test_distance_to_ancestor(self):
-        assert Dewey((0, 1, 2)).distance_to_ancestor(Dewey((0,))) == 2
-        assert Dewey((0, 1)).distance_to_ancestor(Dewey((0, 1))) == 0
-
-    def test_distance_to_non_ancestor_raises(self):
-        with pytest.raises(DeweyError):
-            Dewey((0, 1)).distance_to_ancestor(Dewey((1,)))
-
-    def test_tree_distance(self):
-        assert Dewey((0, 1)).tree_distance(Dewey((0, 2))) == 2
-        assert Dewey((0,)).tree_distance(Dewey((0, 1, 2))) == 2
-        assert Dewey((0,)).tree_distance(Dewey((0,))) == 0
 
 
 class TestOrdering:

@@ -195,9 +195,11 @@ class TestApplyTextEdits:
         assert diff_trees(old, shop()).is_empty  # the source is not touched
 
     def test_an_empty_text_clears_the_value(self):
-        city = shop().find_by_tag("city")[0]
-        edited = apply_text_edits(shop(), [(str(city.dewey), "")])
-        assert edited.node(city.dewey).text is None
+        tree = shop()
+        label = tree.find_by_tag("city")[0].dewey
+        edited = apply_text_edits(tree, [(str(label), "")])
+        assert edited.node(label).tag == "city" and edited.node(label).text is None
+        assert tree.node(label).text == "Houston"
 
     def test_each_edit_costs_one_lookup(self, monkeypatch):
         tree = shop()

@@ -5,7 +5,8 @@ ancestors.
 children) and ``children`` holds strong links, so a document version has
 no reference cycle.  While anything holds the root, every upward read —
 ``parent``, ``dewey``, ``iter_ancestors`` — answers as a strong link did;
-once every ancestor of a node is gone, the node reads as a root.
+once a node's parent is gone, every upward read raises
+``DeadParentError`` rather than answer as if the node were a root.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import gc
 import pytest
 
 from repro.datasets import RetailConfig, generate_retail_document
+from repro.errors import DeadParentError
 from repro.index.builder import IndexBuilder
 from repro.index.storage import load_index, save_index
 from repro.xmltree.dewey import Dewey
@@ -124,24 +126,39 @@ class TestCopiesKeepTheirOwnParents:
 
 
 class TestOnceTheAncestorsAreDropped:
-    def test_a_node_reads_as_a_root(self):
+    def test_every_upward_read_raises(self):
         tree = retail()
         store = tree.find_by_tag("store")[0]
         city = store.find_child("city")
         assert store.parent is not None and city.dewey != Dewey((0,))
         del tree
         # no collection needed: nothing but ``store`` held the ancestors
-        assert store.parent is None and store.is_root
-        assert store.dewey == Dewey(())
-        assert list(store.iter_ancestors()) == []
-        # it still keeps its own subtree, parents included
-        assert city.parent is store
-        assert city.dewey == Dewey((city.ordinal,))
+        for read in ("parent", "dewey", "is_root", "depth", "tag_path"):
+            with pytest.raises(DeadParentError, match="<store> was freed"):
+                getattr(store, read)
+        with pytest.raises(DeadParentError):
+            list(store.iter_ancestors())
+        # it still keeps its own subtree, parents included; a repr names
+        # the node without its label
+        assert city.parent is store and city in store.children
+        assert repr(store) == "<XMLNode store@(parent freed)>"
 
-    def test_a_detached_node_can_be_attached_again(self):
+    def test_a_label_read_mid_expression_raises(self):
+        # the label used to read as the root's, ``r``
+        with pytest.raises(DeadParentError, match="<c> was freed"):
+            parse_xml("<a><b><c/></b></a>").tree.root.children[0].children[0].dewey
+
+    def test_a_node_with_a_dead_parent_is_refused(self):
         tree = retail()
         store = tree.find_by_tag("store")[0]
         del tree
         holder = XMLNode("holder")
-        holder.append_child(store)
-        assert store.parent is holder
+        with pytest.raises(DeadParentError):
+            holder.append_child(store)
+        assert holder.children == []
+
+    def test_a_root_reads_as_a_root(self):
+        tree = retail()
+        root = tree.root
+        del tree
+        assert root.parent is None and root.is_root and root.dewey == Dewey(())
