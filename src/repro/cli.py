@@ -611,76 +611,37 @@ def _command_serve_request(args: argparse.Namespace, out) -> int:
         return emit(backend.handle_dict(payload, request=request))
 
 
-def _apply_journalled_update(
-    directory: str,
-    corpus,
-    file: str | None,
-    remove: str | None,
-    name: str | None,
-    out,
-) -> int:
-    """Apply one lifecycle operation to a loaded corpus directory, journal it.
-
-    Shared by ``corpus-update`` (directory = the corpus dir) and
-    ``cluster-update`` (directory = the owning shard's dir): same routing
-    of incremental edits to journal deltas, structural edits and additions
-    to fresh snapshot subdirectories, removals to tombstones.
-    """
-    from repro.corpus import _subdir_for
-    from repro.index.storage import (
-        JournalRecord,
-        append_journal_record,
-        directory_documents,
-        save_index,
-    )
+def _lifecycle_edit(args: argparse.Namespace):
+    """The ``(name, tree, dtd)`` of a ``--file`` / ``--remove`` edit (tree
+    None removes the document), for :func:`repro.corpus.journal_update`."""
+    if args.remove:
+        return args.remove, None, None
+    from repro.xmltree.dtd import dtd_for_tree_text
     from repro.xmltree.parser import parse_xml_file
 
-    mapping = directory_documents(directory)  # subdir -> name
-    subdir_of = {doc_name: subdir for subdir, doc_name in mapping.items()}
+    parsed = parse_xml_file(args.file)
+    # The DTD only matters on the *add* path (updates keep the registered
+    # document's original DTD context) — same contract as the service's
+    # UpdateRequest handling, and same ingestion semantics as corpus-save.
+    dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
+    name = args.name or os.path.splitext(os.path.basename(args.file))[0]
+    return name, parsed.tree, dtd
 
-    def fresh_subdir(name: str) -> str:
-        used = {subdir.lower() for subdir in mapping}
-        used.update(entry.lower() for entry in os.listdir(directory))
-        return _subdir_for(name, used)
 
-    if remove:
-        name = remove
-        report = corpus.remove_document(name)
-        append_journal_record(directory, JournalRecord(kind="remove", subdir=subdir_of[name]))
+def _print_journalled(directory: str, report, record, out) -> None:
+    """Say what :func:`repro.corpus.journal_update` did in ``directory``."""
+    name = report.document
+    if record is None:
+        print(f"{name!r} is unchanged; nothing journalled", file=out)
+    elif record.kind == "remove":
         print(
             f"removed {name!r} from {directory} "
             f"({report.cache_entries_invalidated} cache entries invalidated, journalled)",
             file=out,
         )
-        return 0
-
-    from repro.xmltree.dtd import dtd_for_tree_text
-
-    name = name or os.path.splitext(os.path.basename(file))[0]
-    parsed = parse_xml_file(file)
-    # The DTD only matters on the *add* path (updates keep the registered
-    # document's original DTD context) — same contract as the service's
-    # UpdateRequest handling, and same ingestion semantics as corpus-save.
-    dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
-    report = corpus.apply_update(name, parsed.tree, dtd=dtd)
-    if report.action == "added":
-        snapshot = fresh_subdir(name)
-        save_index(corpus.system(name).index, os.path.join(directory, snapshot))
-        append_journal_record(
-            directory, JournalRecord(kind="add", subdir=snapshot, name=name)
-        )
-        print(
-            f"added {name!r} ({report.nodes} nodes); snapshot in {snapshot}/",
-            file=out,
-        )
-    elif report.changed_nodes == 0:
-        print(f"{name!r} is unchanged; nothing journalled", file=out)
-    elif report.incremental:
-        edits = tuple((str(edit.label), edit.new_text) for edit in report.text_edits)
-        append_journal_record(
-            directory,
-            JournalRecord(kind="update", subdir=subdir_of[name], edits=edits),
-        )
+    elif record.kind == "add":
+        print(f"added {name!r} ({report.nodes} nodes); snapshot in {record.subdir}/", file=out)
+    elif record.kind == "update":
         print(
             f"updated {name!r} incrementally: {report.changed_nodes} node(s), "
             f"{report.changed_terms} term(s); cache kept={report.cache_entries_kept} "
@@ -688,18 +649,11 @@ def _apply_journalled_update(
             file=out,
         )
     else:
-        snapshot = fresh_subdir(name)
-        save_index(corpus.system(name).index, os.path.join(directory, snapshot))
-        append_journal_record(
-            directory,
-            JournalRecord(kind="replace", subdir=subdir_of[name], snapshot=snapshot),
-        )
         print(
             f"updated {name!r} with a full re-index "
-            f"({report.structural_reason}); new snapshot in {snapshot}/",
+            f"({report.structural_reason}); new snapshot in {record.snapshot}/",
             file=out,
         )
-    return 0
 
 
 def _write_port_file(path: str, port: int) -> None:
@@ -920,12 +874,12 @@ def _command_loadgen_ablate(args: argparse.Namespace, out) -> int:
 
 def _command_corpus_update(args: argparse.Namespace, out) -> int:
     """Apply one lifecycle operation to a saved corpus and journal it."""
-    from repro.corpus import Corpus
+    from repro.corpus import Corpus, journal_update
 
     corpus = Corpus.load_dir(args.corpus_dir)
-    return _apply_journalled_update(
-        args.corpus_dir, corpus, args.file, args.remove, args.name, out
-    )
+    report, record = journal_update(args.corpus_dir, corpus, *_lifecycle_edit(args))
+    _print_journalled(args.corpus_dir, report, record, out)
+    return 0
 
 
 def _command_corpus_compact(args: argparse.Namespace, out) -> int:
@@ -993,39 +947,15 @@ def _command_cluster_init(args: argparse.Namespace, out) -> int:
 def _command_cluster_update(args: argparse.Namespace, out) -> int:
     """Route a lifecycle edit to the owning shard, journal it there, and
     bump the cluster manifest version."""
-    from repro.cluster import (
-        partitioner_from_manifest,
-        read_cluster_manifest,
-        saved_cluster_documents,
-        write_cluster_manifest,
-    )
-    from repro.corpus import Corpus
+    from repro.cluster import read_cluster_manifest, update_cluster_document
 
-    directory = args.cluster_dir
-    manifest = read_cluster_manifest(directory)
-    name = args.remove or args.name or os.path.splitext(os.path.basename(args.file))[0]
-
-    # Route on snapshot/journal bookkeeping alone (no shard index is loaded
-    # until the owner is known): the cheap path a large cluster needs.
-    located = saved_cluster_documents(directory, manifest)
-    if name in located:
-        owner = located[name][0]
-    elif args.remove:
-        raise ExtractError(
-            f"no document named {name!r} in the cluster; "
-            f"registered: {', '.join(sorted(located)) or '(none)'}"
-        )
-    else:
-        owner = partitioner_from_manifest(manifest).shard_of(name)
-
-    shard_dir = os.path.join(directory, manifest.shard_dirs[owner])
-    corpus = Corpus.load_dir(shard_dir)
-    print(f"routing {name!r} to shard {owner} ({manifest.shard_dirs[owner]}/)", file=out)
-    code = _apply_journalled_update(shard_dir, corpus, args.file, args.remove, args.name, out)
-    if code == 0:
-        write_cluster_manifest(directory, manifest.bumped())
-        print(f"cluster manifest version {manifest.version} -> {manifest.version + 1}", file=out)
-    return code
+    shard, report, record = update_cluster_document(args.cluster_dir, *_lifecycle_edit(args))
+    manifest = read_cluster_manifest(args.cluster_dir)
+    shard_dir = manifest.shard_dirs[shard]
+    print(f"routing {report.document!r} to shard {shard} ({shard_dir}/)", file=out)
+    _print_journalled(os.path.join(args.cluster_dir, shard_dir), report, record, out)
+    print(f"cluster manifest version {manifest.version - 1} -> {manifest.version}", file=out)
+    return 0
 
 
 def _command_cluster_spawn(args: argparse.Namespace, out) -> int:

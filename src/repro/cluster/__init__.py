@@ -26,9 +26,11 @@ There is **one coordinator**, the router, over two kinds of shard:
   :class:`RemoteClusterService` — the same router plus the process /
   monitor / metrics lifecycle;
 * :mod:`repro.cluster.replication` — :class:`ReplicaSet` (per-shard
-  primary + replicas, read rotation, staleness and promotion) and
-  :func:`rebalance_document`, which moves a document between shards as a
-  remove+add delta pair under a manifest version bump;
+  primary + replicas, read rotation, staleness and promotion),
+  :func:`update_cluster_document`, which journals one lifecycle edit on
+  the owning shard of a saved cluster, and :func:`rebalance_document`,
+  which moves a document between shards as a remove+add delta pair, each
+  under a manifest version bump;
 * :mod:`repro.cluster.health` — :class:`HealthMonitor`, the background
   prober that marks endpoints down/up and promotes past dead primaries.
 
@@ -60,6 +62,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     "repro.cluster.replication": (
         "RebalanceReport", "ReplicaSet", "ShardEndpoint", "rebalance_document",
+        "update_cluster_document",
     ),
     "repro.cluster.router": ("ClusterService",),
     "repro.cluster.shard": ("ShardDelta", "ShardServer"),
@@ -82,6 +85,7 @@ __all__ = [
     "ReplicaSet",
     "RebalanceReport",
     "rebalance_document",
+    "update_cluster_document",
     "HealthMonitor",
     "ShardBackend",
     "ShardProcess",

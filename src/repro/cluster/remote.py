@@ -344,7 +344,7 @@ def spawn_server(
     ``--shard-of`` for a shard, ``--dataset``/``--max-in-flight``/… for a
     load-harness topology); the transport plumbing — ephemeral ``--port
     0``, the atomically-written ``--port-file`` this function polls,
-    stderr capture for error tails — is identical for every spawned
+    output capture for error tails — is identical for every spawned
     topology, which is why the shard spawner and the ablation runner
     share this one implementation.  ``label`` names the process in error
     messages.
@@ -352,7 +352,8 @@ def spawn_server(
     handle, port_file = tempfile.mkstemp(prefix="repro-serve-", suffix=".port")
     os.close(handle)
     os.remove(port_file)
-    stderr_path = port_file + ".stderr"
+    # stdout and stderr both: the CLI prints its ``error: …`` line on stdout
+    output_path = port_file + ".output"
     command = [
         sys.executable,
         "-m",
@@ -368,11 +369,11 @@ def spawn_server(
         "--workers",
         str(workers),
     ]
-    with open(stderr_path, "w", encoding="utf-8") as stderr_handle:
+    with open(output_path, "w", encoding="utf-8") as output_handle:
         process = subprocess.Popen(
             command,
-            stdout=subprocess.DEVNULL,
-            stderr=stderr_handle,
+            stdout=output_handle,
+            stderr=subprocess.STDOUT,
             env=_python_path_env(),
         )
     try:
@@ -386,17 +387,17 @@ def spawn_server(
                 raise ClusterError(
                     f"{label} server exited with code "
                     f"{process.returncode} before publishing its port: "
-                    f"{_tail(stderr_path)}"
+                    f"{_tail(output_path)}"
                 )
             if monotonic() > deadline:
                 process.kill()
                 raise ClusterError(
                     f"{label} server did not publish its port within "
-                    f"{timeout:.0f}s: {_tail(stderr_path)}"
+                    f"{timeout:.0f}s: {_tail(output_path)}"
                 )
             time.sleep(0.02)
     finally:
-        for leftover in (port_file, stderr_path):
+        for leftover in (port_file, output_path):
             if os.path.exists(leftover):
                 os.remove(leftover)
     return ShardProcess(process, shard_id=shard_id, host=host, port=port)
@@ -429,9 +430,9 @@ def _tail(path: str, limit: int = 800) -> str:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             text = handle.read()
     except OSError:
-        return "(no stderr captured)"
+        return "(no output captured)"
     text = text.strip()
-    return text[-limit:] if text else "(empty stderr)"
+    return text[-limit:] if text else "(no output)"
 
 
 # ---------------------------------------------------------------------- #

@@ -29,9 +29,12 @@ silently a primary).  A primary demoted because a write's answer was lost
 is marked stale as well (:meth:`~repro.cluster.remote.RemoteShard.update`):
 it may have applied the write its replicas never saw.
 
-:func:`rebalance_document` is the offline counterpart for saved cluster
-directories: move one document between shards as a remove+add delta pair
-under a manifest version bump (the ``cluster-rebalance`` CLI).
+:func:`update_cluster_document` and :func:`rebalance_document` are the
+offline counterparts for saved cluster directories: route one lifecycle
+edit to its owning shard (the ``cluster-update`` CLI), or move one
+document between shards as a remove+add delta pair (``cluster-rebalance``),
+each under a manifest version bump.  Both journal through
+:func:`repro.corpus.journal_update`, the corpus directory's one writer.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.client import ServiceClient
+    from repro.corpus import DocumentUpdate
+    from repro.index.storage import JournalRecord
+    from repro.xmltree.tree import XMLTree
 
 #: consecutive ``overloaded`` responses after which an endpoint is shed
 OVERLOAD_THRESHOLD = 3
@@ -266,18 +272,13 @@ def rebalance_document(
 
     Crash ordering (matters, so it is pinned here): the target's add lands
     **before** the source's remove, and the manifest bump is **last**.  A
-    crash mid-move can therefore leave the document briefly registered on
-    both shards (re-running the rebalance converges) but never on neither;
+    crash mid-move can therefore leave the document registered on both
+    shards (a re-run converges when the source has the lower shard id: the
+    target's add finds the document and writes nothing) but never on neither;
     and a stale manifest version never describes a half-moved cluster as
     committed.
     """
-    from repro.corpus import Corpus, _subdir_for
-    from repro.index.storage import (
-        JournalRecord,
-        append_journal_record,
-        directory_documents,
-        save_index,
-    )
+    from repro.corpus import Corpus, journal_update
     from repro.xmltree.serialize import to_xml_string
 
     path = os.fspath(directory)
@@ -296,7 +297,7 @@ def rebalance_document(
             f"no document named {document!r} in the cluster; "
             f"registered: {', '.join(sorted(located)) or '(none)'}"
         )
-    source_shard, source_subdir = located[document]
+    source_shard = located[document][0]
     if source_shard == target_shard:
         raise ClusterError(
             f"document {document!r} already lives on shard {target_shard}; "
@@ -306,22 +307,16 @@ def rebalance_document(
     source_dir = os.path.join(path, manifest.shard_dirs[source_shard])
     target_dir = os.path.join(path, manifest.shard_dirs[target_shard])
     source_corpus = Corpus.load_dir(source_dir)
-    system = source_corpus.system(document)
+    index = source_corpus.system(document).index
 
     # 1. Add on the target shard (snapshot + journalled add) — first, so a
     #    crash never leaves the document registered nowhere.
-    used = {entry.lower() for entry in os.listdir(target_dir)}
-    used.update(sub.lower() for sub in directory_documents(target_dir))
-    snapshot = _subdir_for(document, used)
-    save_index(system.index, os.path.join(target_dir, snapshot))
-    append_journal_record(
-        target_dir, JournalRecord(kind="add", subdir=snapshot, name=document)
+    journal_update(
+        target_dir, Corpus.load_dir(target_dir), document, index.tree, dtd=index.analyzer.dtd
     )
 
     # 2. Tombstone on the source shard.
-    append_journal_record(
-        source_dir, JournalRecord(kind="remove", subdir=source_subdir)
-    )
+    journal_update(source_dir, source_corpus, document)
 
     # 3. Commit point: repoint an explicit assignment and bump the version.
     partitioner = partitioner_from_manifest(manifest)
@@ -342,7 +337,7 @@ def rebalance_document(
             shard=target_shard,
             document=document,
             kind="add",
-            xml=to_xml_string(system.index.tree),
+            xml=to_xml_string(index.tree),
         ),
     )
     return RebalanceReport(
@@ -352,3 +347,35 @@ def rebalance_document(
         manifest_version=new_manifest.version,
         deltas=deltas,
     )
+
+
+def update_cluster_document(
+    directory: str | os.PathLike[str], document: str, tree: XMLTree | None = None, dtd=None
+) -> tuple[int, DocumentUpdate, JournalRecord | None]:
+    """Route one lifecycle edit of a saved cluster to the owning shard,
+    journal it there (:func:`repro.corpus.journal_update`; ``tree`` None
+    removes ``document``) and bump the manifest version, last.  Returns
+    the shard id and what the journal writer returned.
+
+    The owner comes from snapshot/journal bookkeeping alone, so no shard
+    index is loaded until it is known; a new document goes where the
+    partitioner places it.
+    """
+    from repro.corpus import Corpus, journal_update
+
+    path = os.fspath(directory)
+    manifest = read_cluster_manifest(path)
+    located = saved_cluster_documents(path, manifest)
+    if document in located:
+        owner = located[document][0]
+    elif tree is None:
+        raise ClusterError(
+            f"no document named {document!r} in the cluster; "
+            f"registered: {', '.join(sorted(located)) or '(none)'}"
+        )
+    else:
+        owner = partitioner_from_manifest(manifest).shard_of(document)
+    shard_dir = os.path.join(path, manifest.shard_dirs[owner])
+    report, record = journal_update(shard_dir, Corpus.load_dir(shard_dir), document, tree, dtd)
+    write_cluster_manifest(path, manifest.bumped())
+    return owner, report, record

@@ -11,7 +11,9 @@ Serving features (the demo ran as a web service):
 * **Persistence** — :meth:`Corpus.save_dir` snapshots every document index
   via :mod:`repro.index.storage`; :meth:`Corpus.load_dir` restores the
   corpus without re-indexing, with byte-identical query results, replaying
-  any append-only update journal left by ``corpus-update``.
+  any append-only update journal; :func:`journal_update` is that
+  journal's one writer (``corpus-update``, ``cluster-update`` and
+  rebalancing call it).
 * **Re-registration** — ``add_*(..., replace=True)`` swaps a document in
   place and explicitly invalidates its result cache and root memo.
 * **Incremental updates** — :meth:`Corpus.update_document` diffs the new
@@ -29,6 +31,7 @@ import threading
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     DatasetError,
@@ -43,6 +46,9 @@ from repro.system import ExtractSystem
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 from repro.xmltree.diff import TextEdit, apply_text_edits, diff_trees
 from repro.xmltree.tree import XMLTree
+
+if TYPE_CHECKING:
+    from repro.index.storage import JournalRecord
 
 #: names accepted by :meth:`Corpus.add_builtin` → generator factory
 _BUILTIN_FACTORIES = {
@@ -88,7 +94,7 @@ class DocumentUpdate:
     ``incremental`` is True when the edit was applied as posting-level
     deltas; ``structural_reason`` explains the full-rebuild fallback when
     it was not.  ``text_edits`` carries the applied edits so persistence
-    (the ``corpus-update`` CLI) can journal exactly what happened.
+    (:func:`journal_update`) can journal exactly what happened.
     """
 
     document: str
@@ -213,17 +219,6 @@ class Corpus:
             old.system.invalidate_cache()
         return entry
 
-    def remove(self, name: str) -> None:
-        """Unregister a document (no-op error if absent); its caches are
-        invalidated, so stale outcomes cannot be served — even if the name
-        is later re-registered."""
-        with self._serving_lock:
-            entry = self._entries.pop(name, None)
-            if entry is None:
-                raise UnknownDocumentError(f"no document named {name!r} in the corpus")
-            self._versions.pop(name, None)
-        entry.system.invalidate_cache()
-
     # ------------------------------------------------------------------ #
     # incremental document lifecycle
     # ------------------------------------------------------------------ #
@@ -313,12 +308,20 @@ class Corpus:
 
     def remove_document(self, name: str) -> DocumentUpdate:
         """Unregister a document, reporting what was dropped (the lifecycle
-        counterpart of :meth:`update_document`; :meth:`remove` remains as
-        the report-less original)."""
+        counterpart of :meth:`update_document`).  Its caches are
+        invalidated, so stale outcomes cannot be served — even if the name
+        is later re-registered."""
         with self._update_lock:
-            entry = self.entry(name)
+            with self._serving_lock:
+                entry = self._entries.pop(name, None)
+                if entry is None:
+                    raise UnknownDocumentError(
+                        f"no document named {name!r} in the corpus; registered: "
+                        f"{', '.join(sorted(self._entries)) or '(none)'}"
+                    )
+                self._versions.pop(name, None)
             dropped = _cache_entries(entry.system)
-            self.remove(name)
+            entry.system.invalidate_cache()
             return DocumentUpdate(
                 document=name,
                 action="removed",
@@ -447,7 +450,6 @@ class Corpus:
         used: set[str] = set()
         for name in self.names():
             subdir = _subdir_for(name, used)
-            used.add(subdir.lower())
             save_index(self._entries[name].system.index, os.path.join(path, subdir))
             entries.append((subdir, name))
             subdirs.append(subdir)
@@ -480,6 +482,7 @@ class Corpus:
             load_index,
             read_corpus_journal,
             read_corpus_manifest,
+            resolve_journal,
         )
 
         path = os.fspath(directory)
@@ -487,91 +490,40 @@ class Corpus:
         journal = read_corpus_journal(path)
 
         staged = cls(algorithm=algorithm or manifest.algorithm, cache_size=cache_size)
-        names_by_subdir: dict[str, str] = {}
-        for subdir, name in manifest.entries:
-            # The registry name comes from the manifest; the tree keeps the
-            # document name restored by load_index, so ResultSet.document_name
-            # (and cache keys) are identical before and after the round trip
-            # even when a document was registered under a different name.
+
+        def register(subdir: str, name: str, replace: bool = False) -> None:
+            # The tree keeps the document name load_index restores, so cache
+            # keys and ResultSet.document_name survive the round trip even
+            # under a different registry name.
             index = load_index(os.path.join(path, subdir))
             staged._register(
                 name,
                 ExtractSystem(index, algorithm=staged.algorithm, cache_size=cache_size),
+                replace=replace,
             )
-            names_by_subdir[subdir] = name
-        staged._replay_journal(path, journal, names_by_subdir)
-        return staged
 
-    def _replay_journal(
-        self,
-        path: str,
-        records: list,
-        names_by_subdir: dict[str, str],
-    ) -> None:
-        """Apply journal records to a freshly staged corpus, in order.
-
-        Text-only updates flow through :meth:`update_document`, so a
-        replayed corpus is byte-identical to the corpus the updates were
-        originally applied to.  Any inconsistency (unknown document
-        directory, missing node, duplicate add) is a :class:`StorageError`.
-        """
-        from repro.index.storage import load_index
-
-        def resolve(subdir: str) -> str:
-            name = names_by_subdir.get(subdir)
-            if name is None:
-                raise StorageError(
-                    f"update journal references unknown document directory {subdir!r}"
-                )
-            return name
-
-        for record in records:
+        for subdir, name in manifest.entries:
+            register(subdir, name)
+        # Replay in order: text-only updates flow through update_document,
+        # so a replayed corpus is byte-identical to the corpus the updates
+        # were originally applied to.
+        for record, name in resolve_journal(dict(manifest.entries), journal):
             try:
-                if record.kind == "add":
-                    if record.subdir in names_by_subdir:
-                        raise StorageError(
-                            f"update journal adds duplicate document directory {record.subdir!r}"
-                        )
-                    index = load_index(os.path.join(path, record.subdir))
-                    self._register(
-                        record.name,
-                        ExtractSystem(
-                            index, algorithm=self.algorithm, cache_size=self.cache_size
-                        ),
-                    )
-                    names_by_subdir[record.subdir] = record.name
-                elif record.kind == "remove":
-                    name = resolve(record.subdir)
-                    self.remove(name)
-                    del names_by_subdir[record.subdir]
-                elif record.kind == "replace":
-                    name = resolve(record.subdir)
-                    index = load_index(os.path.join(path, record.snapshot))
-                    self._register(
-                        name,
-                        ExtractSystem(
-                            index, algorithm=self.algorithm, cache_size=self.cache_size
-                        ),
-                        replace=True,
-                    )
-                    del names_by_subdir[record.subdir]
-                    names_by_subdir[record.snapshot] = name
-                elif record.kind == "update":
-                    name = resolve(record.subdir)
-                    tree = self.system(name).index.tree
+                if record.kind == "update":
                     try:
-                        edited = apply_text_edits(tree, record.edits)
+                        edited = apply_text_edits(staged.system(name).index.tree, record.edits)
                     except DeweyError:
                         raise  # a malformed label is reported as it is spelled
                     except ExtractError as exc:
                         raise StorageError(
                             f"update journal references {exc} in document {name!r}"
                         ) from exc
-                    self.update_document(name, edited)
+                    staged.update_document(name, edited)
+                elif record.kind == "remove":
+                    staged.remove_document(name)
                 else:
-                    raise StorageError(
-                        f"unknown update journal record kind {record.kind!r}"
-                    )
+                    replace = record.kind == "replace"
+                    register(record.snapshot if replace else record.subdir, name, replace)
             except StorageError:
                 raise
             except ExtractError as exc:
@@ -579,6 +531,7 @@ class Corpus:
                     f"replaying journal record {record.kind!r} for directory "
                     f"{record.subdir!r} failed: {exc}"
                 ) from exc
+        return staged
 
     def summary(self) -> list[dict[str, object]]:
         """One row per document: name, nodes, entity tags (for listings)."""
@@ -593,6 +546,60 @@ class Corpus:
 
     def __repr__(self) -> str:
         return f"<Corpus documents={len(self._entries)}>"
+
+
+def journal_update(
+    directory: str | os.PathLike[str],
+    corpus: Corpus,
+    name: str,
+    tree: XMLTree | None = None,
+    dtd=None,
+) -> tuple[DocumentUpdate, JournalRecord | None]:
+    """Apply one lifecycle edit to ``corpus``, loaded from ``directory``,
+    and journal it there: the one writer of a corpus directory's journal.
+
+    ``tree`` None removes ``name``; otherwise the edit is
+    :meth:`Corpus.apply_update`'s upsert (``dtd`` applies to an add only).
+    An add or a structural update saves its snapshot into a fresh
+    subdirectory (one no live document and no entry on disk holds) before
+    journalling ``add`` / ``replace``; a text-only update journals its
+    edits, a remove a tombstone, and an edit that changed nothing writes
+    nothing.  Returns the report and the record appended (or None).
+    """
+    from repro.index.storage import (
+        JournalRecord,
+        append_journal_record,
+        directory_documents,
+        save_index,
+    )
+
+    path = os.fspath(directory)
+    documents = directory_documents(path)
+    subdir_of = {document: subdir for subdir, document in documents.items()}
+
+    def save_fresh() -> str:
+        used = {entry.lower() for entry in os.listdir(path)}
+        used.update(subdir.lower() for subdir in documents)
+        subdir = _subdir_for(name, used)
+        save_index(corpus.system(name).index, os.path.join(path, subdir))
+        return subdir
+
+    if tree is None:
+        report = corpus.remove_document(name)
+        record = JournalRecord(kind="remove", subdir=subdir_of[name])
+    else:
+        report = corpus.apply_update(name, tree, dtd=dtd)
+        if report.action == "added":
+            record = JournalRecord(kind="add", subdir=save_fresh(), name=name)
+        elif report.changed_nodes == 0:
+            return report, None
+        elif report.incremental:
+            edits = tuple((str(edit.label), edit.new_text) for edit in report.text_edits)
+            record = JournalRecord(kind="update", subdir=subdir_of[name], edits=edits)
+        else:
+            record = JournalRecord(kind="replace", subdir=subdir_of[name], snapshot=save_fresh())
+    append_journal_record(path, record)
+    return report, record
 
 
 @dataclass(frozen=True)
@@ -656,11 +663,8 @@ def compact_corpus_dir(
     path = os.path.normpath(os.fspath(directory))
     records = read_corpus_journal(path)
     corpus = Corpus.load_dir(path, cache_size=cache_size)
-    touched: set[str] = set()
-    for record in records:
-        touched.add(record.subdir)
-        if record.snapshot:
-            touched.add(record.snapshot)
+    touched = {record.subdir for record in records}
+    touched.update(record.snapshot for record in records if record.snapshot)
 
     subdir_of = {name: subdir for subdir, name in directory_documents(path).items()}
     staging = f"{path}.compacting"
@@ -684,7 +688,6 @@ def compact_corpus_dir(
                 )
             else:
                 subdir = _subdir_for(name, used)
-                used.add(subdir.lower())
                 save_index(corpus.system(name).index, os.path.join(staging, subdir))
             entries.append((subdir, name))
             subdirs.append(subdir)
@@ -814,7 +817,8 @@ def _cache_entries(system: ExtractSystem) -> int:
 
 
 def _subdir_for(name: str, used: set[str]) -> str:
-    """A filesystem-safe, collision-free subdirectory name for a document.
+    """A filesystem-safe, collision-free subdirectory name for a document,
+    reserved in ``used`` (lower-cased names).
 
     Collisions are detected case-insensitively so that documents whose
     names differ only by case ("Doc" vs "doc") get distinct directories on
@@ -827,4 +831,5 @@ def _subdir_for(name: str, used: set[str]) -> str:
     while candidate.lower() in used:
         counter += 1
         candidate = f"{base}-{counter}"
+    used.add(candidate.lower())
     return candidate

@@ -13,20 +13,23 @@ builds on both to round-trip whole multi-document corpora
 
 This module also owns the **corpus-level persistence**: the
 ``corpus.manifest`` written by :meth:`Corpus.save_dir` and the
-**append-only update journal** (``corpus.journal``) the ``corpus-update``
-CLI appends to.  Journal records describe document-lifecycle operations —
-inline text deltas for incremental updates, references to freshly written
-snapshot subdirectories for structural replacements and additions, and
-removals — and :meth:`Corpus.load_dir` replays them over the base
-snapshots through the same incremental machinery the live corpus uses, so
-a reloaded corpus is byte-identical to the corpus the updates were
-originally applied to.
+**append-only update journal** (``corpus.journal``) that
+:func:`repro.corpus.journal_update`, its one writer, appends to.  Journal
+records describe document-lifecycle operations — inline text deltas for
+incremental updates, references to freshly written snapshot
+subdirectories for structural replacements and additions, and removals.
+:func:`resolve_journal` is the one interpreter of a journal: both
+:func:`directory_documents` and :meth:`Corpus.load_dir` walk it, and the
+load replays each record over the base snapshots through the same
+incremental machinery the live corpus uses, so a reloaded corpus is
+byte-identical to the corpus the updates were originally applied to.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import StorageError
@@ -150,6 +153,9 @@ def read_corpus_manifest(directory: str | os.PathLike[str]) -> CorpusManifest:
                 entries.append((subdir, name or subdir))
     except OSError as exc:
         raise StorageError(f"failed to read corpus manifest {manifest_path}: {exc}") from exc
+    for column in zip(*entries):  # the subdirs, then the names
+        if len(set(column)) < len(column):
+            raise StorageError(f"corpus manifest {manifest_path} lists a directory or name twice")
     return CorpusManifest(algorithm=algorithm, entries=tuple(entries))
 
 
@@ -306,37 +312,54 @@ def discard_corpus_journal(directory: str | os.PathLike[str]) -> bool:
     return True
 
 
-def directory_documents(directory: str | os.PathLike[str]) -> dict[str, str]:
-    """The subdir → document-name mapping after journal bookkeeping.
-
-    Pure bookkeeping (no index is loaded): the manifest entries with every
-    journal record's add/remove/replace applied.  The ``corpus-update`` CLI
-    uses it to resolve which snapshot subdirectory currently backs a name.
+def resolve_journal(
+    documents: dict[str, str], records: Iterable[JournalRecord]
+) -> Iterator[tuple[JournalRecord, str]]:
+    """The one interpreter of a journal: walk ``records`` against the
+    running subdir → document-name map ``documents`` (the manifest's
+    entries, updated in place), yielding each record with the name of the
+    document it acts on once its checks pass.  An ``add`` names a subdir
+    and a name no live document holds, any other record a live subdir, and
+    a ``replace`` moves its document to a subdir that backs none; anything
+    else is a :class:`StorageError`.
     """
-    manifest = read_corpus_manifest(directory)
-    mapping: dict[str, str] = dict(manifest.entries)
-    for record in read_corpus_journal(directory):
+    names = set(documents.values())
+    for record in records:
         if record.kind == "add":
-            if record.subdir in mapping:
+            if record.subdir in documents:
                 raise StorageError(
                     f"update journal adds duplicate document directory {record.subdir!r}"
                 )
-            mapping[record.subdir] = record.name or record.subdir
+            if record.name in names:
+                raise StorageError(f"update journal adds duplicate document {record.name!r}")
+            name = documents[record.subdir] = record.name
+            names.add(name)
+        elif record.subdir not in documents:
+            raise StorageError(
+                f"update journal references unknown document directory {record.subdir!r}"
+            )
         elif record.kind == "remove":
-            if record.subdir not in mapping:
-                raise StorageError(
-                    f"update journal references unknown document directory {record.subdir!r}"
-                )
-            del mapping[record.subdir]
+            name = documents.pop(record.subdir)
+            names.discard(name)
         elif record.kind == "replace":
-            if record.subdir not in mapping:
+            if record.snapshot in documents:
                 raise StorageError(
-                    f"update journal references unknown document directory {record.subdir!r}"
+                    f"update journal replaces {record.subdir!r} with {record.snapshot!r}, "
+                    f"which already backs document {documents[record.snapshot]!r}"
                 )
-            mapping[record.snapshot or record.subdir] = mapping.pop(record.subdir)
+            name = documents[record.snapshot] = documents.pop(record.subdir)
         elif record.kind == "update":
-            if record.subdir not in mapping:
-                raise StorageError(
-                    f"update journal references unknown document directory {record.subdir!r}"
-                )
-    return mapping
+            name = documents[record.subdir]
+        else:
+            raise StorageError(f"unknown update journal record kind {record.kind!r}")
+        yield record, name
+
+
+def directory_documents(directory: str | os.PathLike[str]) -> dict[str, str]:
+    """The subdir → document-name mapping after journal bookkeeping: no
+    index is loaded, :func:`resolve_journal` runs with its records thrown
+    away."""
+    documents = dict(read_corpus_manifest(directory).entries)
+    for _ in resolve_journal(documents, read_corpus_journal(directory)):
+        pass
+    return documents

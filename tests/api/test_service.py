@@ -613,7 +613,7 @@ class TestStaleCacheRegression:
         assert before.total_results == 1
         assert "Alpha" in before.results[0].text
 
-        corpus.remove("doc")
+        corpus.remove_document("doc")
         corpus.add_tree("doc", new)
         after = service.run(request)
         assert after.from_cache is False
@@ -673,7 +673,7 @@ class TestObservability:
         try:
             for round_number in range(20):
                 corpus.add_xml("transient", "<d><item><name>x</name></item></d>", replace=True)
-                corpus.remove("transient")
+                corpus.remove_document("transient")
         finally:
             stop.set()
             poller.join()

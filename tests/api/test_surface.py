@@ -24,7 +24,7 @@ PUBLIC_METHODS = {
     },
     Corpus: {
         "add_builtin", "add_file", "add_system", "add_tree", "add_xml",
-        "apply_update", "entries_snapshot", "entry", "live_versions", "load_dir", "names", "remove",
+        "apply_update", "entries_snapshot", "entry", "live_versions", "load_dir", "names",
         "remove_document", "save_dir", "summary", "system",
         "update_document",
     },

@@ -13,8 +13,13 @@ from repro.cluster import (
     ClusterService,
     ExplicitPartitioner,
     read_cluster_manifest,
+    rebalance_document,
+    saved_cluster_documents,
 )
+from repro.corpus import Corpus, journal_update
 from repro.errors import StorageError
+from repro.index.storage import directory_documents
+from repro.xmltree.builder import tree_from_dict
 
 from tests.cluster.conftest import QUERIES, build_corpus
 
@@ -176,3 +181,30 @@ class TestCorruptClusters:
             handle.write("#extract-corpus-journal v1\nupdate ghost-dir 1\n")
         with pytest.raises(StorageError):
             ClusterService.load_dir(path)
+
+
+class TestRebalanceCrash:
+    def test_a_rerun_after_the_targets_add_converges(self, tmp_path):
+        # A crash between the target's add and the source's remove leaves
+        # the document on both shards.  With the source at the lower id the
+        # name still resolves to the source, and a re-run finishes the move:
+        # the target's add finds the document and journals nothing.
+        corpus = Corpus()
+        for name in "abcd":
+            corpus.add_tree(name, tree_from_dict("r", {"x": name}, name=name))
+        path = tmp_path / "cluster"
+        ClusterService.from_corpus(corpus, shards=2).save_dir(path)
+        manifest = read_cluster_manifest(path)
+        document = min(
+            name for name, (shard, _) in saved_cluster_documents(path, manifest).items()
+            if shard == 0
+        )
+        source, target = (path / manifest.shard_dirs[shard] for shard in (0, 1))
+        index = Corpus.load_dir(source).system(document).index
+        journal_update(target, Corpus.load_dir(target), document, index.tree, index.analyzer.dtd)
+        assert document in Corpus.load_dir(source) and document in Corpus.load_dir(target)
+
+        assert rebalance_document(path, document, 1).manifest_version == 2
+        assert document not in Corpus.load_dir(source)
+        assert list(directory_documents(target).values()).count(document) == 1
+        assert ClusterService.load_dir(path).owner_of(document).shard_id == 1

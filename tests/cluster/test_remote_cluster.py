@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -272,6 +273,19 @@ class TestSpawnValidation:
     def test_spawn_rejects_bad_replica_count(self, cluster_dir):
         with pytest.raises(ClusterError, match="replicas"):
             RemoteClusterService.spawn(cluster_dir, replicas=0)
+
+    def test_a_shard_that_dies_at_start_up_says_why(self, cluster_dir, tmp_path):
+        # the child prints its ``error: …`` line on stdout, not stderr
+        damaged = tmp_path / "cluster"
+        shutil.copytree(cluster_dir, damaged)
+        manifest = read_cluster_manifest(damaged)
+        snapshot = next((damaged / manifest.shard_dirs[0]).glob("*/snapshot.bin"))
+        snapshot.write_bytes(snapshot.read_bytes()[:100])
+        with pytest.raises(ClusterError) as raised:
+            RemoteClusterService.spawn(damaged, replicas=1)
+        message = str(raised.value)
+        assert message.startswith("shard 0 server exited with code 1 before publishing its port")
+        assert "error: binary index" in message and "is truncated" in message
 
     def test_constructor_rejects_gapped_shard_ids(self):
         from repro.cluster import ReplicaSet, ShardEndpoint

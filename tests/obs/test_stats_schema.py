@@ -59,7 +59,7 @@ class TestEnvelope:
         del tree
         assert service.corpus.update_document("stores", edited).incremental
         assert service.stats()["live_versions"] == dict.fromkeys(documents, 1)
-        service.corpus.remove("movies")
+        service.corpus.remove_document("movies")
         assert list(service.stats()["live_versions"]) == ["bibliography", "retail", "stores"]
 
     def test_cluster_service_envelope(self, cluster):

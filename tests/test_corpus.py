@@ -58,10 +58,10 @@ class TestRegistration:
     def test_remove(self, small_retailer_tree):
         corpus = Corpus()
         corpus.add_tree("doc", small_retailer_tree)
-        corpus.remove("doc")
+        corpus.remove_document("doc")
         assert "doc" not in corpus
         with pytest.raises(ExtractError):
-            corpus.remove("doc")
+            corpus.remove_document("doc")
 
 
 class TestAccessAndQuerying:
@@ -126,7 +126,7 @@ class TestReplaceRegistration:
         corpus.add_tree("doc", small_retailer_tree)
         system = corpus.system("doc")
         corpus.system("doc").run_query("store texas")
-        corpus.remove("doc")
+        corpus.remove_document("doc")
         assert len(system.cache) == 0
 
 

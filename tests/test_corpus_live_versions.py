@@ -269,5 +269,5 @@ def test_a_retired_version_lives_while_a_request_holds_it():
     assert corpus.live_versions() == {name: 2}
     del held
     assert corpus.live_versions() == {name: 1}
-    corpus.remove(name)
+    corpus.remove_document(name)
     assert corpus.live_versions() == {}

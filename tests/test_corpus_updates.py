@@ -7,11 +7,14 @@ hardened ``load_dir``.
 
 from __future__ import annotations
 
+import io
 import json
+import shutil
 
 import pytest
 
 from repro.api import SearchRequest, SnippetService, UpdateRequest
+from repro.cli import main
 from repro.corpus import Corpus
 from repro.errors import ExtractError, StorageError
 from repro.index.storage import (
@@ -23,6 +26,7 @@ from repro.index.storage import (
 )
 from repro.xmltree.builder import tree_from_dict
 from repro.xmltree.diff import clone_tree
+from repro.xmltree.serialize import to_xml_string
 
 
 def retailer_tree(galleria_city="Houston", categories=("suit", "jeans")):
@@ -784,6 +788,78 @@ class TestHardenedLoadDir:
         journal.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(StorageError, match="truncated"):
             Corpus.load_dir(directory)
+
+    def saved_pair(self, tmp_path):
+        """A saved corpus of ``doc`` and ``other``, plus a spare copy of
+        ``doc``'s snapshot in ``spare/`` that backs no document."""
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree())
+        corpus.add_tree("other", retailer_tree("Dallas"))
+        directory = tmp_path / "corpus"
+        corpus.save_dir(directory)
+        shutil.copytree(directory / "doc", directory / "spare")
+        return directory
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            (
+                JournalRecord(kind="replace", subdir="doc", snapshot="other"),
+                "update journal replaces 'doc' with 'other', which already backs "
+                "document 'other'",
+            ),
+            (
+                JournalRecord(kind="add", subdir="other", name="third"),
+                "update journal adds duplicate document directory 'other'",
+            ),
+            (
+                JournalRecord(kind="add", subdir="spare", name="other"),
+                "update journal adds duplicate document 'other'",
+            ),
+        ],
+        ids=["replace-onto-a-live-subdir", "add-onto-a-live-subdir", "add-a-live-name"],
+    )
+    def test_journal_onto_a_live_document_fails_load_and_bookkeeping(
+        self, tmp_path, record, message
+    ):
+        directory = self.saved_pair(tmp_path)
+        append_journal_record(directory, record)
+        with pytest.raises(StorageError) as loaded:
+            Corpus.load_dir(directory)
+        with pytest.raises(StorageError) as mapped:
+            directory_documents(directory)
+        assert str(loaded.value) == str(mapped.value) == message
+
+    @pytest.mark.parametrize(
+        "entries", ["entry doc doc\nentry doc other", "entry doc doc\nentry other doc"]
+    )
+    def test_a_manifest_naming_a_directory_or_a_name_twice_fails_load_and_bookkeeping(
+        self, tmp_path, entries
+    ):
+        directory = self.saved_pair(tmp_path)
+        (directory / "corpus.manifest").write_text(
+            f"#extract-corpus v1\n#algorithm slca\n{entries}\n", encoding="utf-8"
+        )
+        for read in (Corpus.load_dir, directory_documents):
+            with pytest.raises(StorageError, match="lists a directory or name twice"):
+                read(directory)
+
+    def test_corpus_update_over_a_replace_onto_a_live_subdir_is_an_error_line(self, tmp_path):
+        directory = self.saved_pair(tmp_path)
+        append_journal_record(
+            directory, JournalRecord(kind="replace", subdir="doc", snapshot="other")
+        )
+        edited = tmp_path / "other.xml"
+        edited.write_text(to_xml_string(retailer_tree("Plano")), encoding="utf-8")
+        out = io.StringIO()
+        code = main(
+            ["corpus-update", "--corpus-dir", str(directory), "--file", str(edited)], out=out
+        )
+        assert code == 1
+        assert out.getvalue() == (
+            "error: update journal replaces 'doc' with 'other', which already backs "
+            "document 'other'\n"
+        )
 
 
 class TestHostileUpdateXml:
