@@ -506,6 +506,15 @@ class SnippetPayload:
     ``snippet_edges`` / ``covered_items`` / ``coverable_items`` / ``text``
     are ``None`` when the request asked for results only
     (``include_snippets=False``).
+
+    ``wire`` is this payload's sorted-key JSON text
+    (``json.dumps(to_dict(), sort_keys=True)``), pinned by the first
+    :func:`encode_response` that puts the payload on a meta-free page and
+    reused by every later one.  A payload is immutable and a slot keeps
+    its payload (``SnippetService._snippet_payload``), so the text lives
+    and dies with the slot; two racing encoders pin equal texts, and
+    either may stay.  It is never an ``__init__`` argument, so
+    ``dataclasses.replace`` drops it.
     """
 
     kind: ClassVar[str] = "snippet"
@@ -520,6 +529,7 @@ class SnippetPayload:
     covered_items: int | None = None
     coverable_items: int | None = None
     text: str | None = None
+    wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -865,7 +875,7 @@ _SEARCH_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(SearchRequest))
 _BATCH_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(BatchRequest))
 _UPDATE_REQUEST_FIELDS = _allowed_fields(f.name for f in fields(UpdateRequest))
 _SNIPPET_PAYLOAD_FIELDS = _allowed_fields(
-    (f.name for f in fields(SnippetPayload)), envelope=False
+    (f.name for f in fields(SnippetPayload) if f.init), envelope=False
 )
 _SEARCH_RESPONSE_FIELDS = _allowed_fields(
     (
@@ -937,21 +947,69 @@ def parse_response(
     return parser.from_dict(payload)
 
 
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _value_text(value: Any) -> str:
+    """The JSON text of one top-level field value, as :data:`_encode`
+    writes it (an exact ``int`` is its ``str``)."""
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return str(value)
+    return _encode(value)
+
+
+def _payload_text(payload: SnippetPayload) -> str:
+    """``payload``'s JSON text, encoded once and pinned on it
+    (:attr:`SnippetPayload.wire`)."""
+    text = payload.wire
+    if text is None:
+        text = _encode(payload.to_dict())
+        # Equal payloads encode to equal text, so a racing pin is harmless.
+        object.__setattr__(payload, "wire", text)
+    return text
+
+
+def _search_response_text(response: SearchResponse) -> str:
+    """The default-form JSON text of ``response``, assembled in sorted-key
+    order from its header values and each result's pinned text: the bytes
+    of ``json.dumps(response.to_dict(), sort_keys=True)``."""
+    return "".join((
+        '{"algorithm": ', _value_text(response.algorithm),
+        ', "document": ', _value_text(response.document),
+        ', "keywords": ', _value_text(response.keywords),
+        ', "kind": ', _value_text(response.kind),
+        ', "next_page": ', _value_text(response.next_page),
+        ', "page": ', _value_text(response.page),
+        ', "page_size": ', _value_text(response.page_size),
+        ', "query": ', _value_text(response.query),
+        ', "results": [', ", ".join(map(_payload_text, response.results)),
+        '], "schema_version": ', _value_text(response.schema_version),
+        ', "total_results": ', _value_text(response.total_results),
+        "}",
+    ))
+
+
 def encode_response(
     response: "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse | dict[str, Any]",
 ) -> str:
     """The JSON text of a response: the one encoder behind every wire body.
 
-    A typed response is encoded in its default form (no ``meta``); a
+    A typed response is encoded in its default form (no ``meta``).  A
     :class:`SearchResponse` pinned to the text it arrived as
-    (:attr:`SearchResponse.wire`) returns that text unchanged.  A dict —
+    (:attr:`SearchResponse.wire`) returns that text unchanged; any other
+    search response is assembled from its header values and each
+    result's :attr:`SnippetPayload.wire`, encoded by the first page that
+    served the payload — so a warm page re-encodes no snippet.  A dict —
     a response with ``meta`` (``to_dict(include_meta=True)``, which the
     gateway adds ``meta.trace`` to), an error body built by a
     frontend — is encoded as is.  Keys are sorted, so equal responses are
     equal bytes.
     """
     if isinstance(response, dict):
-        return json.dumps(response, sort_keys=True)
-    if isinstance(response, SearchResponse) and response.wire is not None:
-        return response.wire
-    return json.dumps(response.to_dict(), sort_keys=True)
+        return _encode(response)
+    if isinstance(response, SearchResponse):
+        return response.wire if response.wire is not None else _search_response_text(response)
+    return _encode(response.to_dict())

@@ -273,12 +273,14 @@ def rebalance_document(
     Crash ordering (matters, so it is pinned here): the target's add lands
     **before** the source's remove, and the manifest bump is **last**.  A
     crash mid-move can therefore leave the document registered on both
-    shards (a re-run converges when the source has the lower shard id: the
-    target's add finds the document and writes nothing) but never on neither;
-    and a stale manifest version never describes a half-moved cluster as
-    committed.
+    shards but never on neither, and a stale manifest version never
+    describes a half-moved cluster as committed.  A re-run with the same
+    target converges whichever shard id is lower: the target's add finds
+    the document and writes nothing, and the copy on the other shard is
+    removed.
     """
     from repro.corpus import Corpus, journal_update
+    from repro.index.storage import directory_documents
     from repro.xmltree.serialize import to_xml_string
 
     path = os.fspath(directory)
@@ -299,10 +301,21 @@ def rebalance_document(
         )
     source_shard = located[document][0]
     if source_shard == target_shard:
-        raise ClusterError(
-            f"document {document!r} already lives on shard {target_shard}; "
-            "nothing to rebalance"
-        )
+        # A name on two shards resolves to the lower id, so a move to the
+        # lower shard that crashed after its add has its source above.
+        above = [
+            shard_id
+            for shard_id in range(target_shard + 1, manifest.shards)
+            if document in directory_documents(
+                os.path.join(path, manifest.shard_dirs[shard_id])
+            ).values()
+        ]
+        if not above:
+            raise ClusterError(
+                f"document {document!r} already lives on shard {target_shard}; "
+                "nothing to rebalance"
+            )
+        source_shard = above[0]
 
     source_dir = os.path.join(path, manifest.shard_dirs[source_shard])
     target_dir = os.path.join(path, manifest.shard_dirs[target_shard])

@@ -28,8 +28,9 @@ matters.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
+from functools import partial
 
 from repro.errors import InvalidSizeBoundError
 from repro.search.results import QueryResult
@@ -80,6 +81,14 @@ class GreedyInstanceSelector:
 
         snippet = Snippet(result)
         covered = snippet.chosen_instances
+        skip_unfitting = self.skip_unfitting_items
+        # The strategy is picked once per snippet, not once per item.
+        if self.strategy == SelectionStrategy.GREEDY_CLOSEST:
+            choose = snippet.cheapest_instance
+        elif self.strategy == SelectionStrategy.FIRST_INSTANCE:
+            choose = partial(self._choose_in_result, snippet, min)
+        else:
+            choose = partial(self._choose_in_result, snippet, self._random_instance)
         for item in ilist:
             instances = item.instances
             if not len(instances):
@@ -90,14 +99,15 @@ class GreedyInstanceSelector:
                 # hand-built IList may repeat identities).
                 continue
             remaining = size_bound - snippet.size_edges
-            chosen = self._choose_instance(
-                snippet, instances, remaining if self.skip_unfitting_items else None
-            )
+            # ``budget`` is the edges left to spend when an item that does
+            # not fit is simply skipped: the closest-instance search then
+            # leaves out what cannot fit.
+            chosen = choose(instances, remaining if skip_unfitting else None)
             if chosen is None:
                 continue
             instance, cost = chosen
             if cost > remaining:
-                if self.skip_unfitting_items:
+                if skip_unfitting:
                     continue
                 break
             snippet.add_instance(item, instance)
@@ -106,24 +116,24 @@ class GreedyInstanceSelector:
     # ------------------------------------------------------------------ #
     # instance choice strategies
     # ------------------------------------------------------------------ #
-    def _choose_instance(
-        self, snippet: Snippet, instances: Sequence[int], budget: int | None
+    @staticmethod
+    def _choose_in_result(
+        snippet: Snippet,
+        pick: Callable[[list[int]], int],
+        instances: Sequence[int],
+        budget: int | None,
     ) -> tuple[int, int] | None:
-        """The instance (a ``pre`` id) to cover an item with, and its cost;
-        instances outside the result are never chosen (``None`` when none
-        is left).  ``budget`` is the edges left to spend when an item that
-        does not fit is simply skipped: the closest-instance search then
-        leaves out what cannot fit."""
-        if self.strategy == SelectionStrategy.GREEDY_CLOSEST:
-            return snippet.cheapest_instance(instances, budget)
+        """The instance (a ``pre`` id) ``pick`` takes among those inside
+        the result, and its cost (``None`` when none is inside); the
+        ablation strategies ignore ``budget``."""
         valid = [pre for pre in instances if snippet.result.contains(pre)]
         if not valid:
             return None
-        if self.strategy == SelectionStrategy.FIRST_INSTANCE:
-            instance = min(valid)
-            return instance, snippet.cost_of(instance)
-        instance = self._random.choice(sorted(valid))
+        instance = pick(valid)
         return instance, snippet.cost_of(instance)
+
+    def _random_instance(self, valid: list[int]) -> int:
+        return self._random.choice(sorted(valid))
 
     def __repr__(self) -> str:
         return f"<GreedyInstanceSelector strategy={self.strategy.value}>"

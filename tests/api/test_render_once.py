@@ -5,7 +5,9 @@ The payload a slot is served with is a pure function of its result, so
 on the slot, and returns the stored payload to every later request.  A
 repeated page renders nothing and copies no snippet tree; a follow-up page
 renders exactly its own slots; a cold page renders each of its slots once;
-and none of this moves a wire byte.
+and none of this moves a wire byte.  The same holds for the payload's
+JSON text: the first page that serves a slot encodes its payload, and a
+warm hit assembles the page from the stored texts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from repro.api import SearchRequest, SnippetService
 from repro.api import service as service_module
+from repro.api.protocol import SnippetPayload
 from repro.corpus import Corpus
 from repro.snippet.snippet_tree import Snippet
 
@@ -135,6 +138,46 @@ def test_results_only_pages_render_nothing(service, renders):
     service.run(request(page=1, include_snippets=False))
     service.run(request(page=1, include_snippets=False))
     assert renders.rendered == [] and renders.trees == 0
+
+
+@pytest.fixture()
+def payload_dicts(monkeypatch):
+    """Result ids ``SnippetPayload.to_dict`` was called for."""
+    called: list[int] = []
+    to_dict = SnippetPayload.to_dict
+
+    def counted_to_dict(self):
+        called.append(self.result_id)
+        return to_dict(self)
+
+    monkeypatch.setattr(SnippetPayload, "to_dict", counted_to_dict)
+    return called
+
+
+def test_a_payload_is_encoded_once(service, payload_dicts):
+    # a first read encodes each slot it serves, once
+    body(service, page=1)
+    assert payload_dicts == list(range(PAGE_SIZE))
+    del payload_dicts[:]
+    body(service, page=2)
+    assert payload_dicts == list(range(PAGE_SIZE, 2 * PAGE_SIZE))
+    # a page overlapping both encodes only the slots nobody served yet
+    del payload_dicts[:]
+    body(service, page=1, page_size=3 * PAGE_SIZE)
+    assert payload_dicts == list(range(2 * PAGE_SIZE, 3 * PAGE_SIZE))
+    # a warm hit encodes no payload dict
+    del payload_dicts[:]
+    for page in (1, 2, 1, 2):
+        body(service, page=page)
+    body(service, page=1, page_size=3 * PAGE_SIZE)
+    assert payload_dicts == []
+
+
+def test_a_results_only_page_encodes_its_fresh_payloads(service, payload_dicts):
+    # results-only payloads are built per request and stored nowhere
+    body(service, page=1, include_snippets=False)
+    body(service, page=1, include_snippets=False)
+    assert payload_dicts == 2 * list(range(PAGE_SIZE))
 
 
 def served_bodies(service) -> list[str]:

@@ -17,7 +17,7 @@ from repro.cluster import (
     saved_cluster_documents,
 )
 from repro.corpus import Corpus, journal_update
-from repro.errors import StorageError
+from repro.errors import ClusterError, StorageError
 from repro.index.storage import directory_documents
 from repro.xmltree.builder import tree_from_dict
 
@@ -208,3 +208,30 @@ class TestRebalanceCrash:
         assert document not in Corpus.load_dir(source)
         assert list(directory_documents(target).values()).count(document) == 1
         assert ClusterService.load_dir(path).owner_of(document).shard_id == 1
+
+    def test_a_rerun_converges_when_the_target_has_the_lower_id(self, tmp_path):
+        # The same crash on a move from shard 1 to shard 0: the name now
+        # resolves to the target, and the re-run removes the copy on the
+        # source instead of refusing a move to where the name resolves.
+        corpus = Corpus()
+        for name in "abcd":
+            corpus.add_tree(name, tree_from_dict("r", {"x": name}, name=name))
+        path = tmp_path / "cluster"
+        ClusterService.from_corpus(corpus, shards=2).save_dir(path)
+        manifest = read_cluster_manifest(path)
+        document = min(
+            name for name, (shard, _) in saved_cluster_documents(path, manifest).items()
+            if shard == 1
+        )
+        target, source = (path / manifest.shard_dirs[shard] for shard in (0, 1))
+        index = Corpus.load_dir(source).system(document).index
+        journal_update(target, Corpus.load_dir(target), document, index.tree, index.analyzer.dtd)
+        assert saved_cluster_documents(path, manifest)[document][0] == 0
+
+        report = rebalance_document(path, document, 0)
+        assert (report.source_shard, report.target_shard, report.manifest_version) == (1, 0, 2)
+        assert document not in Corpus.load_dir(source)
+        assert list(directory_documents(target).values()).count(document) == 1
+        assert ClusterService.load_dir(path).owner_of(document).shard_id == 0
+        with pytest.raises(ClusterError, match="nothing to rebalance"):
+            rebalance_document(path, document, 0)
