@@ -22,7 +22,7 @@ Walks the ``repro.api`` protocol end to end:
 * serve the same documents from a **sharded cluster**
   (:class:`~repro.cluster.ClusterService`): byte-identical responses for
   any shard count, shard provenance in the opt-in ``meta`` block, and
-  replication deltas a replica can re-apply,
+  updates routed to the owning shard,
 * put the whole thing **on the network**: wrap the service in the gateway
   (tracing, metrics, deadlines, admission control),
   start the HTTP frontend (:class:`~repro.api.HttpServer`), and
@@ -198,12 +198,13 @@ def main() -> None:
         print(f"served by shard {with_meta.shard} "
               f"(meta block: {sorted(with_meta.to_dict(include_meta=True)['meta'])})")
 
-        # Updates route to the owning shard and come back as a replication
-        # delta: node-level edits, not the whole document.
-        _, delta = cluster.run_update_with_delta(
+        # Updates route to the owning shard, which applies the text-only
+        # edit incrementally, exactly as a single corpus would.
+        routed = cluster.run_update(
             UpdateRequest(document="stores", xml=to_xml_string(edited))
         )
-        print(f"replication delta: {delta!r}")
+        print(f"update routed to shard {routed.shard}: "
+              f"{routed.changed_nodes} node(s) changed, incremental={routed.incremental}")
 
     # The same cluster persists and reloads from disk:
     #   python -m repro.cli cluster-init --dataset retail --shards 4 --output ./cluster

@@ -173,12 +173,12 @@ class SnippetService(ServingBackendBase):
         """Like :meth:`run_update`, but also returns the raw corpus report.
 
         The report carries what the wire response deliberately omits — the
-        applied text edits above all — which is exactly what journalling
-        (the ``corpus-update`` CLI) and shard replication
-        (:meth:`repro.cluster.ShardServer.update`) need to describe
-        the operation as a delta instead of a document.
+        applied text edits above all — which is exactly what a primary
+        shard's ``apply-update`` op
+        (:meth:`repro.cluster.ShardBackend.handle_replicate`) needs to
+        describe the operation as a delta (:meth:`repro.cluster.ShardDelta.of`)
+        instead of a document.
         """
-        from repro.xmltree.dtd import dtd_for_tree_text
         from repro.xmltree.parser import parse_xml
 
         request.validate()
@@ -187,8 +187,7 @@ class SnippetService(ServingBackendBase):
             report = self.corpus.remove_document(request.document)
         else:
             parsed = parse_xml(request.xml or "", name=request.document)
-            dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
-            report = self.corpus.apply_update(request.document, parsed.tree, dtd=dtd)
+            report = self.corpus.apply_update(request.document, parsed.tree, dtd=parsed.dtd())
         response = UpdateResponse(
             document=report.document,
             action=report.action,

@@ -616,16 +616,14 @@ def _lifecycle_edit(args: argparse.Namespace):
     None removes the document), for :func:`repro.corpus.journal_update`."""
     if args.remove:
         return args.remove, None, None
-    from repro.xmltree.dtd import dtd_for_tree_text
     from repro.xmltree.parser import parse_xml_file
 
     parsed = parse_xml_file(args.file)
+    name = args.name or os.path.splitext(os.path.basename(args.file))[0]
     # The DTD only matters on the *add* path (updates keep the registered
     # document's original DTD context) — same contract as the service's
     # UpdateRequest handling, and same ingestion semantics as corpus-save.
-    dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
-    name = args.name or os.path.splitext(os.path.basename(args.file))[0]
-    return name, parsed.tree, dtd
+    return name, parsed.tree, parsed.dtd()
 
 
 def _print_journalled(directory: str, report, record, out) -> None:
@@ -989,8 +987,6 @@ def _command_cluster_rebalance(args: argparse.Namespace, out) -> int:
         f"shard {report.target_shard} (manifest version {report.manifest_version})",
         file=out,
     )
-    for delta in report.deltas:
-        print(f"  {delta!r}", file=out)
     return 0
 
 

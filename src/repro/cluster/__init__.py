@@ -15,8 +15,9 @@ There is **one coordinator**, the router, over two kinds of shard:
   placement and union-registry errors, written once against a duck-typed
   shard seam;
 * :mod:`repro.cluster.shard` — :class:`ShardServer`, the in-process
-  shard: one corpus plus service, producing and applying replication
-  deltas (:class:`ShardDelta`) so replicas stay byte-identical to their
+  shard: one corpus plus service, applying replication deltas
+  (:class:`ShardDelta`, built from a primary's corpus report by
+  :meth:`ShardDelta.of`) so replicas stay byte-identical to their
   primary;
 * :mod:`repro.cluster.remote` — the distributed deployment:
   :class:`RemoteShard` (read rotation and failover, primary-first writes

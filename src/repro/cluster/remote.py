@@ -158,7 +158,7 @@ class ShardBackend(ServingBackendBase):
         fully functional backend.
         """
         try:
-            response, _delta = self.shard.update(request)
+            response = self.shard.update(request)
         except ExtractError as error:
             return ErrorResponse.from_exception(error, request=request.to_dict())
         self._bump_sequence()
@@ -201,7 +201,7 @@ class ShardBackend(ServingBackendBase):
                 f"got kind {getattr(request, 'kind', None)!r}"
             )
         try:
-            response, delta = self.shard.update(request)
+            response, report = self.shard.service.run_update_with_report(request)
         except ExtractError as error:
             # The rejection is the primary's *answer*, not a transport
             # fault: ship it structured, with the byte-exact request echo.
@@ -219,7 +219,7 @@ class ShardBackend(ServingBackendBase):
             # Full (meta-included) form: the coordinator re-serialises to
             # the caller's meta preference, so nothing may be dropped here.
             "response": response.to_dict(include_meta=True),
-            "delta": delta.to_wire(),
+            "delta": ShardDelta.of(self.shard.shard_id, request, report).to_wire(),
             "sequence": sequence,
         }
 
@@ -559,7 +559,7 @@ class RemoteShard:
     # ------------------------------------------------------------------ #
     # the write path (primary + delta fan-out)
     # ------------------------------------------------------------------ #
-    def update(self, request: UpdateRequest) -> tuple[UpdateResponse, ShardDelta | None]:
+    def update(self, request: UpdateRequest) -> UpdateResponse:
         replica_set = self.replica_set
         primary = replica_set.primary
         try:
@@ -601,19 +601,20 @@ class RemoteShard:
             raise ClusterError(f"malformed replication reply from shard {self.shard_id}")
 
         sequence = raw.get("sequence")
-        delta_wire = raw.get("delta")
         if isinstance(sequence, int) and not isinstance(sequence, bool):
             replica_set.record_commit(sequence)
-            self._replicate_delta(delta_wire, sequence)
+            self._replicate_delta(raw.get("delta"), sequence)
         with self._lock:
             if request.action == "remove":
                 self._names.discard(request.document)
             else:
                 self._names.add(request.document)
-        return parsed, ShardDelta.from_wire(delta_wire) if delta_wire is not None else None
+        return parsed
 
     def _replicate_delta(self, delta_wire: Any, sequence: int) -> None:
-        """Fan the primary's delta to every replica; divergence = stale."""
+        """Fan the primary's delta to every replica as it arrived, unparsed:
+        each replica validates it (:meth:`ShardDelta.from_wire`), and one
+        that refuses it or misses it is stale."""
         if delta_wire is None:
             return
         replica_set = self.replica_set

@@ -32,7 +32,7 @@ it may have applied the write its replicas never saw.
 :func:`update_cluster_document` and :func:`rebalance_document` are the
 offline counterparts for saved cluster directories: route one lifecycle
 edit to its owning shard (the ``cluster-update`` CLI), or move one
-document between shards as a remove+add delta pair (``cluster-rebalance``),
+document between shards as a remove+add record pair (``cluster-rebalance``),
 each under a manifest version bump.  Both journal through
 :func:`repro.corpus.journal_update`, the corpus directory's one writer.
 """
@@ -52,7 +52,6 @@ from repro.cluster.partition import (
     saved_cluster_documents,
     write_cluster_manifest,
 )
-from repro.cluster.shard import ShardDelta
 from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -255,8 +254,6 @@ class RebalanceReport:
     source_shard: int
     target_shard: int
     manifest_version: int
-    #: the move expressed in replication terms: (remove on source, add on target)
-    deltas: tuple[ShardDelta, ShardDelta]
 
 
 def rebalance_document(
@@ -264,7 +261,7 @@ def rebalance_document(
 ) -> RebalanceReport:
     """Move ``document`` to ``target_shard`` in a saved cluster directory.
 
-    The move is a remove+add delta pair in journal terms: the document's
+    The move is a remove+add record pair in journal terms: the document's
     index is snapshotted into the target shard (journalled as an ``add``),
     tombstoned on the source shard (journalled as a ``remove``), and the
     manifest version is bumped — with an explicit partitioner the
@@ -281,7 +278,6 @@ def rebalance_document(
     """
     from repro.corpus import Corpus, journal_update
     from repro.index.storage import directory_documents
-    from repro.xmltree.serialize import to_xml_string
 
     path = os.fspath(directory)
     manifest = read_cluster_manifest(path)
@@ -343,22 +339,11 @@ def rebalance_document(
         partitioner, manifest.shard_dirs, version=manifest.version + 1
     )
     write_cluster_manifest(path, new_manifest)
-
-    deltas = (
-        ShardDelta(shard=source_shard, document=document, kind="remove"),
-        ShardDelta(
-            shard=target_shard,
-            document=document,
-            kind="add",
-            xml=to_xml_string(index.tree),
-        ),
-    )
     return RebalanceReport(
         document=document,
         source_shard=source_shard,
         target_shard=target_shard,
         manifest_version=new_manifest.version,
-        deltas=deltas,
     )
 
 

@@ -12,7 +12,7 @@ All routing policy lives here, once; of a shard the router touches only
 ``shard_id``, ``names()`` / ``in`` / ``len()``, ``capture(document)`` /
 ``capture_all()`` (pins, opaque to the router, handed back on execution),
 ``search(request, pin)`` / ``batch(sub_batch, pins)``, ``update(request)
--> (response, delta)``, ``describe()``, ``cache_stats()`` and ``close()``.
+-> response``, ``describe()``, ``cache_stats()`` and ``close()``.
 :class:`~repro.cluster.shard.ShardServer` implements that in process (the
 pin is the captured corpus entry),
 :class:`~repro.cluster.remote.RemoteShard` over a replica set of spawned
@@ -31,9 +31,9 @@ processes — failover and replication live there, below the seam.
   otherwise — so the merged :class:`~repro.api.BatchResponse` is exactly
   what a single corpus would have produced.
 * **Update** — routed to the owning shard (registered documents) or to
-  the partitioner's assignment (new documents); the shard returns the
-  response plus a :class:`~repro.cluster.shard.ShardDelta` for
-  replication/journalling (:meth:`ClusterService.run_update_with_delta`).
+  the partitioner's assignment (new documents), which answers the
+  response; a replication delta exists only below the seam, on a remote
+  shard's primary→replica hop.
 
 Shard provenance is volatile serving metadata: responses are stamped with
 the serving shard id, emitted only inside the opt-in ``meta`` block — the
@@ -68,7 +68,7 @@ from repro.cluster.partition import (
     read_cluster_manifest,
     write_cluster_manifest,
 )
-from repro.cluster.shard import ShardDelta, ShardServer
+from repro.cluster.shard import ShardServer
 from repro.errors import ClusterError, ExtractError, StorageError, UnknownDocumentError
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 
@@ -327,19 +327,7 @@ class ClusterService(ServingBackendBase):
 
         Registered documents update in place on their current shard; new
         documents go where the partitioner places them; removals must name
-        a registered document.  The shard's replication delta is returned
-        by :meth:`run_update_with_delta`.
-        """
-        return self.run_update_with_delta(request)[0]
-
-    def run_update_with_delta(
-        self, request: UpdateRequest
-    ) -> tuple[UpdateResponse, ShardDelta]:
-        """Like :meth:`run_update`, but also returns the replication delta.
-
-        This is the journalling/replication entry point: the returned
-        delta belongs to *this* call, so concurrent updaters each get
-        their own.
+        a registered document.  The response is stamped with the shard.
         """
         request.validate()
         shard = self.owner_of(request.document)
@@ -347,8 +335,7 @@ class ClusterService(ServingBackendBase):
             if request.action == "remove":
                 raise self._unknown_document(request.document)
             shard = self._placement_shard(request.document)
-        response, delta = shard.update(request)
-        return replace(response, shard=shard.shard_id), delta
+        return replace(shard.update(request), shard=shard.shard_id)
 
     def execute_update(self, request: UpdateRequest) -> UpdateResponse | ErrorResponse:
         return self._execute(self.run_update, request)

@@ -2,16 +2,22 @@
 
 A :class:`ShardServer` owns the per-shard :class:`~repro.corpus.Corpus`
 and :class:`~repro.api.SnippetService`; the router delegates the requests
-a shard owns to it.  Its contribution beyond plain delegation is the
-**replication primitive**: every document-lifecycle operation is described
-as a :class:`ShardDelta` — the same shapes the on-disk update journal uses
-(node-level text edits for incremental updates, full XML only for
-structural changes and additions, tombstones for removals) — and
-:meth:`ShardServer.apply_delta` applies such a delta through the exact
-incremental machinery (:mod:`repro.index.incremental` via
-:meth:`repro.corpus.Corpus.update_document`) the primary used.  A replica
-that applies a primary's deltas in order therefore serves responses
-byte-identical to the primary: ship journal deltas, not documents.
+a shard owns to it, and its ``update(request)`` answers the
+:class:`~repro.api.UpdateResponse` alone, as a single corpus would.
+
+The **replication primitive** is a :class:`ShardDelta`, which exists
+only on the hop that carries it — a primary's ``apply-update`` answer to
+its coordinator and the ``apply-delta`` ops fanned on to the replicas
+(:mod:`repro.cluster.remote`).  :meth:`ShardDelta.of` spells an operation
+in the shapes the on-disk update journal uses, read off the corpus report
+(:attr:`~repro.corpus.DocumentUpdate.kind`: node-level text edits for
+incremental updates, full XML only for structural changes and additions,
+tombstones for removals), and :meth:`ShardServer.apply_delta` replays it
+through the exact incremental machinery (:mod:`repro.index.incremental`
+via :meth:`repro.corpus.Corpus.replay_label_edits`) the primary used.  A
+replica that applies a primary's deltas in order therefore serves
+responses byte-identical to the primary: ship journal deltas, not
+documents.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from repro.api.protocol import (
 )
 from repro.api.service import SnippetService
 from repro.corpus import Corpus
-from repro.errors import ClusterError, DeweyError, ExtractError, UnknownDocumentError
+from repro.errors import ClusterError, UnknownDocumentError
 from repro.utils.cache import DEFAULT_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,6 +115,24 @@ class ShardDelta:
             edits.append((pair[0], pair[1]))
         return cls(shard=shard, document=document, kind=kind, xml=xml, edits=tuple(edits))
 
+    @classmethod
+    def of(
+        cls, shard_id: int, request: UpdateRequest, report: "DocumentUpdate"
+    ) -> "ShardDelta":
+        """The delta that replays ``report``, the outcome of ``request`` on
+        shard ``shard_id``: its kind and label edits are the report's own
+        (:attr:`~repro.corpus.DocumentUpdate.kind`), and an add or a
+        replace carries the request's XML.  An update that changed
+        nothing is an empty ``update``: a replica applies it to keep its
+        sequence in step with the primary's."""
+        return cls(
+            shard=shard_id,
+            document=report.document,
+            kind=report.kind,
+            xml=request.xml if report.kind in ("add", "replace") else None,
+            edits=report.label_edits,
+        )
+
     def __repr__(self) -> str:
         payload = f"edits={len(self.edits)}" if self.kind == "update" else (
             "tombstone" if self.kind == "remove" else f"xml={len(self.xml or '')}B"
@@ -177,6 +201,11 @@ class ShardServer:
     def batch(self, sub_batch: BatchRequest, pins: "list[CorpusEntry]") -> BatchResponse:
         return self.service.run_batch(sub_batch, entries=pins)
 
+    def update(self, request: UpdateRequest) -> UpdateResponse:
+        """Apply a lifecycle request to this shard: exactly what a
+        single-corpus :meth:`~repro.api.SnippetService.run_update` does."""
+        return self.service.run_update(request)
+
     def describe(self) -> dict[str, object]:
         """This shard's row in the router's ``stats()``."""
         return {"shard": self.shard_id, "documents": len(self)}
@@ -188,49 +217,20 @@ class ShardServer:
         """Nothing to release: the shard's service holds no resources."""
 
     # ------------------------------------------------------------------ #
-    # the replication primitive
+    # the replica side of replication
     # ------------------------------------------------------------------ #
-    def update(self, request: UpdateRequest) -> tuple[UpdateResponse, ShardDelta]:
-        """Apply a lifecycle request to this shard; return the replication delta.
-
-        The response is exactly what a single-corpus
-        :meth:`~repro.api.SnippetService.run_update` would return; the
-        delta describes the operation in journal terms so a replica (or
-        the cluster-update journaller) can re-apply it without shipping
-        the whole document when a node-level delta suffices.
-        """
-        response, report = self.service.run_update_with_report(request)
-        return response, self._delta_for(request, report)
-
-    def _delta_for(self, request: UpdateRequest, report: "DocumentUpdate") -> ShardDelta:
-        if report.action == "removed":
-            return ShardDelta(shard=self.shard_id, document=report.document, kind="remove")
-        if report.action == "added":
-            return ShardDelta(
-                shard=self.shard_id, document=report.document, kind="add", xml=request.xml
-            )
-        if report.incremental:
-            edits = tuple((str(edit.label), edit.new_text) for edit in report.text_edits)
-            return ShardDelta(
-                shard=self.shard_id, document=report.document, kind="update", edits=edits
-            )
-        return ShardDelta(
-            shard=self.shard_id, document=report.document, kind="replace", xml=request.xml
-        )
-
     def apply_delta(self, delta: ShardDelta) -> "DocumentUpdate":
         """Apply a primary's delta to this shard (the replica side).
 
-        Text deltas flow through :meth:`Corpus.update_document` — the same
-        incremental path the primary took — so the replica's postings,
+        Text deltas flow through :meth:`Corpus.replay_label_edits` into
+        :meth:`Corpus.update_document` — the same incremental path the
+        primary took — so the replica's postings,
         caches-to-invalidate decisions and served bytes match the primary
         exactly; full-XML deltas re-register through the upsert path, and
         tombstones remove.  Raises :class:`ClusterError` when the delta
         references a node or document this shard does not have — a replica
         that silently skipped a delta would drift forever.
         """
-        from repro.xmltree.diff import apply_text_edits
-        from repro.xmltree.dtd import dtd_for_tree_text
         from repro.xmltree.parser import parse_xml
 
         if delta.kind == "remove":
@@ -246,21 +246,16 @@ class ShardServer:
                     f"replication delta edits unknown document {delta.document!r} "
                     f"on shard {self.shard_id}"
                 )
-            tree = self.corpus.system(delta.document).index.tree
-            try:
-                edited = apply_text_edits(tree, delta.edits)
-            except DeweyError:
-                raise  # a malformed label is reported as it is spelled
-            except ExtractError as exc:
-                raise ClusterError(
-                    f"replication delta references {exc} "
-                    f"in document {delta.document!r} on shard {self.shard_id}"
-                ) from exc
-            return self.corpus.update_document(delta.document, edited)
+            return self.corpus.replay_label_edits(
+                delta.document,
+                delta.edits,
+                lambda missing: ClusterError(
+                    f"replication delta references {missing} on shard {self.shard_id}"
+                ),
+            )
         if delta.kind in ("replace", "add"):
             parsed = parse_xml(delta.xml or "", name=delta.document)
-            dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
-            return self.corpus.apply_update(delta.document, parsed.tree, dtd=dtd)
+            return self.corpus.apply_update(delta.document, parsed.tree, dtd=parsed.dtd())
         raise ClusterError(f"unknown replication delta kind {delta.kind!r}")
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ import os
 import re
 import threading
 import weakref
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -93,8 +93,10 @@ class DocumentUpdate:
 
     ``incremental`` is True when the edit was applied as posting-level
     deltas; ``structural_reason`` explains the full-rebuild fallback when
-    it was not.  ``text_edits`` carries the applied edits so persistence
-    (:func:`journal_update`) can journal exactly what happened.
+    it was not.  ``text_edits`` carries the applied edits, and
+    :attr:`kind` / :attr:`label_edits` spell the operation the way a
+    journal record (:func:`journal_update`) and a replication delta
+    (:meth:`repro.cluster.ShardDelta.of`) replay it.
     """
 
     document: str
@@ -111,6 +113,24 @@ class DocumentUpdate:
     cache_entries_invalidated: int = 0
     structural_reason: str | None = None
     text_edits: tuple[TextEdit, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """The record kind that replays this operation: ``"add"``,
+        ``"remove"``, ``"update"`` (text-only edits, or none at all) or
+        ``"replace"`` (a structural edit, replayed from the full new
+        version)."""
+        if self.action == "added":
+            return "add"
+        if self.action == "removed":
+            return "remove"
+        return "update" if self.incremental else "replace"
+
+    @property
+    def label_edits(self) -> tuple[tuple[str, str], ...]:
+        """The applied text edits as ``(label text, new text)`` pairs —
+        what :meth:`Corpus.replay_label_edits` takes back."""
+        return tuple((str(edit.label), edit.new_text) for edit in self.text_edits)
 
     def __repr__(self) -> str:
         mode = "incremental" if self.incremental else "full"
@@ -357,6 +377,28 @@ class Corpus:
                 changed_nodes=tree.size_nodes,
             )
 
+    def replay_label_edits(
+        self,
+        name: str,
+        edits: Iterable[tuple[str, str]],
+        refuse: Callable[[str], ExtractError],
+    ) -> DocumentUpdate:
+        """Re-apply ``(label text, new text)`` edits to ``name`` through
+        :meth:`update_document`: how a journal ``update`` record and a
+        replication ``update`` delta replay :attr:`DocumentUpdate.label_edits`.
+
+        A label that names no node raises ``refuse(message)``, the
+        caller's own error; a malformed label raises its
+        :class:`~repro.errors.DeweyError` as it is spelled.
+        """
+        try:
+            edited = apply_text_edits(self.system(name).index.tree, edits)
+        except DeweyError:
+            raise
+        except ExtractError as exc:
+            raise refuse(f"{exc} in document {name!r}") from exc
+        return self.update_document(name, edited)
+
     def _swap_entry(self, name: str, old_entry: CorpusEntry, new_entry: CorpusEntry) -> None:
         """Atomically publish ``new_entry``, verifying the base is current."""
         with self._serving_lock:
@@ -478,60 +520,7 @@ class Corpus:
 
         ``algorithm`` overrides the manifest's recorded algorithm.
         """
-        from repro.index.storage import (
-            load_index,
-            read_corpus_journal,
-            read_corpus_manifest,
-            resolve_journal,
-        )
-
-        path = os.fspath(directory)
-        manifest = read_corpus_manifest(path)
-        journal = read_corpus_journal(path)
-
-        staged = cls(algorithm=algorithm or manifest.algorithm, cache_size=cache_size)
-
-        def register(subdir: str, name: str, replace: bool = False) -> None:
-            # The tree keeps the document name load_index restores, so cache
-            # keys and ResultSet.document_name survive the round trip even
-            # under a different registry name.
-            index = load_index(os.path.join(path, subdir))
-            staged._register(
-                name,
-                ExtractSystem(index, algorithm=staged.algorithm, cache_size=cache_size),
-                replace=replace,
-            )
-
-        for subdir, name in manifest.entries:
-            register(subdir, name)
-        # Replay in order: text-only updates flow through update_document,
-        # so a replayed corpus is byte-identical to the corpus the updates
-        # were originally applied to.
-        for record, name in resolve_journal(dict(manifest.entries), journal):
-            try:
-                if record.kind == "update":
-                    try:
-                        edited = apply_text_edits(staged.system(name).index.tree, record.edits)
-                    except DeweyError:
-                        raise  # a malformed label is reported as it is spelled
-                    except ExtractError as exc:
-                        raise StorageError(
-                            f"update journal references {exc} in document {name!r}"
-                        ) from exc
-                    staged.update_document(name, edited)
-                elif record.kind == "remove":
-                    staged.remove_document(name)
-                else:
-                    replace = record.kind == "replace"
-                    register(record.snapshot if replace else record.subdir, name, replace)
-            except StorageError:
-                raise
-            except ExtractError as exc:
-                raise StorageError(
-                    f"replaying journal record {record.kind!r} for directory "
-                    f"{record.subdir!r} failed: {exc}"
-                ) from exc
-        return staged
+        return _load_staged(cls, directory, algorithm, cache_size)[0]
 
     def summary(self) -> list[dict[str, object]]:
         """One row per document: name, nodes, entity tags (for listings)."""
@@ -546,6 +535,69 @@ class Corpus:
 
     def __repr__(self) -> str:
         return f"<Corpus documents={len(self._entries)}>"
+
+
+def _load_staged(
+    cls: type[Corpus],
+    directory: str | os.PathLike[str],
+    algorithm: str | None,
+    cache_size: int,
+) -> tuple[Corpus, dict[str, str], list[JournalRecord]]:
+    """:meth:`Corpus.load_dir`'s staged load into a fresh ``cls``, with what
+    it read on the way: the corpus, the subdir → document-name map after
+    journal bookkeeping (:func:`~repro.index.storage.resolve_journal`'s
+    running map) and the journal records, so compaction reads the
+    directory once."""
+    from repro.index.storage import (
+        load_index,
+        read_corpus_journal,
+        read_corpus_manifest,
+        resolve_journal,
+    )
+
+    path = os.fspath(directory)
+    manifest = read_corpus_manifest(path)
+    records = read_corpus_journal(path)
+    documents = dict(manifest.entries)
+
+    staged = cls(algorithm=algorithm or manifest.algorithm, cache_size=cache_size)
+
+    def register(subdir: str, name: str, replace: bool = False) -> None:
+        # The tree keeps the document name load_index restores, so cache
+        # keys and ResultSet.document_name survive the round trip even
+        # under a different registry name.
+        index = load_index(os.path.join(path, subdir))
+        staged._register(
+            name,
+            ExtractSystem(index, algorithm=staged.algorithm, cache_size=cache_size),
+            replace=replace,
+        )
+
+    def missing_node(missing: str) -> StorageError:
+        return StorageError(f"update journal references {missing}")
+
+    for subdir, name in manifest.entries:
+        register(subdir, name)
+    # Replay in order: text-only updates flow through update_document,
+    # so a replayed corpus is byte-identical to the corpus the updates
+    # were originally applied to.
+    for record, name in resolve_journal(documents, records):
+        try:
+            if record.kind == "update":
+                staged.replay_label_edits(name, record.edits, missing_node)
+            elif record.kind == "remove":
+                staged.remove_document(name)
+            else:
+                replace = record.kind == "replace"
+                register(record.snapshot if replace else record.subdir, name, replace)
+        except StorageError:
+            raise
+        except ExtractError as exc:
+            raise StorageError(
+                f"replaying journal record {record.kind!r} for directory "
+                f"{record.subdir!r} failed: {exc}"
+            ) from exc
+    return staged, documents, records
 
 
 def journal_update(
@@ -586,18 +638,16 @@ def journal_update(
 
     if tree is None:
         report = corpus.remove_document(name)
-        record = JournalRecord(kind="remove", subdir=subdir_of[name])
     else:
         report = corpus.apply_update(name, tree, dtd=dtd)
-        if report.action == "added":
-            record = JournalRecord(kind="add", subdir=save_fresh(), name=name)
-        elif report.changed_nodes == 0:
-            return report, None
-        elif report.incremental:
-            edits = tuple((str(edit.label), edit.new_text) for edit in report.text_edits)
-            record = JournalRecord(kind="update", subdir=subdir_of[name], edits=edits)
-        else:
-            record = JournalRecord(kind="replace", subdir=subdir_of[name], snapshot=save_fresh())
+    if report.kind == "update" and not report.text_edits:
+        return report, None
+    if report.kind == "add":
+        record = JournalRecord(kind="add", subdir=save_fresh(), name=name)
+    elif report.kind == "replace":
+        record = JournalRecord(kind="replace", subdir=subdir_of[name], snapshot=save_fresh())
+    else:  # an "update" with its label edits, or a "remove", which has none
+        record = JournalRecord(kind=report.kind, subdir=subdir_of[name], edits=report.label_edits)
     append_journal_record(path, record)
     return report, record
 
@@ -652,21 +702,14 @@ def compact_corpus_dir(
     """
     import shutil
 
-    from repro.index.storage import (
-        BINARY_FILE,
-        directory_documents,
-        read_corpus_journal,
-        save_index,
-        write_corpus_manifest,
-    )
+    from repro.index.storage import BINARY_FILE, save_index, write_corpus_manifest
 
     path = os.path.normpath(os.fspath(directory))
-    records = read_corpus_journal(path)
-    corpus = Corpus.load_dir(path, cache_size=cache_size)
+    corpus, documents, records = _load_staged(Corpus, path, None, cache_size)
     touched = {record.subdir for record in records}
     touched.update(record.snapshot for record in records if record.snapshot)
 
-    subdir_of = {name: subdir for subdir, name in directory_documents(path).items()}
+    subdir_of = {name: subdir for subdir, name in documents.items()}
     staging = f"{path}.compacting"
     backup = f"{path}.pre-compact"
     for leftover in (staging, backup):

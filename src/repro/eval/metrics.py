@@ -12,19 +12,16 @@ The paper's four goals give the metric set:
   overall IList coverage it achieves within that bound.
 
 All metrics are computed from a :class:`GeneratedSnippet`, so eXtract and
-every tree-producing baseline are measured identically; the text baseline
-has a dedicated keyword/key containment measure.
+every tree-producing baseline are measured identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.snippet.baselines import TextSnippet
 from repro.snippet.distinct import snippet_signature
 from repro.snippet.generator import GeneratedSnippet
 from repro.snippet.ilist import ItemKind
-from repro.utils.text import normalize_value
 
 
 @dataclass
@@ -120,11 +117,6 @@ def distinguishability(snippets: list[GeneratedSnippet]) -> float:
             if signatures[first] != signatures[second]:
                 distinct += 1
     return distinct / pairs if pairs else 1.0
-
-
-def text_snippet_contains(snippet: TextSnippet, phrase: str) -> bool:
-    """Does a flat text snippet contain (normalised) ``phrase``?"""
-    return normalize_value(phrase) in normalize_value(snippet.text)
 
 
 def mean(values: list[float]) -> float:

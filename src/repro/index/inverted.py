@@ -18,7 +18,6 @@ from the tree's ``parent`` table.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
 
 from repro.errors import IndexNotBuiltError
 from repro.index.postings import PostingList
@@ -145,10 +144,6 @@ class InvertedIndex:
         if len(found) == 1:
             return found[0]
         return PostingList.union_all(found)
-
-    def lookup_all(self, keywords: Iterable[str]) -> dict[str, PostingList]:
-        """Posting lists for many keywords at once."""
-        return {keyword: self.lookup(keyword) for keyword in keywords}
 
     def contains_term(self, keyword: str) -> bool:
         self._ensure_built()

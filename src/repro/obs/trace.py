@@ -293,14 +293,6 @@ class Trace:
         )
         return span_id
 
-    def absorb_timings(
-        self, phases: dict[str, float], prefix: str = "phase:"
-    ) -> None:
-        """Fold a :class:`~repro.utils.timing.TimingBreakdown`'s per-phase
-        totals in as leaf spans under the currently open span."""
-        for phase, seconds in phases.items():
-            self.add_span(f"{prefix}{phase}", seconds)
-
     def absorb_header(self, text: str) -> None:
         """Keep a remote process's ``X-Repro-Trace-Spans`` value (a JSON
         list of wire spans), raw, as one entry anchored to the currently

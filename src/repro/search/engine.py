@@ -14,7 +14,7 @@ from repro.index.builder import DocumentIndex
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results
-from repro.search.results import QueryResult, ResultSet
+from repro.search.results import ResultSet
 from repro.search.slca import compute_slca
 from repro.search.xseek import ResultConstruction, build_all_results
 from repro.utils.timing import TimingBreakdown
@@ -124,23 +124,8 @@ class SearchEngine:
             total_results=total,
         )
 
-    def keyword_statistics(self, query: str | KeywordQuery) -> dict[str, int]:
-        """Per-keyword match counts (useful for examples and debugging)."""
-        parsed = query if isinstance(query, KeywordQuery) else KeywordQuery.parse(query)
-        return {keyword: len(self.index.keyword_matches(keyword)) for keyword in parsed.keywords}
-
     def __repr__(self) -> str:
         return (
             f"<SearchEngine doc={self.index.tree.name!r} algorithm={self.algorithm} "
             f"construction={self.construction}>"
         )
-
-
-def make_result_set(results: list[QueryResult], query: KeywordQuery, document_name: str) -> ResultSet:
-    """Package externally produced results (e.g. from another engine).
-
-    This is the hook for the paper's claim that eXtract works "on top of
-    any XML keyword search engine": a caller with its own result trees can
-    wrap them and hand them straight to the snippet generator.
-    """
-    return ResultSet(query=query, document_name=document_name, results=rank_results(results))

@@ -27,10 +27,9 @@ from repro.search.query import KeywordQuery
 from repro.search.results import ResultSet
 from repro.search.xseek import ResultConstruction
 from repro.snippet.generator import DEFAULT_SIZE_BOUND, SnippetBatch, SnippetGenerator
-from repro.snippet.render import render_batch_text, render_result_page
+from repro.snippet.render import render_batch_text
 from repro.utils.cache import DEFAULT_CACHE_SIZE, CacheStats, LRUCache
 from repro.utils.timing import TimingBreakdown
-from repro.xmltree.dtd import dtd_for_tree_text
 from repro.xmltree.parser import parse_xml, parse_xml_file
 from repro.xmltree.tree import XMLTree
 
@@ -59,9 +58,6 @@ class SearchOutcome:
 
     def render_text(self, show_ilist: bool = False) -> str:
         return render_batch_text(self.snippets, show_ilist=show_ilist)
-
-    def render_html(self) -> str:
-        return render_result_page(self.snippets)
 
 
 class ExtractSystem:
@@ -110,9 +106,10 @@ class ExtractSystem:
         """Build the system from XML text (the DTD internal subset, if any,
         informs entity classification)."""
         parsed = parse_xml(text, name=name)
-        dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
         return cls(
-            IndexBuilder(dtd=dtd).build(parsed.tree), algorithm=algorithm, cache_size=cache_size
+            IndexBuilder(dtd=parsed.dtd()).build(parsed.tree),
+            algorithm=algorithm,
+            cache_size=cache_size,
         )
 
     @classmethod
@@ -124,9 +121,10 @@ class ExtractSystem:
     ) -> "ExtractSystem":
         """Build the system from an XML file on disk."""
         parsed = parse_xml_file(path)
-        dtd = dtd_for_tree_text(parsed.dtd_text, root=parsed.doctype_name)
         return cls(
-            IndexBuilder(dtd=dtd).build(parsed.tree), algorithm=algorithm, cache_size=cache_size
+            IndexBuilder(dtd=parsed.dtd()).build(parsed.tree),
+            algorithm=algorithm,
+            cache_size=cache_size,
         )
 
     @classmethod

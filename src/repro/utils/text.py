@@ -19,7 +19,7 @@ Only lightweight, dependency-free processing is done:
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 #: Words ignored when tokenising keyword queries.  Deliberately tiny: XML
 #: tag names are rarely stop words, and dropping too much would change
@@ -201,8 +201,3 @@ def matches_keyword(text: str, keyword: str) -> bool:
         if token == keyword or singularize(token) in (keyword, keyword_singular):
             return True
     return False
-
-
-def join_phrases(words: Iterable[str]) -> str:
-    """Join words into a display phrase with single spaces."""
-    return " ".join(word for word in words if word)

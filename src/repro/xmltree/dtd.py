@@ -98,15 +98,6 @@ class DTD:
             return None
         return spec.repeatable
 
-    def star_node_tags(self) -> set[str]:
-        """Tags that are repeatable under at least one declared parent."""
-        tags: set[str] = set()
-        for decl in self.elements.values():
-            for spec in decl.children.values():
-                if spec.repeatable:
-                    tags.add(spec.tag)
-        return tags
-
     def id_attributes(self, element_tag: str) -> list[str]:
         """Names of attributes declared with type ``ID`` for an element."""
         return [attr.name for attr in self.attributes if attr.element == element_tag and attr.is_id]

@@ -117,6 +117,14 @@ class ParseResult:
     dtd_text: str | None
     doctype_name: str | None
 
+    def dtd(self):
+        """The internal subset parsed as a :class:`~repro.xmltree.dtd.DTD`
+        rooted at the DOCTYPE name (None without a subset) — what an index
+        build takes to classify the document."""
+        from repro.xmltree.dtd import dtd_for_tree_text
+
+        return dtd_for_tree_text(self.dtd_text, root=self.doctype_name)
+
 
 def _error(document: str, position: int, message: str) -> XMLParseError:
     """``message`` located at offset ``position`` of ``document``."""

@@ -48,15 +48,6 @@ class SchemaNode:
         """True when some parent instance holds >= 2 children of this tag."""
         return self.max_siblings_per_parent >= 2
 
-    @property
-    def always_leaf_with_text(self) -> bool:
-        """True when every instance is a text leaf (no element children)."""
-        return self.with_element_children == 0 and self.with_text == self.instance_count > 0
-
-    @property
-    def distinct_values(self) -> int:
-        return len(self.value_counts)
-
     def __repr__(self) -> str:
         return (
             f"<SchemaNode {'/'.join(self.tag_path)} instances={self.instance_count} "
@@ -151,21 +142,11 @@ class SchemaSummary:
         paths = [path for path in self.nodes if self.is_star_node(path)]
         return sorted(paths, key=lambda path: (len(path), path))
 
-    def tags_of_star_nodes(self) -> set[str]:
-        return {path[-1] for path in self.star_node_paths()}
-
-    def paths_with_tag(self, tag: str) -> list[TagPath]:
-        """All schema paths ending in ``tag``."""
-        return sorted(path for path in self.nodes if path[-1] == tag)
-
     def child_paths_of(self, tag_path: TagPath) -> list[TagPath]:
         entry = self.nodes.get(tag_path)
         if entry is None:
             return []
         return sorted(entry.child_paths)
-
-    def total_instances(self) -> int:
-        return sum(entry.instance_count for entry in self.nodes.values())
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -193,12 +174,4 @@ def infer_schema(
     """
     summary = SchemaSummary(dtd=dtd)
     summary.add_tree(tree, values)
-    return summary
-
-
-def infer_schema_from_trees(trees: list[XMLTree], dtd: DTD | None = None) -> SchemaSummary:
-    """Infer a schema summary over a corpus of documents."""
-    summary = SchemaSummary(dtd=dtd)
-    for tree in trees:
-        summary.add_tree(tree)
     return summary

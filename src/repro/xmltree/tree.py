@@ -336,10 +336,6 @@ class XMLTree:
         """All nodes in document order."""
         return self.root.iter_subtree()
 
-    def iter_leaves(self) -> Iterator[XMLNode]:
-        """All leaf nodes in document order."""
-        return (node for node in self.iter_nodes() if node.is_leaf)
-
     @property
     def size_nodes(self) -> int:
         """Number of nodes in the document."""

@@ -25,7 +25,7 @@ PUBLIC_METHODS = {
     Corpus: {
         "add_builtin", "add_file", "add_system", "add_tree", "add_xml",
         "apply_update", "entries_snapshot", "entry", "live_versions", "load_dir", "names",
-        "remove_document", "save_dir", "summary", "system",
+        "remove_document", "replay_label_edits", "save_dir", "summary", "system",
         "update_document",
     },
     SnippetService: {
@@ -37,7 +37,7 @@ PUBLIC_METHODS = {
         "cache_stats", "capabilities", "close", "execute", "execute_batch",
         "execute_update", "from_corpus", "handle_dict", "handle_encoded", "handle_json",
         "handle_text", "load_dir", "names", "owner_of", "run", "run_batch",
-        "run_update", "run_update_with_delta", "save_dir", "shard_summary", "stats",
+        "run_update", "save_dir", "shard_summary", "stats",
     },
 }
 
@@ -49,7 +49,6 @@ RUN_PARAMETERS = {
     (ClusterService, "run"): ["self", "request"],
     (ClusterService, "run_batch"): ["self", "batch"],
     (ClusterService, "run_update"): ["self", "request"],
-    (ClusterService, "run_update_with_delta"): ["self", "request"],
 }
 
 

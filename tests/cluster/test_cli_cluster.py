@@ -265,6 +265,21 @@ class TestClusterUpdate:
         assert json.dumps(after.handle_dict(probe.to_dict()), sort_keys=True) == expected
 
 
+class TestClusterRebalance:
+    def test_prints_the_one_moved_line(self, cluster_dir):
+        source = ClusterService.load_dir(cluster_dir).owner_of("retail").shard_id
+        target = (source + 1) % 3
+        code, output = run_cli(
+            "cluster-rebalance", "--cluster-dir", str(cluster_dir),
+            "--document", "retail", "--to-shard", str(target),
+        )
+        assert code == 0, output
+        assert output == (
+            f"moved 'retail': shard {source} -> shard {target} (manifest version 2)\n"
+        )
+        assert ClusterService.load_dir(cluster_dir).owner_of("retail").shard_id == target
+
+
 @pytest.fixture()
 def spawned_pids(monkeypatch):
     """The pid of every shard process ``RemoteClusterService.spawn`` starts."""

@@ -119,12 +119,12 @@ class TestSaveLoadRoundTrip:
         cluster = ClusterService.from_corpus(build_corpus(), shards=2)
         cluster.save_dir(tmp_path / "cluster")
         loaded = ClusterService.load_dir(tmp_path / "cluster")
-        _response, delta = loaded.run_update_with_delta(
+        response = loaded.run_update(
             UpdateRequest(document="fresh", xml="<root><name>alpha</name></root>")
         )
-        # persist the delta the way cluster-update does: re-save the shard
-        shard_dir = tmp_path / "cluster" / f"shard-{delta.shard}"
-        loaded.shards[delta.shard].corpus.save_dir(shard_dir)
+        # persist the update by re-saving the shard that took it
+        shard_dir = tmp_path / "cluster" / f"shard-{response.shard}"
+        loaded.shards[response.shard].corpus.save_dir(shard_dir)
         reloaded = ClusterService.load_dir(tmp_path / "cluster")
         assert "fresh" in reloaded
         probe = SearchRequest(query="alpha", document="fresh")

@@ -231,22 +231,13 @@ class TestUpdateEquivalence:
     def test_new_document_lands_on_partitioner_shard(self, cluster_with):
         cluster = cluster_with(4)
         expected = cluster.partitioner.shard_of("fresh")
-        _response, delta = cluster.run_update_with_delta(
+        response = cluster.run_update(
             UpdateRequest(document="fresh", xml="<root><a>hi</a></root>")
         )
         assert "fresh" in cluster.shards[expected]
         assert cluster.owner_of("fresh") is cluster.shards[expected]
-        assert delta.kind == "add"
-        assert delta.shard == expected
-
-    def test_run_update_with_delta_returns_this_calls_delta(self, cluster_with):
-        cluster = cluster_with(2)
-        response, delta = cluster.run_update_with_delta(
-            UpdateRequest(document="fresh", xml="<root><a>hi</a></root>")
-        )
         assert response.action == "added"
-        assert delta.kind == "add"
-        assert delta.document == "fresh"
+        assert response.shard == expected
 
     def test_update_stays_on_owning_shard_even_if_partitioner_disagrees(self, cluster_with):
         # An explicit partitioner that would place 'stores' on shard 1 must

@@ -3,7 +3,9 @@
 The replication contract: a replica that applies a primary's
 :class:`ShardDelta` stream in order serves responses **byte-identical** to
 the primary — text edits travel as node-level deltas through the same
-incremental machinery, never as whole documents.
+incremental machinery, never as whole documents.  A delta exists only on
+the primary→replica hop, so the tests take it where a coordinator does:
+from the primary's ``apply-update`` answer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import json
 import pytest
 
 from repro.api import SearchRequest, UpdateRequest
-from repro.cluster import ShardDelta, ShardServer
+from repro.api.protocol import UpdateResponse, parse_response
+from repro.cluster import ShardBackend, ShardDelta, ShardServer
 from repro.corpus import Corpus
 from repro.errors import ClusterError, DeweyError
 from repro.xmltree.diff import clone_tree
@@ -30,6 +33,17 @@ def shard_pair() -> tuple[ShardServer, ShardServer]:
         return ShardServer(0, corpus=corpus)
 
     return build(), build()
+
+
+def primary_update(
+    primary: ShardServer, request: UpdateRequest
+) -> tuple[UpdateResponse, ShardDelta]:
+    """``request`` applied by ``primary`` as the ``apply-update`` op: the
+    response and the delta a coordinator fans to the replicas."""
+    answer = ShardBackend(primary).handle_replicate(
+        {"op": "apply-update", "request": request.to_dict()}
+    )
+    return parse_response(answer["response"]), ShardDelta.from_wire(answer["delta"])
 
 
 def wire(shard: ShardServer, query: str, document: str) -> str:
@@ -54,7 +68,7 @@ class TestApplyUpdate:
     def test_text_edit_produces_node_level_delta(self):
         primary, _ = shard_pair()
         xml = edited_stores_xml(primary, "Texas", "Nevada")
-        response, delta = primary.update(UpdateRequest(document="stores", xml=xml))
+        response, delta = primary_update(primary, UpdateRequest(document="stores", xml=xml))
         assert response.incremental
         assert delta.kind == "update"
         assert delta.shard == 0
@@ -66,15 +80,15 @@ class TestApplyUpdate:
         tree = clone_tree(primary.corpus.system("stores").index.tree)
         tree.root.append_child(type(tree.root)("annex"))
         xml = to_xml_string(tree)
-        response, delta = primary.update(UpdateRequest(document="stores", xml=xml))
+        response, delta = primary_update(primary, UpdateRequest(document="stores", xml=xml))
         assert not response.incremental
         assert delta.kind == "replace"
         assert delta.xml == xml
 
     def test_new_document_produces_add_delta(self):
         primary, _ = shard_pair()
-        response, delta = primary.update(
-            UpdateRequest(document="fresh", xml="<root><a>hello</a></root>")
+        response, delta = primary_update(
+            primary, UpdateRequest(document="fresh", xml="<root><a>hello</a></root>")
         )
         assert response.action == "added"
         assert delta.kind == "add"
@@ -82,8 +96,8 @@ class TestApplyUpdate:
 
     def test_remove_produces_tombstone(self):
         primary, _ = shard_pair()
-        response, delta = primary.update(
-            UpdateRequest(document="retail", action="remove")
+        response, delta = primary_update(
+            primary, UpdateRequest(document="retail", action="remove")
         )
         assert response.action == "removed"
         assert delta == ShardDelta(shard=0, document="retail", kind="remove")
@@ -93,7 +107,7 @@ class TestReplication:
     def test_replica_matches_primary_after_text_delta(self):
         primary, replica = shard_pair()
         xml = edited_stores_xml(primary, "Texas", "Nevada")
-        _, delta = primary.update(UpdateRequest(document="stores", xml=xml))
+        _, delta = primary_update(primary, UpdateRequest(document="stores", xml=xml))
         replica.apply_delta(delta)
         for query in ("store texas", "store nevada", "store houston"):
             assert wire(primary, query, "stores") == wire(replica, query, "stores")
@@ -105,7 +119,7 @@ class TestReplication:
             UpdateRequest(document="extra", xml="<root><name>alpha beta</name></root>"),
             UpdateRequest(document="retail", action="remove"),
         ]
-        deltas = [primary.update(request)[1] for request in operations]
+        deltas = [primary_update(primary, request)[1] for request in operations]
         for delta in deltas:
             replica.apply_delta(delta)
         assert primary.names() == replica.names()

@@ -8,10 +8,8 @@ from repro.eval.metrics import (
     distinguishability,
     evaluate_snippet,
     mean,
-    text_snippet_contains,
 )
 from repro.search.engine import SearchEngine
-from repro.snippet.baselines import TextWindowSnippetGenerator
 from repro.snippet.distinct import snippet_signature
 from repro.snippet.generator import SnippetGenerator
 
@@ -74,12 +72,6 @@ class TestSignaturesAndDistinguishability:
 
 
 class TestTextHelpers:
-    def test_text_snippet_contains(self, figure5_idx):
-        results = SearchEngine(figure5_idx).search("store texas")
-        snippet = TextWindowSnippetGenerator().generate(results[0], 10)
-        assert text_snippet_contains(snippet, "texas") or text_snippet_contains(snippet, "Levis")
-        assert not text_snippet_contains(snippet, "antarctica")
-
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0

@@ -68,11 +68,6 @@ class TestLookup:
         index = InvertedIndex().build(tree)
         assert len(index.lookup("shirt")) == 1
 
-    def test_lookup_all(self, index):
-        result = index.lookup_all(["store", "texas"])
-        assert set(result) == {"store", "texas"}
-        assert len(result["store"]) == 2
-
     def test_document_frequency(self, index):
         assert index.document_frequency("texas") == 2
         assert index.document_frequency("missing") == 0

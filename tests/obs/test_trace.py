@@ -84,13 +84,6 @@ class TestSpanRecording:
         assert len(wire["spans"]) == MAX_SPANS
         assert wire["dropped_spans"] == 7
 
-    def test_absorb_timings_prefixes_phases(self):
-        trace = Trace()
-        with trace.span("service"):
-            trace.absorb_timings({"search": 0.01, "snippet": 0.02})
-        names = {span.name for span in trace.spans}
-        assert {"phase:search", "phase:snippet"} <= names
-
 
 class TestContextPropagation:
     def test_no_trace_by_default(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError, SearchError
-from repro.search.engine import SearchEngine, make_result_set
+from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.results import ResultSet
 from repro.search.xseek import ResultConstruction
@@ -69,12 +69,6 @@ class TestSearch:
         engine.search("store texas")
         assert {"lookup", "lca", "result_construction", "ranking"} <= set(engine.timings.phases)
 
-    def test_keyword_statistics(self, figure5_idx):
-        stats = SearchEngine(figure5_idx).keyword_statistics("store texas")
-        # three <store> elements plus the <stores> document root (plural fold)
-        assert stats["store"] == 4
-        assert stats["texas"] == 2
-
     def test_repr(self, figure5_idx):
         assert "slca" in repr(SearchEngine(figure5_idx))
 
@@ -88,15 +82,6 @@ class TestResultSet:
     def test_total_result_edges(self, figure5_idx):
         results = SearchEngine(figure5_idx).search("store texas")
         assert results.total_result_edges() == sum(result.size_edges for result in results)
-
-    def test_make_result_set_ranks(self, figure5_idx):
-        engine = SearchEngine(figure5_idx)
-        raw = list(engine.search("store texas"))
-        packaged = make_result_set(raw, raw[0].query, "external")
-        assert isinstance(packaged, ResultSet)
-        assert packaged.document_name == "external"
-        scores = [result.score for result in packaged]
-        assert scores == sorted(scores, reverse=True)
 
     def test_repr(self, figure5_idx):
         results = SearchEngine(figure5_idx).search("store texas")

@@ -83,6 +83,23 @@ class TestCompaction:
         assert report.records_folded == 4
         assert wire_all(journalled_corpus) == before
 
+    def test_compaction_reads_the_journal_and_manifest_once(
+        self, journalled_corpus, monkeypatch
+    ):
+        # The staged load hands compaction the records and the resolved
+        # subdir -> name map it read on the way: nothing is parsed twice.
+        from repro.index import storage
+
+        calls = {"read_corpus_journal": 0, "read_corpus_manifest": 0}
+        for name in calls:
+            def counted(directory, _read=getattr(storage, name), _name=name):
+                calls[_name] += 1
+                return _read(directory)
+
+            monkeypatch.setattr(storage, name, counted)
+        assert compact_corpus_dir(journalled_corpus).records_folded == 4
+        assert calls == {"read_corpus_journal": 1, "read_corpus_manifest": 1}
+
     def test_journal_and_orphan_snapshots_gone(self, journalled_corpus):
         compact_corpus_dir(journalled_corpus)
         assert not os.path.exists(os.path.join(journalled_corpus, JOURNAL_FILE))

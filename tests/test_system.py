@@ -69,12 +69,10 @@ class TestQuery:
         assert len(outcome) == 0
         assert outcome.render_text().count("Result #") == 0
 
-    def test_render_text_and_html(self, system):
+    def test_render_text(self, system):
         outcome = system.run_query("store texas", size_bound=6)
         text = outcome.render_text(show_ilist=True)
         assert "IList:" in text
-        html = outcome.render_html()
-        assert html.startswith("<!DOCTYPE html>")
 
     def test_timings_include_all_phases(self, system):
         outcome = system.run_query("store texas", size_bound=6)

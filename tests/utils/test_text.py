@@ -7,7 +7,6 @@ import pytest
 from repro.utils.text import (
     STOPWORDS,
     iter_index_terms,
-    join_phrases,
     matches_keyword,
     normalize_token,
     normalize_value,
@@ -140,11 +139,3 @@ class TestIterIndexTerms:
     def test_multiword_value(self):
         terms = set(iter_index_terms("Brook Brothers"))
         assert "brook" in terms and "brothers" in terms
-
-
-class TestJoinPhrases:
-    def test_skips_empty(self):
-        assert join_phrases(["a", "", "b"]) == "a b"
-
-    def test_empty_input(self):
-        assert join_phrases([]) == ""

@@ -44,10 +44,6 @@ class TestElementDeclarations:
         assert dtd.is_repeatable_child("store", "unknown") is None
         assert dtd.is_repeatable_child("unknown", "x") is None
 
-    def test_star_node_tags(self):
-        dtd = parse_dtd(RETAIL_DTD)
-        assert dtd.star_node_tags() == {"retailer", "store", "clothes"}
-
     def test_pcdata_flag(self):
         dtd = parse_dtd(RETAIL_DTD)
         assert dtd.element("name").has_text

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.xmltree.builder import tree_from_dict
 from repro.xmltree.dtd import parse_dtd
-from repro.xmltree.schema import infer_schema, infer_schema_from_trees
+from repro.xmltree.schema import infer_schema
 
 
 @pytest.fixture()
@@ -53,10 +53,6 @@ class TestStarNodeDetection:
         assert paths[0] == ("retailer", "store")
         assert ("retailer", "store", "merchandises", "clothes") in paths
 
-    def test_tags_of_star_nodes(self, retailer_tree):
-        schema = infer_schema(retailer_tree)
-        assert schema.tags_of_star_nodes() == {"store", "clothes"}
-
 
 class TestDTDOverride:
     def test_dtd_declares_star_even_if_data_shows_one(self):
@@ -89,12 +85,6 @@ class TestSchemaNodeStatistics:
         schema = infer_schema(retailer_tree)
         node = schema.node_for(("retailer", "store", "merchandises", "clothes", "category"))
         assert node.value_counts == {"suit": 1, "outwear": 1, "skirt": 1}
-        assert node.distinct_values == 3
-
-    def test_leaf_with_text_flags(self, retailer_tree):
-        schema = infer_schema(retailer_tree)
-        assert schema.node_for(("retailer", "name")).always_leaf_with_text
-        assert not schema.node_for(("retailer", "store")).always_leaf_with_text
 
     def test_child_paths(self, retailer_tree):
         schema = infer_schema(retailer_tree)
@@ -102,20 +92,6 @@ class TestSchemaNodeStatistics:
         tags = {path[-1] for path in children}
         assert tags == {"city", "merchandises"}
 
-    def test_paths_with_tag(self, retailer_tree):
+    def test_len(self, retailer_tree):
         schema = infer_schema(retailer_tree)
-        assert schema.paths_with_tag("city") == [("retailer", "store", "city")]
-
-    def test_total_instances_and_len(self, retailer_tree):
-        schema = infer_schema(retailer_tree)
-        assert schema.total_instances() == retailer_tree.size_nodes
         assert len(schema) == len(schema.nodes)
-
-
-class TestMultiTreeInference:
-    def test_corpus_inference_merges_counts(self):
-        first = tree_from_dict("db", {"item": [{"name": "a"}]})
-        second = tree_from_dict("db", {"item": [{"name": "b"}, {"name": "c"}]})
-        schema = infer_schema_from_trees([first, second])
-        assert schema.is_star_node(("db", "item"))
-        assert schema.node_for(("db", "item")).instance_count == 3

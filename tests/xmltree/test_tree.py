@@ -118,11 +118,6 @@ class TestLookup:
         copy.adopt_paths(sample_tree.paths)
         assert copy.paths is sample_tree.paths
 
-    def test_iter_leaves(self, sample_tree):
-        leaves = list(sample_tree.iter_leaves())
-        assert all(node.is_leaf for node in leaves)
-        assert len(leaves) == 5
-
 
 class TestSubtreeExtraction:
     def test_extract_subtree_copies(self, sample_tree):
