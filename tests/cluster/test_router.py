@@ -22,6 +22,7 @@ from repro.api import (
     SearchRequest,
     SnippetService,
     UpdateRequest,
+    UpdateResponse,
 )
 from repro.api.protocol import parse_response
 from repro.cluster import (
@@ -238,6 +239,21 @@ class TestUpdateEquivalence:
         assert cluster.owner_of("fresh") is cluster.shards[expected]
         assert response.action == "added"
         assert response.shard == expected
+
+    def test_the_shard_seam_answers_the_response_alone(self, cluster_with, single_service):
+        # A delta lives only on the primary→replica hop: the owning
+        # shard's update(request) — in process or remote — answers what a
+        # single corpus answers, and the router only stamps the shard.
+        cluster = cluster_with(2)
+        update = UpdateRequest(document="stores", xml=edited_xml("stores", "Texas", "Nevada"))
+        owner = cluster.owner_of("stores")
+        response = owner.update(update)
+        assert isinstance(response, UpdateResponse)
+        assert dumps(response.to_dict()) == dumps(single_service.run_update(update).to_dict())
+        again = cluster.run_update(update)
+        assert isinstance(again, UpdateResponse)
+        assert again.shard == owner.shard_id
+        assert (again.action, again.changed_nodes) == ("updated", 0)
 
     def test_update_stays_on_owning_shard_even_if_partitioner_disagrees(self, cluster_with):
         # An explicit partitioner that would place 'stores' on shard 1 must

@@ -103,6 +103,64 @@ class TestApplyUpdate:
         assert delta == ShardDelta(shard=0, document="retail", kind="remove")
 
 
+def structural_stores_xml(shard: ShardServer) -> str:
+    tree = clone_tree(shard.corpus.system("stores").index.tree)
+    tree.root.append_child(type(tree.root)("annex"))
+    return to_xml_string(tree)
+
+
+#: name → (request builder over the primary, expected kind, carries the XML)
+OPERATIONS = {
+    "text": (
+        lambda shard: UpdateRequest(
+            document="stores", xml=edited_stores_xml(shard, "Texas", "Nevada")
+        ),
+        "update",
+        False,
+    ),
+    "no-change": (
+        lambda shard: UpdateRequest(
+            document="stores",
+            xml=to_xml_string(shard.corpus.system("stores").index.tree),
+        ),
+        "update",
+        False,
+    ),
+    "structural": (
+        lambda shard: UpdateRequest(document="stores", xml=structural_stores_xml(shard)),
+        "replace",
+        True,
+    ),
+    "add": (
+        lambda shard: UpdateRequest(document="fresh", xml="<root><a>hello</a></root>"),
+        "add",
+        True,
+    ),
+    "remove": (
+        lambda shard: UpdateRequest(document="retail", action="remove"),
+        "remove",
+        False,
+    ),
+}
+
+
+class TestShardDeltaOf:
+    @pytest.mark.parametrize("operation", list(OPERATIONS))
+    def test_the_delta_reads_the_report(self, operation):
+        build, kind, carries_xml = OPERATIONS[operation]
+        primary, _ = shard_pair()
+        request = build(primary)
+        _, report = primary.service.run_update_with_report(request)
+        delta = ShardDelta.of(3, request, report)
+        assert (delta.shard, delta.document, delta.kind) == (3, request.document, kind)
+        assert delta.kind == report.kind
+        assert delta.xml == (request.xml if carries_xml else None)
+        # only a text update carries edits; a no-change update is empty
+        assert delta.edits == report.label_edits
+        assert bool(delta.edits) == (operation == "text")
+        assert ShardDelta.from_wire(delta.to_wire()) == delta
+
+
 class TestReplication:
     def test_replica_matches_primary_after_text_delta(self):
         primary, replica = shard_pair()

@@ -16,7 +16,7 @@ import pytest
 from repro.api import SearchRequest, SnippetService, UpdateRequest
 from repro.cli import main
 from repro.corpus import Corpus
-from repro.errors import ExtractError, StorageError
+from repro.errors import DeweyError, ExtractError, StorageError
 from repro.index.storage import (
     JOURNAL_FILE,
     JournalRecord,
@@ -654,6 +654,68 @@ class TestRemoveAndUpsert:
         service = SnippetService(Corpus())
         response = service.execute_update(UpdateRequest(document="ghost", action="remove"))
         assert response.kind == "error"
+
+
+#: name → (operation on a corpus holding retailer_tree() as "doc", kind)
+REPORTED_OPERATIONS = {
+    "add": (lambda corpus: corpus.apply_update("new", retailer_tree()), "add"),
+    "text": (lambda corpus: corpus.apply_update("doc", retailer_tree("Dallas")), "update"),
+    "no-change": (lambda corpus: corpus.apply_update("doc", retailer_tree()), "update"),
+    "structural": (
+        lambda corpus: corpus.apply_update("doc", retailer_tree(categories=("suit",))),
+        "replace",
+    ),
+    "remove": (lambda corpus: corpus.remove_document("doc"), "remove"),
+}
+
+
+class TestReportKind:
+    @pytest.mark.parametrize("operation", list(REPORTED_OPERATIONS))
+    def test_kind_and_label_edits_spell_the_replay(self, operation):
+        apply, kind = REPORTED_OPERATIONS[operation]
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree())
+        report = apply(corpus)
+        assert report.kind == kind
+        assert report.label_edits == tuple(
+            (str(edit.label), edit.new_text) for edit in report.text_edits
+        )
+        if operation == "text":
+            assert [text for _, text in report.label_edits] == ["Dallas"]
+        else:
+            assert report.label_edits == ()
+
+
+def refuse(missing):
+    return StorageError(f"refused: {missing}")
+
+
+class TestReplayLabelEdits:
+    def test_replay_serves_what_the_original_update_served(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        report = corpus.update_document("doc", retailer_tree("Dallas"))
+        replayed = Corpus()
+        replayed.add_tree("doc", retailer_tree("Houston"))
+        again = replayed.replay_label_edits("doc", report.label_edits, refuse)
+        assert (again.kind, again.label_edits) == ("update", report.label_edits)
+        for query in ("store dallas", "store houston"):
+            assert wire(SnippetService(replayed), query) == wire(SnippetService(corpus), query)
+
+    def test_a_missing_node_raises_the_callers_error_and_changes_nothing(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree("Houston"))
+        before = wire(SnippetService(corpus), "store houston")
+        with pytest.raises(StorageError) as raised:
+            corpus.replay_label_edits("doc", (("9.9.9", "nowhere"),), refuse)
+        assert str(raised.value) == "refused: missing node 9.9.9 in document 'doc'"
+        assert wire(SnippetService(corpus), "store houston") == before
+
+    def test_a_malformed_label_raises_as_it_is_spelled(self):
+        corpus = Corpus()
+        corpus.add_tree("doc", retailer_tree())
+        with pytest.raises(DeweyError, match="malformed Dewey label text '1.x'"):
+            corpus.replay_label_edits("doc", (("1.x", "y"),), refuse)
 
 
 class TestJournalRoundTrip:

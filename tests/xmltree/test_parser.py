@@ -178,6 +178,23 @@ class TestDoctype:
         result = parse_xml('<!DOCTYPE a SYSTEM "a.dtd"><a/>')
         assert result.doctype_name == "a"
 
+    def test_dtd_parses_the_subset_rooted_at_the_doctype_name(self):
+        xml = """<!DOCTYPE stores [
+          <!ELEMENT stores (store*)>
+          <!ELEMENT store (name, city)>
+        ]>
+        <stores/>"""
+        dtd = parse_xml(xml).dtd()
+        assert dtd.root == "stores"
+        assert dtd.is_repeatable_child("stores", "store") is True
+        assert dtd.is_repeatable_child("store", "city") is False
+
+    @pytest.mark.parametrize(
+        "xml", ["<stores/>", "<!DOCTYPE stores><stores/>", '<!DOCTYPE a SYSTEM "a.dtd"><a/>']
+    )
+    def test_dtd_is_none_without_an_internal_subset(self, xml):
+        assert parse_xml(xml).dtd() is None
+
 
 class TestErrors:
     @pytest.mark.parametrize(
