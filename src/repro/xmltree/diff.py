@@ -4,28 +4,33 @@
 of it and classifies the difference:
 
 * **empty** — the trees are identical; an update is a no-op,
-* **text-only** — the same nodes in the same shape, with the same tags and
-  attributes, but some nodes carry different (non-empty) text values.
-  These edits can be applied to an existing :class:`~repro.index.builder.
-  DocumentIndex` as posting-level deltas (see
-  :mod:`repro.index.incremental`),
+* **text-only** — the same nodes in the same shape, with the same tags,
+  but some nodes carry different (non-empty) text values.  These edits can
+  be applied to an existing :class:`~repro.index.builder.DocumentIndex` as
+  posting-level deltas (see :mod:`repro.index.incremental`),
 * **structural** — anything else: nodes added or removed, tags renamed,
-  attributes changed, or text appearing/disappearing entirely.  Structural
-  changes can move schema classification (entity / attribute / connection)
-  and therefore force a full re-index.
+  or text appearing/disappearing entirely.  Structural changes can move
+  schema classification (entity / attribute / connection) and therefore
+  force a full re-index.
 
 Text *presence* flips (``None`` ↔ a value) are deliberately classified as
 structural: the attribute rule of §2.1 keys on whether instances carry
-text, so such an edit can reclassify a schema node.
+text, so such an edit can reclassify a schema node.  An XML attribute is
+compared as what the data model makes of it, its mirror child element
+(``<store id="3">`` has an ``id`` child): a changed value is a text edit,
+an added or dropped attribute a changed node count.  The start tag's
+attribute record (``XMLNode.raw_attributes``) is not compared — a tree
+loaded from a snapshot keeps none.
 
-The walk compares the two ``nodes_by_pre`` lists positionally.  A
-pre-order sequence of depths determines a tree's shape (and, a label
-being a position, its Dewey labels), so two trees of equal size have the
-same shape iff ``level`` agrees at every position — an int comparison per
-node; a label is computed only to word a structural reason or when
-somebody reads :attr:`TextEdit.label`.  Any
-divergence in level, tag or attributes is reported as the structural
-reason and the walk stops early.
+The diff checks the shape as a column: a pre-order sequence of depths
+determines a tree's shape (and, a label being a position, its Dewey
+labels), so two trees of equal size have the same shape iff the new
+tree's ``level`` column equals the old one's ``shape.level`` — one list
+comparison.  Then only tag and text are compared, node by node, in
+document order, up to the first position where the levels disagree; the
+first difference that is not a text edit is the structural reason.  A
+label is computed only to word that reason or when somebody reads
+:attr:`TextEdit.label`.
 """
 
 from __future__ import annotations
@@ -94,6 +99,11 @@ def _structural(reason: str) -> TreeDiff:
     return TreeDiff(text_edits=(), structural_reason=reason)
 
 
+def _first_difference(old: list, new: list) -> int:
+    """The first position where two columns of equal length disagree."""
+    return next(pre for pre, (a, b) in enumerate(zip(old, new)) if a != b)
+
+
 def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
     """Classify the difference between two versions of one document.
 
@@ -106,49 +116,54 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
     >>> diff.text_edits[0].new_text
     'Houston'
     """
-    if old.size_nodes != new.size_nodes:
-        return _structural(
-            f"node count changed from {old.size_nodes} to {new.size_nodes}"
-        )
+    size = old.size_nodes
+    if size != new.size_nodes:
+        return _structural(f"node count changed from {size} to {new.size_nodes}")
+    old_nodes = old.nodes_by_pre
+    new_nodes = new.nodes_by_pre
+    old_levels = old.shape.level
+    new_levels = [node.level for node in new_nodes]
+    reshaped = size if new_levels == old_levels else _first_difference(old_levels, new_levels)
     edits: list[TextEdit] = []
     paths = None
-    for old_node, new_node in zip(old.nodes_by_pre, new.nodes_by_pre):
-        if old_node.level != new_node.level:
-            return _structural(
-                f"tree shape changed near {old_node.dewey} / {new_node.dewey}"
-            )
+    for old_node, new_node in zip(old_nodes[:reshaped] if reshaped < size else old_nodes, new_nodes):
         if old_node.tag != new_node.tag:
             return _structural(
                 f"tag at {old_node.dewey} changed from "
                 f"{old_node.tag!r} to {new_node.tag!r}"
             )
-        if old_node.raw_attributes != new_node.raw_attributes:
-            return _structural(f"attributes at {old_node.dewey} changed")
-        if old_node.text != new_node.text:
+        old_text = old_node.text
+        new_text = new_node.text
+        if old_text != new_text:
             # Presence follows has_text_value (truthiness): the parser
             # normalises empty text to None, but nodes built or edited
             # directly may carry "" — which the whole pipeline (schema
             # with_text, indexing, feature extraction) treats as absent.
-            if bool(old_node.text) != bool(new_node.text):
+            if bool(old_text) != bool(new_text):
                 # A value appearing or disappearing can flip the §2.1
                 # attribute classification of the whole schema node.
                 return _structural(
                     f"text presence at {old_node.dewey} (<{old_node.tag}>) changed"
                 )
-            if not new_node.text:
+            if not new_text:
                 continue  # "" vs None: indistinguishable to the pipeline
             if paths is None:
                 paths = old.paths
+            pre = old_node.pre
             edits.append(
                 TextEdit(
-                    pre=old_node.pre,
+                    pre=pre,
                     tree=new,
                     tag=old_node.tag,
-                    tag_path=paths.paths[paths.ids[old_node.pre]],
-                    old_text=old_node.text or "",
-                    new_text=new_node.text or "",
+                    tag_path=paths.paths[paths.ids[pre]],
+                    old_text=old_text,
+                    new_text=new_text,
                 )
             )
+    if reshaped < size:
+        return _structural(
+            f"tree shape changed near {old_nodes[reshaped].dewey} / {new_nodes[reshaped].dewey}"
+        )
     return TreeDiff(text_edits=tuple(edits))
 
 

@@ -49,9 +49,11 @@ class XMLNode:
         manual edit of a ``children`` list).
     pre / post / level:
         The XPath-accelerator node ids (pre-order rank, post-order rank,
-        depth), assigned when the owning tree reindexes; ``ancestor(a, b)
-        ⟺ pre(a) <= pre(b) and post(b) <= post(a)``.  They are ``0`` on
-        detached nodes and only meaningful once the node belongs to an
+        depth); ``ancestor(a, b) ⟺ pre(a) <= pre(b) and post(b) <=
+        post(a)``.  The parser and :meth:`XMLTree.copy
+        <repro.xmltree.tree.XMLTree.copy>` assign them as they make each
+        node; any other tree gets them from its reindex.  They are ``0``
+        on detached nodes and only meaningful once the node belongs to an
         :class:`~repro.xmltree.tree.XMLTree`.
     """
 
@@ -79,7 +81,7 @@ class XMLNode:
         self.pre = 0
         self.post = 0
         self.level = 0
-        self._attributes: dict[str, str] = {}
+        self._attributes: dict[str, str] | None = None
 
     # ------------------------------------------------------------------ #
     # structure
@@ -114,9 +116,9 @@ class XMLNode:
     def _attach(self, child: "XMLNode") -> None:
         """:meth:`append_child` without the check and without the link up,
         for code that only ever attaches nodes it has just made and hands
-        the root to :class:`~repro.xmltree.tree.XMLTree` (the parser, the
-        v4 snapshot reader, the snippet and projection copiers): the
-        tree's reindex gives each parent's children one weak link to it."""
+        the root to :class:`~repro.xmltree.tree.XMLTree` (the v4 snapshot
+        reader, the snippet and projection copiers): the tree's reindex
+        gives each parent's children one weak link to it."""
         child.ordinal = len(self.children)
         self.children.append(child)
 
@@ -149,8 +151,15 @@ class XMLNode:
 
     @property
     def raw_attributes(self) -> dict[str, str]:
-        """XML attributes found on the original element (before conversion)."""
-        return self._attributes
+        """XML attributes found on the original element, as a record of its
+        start tag.  The data model holds each one as a child element (the
+        parser's mirror children), which is all the diff, the index and a
+        saved snapshot see.  The dict is made on first use: a node
+        without attributes holds none."""
+        attributes = self._attributes
+        if attributes is None:
+            attributes = self._attributes = {}
+        return attributes
 
     # ------------------------------------------------------------------ #
     # traversal helpers

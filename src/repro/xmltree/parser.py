@@ -2,8 +2,11 @@
 
 One compiled tokenizer regex drives an explicit stack of open elements:
 no recursion (document depth is data, not interpreter stack), one pass over
-the text — nodes are wired with ``XMLNode._attach`` and the one ``XMLTree``
-reindex that follows assigns every pre/post/level id.
+the text that also numbers the tree.  Each node gets its ``pre``,
+``level`` and ``ordinal`` when it is made and its ``post`` when it closes;
+an element makes the one weak link its children share when it opens.  The
+nodes, listed in document order as they are made, become the tree
+(``XMLTree._numbered``): no reindex runs on a parse.
 
 The accepted language is the subset of XML that keyword-search datasets
 use, with the leniencies those datasets need.  Accepted:
@@ -44,11 +47,12 @@ and column of the offence:
 * a character reference into the surrogate block ``U+D800``–``U+DFFF``
   (the resulting string could not be encoded when the corpus is saved).
 
-XML attributes are normalised into child elements by default
-(``<store id="3">`` becomes a ``store`` element with an ``id`` child whose
-text is ``3``) because eXtract's data model is element-only; pass
-``attributes_as_children=False`` to keep them only in
-``XMLNode.raw_attributes``.
+XML attributes exist in the tree only as child elements, because
+eXtract's data model is element-only: ``<store id="3">`` becomes a
+``store`` element whose first child is an ``id`` element with the text
+``3``.  ``XMLNode.raw_attributes`` keeps the start tag's attributes as a
+record, which nothing downstream reads (a saved snapshot does not store
+it, and the diff of two versions does not compare it).
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from weakref import ref
 
 from repro.errors import XMLParseError
 from repro.xmltree.node import XMLNode
@@ -98,7 +103,7 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 # match.lastindex per token kind (comments and PIs have no group: None)
-_TEXT, _END_TAG, _START_TAG, _LEAF, _CDATA, _MALFORMED = 1, 2, 4, 5, 6, 7
+_TEXT, _START_TAG, _LEAF = 1, 4, 5
 
 _PREDEFINED_ENTITIES = {
     "amp": "&",
@@ -167,11 +172,7 @@ def _decode(piece: str, document: str, offset: int) -> str:
     return _CHARREF_RE.sub(_replace, piece)
 
 
-def parse_xml(
-    text: str,
-    name: str = "document",
-    attributes_as_children: bool = True,
-) -> ParseResult:
+def parse_xml(text: str, name: str = "document") -> ParseResult:
     """Parse XML text into a :class:`ParseResult`.
 
     >>> result = parse_xml("<a><b>hi</b></a>")
@@ -195,20 +196,22 @@ def parse_xml(
     if text[position] != "<":
         raise _error(text, position, "unexpected content before root element")
 
-    root, position = _parse_root(text, position, attributes_as_children)
+    nodes, position = _parse_root(text, position)
 
     # ---- trailing misc ---- #
     position = _skip_misc(text, position)
     if position < len(text):
         raise _error(text, position, "unexpected content after root element")
-    return ParseResult(tree=XMLTree(root, name=name), dtd_text=dtd_text, doctype_name=doctype_name)
+    return ParseResult(
+        tree=XMLTree._numbered(nodes, name=name), dtd_text=dtd_text, doctype_name=doctype_name
+    )
 
 
-def parse_xml_file(path: str | os.PathLike[str], attributes_as_children: bool = True) -> ParseResult:
+def parse_xml_file(path: str | os.PathLike[str]) -> ParseResult:
     """Parse an XML file from disk (UTF-8)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_xml(text, name=os.fspath(path), attributes_as_children=attributes_as_children)
+    return parse_xml(text, name=os.fspath(path))
 
 
 # ---------------------------------------------------------------------- #
@@ -250,33 +253,52 @@ def _parse_doctype(text: str, position: int) -> tuple[str, str | None, int]:
         position = end + 1
 
 
-def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XMLNode, int]:
-    """Build the element whose ``<`` is at ``start``; the root and its end offset.
+def _parse_root(text: str, start: int) -> tuple[list[XMLNode], int]:
+    """Build the element whose ``<`` is at ``start``: its nodes, numbered,
+    in document order (the root first), and its end offset.
 
-    Nodes are wired with ``XMLNode._attach``; the caller hands the root to
-    ``XMLTree(...)``, whose reindex numbers them.
+    Nodes are made with ``XMLNode.__new__`` and every slot set here, since
+    their ids are known as they are made: ``pre`` is the count made so far,
+    ``level`` and ``ordinal`` follow from the open element, ``post`` is
+    given on close.
     """
     if _TOKEN_RE.match(text, start).lastindex not in (_START_TAG, _LEAF):
         raise _start_tag_error(text, start)
-    root: XMLNode | None = None
+    nodes: list[XMLNode] = []
+    record = nodes.append
+    make = XMLNode.__new__
+    post = 0
     node: XMLNode | None = None  # the innermost open element
+    link = None  # the weak link to it that its children share
+    level = 0  # the level of its children
     pieces: list[str] = []  # its stripped, non-empty character data so far
-    # (element, pieces) of every open ancestor, under a (None, ...) sentinel
-    open_elements: list[tuple[XMLNode | None, list[str]]] = []
+    # (element, link, pieces) of every open ancestor, under a None sentinel
+    open_elements: list[tuple[XMLNode | None, ref[XMLNode] | None, list[str]]] = []
     for match in _TOKEN_RE.finditer(text, start):
-        kind = match.lastindex
-        if kind == _LEAF or kind == _START_TAG:
-            tag, segment, content = match.group(3, 4, 5)
-            child = XMLNode(tag)
+        run, end_tag, tag, segment, content, cdata, malformed = match.groups()
+        if tag is not None:
+            child = make(XMLNode)
+            child.tag = tag
+            child.text = None
+            child._parent = link
+            child.children = []
+            child.pre = len(nodes)
+            child.level = level
+            child._attributes = None
             if node is None:
-                root = child
+                child.ordinal = 0
             else:
-                node._attach(child)
+                siblings = node.children
+                child.ordinal = len(siblings)
+                siblings.append(child)
+            record(child)
             if "=" in segment:
-                _read_attributes(child, segment, text, match.start(4), attributes_as_children)
+                post = _read_attributes(child, segment, text, match.start(4), nodes, post)
             if content is None and not segment.endswith("/"):
-                open_elements.append((node, pieces))
+                open_elements.append((node, link, pieces))
                 node = child
+                link = ref(child)
+                level += 1
                 pieces = []
                 continue
             if content:  # <tag>content</tag> in one token
@@ -285,28 +307,32 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
                 content = content.strip()
                 if content:
                     child.text = content
+            child.post = post
+            post += 1
             if node is None:
-                return root, match.end()
-        elif kind == _END_TAG:
-            if match.group(2) != node.tag:
+                return nodes, match.end()
+        elif end_tag is not None:
+            if end_tag != node.tag:
                 raise _malformed(text, match.start(), node)
             if pieces:
                 node.text = " ".join(pieces)
-            node, pieces = open_elements.pop()
+            node.post = post
+            post += 1
+            node, link, pieces = open_elements.pop()
+            level -= 1
             if node is None:
-                return root, match.end()
-        elif kind == _TEXT:
-            piece = match.group(1)
-            if "&" in piece:
-                piece = _decode(piece, text, match.start())
-            piece = piece.strip()
-            if piece:
-                pieces.append(piece)
-        elif kind == _CDATA:
-            piece = match.group(6).strip()
-            if piece:
-                pieces.append(piece)
-        elif kind == _MALFORMED:
+                return nodes, match.end()
+        elif run is not None:
+            if "&" in run:
+                run = _decode(run, text, match.start())
+            run = run.strip()
+            if run:
+                pieces.append(run)
+        elif cdata is not None:
+            cdata = cdata.strip()
+            if cdata:
+                pieces.append(cdata)
+        elif malformed is not None:
             raise _malformed(text, match.start(), node)
     # Ran off the end with ``node`` still open: blame the offset after the
     # last markup, where the scan for the next "<" began (the whitespace a
@@ -317,20 +343,35 @@ def _parse_root(text: str, start: int, attributes_as_children: bool) -> tuple[XM
 
 
 def _read_attributes(
-    node: XMLNode, segment: str, text: str, offset: int, attributes_as_children: bool
-) -> None:
+    node: XMLNode, segment: str, text: str, offset: int, nodes: list[XMLNode], post: int
+) -> int:
     """Fill ``node.raw_attributes`` from a start tag's ``segment`` (which
-    begins at ``offset`` of ``text``) and mirror them as child elements."""
-    attributes = node.raw_attributes
+    begins at ``offset`` of ``text``) and mirror them as the node's first
+    children, numbered and appended to ``nodes``; the next ``post`` id."""
+    attributes: dict[str, str] = {}
     for match in _ATTR_RE.finditer(segment):
         quoted = 2 if match.group(2) is not None else 3
         value = match.group(quoted)
         if "&" in value:
             value = _decode(value, text, offset + match.start(quoted))
         attributes[match.group(1)] = value
-    if attributes_as_children:
-        for attr_name, attr_value in attributes.items():
-            node._attach(XMLNode(attr_name, attr_value))
+    if not attributes:
+        return post
+    node._attributes = attributes
+    link = ref(node)
+    level = node.level + 1
+    children = node.children
+    for ordinal, (attr_name, attr_value) in enumerate(attributes.items()):
+        child = XMLNode(attr_name, attr_value)
+        child._parent = link
+        child.ordinal = ordinal
+        child.pre = len(nodes)
+        child.post = post
+        child.level = level
+        post += 1
+        children.append(child)
+        nodes.append(child)
+    return post
 
 
 def _malformed(text: str, position: int, node: XMLNode) -> XMLParseError:

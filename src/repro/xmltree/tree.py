@@ -134,9 +134,13 @@ def _tag_paths(nodes: list[XMLNode]) -> TagPaths:
 class XMLTree:
     """An ordered, labelled XML document tree.
 
-    Constructing a tree (and :meth:`refresh`) is what numbers its nodes:
-    one reindex pass assigns every ``pre`` / ``post`` / ``level`` /
-    ``ordinal`` from the ``children`` lists alone.
+    Every node of a tree carries its ``pre`` / ``post`` / ``level`` /
+    ``ordinal``, and each parent's children share one weak link to it.  The
+    parser and :meth:`copy` assign them as they make each node; a tree
+    made from a root built by hand (``XMLTree(root)``: ``TreeBuilder``,
+    the v4 snapshot reader, the projection copiers) gets them from one
+    reindex pass over the ``children`` lists, as :meth:`refresh` does after
+    a manual edit.
 
     Nodes have two names.  ``pre`` (with :attr:`shape`, :attr:`paths` and
     :attr:`nodes_by_pre`) is what the index and the search path compute
@@ -167,6 +171,21 @@ class XMLTree:
         self._shape: TreeShape | None = None
         self._paths: TagPaths | None = None
         self._reindex()
+
+    @classmethod
+    def _numbered(cls, nodes: list[XMLNode], name: str) -> "XMLTree":
+        """The tree over ``nodes``, numbered by whoever made them (the
+        parser, :meth:`copy`): ``nodes[i].pre == i`` in document order,
+        every ``post`` / ``level`` / ``ordinal`` set, the root unlinked and
+        each parent's children sharing one weak link to it.  No reindex
+        runs."""
+        tree = cls.__new__(cls)
+        tree.name = name
+        tree.root = nodes[0]
+        tree._by_pre = nodes
+        tree._shape = None
+        tree._paths = None
+        return tree
 
     # ------------------------------------------------------------------ #
     # numbering
@@ -420,7 +439,8 @@ class XMLTree:
         for pre in kept:
             source = nodes[pre]
             copy = copies[pre] = XMLNode(source.tag, source.text)
-            copy._attributes.update(source._attributes)
+            if source._attributes:
+                copy._attributes = dict(source._attributes)
             if root_copy is None:
                 root_copy = copy
             else:
@@ -428,8 +448,40 @@ class XMLTree:
         return XMLTree(root_copy, name=f"{self.name}:projection")
 
     def copy(self) -> "XMLTree":
-        """A deep copy of the whole document."""
-        return self.copy_nodes(range(len(self._by_pre)))
+        """A deep copy of the whole document, numbered as this one.
+
+        Each copy takes its source's ids and is attached to its parent's
+        copy through :attr:`shape`'s ``parent`` column, so no reindex runs.
+        The copy builds its own :attr:`shape` when it is read: posting
+        lists tell the tree they index by its shape's identity, and the
+        copy is another tree until a text-only update adopts a shape.
+        """
+        sources = self._by_pre
+        copies: list[XMLNode] = []
+        record = copies.append
+        links: list[ref[XMLNode] | None] = [None] * len(sources)
+        make = XMLNode.__new__
+        for source, parent in zip(sources, self.shape.parent):
+            copy = make(XMLNode)
+            copy.tag = source.tag
+            copy.text = source.text
+            copy.children = []
+            copy.ordinal = source.ordinal
+            copy.pre = source.pre
+            copy.post = source.post
+            copy.level = source.level
+            attributes = source._attributes
+            copy._attributes = dict(attributes) if attributes else None
+            if parent < 0:
+                copy._parent = None
+            else:
+                link = links[parent]
+                if link is None:
+                    link = links[parent] = ref(copies[parent])
+                copy._parent = link
+                copies[parent].children.append(copy)
+            record(copy)
+        return XMLTree._numbered(copies, name=f"{self.name}:projection")
 
     # ------------------------------------------------------------------ #
     # dunder protocol

@@ -54,6 +54,47 @@ def xml_trees(draw, max_children: int = 4, max_depth: int = 4):
     return XMLTree(root, name="hypothesis")
 
 
+ATTRIBUTE_NAMES = ("id", "kind", "x:y")
+MISC = ("<!-- note -->", "<?pi data?>", "<!---->")
+
+
+@st.composite
+def xml_documents(draw, max_children: int = 4, max_depth: int = 4, max_nesting: int = 200):
+    """The XML text of an :func:`xml_trees` document, written out with
+    what a parse has to number around: attributes (each one a mirror child
+    element), values as text or CDATA sections, comments and processing
+    instructions between children, all inside a chain of up to
+    ``max_nesting`` wrapper elements (deep nesting).  Always well formed."""
+    tree = draw(xml_trees(max_children=max_children, max_depth=max_depth))
+    out: list[str] = []
+
+    def misc() -> None:
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            out.append(draw(st.sampled_from(MISC)))
+
+    def write(node: XMLNode) -> None:
+        names = draw(st.lists(st.sampled_from(ATTRIBUTE_NAMES), max_size=2, unique=True))
+        out.append(f"<{node.tag}")
+        out.extend(f' {name}="{draw(st.sampled_from(VALUES))}"' for name in names)
+        if not node.children and not node.text and draw(st.booleans()):
+            out.append("/>")
+            return
+        out.append(">")
+        misc()
+        if node.text:
+            out.append(f"<![CDATA[{node.text}]]>" if draw(st.booleans()) else node.text)
+        for child in node.children:
+            write(child)
+            misc()
+        out.append(f"</{node.tag}>")
+
+    nesting = draw(st.integers(min_value=0, max_value=max_nesting))
+    out.append("<wrap>" * nesting)
+    write(tree.root)
+    out.append("</wrap>" * nesting)
+    return "".join(out)
+
+
 @st.composite
 def posting_list_groups(draw, max_keywords: int = 3):
     """1-3 keyword match lists of random labels, as a

@@ -5,8 +5,9 @@ frozen verbatim.  The fuzz corpus is the new parser's acceptance test: on
 every generated document — shapes from ``xml_trees()`` decorated with every
 construct the accepted language knows, and character-level mutations of the
 same — both parsers must give the same verdict; on accept the same
-``doctype_name``, ``dtd_text`` and node-for-node the same tree, for both
-values of ``attributes_as_children``; on reject an :class:`XMLParseError`
+``doctype_name``, ``dtd_text`` and node-for-node the same tree (XML
+attributes as mirror child elements — the reference's default, and the
+only tree the new parser makes); on reject an :class:`XMLParseError`
 located inside the document.  The new parser never raises anything else.
 
 The only permitted divergences are the two bugs the rewrite fixed:
@@ -223,39 +224,38 @@ def _assert_located(error: XMLParseError, text: str) -> None:
 
 
 def assert_same_outcome(text: str) -> None:
-    for attributes_as_children in (True, False):
-        try:
-            result = reference_parser.parse_xml(text, attributes_as_children=attributes_as_children)
-        except XMLParseError as error:
-            expected = error
-        except (ValueError, OverflowError):
-            expected = CHARACTER_REFERENCES_ARE_TOTAL
-        except RecursionError:
-            expected = DEPTH_IS_DATA
-        else:
-            expected = _snapshot(result)
-        try:
-            # Anything but XMLParseError propagates and fails the test.
-            actual = _snapshot(parse_xml(text, attributes_as_children=attributes_as_children))
-        except XMLParseError as error:
-            actual = error
-            _assert_located(actual, text)
+    try:
+        result = reference_parser.parse_xml(text)
+    except XMLParseError as error:
+        expected = error
+    except (ValueError, OverflowError):
+        expected = CHARACTER_REFERENCES_ARE_TOTAL
+    except RecursionError:
+        expected = DEPTH_IS_DATA
+    else:
+        expected = _snapshot(result)
+    try:
+        # Anything but XMLParseError propagates and fails the test.
+        actual = _snapshot(parse_xml(text))
+    except XMLParseError as error:
+        actual = error
+        _assert_located(actual, text)
 
-        if expected == DEPTH_IS_DATA:
-            pass  # the reference has no opinion; the new parser answered
-        elif expected == CHARACTER_REFERENCES_ARE_TOTAL:
-            assert isinstance(actual, XMLParseError) and "character reference" in str(actual)
-        elif isinstance(expected, XMLParseError):
-            assert isinstance(actual, XMLParseError), f"accepted what the reference rejects: {expected}"
-            _assert_located(expected, text)
-            if "character reference" not in str(actual):
-                assert str(actual) == str(expected)
-        elif isinstance(actual, XMLParseError) and "character reference" in str(actual):
-            # The reference decoded a surrogate (into the tree, or into an
-            # attribute value a later duplicate then replaced).
-            assert _refers_to_a_surrogate(text), f"rejected what the reference accepts: {actual}"
-        else:
-            assert actual == expected
+    if expected == DEPTH_IS_DATA:
+        pass  # the reference has no opinion; the new parser answered
+    elif expected == CHARACTER_REFERENCES_ARE_TOTAL:
+        assert isinstance(actual, XMLParseError) and "character reference" in str(actual)
+    elif isinstance(expected, XMLParseError):
+        assert isinstance(actual, XMLParseError), f"accepted what the reference rejects: {expected}"
+        _assert_located(expected, text)
+        if "character reference" not in str(actual):
+            assert str(actual) == str(expected)
+    elif isinstance(actual, XMLParseError) and "character reference" in str(actual):
+        # The reference decoded a surrogate (into the tree, or into an
+        # attribute value a later duplicate then replaced).
+        assert _refers_to_a_surrogate(text), f"rejected what the reference accepts: {actual}"
+    else:
+        assert actual == expected
 
 
 @FUZZ_SETTINGS

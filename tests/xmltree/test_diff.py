@@ -105,12 +105,29 @@ class TestStructural:
                     node.text = "" if tree is old else None
         assert diff_trees(old, new).is_empty
 
-    def test_changed_attributes_are_structural(self):
-        old = tree_from_dict("shop", {"store": [{"city": "Houston"}]})
-        new = clone_tree(old)
-        new.root.raw_attributes["version"] = "2"
+    def test_a_changed_attribute_value_is_a_text_edit_of_its_mirror_child(self):
+        old = parse_xml('<shop><store id="3"><city>Houston</city></store></shop>').tree
+        new = parse_xml('<shop><store id="4"><city>Houston</city></store></shop>').tree
         diff = diff_trees(old, new)
-        assert diff.is_structural
+        assert diff.is_text_only
+        [edit] = diff.text_edits
+        assert (str(edit.label), edit.tag, edit.old_text, edit.new_text) == ("0.0", "id", "3", "4")
+        assert edit.tag_path == ("shop", "store", "id")
+
+    def test_an_added_attribute_is_structural(self):
+        old = parse_xml("<shop><store><city>Houston</city></store></shop>").tree
+        new = parse_xml('<shop><store version="2"><city>Houston</city></store></shop>').tree
+        diff = diff_trees(old, new)
+        assert diff.structural_reason == "node count changed from 3 to 4"
+
+    def test_the_start_tag_record_is_not_compared(self):
+        # A tree loaded from a snapshot keeps no attribute record; its
+        # mirror children are the attributes, and they are equal.
+        old = parse_xml('<shop><store id="3"><city>Houston</city></store></shop>').tree
+        new = clone_tree(old)
+        new.nodes_by_pre[1]._attributes = None
+        assert new.nodes_by_pre[1].raw_attributes == {}
+        assert diff_trees(old, new).is_empty
 
     def test_reshaped_tree_with_same_node_count_is_structural(self):
         old = tree_from_dict("shop", {"a": {"b": "x"}, "c": "y"})

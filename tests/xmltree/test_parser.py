@@ -63,10 +63,21 @@ class TestAttributes:
         assert {child.tag: child.text for child in tree.root.children} == {"id": "3", "open": "yes"}
         assert tree.root.raw_attributes == {"id": "3", "open": "yes"}
 
-    def test_attributes_kept_raw_when_disabled(self):
-        tree = parse_xml('<store id="3"/>', attributes_as_children=False).tree
-        assert tree.root.children == []
-        assert tree.root.raw_attributes == {"id": "3"}
+    def test_attributes_exist_only_as_children(self):
+        # There is no knob to keep attributes out of the tree: a tree
+        # without its mirror children would hold values the diff of two
+        # versions, the index and a saved snapshot cannot see.
+        with pytest.raises(TypeError):
+            parse_xml('<store id="3"/>', attributes_as_children=False)
+        tree = parse_xml('<store id="3"><city>Austin</city></store>').tree
+        assert [(node.tag, node.text) for node in tree.nodes_by_pre] == [
+            ("store", None), ("id", "3"), ("city", "Austin")
+        ]
+
+    def test_a_node_without_attributes_holds_no_dict(self):
+        tree = parse_xml('<store id="3"><city>Austin</city></store>').tree
+        assert tree.root._attributes == {"id": "3"}
+        assert [node._attributes for node in tree.nodes_by_pre[1:]] == [None, None]
 
     def test_single_quoted_attributes(self):
         tree = parse_xml("<a x='1'/>").tree
