@@ -126,7 +126,7 @@ def diff_trees(old: XMLTree, new: XMLTree) -> TreeDiff:
     reshaped = size if new_levels == old_levels else _first_difference(old_levels, new_levels)
     edits: list[TextEdit] = []
     paths = None
-    for old_node, new_node in zip(old_nodes[:reshaped] if reshaped < size else old_nodes, new_nodes):
+    for old_node, new_node in zip(old_nodes[:reshaped], new_nodes):
         if old_node.tag != new_node.tag:
             return _structural(
                 f"tag at {old_node.dewey} changed from "
