@@ -76,12 +76,3 @@ def test_a_copy_numbers_the_tree_as_a_reindex_would(text):
     # a copy of a copy: attached through a shape built from the copy's ids
     assert_numbered_like_a_reindex(copy.copy(), parse_xml(text).tree)
 
-
-@FUZZ_SETTINGS
-@given(xml_documents(max_nesting=0))
-def test_attributes_are_the_first_children_in_document_order(text):
-    tree = parse_xml(text).tree
-    for node in tree.nodes_by_pre:
-        if node._attributes is not None:
-            mirrored = [(child.tag, child.text) for child in node.children[: len(node._attributes)]]
-            assert mirrored == list(node._attributes.items())
