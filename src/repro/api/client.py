@@ -79,6 +79,7 @@ from repro.api.protocol import (
     SearchResponse,
     UpdateRequest,
     UpdateResponse,
+    decode_batch_response,
     encode_response,
     parse_response,
 )
@@ -91,6 +92,9 @@ ENDPOINT_BY_KIND = {kind: path for path, kind in POST_ENDPOINTS.items()}
 #: endpoints whose requests may already have been applied when the
 #: response is lost — never re-sent, and always sent on a fresh connection
 NON_IDEMPOTENT_PATHS = ("/v1/update", "/v1/replicate")
+
+#: the endpoint whose answers :func:`decode_batch_response` tries first
+_BATCH_PATH = ENDPOINT_BY_KIND[BatchRequest.kind]
 
 #: the most idle keep-alive connections one client keeps; a connection
 #: returned to a full stack is closed
@@ -112,13 +116,22 @@ def _idempotent(method: str, path: str) -> bool:
 class Answer(dict):
     """A JSON object answer, plus the ``text`` it was decoded from — what
     lets a coordinator forward a shard answer it has validated without
-    encoding it again."""
+    encoding it again.  ``wires`` is, for a batch answer in the form
+    :func:`~repro.api.protocol.encode_response` writes, the text of each
+    of its responses per entry (:func:`~repro.api.protocol.decode_batch_response`);
+    ``None`` for any other answer."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "wires")
 
-    def __init__(self, payload: dict[str, Any], text: str):
+    def __init__(
+        self,
+        payload: dict[str, Any],
+        text: str,
+        wires: tuple[tuple[str, ...], ...] | None = None,
+    ):
         super().__init__(payload)
         self.text = text
+        self.wires = wires
 
 
 class _Connection:
@@ -277,6 +290,10 @@ class ServiceClient(ServingBackendBase):
             # Kept raw: the spans are parsed and stitched in only if
             # someone reads the trace.
             trace.absorb_header(remote_spans)
+        if path == _BATCH_PATH:
+            decoded = decode_batch_response(text)
+            if decoded is not None:
+                return Answer(decoded[0], text, decoded[1])
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, ClassVar, Iterable
+from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.errors import (
     DeadlineError,
@@ -696,15 +696,26 @@ class BatchEntry:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "BatchEntry":
+    def from_dict(
+        cls, payload: dict[str, Any], wires: "Sequence[str] | None" = None
+    ) -> "BatchEntry":
+        """Parse ``payload``; ``wires`` is the JSON text of each response,
+        in order, passed on to :meth:`SearchResponse.from_dict`."""
         if not isinstance(payload, dict):
             raise ProtocolError(f"batch entry must be a JSON object, got {type(payload).__name__}")
         _reject_unknown_fields(payload, _BATCH_ENTRY_FIELDS, cls.kind)
         responses = _as_list(_require(payload, "responses", cls.kind), "responses", cls.kind)
         meta = _meta_dict(payload, cls.kind)
+        if wires is None:
+            parsed = tuple(SearchResponse.from_dict(response) for response in responses)
+        else:
+            parsed = tuple(
+                SearchResponse.from_dict(response, wire)
+                for response, wire in zip(responses, wires, strict=True)
+            )
         return cls(
             query=_require(payload, "query", cls.kind),
-            responses=tuple(SearchResponse.from_dict(response) for response in responses),
+            responses=parsed,
             seconds=meta.get("seconds", 0.0),
         )
 
@@ -732,12 +743,24 @@ class BatchResponse:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "BatchResponse":
+    def from_dict(
+        cls, payload: dict[str, Any], wires: "Sequence[Sequence[str]] | None" = None
+    ) -> "BatchResponse":
+        """Parse ``payload``; ``wires`` holds, per entry, the JSON text of
+        each of its responses (:func:`decode_batch_response`), and each
+        meta-free response keeps its text as :attr:`SearchResponse.wire`."""
         _check_envelope(payload, cls.kind)
         _reject_unknown_fields(payload, _BATCH_RESPONSE_FIELDS, cls.kind)
         entries = _as_list(_require(payload, "entries", cls.kind), "entries", cls.kind)
+        if wires is None:
+            parsed = tuple(BatchEntry.from_dict(entry) for entry in entries)
+        else:
+            parsed = tuple(
+                BatchEntry.from_dict(entry, entry_wires)
+                for entry, entry_wires in zip(entries, wires, strict=True)
+            )
         return cls(
-            entries=tuple(BatchEntry.from_dict(entry) for entry in entries),
+            entries=parsed,
             documents=tuple(
                 _as_list(_require(payload, "documents", cls.kind), "documents", cls.kind)
             ),
@@ -927,13 +950,17 @@ def parse_request(payload: dict[str, Any]) -> "SearchRequest | BatchRequest | Up
 
 
 def parse_response(
-    payload: dict[str, Any], wire: str | None = None
+    payload: dict[str, Any],
+    wire: str | None = None,
+    wires: Sequence[Sequence[str]] | None = None,
 ) -> "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse":
     """Parse a response payload, dispatching on its ``kind`` field.
 
     ``wire`` is the JSON text ``payload`` was decoded from; a
-    ``search_response`` without ``meta`` keeps it (:attr:`SearchResponse.wire`),
-    every other kind ignores it."""
+    ``search_response`` without ``meta`` keeps it (:attr:`SearchResponse.wire`).
+    ``wires`` is the text of each response of a ``batch_response``, per
+    entry (:func:`decode_batch_response`), and each meta-free one keeps
+    its own.  Every other kind ignores both."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"response must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
@@ -944,6 +971,8 @@ def parse_response(
         )
     if parser is SearchResponse:
         return SearchResponse.from_dict(payload, wire)
+    if parser is BatchResponse:
+        return BatchResponse.from_dict(payload, wires)
     return parser.from_dict(payload)
 
 
@@ -992,6 +1021,33 @@ def _search_response_text(response: SearchResponse) -> str:
     ))
 
 
+def _response_text(response: SearchResponse) -> str:
+    """A meta-free search response's JSON text: the text it arrived as,
+    when pinned, else assembled."""
+    return response.wire if response.wire is not None else _search_response_text(response)
+
+
+def _batch_entry_text(entry: BatchEntry) -> str:
+    return "".join((
+        '{"query": ', _value_text(entry.query),
+        ', "responses": [', ", ".join(map(_response_text, entry.responses)),
+        "]}",
+    ))
+
+
+def _batch_response_text(response: BatchResponse) -> str:
+    """The default-form JSON text of ``response``, assembled in sorted-key
+    order from each response's text (:func:`_response_text`): the bytes of
+    ``json.dumps(response.to_dict(), sort_keys=True)``."""
+    return "".join((
+        '{"documents": ', _value_text(response.documents),
+        ', "entries": [', ", ".join(map(_batch_entry_text, response.entries)),
+        '], "kind": ', _value_text(response.kind),
+        ', "schema_version": ', _value_text(response.schema_version),
+        "}",
+    ))
+
+
 def encode_response(
     response: "SearchResponse | BatchResponse | UpdateResponse | ErrorResponse | dict[str, Any]",
 ) -> str:
@@ -1002,7 +1058,9 @@ def encode_response(
     (:attr:`SearchResponse.wire`) returns that text unchanged; any other
     search response is assembled from its header values and each
     result's :attr:`SnippetPayload.wire`, encoded by the first page that
-    served the payload — so a warm page re-encodes no snippet.  A dict —
+    served the payload — so a warm page re-encodes no snippet.  A
+    :class:`BatchResponse` is assembled from each of its responses' texts,
+    pinned or assembled by the same rule.  A dict —
     a response with ``meta`` (``to_dict(include_meta=True)``, which the
     gateway adds ``meta.trace`` to), an error body built by a
     frontend — is encoded as is.  Keys are sorted, so equal responses are
@@ -1011,5 +1069,81 @@ def encode_response(
     if isinstance(response, dict):
         return _encode(response)
     if isinstance(response, SearchResponse):
-        return response.wire if response.wire is not None else _search_response_text(response)
+        return _response_text(response)
+    if isinstance(response, BatchResponse):
+        return _batch_response_text(response)
     return _encode(response.to_dict())
+
+
+#: ``json``'s scanner (the C one where built): the value at an offset and
+#: the offset past it, read exactly as ``json.loads`` reads it
+_scan = json.JSONDecoder().scan_once
+
+
+class _NotCanonical(Exception):
+    """The text is not in the form :func:`encode_response` writes."""
+
+
+def _expect(text: str, at: int, literal: str) -> int:
+    if not text.startswith(literal, at):
+        raise _NotCanonical
+    return at + len(literal)
+
+
+def _scan_array(text: str, at: int, read_item) -> tuple[list[Any], int]:
+    """The items of the JSON array whose ``[`` ends just before ``at``,
+    separated exactly by ``", "``; and the offset past its ``]``."""
+    items: list[Any] = []
+    if text.startswith("]", at):
+        return items, at + 1
+    while True:
+        item, at = read_item(text, at)
+        items.append(item)
+        if text.startswith(", ", at):
+            at += 2
+        else:
+            return items, _expect(text, at, "]")
+
+
+def _scan_response(text: str, at: int) -> tuple[tuple[Any, str], int]:
+    response, end = _scan(text, at)
+    return (response, text[at:end]), end
+
+
+def _scan_entry(text: str, at: int) -> tuple[tuple[dict[str, Any], tuple[str, ...]], int]:
+    query, at = _scan(text, _expect(text, at, '{"query": '))
+    responses, at = _scan_array(text, _expect(text, at, ', "responses": ['), _scan_response)
+    entry = {"query": query, "responses": [response for response, _ in responses]}
+    return (entry, tuple(wire for _, wire in responses)), _expect(text, at, "}")
+
+
+def decode_batch_response(
+    text: str,
+) -> tuple[dict[str, Any], tuple[tuple[str, ...], ...]] | None:
+    """Decode a batch answer in the form :func:`encode_response` writes it:
+    the value ``json.loads(text)`` gives, and per entry the text of each of
+    its responses (for :meth:`BatchResponse.from_dict`'s ``wires``).
+
+    The envelope's keys and separators are matched literally and every
+    value between them is read by ``json``'s scanner, so a text this
+    accepts is one ``json.loads`` accepts, with the same value.  Any other
+    text — a meta body, an error, other spacing or key order, trailing
+    bytes, or not JSON at all — gives ``None``: decode it with
+    ``json.loads`` and pin nothing.
+    """
+    try:
+        documents, at = _scan(text, _expect(text, 0, '{"documents": '))
+        entries, at = _scan_array(text, _expect(text, at, ', "entries": ['), _scan_entry)
+        kind, at = _scan(text, _expect(text, at, ', "kind": '))
+        version, at = _scan(text, _expect(text, at, ', "schema_version": '))
+        if _expect(text, at, "}") != len(text):
+            return None
+    except (_NotCanonical, StopIteration, ValueError):
+        return None
+    payload = {
+        "documents": documents,
+        "entries": [entry for entry, _ in entries],
+        "kind": kind,
+        "schema_version": version,
+    }
+    return payload, tuple(wires for _, wires in entries)

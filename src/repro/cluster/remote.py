@@ -37,8 +37,11 @@ shards are made of.  A meta-free search answer that passed those checks
 is then forwarded as the text the shard sent
 (:attr:`~repro.api.protocol.SearchResponse.wire`) — the shard encoded it
 with the same :func:`~repro.api.protocol.encode_response` — instead of
-being rebuilt and encoded again; meta, errors and batches are re-encoded
-from the parsed form.
+being rebuilt and encoded again.  A meta-free batch answer is decoded
+once into its value and the text of each search response
+(:func:`~repro.api.protocol.decode_batch_response`), each parsed response
+keeps its text, and the merged batch is spliced from them.  Meta and
+errors are re-encoded from the parsed form.
 """
 
 from __future__ import annotations
@@ -508,13 +511,15 @@ class RemoteShard:
         answer counts toward shedding and also moves on (falling back to
         the overloaded answer when every endpoint is loaded).  A meta-free
         search keeps the text it arrived as
-        (:attr:`~repro.api.protocol.SearchResponse.wire`).  Raises
+        (:attr:`~repro.api.protocol.SearchResponse.wire`), and each search
+        response of a meta-free batch the text it arrived in (the client
+        decoded the answer once, into its value and those texts).  Raises
         :class:`ShardFailure` for an error answer and :class:`ClusterError`
         when every endpoint is unreachable — the router's ``execute*``
         shapes both structurally.
         """
         payload = request.to_dict()
-        forwards = isinstance(request, SearchRequest) and not request.include_meta
+        forwards = not request.include_meta
         replica_set = self.replica_set
         trace = current_trace()
         overloaded: ErrorResponse | None = None
@@ -525,8 +530,10 @@ class RemoteShard:
                         raw = endpoint.client.post(payload)
                 else:
                     raw = endpoint.client.post(payload)
-                wire = raw.text if forwards else None
-                parsed = parse_response(raw, wire)
+                if forwards:
+                    parsed = parse_response(raw, raw.text, raw.wires)
+                else:
+                    parsed = parse_response(raw)
             # Failover, not a retry: each iteration tries a *different*
             # endpoint; the failed one is re-probed by the health monitor.
             # repro: ignore[no-unbounded-retry]

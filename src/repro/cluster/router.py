@@ -301,9 +301,7 @@ class ClusterService(ServingBackendBase):
                     shard_id: iter(response.entries[query_index].responses)
                     for shard_id, response in shard_responses.items()
                 }
-                responses = tuple(
-                    replace(next(cursors[owner]), shard=owner) for owner in owners
-                )
+                responses = tuple(next(cursors[owner]).with_shard(owner) for owner in owners)
                 seconds = max(
                     (
                         response.entries[query_index].seconds

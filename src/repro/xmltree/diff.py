@@ -18,9 +18,7 @@ structural: the attribute rule of §2.1 keys on whether instances carry
 text, so such an edit can reclassify a schema node.  An XML attribute is
 compared as what the data model makes of it, its mirror child element
 (``<store id="3">`` has an ``id`` child): a changed value is a text edit,
-an added or dropped attribute a changed node count.  The start tag's
-attribute record (``XMLNode.raw_attributes``) is not compared — a tree
-loaded from a snapshot keeps none.
+an added or dropped attribute a changed node count.
 
 The diff checks the shape as a column: a pre-order sequence of depths
 determines a tree's shape (and, a label being a position, its Dewey

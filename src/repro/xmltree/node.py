@@ -66,7 +66,6 @@ class XMLNode:
         "pre",
         "post",
         "level",
-        "_attributes",
         "__weakref__",
     )
 
@@ -81,7 +80,6 @@ class XMLNode:
         self.pre = 0
         self.post = 0
         self.level = 0
-        self._attributes: dict[str, str] | None = None
 
     # ------------------------------------------------------------------ #
     # structure
@@ -148,18 +146,6 @@ class XMLNode:
         """Number of ancestors (the root of a tree or of a detached
         subtree has depth 0)."""
         return sum(1 for _ in self.iter_ancestors())
-
-    @property
-    def raw_attributes(self) -> dict[str, str]:
-        """XML attributes found on the original element, as a record of its
-        start tag.  The data model holds each one as a child element (the
-        parser's mirror children), which is all the diff, the index and a
-        saved snapshot see.  The dict is made on first use: a node
-        without attributes holds none."""
-        attributes = self._attributes
-        if attributes is None:
-            attributes = self._attributes = {}
-        return attributes
 
     # ------------------------------------------------------------------ #
     # traversal helpers

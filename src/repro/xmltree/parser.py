@@ -50,9 +50,7 @@ and column of the offence:
 XML attributes exist in the tree only as child elements, because
 eXtract's data model is element-only: ``<store id="3">`` becomes a
 ``store`` element whose first child is an ``id`` element with the text
-``3``.  ``XMLNode.raw_attributes`` keeps the start tag's attributes as a
-record, which nothing downstream reads (a saved snapshot does not store
-it, and the diff of two versions does not compare it).
+``3``.  A node keeps no other record of its start tag's attributes.
 """
 
 from __future__ import annotations
@@ -284,7 +282,6 @@ def _parse_root(text: str, start: int) -> tuple[list[XMLNode], int]:
             child.children = []
             child.pre = len(nodes)
             child.level = level
-            child._attributes = None
             if node is None:
                 child.ordinal = 0
             else:
@@ -345,9 +342,10 @@ def _parse_root(text: str, start: int) -> tuple[list[XMLNode], int]:
 def _read_attributes(
     node: XMLNode, segment: str, text: str, offset: int, nodes: list[XMLNode], post: int
 ) -> int:
-    """Fill ``node.raw_attributes`` from a start tag's ``segment`` (which
-    begins at ``offset`` of ``text``) and mirror them as the node's first
-    children, numbered and appended to ``nodes``; the next ``post`` id."""
+    """Read the attributes of a start tag's ``segment`` (which begins at
+    ``offset`` of ``text``) into ``node``'s first children, a later
+    duplicate name replacing the value of the first, numbered and
+    appended to ``nodes``; the next ``post`` id."""
     attributes: dict[str, str] = {}
     for match in _ATTR_RE.finditer(segment):
         quoted = 2 if match.group(2) is not None else 3
@@ -357,7 +355,6 @@ def _read_attributes(
         attributes[match.group(1)] = value
     if not attributes:
         return post
-    node._attributes = attributes
     link = ref(node)
     level = node.level + 1
     children = node.children

@@ -439,8 +439,6 @@ class XMLTree:
         for pre in kept:
             source = nodes[pre]
             copy = copies[pre] = XMLNode(source.tag, source.text)
-            if source._attributes:
-                copy._attributes = dict(source._attributes)
             if root_copy is None:
                 root_copy = copy
             else:
@@ -470,8 +468,6 @@ class XMLTree:
             copy.pre = source.pre
             copy.post = source.post
             copy.level = source.level
-            attributes = source._attributes
-            copy._attributes = dict(attributes) if attributes else None
             if parent < 0:
                 copy._parent = None
             else:

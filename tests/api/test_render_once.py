@@ -7,7 +7,7 @@ repeated page renders nothing and copies no snippet tree; a follow-up page
 renders exactly its own slots; a cold page renders each of its slots once;
 and none of this moves a wire byte.  The same holds for the payload's
 JSON text: the first page that serves a slot encodes its payload, and a
-warm hit assembles the page from the stored texts.
+warm hit assembles the page from the stored texts — a warm batch too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from repro.api import SearchRequest, SnippetService
+from repro.api import BatchRequest, SearchRequest, SnippetService
 from repro.api import service as service_module
 from repro.api.protocol import SnippetPayload
 from repro.corpus import Corpus
@@ -171,6 +171,21 @@ def test_a_payload_is_encoded_once(service, payload_dicts):
         body(service, page=page)
     body(service, page=1, page_size=3 * PAGE_SIZE)
     assert payload_dicts == []
+
+
+def test_a_warm_batch_renders_and_encodes_no_payload(service, renders, payload_dicts):
+    batch = BatchRequest(
+        queries=("suit formal", "drama", "store texas"), documents=("retail", "movies")
+    )
+    text = json.dumps(batch.to_dict())
+    first = service.handle_json(text)
+    assert renders.rendered and payload_dicts
+    del renders.rendered[:], payload_dicts[:]
+    assert service.handle_json(text) == first
+    assert renders.rendered == [] and renders.trees == 0
+    assert payload_dicts == []
+    # the spliced body is the dumped one
+    assert first == json.dumps(service.run_batch(batch).to_dict(), sort_keys=True)
 
 
 def test_a_results_only_page_encodes_its_fresh_payloads(service, payload_dicts):

@@ -3,11 +3,13 @@
 The coordinator decodes and parses every shard answer with the typed
 protocol's full strictness; a meta-free search answer that passes is then
 sent on as the text the shard wrote (``SearchResponse.wire``) instead of
-being rebuilt into dicts and encoded again.  These guards pin both halves:
-the coordinator of a spawned 2-shard x 2-replica cluster calls no
-``to_dict`` on that path and its bytes equal a single-corpus service's,
-while meta, an unrequested ``meta`` block and any copy that changes a
-default-form field all take the re-encoding path.
+being rebuilt into dicts and encoded again.  A meta-free batch answer is
+decoded once into its value and the text of each search response, and
+the merged batch is spliced from those texts.  These guards pin both
+halves: the coordinator of a spawned 2-shard x 2-replica cluster calls no
+``to_dict`` on either path and its bytes equal a single-corpus service's,
+while meta, an unrequested ``meta`` block, errors and any copy that
+changes a default-form field all take the re-encoding path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.api.client import ServiceClient
 from repro.api.gateway import build_gateway
 from repro.api.http import HttpServer
 from repro.api.protocol import (
+    BatchRequest,
     SearchRequest,
     SearchResponse,
     SnippetPayload,
@@ -124,6 +127,74 @@ class TestForwarded:
         code, body = stack.handle_encoded(payload)
         assert code == "unknown_document"
         assert body.decode("utf-8") == expected
+
+
+def batch_payload(**extra) -> dict:
+    documents = [name for _dataset, name in CLUSTER_DATASETS]
+    return {**BatchRequest(queries=QUERIES, documents=tuple(documents)).to_dict(), **extra}
+
+
+class TestBatchSpliced:
+    def test_meta_free_batch_rebuilds_nothing_in_the_coordinator(
+        self, coordinator, single, to_dict_calls
+    ):
+        stack, server, _cluster = coordinator
+        payloads = [batch_payload(), batch_payload(documents=None), batch_payload(limit=1)]
+        with ServiceClient(port=server.port) as client:
+            for payload in payloads:
+                client.post(payload)  # warm the shard caches and payload texts
+            to_dict_calls.clear()
+            answers = [client.post(payload) for payload in payloads]
+        assert to_dict_calls == []
+        in_process = [stack.handle_encoded(payload) for payload in payloads]
+        assert to_dict_calls == []
+        expected = [
+            single.handle_json(json.dumps(payload, sort_keys=True)) for payload in payloads
+        ]
+        assert [answer.text for answer in answers] == expected
+        assert [body.decode("utf-8") for _code, body in in_process] == expected
+        assert {code for code, _body in in_process} == {None}
+
+    def test_each_shard_response_keeps_the_text_it_arrived_in(self, coordinator):
+        _stack, _server, cluster = coordinator
+        batch = BatchRequest(queries=QUERIES, documents=("stores", "movies", "stores"))
+        merged = cluster.run_batch(batch)
+        responses = [response for entry in merged.entries for response in entry.responses]
+        assert responses and all(response.wire is not None for response in responses)
+        assert [response.shard for response in responses] == [
+            cluster.owner_of(response.document).shard_id for response in responses
+        ]
+        assert all(encode_response(response) == response.wire for response in responses)
+
+    def test_include_meta_batch_keeps_its_bytes(self, coordinator, single):
+        stack, _server, cluster = coordinator
+        payload = batch_payload(include_meta=True)
+        code, body = stack.handle_encoded(payload)
+        assert code is None
+        answered = json.loads(body)
+        responses = [response for entry in answered["entries"] for response in entry["responses"]]
+        assert [response["meta"]["shard"] for response in responses] == [
+            cluster.owner_of(response["document"]).shard_id for response in responses
+        ]
+        assert all("seconds" in entry["meta"] for entry in answered["entries"])
+        # without its volatile meta blocks, the body is a single service's
+        for entry in answered["entries"]:
+            del entry["meta"]
+            for response in entry["responses"]:
+                del response["meta"]
+        expected = single.handle_json(json.dumps(batch_payload(), sort_keys=True))
+        assert json.dumps(answered, sort_keys=True) == expected
+
+    def test_an_unknown_document_batch_keeps_its_error_bytes(self, coordinator, single):
+        stack, server, _cluster = coordinator
+        payload = batch_payload(documents=["stores", "no-such-document"])
+        expected = single.handle_json(json.dumps(payload, sort_keys=True))
+        code, body = stack.handle_encoded(payload)
+        assert code == "unknown_document"
+        assert body.decode("utf-8") == expected
+        with ServiceClient(port=server.port) as client:
+            answer = client.post(payload)
+        assert answer.text == expected and answer.wires is None
 
 
 class _CannedShard(ServingBackendBase):

@@ -8,7 +8,11 @@ backslashes, lone surrogates), awkward floats (``-0.0``, ``1e-7``, huge
 magnitudes, ``nan``, ``inf``), results-only payloads, empty pages and
 continuation tokens, and checks the assembly against
 ``json.dumps(response.to_dict(), sort_keys=True)`` — also when some
-payloads were already pinned by an earlier page.  The example count is
+payloads were already pinned by an earlier page.  A :class:`BatchResponse`
+is assembled from its responses' texts the same way; its responses are
+drawn unpinned, with pinned payloads, or carrying the text they arrived as
+(:attr:`SearchResponse.wire`), under hostile queries and documents, with
+entries that hold no response and an empty document list.  The example count is
 the active profile's: the default in the tier-1 run,
 ``--hypothesis-profile=fuzz`` in CI.
 """
@@ -23,10 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.protocol import (
+    BatchEntry,
+    BatchResponse,
     SearchResponse,
     SnippetPayload,
     encode_page_token,
     encode_response,
+    parse_response,
 )
 
 AWKWARD_CHARS = '"\\/\x00\x01\x1f\x7f\n\r\t\u2028\u2029é漢😀\ud800'
@@ -86,8 +93,28 @@ def responses(draw) -> SearchResponse:
     )
 
 
-def dumped(response: SearchResponse) -> str:
+def dumped(response: SearchResponse | BatchResponse) -> str:
     return json.dumps(response.to_dict(), sort_keys=True)
+
+
+@st.composite
+def batch_responses(draw) -> BatchResponse:
+    """A batch whose responses are unpinned, have their payload texts
+    pinned by an earlier page, or carry the text a hop received them as."""
+    entries = []
+    for query in draw(st.lists(texts, max_size=4)):
+        served = []
+        for response in draw(st.lists(responses(), max_size=3)):
+            how = draw(st.sampled_from(("unpinned", "pinned", "arrived")))
+            if how == "pinned":
+                encode_response(response)
+            elif how == "arrived":
+                text = dumped(response)
+                response = parse_response(json.loads(text), text).with_shard(0)
+                assert response.wire == text
+            served.append(response)
+        entries.append(BatchEntry(query=query, responses=tuple(served), seconds=draw(floats)))
+    return BatchResponse(entries=tuple(entries), documents=tuple(draw(st.lists(texts, max_size=4))))
 
 
 @settings(deadline=None)
@@ -123,3 +150,42 @@ def test_the_assembler_writes_every_field_in_sorted_order():
     # every constructor field of a payload is on the wire; the pinned text is not
     assert sorted(f.name for f in fields(SnippetPayload) if f.init) == sorted(payload.to_dict())
     assert text == dumped(response)
+
+
+@settings(deadline=None)
+@given(batch_responses())
+def test_the_assembled_batch_is_the_dumped_batch(batch):
+    text = encode_response(batch)
+    assert text == dumped(batch)
+    # the assembly pinned every payload it encoded, and a repeat moves no byte
+    assert all(
+        payload.wire is not None
+        for entry in batch.entries
+        for response in entry.responses
+        if response.wire is None
+        for payload in response.results
+    )
+    assert encode_response(batch) == text
+
+
+def test_the_batch_assembler_writes_every_field_in_sorted_order():
+    response = SearchResponse(
+        query="store", document="retail", keywords=("store",), algorithm="slca",
+        total_results=0, page=1, page_size=None, next_page=None, results=(),
+    )
+    batch = BatchResponse(
+        entries=(
+            BatchEntry(query="store", responses=(response, response)),
+            BatchEntry(query="none", responses=()),
+        ),
+        documents=("retail", "retail"),
+    )
+    text = encode_response(batch)
+    envelope = json.loads(text, object_pairs_hook=list)
+    assert [key for key, _ in envelope] == sorted(batch.to_dict())
+    entries = dict(envelope)["entries"]
+    assert [[key for key, _ in entry] for entry in entries] == [["query", "responses"]] * 2
+    assert text == dumped(batch)
+    assert encode_response(BatchResponse(entries=(), documents=())) == (
+        '{"documents": [], "entries": [], "kind": "batch_response", "schema_version": 1}'
+    )

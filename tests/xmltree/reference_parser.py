@@ -8,7 +8,9 @@ same rejections.  Nothing under ``src/`` imports it and nothing should: it
 is O(n * depth) in labelling work, recursive (a 1,200-deep document is a
 ``RecursionError``) and lets ``ValueError`` / ``OverflowError`` escape for
 out-of-range character references.  Do not fix it — its bugs are the two
-named divergences the differential test permits.
+named divergences the differential test permits.  One line is gone: the
+copy of a start tag's attributes into ``XMLNode.raw_attributes``, a record
+the node no longer has; the mirror children carry the same values.
 """
 
 
@@ -236,7 +238,6 @@ def _parse_element(cursor: _Cursor, attributes_as_children: bool) -> XMLNode:
     self_closing = cursor.text[tag_end - 1] == "/"
     content_start = tag_end + 1
     node = XMLNode(tag)
-    node.raw_attributes.update(attributes)
     if attributes_as_children:
         for attr_name, attr_value in attributes.items():
             node.append_child(XMLNode(attr_name, attr_value))

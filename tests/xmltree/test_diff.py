@@ -120,15 +120,6 @@ class TestStructural:
         diff = diff_trees(old, new)
         assert diff.structural_reason == "node count changed from 3 to 4"
 
-    def test_the_start_tag_record_is_not_compared(self):
-        # A tree loaded from a snapshot keeps no attribute record; its
-        # mirror children are the attributes, and they are equal.
-        old = parse_xml('<shop><store id="3"><city>Houston</city></store></shop>').tree
-        new = clone_tree(old)
-        new.nodes_by_pre[1]._attributes = None
-        assert new.nodes_by_pre[1].raw_attributes == {}
-        assert diff_trees(old, new).is_empty
-
     def test_reshaped_tree_with_same_node_count_is_structural(self):
         old = tree_from_dict("shop", {"a": {"b": "x"}, "c": "y"})
         new = tree_from_dict("shop", {"a": "x", "c": {"b": "y"}})

@@ -74,11 +74,6 @@ class TestProperties:
         city = root.children[1].children[0]
         assert city.tag_path == ("retailer", "store", "city")
 
-    def test_raw_attributes_dict(self):
-        node = XMLNode("store")
-        node.raw_attributes["id"] = "3"
-        assert node.raw_attributes == {"id": "3"}
-
 
 class TestTraversal:
     def test_iter_subtree_preorder(self):

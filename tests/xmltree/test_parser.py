@@ -57,11 +57,16 @@ class TestBasicParsing:
         assert [node.tag for node in tree.root.children] == ["b", "c"]
 
 
+def children(node) -> list[tuple[str, str | None]]:
+    """``node``'s children as (tag, text): its attributes' mirror
+    children first, in start-tag order."""
+    return [(child.tag, child.text) for child in node.children]
+
+
 class TestAttributes:
     def test_attributes_become_children_by_default(self):
         tree = parse_xml('<store id="3" open="yes"/>').tree
         assert {child.tag: child.text for child in tree.root.children} == {"id": "3", "open": "yes"}
-        assert tree.root.raw_attributes == {"id": "3", "open": "yes"}
 
     def test_attributes_exist_only_as_children(self):
         # There is no knob to keep attributes out of the tree: a tree
@@ -74,23 +79,17 @@ class TestAttributes:
             ("store", None), ("id", "3"), ("city", "Austin")
         ]
 
-    def test_a_node_without_attributes_holds_no_dict(self):
-        tree = parse_xml('<store id="3"><city>Austin</city></store>').tree
-        assert tree.root._attributes == {"id": "3"}
-        assert [node._attributes for node in tree.nodes_by_pre[1:]] == [None, None]
-
     def test_single_quoted_attributes(self):
         tree = parse_xml("<a x='1'/>").tree
-        assert tree.root.raw_attributes["x"] == "1"
+        assert children(tree.root) == [("x", "1")]
 
     def test_attribute_entity_decoding(self):
         tree = parse_xml('<a title="Tom &amp; Jerry"/>').tree
-        assert tree.root.raw_attributes["title"] == "Tom & Jerry"
+        assert children(tree.root) == [("title", "Tom & Jerry")]
 
     def test_gt_inside_attribute_value(self):
         tree = parse_xml('<a expr="x > 1"><b/></a>').tree
-        assert tree.root.raw_attributes["expr"] == "x > 1"
-        assert len(tree.root.find_children("b")) == 1
+        assert children(tree.root) == [("expr", "x > 1"), ("b", None)]
 
 
 class TestLeniencies:
@@ -98,12 +97,11 @@ class TestLeniencies:
 
     def test_duplicate_attribute_takes_last_value_in_first_position(self):
         tree = parse_xml('<a x="1" y="2" x="3"/>').tree
-        assert list(tree.root.raw_attributes.items()) == [("x", "3"), ("y", "2")]
-        assert [(child.tag, child.text) for child in tree.root.children] == [("x", "3"), ("y", "2")]
+        assert children(tree.root) == [("x", "3"), ("y", "2")]
 
     def test_junk_inside_a_start_tag_is_ignored(self):
         tree = parse_xml("""<a junk x=unquoted "stray" y = 'kept'><b/></a>""").tree
-        assert tree.root.raw_attributes == {"y": "kept"}
+        assert children(tree.root) == [("y", "kept"), ("b", None)]
 
     def test_self_closing_iff_slash_directly_before_gt(self):
         assert parse_xml("<a><b/>x</a>").tree.root.text == "x"
