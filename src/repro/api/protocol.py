@@ -585,8 +585,9 @@ class SearchResponse:
 
     ``wire`` is the default-form JSON text the response arrived as, when
     a shard hop validated it (``from_dict(payload, wire=text)``, kept only
-    for a payload without ``meta``); :func:`encode_response` returns it
-    verbatim for a meta-free answer instead of re-encoding.  It is never
+    for a payload without ``meta``; a batch answer's responses get theirs
+    through :meth:`BatchResponse.from_dict`); :func:`encode_response`
+    writes it verbatim, alone or inside a batch, instead of re-encoding.  It is never
     an ``__init__`` argument, so ``dataclasses.replace`` drops it: a copy
     that changes a default-form field cannot carry a stale text.  Only
     :meth:`with_shard`, which changes meta alone, keeps it.
@@ -697,7 +698,7 @@ class BatchEntry:
 
     @classmethod
     def from_dict(
-        cls, payload: dict[str, Any], wires: "Sequence[str] | None" = None
+        cls, payload: dict[str, Any], wires: Sequence[str] | None = None
     ) -> "BatchEntry":
         """Parse ``payload``; ``wires`` is the JSON text of each response,
         in order, passed on to :meth:`SearchResponse.from_dict`."""
@@ -707,15 +708,13 @@ class BatchEntry:
         responses = _as_list(_require(payload, "responses", cls.kind), "responses", cls.kind)
         meta = _meta_dict(payload, cls.kind)
         if wires is None:
-            parsed = tuple(SearchResponse.from_dict(response) for response in responses)
-        else:
-            parsed = tuple(
-                SearchResponse.from_dict(response, wire)
-                for response, wire in zip(responses, wires, strict=True)
-            )
+            wires = (None,) * len(responses)
         return cls(
             query=_require(payload, "query", cls.kind),
-            responses=parsed,
+            responses=tuple(
+                SearchResponse.from_dict(response, wire)
+                for response, wire in zip(responses, wires, strict=True)
+            ),
             seconds=meta.get("seconds", 0.0),
         )
 
@@ -744,7 +743,7 @@ class BatchResponse:
 
     @classmethod
     def from_dict(
-        cls, payload: dict[str, Any], wires: "Sequence[Sequence[str]] | None" = None
+        cls, payload: dict[str, Any], wires: Sequence[Sequence[str]] | None = None
     ) -> "BatchResponse":
         """Parse ``payload``; ``wires`` holds, per entry, the JSON text of
         each of its responses (:func:`decode_batch_response`), and each
@@ -753,14 +752,12 @@ class BatchResponse:
         _reject_unknown_fields(payload, _BATCH_RESPONSE_FIELDS, cls.kind)
         entries = _as_list(_require(payload, "entries", cls.kind), "entries", cls.kind)
         if wires is None:
-            parsed = tuple(BatchEntry.from_dict(entry) for entry in entries)
-        else:
-            parsed = tuple(
+            wires = (None,) * len(entries)
+        return cls(
+            entries=tuple(
                 BatchEntry.from_dict(entry, entry_wires)
                 for entry, entry_wires in zip(entries, wires, strict=True)
-            )
-        return cls(
-            entries=parsed,
+            ),
             documents=tuple(
                 _as_list(_require(payload, "documents", cls.kind), "documents", cls.kind)
             ),

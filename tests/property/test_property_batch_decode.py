@@ -51,7 +51,7 @@ def _duplicated_key(text: str) -> str:
 def mutated_texts(draw) -> str:
     text = draw(canonical_texts)
     how = draw(st.sampled_from((
-        "drop", "double", "whitespace", "reorder", "duplicate",
+        "drop", "drop-between", "double", "whitespace", "reorder", "duplicate",
         "trailing", "truncate", "non-object", "character",
     )))
     if how in ("drop", "double"):
@@ -61,6 +61,12 @@ def mutated_texts(draw) -> str:
             at = draw(st.sampled_from(places))
             cut = at + len(separator)
             text = text[:at] + text[cut:] if how == "drop" else text[:cut] + separator + text[cut:]
+    elif how == "drop-between":
+        # the comma between two array items: [{…}{…}] is not JSON
+        places = _positions(text, "}, {")
+        if places:
+            at = draw(st.sampled_from(places)) + 1
+            text = text[:at] + text[at + 2:]
     elif how == "whitespace":
         at = draw(st.integers(min_value=0, max_value=len(text)))
         text = text[:at] + draw(st.sampled_from((" ", "\n", "\t", "\r\n"))) + text[at:]
